@@ -374,7 +374,10 @@ impl DharmaClient {
             AuthenticatedRecord::sign(&self.identity, &self.cfg.namespace, uri.as_bytes().to_vec());
         let blob = dharma_types::WireEncode::encode_to_bytes(&record).to_vec();
         let key = block_key(resource, BlockType::ResourceUri);
-        cost.absorb(self.run_write(net, key, true, |n, ctx| n.put_blob(ctx, key, blob.clone()))?);
+        let (put_cost, stamp) =
+            self.run_write(net, true, |n, ctx| n.put_blob(ctx, key, blob.clone()))?;
+        self.session.observe(key, stamp);
+        cost.absorb(put_cost);
 
         // 2. r̄ — all tags of the new resource in one block update.
         let key = block_key(resource, BlockType::ResourceTags);
@@ -385,9 +388,7 @@ impl DharmaClient {
                 weight: 1,
             })
             .collect();
-        cost.absorb(self.run_write(net, key, false, |n, ctx| {
-            n.append_many(ctx, key, entries.clone())
-        })?);
+        cost.absorb(self.run_append(net, key, entries)?);
 
         // 3. per tag: t̄ᵢ reverse edge + t̂ᵢ pairwise FG arcs.
         for &t in &unique {
@@ -396,9 +397,7 @@ impl DharmaClient {
                 name: resource.to_owned(),
                 weight: 1,
             }];
-            cost.absorb(self.run_write(net, key, false, |n, ctx| {
-                n.append_many(ctx, key, entry.clone())
-            })?);
+            cost.absorb(self.run_append(net, key, entry)?);
 
             let key = block_key(t, BlockType::TagNeighbors);
             let arcs: Vec<StoredEntry> = unique
@@ -409,18 +408,9 @@ impl DharmaClient {
                     weight: 1,
                 })
                 .collect();
-            if arcs.is_empty() {
-                // Single-tag resource: the t̂ update would be empty; the
-                // paper still counts the lookup (the block is touched to
-                // ensure existence). We append a zero-entry update.
-                cost.absorb(
-                    self.run_write(net, key, false, |n, ctx| n.append_many(ctx, key, vec![]))?,
-                );
-            } else {
-                cost.absorb(self.run_write(net, key, false, |n, ctx| {
-                    n.append_many(ctx, key, arcs.clone())
-                })?);
-            }
+            // A single-tag resource has no arcs: the update is empty, but
+            // the paper still counts the lookup (the block is touched).
+            cost.absorb(self.run_append(net, key, arcs)?);
         }
         Ok(cost)
     }
@@ -455,9 +445,7 @@ impl DharmaClient {
             name: tag.to_owned(),
             weight: 1,
         }];
-        cost.absorb(self.run_write(net, r_bar, false, |n, ctx| {
-            n.append_many(ctx, r_bar, e.clone())
-        })?);
+        cost.absorb(self.run_append(net, r_bar, e)?);
 
         // 2. u(t, r) += 1 on t̄.
         let t_bar = block_key(tag, BlockType::TagResources);
@@ -465,9 +453,7 @@ impl DharmaClient {
             name: resource.to_owned(),
             weight: 1,
         }];
-        cost.absorb(self.run_write(net, t_bar, false, |n, ctx| {
-            n.append_many(ctx, t_bar, e.clone())
-        })?);
+        cost.absorb(self.run_append(net, t_bar, e)?);
 
         // 3. Fetch Tags(r) from r̄ (unfiltered: tagging needs the full set;
         //    resources carry few tags compared to popular tags' blocks).
@@ -514,9 +500,7 @@ impl DharmaClient {
         } else {
             Vec::new()
         };
-        cost.absorb(self.run_write(net, t_hat, false, |n, ctx| {
-            n.append_many(ctx, t_hat, forward.clone())
-        })?);
+        cost.absorb(self.run_append(net, t_hat, forward)?);
 
         // Approximation A: the per-neighbor τ̂ updates below are each a full
         // overlay lookup, so they are capped at k random neighbors.
@@ -535,9 +519,7 @@ impl DharmaClient {
                 name: tag.to_owned(),
                 weight: 1,
             }];
-            cost.absorb(self.run_write(net, tau_hat, false, |n, ctx| {
-                n.append_many(ctx, tau_hat, e.clone())
-            })?);
+            cost.absorb(self.run_append(net, tau_hat, e)?);
             updated += 1;
         }
 
@@ -662,28 +644,46 @@ impl DharmaClient {
         }
     }
 
-    /// Issues a write op for `key` on the home node and runs the net to
-    /// completion. The write's origin stamp (minted by the coordinator)
-    /// raises this session's floor for the key — the read-your-writes
-    /// obligation. `retryable` must only be true for idempotent writes
-    /// (blob PUTs, replication pushes) — see [`DharmaClient::run_op`].
+    /// Issues a write op on the home node, runs the net to completion and
+    /// returns the write's origin stamp (minted by the coordinator) — what
+    /// the caller folds into the session floor for the written key, the
+    /// read-your-writes obligation. `retryable` must only be true for
+    /// idempotent writes (blob PUTs, replication pushes) — see
+    /// [`DharmaClient::run_op`].
     fn run_write(
         &mut self,
         net: &mut SimNet<KademliaNode>,
-        key: Id160,
         retryable: bool,
         issue: impl FnMut(&mut KademliaNode, &mut dharma_net::Ctx<KadOutput>) -> u64,
-    ) -> Result<OpCost> {
+    ) -> Result<(OpCost, VersionStamp)> {
         let (out, cost) = self.run_op(net, retryable, false, issue)?;
         match out {
-            KadOutput::Written { stamp, .. } => {
-                self.session.observe(key, stamp);
-                Ok(cost)
-            }
+            KadOutput::Written { stamp, .. } => Ok((cost, stamp)),
             other => Err(DharmaError::Protocol(format!(
                 "expected write completion, got {other:?}"
             ))),
         }
+    }
+
+    /// `APPEND entries` to the block at `key` (never retried: appends are
+    /// not idempotent). An empty update only touches the block: holders
+    /// apply nothing and keep its version, so the stamp minted for it is
+    /// **not** folded into the session floor — no holder could ever serve
+    /// that version, and the session's next `MonotonicReads` read of the
+    /// block would fail with `StaleRead` although nothing is stale.
+    fn run_append(
+        &mut self,
+        net: &mut SimNet<KademliaNode>,
+        key: Id160,
+        entries: Vec<StoredEntry>,
+    ) -> Result<OpCost> {
+        let (cost, stamp) = self.run_write(net, false, |n, ctx| {
+            n.append_many(ctx, key, entries.clone())
+        })?;
+        if !entries.is_empty() {
+            self.session.observe(key, stamp);
+        }
+        Ok(cost)
     }
 
     /// Issues a filtered GET (idempotent, hence always retryable) and runs
@@ -1066,6 +1066,44 @@ mod tests {
         assert_eq!(view.unwrap().entries, vec![("rock".to_owned(), 1)]);
         c.reset_session();
         assert_eq!(c.session().tracked(), 0, "reset starts a new session");
+    }
+
+    /// Re-tagging an attached pair (and inserting a single-tag resource)
+    /// touches `t̂` with an empty append. Holders keep the block's version
+    /// on an empty append, so the stamp minted for it must not become the
+    /// session's floor — or the session's own next read would be refused.
+    #[test]
+    fn empty_t_hat_touch_leaves_no_phantom_session_floor() {
+        let mut net = overlay(12, 22);
+        let mut c = client(ApproxPolicy::EXACT, 1);
+        c.insert_resource(&mut net, "res", "uri://x", &["rock", "pop"])
+            .unwrap();
+        let t_hat = block_key("rock", BlockType::TagNeighbors);
+        let written = c.session().floor(&t_hat);
+        assert!(!written.is_zero(), "the insert wrote rock's arcs");
+
+        let receipt = c.tag(&mut net, "res", "rock").unwrap();
+        assert!(!receipt.newly_attached);
+        assert_eq!(receipt.cost.lookups, 5, "the touch is still a lookup");
+        assert_eq!(
+            c.session().floor(&t_hat),
+            written,
+            "an empty append raises no floor"
+        );
+        let (view, _) = c
+            .get(&mut net, t_hat, 0, Consistency::MonotonicReads)
+            .expect("nothing is stale");
+        assert_eq!(view.unwrap().entries, vec![("pop".to_owned(), 1)]);
+
+        // A single-tag insert touches a t̂ block that does not exist yet.
+        c.insert_resource(&mut net, "solo", "uri://s", &["jazz"])
+            .unwrap();
+        let jazz_hat = block_key("jazz", BlockType::TagNeighbors);
+        assert!(c.session().floor(&jazz_hat).is_zero());
+        let (view, _) = c
+            .get(&mut net, jazz_hat, 0, Consistency::MonotonicReads)
+            .expect("an absent block is not a stale one");
+        assert!(view.is_none());
     }
 
     #[test]

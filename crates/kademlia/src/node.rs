@@ -70,7 +70,11 @@
 //! * every `Pong`, `FoundNodes` and authoritative `FoundValue` this node
 //!   sends piggybacks a compact **digest** — `(key, write-version)` pairs
 //!   for recent local writes, the hottest held keys, and held keys near
-//!   the lookup target (`build_digest`);
+//!   the lookup target (`build_digest`). Building one takes O(news ring +
+//!   `digest_max`) authority tests, each sort-free
+//!   ([`RoutingTable::local_ranks_within`]): a ring full of keys this
+//!   node no longer speaks for costs a few bucket lengths per key, not a
+//!   closest-`k` selection per key;
 //! * received digests feed a per-node [`FreshnessBook`]; a digest naming a
 //!   *newer* version than a cached view triggers cheap **revalidation**:
 //!   the stale views are dropped immediately and one is refreshed with a
@@ -100,7 +104,7 @@ use crate::lookup::LookupState;
 use crate::messages::{Contact, DigestEntry, FetchedValue, Message, StoredEntry};
 use crate::routing::RoutingTable;
 use crate::rtt::{AlphaController, LatencyConfig, RttBook};
-use crate::storage::Storage;
+use crate::storage::{FilteredRead, Storage};
 
 /// Churn-adaptive maintenance cadence (the `dharma-adapt` subsystem):
 /// instead of fixed probe/repair intervals, each node keeps a decayed
@@ -545,6 +549,12 @@ const REFRESH_OP: u64 = u64::MAX - 1;
 /// ack settles the RPC, a timeout runs the standard suspect path (a
 /// fetcher that went silent is probed like any other suspect).
 const PUSH_OP: u64 = u64::MAX - 2;
+
+/// How far beyond `k` a node may rank for a key and still be treated as
+/// one of its holders by the graceful-leave handoff and the demotion
+/// sweep: near the boundary the local view of the `k`-set may be slightly
+/// off, and a small buffer of extra copies is a churn safety net.
+const REPLICA_SLACK: usize = 2;
 
 /// Bound on the digest news ring (recent effective local writes).
 const NEWS_CAP: usize = 32;
@@ -993,15 +1003,27 @@ impl KademliaNode {
             f.push_calls += 1;
             f.push_calls
         };
-        for (i, (id, addr, top_n)) in targets.into_iter().enumerate() {
-            // The key was just written, so the read can only miss if it
-            // raced an expiry sweep — in which case there is nothing left
-            // to push.
-            let Some(read) = self
-                .storage
-                .read_filtered(&key, top_n, self.cfg.reply_budget)
-            else {
-                return;
+        // One filtered read per distinct width, not per fetcher: a hot
+        // key's fetchers nearly all asked for the same `top_n`.
+        let mut reads: Vec<(u32, FilteredRead)> = Vec::new();
+        for (i, &(id, addr, top_n)) in targets.iter().enumerate() {
+            let read = match reads.iter().find(|(n, _)| *n == top_n) {
+                Some((_, read)) => read.clone(),
+                None => {
+                    // The key was just written, so the read can only miss
+                    // if it raced an expiry sweep — in which case there is
+                    // nothing left to push.
+                    let Some(read) = self
+                        .storage
+                        .read_filtered(&key, top_n, self.cfg.reply_budget)
+                    else {
+                        return;
+                    };
+                    if targets[i + 1..].iter().any(|t| t.2 == top_n) {
+                        reads.push((top_n, read.clone()));
+                    }
+                    read
+                }
             };
             // Liveness sampling: every third push round, the first (most
             // recent) target is tracked like REPAIR_OP — its ack feeds the
@@ -1064,15 +1086,6 @@ impl KademliaNode {
         }
     }
 
-    /// Builds the version digest piggybacked on a reply: up to
-    /// [`FreshConfig::digest_max`] `(held key, origin stamp)` pairs,
-    /// picked as (1) recent local writes (the news ring, newest first) —
-    /// the versions peers are most likely stale on; (2) the hottest held
-    /// keys per the popularity tracker — the views most likely cached
-    /// elsewhere, so their confirmations extend the most TTLs; (3) held
-    /// keys nearest `around` (the lookup target) — what the requester is
-    /// asking about. Empty when `dharma-fresh` is off, so disabled nodes
-    /// gossip nothing.
     /// True while this node still ranks within `k` of `key` per its own
     /// routing view — the bar for speaking *authoritatively* about a
     /// held copy: serving it as a holder and gossiping its stamp in
@@ -1089,14 +1102,23 @@ impl KademliaNode {
     /// version gossip, beyond-`k` copies are a deliberate churn safety
     /// net and keep serving.
     fn likely_authoritative(&self, key: &Id160) -> bool {
-        let closest = self.routing.closest(key, self.cfg.k);
-        if closest.len() < self.cfg.k {
-            return true;
-        }
-        let kth = closest.last().expect("len checked").id.distance(key);
-        kth >= self.contact.id.distance(key)
+        self.routing.local_ranks_within(key, self.cfg.k)
     }
 
+    /// Builds the version digest piggybacked on a reply: up to
+    /// [`FreshConfig::digest_max`] `(held key, origin stamp)` pairs,
+    /// picked as (1) recent local writes (the news ring, newest first) —
+    /// the versions peers are most likely stale on; (2) the hottest held
+    /// keys per the popularity tracker — the views most likely cached
+    /// elsewhere, so their confirmations extend the most TTLs; (3) held
+    /// keys nearest `around` (the lookup target) — what the requester is
+    /// asking about. Empty when `dharma-fresh` is off, so disabled nodes
+    /// gossip nothing.
+    ///
+    /// Runs on every reply: at most `news + 2 * digest_max` authority
+    /// tests, each a walk over a few bucket lengths
+    /// ([`RoutingTable::local_ranks_within`]), plus — only when the first
+    /// two sections leave room — one linear selection over the held keys.
     fn build_digest(&self, around: Option<&Id160>, now_us: u64) -> Vec<DigestEntry> {
         let Some(f) = &self.fresh else {
             return Vec::new();
@@ -1125,7 +1147,7 @@ impl KademliaNode {
                 push(&mut out, key);
             }
         }
-        if let Some(pop) = &self.popularity {
+        if let Some(pop) = self.popularity.as_ref().filter(|_| out.len() < max) {
             for key in pop.hottest(max, now_us) {
                 push(&mut out, &key);
             }
@@ -1144,14 +1166,26 @@ impl KademliaNode {
                 }
                 held.sort_unstable_by_key(|k| k.distance(target));
                 for key in held {
-                    if out.len() >= max {
-                        break;
-                    }
                     push(&mut out, &key);
                 }
             }
         }
         out
+    }
+
+    /// Answers a `FIND_NODE` — or a `FIND_VALUE` this node has no servable
+    /// value for — with its `k` closest contacts to `target` and a digest.
+    fn reply_found_nodes(&self, ctx: &mut Ctx<KadOutput>, to: NodeAddr, rpc: u64, target: &Id160) {
+        ctx.send(
+            to,
+            Message::FoundNodes {
+                rpc,
+                from: self.contact.clone(),
+                contacts: self.routing.closest(target, self.cfg.k),
+                digest: self.build_digest(Some(target), ctx.now_us),
+            }
+            .encode_to_bytes(),
+        );
     }
 
     /// The monotone-freshness gate: may a cached view of `key` at
@@ -1363,7 +1397,7 @@ impl KademliaNode {
         let Some(extra) = extra else {
             return;
         };
-        let Some((blob, entries, stamp)) = self.snapshot_value(&key) else {
+        let Some((blob, entries, stamp)) = self.storage.snapshot(&key) else {
             return;
         };
         let targets: Vec<Contact> = self
@@ -1396,14 +1430,6 @@ impl KademliaNode {
         }
     }
 
-    /// A `Replicate`-ready snapshot of one held value (with its stamp).
-    fn snapshot_value(
-        &self,
-        key: &Id160,
-    ) -> Option<(Option<Vec<u8>>, Vec<StoredEntry>, VersionStamp)> {
-        self.storage.snapshot(key)
-    }
-
     /// `Replicate` push of `key`'s snapshot to `to` (idempotent merge-max
     /// on the receiver), **tracked** with a pending-RPC timeout under
     /// [`REPAIR_OP`]: the ack settles it, and a timeout marks the silent
@@ -1432,6 +1458,25 @@ impl KademliaNode {
             },
         );
         ctx.set_timer(self.cfg.rpc_timeout_us, rpc);
+    }
+
+    /// `Replicate` push of `key`'s snapshot to each of its current `k`
+    /// closest contacts — `tracked` ([`Self::push_replica`]) from the
+    /// repair and demotion sweeps, untracked from a graceful leave. Returns
+    /// the number of pushes — 0 when the key is not held.
+    fn push_to_closest(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, tracked: bool) -> u64 {
+        let Some((blob, entries, stamp)) = self.storage.snapshot(&key) else {
+            return 0;
+        };
+        let targets = self.routing.closest(&key, self.cfg.k);
+        for t in &targets {
+            if tracked {
+                self.push_replica(ctx, t, key, blob.clone(), entries.clone(), stamp);
+            } else {
+                self.send_replica_raw(ctx, t.addr, key, blob.clone(), entries.clone(), stamp);
+            }
+        }
+        targets.len() as u64
     }
 
     /// Untracked `Replicate` send (graceful leave only: the sender is
@@ -1604,42 +1649,28 @@ impl KademliaNode {
     /// (`SimNet::leave` does both in one step).
     ///
     /// The handoff is **trimmed**: a key is pushed only when this node
-    /// ranks within `k + LEAVE_SLACK` of it. A copy held further out (a
+    /// ranks within `k + REPLICA_SLACK` of it. A copy held further out (a
     /// demotion candidate, or leftover from old membership) is redundant —
     /// the authoritative `k` are all strictly closer and hold the record
     /// without us — so pushing it would be pure drain overhead, the bulk
-    /// of A7's graceful-row message bill. The slack mirrors the demotion
-    /// sweep's: near the boundary our view of the k-set may be slightly
-    /// off, so a key we *might* be needed for is still pushed.
+    /// of A7's graceful-row message bill. The slack is the demotion
+    /// sweep's (`REPLICA_SLACK`): a key we *might* be needed for is
+    /// still pushed.
     pub fn leave(&mut self, ctx: &mut Ctx<KadOutput>) {
-        /// Keys we rank beyond `k + LEAVE_SLACK` for are not handed off.
-        const LEAVE_SLACK: usize = 2;
         let now = ctx.now_us;
         let keys: Vec<Id160> = self.storage.keys().copied().collect();
-        let keep_within = self.cfg.k + LEAVE_SLACK;
-        let own = self.contact.id;
+        let keep_within = self.cfg.k + REPLICA_SLACK;
         let mut pushes = 0u64;
         for key in keys {
             if self.drop_if_expired(&key, now) {
                 continue;
             }
-            let Some((blob, entries, stamp)) = self.snapshot_value(&key) else {
+            if !self.routing.local_ranks_within(&key, keep_within) {
+                // At least k + slack known contacts are strictly closer:
+                // the replica set is whole without us.
                 continue;
-            };
-            let mut targets = self.routing.closest(&key, keep_within);
-            if targets.len() >= keep_within {
-                let kth = targets.last().expect("len checked").id.distance(&key);
-                if kth < own.distance(&key) {
-                    // At least k + slack known contacts are strictly
-                    // closer: the replica set is whole without us.
-                    continue;
-                }
             }
-            targets.truncate(self.cfg.k);
-            pushes += targets.len() as u64;
-            for t in targets {
-                self.send_replica_raw(ctx, t.addr, key, blob.clone(), entries.clone(), stamp);
-            }
+            pushes += self.push_to_closest(ctx, key, false);
         }
         if pushes > 0 {
             self.cfg.counters.record_leave_handoffs(pushes);
@@ -1715,12 +1746,7 @@ impl KademliaNode {
         let keys: Vec<Id160> = self
             .storage
             .keys()
-            .filter(|key| {
-                self.routing
-                    .closest(key, self.cfg.k)
-                    .iter()
-                    .any(|c| c.id == newcomer.id)
-            })
+            .filter(|key| self.routing.ranks_within(&newcomer.id, key, self.cfg.k))
             .copied()
             .collect();
         let mut handed = 0u64;
@@ -1731,7 +1757,7 @@ impl KademliaNode {
             if self.drop_if_expired(&key, now) {
                 continue;
             }
-            if let Some((blob, entries, stamp)) = self.snapshot_value(&key) {
+            if let Some((blob, entries, stamp)) = self.storage.snapshot(&key) {
                 self.push_replica(ctx, &newcomer, key, blob, entries, stamp);
                 handed += 1;
             }
@@ -1764,15 +1790,12 @@ impl KademliaNode {
         // Re-collected each tick rather than snapshotted per pass: storage
         // mutates between ticks (expiry, demotion, incoming replicas), and
         // the id-ordered cursor makes the fresh view resume correctly.
-        let mut keys: Vec<Id160> = self.storage.keys().copied().collect();
-        keys.sort_unstable();
-        let start = match self.repair_cursor {
-            Some(cursor) => keys.partition_point(|k| *k <= cursor),
-            None => 0,
+        let take = if budget == 0 { usize::MAX } else { budget };
+        let (batch, done) = {
+            let mut rest = self.storage.keys_after(self.repair_cursor.as_ref());
+            let batch: Vec<Id160> = rest.by_ref().take(take).copied().collect();
+            (batch, rest.next().is_none())
         };
-        let take = if budget == 0 { keys.len() } else { budget };
-        let batch: Vec<Id160> = keys[start..].iter().take(take).copied().collect();
-        let done = start + batch.len() >= keys.len();
         let mut pushes = 0u64;
         for key in &batch {
             if self.drop_if_expired(key, now) {
@@ -1781,14 +1804,7 @@ impl KademliaNode {
             if self.last_replicate_seen.contains_key(key) {
                 continue;
             }
-            let Some((blob, entries, stamp)) = self.snapshot_value(key) else {
-                continue;
-            };
-            let targets = self.routing.closest(key, self.cfg.k);
-            pushes += targets.len() as u64;
-            for t in targets {
-                self.push_replica(ctx, &t, *key, blob.clone(), entries.clone(), stamp);
-            }
+            pushes += self.push_to_closest(ctx, *key, true);
         }
         if pushes > 0 {
             self.cfg.counters.record_rereplications(pushes);
@@ -1800,7 +1816,7 @@ impl KademliaNode {
     /// decayed — the explicit counterpart of adaptive promotion, so extra
     /// copies stop occupying space the moment a key cools instead of
     /// waiting for the record TTL. A key is dropped only when (a) at least
-    /// `k + DEMOTE_SLACK` known contacts are strictly closer to it (we are
+    /// `k + REPLICA_SLACK` known contacts are strictly closer to it (we are
     /// comfortably outside the authoritative replica set — the slack keeps
     /// a small buffer of extra copies alive as a churn safety net and
     /// avoids demote/handoff flapping at the boundary), (b) its local
@@ -1809,29 +1825,20 @@ impl KademliaNode {
     /// interval. The snapshot is re-pushed to the `k` closest before the
     /// local drop, so demotion can never lose the last copy.
     fn demote_sweep(&mut self, ctx: &mut Ctx<KadOutput>, interval_us: u64) {
-        /// Replicas ranked between `k` and `k + DEMOTE_SLACK` are spared.
-        const DEMOTE_SLACK: usize = 2;
         let now = ctx.now_us;
         let cold_bar = self
             .popularity
             .as_ref()
             .map(|p| p.config().hot_threshold / 2.0)
             .unwrap_or(f64::INFINITY);
-        let own = self.contact.id;
-        let keep_within = self.cfg.k + DEMOTE_SLACK;
+        let keep_within = self.cfg.k + REPLICA_SLACK;
         let victims: Vec<Id160> = self
             .storage
             .keys()
             .copied()
             .filter(|key| {
-                let closest = self.routing.closest(key, keep_within);
-                if closest.len() < keep_within {
-                    return false; // sparse view: assume we are needed
-                }
-                let self_dist = own.distance(key);
-                let kth = closest.last().expect("len checked").id.distance(key);
-                if kth >= self_dist {
-                    return false; // we rank within k + slack
+                if self.routing.local_ranks_within(key, keep_within) {
+                    return false; // we rank within k + slack (or the view is sparse)
                 }
                 let weight = self
                     .popularity
@@ -1852,12 +1859,7 @@ impl KademliaNode {
             if self.drop_if_expired(&key, now) {
                 continue;
             }
-            let Some((blob, entries, stamp)) = self.snapshot_value(&key) else {
-                continue;
-            };
-            for t in self.routing.closest(&key, self.cfg.k) {
-                self.push_replica(ctx, &t, key, blob.clone(), entries.clone(), stamp);
-            }
+            self.push_to_closest(ctx, key, true);
             self.storage.remove(&key);
             self.invalidate_cached(&key);
             self.cfg.counters.record_replica_demoted();
@@ -1952,7 +1954,7 @@ impl KademliaNode {
                 if self.drop_if_expired(&key, now) {
                     return None;
                 }
-                self.snapshot_value(&key).map(|(blob, entries, stamp)| {
+                self.storage.snapshot(&key).map(|(blob, entries, stamp)| {
                     self.start_op(
                         ctx,
                         key,
@@ -2492,18 +2494,7 @@ impl Node for KademliaNode {
                 self.absorb_digest(ctx, &from, &digest);
             }
             Message::FindNode { rpc, from, target } => {
-                let contacts = self.routing.closest(&target, self.cfg.k);
-                let digest = self.build_digest(Some(&target), ctx.now_us);
-                ctx.send(
-                    from.addr,
-                    Message::FoundNodes {
-                        rpc,
-                        from: self.contact.clone(),
-                        contacts,
-                        digest,
-                    }
-                    .encode_to_bytes(),
-                );
+                self.reply_found_nodes(ctx, from.addr, rpc, &target);
             }
             Message::FindValue {
                 rpc,
@@ -2520,11 +2511,13 @@ impl Node for KademliaNode {
                 // views as "current". Answer with closer contacts so the
                 // requester reaches the live holders instead.
                 let speaks_for = self.fresh.is_none() || self.likely_authoritative(&key);
-                match self
-                    .storage
-                    .read_filtered(&key, top_n, self.cfg.reply_budget)
-                    .filter(|_| speaks_for)
-                {
+                let held = if speaks_for {
+                    self.storage
+                        .read_filtered(&key, top_n, self.cfg.reply_budget)
+                } else {
+                    None
+                };
+                match held {
                     Some(read) => {
                         // Holder-side interest tracking for write-triggered
                         // invalidation push: remember who fetched this key.
@@ -2562,18 +2555,7 @@ impl Node for KademliaNode {
                         // view could predate its write, and a FoundNodes
                         // reply keeps its lookup advancing instead).
                         if no_cache {
-                            let contacts = self.routing.closest(&key, self.cfg.k);
-                            let digest = self.build_digest(Some(&key), ctx.now_us);
-                            ctx.send(
-                                from.addr,
-                                Message::FoundNodes {
-                                    rpc,
-                                    from: self.contact.clone(),
-                                    contacts,
-                                    digest,
-                                }
-                                .encode_to_bytes(),
-                            );
+                            self.reply_found_nodes(ctx, from.addr, rpc, &key);
                             return;
                         }
                         let cached = self
@@ -2616,18 +2598,7 @@ impl Node for KademliaNode {
                                 self.maybe_refresh_ahead(ctx, key, top_n);
                             }
                         }
-                        let contacts = self.routing.closest(&key, self.cfg.k);
-                        let digest = self.build_digest(Some(&key), ctx.now_us);
-                        ctx.send(
-                            from.addr,
-                            Message::FoundNodes {
-                                rpc,
-                                from: self.contact.clone(),
-                                contacts,
-                                digest,
-                            }
-                            .encode_to_bytes(),
-                        );
+                        self.reply_found_nodes(ctx, from.addr, rpc, &key);
                     }
                 }
             }
@@ -4073,7 +4044,7 @@ mod tests {
         }
         net.take_completions();
         let promoted = holders(&net, &key).len();
-        // Demotion spares replicas up to k + DEMOTE_SLACK (= 6 here); the
+        // Demotion spares replicas up to k + REPLICA_SLACK (= 6 here); the
         // hot key must overshoot that floor for the reclaim to be visible.
         assert!(
             promoted > 6,
@@ -4715,6 +4686,63 @@ mod tests {
         let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 2);
         plain.append(&mut ctx, near, "x", 1);
         assert!(plain.build_digest(Some(&near), 1_000).is_empty());
+    }
+
+    /// Golden digest on the shape the reply hot path actually sees: a
+    /// full news ring in which almost every key has drifted out of this
+    /// node's replica set. The digest must name exactly the keys the
+    /// closest-`k` definition of authority says the node still speaks for,
+    /// newest write first, each at its stored stamp.
+    #[test]
+    fn digest_of_a_full_news_ring_names_only_keys_the_node_speaks_for() {
+        let local = sha1(b"digesting");
+        let mut node = KademliaNode::new(local, 0, fresh_cfg(1_000_000));
+        // Writes land while the routing table is empty, so each applies
+        // locally and enters the news ring.
+        let own: Vec<usize> = vec![3, 11, 20, 30];
+        let keys: Vec<Id160> = (0..NEWS_CAP)
+            .map(|i| match own.iter().position(|&o| o == i) {
+                // Next to the local id: no contact can be closer.
+                Some(p) => local.with_flipped_bit(159 - p),
+                None => sha1(&[b'n', i as u8]),
+            })
+            .collect();
+        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+        for (i, key) in keys.iter().enumerate() {
+            ctx.now_us = i as u64;
+            node.append(&mut ctx, *key, "x", 1);
+        }
+        // Then the overlay fills in (k = 8, so ~50 of these stay).
+        for n in 0..200u32 {
+            node.routing.note_contact(Contact {
+                id: sha1(&n.to_le_bytes()),
+                addr: n + 1,
+            });
+        }
+        let speaks_for = |key: &Id160| {
+            let closest = node.routing.closest(key, node.cfg.k);
+            closest.last().expect("contacts").id.distance(key) >= local.distance(key)
+        };
+        let spoken: Vec<Id160> = keys.iter().rev().copied().filter(speaks_for).collect();
+        assert!(own.iter().all(|&i| spoken.contains(&keys[i])));
+        assert!(
+            spoken.len() < NEWS_CAP / 2,
+            "mostly drifted: {} of {NEWS_CAP} still ours",
+            spoken.len()
+        );
+
+        let around = sha1(b"some-lookup-target");
+        let expected: Vec<DigestEntry> = spoken
+            .iter()
+            .take(dharma_cache::FreshConfig::default().digest_max)
+            .map(|key| DigestEntry {
+                key: *key,
+                version: node.storage().stamp(key),
+            })
+            .collect();
+        assert!(expected.iter().all(|e| !e.version.is_zero()));
+        assert_eq!(node.build_digest(Some(&around), 100), expected);
+        assert_eq!(node.build_digest(None, 100), expected);
     }
 
     #[test]

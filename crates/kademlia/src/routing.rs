@@ -16,6 +16,38 @@
 //! without losing the newcomer that exposed it. Setting
 //! `ping_before_evict = false` restores the old evict-on-first-timeout
 //! behavior (replacement cache only).
+//!
+//! ## Rank tests without sorting: the bucket lemma
+//!
+//! "Do I still rank within `n` of this key?" is asked on every reply (the
+//! digest build, the `FIND_VALUE` serve gate) and once per held key by the
+//! maintenance sweeps. It needs a *count* of closer contacts, not the
+//! contacts, and the bucket structure gives that count without computing a
+//! single distance. Let `d = local ⊕ target` and `b` its leading-zero
+//! count. A contact `c` of bucket `j` agrees with the local id on the first
+//! `j` bits and differs at bit `j`, so `c ⊕ target` equals `d` on the
+//! first `j` bits and has `¬d[j]` at bit `j`. Three cases follow:
+//!
+//! * `j < b`: `d[j] = 0`, so `c ⊕ target` has a one where `d` has a zero —
+//!   every contact of the bucket is **farther** from the target than the
+//!   local id;
+//! * `j = b`: `d[b] = 1` by definition of `b`, so the bit is cleared —
+//!   every contact of the bucket is **closer**;
+//! * `j > b`: the first differing bit is `j` itself — the whole bucket is
+//!   closer iff `d[j] = 1`.
+//!
+//! All three say the same thing: *bucket `j` is closer to the target than
+//! the local id iff bit `j` of `d` is set*. The number of closer contacts
+//! is therefore a sum of bucket lengths over the set bits of `d`
+//! ([`RoutingTable::local_ranks_within`]). The walk stops as soon as the
+//! sum reaches `n`, and never goes past the deepest bucket that ever held
+//! a contact — which the table tracks, because in an overlay of `N` nodes
+//! only the first ~`log2 N` buckets hold anyone and a walk over all 160
+//! would cost as much as the scan it replaces. The same argument with a
+//! contact in place of the local id ([`RoutingTable::ranks_within`])
+//! decides every bucket but the contact's own wholesale.
+
+use std::cmp::Ordering;
 
 use dharma_types::{Distance, Id160, ID160_BITS};
 
@@ -157,6 +189,10 @@ pub struct RoutingTable {
     local: Id160,
     k: usize,
     buckets: Vec<KBucket>,
+    /// High-water mark: no bucket at or past `depth` has ever held a
+    /// contact, so walks over contacts stop here instead of visiting all
+    /// 160 buckets (an `N`-node overlay fills about `log2 N` of them).
+    depth: usize,
 }
 
 impl RoutingTable {
@@ -166,6 +202,7 @@ impl RoutingTable {
             local,
             k,
             buckets: vec![KBucket::default(); ID160_BITS],
+            depth: 0,
         }
     }
 
@@ -187,10 +224,11 @@ impl RoutingTable {
     /// Records activity from a contact (any received message).
     /// Self-contacts are ignored.
     pub fn note_contact(&mut self, c: Contact) -> NoteOutcome {
-        match self.bucket_index(&c.id) {
-            Some(i) => self.buckets[i].note(c, self.k),
-            None => NoteOutcome::Ignored,
-        }
+        let Some(i) = self.bucket_index(&c.id) else {
+            return NoteOutcome::Ignored;
+        };
+        self.depth = self.depth.max(i + 1);
+        self.buckets[i].note(c, self.k)
     }
 
     /// Records activity from a contact with **proximity neighbor
@@ -204,10 +242,11 @@ impl RoutingTable {
         c: Contact,
         rtt: &dyn Fn(&Id160) -> Option<u64>,
     ) -> (NoteOutcome, bool) {
-        match self.bucket_index(&c.id) {
-            Some(i) => self.buckets[i].note_pns(c, self.k, rtt),
-            None => (NoteOutcome::Ignored, false),
-        }
+        let Some(i) = self.bucket_index(&c.id) else {
+            return (NoteOutcome::Ignored, false);
+        };
+        self.depth = self.depth.max(i + 1);
+        self.buckets[i].note_pns(c, self.k, rtt)
     }
 
     /// Records a confirmed failure for `id` (RPC timeout, or a failed
@@ -243,12 +282,12 @@ impl RoutingTable {
 
     /// Total live contacts.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(KBucket::len).sum()
+        self.buckets[..self.depth].iter().map(KBucket::len).sum()
     }
 
     /// True when the table knows nobody.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(KBucket::is_empty)
+        self.buckets[..self.depth].iter().all(KBucket::is_empty)
     }
 
     /// The bucket at index `i` (tests and maintenance).
@@ -258,29 +297,83 @@ impl RoutingTable {
 
     /// Iterates every live contact (graceful-leave notices, diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = &Contact> {
-        self.buckets.iter().flat_map(|b| b.entries.iter())
+        self.buckets[..self.depth]
+            .iter()
+            .flat_map(|b| b.entries.iter())
     }
 
     /// The `n` known contacts closest to `target`, ascending by XOR
     /// distance. Never includes the local node (it is not a contact).
+    /// Callers that only need to know *whether* an id ranks within `n`
+    /// use [`RoutingTable::local_ranks_within`] or
+    /// [`RoutingTable::ranks_within`], which materialise nothing.
     pub fn closest(&self, target: &Id160, n: usize) -> Vec<Contact> {
-        let mut all: Vec<(Distance, Contact)> = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.entries.iter())
-            .map(|c| (c.id.distance(target), c.clone()))
-            .collect();
+        let mut all: Vec<(Distance, &Contact)> =
+            self.iter().map(|c| (c.id.distance(target), c)).collect();
         if all.len() > n {
-            all.select_nth_unstable_by(n - 1, |a, b| a.0.cmp(&b.0));
+            all.select_nth_unstable_by_key(n - 1, |a| a.0);
             all.truncate(n);
         }
         all.sort_unstable_by_key(|a| a.0);
-        all.into_iter().map(|(_, c)| c).collect()
+        all.into_iter().map(|(_, c)| c.clone()).collect()
+    }
+
+    /// True when fewer than `n` known contacts are strictly closer to
+    /// `target` than the local id — the local node is among the `n`
+    /// closest of everyone it knows, itself included. Equal to
+    /// `closest(target, n)` being short of `n` contacts or ending on one
+    /// farther than the local id, at the cost of a few bucket lengths (the
+    /// bucket lemma in the module docs): no distance is computed and
+    /// nothing is allocated.
+    pub fn local_ranks_within(&self, target: &Id160, n: usize) -> bool {
+        let d = self.local.distance(target);
+        let mut closer = 0usize;
+        for j in (0..self.depth).filter(|&j| d.as_id().bit(j)) {
+            closer += self.buckets[j].len();
+            if closer >= n {
+                return false;
+            }
+        }
+        closer < n
+    }
+
+    /// True when `id` is a live contact and fewer than `n` other contacts
+    /// are strictly closer to `target` — `closest(target, n)` would return
+    /// it. With `i` the bucket of `id`, the bucket lemma decides every
+    /// other bucket wholesale: a shallower bucket `j < i` is closer than
+    /// `id` iff bit `j` of `local ⊕ target` is set, and the deeper buckets
+    /// are closer *all together* iff bit `i` is clear (then the target lies
+    /// on the local side of `id`'s branch). Only `id`'s own bucket — at
+    /// most `k` contacts — is compared by distance.
+    pub fn ranks_within(&self, id: &Id160, target: &Id160, n: usize) -> bool {
+        let Some(i) = self.bucket_index(id) else {
+            return false; // the local id is never a contact
+        };
+        let d = self.local.distance(target);
+        let mut closer = 0usize;
+        let wholly_closer = |j: usize| match j.cmp(&i) {
+            Ordering::Less => d.as_id().bit(j),
+            Ordering::Equal => false,
+            Ordering::Greater => !d.as_id().bit(i),
+        };
+        for j in (0..self.depth).filter(|&j| wholly_closer(j)) {
+            closer += self.buckets[j].len();
+            if closer >= n {
+                return false;
+            }
+        }
+        let own = id.distance(target);
+        let mut live = false;
+        for c in &self.buckets[i].entries {
+            live |= c.id == *id;
+            closer += usize::from(c.id.distance(target) < own);
+        }
+        live && closer < n
     }
 
     /// Buckets that contain at least one contact, as `(index, len)` pairs.
     pub fn occupancy(&self) -> Vec<(usize, usize)> {
-        self.buckets
+        self.buckets[..self.depth]
             .iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())

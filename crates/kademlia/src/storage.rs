@@ -26,6 +26,7 @@
 //! unchanged from the string-keyed representation.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use dharma_types::{Id160, NameInterner, Sym, VersionStamp};
 
@@ -276,33 +277,39 @@ impl Storage {
         byte_budget: usize,
     ) -> Option<FilteredRead> {
         let state = self.values.get(key)?;
-        let mut entries: Vec<StoredEntry> = state
-            .entries
-            .iter()
-            .map(|&(sym, weight)| StoredEntry {
-                name: self.names.resolve(sym).to_owned(),
-                weight,
-            })
-            .collect();
-        entries.sort_unstable_by(|a, b| b.weight.cmp(&a.weight).then(a.name.cmp(&b.name)));
+        // Rank the compact `(Sym, weight)` pairs, resolving names only to
+        // break weight ties; only the entries that survive `top_n` and the
+        // byte budget are ever allocated. Names are unique per key, so the
+        // order is total and selecting then sorting the prefix equals
+        // sorting everything.
+        let mut ranked = state.entries.clone();
+        let by_rank = |a: &(Sym, u64), b: &(Sym, u64)| {
+            b.1.cmp(&a.1)
+                .then_with(|| self.names.resolve(a.0).cmp(self.names.resolve(b.0)))
+        };
         let mut truncated = false;
-        if top_n > 0 && entries.len() > top_n as usize {
-            entries.truncate(top_n as usize);
+        if top_n > 0 && ranked.len() > top_n as usize {
+            ranked.select_nth_unstable_by(top_n as usize - 1, by_rank);
+            ranked.truncate(top_n as usize);
             truncated = true;
         }
+        ranked.sort_unstable_by(by_rank);
         // Enforce the byte budget on the encoded size (varint-accurate).
         let mut used = 0usize;
-        let mut keep = 0usize;
-        for e in &entries {
-            let size = entry_encoded_len(e);
+        let mut entries = Vec::with_capacity(ranked.len());
+        for &(sym, weight) in &ranked {
+            let name = self.names.resolve(sym);
+            let size = entry_encoded_len(name, weight);
             if used + size > byte_budget {
                 truncated = true;
                 break;
             }
             used += size;
-            keep += 1;
+            entries.push(StoredEntry {
+                name: name.to_owned(),
+                weight,
+            });
         }
-        entries.truncate(keep);
         Some(FilteredRead {
             entries,
             blob: state.blob.as_deref().map(<[u8]>::to_vec),
@@ -311,9 +318,18 @@ impl Storage {
         })
     }
 
-    /// Iterates all keys (replication/maintenance).
+    /// Iterates all keys in id order (replication/maintenance).
     pub fn keys(&self) -> impl Iterator<Item = &Id160> {
         self.values.keys()
+    }
+
+    /// The keys strictly after `cursor` in id order (all of them for
+    /// `None`) — where a budgeted sweep resumes.
+    pub fn keys_after(&self, cursor: Option<&Id160>) -> impl Iterator<Item = &Id160> {
+        let lower = cursor.map_or(Bound::Unbounded, Bound::Excluded);
+        self.values
+            .range((lower, Bound::Unbounded))
+            .map(|(key, _)| key)
     }
 
     /// Approximate heap bytes held: values, entry vectors, blobs, and the
@@ -333,10 +349,10 @@ impl Storage {
 }
 
 /// Encoded size of one entry (length-prefixed name + varint weight).
-fn entry_encoded_len(e: &StoredEntry) -> usize {
-    dharma_types::wire::varint_len(e.name.len() as u64)
-        + e.name.len()
-        + dharma_types::wire::varint_len(e.weight)
+fn entry_encoded_len(name: &str, weight: u64) -> usize {
+    dharma_types::wire::varint_len(name.len() as u64)
+        + name.len()
+        + dharma_types::wire::varint_len(weight)
 }
 
 #[cfg(test)]

@@ -33,6 +33,59 @@ fn arb_entry() -> impl Strategy<Value = StoredEntry> {
     ("[a-z0-9-]{1,24}", 0u64..1_000_000).prop_map(|(name, weight)| StoredEntry { name, weight })
 }
 
+/// An id that agrees with `local` on its first `shared` bits, differs at
+/// bit `shared`, and takes the rest from `fill` — i.e. a member of
+/// `local`'s bucket `shared`. Random ids only ever populate the first
+/// ~log2(n) buckets; this reaches the deep ones.
+fn in_bucket(local: &Id160, shared: usize, fill: [u8; 20]) -> Id160 {
+    let mut id = Id160::from_bytes(fill);
+    for i in 0..shared {
+        if id.bit(i) != local.bit(i) {
+            id = id.with_flipped_bit(i);
+        }
+    }
+    if id.bit(shared) == local.bit(shared) {
+        id = id.with_flipped_bit(shared);
+    }
+    id
+}
+
+/// Naive reference for `Storage::read_filtered`'s entry selection:
+/// materialise every entry, sort everything, truncate, then cut at the
+/// byte budget. Returns the kept entries and the `truncated` flag.
+fn naive_filtered(
+    model: &std::collections::BTreeMap<String, u64>,
+    top_n: u32,
+    budget: usize,
+) -> (Vec<StoredEntry>, bool) {
+    let mut all: Vec<StoredEntry> = model
+        .iter()
+        .map(|(name, &weight)| StoredEntry {
+            name: name.clone(),
+            weight,
+        })
+        .collect();
+    all.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.name.cmp(&b.name)));
+    let mut truncated = false;
+    if top_n > 0 && all.len() > top_n as usize {
+        all.truncate(top_n as usize);
+        truncated = true;
+    }
+    let mut used = 0usize;
+    let mut keep = 0usize;
+    for e in &all {
+        let size = e.encode_to_bytes().len();
+        if used + size > budget {
+            truncated = true;
+            break;
+        }
+        used += size;
+        keep += 1;
+    }
+    all.truncate(keep);
+    (all, truncated)
+}
+
 fn arb_message() -> impl Strategy<Value = Message> {
     let rpc = any::<u64>();
     prop_oneof![
@@ -266,6 +319,78 @@ proptest! {
         prop_assert!(!ids.contains(&local), "local id is not a contact");
     }
 
+    /// The rank primitives equal the definition they replaced — "take
+    /// `closest(target, n)` and look at it" — over random tables: sparse
+    /// views with fewer than `n` contacts, full and empty buckets (random
+    /// ids fill the shallow buckets, crafted ones the deep), evictions,
+    /// and targets equal to the local id, to a contact, and deep inside
+    /// the local id's own branch.
+    #[test]
+    fn rank_tests_equal_the_closest_based_definition(
+        shallow in proptest::collection::vec((any::<[u8; 20]>(), any::<bool>()), 0..120),
+        deep in proptest::collection::vec((0usize..160, any::<[u8; 20]>()), 0..40),
+        targets in proptest::collection::vec((0usize..160, any::<[u8; 20]>(), any::<bool>()), 1..12),
+        k in 1usize..8,
+    ) {
+        let local = sha1(b"local");
+        let mut rt = RoutingTable::new(local, k);
+        for (n, (bytes, fail)) in shallow.iter().enumerate() {
+            let id = Id160::from_bytes(*bytes);
+            if *fail {
+                rt.note_failure(&id);
+            } else {
+                rt.note_contact(Contact { id, addr: n as u32 });
+            }
+        }
+        for (shared, fill) in &deep {
+            rt.note_contact(Contact { id: in_bucket(&local, *shared, *fill), addr: 0 });
+        }
+        let contacts: Vec<Id160> = rt.iter().map(|c| c.id).collect();
+
+        let mut probes: Vec<Id160> = vec![local];
+        probes.extend(contacts.iter().take(3));
+        for (shared, fill, raw) in &targets {
+            probes.push(if *raw {
+                Id160::from_bytes(*fill)
+            } else {
+                in_bucket(&local, *shared, *fill)
+            });
+        }
+        for target in &probes {
+            // Ids are unique, so distances to one target are too: the
+            // rank of every contact (and of the local id) is well defined
+            // and no tie-break can differ between the two definitions.
+            let mut dists: Vec<_> = contacts.iter().map(|c| c.distance(target)).collect();
+            dists.push(local.distance(target));
+            dists.sort_unstable();
+            let before = dists.len();
+            dists.dedup();
+            prop_assert_eq!(dists.len(), before, "distinct ids, distinct distances");
+
+            for n in [1, k, k + 2, contacts.len().max(1), contacts.len() + 1] {
+                let closest = rt.closest(target, n);
+                let local_within = closest.len() < n
+                    || closest.last().expect("n >= 1").id.distance(target)
+                        >= local.distance(target);
+                prop_assert_eq!(
+                    rt.local_ranks_within(target, n),
+                    local_within,
+                    "local_ranks_within({:?}, {}) over {} contacts",
+                    target, n, contacts.len()
+                );
+                let strangers = [local, in_bucket(&local, 7, *target.as_bytes())];
+                for id in contacts.iter().chain(&strangers) {
+                    prop_assert_eq!(
+                        rt.ranks_within(id, target, n),
+                        closest.iter().any(|c| c.id == *id),
+                        "ranks_within({:?}, {:?}, {})",
+                        id, target, n
+                    );
+                }
+            }
+        }
+    }
+
     /// The iterative lookup always terminates and returns ≤ k contacts in
     /// distance order, for arbitrary response topologies.
     #[test]
@@ -474,6 +599,34 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// `read_filtered` (select the prefix, sort only it, allocate only the
+    /// survivors) returns exactly what the naive reference does — allocate
+    /// everything, sort everything, truncate — under heavy weight ties,
+    /// at the `top_n` edges and with byte budgets that cut mid-prefix.
+    #[test]
+    fn filtered_reads_equal_the_naive_reference(
+        appends in proptest::collection::vec(("[a-d]{1,3}", 1u64..4), 1..80),
+        budget_cut in 0usize..400,
+        extra_top_n in 0u32..90,
+    ) {
+        let mut s = Storage::new();
+        let mut model = std::collections::BTreeMap::<String, u64>::new();
+        let key = sha1(b"k");
+        for (i, (name, w)) in appends.iter().enumerate() {
+            s.append(key, name, *w, VersionStamp::new(i as u64 + 1, sha1(b"w")));
+            *model.entry(name.clone()).or_default() += *w;
+        }
+        let len = model.len() as u32;
+        for top_n in [0, 1, len, len + 1, extra_top_n] {
+            for budget in [0, budget_cut, usize::MAX] {
+                let read = s.read_filtered(&key, top_n, budget).unwrap();
+                let (entries, truncated) = naive_filtered(&model, top_n, budget);
+                prop_assert_eq!(&read.entries, &entries, "top_n {} budget {}", top_n, budget);
+                prop_assert_eq!(read.truncated, truncated, "top_n {} budget {}", top_n, budget);
             }
         }
     }
