@@ -8,7 +8,7 @@
 
 use dharma_kademlia::KademliaNode;
 use dharma_net::SimNet;
-use dharma_types::{FxHashMap, FxHashSet, Result};
+use dharma_types::{FxHashSet, Result};
 
 use crate::client::DharmaClient;
 use crate::cost::OpCost;
@@ -79,20 +79,24 @@ impl DhtFacetedSearch {
         self.cost.absorb(cost);
         self.chosen.push(tag.to_owned());
 
-        // Tᵢ = Tᵢ₋₁ ∩ fetched(t̂) \ chosen, re-ranked by sim(tag, ·).
-        let fetched: FxHashMap<String, u64> = nbrs.entries.into_iter().collect();
-        let mut narrowed: Vec<(String, u64)> = self
-            .candidates
-            .drain(..)
-            .filter(|(n, _)| n != tag && !self.chosen.contains(n))
-            .filter_map(|(n, _)| fetched.get(&n).map(|&w| (n, w)))
+        // Tᵢ = Tᵢ₋₁ ∩ fetched(t̂) \ chosen, re-ranked by sim(tag, ·). Both
+        // intersections probe the *running* set with the fetched entries —
+        // the running sets only shrink, the fetched blocks do not, and no
+        // fetched name is hashed into a table that dies with the step.
+        let mut running: FxHashSet<&str> = self.candidates.iter().map(|(n, _)| &**n).collect();
+        let mut narrowed: Vec<(String, u64)> = nbrs
+            .entries
+            .into_iter()
+            .filter(|(n, _)| !self.chosen.contains(n) && running.remove(&**n))
             .collect();
         narrowed.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         self.candidates = narrowed;
 
-        // Rᵢ = Rᵢ₋₁ ∩ Res(tag).
-        let fetched_res: FxHashSet<String> = res.entries.into_iter().map(|(n, _)| n).collect();
-        self.resources.retain(|r| fetched_res.contains(r));
+        // Rᵢ = Rᵢ₋₁ ∩ Res(tag): the survivors move over, name and all.
+        let fetched = res.entries.into_iter();
+        self.resources = fetched
+            .filter_map(|(n, _)| self.resources.take(&n))
+            .collect();
 
         Ok((self.candidates.len(), self.resources.len()))
     }

@@ -11,11 +11,38 @@
 //! * **weighted sets** — named entries with token counts (`r̄`, `t̄`, `t̂`
 //!   blocks). `Append` adds tokens to one entry; a filtered `FindValue`
 //!   returns only the heaviest `top_n` entries that fit the MTU.
+//!
+//! ## Decide before you decode
+//!
+//! A GET asks `α` holders and completes on the first `FoundValue`; the
+//! others arrive anyway, as do replies to lookups long finished. Their
+//! blob and entry list — one `String` per entry — would be built and
+//! dropped. [`Message::decode_datagram`] therefore reads type, request id
+//! and sender, asks its caller whether this reply's value will be used,
+//! and if not **validates and skips** it: the blob flag, the blob's length
+//! prefix, the entry count against the bytes left, every name's length
+//! prefix and UTF-8, every weight varint — the checks of the owning
+//! decoder, in its order, through the same `ReadBytes` primitives, keeping
+//! nothing. The rest of the reply (flags, stamp, digest) is decoded as
+//! ever, so the receiver still notes the sender, settles the RPC, samples
+//! the RTT and absorbs the digest.
+//!
+//! The rule cannot change which datagrams are accepted: a byte string
+//! fails the skipping decoder exactly when it fails the owning one,
+//! because every check that can fail is shared and only allocation is
+//! left out. The tests hold the two to that on the whole mutation corpus
+//! and every truncation prefix.
+//!
+//! Flag bytes are 0 or 1; any other value is a decode error, not `false`,
+//! so a message has one encoding of each flag and `encode(decode(x)) == x`
+//! for all of them.
 
 use bytes::{Bytes, BytesMut};
 
+use dharma_types::wire::{expect_consumed, get_seq_len};
 use dharma_types::{
     DharmaError, Id160, ReadBytes, Result, VersionStamp, WireDecode, WireEncode, WriteBytes,
+    ID160_BYTES,
 };
 
 /// A node's contact record: overlay id + transport address.
@@ -35,6 +62,8 @@ impl WireEncode for Contact {
 }
 
 impl WireDecode for Contact {
+    const MIN_WIRE_LEN: usize = ID160_BYTES + 1;
+
     fn decode(buf: &mut Bytes) -> Result<Self> {
         let id = buf.get_id()?;
         let addr = buf.get_varint()? as u32;
@@ -51,14 +80,23 @@ pub struct StoredEntry {
     pub weight: u64,
 }
 
+/// Writes one weighted entry — the layout shared by an owned
+/// [`StoredEntry`] and an entry served straight out of storage.
+pub(crate) fn put_entry(buf: &mut BytesMut, name: &str, weight: u64) {
+    buf.put_str(name);
+    buf.put_varint(weight);
+}
+
 impl WireEncode for StoredEntry {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_str(&self.name);
-        buf.put_varint(self.weight);
+        put_entry(buf, &self.name, self.weight);
     }
 }
 
 impl WireDecode for StoredEntry {
+    /// An empty name's length byte plus a one-byte weight.
+    const MIN_WIRE_LEN: usize = 2;
+
     fn decode(buf: &mut Bytes) -> Result<Self> {
         let name = buf.get_str()?;
         let weight = buf.get_varint()?;
@@ -94,6 +132,8 @@ impl WireEncode for DigestEntry {
 }
 
 impl WireDecode for DigestEntry {
+    const MIN_WIRE_LEN: usize = ID160_BYTES + VersionStamp::MIN_WIRE_LEN;
+
     fn decode(buf: &mut Bytes) -> Result<Self> {
         let key = buf.get_id()?;
         let version = VersionStamp::decode(buf)?;
@@ -372,25 +412,87 @@ impl Message {
     const T_INVALIDATE_PUSH: u8 = 13;
 }
 
+/// Writes the frame every message starts with: type, request id, sender.
+fn put_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact) {
+    use bytes::BufMut;
+    buf.put_u8(ty);
+    buf.put_varint(rpc);
+    from.encode(buf);
+}
+
+/// Writes an optional blob: a flag byte, then the bytes when present.
+pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
+    use bytes::BufMut;
+    buf.put_u8(u8::from(blob.is_some()));
+    if let Some(b) = blob {
+        buf.put_bytes_field(b);
+    }
+}
+
+fn get_opt_blob(buf: &mut Bytes) -> Result<Option<Vec<u8>>> {
+    Ok(if buf.get_flag()? {
+        Some(buf.get_bytes_field()?)
+    } else {
+        None
+    })
+}
+
+/// Opens a pushed view (`CachePush`, `InvalidatePush`): header, key, width.
+fn put_push_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact, key: &Id160, top_n: u32) {
+    put_head(buf, ty, rpc, from);
+    buf.put_id(key);
+    buf.put_varint(u64::from(top_n));
+}
+
+/// Writes the view a push carries: blob, entries, truncation flag, stamp.
+fn put_view(
+    buf: &mut BytesMut,
+    blob: Option<&[u8]>,
+    entries: &[StoredEntry],
+    truncated: bool,
+    stamp: &VersionStamp,
+) {
+    use bytes::BufMut;
+    put_opt_blob(buf, blob);
+    entries.encode(buf);
+    buf.put_u8(u8::from(truncated));
+    stamp.encode(buf);
+}
+
+/// Opens a `FoundValue` datagram. The caller writes the value next — the
+/// blob option and the entry list, from an owned message or straight out
+/// of [`crate::Storage::encode_filtered`] — and closes with
+/// [`put_found_value_tail`]; the layout lives in this pair alone.
+pub(crate) fn put_found_value_head(buf: &mut BytesMut, rpc: u64, from: &Contact) {
+    put_head(buf, Message::T_FOUND_VALUE, rpc, from);
+}
+
+/// Closes a `FoundValue` datagram opened by [`put_found_value_head`].
+pub(crate) fn put_found_value_tail(
+    buf: &mut BytesMut,
+    truncated: bool,
+    version: &VersionStamp,
+    from_cache: bool,
+    digest: &[DigestEntry],
+) {
+    use bytes::BufMut;
+    buf.put_u8(u8::from(truncated));
+    version.encode(buf);
+    buf.put_u8(u8::from(from_cache));
+    digest.encode(buf);
+}
+
 impl WireEncode for Message {
     fn encode(&self, buf: &mut BytesMut) {
         use bytes::BufMut;
         match self {
-            Message::Ping { rpc, from } => {
-                buf.put_u8(Self::T_PING);
-                buf.put_varint(*rpc);
-                from.encode(buf);
-            }
+            Message::Ping { rpc, from } => put_head(buf, Self::T_PING, *rpc, from),
             Message::Pong { rpc, from, digest } => {
-                buf.put_u8(Self::T_PONG);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_PONG, *rpc, from);
                 digest.encode(buf);
             }
             Message::FindNode { rpc, from, target } => {
-                buf.put_u8(Self::T_FIND_NODE);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_FIND_NODE, *rpc, from);
                 buf.put_id(target);
             }
             Message::FoundNodes {
@@ -399,9 +501,7 @@ impl WireEncode for Message {
                 contacts,
                 digest,
             } => {
-                buf.put_u8(Self::T_FOUND_NODES);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_FOUND_NODES, *rpc, from);
                 contacts.encode(buf);
                 digest.encode(buf);
             }
@@ -412,9 +512,7 @@ impl WireEncode for Message {
                 top_n,
                 no_cache,
             } => {
-                buf.put_u8(Self::T_FIND_VALUE);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_FIND_VALUE, *rpc, from);
                 buf.put_id(key);
                 buf.put_varint(u64::from(*top_n));
                 buf.put_u8(u8::from(*no_cache));
@@ -429,21 +527,10 @@ impl WireEncode for Message {
                 from_cache,
                 digest,
             } => {
-                buf.put_u8(Self::T_FOUND_VALUE);
-                buf.put_varint(*rpc);
-                from.encode(buf);
-                match blob {
-                    Some(b) => {
-                        buf.put_u8(1);
-                        buf.put_bytes_field(b);
-                    }
-                    None => buf.put_u8(0),
-                }
+                put_found_value_head(buf, *rpc, from);
+                put_opt_blob(buf, blob.as_deref());
                 entries.encode(buf);
-                buf.put_u8(u8::from(*truncated));
-                version.encode(buf);
-                buf.put_u8(u8::from(*from_cache));
-                digest.encode(buf);
+                put_found_value_tail(buf, *truncated, version, *from_cache, digest);
             }
             Message::Store {
                 rpc,
@@ -452,9 +539,7 @@ impl WireEncode for Message {
                 blob,
                 stamp,
             } => {
-                buf.put_u8(Self::T_STORE);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_STORE, *rpc, from);
                 buf.put_id(key);
                 buf.put_bytes_field(blob);
                 stamp.encode(buf);
@@ -466,9 +551,7 @@ impl WireEncode for Message {
                 entries,
                 stamp,
             } => {
-                buf.put_u8(Self::T_APPEND);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_APPEND, *rpc, from);
                 buf.put_id(key);
                 entries.encode(buf);
                 stamp.encode(buf);
@@ -481,17 +564,9 @@ impl WireEncode for Message {
                 entries,
                 stamp,
             } => {
-                buf.put_u8(Self::T_REPLICATE);
-                buf.put_varint(*rpc);
-                from.encode(buf);
+                put_head(buf, Self::T_REPLICATE, *rpc, from);
                 buf.put_id(key);
-                match blob {
-                    Some(b) => {
-                        buf.put_u8(1);
-                        buf.put_bytes_field(b);
-                    }
-                    None => buf.put_u8(0),
-                }
+                put_opt_blob(buf, blob.as_deref());
                 entries.encode(buf);
                 stamp.encode(buf);
             }
@@ -505,21 +580,8 @@ impl WireEncode for Message {
                 truncated,
                 version,
             } => {
-                buf.put_u8(Self::T_CACHE_PUSH);
-                buf.put_varint(*rpc);
-                from.encode(buf);
-                buf.put_id(key);
-                buf.put_varint(u64::from(*top_n));
-                match blob {
-                    Some(b) => {
-                        buf.put_u8(1);
-                        buf.put_bytes_field(b);
-                    }
-                    None => buf.put_u8(0),
-                }
-                entries.encode(buf);
-                buf.put_u8(u8::from(*truncated));
-                version.encode(buf);
+                put_push_head(buf, Self::T_CACHE_PUSH, *rpc, from, key, *top_n);
+                put_view(buf, blob.as_deref(), entries, *truncated, version);
             }
             Message::InvalidatePush {
                 rpc,
@@ -531,38 +593,52 @@ impl WireEncode for Message {
                 truncated,
                 stamp,
             } => {
-                buf.put_u8(Self::T_INVALIDATE_PUSH);
-                buf.put_varint(*rpc);
-                from.encode(buf);
-                buf.put_id(key);
-                buf.put_varint(u64::from(*top_n));
-                match blob {
-                    Some(b) => {
-                        buf.put_u8(1);
-                        buf.put_bytes_field(b);
-                    }
-                    None => buf.put_u8(0),
-                }
-                entries.encode(buf);
-                buf.put_u8(u8::from(*truncated));
-                stamp.encode(buf);
+                put_push_head(buf, Self::T_INVALIDATE_PUSH, *rpc, from, key, *top_n);
+                put_view(buf, blob.as_deref(), entries, *truncated, stamp);
             }
-            Message::Ack { rpc, from } => {
-                buf.put_u8(Self::T_ACK);
-                buf.put_varint(*rpc);
-                from.encode(buf);
-            }
-            Message::Leave { rpc, from } => {
-                buf.put_u8(Self::T_LEAVE);
-                buf.put_varint(*rpc);
-                from.encode(buf);
-            }
+            Message::Ack { rpc, from } => put_head(buf, Self::T_ACK, *rpc, from),
+            Message::Leave { rpc, from } => put_head(buf, Self::T_LEAVE, *rpc, from),
         }
     }
 }
 
 impl WireDecode for Message {
     fn decode(buf: &mut Bytes) -> Result<Self> {
+        Self::decode_with(buf, |_| true)
+    }
+}
+
+impl Message {
+    /// Decodes one received datagram in place — `payload` is a view, not a
+    /// copy — requiring it to be consumed to its end. `wants_value(rpc)`
+    /// is asked, once type, request id and sender are read, whether a
+    /// `FoundValue`'s blob and entries will be used; when not, they are
+    /// validated and skipped (module docs) and arrive as `None` / empty.
+    pub fn decode_datagram(
+        mut payload: Bytes,
+        wants_value: impl FnOnce(u64) -> bool,
+    ) -> Result<Self> {
+        let msg = Self::decode_with(&mut payload, wants_value)?;
+        expect_consumed(&payload)?;
+        Ok(msg)
+    }
+
+    /// Encodes a `CachePush` of `view` without taking the view apart.
+    pub(crate) fn encode_cache_push(
+        rpc: u64,
+        from: &Contact,
+        key: &Id160,
+        top_n: u32,
+        view: &FetchedValue,
+    ) -> Bytes {
+        let mut buf = BytesMut::new();
+        put_push_head(&mut buf, Self::T_CACHE_PUSH, rpc, from, key, top_n);
+        let (blob, entries) = (view.blob.as_deref(), &view.entries);
+        put_view(&mut buf, blob, entries, view.truncated, &view.version);
+        buf.freeze()
+    }
+
+    fn decode_with(buf: &mut Bytes, wants_value: impl FnOnce(u64) -> bool) -> Result<Self> {
         use bytes::Buf;
         if buf.is_empty() {
             return Err(DharmaError::Decode("empty message".into()));
@@ -588,49 +664,35 @@ impl WireDecode for Message {
                 contacts: Vec::<Contact>::decode(buf)?,
                 digest: Vec::<DigestEntry>::decode(buf)?,
             },
-            Message::T_FIND_VALUE => {
-                let key = buf.get_id()?;
-                let top_n = buf.get_varint()? as u32;
-                if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated FindValue flag".into()));
-                }
-                let no_cache = buf.get_u8() == 1;
-                Message::FindValue {
-                    rpc,
-                    from,
-                    key,
-                    top_n,
-                    no_cache,
-                }
-            }
+            Message::T_FIND_VALUE => Message::FindValue {
+                rpc,
+                from,
+                key: buf.get_id()?,
+                top_n: buf.get_varint()? as u32,
+                no_cache: buf.get_flag()?,
+            },
             Message::T_FOUND_VALUE => {
-                let key_blob = if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated FoundValue".into()));
-                } else if buf.get_u8() == 1 {
-                    Some(buf.get_bytes_field()?)
+                let (blob, entries) = if wants_value(rpc) {
+                    (get_opt_blob(buf)?, Vec::<StoredEntry>::decode(buf)?)
                 } else {
-                    None
+                    // Same checks, same order, nothing kept.
+                    if buf.get_flag()? {
+                        buf.skip_bytes_field()?;
+                    }
+                    for _ in 0..get_seq_len(buf, StoredEntry::MIN_WIRE_LEN)? {
+                        buf.skip_str()?;
+                        buf.get_varint()?;
+                    }
+                    (None, Vec::new())
                 };
-                let entries = Vec::<StoredEntry>::decode(buf)?;
-                if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated FoundValue flag".into()));
-                }
-                let truncated = buf.get_u8() == 1;
-                let version = VersionStamp::decode(buf)?;
-                if buf.is_empty() {
-                    return Err(DharmaError::Decode(
-                        "truncated FoundValue cache flag".into(),
-                    ));
-                }
-                let from_cache = buf.get_u8() == 1;
                 Message::FoundValue {
                     rpc,
                     from,
-                    blob: key_blob,
+                    blob,
                     entries,
-                    truncated,
-                    version,
-                    from_cache,
+                    truncated: buf.get_flag()?,
+                    version: VersionStamp::decode(buf)?,
+                    from_cache: buf.get_flag()?,
                     digest: Vec::<DigestEntry>::decode(buf)?,
                 }
             }
@@ -648,78 +710,34 @@ impl WireDecode for Message {
                 entries: Vec::<StoredEntry>::decode(buf)?,
                 stamp: VersionStamp::decode(buf)?,
             },
-            Message::T_REPLICATE => {
-                let key = buf.get_id()?;
-                let blob = if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated Replicate".into()));
-                } else if buf.get_u8() == 1 {
-                    Some(buf.get_bytes_field()?)
-                } else {
-                    None
-                };
-                Message::Replicate {
-                    rpc,
-                    from,
-                    key,
-                    blob,
-                    entries: Vec::<StoredEntry>::decode(buf)?,
-                    stamp: VersionStamp::decode(buf)?,
-                }
-            }
-            Message::T_CACHE_PUSH => {
-                let key = buf.get_id()?;
-                let top_n = buf.get_varint()? as u32;
-                let blob = if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated CachePush".into()));
-                } else if buf.get_u8() == 1 {
-                    Some(buf.get_bytes_field()?)
-                } else {
-                    None
-                };
-                let entries = Vec::<StoredEntry>::decode(buf)?;
-                if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated CachePush flag".into()));
-                }
-                let truncated = buf.get_u8() == 1;
-                let version = VersionStamp::decode(buf)?;
-                Message::CachePush {
-                    rpc,
-                    from,
-                    key,
-                    top_n,
-                    blob,
-                    entries,
-                    truncated,
-                    version,
-                }
-            }
-            Message::T_INVALIDATE_PUSH => {
-                let key = buf.get_id()?;
-                let top_n = buf.get_varint()? as u32;
-                let blob = if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated InvalidatePush".into()));
-                } else if buf.get_u8() == 1 {
-                    Some(buf.get_bytes_field()?)
-                } else {
-                    None
-                };
-                let entries = Vec::<StoredEntry>::decode(buf)?;
-                if buf.is_empty() {
-                    return Err(DharmaError::Decode("truncated InvalidatePush flag".into()));
-                }
-                let truncated = buf.get_u8() == 1;
-                let stamp = VersionStamp::decode(buf)?;
-                Message::InvalidatePush {
-                    rpc,
-                    from,
-                    key,
-                    top_n,
-                    blob,
-                    entries,
-                    truncated,
-                    stamp,
-                }
-            }
+            Message::T_REPLICATE => Message::Replicate {
+                rpc,
+                from,
+                key: buf.get_id()?,
+                blob: get_opt_blob(buf)?,
+                entries: Vec::<StoredEntry>::decode(buf)?,
+                stamp: VersionStamp::decode(buf)?,
+            },
+            Message::T_CACHE_PUSH => Message::CachePush {
+                rpc,
+                from,
+                key: buf.get_id()?,
+                top_n: buf.get_varint()? as u32,
+                blob: get_opt_blob(buf)?,
+                entries: Vec::<StoredEntry>::decode(buf)?,
+                truncated: buf.get_flag()?,
+                version: VersionStamp::decode(buf)?,
+            },
+            Message::T_INVALIDATE_PUSH => Message::InvalidatePush {
+                rpc,
+                from,
+                key: buf.get_id()?,
+                top_n: buf.get_varint()? as u32,
+                blob: get_opt_blob(buf)?,
+                entries: Vec::<StoredEntry>::decode(buf)?,
+                truncated: buf.get_flag()?,
+                stamp: VersionStamp::decode(buf)?,
+            },
             Message::T_ACK => Message::Ack { rpc, from },
             Message::T_LEAVE => Message::Leave { rpc, from },
             other => return Err(DharmaError::Decode(format!("unknown message type {other}"))),
@@ -730,7 +748,9 @@ impl WireDecode for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dharma_types::{sha1, ID160_BYTES};
+    use dharma_types::sha1;
+    use dharma_types::wire::varint_len;
+    use proptest::prelude::*;
 
     /// Mints test stamps from a writer derived from the seq, so distinct
     /// versions also differ in writer bytes (exercises both fields).
@@ -749,6 +769,96 @@ mod tests {
         let enc = m.encode_to_bytes();
         let dec = Message::decode_exact(&enc).unwrap();
         assert_eq!(&dec, m);
+    }
+
+    /// Decodes the way `on_message` does for a reply nobody is waiting
+    /// for: in place, `FoundValue` bodies validated and skipped. Also
+    /// checks the question is put for `FoundValue` only, with its rpc.
+    fn decode_unwanted(data: &[u8]) -> Result<Message> {
+        let mut asked = None;
+        let out = Message::decode_datagram(Bytes::copy_from_slice(data), |rpc| {
+            asked = Some(rpc);
+            false
+        });
+        if let Ok(m) = &out {
+            let is_value = matches!(m, Message::FoundValue { .. });
+            assert_eq!(asked, is_value.then(|| m.rpc_id()));
+        }
+        out
+    }
+
+    /// The lazy decoder against the eager one on arbitrary bytes: the same
+    /// datagrams accepted and rejected, and — blob and entries aside —
+    /// the same message. Anything accepted survives a re-encode roundtrip.
+    fn check_decoders_agree(data: &[u8]) {
+        let eager = Message::decode_exact(data);
+        let wanted = Message::decode_datagram(Bytes::copy_from_slice(data), |_| true);
+        assert_eq!(eager.is_ok(), wanted.is_ok());
+        let lazy = decode_unwanted(data);
+        assert_eq!(
+            eager.is_ok(),
+            lazy.is_ok(),
+            "accept sets differ on {data:?}"
+        );
+        let Ok(mut eager) = eager else {
+            return;
+        };
+        assert_eq!(wanted.unwrap(), eager);
+        roundtrip(&eager);
+        if let Message::FoundValue { blob, entries, .. } = &mut eager {
+            (*blob, *entries) = (None, Vec::new());
+        }
+        assert_eq!(lazy.unwrap(), eager);
+    }
+
+    /// Offsets of `m`'s flag bytes in its encoding: booleans are found by
+    /// encoding `m` with the flag toggled (exactly that byte differs), a
+    /// blob option's flag sits at a fixed place behind the header.
+    fn flag_offsets(m: &Message) -> Vec<usize> {
+        let enc = m.encode_to_bytes();
+        let toggled = |edit: &dyn Fn(&mut Message)| {
+            let mut other = m.clone();
+            edit(&mut other);
+            let other = other.encode_to_bytes();
+            assert_eq!(other.len(), enc.len());
+            let differing: Vec<usize> = (0..enc.len()).filter(|&i| enc[i] != other[i]).collect();
+            assert_eq!(differing.len(), 1, "a flag is one byte");
+            differing[0]
+        };
+        let head =
+            1 + varint_len(m.rpc_id()) + ID160_BYTES + varint_len(u64::from(m.sender().addr));
+        match m {
+            Message::FindValue { .. } => vec![toggled(&|m| {
+                if let Message::FindValue { no_cache, .. } = m {
+                    *no_cache ^= true;
+                }
+            })],
+            Message::FoundValue { .. } => vec![
+                head,
+                toggled(&|m| {
+                    if let Message::FoundValue { truncated, .. } = m {
+                        *truncated ^= true;
+                    }
+                }),
+                toggled(&|m| {
+                    if let Message::FoundValue { from_cache, .. } = m {
+                        *from_cache ^= true;
+                    }
+                }),
+            ],
+            Message::Replicate { .. } => vec![head + ID160_BYTES],
+            Message::CachePush { top_n, .. } | Message::InvalidatePush { top_n, .. } => vec![
+                head + ID160_BYTES + varint_len(u64::from(*top_n)),
+                toggled(&|m| {
+                    if let Message::CachePush { truncated, .. }
+                    | Message::InvalidatePush { truncated, .. } = m
+                    {
+                        *truncated ^= true;
+                    }
+                }),
+            ],
+            _ => Vec::new(),
+        }
     }
 
     /// One representative encoding per variant shape (empty and populated
@@ -931,7 +1041,49 @@ mod tests {
                     cut,
                     enc.len(),
                 );
+                check_decoders_agree(&enc[..cut]);
             }
+            check_decoders_agree(&enc);
+        }
+    }
+
+    #[test]
+    fn flag_bytes_other_than_zero_and_one_are_rejected() {
+        // `get_u8() == 1` used to read every byte but 1 as `false` — 254
+        // encodings of one meaning, none of which re-encode to themselves.
+        let mut flags = 0;
+        for m in &corpus() {
+            let enc = m.encode_to_bytes();
+            for at in flag_offsets(m) {
+                flags += 1;
+                assert!(enc[at] <= 1, "offset {at} of {m:?} is not a flag");
+                for byte in 2..=u8::MAX {
+                    let mut bent = enc.to_vec();
+                    bent[at] = byte;
+                    assert!(
+                        Message::decode_exact(&bent).is_err() && decode_unwanted(&bent).is_err(),
+                        "flag byte {byte} at {at} accepted for {m:?}",
+                    );
+                }
+            }
+        }
+        // FindValue ×2, FoundValue 3 ×2, Replicate, CachePush 2, InvalidatePush 2.
+        assert_eq!(flags, 13);
+    }
+
+    #[test]
+    fn hostile_entry_count_is_refused_before_any_reservation() {
+        // A maximal datagram whose FoundValue claims 65 000 entries and
+        // then carries junk: both decoders refuse at the count (two bytes
+        // per entry at least cannot fit), not 2 MiB of `Vec` later.
+        let mut buf = BytesMut::new();
+        put_found_value_head(&mut buf, 1, &contact(1));
+        put_opt_blob(&mut buf, None);
+        buf.put_varint(65_000);
+        buf.resize(65_507, 0xff);
+        for decoded in [Message::decode_exact(&buf), decode_unwanted(&buf)] {
+            let err = decoded.unwrap_err().to_string();
+            assert!(err.contains("sequence length 65000"), "{err}");
         }
     }
 
@@ -939,17 +1091,16 @@ mod tests {
     fn single_byte_mutations_never_panic() {
         // Bit-flip every byte of every corpus encoding with several
         // patterns. Decoding may succeed (some flips land in payload
-        // bytes) or fail — but it must always *return*, and anything it
-        // accepts must survive a re-encode roundtrip.
+        // bytes) or fail — but it must always *return*, anything it
+        // accepts must survive a re-encode roundtrip, and the lazy decoder
+        // must agree with the eager one on every mutant.
         for m in &corpus() {
             let enc = m.encode_to_bytes();
             for i in 0..enc.len() {
                 for pattern in [0x01u8, 0x80, 0xff] {
                     let mut bent = enc.to_vec();
                     bent[i] ^= pattern;
-                    if let Ok(decoded) = Message::decode_exact(&bent) {
-                        roundtrip(&decoded);
-                    }
+                    check_decoders_agree(&bent);
                 }
             }
         }
@@ -975,9 +1126,7 @@ mod tests {
                         let mut bent = enc.to_vec();
                         bent[i] ^= pa;
                         bent[j] ^= pb;
-                        if let Ok(decoded) = Message::decode_exact(&bent) {
-                            roundtrip(&decoded);
-                        }
+                        check_decoders_agree(&bent);
                     }
                 }
             }
@@ -1049,6 +1198,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+
+        /// Lazy ≡ eager beyond the fixed corpus: random `FoundValue`s
+        /// (multi-byte names, large weights, absent and empty parts),
+        /// intact, cut short, and with random bytes overwritten.
+        #[test]
+        fn lazy_decode_equals_eager_decode_on_random_values(
+            rpc in any::<u64>(),
+            blob in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..40)),
+            entries in proptest::collection::vec(("[a-zé✓]{0,12}", any::<u64>()), 0..20),
+            flags in (any::<bool>(), any::<bool>()),
+            digest_len in 0usize..3,
+            damage in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+            cut in any::<u16>(),
+        ) {
+            let m = Message::FoundValue {
+                rpc,
+                from: contact(7),
+                blob,
+                entries: entries
+                    .into_iter()
+                    .map(|(name, weight)| StoredEntry { name, weight })
+                    .collect(),
+                truncated: flags.0,
+                version: st(rpc),
+                from_cache: flags.1,
+                digest: vec![DigestEntry { key: sha1(b"d"), version: st(3) }; digest_len],
+            };
+            let mut enc = m.encode_to_bytes().to_vec();
+            check_decoders_agree(&enc);
+            assert_eq!(Message::decode_exact(&enc).unwrap(), m);
+            for (at, byte) in damage {
+                let at = usize::from(at) % enc.len();
+                enc[at] = byte;
+                check_decoders_agree(&enc);
+            }
+            check_decoders_agree(&enc[..usize::from(cut) % (enc.len() + 1)]);
+        }
+    }
+
+    #[test]
+    fn borrowed_cache_push_encodes_like_the_owned_message() {
+        let view = FetchedValue {
+            blob: Some(b"uri://x".to_vec()),
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight: 12,
+            }],
+            truncated: true,
+            version: st(42),
+            from_cache: false,
+        };
+        let owned = Message::CachePush {
+            rpc: 17,
+            from: contact(3),
+            key: sha1(b"hot"),
+            top_n: 100,
+            blob: view.blob.clone(),
+            entries: view.entries.clone(),
+            truncated: view.truncated,
+            version: view.version,
+        };
+        let borrowed = Message::encode_cache_push(17, &contact(3), &sha1(b"hot"), 100, &view);
+        assert_eq!(borrowed, owned.encode_to_bytes());
     }
 
     #[test]

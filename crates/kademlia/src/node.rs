@@ -91,17 +91,20 @@
 //!   prefer them over nearer cold candidates (warm redirects), cutting
 //!   hops on repeat keys and steering load off authoritative holders.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use dharma_cache::{
     CacheConfig, CacheStats, FetcherBook, FreshConfig, FreshnessBook, HitHistory, HotCache,
     PopularityConfig, PopularityEstimator,
 };
 use dharma_net::{Ctx, Instrumented, Metric, NetCounters, Node, NodeAddr};
-use dharma_types::{FxHashMap, FxHashSet, Id160, VersionStamp, WireDecode, WireEncode};
+use dharma_types::{FxHashMap, FxHashSet, Id160, VersionStamp, WireEncode};
 
 use crate::lookup::LookupState;
-use crate::messages::{Contact, DigestEntry, FetchedValue, Message, StoredEntry};
+use crate::messages::{
+    put_found_value_head, put_found_value_tail, Contact, DigestEntry, FetchedValue, Message,
+    StoredEntry,
+};
 use crate::routing::RoutingTable;
 use crate::rtt::{AlphaController, LatencyConfig, RttBook};
 use crate::storage::{FilteredRead, Storage};
@@ -815,6 +818,19 @@ impl KademliaNode {
             }
             _ => self.routing.note_contact(c),
         }
+    }
+
+    /// Whether the blob and entries of a `FoundValue` answering `rpc`
+    /// will be read: it revalidates a cached view, or it is the first
+    /// value to reach a GET still in flight. Everything else — a second
+    /// or third holder's answer, a reply to a finished or forgotten
+    /// lookup — settles its RPC and feeds liveness, RTT and gossip from
+    /// the reply's other fields alone.
+    fn wants_value(&self, rpc: u64) -> bool {
+        self.pending.get(&rpc).is_some_and(|pend| {
+            let live_get = |op: &OpState| !op.done && matches!(op.kind, OpKind::Get { .. });
+            pend.op == REFRESH_OP || self.ops.get(&pend.op).is_some_and(live_get)
+        })
     }
 
     /// The routing table (read access for tests/diagnostics).
@@ -2443,7 +2459,7 @@ impl Node for KademliaNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<KadOutput>, _from: NodeAddr, payload: Bytes) {
-        let Ok(msg) = Message::decode_exact(&payload) else {
+        let Ok(msg) = Message::decode_datagram(payload, |rpc| self.wants_value(rpc)) else {
             return; // malformed datagram: drop silently, as UDP servers do
         };
         // Graceful departure: purge first, never note the sender as live.
@@ -2511,14 +2527,18 @@ impl Node for KademliaNode {
                 // views as "current". Answer with closer contacts so the
                 // requester reaches the live holders instead.
                 let speaks_for = self.fresh.is_none() || self.likely_authoritative(&key);
-                let held = if speaks_for {
+                // Held values are served straight onto the wire: no owned
+                // read, no `Message` in between.
+                let mut reply = BytesMut::new();
+                let served = if speaks_for && self.storage.contains(&key) {
+                    put_found_value_head(&mut reply, rpc, &self.contact);
                     self.storage
-                        .read_filtered(&key, top_n, self.cfg.reply_budget)
+                        .encode_filtered(&key, top_n, self.cfg.reply_budget, &mut reply)
                 } else {
                     None
                 };
-                match held {
-                    Some(read) => {
+                match served {
+                    Some((truncated, version)) => {
                         // Holder-side interest tracking for write-triggered
                         // invalidation push: remember who fetched this key.
                         if let Some(f) = self.fresh.as_mut() {
@@ -2528,20 +2548,8 @@ impl Node for KademliaNode {
                             }
                         }
                         let digest = self.build_digest(Some(&key), ctx.now_us);
-                        ctx.send(
-                            from.addr,
-                            Message::FoundValue {
-                                rpc,
-                                from: self.contact.clone(),
-                                blob: read.blob,
-                                entries: read.entries,
-                                truncated: read.truncated,
-                                version: read.version,
-                                from_cache: false,
-                                digest,
-                            }
-                            .encode_to_bytes(),
-                        );
+                        put_found_value_tail(&mut reply, truncated, &version, false, &digest);
+                        ctx.send(from.addr, reply.freeze());
                         // Authoritative holders track per-key GET rates and
                         // push extra replicas when a key runs hot.
                         self.maybe_promote_replicas(ctx, key);
@@ -2831,51 +2839,39 @@ impl Node for KademliaNode {
                     version,
                     from_cache,
                 };
-                ctx.complete(
-                    pend.op,
-                    KadOutput::Value {
-                        value: Some(value.clone()),
-                        messages,
-                    },
-                );
-                self.ops.remove(&pend.op);
                 // Only *authoritative* views are cached or pushed: re-caching
                 // a `from_cache` reply would restamp its TTL clock and let a
                 // view circulate cache-to-cache indefinitely, unbounding
                 // staleness. And while a write guard is armed, the arriving
                 // view may predate the write — don't pin it.
                 let cacheable = !from_cache && !self.recently_wrote(&key, ctx.now_us);
-                if !cacheable {
-                    return;
-                }
-                if let Some(cache) = &mut self.cache {
-                    // Keep a requester-local view (served as a cache hit on
-                    // the next GET of this key from this node) ...
-                    let mut cached = value.clone();
-                    cached.from_cache = true;
-                    cache.insert((key, top_n), version, cached, ctx.now_us);
-                    // ... and apply the Kademlia caching rule: push the view
-                    // to the path node closest to the key that missed, so the
-                    // next lookup from anywhere stops before the hot holders.
+                if let (true, Some(cache)) = (cacheable, self.cache.as_mut()) {
+                    // Apply the Kademlia caching rule: push the view to the
+                    // path node closest to the key that missed, so the next
+                    // lookup from anywhere stops before the hot holders ...
                     if let Some(target) = misses.into_iter().min_by_key(|c| c.id.distance(&key)) {
                         let rpc = self.next_rpc;
                         self.next_rpc += 1;
-                        ctx.send(
-                            target.addr,
-                            Message::CachePush {
-                                rpc,
-                                from: self.contact.clone(),
-                                key,
-                                top_n,
-                                blob: value.blob,
-                                entries: value.entries,
-                                truncated: value.truncated,
-                                version,
-                            }
-                            .encode_to_bytes(),
-                        );
+                        let push =
+                            Message::encode_cache_push(rpc, &self.contact, &key, top_n, &value);
+                        ctx.send(target.addr, push);
                     }
+                    // ... and keep a requester-local view (served as a cache
+                    // hit on the next GET of this key from this node): the
+                    // one copy made of the value, which itself moves on to
+                    // the caller.
+                    let mut cached = value.clone();
+                    cached.from_cache = true;
+                    cache.insert((key, top_n), version, cached, ctx.now_us);
                 }
+                ctx.complete(
+                    pend.op,
+                    KadOutput::Value {
+                        value: Some(value),
+                        messages,
+                    },
+                );
+                self.ops.remove(&pend.op);
             }
             Message::CachePush {
                 rpc,
@@ -3279,7 +3275,7 @@ pub use crate::messages::FetchedValue as Value;
 mod tests {
     use super::*;
     use dharma_net::{SimConfig, SimNet};
-    use dharma_types::sha1;
+    use dharma_types::{sha1, WireDecode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -4616,6 +4612,100 @@ mod tests {
             st(5),
             "the refreshed view carries the new version"
         );
+    }
+
+    #[test]
+    fn late_found_value_still_settles_its_rpc_and_feeds_liveness_rtt_and_gossip() {
+        // A GET asks α = 3 holders and completes on the first answer; the
+        // other two answers are decoded without their blob and entries.
+        // Everything else a reply is good for must still happen.
+        let mut node = KademliaNode::new(
+            sha1(b"requester"),
+            0,
+            KadConfig {
+                latency: Some(LatencyConfig::default()),
+                ..fresh_cfg(3_600_000_000)
+            },
+        );
+        for n in 1..=3 {
+            node.add_seed(contact(n));
+        }
+        let key = sha1(b"block");
+        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+        let op = node.get(&mut ctx, key, 0);
+        let (sends, _, _) = ctx.into_effects();
+        let asked: Vec<(u64, Contact)> = sends
+            .iter()
+            .map(|m| match Message::decode_exact(&m.payload) {
+                Ok(Message::FindValue { rpc, .. }) => (rpc, contact(m.to as u8)),
+                other => panic!("a GET sends FindValue, not {other:?}"),
+            })
+            .collect();
+        assert_eq!(asked.len(), 3);
+        let gossiped = sha1(b"some-other-block");
+        let reply = |(rpc, from): &(u64, Contact), weight: u64| Message::FoundValue {
+            rpc: *rpc,
+            from: from.clone(),
+            blob: Some(b"uri://x".to_vec()),
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight,
+            }],
+            truncated: false,
+            version: st(weight),
+            from_cache: false,
+            digest: vec![DigestEntry {
+                key: gossiped,
+                version: st(40 + weight),
+            }],
+        };
+        let mut ctx: Ctx<KadOutput> = Ctx::new(1_000, 0, 2);
+        node.on_message(&mut ctx, 1, reply(&asked[0], 1).encode_to_bytes());
+        let (_, _, completions) = ctx.into_effects();
+        assert!(
+            matches!(&completions[..], [(id, KadOutput::Value { value: Some(v), .. })]
+                if *id == op && v.entries[0].weight == 1 && v.blob.is_some()),
+            "the first answer completes the GET, body and all: {completions:?}",
+        );
+
+        // The second holder's answer arrives late. Forget the holder first,
+        // so that noting it again is observable.
+        let (late_rpc, late) = asked[1].clone();
+        assert!(node.routing.note_failure(&late.id));
+        let samples = node.rtt().unwrap().samples();
+        let late_reply = reply(&asked[1], 2).encode_to_bytes();
+
+        // Skipped is not unchecked: the same reply with a name that is not
+        // UTF-8 is a malformed datagram, dropped whole as it always was.
+        let mut bent = late_reply.to_vec();
+        let name_at = bent.windows(4).position(|w| w == b"rock").unwrap();
+        bent[name_at] = 0xff;
+        let mut ctx: Ctx<KadOutput> = Ctx::new(4_000, 0, 3);
+        node.on_message(&mut ctx, 2, Bytes::from(bent));
+        assert!(node.pending.contains_key(&late_rpc) && !node.routing.contains(&late.id));
+
+        let mut ctx: Ctx<KadOutput> = Ctx::new(5_000, 0, 4);
+        node.on_message(&mut ctx, 2, late_reply);
+        let (sends, _, completions) = ctx.into_effects();
+        assert!(
+            sends.is_empty() && completions.is_empty(),
+            "nothing left to do"
+        );
+        assert!(node.routing.contains(&late.id), "the sender is noted live");
+        assert!(!node.pending.contains_key(&late_rpc), "the RPC is settled");
+        let rtt = node.rtt().unwrap();
+        assert_eq!(rtt.samples(), samples + 1, "its round trip is a sample");
+        assert_eq!(rtt.estimate_us(&late.id), Some(5_000));
+        let book = &node.fresh.as_ref().unwrap().book;
+        assert_eq!(
+            book.highest(&gossiped),
+            Some(st(42)),
+            "its digest is absorbed"
+        );
+        // Settled means settled: the RPC's timer finds nothing to evict.
+        let mut ctx: Ctx<KadOutput> = Ctx::new(500_000, 0, 5);
+        node.on_timer(&mut ctx, late_rpc);
+        assert!(node.routing.contains(&late.id));
     }
 
     #[test]

@@ -18,19 +18,32 @@
 //!   symbol for binary-search lookup) instead of an owned `String` per
 //!   entry per key. Tag vocabularies are tiny compared to key counts, so
 //!   the shared table amortizes to near-zero per record;
-//! * blobs are `Box<[u8]>` — no spare `Vec` capacity is retained.
+//! * blobs are `Box<[u8]>` — no spare `Vec` capacity is retained;
+//! * a value that has been read since its last write also holds its **rank
+//!   memo**: the permutation of its entries in reply order (weight
+//!   descending, name ascending) as a `Box<[u32]>` — 4 bytes per entry,
+//!   never more. Every filtered read is a prefix of that order, so the
+//!   `α` holders a GET asks, and every GET until the next write, walk a
+//!   prefix instead of selecting and sorting the block again. The memo is
+//!   built by the first [`Storage::encode_filtered`] after a write and
+//!   dropped by every mutation of the entry set (`append`, a `merge_max`
+//!   that raises or adds anything; `put_blob` leaves it) and with the
+//!   value itself (`remove`, `expire`). It has no capacity, TTL or knob,
+//!   and [`Storage::heap_bytes`] counts it.
 //!
 //! The compact layout is an internal detail: reads resolve symbols back to
 //! names ([`Storage::snapshot`], [`Storage::read_filtered`]) and all
 //! observable semantics — ordering, truncation, versioning, expiry — are
 //! unchanged from the string-keyed representation.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use dharma_types::{Id160, NameInterner, Sym, VersionStamp};
+use bytes::BytesMut;
+use dharma_types::{Id160, NameInterner, Sym, VersionStamp, WriteBytes};
 
-use crate::messages::StoredEntry;
+use crate::messages::{put_entry, put_opt_blob, StoredEntry};
 
 /// A stored value (compact form; names are interned per [`Storage`]).
 #[derive(Clone, Debug, Default)]
@@ -47,6 +60,9 @@ pub struct ValueState {
     /// versions: cached views, digests and stale-drops order exactly, with
     /// no per-holder counter ambiguity.
     pub version: VersionStamp,
+    /// Rank memo (module docs): indices into `entries` in reply order.
+    /// `None` until the first served read after a write.
+    rank: Option<Box<[u32]>>,
 }
 
 impl ValueState {
@@ -70,6 +86,7 @@ impl ValueState {
     /// Adds `tokens` to `sym`'s weight (inserting at the sort position on
     /// first sight) and returns the new weight.
     fn add(&mut self, sym: Sym, tokens: u64) -> u64 {
+        self.rank = None;
         match self.entries.binary_search_by_key(&sym, |&(s, _)| s) {
             Ok(ix) => {
                 self.entries[ix].1 += tokens;
@@ -85,19 +102,69 @@ impl ValueState {
     /// Raises `sym`'s weight to at least `weight`; true when it changed.
     fn raise_to(&mut self, sym: Sym, weight: u64) -> bool {
         match self.entries.binary_search_by_key(&sym, |&(s, _)| s) {
-            Ok(ix) => {
-                if weight > self.entries[ix].1 {
-                    self.entries[ix].1 = weight;
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(ix) => {
-                self.entries.insert(ix, (sym, weight));
-                true
-            }
+            Ok(ix) if weight <= self.entries[ix].1 => return false,
+            Ok(ix) => self.entries[ix].1 = weight,
+            Err(ix) => self.entries.insert(ix, (sym, weight)),
         }
+        self.rank = None;
+        true
+    }
+
+    /// The first `limit` entries in reply order — weight descending, ties
+    /// by name ascending — as indices into `entries`. Ranked as compact
+    /// `(weight, symbol, index)` triples: a comparison reads nothing else,
+    /// and resolves names only to break a weight tie. Names are unique per
+    /// key, so the order is total and selecting then sorting a prefix
+    /// equals sorting everything.
+    fn rank_prefix(&self, names: &NameInterner, limit: usize) -> Vec<u32> {
+        let by_rank = |a: &(u64, Sym, u32), b: &(u64, Sym, u32)| {
+            (b.0.cmp(&a.0)).then_with(|| names.resolve(a.1).cmp(names.resolve(b.1)))
+        };
+        let indexed = self.entries.iter().zip(0u32..);
+        let mut ranked: Vec<_> = indexed.map(|(&(sym, w), ix)| (w, sym, ix)).collect();
+        if limit < ranked.len() {
+            if limit > 0 {
+                ranked.select_nth_unstable_by(limit - 1, by_rank);
+            }
+            ranked.truncate(limit);
+        }
+        ranked.sort_unstable_by(by_rank);
+        ranked.into_iter().map(|(_, _, ix)| ix).collect()
+    }
+
+    /// The one rank-and-budget walk behind both read emitters: the indices
+    /// of the heaviest `top_n` entries (0 = all) whose encodings fit
+    /// `byte_budget` (varint-accurate), in reply order, and whether
+    /// anything was cut. A prefix of the rank memo when the value has one,
+    /// a freshly ranked prefix otherwise.
+    fn select(
+        &self,
+        names: &NameInterner,
+        top_n: u32,
+        byte_budget: usize,
+    ) -> (Cow<'_, [u32]>, bool) {
+        let len = self.entries.len();
+        let limit = if top_n == 0 {
+            len
+        } else {
+            len.min(top_n as usize)
+        };
+        let mut order = match &self.rank {
+            Some(memo) => Cow::Borrowed(&memo[..limit]),
+            None => Cow::Owned(self.rank_prefix(names, limit)),
+        };
+        let mut used = 0usize;
+        let fits = order.iter().take_while(|&&ix| {
+            let (sym, weight) = self.entries[ix as usize];
+            used += entry_encoded_len(names.resolve(sym), weight);
+            used <= byte_budget
+        });
+        let keep = fits.count();
+        match &mut order {
+            Cow::Borrowed(memo) => *memo = &memo[..keep],
+            Cow::Owned(ranked) => ranked.truncate(keep),
+        }
+        (order, limit < len || keep < limit)
     }
 }
 
@@ -277,45 +344,48 @@ impl Storage {
         byte_budget: usize,
     ) -> Option<FilteredRead> {
         let state = self.values.get(key)?;
-        // Rank the compact `(Sym, weight)` pairs, resolving names only to
-        // break weight ties; only the entries that survive `top_n` and the
-        // byte budget are ever allocated. Names are unique per key, so the
-        // order is total and selecting then sorting the prefix equals
-        // sorting everything.
-        let mut ranked = state.entries.clone();
-        let by_rank = |a: &(Sym, u64), b: &(Sym, u64)| {
-            b.1.cmp(&a.1)
-                .then_with(|| self.names.resolve(a.0).cmp(self.names.resolve(b.0)))
-        };
-        let mut truncated = false;
-        if top_n > 0 && ranked.len() > top_n as usize {
-            ranked.select_nth_unstable_by(top_n as usize - 1, by_rank);
-            ranked.truncate(top_n as usize);
-            truncated = true;
-        }
-        ranked.sort_unstable_by(by_rank);
-        // Enforce the byte budget on the encoded size (varint-accurate).
-        let mut used = 0usize;
-        let mut entries = Vec::with_capacity(ranked.len());
-        for &(sym, weight) in &ranked {
-            let name = self.names.resolve(sym);
-            let size = entry_encoded_len(name, weight);
-            if used + size > byte_budget {
-                truncated = true;
-                break;
-            }
-            used += size;
-            entries.push(StoredEntry {
-                name: name.to_owned(),
+        let (order, truncated) = state.select(&self.names, top_n, byte_budget);
+        let entries = order.iter().map(|&ix| {
+            let (sym, weight) = state.entries[ix as usize];
+            StoredEntry {
+                name: self.names.resolve(sym).to_owned(),
                 weight,
-            });
-        }
+            }
+        });
         Some(FilteredRead {
-            entries,
+            entries: entries.collect(),
             blob: state.blob.as_deref().map(<[u8]>::to_vec),
             truncated,
             version: state.version,
         })
+    }
+
+    /// The serving form of [`Self::read_filtered`]: writes the same read —
+    /// the blob option, then the entry list — onto `buf` in `FoundValue`
+    /// wire layout, straight from the interner (no `String`, no owned
+    /// entry), and returns `(truncated, version)` for the reply's tail.
+    /// Writes nothing when `key` is absent. This is the read that builds
+    /// the value's rank memo (module docs), hence `&mut self`.
+    pub fn encode_filtered(
+        &mut self,
+        key: &Id160,
+        top_n: u32,
+        byte_budget: usize,
+        buf: &mut BytesMut,
+    ) -> Option<(bool, VersionStamp)> {
+        let state = self.values.get_mut(key)?;
+        if state.rank.is_none() {
+            let all = state.rank_prefix(&self.names, state.entries.len());
+            state.rank = Some(all.into_boxed_slice());
+        }
+        let (order, truncated) = state.select(&self.names, top_n, byte_budget);
+        put_opt_blob(buf, state.blob());
+        buf.put_varint(order.len() as u64);
+        for &ix in order.iter() {
+            let (sym, weight) = state.entries[ix as usize];
+            put_entry(buf, self.names.resolve(sym), weight);
+        }
+        Some((truncated, state.version))
     }
 
     /// Iterates all keys in id order (replication/maintenance).
@@ -332,8 +402,9 @@ impl Storage {
             .map(|(key, _)| key)
     }
 
-    /// Approximate heap bytes held: values, entry vectors, blobs, and the
-    /// shared name table. Used by scale runs to report per-node state size.
+    /// Approximate heap bytes held: values, entry vectors, rank memos,
+    /// blobs, and the shared name table. Used by scale runs to report
+    /// per-node state size.
     pub fn heap_bytes(&self) -> usize {
         let per_value = std::mem::size_of::<Id160>() + std::mem::size_of::<ValueState>();
         let values: usize = self
@@ -341,6 +412,7 @@ impl Storage {
             .values()
             .map(|v| {
                 v.entries.len() * std::mem::size_of::<(Sym, u64)>()
+                    + v.rank.as_ref().map_or(0, |r| std::mem::size_of_val(&**r))
                     + v.blob.as_ref().map(|b| b.len()).unwrap_or(0)
             })
             .sum();
@@ -358,7 +430,9 @@ fn entry_encoded_len(name: &str, weight: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dharma_types::sha1;
+    use crate::messages::{put_found_value_head, put_found_value_tail, Contact, Message};
+    use dharma_types::{sha1, WireEncode};
+    use proptest::prelude::*;
 
     /// Mints test stamps from one writer; seq order = write order.
     fn st(seq: u64) -> VersionStamp {
@@ -507,6 +581,102 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert!(s.snapshot(&sha1(b"absent")).is_none());
         assert!(s.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_rank_memo() {
+        let mut s = Storage::new();
+        let k = sha1(b"k");
+        for i in 0..50u64 {
+            s.append(k, &format!("tag-{i:02}"), i % 7, st(i + 1));
+        }
+        let written = s.heap_bytes();
+        // The owned read ranks for itself and leaves nothing behind ...
+        s.read_filtered(&k, 10, usize::MAX).unwrap();
+        assert_eq!(s.heap_bytes(), written);
+        // ... the serving read builds the memo: 4 bytes per entry, once.
+        let mut buf = BytesMut::new();
+        s.encode_filtered(&k, 10, usize::MAX, &mut buf).unwrap();
+        assert_eq!(s.heap_bytes(), written + 50 * 4);
+        s.encode_filtered(&k, 0, 64, &mut buf).unwrap();
+        s.put_blob(k, Vec::new(), st(60));
+        assert_eq!(s.heap_bytes(), written + 50 * 4, "blobs leave it alone");
+        // A write drops it (an existing name: the entry vector is as long).
+        s.append(k, "tag-07", 1, st(61));
+        assert_eq!(s.heap_bytes(), written);
+        // A replica that raises nothing is not a write; one that does, is.
+        s.encode_filtered(&k, 0, usize::MAX, &mut buf).unwrap();
+        let mut entry = StoredEntry {
+            name: "tag-07".into(),
+            weight: 1,
+        };
+        s.merge_max(k, None, std::slice::from_ref(&entry), st(62), 0);
+        assert_eq!(s.heap_bytes(), written + 50 * 4);
+        entry.weight = 99;
+        s.merge_max(k, None, std::slice::from_ref(&entry), st(63), 0);
+        assert_eq!(s.heap_bytes(), written);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// Two emitters, one read: the datagram `encode_filtered` serves is
+        /// byte for byte the `FoundValue` encoded from `read_filtered` —
+        /// under heavy weight ties, at the `top_n` edges, with budgets
+        /// cutting mid-prefix, with and without a blob — and the owned
+        /// read is the same before the memo exists and after.
+        #[test]
+        fn served_bytes_equal_the_encoded_owned_read(
+            appends in proptest::collection::vec(("[a-dé]{1,3}", 1u64..4), 0..60),
+            blob in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..20)),
+            budget_cut in 0usize..300,
+            extra_top_n in 0u32..70,
+        ) {
+            let key = sha1(b"k");
+            let from = Contact { id: sha1(b"holder"), addr: 9 };
+            let mut s = Storage::new();
+            s.append(key, "seed", 2, st(1));
+            for (i, (name, w)) in appends.iter().enumerate() {
+                s.append(key, name, *w, st(i as u64 + 2));
+            }
+            if let Some(b) = blob {
+                s.put_blob(key, b, st(1_000));
+            }
+            let len = s.get(&key).unwrap().entry_count() as u32;
+            for top_n in [0, 1, len, len + 1, extra_top_n] {
+                for budget in [0, budget_cut, usize::MAX] {
+                    // Drop the memo, so the first read of each round ranks
+                    // for itself and the last walks the memo.
+                    s.append(key, "seed", 1, st(2_000));
+                    let unranked = s.read_filtered(&key, top_n, budget).unwrap();
+                    let mut served = BytesMut::new();
+                    put_found_value_head(&mut served, 7, &from);
+                    let (truncated, version) =
+                        s.encode_filtered(&key, top_n, budget, &mut served).unwrap();
+                    put_found_value_tail(&mut served, truncated, &version, false, &[]);
+                    let read = s.read_filtered(&key, top_n, budget).unwrap();
+                    prop_assert_eq!(&read, &unranked, "top_n {} budget {}", top_n, budget);
+                    let owned = Message::FoundValue {
+                        rpc: 7,
+                        from: from.clone(),
+                        blob: read.blob,
+                        entries: read.entries,
+                        truncated: read.truncated,
+                        version: read.version,
+                        from_cache: false,
+                        digest: Vec::new(),
+                    };
+                    prop_assert_eq!(
+                        &served[..],
+                        &owned.encode_to_bytes()[..],
+                        "top_n {} budget {}", top_n, budget
+                    );
+                }
+            }
+            let mut untouched = BytesMut::new();
+            prop_assert!(s.encode_filtered(&sha1(b"absent"), 0, 99, &mut untouched).is_none());
+            prop_assert!(untouched.is_empty());
+        }
     }
 
     #[test]

@@ -603,30 +603,103 @@ proptest! {
         }
     }
 
-    /// `read_filtered` (select the prefix, sort only it, allocate only the
-    /// survivors) returns exactly what the naive reference does — allocate
-    /// everything, sort everything, truncate — under heavy weight ties,
-    /// at the `top_n` edges and with byte budgets that cut mid-prefix.
+    /// Both reads — `read_filtered` (owned; ranks a prefix for itself, or
+    /// walks the rank memo when the value has one) and `encode_filtered`
+    /// (served; builds the memo) — return exactly what the naive reference
+    /// does — allocate everything, sort everything, truncate — under heavy
+    /// weight ties, at the `top_n` edges and with byte budgets that cut
+    /// mid-prefix, at every point of a random interleaving of `append` /
+    /// `merge_max` / `put_blob` / `remove` / `expire` with reads of either
+    /// kind: a memo must never outlive the write that outdates it.
     #[test]
     fn filtered_reads_equal_the_naive_reference(
-        appends in proptest::collection::vec(("[a-d]{1,3}", 1u64..4), 1..80),
-        budget_cut in 0usize..400,
-        extra_top_n in 0u32..90,
+        ops in proptest::collection::vec(
+            // (kind, entry name, weight, a top_n, a budget)
+            (0u8..12, "[a-d]{1,3}", 1u64..4, 0u32..90, 0usize..400),
+            1..120,
+        ),
     ) {
+        use bytes::BytesMut;
+        use dharma_types::ReadBytes;
+
         let mut s = Storage::new();
-        let mut model = std::collections::BTreeMap::<String, u64>::new();
+        // The held value, when there is one: its entries and its blob.
+        type Model = (std::collections::BTreeMap<String, u64>, Option<Vec<u8>>);
+        let mut model: Option<Model> = None;
         let key = sha1(b"k");
-        for (i, (name, w)) in appends.iter().enumerate() {
-            s.append(key, name, *w, VersionStamp::new(i as u64 + 1, sha1(b"w")));
-            *model.entry(name.clone()).or_default() += *w;
-        }
-        let len = model.len() as u32;
-        for top_n in [0, 1, len, len + 1, extra_top_n] {
-            for budget in [0, budget_cut, usize::MAX] {
-                let read = s.read_filtered(&key, top_n, budget).unwrap();
-                let (entries, truncated) = naive_filtered(&model, top_n, budget);
-                prop_assert_eq!(&read.entries, &entries, "top_n {} budget {}", top_n, budget);
-                prop_assert_eq!(read.truncated, truncated, "top_n {} budget {}", top_n, budget);
+        for (i, (kind, name, w, extra_top_n, budget_cut)) in ops.into_iter().enumerate() {
+            let now = i as u64 + 1;
+            let stamp = VersionStamp::new(now, sha1(b"w"));
+            match kind {
+                0..=3 => {
+                    s.append(key, &name, w, stamp);
+                    s.touch(key, now);
+                    *model.get_or_insert_with(Default::default).0.entry(name).or_default() += w;
+                }
+                4 | 5 => {
+                    // A replica: raises `name` (maybe), adds a new name
+                    // (maybe), offers a blob (adopted only if none is held).
+                    let replica = [
+                        StoredEntry { name: name.clone(), weight: w * 2 },
+                        StoredEntry { name: format!("{name}r"), weight: w },
+                    ];
+                    s.merge_max(key, Some(b"replica"), &replica, stamp, now);
+                    let (entries, blob) = model.get_or_insert_with(Default::default);
+                    for e in replica {
+                        let held = entries.entry(e.name).or_default();
+                        *held = (*held).max(e.weight);
+                    }
+                    blob.get_or_insert_with(|| b"replica".to_vec());
+                }
+                6 => {
+                    s.put_blob(key, name.as_bytes().to_vec(), stamp);
+                    model.get_or_insert_with(Default::default).1 = Some(name.into_bytes());
+                }
+                7 => {
+                    prop_assert_eq!(s.remove(&key), model.take().is_some());
+                }
+                8 => {
+                    // Every write above refreshed the value before `now`:
+                    // a zero TTL expires it, an unbounded one keeps it.
+                    let ttl = if w == 1 { 0 } else { u64::MAX };
+                    let dropped = s.expire(now, ttl);
+                    if ttl == 0 {
+                        prop_assert_eq!(dropped, usize::from(model.take().is_some()));
+                    }
+                }
+                _ => {}
+            }
+            // Read after every step; which kind of read comes first (and so
+            // whether a memo exists for the other) varies with the step.
+            let Some((entries, blob)) = &model else {
+                prop_assert!(s.read_filtered(&key, 0, usize::MAX).is_none());
+                prop_assert!(s.encode_filtered(&key, 0, usize::MAX, &mut BytesMut::new()).is_none());
+                continue;
+            };
+            let len = entries.len() as u32;
+            for top_n in [0, 1, len, len + 1, extra_top_n] {
+                for budget in [0, budget_cut, usize::MAX] {
+                    let (expected, truncated) = naive_filtered(entries, top_n, budget);
+                    for serve in [kind % 2 == 0, kind % 2 != 0] {
+                        let (got_blob, got, got_truncated) = if serve {
+                            let mut buf = BytesMut::new();
+                            let (cut, version) =
+                                s.encode_filtered(&key, top_n, budget, &mut buf).unwrap();
+                            prop_assert_eq!(version, s.stamp(&key));
+                            let mut body = buf.freeze();
+                            let blob = body.get_flag().unwrap().then(|| body.get_bytes_field().unwrap());
+                            let served = Vec::<StoredEntry>::decode(&mut body).unwrap();
+                            prop_assert!(body.is_empty());
+                            (blob, served, cut)
+                        } else {
+                            let read = s.read_filtered(&key, top_n, budget).unwrap();
+                            (read.blob, read.entries, read.truncated)
+                        };
+                        prop_assert_eq!(&got, &expected, "top_n {} budget {}", top_n, budget);
+                        prop_assert_eq!(got_truncated, truncated, "top_n {} budget {}", top_n, budget);
+                        prop_assert_eq!(&got_blob, blob);
+                    }
+                }
             }
         }
     }

@@ -75,6 +75,8 @@ impl WireEncode for VersionStamp {
 }
 
 impl WireDecode for VersionStamp {
+    const MIN_WIRE_LEN: usize = 1 + crate::id::ID160_BYTES;
+
     fn decode(buf: &mut Bytes) -> Result<Self> {
         let seq = buf.get_varint()?;
         let writer = buf.get_id()?;

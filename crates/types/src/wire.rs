@@ -44,6 +44,11 @@ pub trait WireEncode {
 
 /// Types that can be parsed back out of a byte buffer.
 pub trait WireDecode: Sized {
+    /// The fewest bytes any encoding of `Self` occupies. Sequence decoding
+    /// rejects an element count the remaining input cannot hold *before*
+    /// reserving memory for it (see [`get_seq_len`]).
+    const MIN_WIRE_LEN: usize = 1;
+
     /// Consumes the encoding of `Self` from the front of `buf`.
     fn decode(buf: &mut Bytes) -> Result<Self>;
 
@@ -51,14 +56,41 @@ pub trait WireDecode: Sized {
     fn decode_exact(data: &[u8]) -> Result<Self> {
         let mut bytes = Bytes::copy_from_slice(data);
         let v = Self::decode(&mut bytes)?;
-        if !bytes.is_empty() {
-            return Err(DharmaError::Decode(format!(
-                "{} trailing bytes after message",
-                bytes.len()
-            )));
-        }
+        expect_consumed(&bytes)?;
         Ok(v)
     }
+}
+
+/// Errors unless `buf` was consumed to its end (one datagram, one message).
+pub fn expect_consumed(buf: &Bytes) -> Result<()> {
+    if buf.is_empty() {
+        return Ok(());
+    }
+    Err(DharmaError::Decode(format!(
+        "{} trailing bytes after message",
+        buf.len()
+    )))
+}
+
+/// Reads a sequence's element count, rejecting any count whose elements
+/// (at `min_wire_len` bytes each, at least) cannot fit in the remaining
+/// input. Such a claim could never decode, and checking it here bounds
+/// what a caller reserves for the sequence by what the datagram can
+/// actually carry — a hostile prefix cannot buy an allocation larger than
+/// an honest datagram of the same size would.
+pub fn get_seq_len(buf: &mut Bytes, min_wire_len: usize) -> Result<usize> {
+    let len = buf.get_varint()?;
+    let fits = usize::try_from(len)
+        .ok()
+        .and_then(|n| n.checked_mul(min_wire_len.max(1)))
+        .is_some_and(|bytes| bytes <= buf.remaining());
+    if !fits {
+        return Err(DharmaError::Decode(format!(
+            "sequence length {len} exceeds what the remaining {} bytes can hold",
+            buf.remaining()
+        )));
+    }
+    Ok(len as usize)
 }
 
 /// Buffer-writing helpers (varints, strings, ids).
@@ -113,6 +145,15 @@ pub trait ReadBytes {
     fn get_id(&mut self) -> Result<Id160>;
     /// Reads a length prefix, validating it against remaining input.
     fn get_len(&mut self) -> Result<usize>;
+    /// Reads a one-byte boolean. Only 0 and 1 are flags: any other byte
+    /// is rejected, so `encode(decode(x)) == x` holds for every flag.
+    fn get_flag(&mut self) -> Result<bool>;
+    /// Validates and skips a length-prefixed UTF-8 string without
+    /// allocating: accepts and rejects exactly what [`Self::get_str`] does.
+    fn skip_str(&mut self) -> Result<()>;
+    /// Skips a length-prefixed byte string, validating as
+    /// [`Self::get_bytes_field`] does.
+    fn skip_bytes_field(&mut self) -> Result<()>;
 }
 
 impl ReadBytes for Bytes {
@@ -149,16 +190,42 @@ impl ReadBytes for Bytes {
         Ok(len)
     }
 
+    fn get_flag(&mut self) -> Result<bool> {
+        match self.first() {
+            Some(&byte @ 0..=1) => {
+                self.advance(1);
+                Ok(byte == 1)
+            }
+            Some(byte) => Err(DharmaError::Decode(format!(
+                "flag byte {byte} is neither 0 nor 1"
+            ))),
+            None => Err(DharmaError::Decode("truncated flag".into())),
+        }
+    }
+
     fn get_str(&mut self) -> Result<String> {
         let len = self.get_len()?;
-        let raw = self.split_to(len);
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| DharmaError::Decode("invalid utf-8 in string field".into()))
+        let name = utf8(&self[..len])?.to_owned();
+        self.advance(len);
+        Ok(name)
+    }
+
+    fn skip_str(&mut self) -> Result<()> {
+        let len = self.get_len()?;
+        utf8(&self[..len])?;
+        self.advance(len);
+        Ok(())
     }
 
     fn get_bytes_field(&mut self) -> Result<Vec<u8>> {
         let len = self.get_len()?;
         Ok(self.split_to(len).to_vec())
+    }
+
+    fn skip_bytes_field(&mut self) -> Result<()> {
+        let len = self.get_len()?;
+        self.advance(len);
+        Ok(())
     }
 
     fn get_id(&mut self) -> Result<Id160> {
@@ -169,6 +236,11 @@ impl ReadBytes for Bytes {
         self.copy_to_slice(&mut arr);
         Ok(Id160(arr))
     }
+}
+
+fn utf8(raw: &[u8]) -> Result<&str> {
+    std::str::from_utf8(raw)
+        .map_err(|_| DharmaError::Decode("invalid utf-8 in string field".into()))
 }
 
 /// Exact encoded size of a varint — handy for arithmetic `encoded_len`s.
@@ -191,6 +263,8 @@ impl WireEncode for Id160 {
 }
 
 impl WireDecode for Id160 {
+    const MIN_WIRE_LEN: usize = ID160_BYTES;
+
     fn decode(buf: &mut Bytes) -> Result<Self> {
         buf.get_id()
     }
@@ -228,7 +302,7 @@ impl WireDecode for u64 {
     }
 }
 
-impl<T: WireEncode> WireEncode for Vec<T> {
+impl<T: WireEncode> WireEncode for [T] {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_varint(self.len() as u64);
         for item in self {
@@ -237,16 +311,15 @@ impl<T: WireEncode> WireEncode for Vec<T> {
     }
 }
 
+impl<T: WireEncode> WireEncode for Vec<T> {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.as_slice().encode(buf);
+    }
+}
+
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(buf: &mut Bytes) -> Result<Self> {
-        let len = buf.get_varint()? as usize;
-        // Guard against hostile prefixes: each element consumes ≥ 1 byte.
-        if len > buf.remaining() {
-            return Err(DharmaError::Decode(format!(
-                "sequence length {len} exceeds remaining {} bytes",
-                buf.remaining()
-            )));
-        }
+        let len = get_seq_len(buf, T::MIN_WIRE_LEN)?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(buf)?);
@@ -347,6 +420,59 @@ mod tests {
         buf.put_varint(u32::MAX as u64); // absurd element count
         let mut b = buf.freeze();
         assert!(Vec::<u64>::decode(&mut b).is_err());
+    }
+
+    #[test]
+    fn sequence_claims_are_bounded_by_what_the_input_can_hold() {
+        // A full-size datagram claiming more ids than its bytes can carry:
+        // the claim passes a bytes-remaining test (each element "is at
+        // least one byte") and, before the fix, reserved 65 000 × 20 bytes
+        // ahead of the first element. It must be refused at the prefix.
+        let mut buf = BytesMut::new();
+        buf.put_varint(65_000);
+        buf.resize(65_507, 0xff);
+        let err = Vec::<Id160>::decode(&mut buf.freeze()).unwrap_err();
+        assert!(err.to_string().contains("sequence length 65000"), "{err}");
+        // The largest claim the bytes can honour still decodes.
+        let ids = vec![crate::sha1::sha1(b"x"); 3];
+        let enc = ids.encode_to_bytes();
+        assert_eq!(Vec::<Id160>::decode_exact(&enc).unwrap(), ids);
+        let mut short = BytesMut::new();
+        short.put_varint(3);
+        short.resize(1 + 3 * ID160_BYTES - 1, 0);
+        assert!(get_seq_len(&mut short.freeze(), ID160_BYTES).is_err());
+        // Counts that overflow `usize` arithmetic are claims like any other.
+        let mut huge = BytesMut::new();
+        huge.put_varint(u64::MAX);
+        assert!(get_seq_len(&mut huge.freeze(), ID160_BYTES).is_err());
+    }
+
+    #[test]
+    fn flags_are_exactly_zero_or_one() {
+        assert!(!Bytes::from_static(&[0]).get_flag().unwrap());
+        assert!(Bytes::from_static(&[1]).get_flag().unwrap());
+        for byte in 2..=u8::MAX {
+            assert!(Bytes::from(vec![byte]).get_flag().is_err(), "{byte}");
+        }
+        assert!(Bytes::new().get_flag().is_err());
+    }
+
+    #[test]
+    fn skipping_accepts_exactly_what_reading_accepts() {
+        let mut buf = BytesMut::new();
+        buf.put_str("heavy-metal ✓");
+        buf.put_bytes_field(&[1, 2, 3]);
+        buf.put_bytes_field(&[0xff, 0xfe]); // not UTF-8
+        let mut b = buf.freeze();
+        b.skip_str().unwrap();
+        b.skip_bytes_field().unwrap();
+        assert_eq!(b.len(), 3);
+        assert!(b.clone().get_str().is_err() && b.clone().skip_str().is_err());
+        b.skip_bytes_field().unwrap();
+        assert!(b.is_empty());
+        // A length prefix past the end fails both ways.
+        let mut cut = Bytes::from_static(&[5, b'a']);
+        assert!(cut.clone().skip_str().is_err() && cut.skip_bytes_field().is_err());
     }
 
     #[test]
