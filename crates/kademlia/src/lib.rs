@@ -22,7 +22,10 @@
 //!
 //! The node logic ([`node::KademliaNode`]) is a [`dharma_net::Node`] state
 //! machine, so it runs identically on the discrete-event simulator and on
-//! real UDP sockets.
+//! real UDP sockets. It is a small core — one way to send an RPC, to apply
+//! a write, to run a lookup — plus one file per optional layer (hot-block
+//! cache, version gossip, churn maintenance, latency awareness); the
+//! [`node`] module docs are the map.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

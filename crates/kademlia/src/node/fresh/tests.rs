@@ -1,0 +1,267 @@
+//! Tests of the freshness layer: digests, revalidation, the serving gate.
+
+use dharma_net::{NetCounters, Node};
+use dharma_types::{sha1, WireDecode};
+
+use super::super::testutil::{contact, fresh_cfg, st};
+use super::*;
+use crate::messages::StoredEntry;
+use crate::node::KadConfig;
+
+fn push_view(node: &mut KademliaNode, ctx: &mut Ctx<KadOutput>, key: Id160, version: u64) {
+    node.on_message(
+        ctx,
+        1,
+        Message::CachePush {
+            rpc: 900,
+            from: contact(9),
+            key,
+            top_n: 0,
+            blob: None,
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight: version,
+            }],
+            truncated: false,
+            version: st(version),
+        }
+        .encode_to_bytes(),
+    );
+}
+
+/// Issues a GET at `now_us`. `Some(value)` when it completed within
+/// the same callback (a local serve — cache hit, or a value-less
+/// convergence on a peerless node); `None` when it went to the
+/// network, i.e. was *not* served from the local cache.
+fn try_local_get(node: &mut KademliaNode, now_us: u64, key: Id160) -> Option<Option<FetchedValue>> {
+    let mut ctx: Ctx<KadOutput> = Ctx::new(now_us, 0, 99);
+    let op = node.get(&mut ctx, key, 0);
+    let (_, _, completions) = ctx.into_effects();
+    for (id, out) in completions {
+        if id == op {
+            if let KadOutput::Value { value, .. } = out {
+                return Some(value);
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn stale_digest_drops_the_cached_view_and_revalidates() {
+    let counters = NetCounters::new();
+    let mut node = KademliaNode::new(
+        sha1(b"gossip-node"),
+        0,
+        KadConfig {
+            counters: counters.clone(),
+            ..fresh_cfg(3_600_000_000)
+        },
+    );
+    let key = sha1(b"gossiped-block");
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    push_view(&mut node, &mut ctx, key, 3);
+    let served = try_local_get(&mut node, 500, key)
+        .expect("cache hit completes locally")
+        .expect("view present");
+    assert!(served.from_cache, "the pushed view serves locally");
+
+    // A digest names version 5: the view is stale. It must be dropped
+    // and a direct revalidation FindValue sent to the digest sender.
+    let mut ctx: Ctx<KadOutput> = Ctx::new(1_000, 0, 2);
+    node.on_message(
+        &mut ctx,
+        7,
+        Message::Pong {
+            rpc: 77,
+            from: contact(7),
+            digest: vec![DigestEntry {
+                key,
+                version: st(5),
+            }],
+        }
+        .encode_to_bytes(),
+    );
+    assert_eq!(counters.stale_drops(), 1, "the stale view is dropped");
+    assert_eq!(counters.revalidations(), 1);
+    let (sends, timers, _) = ctx.into_effects();
+    let reval = sends
+        .iter()
+        .find_map(|m| match Message::decode_exact(&m.payload) {
+            Ok(Message::FindValue {
+                rpc,
+                key: k,
+                no_cache,
+                ..
+            }) if k == key => Some((m.to, rpc, no_cache)),
+            _ => None,
+        })
+        .expect("a revalidation FindValue is sent");
+    assert_eq!(reval.0, 7, "sent to the digest sender");
+    assert!(reval.2, "revalidation demands authoritative service");
+    assert!(timers.iter().any(|&(_, id)| id == reval.1), "rpc tracked");
+
+    // Monotone freshness: until the refresh lands, the key must not be
+    // served from cache — the GET reads through to the network.
+    assert!(
+        try_local_get(&mut node, 2_000, key).is_none(),
+        "no cached view may be served below the gossiped version"
+    );
+
+    // The refresh reply re-pins the view at the new version.
+    let mut ctx: Ctx<KadOutput> = Ctx::new(3_000, 0, 4);
+    node.on_message(
+        &mut ctx,
+        7,
+        Message::FoundValue {
+            rpc: reval.1,
+            from: contact(7),
+            blob: None,
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight: 5,
+            }],
+            truncated: false,
+            version: st(5),
+            from_cache: false,
+            digest: vec![],
+        }
+        .encode_to_bytes(),
+    );
+    let v = try_local_get(&mut node, 4_000, key)
+        .expect("refreshed view serves locally")
+        .expect("view present");
+    assert!(v.from_cache);
+    assert_eq!(
+        v.version,
+        st(5),
+        "the refreshed view carries the new version"
+    );
+}
+
+#[test]
+fn fresh_digest_confirmation_lets_views_outlive_the_ttl() {
+    let mut node = KademliaNode::new(sha1(b"confirming"), 0, fresh_cfg(1_000_000));
+    let key = sha1(b"warm-block");
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    push_view(&mut node, &mut ctx, key, 4);
+
+    // Just before expiry, a digest confirms the view is still current.
+    let mut ctx: Ctx<KadOutput> = Ctx::new(900_000, 0, 2);
+    node.on_message(
+        &mut ctx,
+        7,
+        Message::Pong {
+            rpc: 7,
+            from: contact(7),
+            digest: vec![DigestEntry {
+                key,
+                version: st(4),
+            }],
+        }
+        .encode_to_bytes(),
+    );
+
+    // Past the original TTL the view still serves: the confirmation
+    // restamped its clock without widening staleness (the version is
+    // provably current as of the confirmation).
+    let v = try_local_get(&mut node, 1_500_000, key)
+        .expect("confirmed view outlives the TTL")
+        .expect("view present");
+    assert!(v.from_cache);
+
+    // Without further confirmations the extended clock runs out too.
+    assert!(
+        !matches!(try_local_get(&mut node, 2_500_000, key), Some(Some(_))),
+        "the extension is not an immortality pass"
+    );
+}
+
+#[test]
+fn digest_lists_news_and_keys_near_the_target() {
+    let mut node = KademliaNode::new(sha1(b"digesting"), 0, fresh_cfg(1_000_000));
+    let near = sha1(b"near-target");
+    let far = sha1(b"far-away");
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    // Local appends (empty routing table: apply locally, stay news).
+    node.append(&mut ctx, near, "x", 1);
+    node.append(&mut ctx, far, "y", 2);
+    let digest = node.build_digest(Some(&near), 1_000);
+    assert!(
+        digest.iter().any(|e| e.key == near),
+        "held key near the target is gossiped"
+    );
+    assert!(
+        digest.iter().any(|e| e.key == far),
+        "recent writes are gossiped regardless of distance"
+    );
+    for e in &digest {
+        assert_eq!(
+            e.version,
+            node.storage().stamp(&e.key),
+            "digest carries current write-versions"
+        );
+    }
+    // A freshness-disabled node gossips nothing.
+    let mut plain = KademliaNode::new(sha1(b"plain"), 1, KadConfig::default());
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 2);
+    plain.append(&mut ctx, near, "x", 1);
+    assert!(plain.build_digest(Some(&near), 1_000).is_empty());
+}
+
+/// Golden digest on the shape the reply hot path actually sees: a
+/// full news ring in which almost every key has drifted out of this
+/// node's replica set. The digest must name exactly the keys the
+/// closest-`k` definition of authority says the node still speaks for,
+/// newest write first, each at its stored stamp.
+#[test]
+fn digest_of_a_full_news_ring_names_only_keys_the_node_speaks_for() {
+    let local = sha1(b"digesting");
+    let mut node = KademliaNode::new(local, 0, fresh_cfg(1_000_000));
+    // Writes land while the routing table is empty, so each applies
+    // locally and enters the news ring.
+    let own: Vec<usize> = vec![3, 11, 20, 30];
+    let keys: Vec<Id160> = (0..NEWS_CAP)
+        .map(|i| match own.iter().position(|&o| o == i) {
+            // Next to the local id: no contact can be closer.
+            Some(p) => local.with_flipped_bit(159 - p),
+            None => sha1(&[b'n', i as u8]),
+        })
+        .collect();
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    for (i, key) in keys.iter().enumerate() {
+        ctx.now_us = i as u64;
+        node.append(&mut ctx, *key, "x", 1);
+    }
+    // Then the overlay fills in (k = 8, so ~50 of these stay).
+    for n in 0..200u32 {
+        node.routing.note_contact(Contact {
+            id: sha1(&n.to_le_bytes()),
+            addr: n + 1,
+        });
+    }
+    let speaks_for = |key: &Id160| {
+        let closest = node.routing.closest(key, node.cfg.k);
+        closest.last().expect("contacts").id.distance(key) >= local.distance(key)
+    };
+    let spoken: Vec<Id160> = keys.iter().rev().copied().filter(speaks_for).collect();
+    assert!(own.iter().all(|&i| spoken.contains(&keys[i])));
+    assert!(
+        spoken.len() < NEWS_CAP / 2,
+        "mostly drifted: {} of {NEWS_CAP} still ours",
+        spoken.len()
+    );
+
+    let around = sha1(b"some-lookup-target");
+    let expected: Vec<DigestEntry> = spoken
+        .iter()
+        .take(dharma_cache::FreshConfig::default().digest_max)
+        .map(|key| DigestEntry {
+            key: *key,
+            version: node.storage().stamp(key),
+        })
+        .collect();
+    assert!(expected.iter().all(|e| !e.version.is_zero()));
+    assert_eq!(node.build_digest(Some(&around), 100), expected);
+    assert_eq!(node.build_digest(None, 100), expected);
+}
