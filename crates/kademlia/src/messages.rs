@@ -39,7 +39,7 @@
 
 use bytes::{Bytes, BytesMut};
 
-use dharma_types::wire::{expect_consumed, get_seq_len};
+use dharma_types::wire::{expect_consumed, get_seq_len, varint_len};
 use dharma_types::{
     DharmaError, Id160, ReadBytes, Result, VersionStamp, WireDecode, WireEncode, WriteBytes,
     ID160_BYTES,
@@ -128,6 +128,10 @@ impl WireEncode for DigestEntry {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_id(&self.key);
         self.version.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        ID160_BYTES + self.version.encoded_len()
     }
 }
 
@@ -420,6 +424,11 @@ fn put_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact) {
     from.encode(buf);
 }
 
+/// Exactly what [`put_head`] writes, in bytes.
+fn head_len(rpc: u64, from: &Contact) -> usize {
+    1 + varint_len(rpc) + ID160_BYTES + varint_len(u64::from(from.addr))
+}
+
 /// Writes an optional blob: a flag byte, then the bytes when present.
 pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
     use bytes::BufMut;
@@ -429,7 +438,7 @@ pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
     }
 }
 
-fn get_opt_blob(buf: &mut Bytes) -> Result<Option<Vec<u8>>> {
+pub(crate) fn get_opt_blob(buf: &mut Bytes) -> Result<Option<Vec<u8>>> {
     Ok(if buf.get_flag()? {
         Some(buf.get_bytes_field()?)
     } else {
@@ -444,6 +453,25 @@ fn put_push_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact, key: &Id1
     buf.put_varint(u64::from(top_n));
 }
 
+/// Opens an `InvalidatePush` datagram. As with [`put_found_value_head`],
+/// the caller writes the value next and closes with [`put_push_tail`].
+pub(crate) fn put_invalidate_push_head(
+    buf: &mut BytesMut,
+    rpc: u64,
+    from: &Contact,
+    key: &Id160,
+    top_n: u32,
+) {
+    put_push_head(buf, Message::T_INVALIDATE_PUSH, rpc, from, key, top_n);
+}
+
+/// Closes a pushed view: truncation flag, stamp.
+pub(crate) fn put_push_tail(buf: &mut BytesMut, truncated: bool, stamp: &VersionStamp) {
+    use bytes::BufMut;
+    buf.put_u8(u8::from(truncated));
+    stamp.encode(buf);
+}
+
 /// Writes the view a push carries: blob, entries, truncation flag, stamp.
 fn put_view(
     buf: &mut BytesMut,
@@ -452,11 +480,9 @@ fn put_view(
     truncated: bool,
     stamp: &VersionStamp,
 ) {
-    use bytes::BufMut;
     put_opt_blob(buf, blob);
     entries.encode(buf);
-    buf.put_u8(u8::from(truncated));
-    stamp.encode(buf);
+    put_push_tail(buf, truncated, stamp);
 }
 
 /// Opens a `FoundValue` datagram. The caller writes the value next — the
@@ -480,6 +506,24 @@ pub(crate) fn put_found_value_tail(
     version.encode(buf);
     buf.put_u8(u8::from(from_cache));
     digest.encode(buf);
+}
+
+/// Exactly what [`put_found_value_head`] and [`put_found_value_tail`]
+/// write around a value, in bytes: with the value's length, the capacity
+/// of a reply buffer that never grows.
+pub(crate) fn found_value_frame_len(
+    rpc: u64,
+    from: &Contact,
+    version: &VersionStamp,
+    digest: &[DigestEntry],
+) -> usize {
+    let gossip: usize = digest.iter().map(DigestEntry::encoded_len).sum();
+    head_len(rpc, from) + 2 + version.encoded_len() + varint_len(digest.len() as u64) + gossip
+}
+
+/// Exactly what [`put_invalidate_push_head`] writes, in bytes.
+pub(crate) fn invalidate_push_head_len(rpc: u64, from: &Contact, top_n: u32) -> usize {
+    head_len(rpc, from) + ID160_BYTES + varint_len(u64::from(top_n))
 }
 
 impl WireEncode for Message {

@@ -20,7 +20,10 @@ use dharma_net::Ctx;
 use dharma_types::{Id160, VersionStamp, WireEncode};
 
 use super::{KadOutput, KademliaNode};
-use crate::messages::{put_found_value_head, put_found_value_tail, Contact, FetchedValue, Message};
+use crate::messages::{
+    found_value_frame_len, put_found_value_head, put_found_value_tail, Contact, FetchedValue,
+    Message,
+};
 
 impl KademliaNode {
     /// Hot-block cache statistics (`None` when caching is disabled).
@@ -50,13 +53,12 @@ impl KademliaNode {
         // closer contacts so the requester reaches the live holders
         // instead.
         let speaks_for = self.fresh.is_none() || self.likely_authoritative(&key);
-        // Held values are served straight onto the wire: no owned read,
-        // no `Message` in between.
-        let mut reply = BytesMut::new();
-        let served = if speaks_for && self.storage.contains(&key) {
-            put_found_value_head(&mut reply, rpc, &self.contact);
-            self.storage
-                .encode_filtered(&key, top_n, self.cfg.reply_budget, &mut reply)
+        // Held values are served as their wire memo: one lookup, no owned
+        // read, no `Message` in between.
+        let mut body = BytesMut::new();
+        let budget = self.cfg.reply_budget;
+        let served = if speaks_for {
+            self.storage.encode_filtered(&key, top_n, budget, &mut body)
         } else {
             None
         };
@@ -68,7 +70,13 @@ impl KademliaNode {
                     .record(key, from.id, from.addr, top_n, ctx.now_us);
             }
             let digest = self.build_digest(Some(&key), ctx.now_us);
+            // The reply buffer is sized to the byte, so it never grows.
+            let len = found_value_frame_len(rpc, &self.contact, &version, &digest) + body.len();
+            let mut reply = BytesMut::with_capacity(len);
+            put_found_value_head(&mut reply, rpc, &self.contact);
+            reply.extend_from_slice(&body);
             put_found_value_tail(&mut reply, truncated, &version, false, &digest);
+            debug_assert_eq!(reply.len(), len);
             ctx.send(from.addr, reply.freeze());
             // Authoritative holders track per-key GET rates and push extra
             // replicas when a key runs hot.

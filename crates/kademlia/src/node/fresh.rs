@@ -31,14 +31,18 @@
 //!
 //! [`RoutingTable::local_ranks_within`]: crate::RoutingTable::local_ranks_within
 
+use bytes::BytesMut;
+
 use dharma_cache::{FetcherBook, FreshConfig, FreshnessBook, HitHistory};
 use dharma_net::Ctx;
 use dharma_types::{FxHashMap, Id160, VersionStamp, WireEncode};
 
 use super::rpc::{PUSH_OP, REFRESH_OP};
 use super::{KadOutput, KademliaNode};
-use crate::messages::{Contact, DigestEntry, FetchedValue, Message};
-use crate::storage::FilteredRead;
+use crate::messages::{
+    invalidate_push_head_len, put_invalidate_push_head, put_push_tail, Contact, DigestEntry,
+    FetchedValue, Message,
+};
 
 /// Bound on the digest news ring (recent effective local writes).
 const NEWS_CAP: usize = 32;
@@ -430,28 +434,30 @@ impl KademliaNode {
             f.push_calls += 1;
             f.push_calls
         };
-        // One filtered read per distinct width, not per fetcher: a hot
-        // key's fetchers nearly all asked for the same `top_n`.
-        let mut reads: Vec<(u32, FilteredRead)> = Vec::new();
+        // One encoded view per distinct width, not per fetcher — a hot
+        // key's fetchers nearly all asked for the same `top_n`: the value's
+        // wire memo (which the next `FIND_VALUE` at that width then hits)
+        // and the push's tail. Each target gets its own head in front.
+        let budget = self.cfg.reply_budget;
+        let mut views: Vec<(u32, BytesMut)> = Vec::new();
         for (i, &(id, addr, top_n)) in targets.iter().enumerate() {
-            let read = match reads.iter().find(|(n, _)| *n == top_n) {
-                Some((_, read)) => read.clone(),
+            let at = match views.iter().position(|(n, _)| *n == top_n) {
+                Some(at) => at,
                 None => {
                     // The key was just written, so the read can only miss
                     // if it raced an expiry sweep — in which case there is
                     // nothing left to push.
-                    let Some(read) = self
-                        .storage
-                        .read_filtered(&key, top_n, self.cfg.reply_budget)
-                    else {
+                    let mut view = BytesMut::new();
+                    let read = self.storage.encode_filtered(&key, top_n, budget, &mut view);
+                    let Some((truncated, _)) = read else {
                         return;
                     };
-                    if targets[i + 1..].iter().any(|t| t.2 == top_n) {
-                        reads.push((top_n, read.clone()));
-                    }
-                    read
+                    put_push_tail(&mut view, truncated, &stamp);
+                    views.push((top_n, view));
+                    views.len() - 1
                 }
             };
+            let view = &views[at].1;
             // Liveness sampling: every third push round, the first (most
             // recent) target is tracked like REPAIR_OP — its ack feeds the
             // RTT estimator and its timeout evicts the fetcher from the
@@ -461,17 +467,12 @@ impl KademliaNode {
             // would double the push overhead for no freshness gain.
             self.cfg.counters.record_invalidate_pushes(1);
             let push = |rpc: u64, from: &Contact| {
-                Message::InvalidatePush {
-                    rpc,
-                    from: from.clone(),
-                    key,
-                    top_n,
-                    blob: read.blob,
-                    entries: read.entries,
-                    truncated: read.truncated,
-                    stamp,
-                }
-                .encode_to_bytes()
+                let len = invalidate_push_head_len(rpc, from, top_n) + view.len();
+                let mut push = BytesMut::with_capacity(len);
+                put_invalidate_push_head(&mut push, rpc, from, &key, top_n);
+                push.extend_from_slice(view);
+                debug_assert_eq!(push.len(), len);
+                push.freeze()
             };
             if i == 0 && round % 3 == 0 {
                 let timeout_us = self.cfg.rpc_timeout_us;

@@ -265,3 +265,106 @@ fn digest_of_a_full_news_ring_names_only_keys_the_node_speaks_for() {
     assert_eq!(node.build_digest(Some(&around), 100), expected);
     assert_eq!(node.build_digest(None, 100), expected);
 }
+
+/// A push is the wire memo with a push frame around it: the datagrams a
+/// write fans out — two fetchers at one width, one at another, one of
+/// them ack-tracked every third round — are byte for byte the
+/// `InvalidatePush` encoded from an owned read of the post-write value,
+/// and the `FIND_VALUE` that follows is answered with the post-write
+/// weights (from the memo the push left behind, never a pre-write one).
+#[test]
+fn invalidation_pushes_equal_the_encoded_owned_read() {
+    let freshness = FreshConfig::builder().push_on_write(true).build();
+    let cfg = KadConfig {
+        freshness: Some(freshness.expect("valid")),
+        ..fresh_cfg(1_000_000)
+    };
+    let budget = cfg.reply_budget;
+    let mut node = KademliaNode::new(sha1(b"holder"), 0, cfg);
+    let key = sha1(b"pushed-block");
+    let append = |node: &mut KademliaNode, ctx: &mut Ctx<KadOutput>, name: &str, stamp: u64| {
+        let entries = vec![StoredEntry {
+            name: name.into(),
+            weight: 2,
+        }];
+        let (rpc, from) = (500 + stamp, contact(4));
+        let write = Message::Append {
+            rpc,
+            from,
+            key,
+            entries,
+            stamp: st(stamp),
+        };
+        node.on_message(ctx, 4, write.encode_to_bytes());
+    };
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    let blob = Message::Store {
+        rpc: 499,
+        from: contact(4),
+        key,
+        blob: b"uri://block".to_vec(),
+        stamp: st(1),
+    };
+    node.on_message(&mut ctx, 4, blob.encode_to_bytes());
+    for (i, name) in ["rock", "pop", "jazz", "metal"].iter().enumerate() {
+        append(&mut node, &mut ctx, name, 2 + i as u64);
+    }
+    // Three fetchers: two asked for the top 2, one for everything.
+    let find = |node: &mut KademliaNode, ctx: &mut Ctx<KadOutput>, n: u8, top_n: u32| {
+        let find = Message::FindValue {
+            rpc: 40 + u64::from(n),
+            from: contact(n),
+            key,
+            top_n,
+            no_cache: false,
+        };
+        node.on_message(ctx, u32::from(n), find.encode_to_bytes());
+    };
+    for (n, top_n) in [(1, 2), (2, 0), (3, 2)] {
+        find(&mut node, &mut ctx, n, top_n);
+    }
+    let mut tracked = 0;
+    for round in 0..3u64 {
+        let mut ctx: Ctx<KadOutput> = Ctx::new(1_000 + round, 0, 2);
+        append(&mut node, &mut ctx, "rock", 10 + round);
+        let (sends, _, _) = ctx.into_effects();
+        let pushes: Vec<_> = (sends.iter()).filter(|m| matches!(m.to, 1..=3)).collect();
+        assert_eq!(pushes.len(), 3, "every fetcher but the writer is pushed");
+        for push in pushes {
+            let Ok(Message::InvalidatePush { rpc, top_n, .. }) =
+                Message::decode_exact(&push.payload)
+            else {
+                panic!("not a push: {:?}", push.payload);
+            };
+            assert_eq!(top_n, if push.to == 2 { 0 } else { 2 });
+            let read = node.storage.read_filtered(&key, top_n, budget).unwrap();
+            assert_eq!(read.entries[0].weight, 4 + 2 * round, "the post-write view");
+            let owned = Message::InvalidatePush {
+                rpc,
+                from: node.contact.clone(),
+                key,
+                top_n,
+                blob: read.blob,
+                entries: read.entries,
+                truncated: read.truncated,
+                stamp: read.version,
+            };
+            assert_eq!(push.payload, owned.encode_to_bytes());
+            if rpc != 0 {
+                tracked += 1;
+                assert_eq!(node.pending[&rpc].op, PUSH_OP);
+            }
+        }
+    }
+    assert_eq!(tracked, 1, "one push in three rounds is ack-tracked");
+    let mut ctx: Ctx<KadOutput> = Ctx::new(2_000, 0, 3);
+    find(&mut node, &mut ctx, 1, 2);
+    let (sends, _, _) = ctx.into_effects();
+    let Ok(Message::FoundValue { entries, blob, .. }) = Message::decode_exact(&sends[0].payload)
+    else {
+        panic!("a holder answers with the value");
+    };
+    let read = node.storage.read_filtered(&key, 2, budget).unwrap();
+    assert_eq!(entries[0].weight, 8);
+    assert_eq!((entries, blob), (read.entries, read.blob));
+}

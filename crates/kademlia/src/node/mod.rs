@@ -345,7 +345,7 @@ impl Node for KademliaNode {
             }
             Message::CachePush { .. } => self.on_cache_push(ctx.now_us, msg),
             Message::InvalidatePush { .. } => self.on_invalidate_push(ctx, msg),
-            Message::Ack { rpc, .. } => self.on_ack(ctx, rpc),
+            Message::Ack { rpc, from } => self.on_ack(ctx, rpc, &from.id),
             Message::Leave { .. } => unreachable!("handled before the sender is noted"),
         }
     }

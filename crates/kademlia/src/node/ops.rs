@@ -5,15 +5,15 @@
 //! phase (`write`). Bucket refresh for idle buckets is exposed as
 //! [`KademliaNode::refresh_bucket`] for long-running deployments.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use dharma_net::{Ctx, NodeAddr};
-use dharma_types::{Id160, WireEncode};
+use dharma_types::{Id160, WireDecode, WireEncode};
 
 use super::rpc::{REFRESH_OP, REPAIR_OP};
 use super::{KadOutput, KademliaNode, OpKind, OpState, Phase};
 use crate::lookup::LookupState;
-use crate::messages::{Contact, DigestEntry, FetchedValue, Message};
+use crate::messages::{get_opt_blob, Contact, DigestEntry, FetchedValue, Message};
 use crate::rtt::AlphaController;
 
 impl KademliaNode {
@@ -86,24 +86,24 @@ impl KademliaNode {
         // Local fast path for reads: this node may itself hold the value
         // authoritatively, or (with caching on) hold a fresh cached view.
         if let OpKind::Get { top_n, .. } = &kind {
-            if let Some(read) = self
+            // A held value is read the way a peer would be served it — from
+            // its wire memo — and decoded the way a reply would be.
+            let mut body = BytesMut::new();
+            let budget = self.cfg.reply_budget;
+            let held = self
                 .storage
-                .read_filtered(&target, *top_n, self.cfg.reply_budget)
-            {
+                .encode_filtered(&target, *top_n, budget, &mut body);
+            if let Some((truncated, version)) = held {
                 self.cfg.counters.record_cache_miss();
-                ctx.complete(
-                    op_id,
-                    KadOutput::Value {
-                        value: Some(FetchedValue {
-                            blob: read.blob,
-                            entries: read.entries,
-                            truncated: read.truncated,
-                            version: read.version,
-                            from_cache: false,
-                        }),
-                        messages: 0,
-                    },
-                );
+                let mut body = body.freeze();
+                let value = Some(FetchedValue {
+                    blob: get_opt_blob(&mut body).expect("this node's own encoding"),
+                    entries: Vec::decode(&mut body).expect("this node's own encoding"),
+                    truncated,
+                    version,
+                    from_cache: false,
+                });
+                ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
                 return op_id;
             }
             if !bypass_cache {
@@ -281,7 +281,7 @@ impl KademliaNode {
     ) {
         // Digests carry freshness news even on late replies.
         self.absorb_digest(ctx, &from, digest);
-        let Some(pend) = self.settle(rpc, ctx.now_us) else {
+        let Some(pend) = self.settle(rpc, &from.id, ctx.now_us) else {
             return; // late reply for a finished op
         };
         if pend.op == REFRESH_OP {
@@ -346,7 +346,7 @@ impl KademliaNode {
         let now = ctx.now_us;
         self.observe_stamp(version);
         self.absorb_digest(ctx, &from, &digest);
-        let Some(pend) = self.settle(rpc, now) else {
+        let Some(pend) = self.settle(rpc, &from.id, now) else {
             return;
         };
         let value = FetchedValue {

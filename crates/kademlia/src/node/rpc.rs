@@ -3,9 +3,9 @@
 //! [`KademliaNode::request`] is the only place that mints an RPC id for a
 //! tracked request, records its [`PendingRpc`] and arms its timer;
 //! [`KademliaNode::notify`] is its untracked twin and
-//! [`KademliaNode::ack`] the only `Ack` builder. A reply *settles* its RPC
-//! ([`KademliaNode::settle`]); a timer that still finds the entry is a
-//! timeout ([`KademliaNode::on_timeout`]).
+//! [`KademliaNode::ack`] the only `Ack` builder. A reply from the peer that
+//! was asked *settles* its RPC ([`KademliaNode::settle`]); a timer that
+//! still finds the entry is a timeout ([`KademliaNode::on_timeout`]).
 //!
 //! Every received message refreshes the sender in the routing table; every
 //! RPC timeout marks the silent contact suspect — by default it is *probed*
@@ -19,7 +19,7 @@
 use bytes::Bytes;
 
 use dharma_net::{Ctx, NodeAddr};
-use dharma_types::WireEncode;
+use dharma_types::{Id160, WireEncode};
 
 use super::ops::lookup_query;
 use super::{KadOutput, KademliaNode, Phase};
@@ -114,11 +114,19 @@ impl KademliaNode {
         ctx.send(to, Message::Ack { rpc, from }.encode_to_bytes());
     }
 
-    /// Settles the round trip a reply to `rpc` completes: forgets the
-    /// pending entry (so its timer finds nothing), folds the RTT sample
-    /// into the book and credits the op's adaptive-α clean streak. `None`
-    /// when the reply is late — its RPC already timed out or was answered.
-    pub(super) fn settle(&mut self, rpc: u64, now_us: u64) -> Option<PendingRpc> {
+    /// Settles the round trip a reply to `rpc` from `from` completes:
+    /// forgets the pending entry (so its timer finds nothing), folds the
+    /// RTT sample into the book and credits the op's adaptive-α clean
+    /// streak. `None` when the reply is late — its RPC already timed out
+    /// or was answered — or comes from anyone but the peer that was asked:
+    /// RPC ids count up from 1, so echoing one proves nothing, and a reply
+    /// that did not come from the asked peer must neither complete its
+    /// operation nor vouch for that peer's liveness and round trip. The
+    /// entry then stays, for the real reply or the timeout.
+    pub(super) fn settle(&mut self, rpc: u64, from: &Id160, now_us: u64) -> Option<PendingRpc> {
+        if self.pending.get(&rpc)?.to.id != *from {
+            return None;
+        }
         let pend = self.pending.remove(&rpc)?;
         if let Some(l) = self.latency.as_mut() {
             let rtt_us = now_us.saturating_sub(pend.sent_at_us);
@@ -147,7 +155,7 @@ impl KademliaNode {
         from: &Contact,
         digest: &[DigestEntry],
     ) {
-        if let Some(pend) = self.settle(rpc, ctx.now_us) {
+        if let Some(pend) = self.settle(rpc, &from.id, ctx.now_us) {
             self.maint.probing.remove(&pend.to.id);
         }
         self.absorb_digest(ctx, from, digest);
@@ -156,8 +164,8 @@ impl KademliaNode {
     /// `Ack`: a write-phase replica answered. (A tracked maintenance or
     /// invalidation push that landed is settled and nothing more: sentinel
     /// ops have no op state for `write_progress` to find.)
-    pub(super) fn on_ack(&mut self, ctx: &mut Ctx<KadOutput>, rpc: u64) {
-        if let Some(pend) = self.settle(rpc, ctx.now_us) {
+    pub(super) fn on_ack(&mut self, ctx: &mut Ctx<KadOutput>, rpc: u64, from: &Id160) {
+        if let Some(pend) = self.settle(rpc, from, ctx.now_us) {
             self.write_progress(ctx, pend.op, true);
         }
     }
@@ -249,34 +257,129 @@ mod tests {
     use crate::messages::StoredEntry;
     use crate::node::KadConfig;
     use crate::rtt::LatencyConfig;
+
+    /// A node with three seeds and the datagrams its first callback sent.
+    fn asking_node(
+        cfg: KadConfig,
+        start: impl FnOnce(&mut KademliaNode, &mut Ctx<KadOutput>) -> u64,
+    ) -> (KademliaNode, u64, Vec<Message>) {
+        let mut node = KademliaNode::new(sha1(b"requester"), 0, cfg);
+        for n in 1..=3 {
+            node.add_seed(contact(n));
+        }
+        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+        let op = start(&mut node, &mut ctx);
+        (node, op, sent(ctx))
+    }
+
+    fn sent(ctx: Ctx<KadOutput>) -> Vec<Message> {
+        let (sends, _, _) = ctx.into_effects();
+        let decode = |m: &dharma_net::OutMessage| Message::decode_exact(&m.payload).unwrap();
+        sends.iter().map(decode).collect()
+    }
+
+    #[test]
+    fn a_found_value_from_a_peer_that_was_not_asked_settles_nothing() {
+        let cfg = KadConfig {
+            latency: Some(LatencyConfig::default()),
+            ..KadConfig::default()
+        };
+        let key = sha1(b"block");
+        let (mut node, op, asked) = asking_node(cfg, |n, ctx| n.get(ctx, key, 0));
+        // The first `FindValue` went to B (ids count up from 1: guessable).
+        let b_rpc = asked[0].rpc_id();
+        let b = node.pending[&b_rpc].to.clone();
+        let found = |from: Contact, weight: u64| Message::FoundValue {
+            rpc: b_rpc,
+            from,
+            blob: None,
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight,
+            }],
+            truncated: false,
+            version: st(weight),
+            from_cache: false,
+            digest: Vec::new(),
+        };
+        // C, which nobody asked, answers B's RPC with a value of its own.
+        let mut ctx: Ctx<KadOutput> = Ctx::new(2_000, 0, 2);
+        node.on_message(&mut ctx, 9, found(contact(9), 666).encode_to_bytes());
+        let (_, _, completions) = ctx.into_effects();
+        assert!(completions.is_empty(), "the GET is still B's to answer");
+        assert_eq!(node.pending[&b_rpc].to, b, "B's RPC keeps its timer");
+        let rtt = node.rtt().unwrap();
+        assert_eq!(rtt.samples(), 0, "no round trip was completed");
+        assert_eq!(rtt.estimate_us(&b.id), None);
+        // B's own reply completes the GET, with B's value.
+        let mut ctx: Ctx<KadOutput> = Ctx::new(5_000, 0, 3);
+        node.on_message(&mut ctx, b.addr, found(b.clone(), 3).encode_to_bytes());
+        let (_, _, completions) = ctx.into_effects();
+        assert!(
+            matches!(&completions[..], [(id, KadOutput::Value { value: Some(v), .. })]
+                if *id == op && v.entries[0].weight == 3),
+            "{completions:?}"
+        );
+        assert!(!node.pending.contains_key(&b_rpc));
+        assert_eq!(node.rtt().unwrap().estimate_us(&b.id), Some(5_000));
+    }
+
+    #[test]
+    fn an_ack_from_a_peer_that_was_not_asked_counts_no_replica() {
+        let key = sha1(b"block");
+        let (mut node, op, asked) =
+            asking_node(KadConfig::default(), |n, ctx| n.append(ctx, key, "rock", 1));
+        // Nobody knows anyone closer: the lookup converges on the seeds,
+        // and the write phase sends each of them the `Append`.
+        let mut ctx: Ctx<KadOutput> = Ctx::new(1_000, 0, 2);
+        for find in &asked {
+            let (rpc, from) = (find.rpc_id(), node.pending[&find.rpc_id()].to.clone());
+            let reply = Message::FoundNodes {
+                rpc,
+                from,
+                contacts: Vec::new(),
+                digest: Vec::new(),
+            };
+            node.on_message(&mut ctx, 1, reply.encode_to_bytes());
+        }
+        let appends = sent(ctx);
+        assert!(matches!(&appends[..], [Message::Append { .. }, _, _]));
+        let silent_rpc = appends[0].rpc_id();
+        let ack = |rpc: u64, from: Contact| Message::Ack { rpc, from }.encode_to_bytes();
+        // A stranger acks the first replica's RPC; that replica stays silent.
+        let mut ctx: Ctx<KadOutput> = Ctx::new(2_000, 0, 3);
+        node.on_message(&mut ctx, 9, ack(silent_rpc, contact(9)));
+        assert!(node.pending.contains_key(&silent_rpc));
+        assert!(matches!(node.ops[&op].phase, Phase::Write { acks: 0, .. }));
+        for append in &appends[1..] {
+            let from = node.pending[&append.rpc_id()].to.clone();
+            node.on_message(&mut ctx, from.addr, ack(append.rpc_id(), from));
+        }
+        let mut ctx: Ctx<KadOutput> = Ctx::new(600_000, 0, 4);
+        node.on_timer(&mut ctx, silent_rpc);
+        let (_, _, completions) = ctx.into_effects();
+        // Two replicas and the local copy — not the one that never answered.
+        assert!(
+            matches!(&completions[..], [(id, KadOutput::Written { acks: 3, targets: 4, .. })]
+                if *id == op),
+            "{completions:?}"
+        );
+    }
+
     #[test]
     fn late_found_value_still_settles_its_rpc_and_feeds_liveness_rtt_and_gossip() {
         // A GET asks α = 3 holders and completes on the first answer; the
         // other two answers are decoded without their blob and entries.
         // Everything else a reply is good for must still happen.
-        let mut node = KademliaNode::new(
-            sha1(b"requester"),
-            0,
-            KadConfig {
-                latency: Some(LatencyConfig::default()),
-                ..fresh_cfg(3_600_000_000)
-            },
-        );
-        for n in 1..=3 {
-            node.add_seed(contact(n));
-        }
+        let cfg = KadConfig {
+            latency: Some(LatencyConfig::default()),
+            ..fresh_cfg(3_600_000_000)
+        };
         let key = sha1(b"block");
-        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
-        let op = node.get(&mut ctx, key, 0);
-        let (sends, _, _) = ctx.into_effects();
-        let asked: Vec<(u64, Contact)> = sends
-            .iter()
-            .map(|m| match Message::decode_exact(&m.payload) {
-                Ok(Message::FindValue { rpc, .. }) => (rpc, contact(m.to as u8)),
-                other => panic!("a GET sends FindValue, not {other:?}"),
-            })
-            .collect();
-        assert_eq!(asked.len(), 3);
+        let (mut node, op, finds) = asking_node(cfg, |n, ctx| n.get(ctx, key, 0));
+        assert!(matches!(&finds[..], [Message::FindValue { .. }, _, _]));
+        let asked_of = |find: &Message| (find.rpc_id(), node.pending[&find.rpc_id()].to.clone());
+        let asked: Vec<(u64, Contact)> = finds.iter().map(asked_of).collect();
         let gossiped = sha1(b"some-other-block");
         let reply = |(rpc, from): &(u64, Contact), weight: u64| Message::FoundValue {
             rpc: *rpc,

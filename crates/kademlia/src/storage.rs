@@ -19,24 +19,31 @@
 //!   entry per key. Tag vocabularies are tiny compared to key counts, so
 //!   the shared table amortizes to near-zero per record;
 //! * blobs are `Box<[u8]>` — no spare `Vec` capacity is retained;
-//! * a value that has been read since its last write also holds its **rank
-//!   memo**: the permutation of its entries in reply order (weight
-//!   descending, name ascending) as a `Box<[u32]>` — 4 bytes per entry,
-//!   never more. Every filtered read is a prefix of that order, so the
-//!   `α` holders a GET asks, and every GET until the next write, walk a
-//!   prefix instead of selecting and sorting the block again. The memo is
-//!   built by the first [`Storage::encode_filtered`] after a write and
-//!   dropped by every mutation of the entry set (`append`, a `merge_max`
-//!   that raises or adds anything; `put_blob` leaves it) and with the
-//!   value itself (`remove`, `expire`). It has no capacity, TTL or knob,
-//!   and [`Storage::heap_bytes`] counts it.
+//! * a value that has been read since its last write also holds its **wire
+//!   memo** — the one memo a value has: the encoded reply body (blob
+//!   option, then the ranked entry list — the layout `FoundValue`,
+//!   `CachePush` and `InvalidatePush` share) for the `(top_n, byte_budget)`
+//!   it was last served at, with that read's `truncated` flag. Blocks
+//!   change only by token appends and hub blocks are read far more often
+//!   than they are written, so the `α` holders a GET asks, and every GET
+//!   until the next write, answer with one copy of bytes already ranked
+//!   and encoded instead of walking entries and the name table again.
+//!   The memo is built by the first [`Storage::encode_filtered`] after a
+//!   write — never by a write — and re-built when a read asks a different
+//!   width or budget (callers ask a key at one width). It is dropped by
+//!   **every** mutation of what it encodes: `append`, a `merge_max` that
+//!   raises or adds an entry or adopts a blob, `put_blob`; a `merge_max`
+//!   that changes nothing keeps it (the stamp travels beside the body, not
+//!   in it), and it goes with the value itself (`remove`, `expire`). Its
+//!   size is bounded by what it answers: at most the blob plus the reply
+//!   budget, per key read since its last write. It has no capacity, TTL
+//!   or knob, and [`Storage::heap_bytes`] counts it.
 //!
 //! The compact layout is an internal detail: reads resolve symbols back to
 //! names ([`Storage::snapshot`], [`Storage::read_filtered`]) and all
 //! observable semantics — ordering, truncation, versioning, expiry — are
 //! unchanged from the string-keyed representation.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -60,9 +67,19 @@ pub struct ValueState {
     /// versions: cached views, digests and stale-drops order exactly, with
     /// no per-holder counter ambiguity.
     pub version: VersionStamp,
-    /// Rank memo (module docs): indices into `entries` in reply order.
-    /// `None` until the first served read after a write.
-    rank: Option<Box<[u32]>>,
+    /// Wire memo (module docs). `None` until the first served read after
+    /// a write.
+    memo: Option<WireMemo>,
+}
+
+/// A value's encoded reply body and the read it answers.
+#[derive(Clone, Debug)]
+struct WireMemo {
+    top_n: u32,
+    byte_budget: usize,
+    truncated: bool,
+    /// Blob option + entry list, in `FoundValue` wire layout.
+    body: Box<[u8]>,
 }
 
 impl ValueState {
@@ -86,7 +103,7 @@ impl ValueState {
     /// Adds `tokens` to `sym`'s weight (inserting at the sort position on
     /// first sight) and returns the new weight.
     fn add(&mut self, sym: Sym, tokens: u64) -> u64 {
-        self.rank = None;
+        self.memo = None;
         match self.entries.binary_search_by_key(&sym, |&(s, _)| s) {
             Ok(ix) => {
                 self.entries[ix].1 += tokens;
@@ -106,65 +123,65 @@ impl ValueState {
             Ok(ix) => self.entries[ix].1 = weight,
             Err(ix) => self.entries.insert(ix, (sym, weight)),
         }
-        self.rank = None;
+        self.memo = None;
         true
     }
 
-    /// The first `limit` entries in reply order — weight descending, ties
-    /// by name ascending — as indices into `entries`. Ranked as compact
-    /// `(weight, symbol, index)` triples: a comparison reads nothing else,
-    /// and resolves names only to break a weight tie. Names are unique per
-    /// key, so the order is total and selecting then sorting a prefix
-    /// equals sorting everything.
-    fn rank_prefix(&self, names: &NameInterner, limit: usize) -> Vec<u32> {
-        let by_rank = |a: &(u64, Sym, u32), b: &(u64, Sym, u32)| {
-            (b.0.cmp(&a.0)).then_with(|| names.resolve(a.1).cmp(names.resolve(b.1)))
-        };
-        let indexed = self.entries.iter().zip(0u32..);
-        let mut ranked: Vec<_> = indexed.map(|(&(sym, w), ix)| (w, sym, ix)).collect();
-        if limit < ranked.len() {
-            if limit > 0 {
-                ranked.select_nth_unstable_by(limit - 1, by_rank);
-            }
-            ranked.truncate(limit);
-        }
-        ranked.sort_unstable_by(by_rank);
-        ranked.into_iter().map(|(_, _, ix)| ix).collect()
-    }
-
-    /// The one rank-and-budget walk behind both read emitters: the indices
-    /// of the heaviest `top_n` entries (0 = all) whose encodings fit
-    /// `byte_budget` (varint-accurate), in reply order, and whether
-    /// anything was cut. A prefix of the rank memo when the value has one,
-    /// a freshly ranked prefix otherwise.
+    /// The one rank-and-budget walk behind both read emitters: the heaviest
+    /// `top_n` entries (0 = all) whose encodings fit `byte_budget`
+    /// (varint-accurate), in reply order — weight descending, ties by name
+    /// ascending — and whether anything was cut. Ranked as the compact
+    /// pairs they are stored as: a comparison resolves names only to break
+    /// a weight tie. Names are unique per key, so the order is total and
+    /// selecting then sorting a prefix equals sorting everything.
     fn select(
         &self,
         names: &NameInterner,
         top_n: u32,
         byte_budget: usize,
-    ) -> (Cow<'_, [u32]>, bool) {
+    ) -> (Vec<(Sym, u64)>, bool) {
+        let by_rank = |a: &(Sym, u64), b: &(Sym, u64)| {
+            (b.1.cmp(&a.1)).then_with(|| names.resolve(a.0).cmp(names.resolve(b.0)))
+        };
         let len = self.entries.len();
         let limit = if top_n == 0 {
             len
         } else {
             len.min(top_n as usize)
         };
-        let mut order = match &self.rank {
-            Some(memo) => Cow::Borrowed(&memo[..limit]),
-            None => Cow::Owned(self.rank_prefix(names, limit)),
-        };
+        let mut ranked = self.entries.clone();
+        if limit < len {
+            if limit > 0 {
+                ranked.select_nth_unstable_by(limit - 1, by_rank);
+            }
+            ranked.truncate(limit);
+        }
+        ranked.sort_unstable_by(by_rank);
         let mut used = 0usize;
-        let fits = order.iter().take_while(|&&ix| {
-            let (sym, weight) = self.entries[ix as usize];
+        let fits = ranked.iter().take_while(|&&(sym, weight)| {
             used += entry_encoded_len(names.resolve(sym), weight);
             used <= byte_budget
         });
         let keep = fits.count();
-        match &mut order {
-            Cow::Borrowed(memo) => *memo = &memo[..keep],
-            Cow::Owned(ranked) => ranked.truncate(keep),
+        ranked.truncate(keep);
+        (ranked, limit < len || keep < limit)
+    }
+
+    /// Encodes the filtered read into a fresh memo.
+    fn encode(&self, names: &NameInterner, top_n: u32, byte_budget: usize) -> WireMemo {
+        let (entries, truncated) = self.select(names, top_n, byte_budget);
+        let mut body = BytesMut::new();
+        put_opt_blob(&mut body, self.blob());
+        body.put_varint(entries.len() as u64);
+        for (sym, weight) in entries {
+            put_entry(&mut body, names.resolve(sym), weight);
         }
-        (order, limit < len || keep < limit)
+        WireMemo {
+            top_n,
+            byte_budget,
+            truncated,
+            body: body[..].into(),
+        }
     }
 }
 
@@ -216,6 +233,7 @@ impl Storage {
     pub fn put_blob(&mut self, key: Id160, blob: Vec<u8>, stamp: VersionStamp) {
         let state = self.values.entry(key).or_default();
         state.blob = Some(blob.into_boxed_slice());
+        state.memo = None;
         state.version = state.version.max(stamp);
     }
 
@@ -261,6 +279,7 @@ impl Storage {
         if state.blob.is_none() {
             if let Some(b) = blob {
                 state.blob = Some(b.to_vec().into_boxed_slice());
+                state.memo = None;
             }
         }
         for (e, sym) in entries.iter().zip(syms) {
@@ -344,13 +363,10 @@ impl Storage {
         byte_budget: usize,
     ) -> Option<FilteredRead> {
         let state = self.values.get(key)?;
-        let (order, truncated) = state.select(&self.names, top_n, byte_budget);
-        let entries = order.iter().map(|&ix| {
-            let (sym, weight) = state.entries[ix as usize];
-            StoredEntry {
-                name: self.names.resolve(sym).to_owned(),
-                weight,
-            }
+        let (entries, truncated) = state.select(&self.names, top_n, byte_budget);
+        let entries = entries.into_iter().map(|(sym, weight)| StoredEntry {
+            name: self.names.resolve(sym).to_owned(),
+            weight,
         });
         Some(FilteredRead {
             entries: entries.collect(),
@@ -362,10 +378,11 @@ impl Storage {
 
     /// The serving form of [`Self::read_filtered`]: writes the same read —
     /// the blob option, then the entry list — onto `buf` in `FoundValue`
-    /// wire layout, straight from the interner (no `String`, no owned
-    /// entry), and returns `(truncated, version)` for the reply's tail.
-    /// Writes nothing when `key` is absent. This is the read that builds
-    /// the value's rank memo (module docs), hence `&mut self`.
+    /// wire layout and returns `(truncated, version)` for the reply's tail.
+    /// Writes nothing when `key` is absent. The bytes are the value's wire
+    /// memo (module docs): encoded by the first call after a write, or at
+    /// a new width or budget, and one copy from then on — hence
+    /// `&mut self`.
     pub fn encode_filtered(
         &mut self,
         key: &Id160,
@@ -374,18 +391,12 @@ impl Storage {
         buf: &mut BytesMut,
     ) -> Option<(bool, VersionStamp)> {
         let state = self.values.get_mut(key)?;
-        if state.rank.is_none() {
-            let all = state.rank_prefix(&self.names, state.entries.len());
-            state.rank = Some(all.into_boxed_slice());
-        }
-        let (order, truncated) = state.select(&self.names, top_n, byte_budget);
-        put_opt_blob(buf, state.blob());
-        buf.put_varint(order.len() as u64);
-        for &ix in order.iter() {
-            let (sym, weight) = state.entries[ix as usize];
-            put_entry(buf, self.names.resolve(sym), weight);
-        }
-        Some((truncated, state.version))
+        let asked = |m: &WireMemo| (m.top_n, m.byte_budget) == (top_n, byte_budget);
+        let memo = (state.memo.take().filter(asked))
+            .unwrap_or_else(|| state.encode(&self.names, top_n, byte_budget));
+        let memo = state.memo.insert(memo);
+        buf.extend_from_slice(&memo.body);
+        Some((memo.truncated, state.version))
     }
 
     /// Iterates all keys in id order (replication/maintenance).
@@ -402,7 +413,7 @@ impl Storage {
             .map(|(key, _)| key)
     }
 
-    /// Approximate heap bytes held: values, entry vectors, rank memos,
+    /// Approximate heap bytes held: values, entry vectors, wire memos,
     /// blobs, and the shared name table. Used by scale runs to report
     /// per-node state size.
     pub fn heap_bytes(&self) -> usize {
@@ -412,7 +423,7 @@ impl Storage {
             .values()
             .map(|v| {
                 v.entries.len() * std::mem::size_of::<(Sym, u64)>()
-                    + v.rank.as_ref().map_or(0, |r| std::mem::size_of_val(&**r))
+                    + v.memo.as_ref().map_or(0, |m| m.body.len())
                     + v.blob.as_ref().map(|b| b.len()).unwrap_or(0)
             })
             .sum();
@@ -584,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_counts_the_rank_memo() {
+    fn heap_bytes_counts_the_wire_memo() {
         let mut s = Storage::new();
         let k = sha1(b"k");
         for i in 0..50u64 {
@@ -594,84 +605,137 @@ mod tests {
         // The owned read ranks for itself and leaves nothing behind ...
         s.read_filtered(&k, 10, usize::MAX).unwrap();
         assert_eq!(s.heap_bytes(), written);
-        // ... the serving read builds the memo: 4 bytes per entry, once.
-        let mut buf = BytesMut::new();
-        s.encode_filtered(&k, 10, usize::MAX, &mut buf).unwrap();
-        assert_eq!(s.heap_bytes(), written + 50 * 4);
-        s.encode_filtered(&k, 0, 64, &mut buf).unwrap();
-        s.put_blob(k, Vec::new(), st(60));
-        assert_eq!(s.heap_bytes(), written + 50 * 4, "blobs leave it alone");
-        // A write drops it (an existing name: the entry vector is as long).
+        // ... the serving read leaves the bytes it served, once.
+        let mut wide = BytesMut::new();
+        s.encode_filtered(&k, 10, usize::MAX, &mut wide).unwrap();
+        assert_eq!(s.heap_bytes(), written + wide.len());
+        let mut again = BytesMut::new();
+        s.encode_filtered(&k, 10, usize::MAX, &mut again).unwrap();
+        assert_eq!(
+            (again, s.heap_bytes()),
+            (wide.clone(), written + wide.len())
+        );
+        // One memo: another width or budget replaces it.
+        let mut narrow = BytesMut::new();
+        s.encode_filtered(&k, 0, 64, &mut narrow).unwrap();
+        assert!(narrow.len() < wide.len());
+        assert_eq!(s.heap_bytes(), written + narrow.len());
+        // The body carries the blob, so storing one drops the memo ...
+        s.put_blob(k, b"uri".to_vec(), st(60));
+        let written = written + 3;
+        assert_eq!(s.heap_bytes(), written);
+        // ... as does a write (to an existing name: the entry vector is as
+        // long as it was).
+        let mut served = BytesMut::new();
+        s.encode_filtered(&k, 0, usize::MAX, &mut served).unwrap();
         s.append(k, "tag-07", 1, st(61));
         assert_eq!(s.heap_bytes(), written);
-        // A replica that raises nothing is not a write; one that does, is.
-        s.encode_filtered(&k, 0, usize::MAX, &mut buf).unwrap();
+        // A replica that raises nothing and offers a blob already held is
+        // not a write; one that raises a weight is.
+        served.clear();
+        s.encode_filtered(&k, 0, usize::MAX, &mut served).unwrap();
         let mut entry = StoredEntry {
             name: "tag-07".into(),
             weight: 1,
         };
-        s.merge_max(k, None, std::slice::from_ref(&entry), st(62), 0);
-        assert_eq!(s.heap_bytes(), written + 50 * 4);
+        s.merge_max(k, Some(b"other"), std::slice::from_ref(&entry), st(62), 0);
+        assert_eq!(s.heap_bytes(), written + served.len());
         entry.weight = 99;
         s.merge_max(k, None, std::slice::from_ref(&entry), st(63), 0);
         assert_eq!(s.heap_bytes(), written);
+        // So is one whose blob is adopted.
+        let bare = sha1(b"no blob yet");
+        s.append(bare, "x", 1, st(64));
+        let written = s.heap_bytes();
+        s.encode_filtered(&bare, 0, usize::MAX, &mut served)
+            .unwrap();
+        assert!(s.heap_bytes() > written);
+        s.merge_max(bare, Some(b"uri"), &[], st(65), 0);
+        assert_eq!(s.heap_bytes(), written + 3);
+    }
+
+    /// What `s` would weigh had nothing been served since the last write.
+    fn unread_heap_bytes(s: &Storage) -> usize {
+        let mut unread = s.clone();
+        unread.values.values_mut().for_each(|v| v.memo = None);
+        unread.heap_bytes()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
-        /// Two emitters, one read: the datagram `encode_filtered` serves is
-        /// byte for byte the `FoundValue` encoded from `read_filtered` —
-        /// under heavy weight ties, at the `top_n` edges, with budgets
-        /// cutting mid-prefix, with and without a blob — and the owned
-        /// read is the same before the memo exists and after.
+        /// The memo is the reference read: at every point of a random
+        /// interleaving of `append`, `merge_max` that raises, `merge_max`
+        /// that raises nothing, `put_blob`, blob adoption through
+        /// `merge_max`, and `remove` + re-create — with serving reads in
+        /// between that alternate between two `(top_n, budget)` pairs,
+        /// each asked twice running so that both the encoding and the
+        /// memoised path answer — the datagram `encode_filtered` serves is
+        /// byte for byte the `FoundValue` encoded from a fresh
+        /// `read_filtered`, under heavy weight ties and budgets that cut
+        /// mid-prefix, and the value holds exactly the served body on top
+        /// of its unread size.
         #[test]
         fn served_bytes_equal_the_encoded_owned_read(
-            appends in proptest::collection::vec(("[a-dé]{1,3}", 1u64..4), 0..60),
-            blob in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..20)),
-            budget_cut in 0usize..300,
-            extra_top_n in 0u32..70,
+            steps in proptest::collection::vec((0u8..8, "[a-dé]{1,3}", 1u64..4), 1..60),
+            widths in proptest::collection::vec((0u32..70, 0usize..400), 2..3),
         ) {
             let key = sha1(b"k");
             let from = Contact { id: sha1(b"holder"), addr: 9 };
             let mut s = Storage::new();
-            s.append(key, "seed", 2, st(1));
-            for (i, (name, w)) in appends.iter().enumerate() {
-                s.append(key, name, *w, st(i as u64 + 2));
-            }
-            if let Some(b) = blob {
-                s.put_blob(key, b, st(1_000));
-            }
-            let len = s.get(&key).unwrap().entry_count() as u32;
-            for top_n in [0, 1, len, len + 1, extra_top_n] {
-                for budget in [0, budget_cut, usize::MAX] {
-                    // Drop the memo, so the first read of each round ranks
-                    // for itself and the last walks the memo.
-                    s.append(key, "seed", 1, st(2_000));
-                    let unranked = s.read_filtered(&key, top_n, budget).unwrap();
-                    let mut served = BytesMut::new();
-                    put_found_value_head(&mut served, 7, &from);
-                    let (truncated, version) =
-                        s.encode_filtered(&key, top_n, budget, &mut served).unwrap();
-                    put_found_value_tail(&mut served, truncated, &version, false, &[]);
-                    let read = s.read_filtered(&key, top_n, budget).unwrap();
-                    prop_assert_eq!(&read, &unranked, "top_n {} budget {}", top_n, budget);
-                    let owned = Message::FoundValue {
-                        rpc: 7,
-                        from: from.clone(),
-                        blob: read.blob,
-                        entries: read.entries,
-                        truncated: read.truncated,
-                        version: read.version,
-                        from_cache: false,
-                        digest: Vec::new(),
-                    };
-                    prop_assert_eq!(
-                        &served[..],
-                        &owned.encode_to_bytes()[..],
-                        "top_n {} budget {}", top_n, budget
-                    );
+            for (i, (kind, name, w)) in steps.into_iter().enumerate() {
+                let stamp = st(i as u64 + 1);
+                let held = s.snapshot(&key).map(|(_, entries, _)| entries);
+                match kind {
+                    0 | 1 => {
+                        s.append(key, &name, w, stamp);
+                    }
+                    2 => {
+                        let raised = [
+                            StoredEntry { name: name.clone(), weight: w * 5 },
+                            StoredEntry { name: format!("{name}r"), weight: w },
+                        ];
+                        s.merge_max(key, None, &raised, stamp, 0);
+                    }
+                    3 => s.merge_max(key, None, &held.unwrap_or_default(), stamp, 0),
+                    4 => s.put_blob(key, name.into_bytes(), stamp),
+                    5 => s.merge_max(key, Some(name.as_bytes()), &[], stamp, 0),
+                    6 => {
+                        s.remove(&key);
+                        s.append(key, &name, w, stamp);
+                    }
+                    _ => {}
                 }
+                // Budgets past 300 stand for "no budget".
+                let (top_n, cut) = widths[(i / 2) % 2];
+                let budget = if cut < 300 { cut } else { usize::MAX };
+                let mut served = BytesMut::new();
+                put_found_value_head(&mut served, 7, &from);
+                let head = served.len();
+                let got = s.encode_filtered(&key, top_n, budget, &mut served);
+                let Some(read) = s.read_filtered(&key, top_n, budget) else {
+                    prop_assert!(got.is_none() && served.len() == head, "step {}", i);
+                    continue;
+                };
+                let body = served.len() - head;
+                let (truncated, version) = got.unwrap();
+                put_found_value_tail(&mut served, truncated, &version, false, &[]);
+                let owned = Message::FoundValue {
+                    rpc: 7,
+                    from: from.clone(),
+                    blob: read.blob,
+                    entries: read.entries,
+                    truncated: read.truncated,
+                    version: read.version,
+                    from_cache: false,
+                    digest: Vec::new(),
+                };
+                prop_assert_eq!(
+                    &served[..],
+                    &owned.encode_to_bytes()[..],
+                    "step {} kind {} top_n {} budget {}", i, kind, top_n, budget
+                );
+                prop_assert_eq!(s.heap_bytes(), unread_heap_bytes(&s) + body, "step {}", i);
             }
             let mut untouched = BytesMut::new();
             prop_assert!(s.encode_filtered(&sha1(b"absent"), 0, 99, &mut untouched).is_none());

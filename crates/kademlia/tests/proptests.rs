@@ -603,14 +603,16 @@ proptest! {
         }
     }
 
-    /// Both reads — `read_filtered` (owned; ranks a prefix for itself, or
-    /// walks the rank memo when the value has one) and `encode_filtered`
-    /// (served; builds the memo) — return exactly what the naive reference
-    /// does — allocate everything, sort everything, truncate — under heavy
-    /// weight ties, at the `top_n` edges and with byte budgets that cut
-    /// mid-prefix, at every point of a random interleaving of `append` /
-    /// `merge_max` / `put_blob` / `remove` / `expire` with reads of either
-    /// kind: a memo must never outlive the write that outdates it.
+    /// Both reads — `read_filtered` (owned; ranks a prefix for itself,
+    /// every time) and `encode_filtered` (served; one copy of the value's
+    /// wire memo, encoded on the first read after a write or at a new
+    /// width) — return exactly what the naive reference does — allocate
+    /// everything, sort everything, truncate — under heavy weight ties, at
+    /// the `top_n` edges and with byte budgets that cut mid-prefix, at
+    /// every point of a random interleaving of `append` / `merge_max` /
+    /// `put_blob` / `remove` / `expire` with reads of either kind: a memo
+    /// must never outlive the write that outdates it, nor answer a width
+    /// or budget it was not encoded for.
     #[test]
     fn filtered_reads_equal_the_naive_reference(
         ops in proptest::collection::vec(
