@@ -517,8 +517,26 @@ pub(crate) fn found_value_frame_len(
     version: &VersionStamp,
     digest: &[DigestEntry],
 ) -> usize {
-    let gossip: usize = digest.iter().map(DigestEntry::encoded_len).sum();
-    head_len(rpc, from) + 2 + version.encoded_len() + varint_len(digest.len() as u64) + gossip
+    head_len(rpc, from) + 2 + version.encoded_len() + digest_len(digest)
+}
+
+/// Exactly what encoding `digest` writes, in bytes.
+fn digest_len(digest: &[DigestEntry]) -> usize {
+    let entries: usize = digest.iter().map(DigestEntry::encoded_len).sum();
+    varint_len(digest.len() as u64) + entries
+}
+
+/// Writes a `FoundNodes` datagram: header, contacts, digest.
+fn put_found_nodes(
+    buf: &mut BytesMut,
+    rpc: u64,
+    from: &Contact,
+    contacts: &[Contact],
+    digest: &[DigestEntry],
+) {
+    put_head(buf, Message::T_FOUND_NODES, rpc, from);
+    contacts.encode(buf);
+    digest.encode(buf);
 }
 
 /// Exactly what [`put_invalidate_push_head`] writes, in bytes.
@@ -544,11 +562,7 @@ impl WireEncode for Message {
                 from,
                 contacts,
                 digest,
-            } => {
-                put_head(buf, Self::T_FOUND_NODES, *rpc, from);
-                contacts.encode(buf);
-                digest.encode(buf);
-            }
+            } => put_found_nodes(buf, *rpc, from, contacts, digest),
             Message::FindValue {
                 rpc,
                 from,
@@ -665,6 +679,27 @@ impl Message {
         let msg = Self::decode_with(&mut payload, wants_value)?;
         expect_consumed(&payload)?;
         Ok(msg)
+    }
+
+    /// Encodes a `FoundNodes` reply from borrowed parts into a buffer of
+    /// exactly its size — the reply every lookup hop sends, so it neither
+    /// builds a [`Message`] nor grows its buffer.
+    pub(crate) fn encode_found_nodes(
+        rpc: u64,
+        from: &Contact,
+        contacts: &[Contact],
+        digest: &[DigestEntry],
+    ) -> Bytes {
+        let addrs: usize = contacts.iter().map(|c| varint_len(u64::from(c.addr))).sum();
+        let len = head_len(rpc, from)
+            + varint_len(contacts.len() as u64)
+            + contacts.len() * ID160_BYTES
+            + addrs
+            + digest_len(digest);
+        let mut buf = BytesMut::with_capacity(len);
+        put_found_nodes(&mut buf, rpc, from, contacts, digest);
+        debug_assert_eq!(buf.len(), len, "the reply buffer never grows");
+        buf.freeze()
     }
 
     /// Encodes a `CachePush` of `view` without taking the view apart.

@@ -66,12 +66,12 @@ use self::fresh::FreshState;
 use self::latency::Latency;
 use self::maint::MaintState;
 use self::rpc::PendingRpc;
-use self::write::{WriteBody, WriteGuard};
+use self::write::WriteGuard;
 use crate::lookup::LookupState;
 use crate::messages::{Contact, FetchedValue, Message};
 use crate::routing::{NoteOutcome, RoutingTable};
 use crate::rtt::AlphaController;
-use crate::storage::Storage;
+use crate::storage::{Storage, WriteBody};
 
 /// What a client operation is trying to do.
 #[derive(Debug)]

@@ -259,16 +259,10 @@ impl KademliaNode {
         rpc: u64,
         target: &Id160,
     ) {
-        ctx.send(
-            to,
-            Message::FoundNodes {
-                rpc,
-                from: self.contact.clone(),
-                contacts: self.routing.closest(target, self.cfg.k),
-                digest: self.build_digest(Some(target), ctx.now_us),
-            }
-            .encode_to_bytes(),
-        );
+        let contacts = self.routing.closest(target, self.cfg.k);
+        let digest = self.build_digest(Some(target), ctx.now_us);
+        let reply = Message::encode_found_nodes(rpc, &self.contact, &contacts, &digest);
+        ctx.send(to, reply);
     }
 
     pub(super) fn on_found_nodes(
@@ -276,7 +270,7 @@ impl KademliaNode {
         ctx: &mut Ctx<KadOutput>,
         rpc: u64,
         from: Contact,
-        contacts: Vec<Contact>,
+        mut contacts: Vec<Contact>,
         digest: &[DigestEntry],
     ) {
         // Digests carry freshness news even on late replies.
@@ -299,22 +293,19 @@ impl KademliaNode {
         // shortlist (querying a known corpse only buys a timeout).
         let own = self.contact.id;
         let now = ctx.now_us;
-        let filtered: Vec<Contact> = contacts
-            .into_iter()
-            .filter(|c| c.id != own && !self.maint.recently_departed(&c.id, now))
-            .collect();
-        for c in &filtered {
+        contacts.retain(|c| c.id != own && !self.maint.recently_departed(&c.id, now));
+        for c in &contacts {
             self.note_contact_latency_aware(c.clone());
         }
         // Latency-biased shortlists: hand the lookup the current RTT
         // estimates for the contacts it just learned.
         let biased = self.latency.as_ref().filter(|l| l.cfg.bias_shortlist);
-        let rtt_hints = biased.map(|l| l.hints(&filtered)).unwrap_or_default();
+        let rtt_hints = biased.map(|l| l.hints(&contacts)).unwrap_or_default();
         if let Some(op) = self.ops.get_mut(&pend.op) {
             for (id, est) in rtt_hints {
                 op.lookup.hint_rtt(id, est);
             }
-            op.lookup.on_response(&from.id, filtered);
+            op.lookup.on_response(&from.id, contacts);
             // A FoundNodes reply to a FIND_VALUE means the responder does
             // not hold the value: remember it as a candidate for the
             // store-on-path cache push.

@@ -22,22 +22,7 @@ use dharma_types::{Id160, VersionStamp, WireEncode};
 
 use super::{bound_book, KadOutput, KademliaNode, OpKind, Phase};
 use crate::messages::{Contact, Message, StoredEntry};
-
-/// What a write carries — the one shape behind the three write messages
-/// and the coordinator's local apply.
-#[derive(Clone, Debug)]
-pub(super) enum WriteBody {
-    /// `STORE`: replace the blob.
-    Blob(Vec<u8>),
-    /// `APPEND`: add tokens to entries (the client write primitive).
-    Entries(Vec<StoredEntry>),
-    /// `REPLICATE`: a snapshot merged idempotently (adopt the blob if
-    /// absent, each entry takes the max).
-    Snapshot {
-        blob: Option<Vec<u8>>,
-        entries: Vec<StoredEntry>,
-    },
-}
+use crate::storage::WriteBody;
 
 impl WriteBody {
     /// The datagram that carries this write to one replica.
@@ -270,24 +255,10 @@ impl KademliaNode {
         stamp: VersionStamp,
         from: Option<&Id160>,
     ) {
-        let before = self.storage.stamp(&key);
-        match body {
-            WriteBody::Blob(blob) => self.storage.put_blob(key, blob.clone(), stamp),
-            WriteBody::Entries(entries) => {
-                for e in entries {
-                    self.storage.append(key, &e.name, e.weight, stamp);
-                }
-            }
-            WriteBody::Snapshot { blob, entries } => {
-                let blob = blob.as_deref();
-                self.storage
-                    .merge_max(key, blob, entries, stamp, ctx.now_us);
-            }
-        }
-        self.storage.touch(key, ctx.now_us);
+        let rose = self.storage.apply(key, body, stamp, ctx.now_us);
         self.invalidate_cached(&key);
         self.note_news(key, ctx.now_us);
-        if self.storage.stamp(&key) > before {
+        if rose {
             self.push_invalidations(ctx, key, from);
         }
     }

@@ -46,10 +46,38 @@
 //! would cost as much as the scan it replaces. The same argument with a
 //! contact in place of the local id ([`RoutingTable::ranks_within`])
 //! decides every bucket but the contact's own wholesale.
+//!
+//! ### From a count to the contacts: buckets in distance order
+//!
+//! The lemma compares a bucket with the local id; the same bit compares
+//! two buckets. Take `j < j'`, `c` in bucket `j`, `c'` in bucket `j'`. Both
+//! `c ⊕ target` and `c' ⊕ target` equal `d` on the first `j` bits; at bit
+//! `j` the first has `¬d[j]` and the second — still on the local id's side
+//! of that branch — has `d[j]`. So a bucket whose bit of `d` is **set** is
+//! wholly closer to the target than *every deeper bucket*, and a bucket
+//! whose bit is **clear** is wholly farther than every deeper bucket.
+//! Peeling buckets off from the shallow end, each one goes to the front of
+//! what is left (bit set) or to its back (bit clear), which is a total
+//! order on buckets: **the set-bit buckets, shallowest first, then the
+//! clear-bit buckets, deepest first**. Contacts of different buckets never
+//! interleave, so the table in ascending distance is that sequence of
+//! buckets, each sorted within itself.
+//!
+//! [`RoutingTable::closest`] is that walk, cut off at `n`: it takes whole
+//! buckets until fewer than a bucketful is missing, selects the rest from
+//! the next one, and never looks at a bucket past the answer. Only taken
+//! buckets have distances computed (as two machine words, not twenty
+//! bytes) and sorted, at most `k` keys at a time. For `n = k` that is the
+//! buckets holding the `k` nearest contacts plus at most one partial one —
+//! about `k` to `2k` contacts touched however many the table holds — and
+//! the number of buckets visited depends on where the target falls: a
+//! target in a full shallow bucket is answered from that bucket alone,
+//! one deep inside the local id's own branch from the sparse deep buckets
+//! (many visited, few contacts in each).
 
 use std::cmp::Ordering;
 
-use dharma_types::{Distance, Id160, ID160_BITS};
+use dharma_types::{Id160, ID160_BITS};
 
 use crate::messages::Contact;
 
@@ -183,6 +211,17 @@ impl KBucket {
     }
 }
 
+/// An id as a big-endian integer pair: the XOR of two ids' words compares
+/// like their [`dharma_types::Distance`], in two machine comparisons
+/// instead of twenty.
+fn words(id: &Id160) -> (u128, u32) {
+    let (hi, lo) = id.as_bytes().split_at(16);
+    (
+        u128::from_be_bytes(hi.try_into().expect("16 of 20 bytes")),
+        u32::from_be_bytes(lo.try_into().expect("4 of 20 bytes")),
+    )
+}
+
 /// The full routing table.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
@@ -302,20 +341,49 @@ impl RoutingTable {
             .flat_map(|b| b.entries.iter())
     }
 
+    /// Bucket indices in ascending distance from `target` — the total
+    /// order of the module docs: buckets whose bit of `local ⊕ target` is
+    /// set, shallowest first, then the clear-bit buckets, deepest first.
+    fn bucket_order(&self, target: &Id160) -> impl Iterator<Item = usize> {
+        let d = self.local.distance(target);
+        let closer = (0..self.depth).filter(move |&j| d.as_id().bit(j));
+        let farther = (0..self.depth).rev().filter(move |&j| !d.as_id().bit(j));
+        closer.chain(farther)
+    }
+
     /// The `n` known contacts closest to `target`, ascending by XOR
     /// distance. Never includes the local node (it is not a contact).
-    /// Callers that only need to know *whether* an id ranks within `n`
-    /// use [`RoutingTable::local_ranks_within`] or
+    /// Walks the buckets in distance order (module docs) and stops once
+    /// `n` contacts are taken: each taken bucket is sorted within itself
+    /// (at most `k` integer keys), only the last, partially taken one is
+    /// selected from first, and a bucket past the answer is never looked
+    /// at — the cost follows `n` and where the target falls, not the size
+    /// of the table. Callers that only need to know *whether* an id ranks
+    /// within `n` use [`RoutingTable::local_ranks_within`] or
     /// [`RoutingTable::ranks_within`], which materialise nothing.
     pub fn closest(&self, target: &Id160, n: usize) -> Vec<Contact> {
-        let mut all: Vec<(Distance, &Contact)> =
-            self.iter().map(|c| (c.id.distance(target), c)).collect();
-        if all.len() > n {
-            all.select_nth_unstable_by_key(n - 1, |a| a.0);
-            all.truncate(n);
+        let mut out = Vec::with_capacity(n.min(self.depth * self.k));
+        let t = words(target);
+        let mut keyed: Vec<((u128, u32), usize)> = Vec::with_capacity(self.k);
+        for j in self.bucket_order(target) {
+            let want = n - out.len();
+            if want == 0 {
+                break;
+            }
+            let entries = &self.buckets[j].entries;
+            keyed.clear();
+            keyed.extend(entries.iter().enumerate().map(|(i, c)| {
+                let id = words(&c.id);
+                ((id.0 ^ t.0, id.1 ^ t.1), i)
+            }));
+            if keyed.len() > want {
+                keyed.select_nth_unstable(want - 1);
+                keyed.truncate(want);
+            }
+            keyed.sort_unstable();
+            out.extend(keyed.iter().map(|&(_, i)| entries[i].clone()));
         }
-        all.sort_unstable_by_key(|a| a.0);
-        all.into_iter().map(|(_, c)| c.clone()).collect()
+        out
     }
 
     /// True when fewer than `n` known contacts are strictly closer to
@@ -485,6 +553,44 @@ mod tests {
         rt.note_contact(contact(2));
         assert_eq!(rt.closest(&sha1(b"x"), 10).len(), 2);
         assert_eq!(table().closest(&sha1(b"x"), 10).len(), 0);
+    }
+
+    #[test]
+    fn buckets_are_walked_set_bits_ascending_then_clear_bits_descending() {
+        let mut rt = RoutingTable::new(Id160::ZERO, 2);
+        // With a zero local id, bucket `j` is the ids whose first set bit
+        // is `j`. One contact in each of buckets 0..=5, a second in 4;
+        // `addr` names the bucket.
+        let member = |bucket: usize, tail: u8| {
+            let mut b = [0u8; 20];
+            b[0] = 0x80 >> bucket;
+            b[19] = tail;
+            Contact {
+                id: Id160::from_bytes(b),
+                addr: bucket as u32,
+            }
+        };
+        for j in 0..6 {
+            rt.note_contact(member(j, 1));
+        }
+        rt.note_contact(member(4, 2));
+        // `local ⊕ target` has bits 1 and 4 set.
+        let mut t = [0u8; 20];
+        t[0] = 0b0100_1000;
+        let target = Id160::from_bytes(t);
+        let order: Vec<usize> = rt.bucket_order(&target).collect();
+        assert_eq!(order, vec![1, 4, 5, 3, 2, 0]);
+        let all = rt.closest(&target, 8);
+        let buckets: Vec<u32> = all.iter().map(|c| c.addr).collect();
+        assert_eq!(buckets, vec![1, 4, 4, 5, 3, 2, 0], "bucket by bucket");
+        for w in all.windows(2) {
+            assert!(w[0].id.distance(&target) < w[1].id.distance(&target));
+        }
+        // A cut inside bucket 4 keeps the nearer of its two contacts.
+        assert_eq!(rt.closest(&target, 2), vec![member(1, 1), member(4, 1)]);
+        // Toward the local id no bit is set: deepest bucket first.
+        let home: Vec<usize> = rt.bucket_order(&Id160::ZERO).collect();
+        assert_eq!(home, vec![5, 4, 3, 2, 1, 0]);
     }
 
     #[test]

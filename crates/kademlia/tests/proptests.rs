@@ -50,6 +50,42 @@ fn in_bucket(local: &Id160, shared: usize, fill: [u8; 20]) -> Id160 {
     id
 }
 
+/// A table around `local`: random ids (they fill — and overfill, so the
+/// replacement caches are in play — the shallow buckets) with stray
+/// failures, then crafted members of the deep buckets.
+fn table_of(
+    local: Id160,
+    k: usize,
+    shallow: &[([u8; 20], bool)],
+    deep: &[(usize, [u8; 20])],
+) -> RoutingTable {
+    let mut rt = RoutingTable::new(local, k);
+    for (n, (bytes, fail)) in shallow.iter().enumerate() {
+        let id = Id160::from_bytes(*bytes);
+        if *fail {
+            rt.note_failure(&id);
+        } else {
+            rt.note_contact(Contact { id, addr: n as u32 });
+        }
+    }
+    for (shared, fill) in deep {
+        rt.note_contact(Contact {
+            id: in_bucket(&local, *shared, *fill),
+            addr: 0,
+        });
+    }
+    rt
+}
+
+/// The definition of closest-`n`: the distance to everyone, a full sort,
+/// truncate. What `RoutingTable::closest` and the rank tests must equal.
+fn full_sort_closest(rt: &RoutingTable, target: &Id160, n: usize) -> Vec<Contact> {
+    let mut all: Vec<Contact> = rt.iter().cloned().collect();
+    all.sort_by_key(|c| c.id.distance(target));
+    all.truncate(n);
+    all
+}
+
 /// Naive reference for `Storage::read_filtered`'s entry selection:
 /// materialise every entry, sort everything, truncate, then cut at the
 /// byte budget. Returns the kept entries and the `truncated` flag.
@@ -319,8 +355,10 @@ proptest! {
         prop_assert!(!ids.contains(&local), "local id is not a contact");
     }
 
-    /// The rank primitives equal the definition they replaced — "take
-    /// `closest(target, n)` and look at it" — over random tables: sparse
+    /// The rank primitives equal the definition they replaced — "take the
+    /// closest `n` and look at them", the closest `n` being the full-sort
+    /// reference, not `RoutingTable::closest` (which is checked against
+    /// that same reference below) — over random tables: sparse
     /// views with fewer than `n` contacts, full and empty buckets (random
     /// ids fill the shallow buckets, crafted ones the deep), evictions,
     /// and targets equal to the local id, to a contact, and deep inside
@@ -333,18 +371,7 @@ proptest! {
         k in 1usize..8,
     ) {
         let local = sha1(b"local");
-        let mut rt = RoutingTable::new(local, k);
-        for (n, (bytes, fail)) in shallow.iter().enumerate() {
-            let id = Id160::from_bytes(*bytes);
-            if *fail {
-                rt.note_failure(&id);
-            } else {
-                rt.note_contact(Contact { id, addr: n as u32 });
-            }
-        }
-        for (shared, fill) in &deep {
-            rt.note_contact(Contact { id: in_bucket(&local, *shared, *fill), addr: 0 });
-        }
+        let rt = table_of(local, k, &shallow, &deep);
         let contacts: Vec<Id160> = rt.iter().map(|c| c.id).collect();
 
         let mut probes: Vec<Id160> = vec![local];
@@ -368,7 +395,7 @@ proptest! {
             prop_assert_eq!(dists.len(), before, "distinct ids, distinct distances");
 
             for n in [1, k, k + 2, contacts.len().max(1), contacts.len() + 1] {
-                let closest = rt.closest(target, n);
+                let closest = full_sort_closest(&rt, target, n);
                 let local_within = closest.len() < n
                     || closest.last().expect("n >= 1").id.distance(target)
                         >= local.distance(target);
@@ -732,5 +759,57 @@ proptest! {
             .map(|e| e.encode_to_bytes().len())
             .sum();
         prop_assert!(size <= budget, "encoded {} > budget {}", size, budget);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+    /// `RoutingTable::closest` — a walk over the buckets in distance
+    /// order that stops at `n` — returns, element for element, what the
+    /// definition does: over sparse views and overfull shallow buckets
+    /// (replacement caches stocked, then drawn on by evictions of live
+    /// contacts), crafted deep buckets, every `n` edge, and targets equal
+    /// to the local id, to a contact, random, and deep inside the local
+    /// id's own branch (where the answer starts at the far end of the
+    /// table).
+    #[test]
+    fn closest_equals_the_full_sort_reference(
+        shallow in proptest::collection::vec((any::<[u8; 20]>(), any::<bool>()), 0..160),
+        deep in proptest::collection::vec((0usize..160, any::<[u8; 20]>()), 0..60),
+        evictions in proptest::collection::vec(any::<u16>(), 0..24),
+        targets in proptest::collection::vec((0usize..160, any::<[u8; 20]>(), any::<bool>()), 1..12),
+        k in 1usize..9,
+    ) {
+        let local = sha1(b"local");
+        let mut rt = table_of(local, k, &shallow, &deep);
+        for pick in evictions {
+            let live: Vec<Id160> = rt.iter().map(|c| c.id).collect();
+            if let Some(id) = live.get(usize::from(pick) % live.len().max(1)) {
+                prop_assert!(rt.note_failure(id), "a live contact is evicted");
+            }
+        }
+        let len = rt.len();
+        prop_assert_eq!(rt.iter().count(), len);
+
+        let mut probes: Vec<Id160> = vec![local];
+        probes.extend(rt.iter().map(|c| c.id).step_by(len / 3 + 1));
+        for (shared, fill, raw) in &targets {
+            probes.push(if *raw {
+                Id160::from_bytes(*fill)
+            } else {
+                in_bucket(&local, *shared, *fill)
+            });
+        }
+        for target in &probes {
+            for n in [0, 1, k, k + 2, len, len + 1, usize::MAX] {
+                prop_assert_eq!(
+                    rt.closest(target, n),
+                    full_sort_closest(&rt, target, n),
+                    "closest({:?}, {}) over {} contacts, k = {}",
+                    target, n, len, k
+                );
+            }
+        }
     }
 }

@@ -287,7 +287,7 @@ impl<N: Node> Shard<N> {
                 continue;
             }
             let slot = (addr / view.nshards) as usize;
-            let mut node = self.nodes[slot].take().expect("node present");
+            let node = self.nodes[slot].as_mut().expect("node present");
             let fork = self.rngs[slot].gen::<u64>();
             let mut ctx = Ctx::new(ev.at, addr, fork);
             match ev.kind {
@@ -300,7 +300,6 @@ impl<N: Node> Shard<N> {
                     node.on_timer(&mut ctx, id);
                 }
             }
-            self.nodes[slot] = Some(node);
             self.apply_window_effects(view, addr, ev.at, ctx);
         }
     }
@@ -626,15 +625,14 @@ impl<N: Node> SimNet<N> {
         f: impl FnOnce(&mut N, &mut Ctx<N::Output>) -> R,
     ) -> R {
         let (s, slot) = self.locate(addr);
-        let mut node = self.shards[s].nodes[slot].take().expect("node present");
         let fork = if self.nshards == 1 {
             self.rng.gen::<u64>()
         } else {
             self.shards[s].rngs[slot].gen::<u64>()
         };
         let mut ctx = Ctx::new(self.clock, addr, fork);
-        let out = f(&mut node, &mut ctx);
-        self.shards[s].nodes[slot] = Some(node);
+        let node = self.shards[s].nodes[slot].as_mut().expect("node present");
+        let out = f(node, &mut ctx);
         if self.nshards == 1 {
             self.apply_effects_legacy(addr, ctx);
         } else {
@@ -725,10 +723,12 @@ impl<N: Node> SimNet<N> {
             }
             return true;
         }
-        let mut node = self.shards[0].nodes[addr as usize]
-            .take()
-            .expect("node present");
         let mut ctx = Ctx::new(self.clock, addr, self.rng.gen());
+        // The node runs where it lives: `shards` is borrowed apart from the
+        // counters, and the callback's effects are applied once it returns.
+        let node = self.shards[0].nodes[addr as usize]
+            .as_mut()
+            .expect("node present");
         match ev.kind {
             EventKind::Deliver { from, payload } => {
                 self.counters.record_delivered();
@@ -739,7 +739,6 @@ impl<N: Node> SimNet<N> {
                 node.on_timer(&mut ctx, id);
             }
         }
-        self.shards[0].nodes[addr as usize] = Some(node);
         self.apply_effects_legacy(addr, ctx);
         true
     }

@@ -7,13 +7,20 @@
 #   --seconds S              measured seconds per run (default: run_seconds
 #                            of BENCHMARK.json)
 #   --datagrams-may-change   do not fail when fixed-work counts differ
+#   --claim METRIC@WORKLOAD  also print the verdict on a claimed gain
 #
 # The parent is exported (`git archive`) under /root/scratch — or $TMPDIR,
 # or /tmp — and both sides are built once, offline, into their own
 # CARGO_TARGET_DIR. The two binaries then alternate from the repository
 # root (which side runs first flips every round) and the script prints, per
-# workload, each end-to-end metric's median parent -> change beside its
-# BENCHMARK.json bound. Last, every simulated workload runs `--ops 4000` at
+# workload, each end-to-end metric's median [quartiles] parent -> change,
+# how many of the pairs the change won (run r against run r; a tie counts
+# for neither) and its BENCHMARK.json bound. With --claim it then applies
+# the rule a claimed gain is held to: the change wins at least nine tenths
+# of the pairs and the medians lie further apart than the parent's own
+# quartiles do -> "claim holds", anything else -> "unresolved" (ten pairs
+# or more, `--rounds 10`, for a claim that counts). Last, every simulated
+# workload runs `--ops 4000` at
 # seeds 7 and 1234 on both sides: a change that alters no datagram repeats
 # lookups_per_op / msgs_per_op / bytes_per_op bit for bit, and the script
 # exits 1 when they differ unless told that datagrams may change.
@@ -24,18 +31,20 @@ set -euo pipefail
 rounds=4
 seconds=
 may_change=0
+claim=
 while [ $# -gt 0 ]; do
     case "$1" in
         --rounds) rounds=$2; shift 2 ;;
         --seconds) seconds=$2; shift 2 ;;
         --datagrams-may-change) may_change=1; shift ;;
-        -h|--help) sed -n '2,21p' "$0"; exit 0 ;;
+        --claim) claim=$2; shift 2 ;;
+        -h|--help) sed -n '2,27p' "$0"; exit 0 ;;
         --*) echo "unknown option $1" >&2; exit 2 ;;
         *) break ;;
     esac
 done
 if [ $# -lt 1 ]; then
-    echo "usage: scripts/bench-pair.sh [--rounds N] [--seconds S] [--datagrams-may-change] <parent-ref> [workload...]" >&2
+    echo "usage: scripts/bench-pair.sh [--rounds N] [--seconds S] [--datagrams-may-change] [--claim METRIC@WORKLOAD] <parent-ref> [workload...]" >&2
     exit 2
 fi
 parent_ref=$1; shift
@@ -84,8 +93,16 @@ metric() { # <metric> reads JSON lines on stdin, prints one value per line
     grep -o "\"$1\": *{\"value\": *[^,}]*" | sed 's/.*"value": *//'
 }
 
-median() { # numbers on stdin
-    sort -g | awk '{v[NR]=$1} END {if (NR==0) print "nan"; else if (NR%2) print v[(NR+1)/2]; else print (v[NR/2]+v[NR/2+1])/2}'
+quartiles() { # numbers on stdin; prints "q1 median q3" (linear interpolation)
+    sort -g | awk '
+        function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+        { v[NR] = $1 }
+        END { if (NR == 0) print "nan nan nan"; else printf "%.10g %.10g %.10g\n", q(0.25), q(0.5), q(0.75) }'
+}
+
+pairs_won() { # <better> <parent file> <change file> <metric>: pairs the change won
+    paste <(metric "$4" < "$2") <(metric "$4" < "$3") |
+        awk -v better="$1" '$1 != $2 && (better == "higher") == ($2 > $1) {won++} END {print won + 0}'
 }
 
 # name better bound, one end-to-end metric per line.
@@ -101,7 +118,8 @@ for w in "${workloads[@]}"; do
             run "$side" "$w" --seed 42 --seconds "$seconds" >> "$work/runs/$side-$w.jsonl"
         done
     done
-    echo "== $w: medians of $rounds x ${seconds}s, parent ($parent_ref) -> change"
+    echo "== $w: median [quartiles] of $rounds x ${seconds}s, parent ($parent_ref) -> change"
+    verdict=
     for side in parent change; do
         if grep -q '"correct": *false' "$work/runs/$side-$w.jsonl" ||
             grep -q '"failed": *[1-9]' "$work/runs/$side-$w.jsonl"; then
@@ -110,15 +128,27 @@ for w in "${workloads[@]}"; do
         fi
     done
     while read -r name better bound; do
-        p=$(metric "$name" < "$work/runs/parent-$w.jsonl" | median)
-        c=$(metric "$name" < "$work/runs/change-$w.jsonl" | median)
-        awk -v n="$name" -v p="$p" -v c="$c" -v better="$better" -v bound="$bound" 'BEGIN {
+        read -r p1 p p3 < <(metric "$name" < "$work/runs/parent-$w.jsonl" | quartiles)
+        read -r c1 c c3 < <(metric "$name" < "$work/runs/change-$w.jsonl" | quartiles)
+        won=$(pairs_won "$better" "$work/runs/parent-$w.jsonl" "$work/runs/change-$w.jsonl" "$name")
+        awk -v n="$name" -v p="$p" -v p1="$p1" -v p3="$p3" -v c="$c" -v c1="$c1" -v c3="$c3" \
+            -v won="$won" -v rounds="$rounds" -v better="$better" -v bound="$bound" 'BEGIN {
             ratio = (p == 0) ? 1 : c / p
             worse = (better == "higher") ? (ratio < 1 - bound) : (ratio > 1 + bound)
-            printf "   %-16s %14.4f -> %14.4f  x%.3f  (better=%s, bound %s)%s\n",
-                n, p, c, ratio, better, bound, worse ? "  WORSE THAN BOUND" : ""
+            printf "   %-15s %11.4f [%.4f, %.4f] -> %11.4f [%.4f, %.4f]  x%.3f  won %d/%d  (better=%s, bound %s)%s\n",
+                n, p, p1, p3, c, c1, c3, ratio, won, rounds, better, bound, worse ? "  WORSE THAN BOUND" : ""
         }'
+        if [ "$claim" = "$name@$w" ]; then
+            verdict=$(awk -v p="$p" -v p1="$p1" -v p3="$p3" -v c="$c" -v won="$won" -v rounds="$rounds" \
+                -v better="$better" 'BEGIN {
+                gain = (better == "higher") ? c - p : p - c
+                printf "won %d/%d pairs (needs %d), medians apart by %.4f against a parent interquartile range of %.4f: %s",
+                    won, rounds, int((9 * rounds + 9) / 10), gain, p3 - p1,
+                    (10 * won >= 9 * rounds && gain > p3 - p1) ? "claim holds" : "unresolved"
+            }')
+        fi
     done <<<"$bounds"
+    case "$claim" in *"@$w") echo "== claim $claim: ${verdict:-no such end-to-end metric}" ;; esac
 done
 
 echo "== fixed work: --ops 4000, seeds 7 and 1234"
