@@ -1,4 +1,5 @@
-//! Cross-crate integration tests. The test sources live in the top-level
-//! `tests/` directory (see Cargo.toml `[[test]]`).
+//! Cross-crate integration tests and example applications. The sources
+//! live in the top-level `tests/` and `examples/` directories (see
+//! Cargo.toml `[[test]]` and `[[example]]`).
 
 #![forbid(unsafe_code)]

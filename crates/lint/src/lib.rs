@@ -3,7 +3,7 @@
 //!
 //! The sharded `SimNet` engine promises bit-reproducible results,
 //! invariant across shard and thread counts (see
-//! `crates/bench/README.md`, "Engine determinism"). That promise is a
+//! `DESIGN.md`, "Sharded-engine determinism contract"). That promise is a
 //! *global* property: one stray wall-clock read, ambient RNG draw, or
 //! hash-order-dependent loop anywhere in a simulated component silently
 //! breaks it — the worst kind of bug, because every individual run still

@@ -40,8 +40,8 @@ use crate::lexer::{lex, Comment, Lexed, Spanned, Tok};
 pub const DETERMINISTIC_CRATES: &[&str] = &["net", "kademlia", "cache", "sim", "core", "types"];
 
 /// Files in which `unsafe` is permitted (D5): the hand-rolled libc FFI
-/// layer, the real-socket worker that drives it, and the work-stealing
-/// pool (scoped-spawn lifetime erasure). Everything else forbids unsafe.
+/// layer, the real-socket worker that drives it, and the scoped thread
+/// pool (one transmute: scoped-spawn lifetime erasure). Everything else forbids unsafe.
 pub const UNSAFE_ALLOWED: &[&str] = &[
     "crates/net/src/sys.rs",
     "crates/net/src/udp.rs",

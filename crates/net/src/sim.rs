@@ -16,7 +16,7 @@
 //! Execution proceeds in **conservative time windows** of length
 //! `latency_min_us` on an absolute grid: within the window `[kL, (k+1)L)`
 //! every shard drains its local events independently (optionally on the
-//! [`dharma_par`] work-stealing pool — see [`SimNet::enable_parallel`]),
+//! [`dharma_par`] thread pool — see [`SimNet::enable_parallel`]),
 //! then all shards synchronize at a barrier where cross-shard datagrams are
 //! exchanged, per-shard counters are merged, and completions are
 //! merge-sorted. The barrier is safe because every datagram carries at
@@ -74,7 +74,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::counters::{NetCounters, ShardCounters};
-use crate::node::{Ctx, Node, NodeAddr, OpId};
+use crate::node::{Ctx, Node, NodeAddr, OpId, OutMessage};
 use crate::topology::TopologyConfig;
 
 /// Simulator parameters.
@@ -206,6 +206,72 @@ fn node_stream_seed(master: u64, addr: NodeAddr) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The one send-time policy: what a send costs and when it is dropped.
+/// Every callback's sends and timers go through [`SendPolicy::apply`] —
+/// MTU check → removed-destination drop → link draw → event key → queue,
+/// then timers — and the two disciplines differ only in what they plug
+/// in: `rng` is the master stream or the sender's own, `key` mints the
+/// global sequence or the sender's `(origin, origin-seq)`, and `queue` is
+/// the one heap or the shard's heap/outbox.
+struct SendPolicy<'a, K, Q> {
+    cfg: &'a SimConfig,
+    removed: &'a [bool],
+    counts: &'a mut ShardCounters,
+    rng: &'a mut StdRng,
+    key: K,
+    queue: Q,
+}
+
+impl<K: FnMut() -> (u64, u64), Q: FnMut(Event)> SendPolicy<'_, K, Q> {
+    fn apply(mut self, from: NodeAddr, now: u64, sends: Vec<OutMessage>, timers: Vec<(u64, u64)>) {
+        for msg in sends {
+            if msg.payload.len() > self.cfg.mtu {
+                self.counts.oversize_rejected += 1;
+                continue;
+            }
+            self.counts.sent += 1;
+            self.counts.bytes_sent += msg.payload.len() as u64;
+            // Departed addresses never receive again: count the datagram as
+            // sent-then-lost (the sender cannot know), but keep the queue
+            // free of events to dead addresses.
+            if self
+                .removed
+                .get(msg.to as usize)
+                .copied()
+                .unwrap_or_default()
+            {
+                self.counts.dropped += 1;
+                continue;
+            }
+            let Some(latency) = link_draw(self.cfg, self.rng, from, msg.to) else {
+                self.counts.dropped += 1;
+                continue;
+            };
+            let (ord_a, ord_b) = (self.key)();
+            (self.queue)(Event {
+                at: now + latency,
+                ord_a,
+                ord_b,
+                to: msg.to,
+                kind: EventKind::Deliver {
+                    from,
+                    payload: msg.payload,
+                },
+            });
+        }
+        for (delay, id) in timers {
+            let (ord_a, ord_b) = (self.key)();
+            (self.queue)(Event {
+                at: now + delay,
+                ord_a,
+                ord_b,
+                to: from,
+                kind: EventKind::Timer { id },
+            });
+        }
+    }
+}
+
 /// A window completion record: `(at, origin, origin-seq, op, output)`.
 /// The first three fields form the canonical merge order at barriers.
 type WindowCompletion<O> = (u64, NodeAddr, u64, OpId, O);
@@ -304,10 +370,11 @@ impl<N: Node> Shard<N> {
         }
     }
 
-    /// Applies one callback's buffered effects inside a window. Mirrors the
-    /// legacy effect order exactly (MTU check, removed-destination drop,
-    /// loss draw, latency draw) with all draws taken from the *sender's*
-    /// stream.
+    /// Applies one callback's buffered effects inside a window (or, from a
+    /// quiescent context, between windows): all draws come from the
+    /// *sender's* stream, events and completions are keyed by the sender's
+    /// sequence, and cross-shard datagrams wait in the outbox for the
+    /// barrier.
     fn apply_window_effects(
         &mut self,
         view: WindowView<'_>,
@@ -317,61 +384,29 @@ impl<N: Node> Shard<N> {
     ) {
         let slot = (from / view.nshards) as usize;
         let (sends, timers, completions) = ctx.into_effects();
-        for msg in sends {
-            if msg.payload.len() > view.cfg.mtu {
-                self.counts.oversize_rejected += 1;
-                continue;
-            }
-            if view
-                .removed
-                .get(msg.to as usize)
-                .copied()
-                .unwrap_or_default()
-            {
-                self.counts.sent += 1;
-                self.counts.bytes_sent += msg.payload.len() as u64;
-                self.counts.dropped += 1;
-                continue;
-            }
-            self.counts.sent += 1;
-            self.counts.bytes_sent += msg.payload.len() as u64;
-            let Some(latency) = link_draw(view.cfg, &mut self.rngs[slot], from, msg.to) else {
-                self.counts.dropped += 1;
-                continue;
-            };
-            let ord_b = self.seqs[slot];
-            self.seqs[slot] += 1;
-            let ev = Event {
-                at: now + latency,
-                ord_a: u64::from(from),
-                ord_b,
-                to: msg.to,
-                kind: EventKind::Deliver {
-                    from,
-                    payload: msg.payload,
-                },
-            };
-            if msg.to % view.nshards == self.index {
-                self.queue.push(Reverse(ev));
-            } else {
-                self.outbox.push(ev);
-            }
+        let (index, seq) = (self.index, &mut self.seqs[slot]);
+        let (queue, outbox) = (&mut self.queue, &mut self.outbox);
+        let mut next_seq = move || {
+            *seq += 1;
+            *seq - 1
+        };
+        SendPolicy {
+            cfg: view.cfg,
+            removed: view.removed,
+            counts: &mut self.counts,
+            rng: &mut self.rngs[slot],
+            key: || (u64::from(from), next_seq()),
+            queue: |ev: Event| {
+                if ev.to % view.nshards == index {
+                    queue.push(Reverse(ev));
+                } else {
+                    outbox.push(ev);
+                }
+            },
         }
-        for (delay, id) in timers {
-            let ord_b = self.seqs[slot];
-            self.seqs[slot] += 1;
-            self.queue.push(Reverse(Event {
-                at: now + delay,
-                ord_a: u64::from(from),
-                ord_b,
-                to: from,
-                kind: EventKind::Timer { id },
-            }));
-        }
+        .apply(from, now, sends, timers);
         for (op, out) in completions {
-            let ord_b = self.seqs[slot];
-            self.seqs[slot] += 1;
-            self.done.push((now, from, ord_b, op, out));
+            self.done.push((now, from, next_seq(), op, out));
         }
     }
 }
@@ -743,116 +778,44 @@ impl<N: Node> SimNet<N> {
         true
     }
 
-    /// Legacy effect application: one global sequence, one master RNG,
-    /// counters recorded per event. Byte-identical to the pre-sharding
-    /// engine.
+    /// Legacy effect application: one global sequence, one master RNG, one
+    /// heap. Byte-identical to the pre-sharding engine.
     fn apply_effects_legacy(&mut self, from: NodeAddr, ctx: Ctx<N::Output>) {
         let (sends, timers, completions) = ctx.into_effects();
-        for msg in sends {
-            if msg.payload.len() > self.cfg.mtu {
-                self.counters.record_oversize();
-                continue;
-            }
-            // Departed addresses never receive again: count the datagram as
-            // sent-then-lost (the sender cannot know), but keep the queue
-            // free of events to dead addresses.
-            if self
-                .removed
-                .get(msg.to as usize)
-                .copied()
-                .unwrap_or_default()
-            {
-                self.counters.record_sent(msg.payload.len());
-                self.counters.record_dropped();
-                continue;
-            }
-            self.counters.record_sent(msg.payload.len());
-            let Some(latency) = link_draw(&self.cfg, &mut self.rng, from, msg.to) else {
-                self.counters.record_dropped();
-                continue;
-            };
-            self.seq += 1;
-            self.shards[0].queue.push(Reverse(Event {
-                at: self.clock + latency,
-                ord_a: self.seq,
-                ord_b: 0,
-                to: msg.to,
-                kind: EventKind::Deliver {
-                    from,
-                    payload: msg.payload,
-                },
-            }));
+        let mut counts = ShardCounters::default();
+        let (seq, queue) = (&mut self.seq, &mut self.shards[0].queue);
+        SendPolicy {
+            cfg: &self.cfg,
+            removed: &self.removed,
+            counts: &mut counts,
+            rng: &mut self.rng,
+            key: || {
+                *seq += 1;
+                (*seq, 0)
+            },
+            queue: |ev| queue.push(Reverse(ev)),
         }
-        for (delay, id) in timers {
-            self.seq += 1;
-            self.shards[0].queue.push(Reverse(Event {
-                at: self.clock + delay,
-                ord_a: self.seq,
-                ord_b: 0,
-                to: from,
-                kind: EventKind::Timer { id },
-            }));
-        }
+        .apply(from, self.clock, sends, timers);
+        self.counters.merge_shard(&counts);
         self.completed
             .extend(completions.into_iter().map(|(op, out)| (from, op, out)));
     }
 
     /// Sharded effect application for *quiescent* contexts (`add_node`,
-    /// `with_node`, `leave` — between runs, when outboxes are empty).
-    /// Draws come from the acting node's stream in the same order as
-    /// inside windows; events may be routed into any shard directly.
+    /// `with_node`, `leave` — between runs, when outboxes are empty): the
+    /// acting node's shard applies the effects exactly as inside a window,
+    /// and the barrier routes, counts and files them.
     fn apply_effects_sharded(&mut self, from: NodeAddr, ctx: Ctx<N::Output>) {
-        let now = self.clock;
-        let (s, slot) = self.locate(from);
-        let (sends, timers, completions) = ctx.into_effects();
-        for msg in sends {
-            if msg.payload.len() > self.cfg.mtu {
-                self.counters.record_oversize();
-                continue;
-            }
-            if self
-                .removed
-                .get(msg.to as usize)
-                .copied()
-                .unwrap_or_default()
-            {
-                self.counters.record_sent(msg.payload.len());
-                self.counters.record_dropped();
-                continue;
-            }
-            self.counters.record_sent(msg.payload.len());
-            let Some(latency) = link_draw(&self.cfg, &mut self.shards[s].rngs[slot], from, msg.to)
-            else {
-                self.counters.record_dropped();
-                continue;
-            };
-            let ord_b = self.shards[s].seqs[slot];
-            self.shards[s].seqs[slot] += 1;
-            let to_shard = (msg.to % self.nshards) as usize;
-            self.shards[to_shard].queue.push(Reverse(Event {
-                at: now + latency,
-                ord_a: u64::from(from),
-                ord_b,
-                to: msg.to,
-                kind: EventKind::Deliver {
-                    from,
-                    payload: msg.payload,
-                },
-            }));
-        }
-        for (delay, id) in timers {
-            let ord_b = self.shards[s].seqs[slot];
-            self.shards[s].seqs[slot] += 1;
-            self.shards[s].queue.push(Reverse(Event {
-                at: now + delay,
-                ord_a: u64::from(from),
-                ord_b,
-                to: from,
-                kind: EventKind::Timer { id },
-            }));
-        }
-        self.completed
-            .extend(completions.into_iter().map(|(op, out)| (from, op, out)));
+        let (s, _) = self.locate(from);
+        let view = WindowView {
+            alive: &self.alive,
+            removed: &self.removed,
+            cfg: &self.cfg,
+            nshards: self.nshards,
+            bound: self.clock,
+        };
+        self.shards[s].apply_window_effects(view, from, self.clock, ctx);
+        self.finish_window();
     }
 
     /// Picks the next window: the absolute-grid window containing the
@@ -946,7 +909,7 @@ where
     N::Output: Send,
 {
     /// Switches the sharded engine's window executor to the
-    /// [`dharma_par::global`] work-stealing pool: each shard's window runs
+    /// [`dharma_par::global`] thread pool: each shard's window runs
     /// as one pool task. No-op on the serial engine (`shards = 1`).
     ///
     /// Results are bit-identical to serial execution — parallelism only

@@ -441,7 +441,7 @@ proptest! {
     /// The satellite equivalence property: for randomized overlays with
     /// churn (crash/revive/remove/spawn interleaved with timed runs), the
     /// sharded engine at 2, 4 and 8 shards — executed serially *and* on
-    /// the work-stealing pool — produces bit-identical counters,
+    /// the thread pool — produces bit-identical counters,
     /// completions and final node state.
     #[test]
     fn sharded_engine_equivalent_across_shards_and_threads(

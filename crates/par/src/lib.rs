@@ -1,27 +1,37 @@
-//! A minimal work-stealing parallel runtime.
+//! A minimal scoped thread pool and the chunked helpers written against it.
 //!
 //! The DHARMA experiment pipelines need three things done in parallel:
 //! replaying millions of tagging events over sharded folksonomy graphs,
 //! computing per-tag comparison metrics (Kendall τ, cosine, recall) over
 //! hundreds of thousands of tags, and running thousands of independent
-//! faceted-search simulations. A full `rayon` dependency is out of scope for
-//! the offline build, so this crate provides the ~5% of rayon those pipelines
-//! need:
+//! faceted-search simulations; `SimNet`'s sharded engine runs its shards
+//! through the same pool, one scope per window. A full `rayon` dependency
+//! is out of scope for the offline build, so this crate provides the ~5% of
+//! rayon those callers need, on `std::sync` alone:
 //!
-//! * [`ThreadPool`] — a fixed-size pool of workers with per-worker
-//!   [`crossbeam_deque`] deques, a global injector, and work stealing;
+//! * [`ThreadPool`] — a fixed number of persistent workers serving **one
+//!   shared FIFO** (`Mutex<VecDeque<Job>>` + one `Condvar`). No per-worker
+//!   deques, no stealing: the tasks here are chunk-sized, so one lock per
+//!   task is noise;
 //! * [`ThreadPool::scope`] — structured parallelism: borrow data from the
 //!   enclosing stack frame, spawn tasks, and block until all of them (and
-//!   their transitively spawned children) finish. The waiting thread *helps*
-//!   execute tasks, so nested scopes on a single-threaded pool cannot
-//!   deadlock;
+//!   their transitively spawned children) finish. The waiting owner *helps*
+//!   from the same queue, so nested scopes on a single-threaded pool cannot
+//!   deadlock, and sleeps on the condvar when the queue is empty;
 //! * [`par_map`], [`par_for_each_index`], [`par_map_reduce`] — the chunked
-//!   data-parallel helpers the pipelines are written against.
-//!   `par_map_reduce` reduces chunk results **in chunk order**, so reductions
-//!   are deterministic even for non-commutative accumulations.
+//!   data-parallel helpers the pipelines are written against. `par_map`
+//!   concatenates per-chunk results **in chunk order** and `par_map_reduce`
+//!   folds them in that order, so results are deterministic even for
+//!   non-commutative accumulations.
 //!
 //! Panics inside tasks are caught, the first one is re-thrown from the scope
-//! owner, and the pool survives.
+//! owner once every task has finished, and the pool survives.
+//!
+//! Why the workers persist: a `std::thread::scope` fan-out with one spawn
+//! per task was built and measured (ISSUE 22) and is refused. `SimNet` opens
+//! a scope per window, and one thread spawn per shard per window took
+//! `ablation_scale --smoke`'s sharded×4 run from 2.3 s to 5.6 s on the
+//! 2-vCPU host.
 
 #![warn(missing_docs)]
 

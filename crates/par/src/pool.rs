@@ -1,88 +1,87 @@
-//! The work-stealing thread pool and scoped-spawn machinery.
+//! The shared-queue thread pool and scoped-spawn machinery.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-
-use crossbeam_deque::{Injector, Stealer, Worker};
-use crossbeam_utils::Backoff;
-use parking_lot::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// What the one lock guards: the FIFO of runnable jobs, the flag that
+/// tells workers to exit once it is empty, and who is asleep.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+    /// Waiters on `wake` not yet sent a notification: bumped before every
+    /// wait, dropped by whoever notifies — so a push with nobody asleep
+    /// costs no syscall. A spurious wake-up can leave it too high (one
+    /// wasted notify), nothing can leave it too low (a lost one).
+    sleepers: usize,
+}
+
 struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
-    /// Lock + condvar used only for worker parking; pushers take the lock
-    /// briefly before notifying so that a worker that observed an empty
-    /// injector cannot miss the wakeup (push happens-before notify, and the
-    /// worker re-checks emptiness under the lock before waiting).
-    sleep: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Signalled after a push (one waiter), and when a scope's last task
+    /// ends or the pool shuts down (all waiters). Workers and scope owners
+    /// both wait here, always after checking their condition under
+    /// `queue`'s lock, and a signaller takes that lock between changing
+    /// the condition and notifying — so no wake-up can fall between a
+    /// check and the wait.
     wake: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn find_task(&self, local: &Worker<Job>) -> Option<Job> {
-        if let Some(job) = local.pop() {
-            return Some(job);
-        }
-        // Steal a batch from the injector into the local deque, or a single
-        // task from a sibling. `steal_batch_and_pop` amortizes contention.
-        loop {
-            let steal = self.injector.steal_batch_and_pop(local);
-            if let crossbeam_deque::Steal::Success(job) = steal {
-                return Some(job);
-            }
-            if steal.is_retry() {
-                continue;
-            }
-            break;
-        }
-        for stealer in &self.stealers {
-            loop {
-                match stealer.steal() {
-                    crossbeam_deque::Steal::Success(job) => return Some(job),
-                    crossbeam_deque::Steal::Retry => continue,
-                    crossbeam_deque::Steal::Empty => break,
-                }
-            }
-        }
-        None
-    }
-
-    /// Steal from anywhere without a local deque (used by helping threads).
-    fn steal_task(&self) -> Option<Job> {
-        loop {
-            match self.injector.steal() {
-                crossbeam_deque::Steal::Success(job) => return Some(job),
-                crossbeam_deque::Steal::Retry => continue,
-                crossbeam_deque::Steal::Empty => break,
-            }
-        }
-        for stealer in &self.stealers {
-            loop {
-                match stealer.steal() {
-                    crossbeam_deque::Steal::Success(job) => return Some(job),
-                    crossbeam_deque::Steal::Retry => continue,
-                    crossbeam_deque::Steal::Empty => break,
-                }
-            }
-        }
-        None
+    /// Jobs run outside the lock and catch their own panics, so nothing
+    /// should poison the mutex; if something does, every update under it
+    /// (a push, a pop, a flag) leaves the queue valid, so carry on.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn push(&self, job: Job) {
-        self.injector.push(job);
-        let _guard = self.sleep.lock();
-        self.wake.notify_one();
+        let mut queue = self.lock();
+        queue.jobs.push_back(job);
+        if queue.sleepers > 0 {
+            queue.sleepers -= 1;
+            drop(queue);
+            self.wake.notify_one();
+        }
+    }
+
+    /// Runs queued jobs until `done()` holds, sleeping on the condvar
+    /// whenever the queue is empty. `done` is evaluated under the lock.
+    fn run_until(&self, done: impl Fn(&Queue) -> bool) {
+        let mut queue = self.lock();
+        while !done(&queue) {
+            if let Some(job) = queue.jobs.pop_front() {
+                drop(queue);
+                job();
+                queue = self.lock();
+            } else {
+                queue.sleepers += 1;
+                queue = self
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
+    /// Wakes every waiter so each re-checks its condition.
+    fn wake_all(&self) {
+        let mut queue = self.lock();
+        if queue.sleepers > 0 {
+            queue.sleepers = 0;
+            drop(queue);
+            self.wake.notify_all();
+        }
     }
 }
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool: persistent workers serving one shared FIFO.
 ///
 /// ```
 /// let pool = dharma_par::ThreadPool::new(4);
@@ -93,38 +92,29 @@ impl Shared {
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    threads: usize,
 }
 
 impl ThreadPool {
     /// Creates a pool with `threads` workers (at least one).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = workers.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            sleep: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+                sleepers: 0,
+            }),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
-        let handles = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        let handles = (0..threads.max(1))
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dharma-par-{i}"))
-                    .spawn(move || worker_loop(shared, local))
+                    .spawn(move || shared.run_until(|q| q.shutdown && q.jobs.is_empty()))
                     .expect("spawn worker thread")
             })
             .collect();
-        ThreadPool {
-            shared,
-            handles,
-            threads,
-        }
+        ThreadPool { shared, handles }
     }
 
     /// A pool sized to the machine's available parallelism.
@@ -134,36 +124,35 @@ impl ThreadPool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.handles.len()
     }
 
     /// Runs `f` with a [`Scope`] that can spawn borrowed tasks, then blocks
     /// until every spawned task (including nested spawns) has completed.
     ///
-    /// The calling thread executes queued tasks while it waits. If any task
-    /// panicked, the panic payload of the first one is re-thrown here.
+    /// The calling thread executes queued tasks while it waits, and sleeps
+    /// when there are none. If `f` or any task panicked, the first payload
+    /// is re-thrown here — after every task has finished.
     pub fn scope<'scope, F, R>(&'scope self, f: F) -> R
     where
         F: FnOnce(&Scope<'scope>) -> R,
     {
         let scope = Scope {
             shared: &self.shared,
-            counter: Arc::new(AtomicUsize::new(0)),
-            panic: Arc::new(Mutex::new(None)),
+            state: Arc::new(ScopeState {
+                pending: AtomicUsize::new(0),
+                panic: Mutex::new(None),
+            }),
             _marker: PhantomData,
         };
-        let result = f(&scope);
-        // Help until all tasks (incl. nested) are done.
-        let backoff = Backoff::new();
-        while scope.counter.load(Ordering::Acquire) != 0 {
-            if let Some(job) = self.shared.steal_task() {
-                job();
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
-        }
-        if let Some(payload) = scope.panic.lock().take() {
+        // `f` unwinding past its spawned tasks would free what they borrow.
+        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
+        // Acquire pairs with the AcqRel decrement that ends each task: once
+        // zero is read here, everything the tasks wrote is visible.
+        self.shared
+            .run_until(|_| scope.state.pending.load(Ordering::Acquire) == 0);
+        let result = result.unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(payload) = scope.state.first_panic().take() {
             resume_unwind(payload);
         }
         result
@@ -172,51 +161,31 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.sleep.lock();
-            self.shared.wake.notify_all();
-        }
+        self.shared.lock().shutdown = true;
+        self.shared.wake_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, local: Worker<Job>) {
-    let backoff = Backoff::new();
-    loop {
-        if let Some(job) = shared.find_task(&local) {
-            job();
-            backoff.reset();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if !backoff.is_completed() {
-            backoff.snooze();
-            continue;
-        }
-        // Park until new work is pushed. Re-check emptiness and shutdown
-        // under the lock to avoid missing a wakeup.
-        let mut guard = shared.sleep.lock();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if shared.injector.is_empty() {
-            shared.wake.wait(&mut guard);
-        }
-        drop(guard);
-        backoff.reset();
+/// Tasks still to finish in one scope (nested spawns included) and the
+/// first panic among them.
+struct ScopeState {
+    pending: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+}
+
+impl ScopeState {
+    fn first_panic(&self) -> MutexGuard<'_, Option<Box<dyn Any + Send + 'static>>> {
+        self.panic.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// Handle for spawning borrowed tasks inside [`ThreadPool::scope`].
 pub struct Scope<'scope> {
-    shared: &'scope Arc<Shared>,
-    counter: Arc<AtomicUsize>,
-    panic: Arc<Mutex<Option<Box<dyn Any + Send + 'static>>>>,
+    shared: &'scope Shared,
+    state: Arc<ScopeState>,
     _marker: PhantomData<&'scope mut &'scope ()>,
 }
 
@@ -227,26 +196,21 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
-        self.counter.fetch_add(1, Ordering::AcqRel);
+        self.state.pending.fetch_add(1, Ordering::AcqRel);
         let child = Scope {
             shared: self.shared,
-            counter: Arc::clone(&self.counter),
-            panic: Arc::clone(&self.panic),
+            state: Arc::clone(&self.state),
             _marker: PhantomData,
         };
-        let counter = Arc::clone(&self.counter);
-        let panic_slot = Arc::clone(&self.panic);
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| f(&child)));
-            if let Err(payload) = result {
-                let mut slot = panic_slot.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(&child))) {
+                child.state.first_panic().get_or_insert(payload);
             }
-            counter.fetch_sub(1, Ordering::AcqRel);
+            if child.state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                child.shared.wake_all();
+            }
         });
-        // SAFETY: `ThreadPool::scope` does not return until `counter` drops
+        // SAFETY: `ThreadPool::scope` does not return until `pending` drops
         // to zero, i.e. until this job has run to completion. All borrows
         // captured by the job therefore outlive its execution. The transmute
         // only erases the `'scope` lifetime to satisfy the pool's `'static`
@@ -256,15 +220,6 @@ impl<'scope> Scope<'scope> {
         self.shared.push(job);
     }
 }
-
-// SAFETY: `Scope` holds only `Arc`s to `Sync` state (the injector, the
-// task counter, the panic slot) plus a `PhantomData` lifetime marker, so
-// sending or sharing it across worker threads cannot create unsynchronized
-// access. The `'scope` borrow it represents stays valid because
-// `ThreadPool::scope` does not return until the task counter reaches zero.
-unsafe impl Send for Scope<'_> {}
-// SAFETY: as above — every field reachable through `&Scope` is `Sync`.
-unsafe impl Sync for Scope<'_> {}
 
 /// The process-wide default pool, sized to available parallelism.
 pub fn global() -> &'static ThreadPool {
@@ -309,26 +264,11 @@ where
     });
 }
 
-/// Wrapper making a raw pointer `Send` so chunk tasks can write disjoint
-/// output slots.
-struct SendPtr<T>(*mut T);
-// SAFETY: the wrapper is only ever used by `par_map`-style helpers whose
-// chunk tasks write *disjoint* index ranges of one allocation owned by the
-// caller's stack frame, which outlives the scope; `T: Send` makes moving
-// the written values across threads sound.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
 /// Parallel map: applies `f` to every element of `items`, preserving order.
 ///
-/// Output slots are written exactly once by disjoint chunk tasks. If a task
-/// panics, the panic propagates and already-computed elements are leaked
-/// (never double-dropped).
+/// Each chunk task fills a `Vec` of its own and the chunks are concatenated
+/// in order. If a task panics, the panic propagates and every element
+/// already produced is dropped, once.
 pub fn par_map<T, U, F>(pool: &ThreadPool, items: &[T], chunk: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -340,32 +280,16 @@ where
     if n <= chunk {
         return items.iter().map(f).collect();
     }
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    let out_ptr = SendPtr(out.as_mut_ptr());
+    let mut parts: Vec<Vec<U>> = Vec::new();
+    parts.resize_with(n.div_ceil(chunk), Vec::new);
     let f = &f;
     pool.scope(|s| {
-        for (ci, chunk_items) in items.chunks(chunk).enumerate() {
-            let base = ci * chunk;
-            s.spawn(move |_| {
-                // Bind the wrapper itself: 2021 disjoint capture would
-                // otherwise capture the raw `*mut U` field, which is !Send.
-                let out_ptr = out_ptr;
-                for (i, item) in chunk_items.iter().enumerate() {
-                    // SAFETY: each index base+i is written by exactly one
-                    // task; the Vec has capacity for all n elements; set_len
-                    // happens only after the scope guarantees completion.
-                    unsafe {
-                        out_ptr.0.add(base + i).write(f(item));
-                    }
-                }
-            });
+        for (part, chunk_items) in parts.iter_mut().zip(items.chunks(chunk)) {
+            s.spawn(move |_| *part = chunk_items.iter().map(f).collect());
         }
     });
-    // SAFETY: all n slots were initialized by the tasks above (the scope
-    // does not return on panic, it unwinds before reaching here).
-    unsafe {
-        out.set_len(n);
-    }
+    let mut out = Vec::with_capacity(n);
+    out.extend(parts.into_iter().flatten());
     out
 }
 
@@ -582,6 +506,79 @@ mod tests {
             }
         });
         assert_eq!(c.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn par_map_panic_drops_every_produced_element_once() {
+        static MADE: AtomicU64 = AtomicU64::new(0);
+        static DROPPED: AtomicU64 = AtomicU64::new(0);
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let pool = ThreadPool::new(3);
+        let items: Vec<u32> = (0..400).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            par_map(&pool, &items, 16, |&x| {
+                assert_ne!(x, 205, "chunk exploded");
+                MADE.fetch_add(1, Ordering::Relaxed);
+                Counted
+            })
+        }));
+        assert!(result.is_err());
+        // Every other chunk ran to its end; the panicking one stopped at 205.
+        assert_eq!(MADE.load(Ordering::Relaxed), 400 - (208 - 205));
+        assert_eq!(DROPPED.load(Ordering::Relaxed), 400 - (208 - 205));
+    }
+
+    #[test]
+    fn owner_panic_waits_for_spawned_tasks() {
+        let pool = ThreadPool::new(2);
+        let counter = AtomicU64::new(0);
+        let (gate, closed) = std::sync::mpsc::channel::<()>();
+        let closed = Mutex::new(closed);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                // Dropped as this closure unwinds: no task can finish before,
+                // and each outlasts the unwinding by a wide margin.
+                let _gate = gate;
+                for _ in 0..4 {
+                    s.spawn(|_| {
+                        let _ = closed.lock().expect("gate lock").recv();
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                panic!("owner exploded");
+            })
+        }));
+        assert!(result.is_err());
+        assert_eq!(counter.load(Ordering::Relaxed), 4);
+    }
+
+    /// The `SimNet` window pattern — many short scopes back to back — from
+    /// two owners at once: a lost condvar wake-up would hang here.
+    #[test]
+    fn concurrent_owners_on_global_all_complete() {
+        std::thread::scope(|threads| {
+            for _ in 0..2 {
+                threads.spawn(|| {
+                    for round in 0..200 {
+                        let c = AtomicU64::new(0);
+                        global().scope(|s| {
+                            for _ in 0..4 {
+                                s.spawn(|_| {
+                                    c.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
+                        assert_eq!(c.load(Ordering::Relaxed), 4, "round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! `--smoke` shrinks the overlay and op count for the CI job. Besides the
 //! CSV series, the run writes `fresh.json` (the schema documented in
-//! `crates/bench/README.md`) for the consolidated benchmark artifact.
+//! `DESIGN.md`) for the consolidated benchmark artifact.
 
 use dharma_sim::output::{f2, CsvSink, TextTable};
 use dharma_sim::{simulate_freshness, ExpArgs, FreshSimConfig, FreshSimReport};

@@ -23,7 +23,7 @@
 //!
 //! `--smoke` shrinks the overlay and op count for the CI job. Besides the
 //! CSV series, the run writes `latency.json` (the schema documented in
-//! `crates/bench/README.md`) for the consolidated benchmark artifact.
+//! `DESIGN.md`) for the consolidated benchmark artifact.
 
 use dharma_kademlia::LatencyConfig;
 use dharma_sim::output::{f2, CsvSink, TextTable};

@@ -13,7 +13,7 @@
 //! 2-vs-4-shard invariance check on a reduced scenario — the parallel
 //! path exercised end-to-end on every PR within a small wall budget.
 //!
-//! Determinism contract (also in `crates/bench/README.md`): results are
+//! Determinism contract (also in `DESIGN.md`): results are
 //! bit-deterministic per seed *per engine discipline* — `shards = 1` is
 //! the legacy serial sequence, `shards ≥ 2` is one sequence invariant in
 //! the shard count and in serial-vs-parallel execution. Wall-clock and

@@ -2,32 +2,21 @@
 //! at smoke scale and emits one `BENCH_ci.json` with the numbers the perf
 //! trajectory is tracked by — cache hit ratio, lookup hops per GET,
 //! maintenance messages per GET, max-load ratio, the freshness staleness
-//! percentiles, the latency-aware lookup completion-time percentiles
-//! (A9 baseline vs full), the event-engine throughput section (serial
-//! vs sharded events/sec, peak RSS), and the real-socket `udp` section
-//! (syscall-batching speedup, datagrams/sec/core, swarm lookup success
-//! and wall latency percentiles). The CI `bench` job uploads the file
-//! as a workflow artifact, so every run leaves a data point.
+//! percentiles and the latency-aware lookup completion-time percentiles
+//! (A9 baseline vs full). The CI `bench` job uploads the file as a
+//! workflow artifact, so every run leaves a data point.
 //!
 //! `bench_ci --compare old.json new.json` is the trend gate: it fails
 //! (exit 1) when a *quality* metric of `new.json` regresses more than 15%
 //! against `old.json` (direction-aware; see `dharma_sim::bench_compare`).
-//! Wall-clock metrics — events/sec, speedup, RSS, datagrams/sec,
-//! wall-latency percentiles — are informational and never gated: they
-//! vary across runners. `udp.lookup_success` IS gated: over lossless
-//! loopback the swarm must keep finding its records regardless of host
-//! speed.
 //!
-//! The schema is documented in `crates/bench/README.md`; all simulated
-//! metrics are seeded (`--seed`, default 42) and deterministic, so gated
-//! diffs between two artifacts are real regressions or wins, never noise.
+//! The schema is documented in `DESIGN.md`; every metric is simulated,
+//! seeded (`--seed`, default 42) and deterministic, so diffs between two
+//! artifacts are real regressions or wins, never noise. Wall-clock
+//! measurements live in their own jobs (`ablation_scale --smoke`,
+//! `bench_udp --smoke`).
 
-use dharma_kademlia::LatencyConfig;
-use dharma_sim::{
-    bench_compare, measure_engine_run, run_swarm_threaded, scale_bench, simulate_cache_workload,
-    simulate_churn, simulate_freshness, simulate_latency, transport_microbench, CacheSimConfig,
-    ChurnConfig, ExpArgs, FreshSimConfig, LatencySimConfig, UdpBenchConfig,
-};
+use dharma_sim::{bench_compare, ExpArgs};
 
 /// `--compare old.json new.json`: exit 0 on pass, 1 on regression.
 fn run_compare(old_path: &str, new_path: &str) -> ! {
@@ -64,195 +53,7 @@ fn main() {
         }
     };
 
-    // ----- cache effectiveness (A5 smoke scale) -----------------------
-    let cache_base = CacheSimConfig {
-        nodes: 32,
-        k: 6,
-        keys: 16,
-        ops: 600,
-        zipf_s: 1.2,
-        seed: args.seed,
-        ..CacheSimConfig::default()
-    };
-    let cache_off = simulate_cache_workload(&cache_base);
-    let cache_on = simulate_cache_workload(&CacheSimConfig {
-        cache: Some(CacheSimConfig::ablation_cache()),
-        replication: Some(CacheSimConfig::ablation_replication()),
-        ..cache_base.clone()
-    });
-    // How much the busiest node's GET load drops when caching is on.
-    let max_load_ratio = if cache_on.max_get_load == 0 {
-        0.0
-    } else {
-        cache_off.max_get_load as f64 / cache_on.max_get_load as f64
-    };
-
-    // ----- adaptive maintenance (A7 smoke scale) ----------------------
-    let churn = simulate_churn(&ChurnConfig {
-        nodes: 24,
-        k: 8,
-        keys: 12,
-        horizon_us: 60_000_000,
-        op_interval_us: 500_000,
-        mean_session_us: 20_000_000,
-        mean_downtime_us: 5_000_000,
-        sample_interval_us: 3_000_000,
-        repair: Some(ChurnConfig::ablation_adaptive()),
-        seed: args.seed,
-        ..ChurnConfig::default()
-    });
-
-    // ----- cache freshness (A8 smoke scale) ---------------------------
-    let fresh_base = FreshSimConfig {
-        nodes: 32,
-        k: 6,
-        keys: 16,
-        ops: 600,
-        seed: args.seed,
-        ..FreshSimConfig::default()
-    };
-    let fresh_ttl = simulate_freshness(&fresh_base);
-    let fresh_gossip = simulate_freshness(&FreshSimConfig {
-        freshness: Some(FreshSimConfig::ablation_freshness()),
-        ..fresh_base.clone()
-    });
-    // The push-enabled arm (gossip + warm routing + write-triggered
-    // invalidation push) — the A8 arm whose staleness/message budget the
-    // trend gate watches.
-    let fresh_push = simulate_freshness(&FreshSimConfig {
-        freshness: Some({
-            let mut f = FreshSimConfig::ablation_freshness_push();
-            f.cache_aware_routing = true;
-            f
-        }),
-        ..fresh_base.clone()
-    });
-
-    // ----- latency-aware lookups (A9 smoke scale) ---------------------
-    let latency_base = LatencySimConfig {
-        nodes: 32,
-        keys: 16,
-        warmup_ops: 240,
-        ops: 400,
-        seed: args.seed,
-        ..LatencySimConfig::default()
-    };
-    let lat_blind = simulate_latency(&latency_base);
-    let lat_full = simulate_latency(&LatencySimConfig {
-        latency: Some(LatencyConfig::default()),
-        ..latency_base.clone()
-    });
-
-    // ----- engine throughput (serial vs sharded, bench scale) ---------
-    // Event counts are deterministic per discipline; events/sec, speedup
-    // and RSS are wall-clock measurements — informational in the artifact
-    // and explicitly exempt from the `--compare` gate.
-    let mut engine_cfg = scale_bench(args.seed);
-    engine_cfg.shards = 1;
-    let engine_serial = measure_engine_run(&engine_cfg);
-    engine_cfg.shards = 4;
-    let engine_sharded = measure_engine_run(&engine_cfg);
-    let speedup = engine_sharded.events_per_sec / engine_serial.events_per_sec.max(1e-9);
-
-    // ----- real-socket transport (bench_udp smoke scale) ---------------
-    // The swarm runs its participants on threads here — bench_ci has no
-    // child-process re-exec hook, and CI wants one process to watch. The
-    // multi-process variant is exercised by the dedicated bench-udp job.
-    let udp_micro = transport_microbench(20_000).expect("udp microbench");
-    let udp_swarm = run_swarm_threaded(&UdpBenchConfig::smoke(args.seed)).expect("udp swarm");
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"dharma-bench-ci/5\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"cache\": {{\n",
-            "    \"hit_ratio\": {hit:.6},\n",
-            "    \"max_load_ratio\": {mlr:.4},\n",
-            "    \"messages_per_get\": {mpg:.4}\n",
-            "  }},\n",
-            "  \"maintenance\": {{\n",
-            "    \"lookup_success\": {ok:.6},\n",
-            "    \"lost_records\": {lost},\n",
-            "    \"maint_msgs_per_get\": {maint:.4}\n",
-            "  }},\n",
-            "  \"freshness\": {{\n",
-            "    \"ttl_only_hit_ratio\": {fth:.6},\n",
-            "    \"gossip_hit_ratio\": {fgh:.6},\n",
-            "    \"ttl_only_p99_staleness_us\": {ftp},\n",
-            "    \"gossip_p99_staleness_us\": {fgp},\n",
-            "    \"ttl_only_hops_per_get\": {fthop:.4},\n",
-            "    \"gossip_hops_per_get\": {fghop:.4},\n",
-            "    \"push_hit_ratio\": {fph:.6},\n",
-            "    \"push_p99_staleness_us\": {fpp},\n",
-            "    \"push_msgs_per_get\": {fpm:.4}\n",
-            "  }},\n",
-            "  \"latency\": {{\n",
-            "    \"baseline_p50_us\": {lbp50},\n",
-            "    \"baseline_p95_us\": {lbp95},\n",
-            "    \"baseline_messages_per_get\": {lbmpg:.4},\n",
-            "    \"aware_p50_us\": {lap50},\n",
-            "    \"aware_p95_us\": {lap95},\n",
-            "    \"aware_messages_per_get\": {lampg:.4},\n",
-            "    \"aware_lookup_success\": {lasucc:.6}\n",
-            "  }},\n",
-            "  \"engine\": {{\n",
-            "    \"serial_events\": {sev},\n",
-            "    \"sharded_events\": {shev},\n",
-            "    \"serial_events_per_sec\": {seps:.1},\n",
-            "    \"sharded_events_per_sec\": {sheps:.1},\n",
-            "    \"speedup\": {spd:.2},\n",
-            "    \"peak_rss_bytes\": {rss}\n",
-            "  }},\n",
-            "  \"udp\": {{\n",
-            "    \"dgrams_per_sec_core\": {udps:.1},\n",
-            "    \"batching_speedup\": {ubsp:.3},\n",
-            "    \"syscall_cost_ns\": {usys:.1},\n",
-            "    \"lookup_success\": {usucc:.6},\n",
-            "    \"swarm_nodes\": {unodes},\n",
-            "    \"p50_wall_us\": {up50:.1},\n",
-            "    \"p99_wall_us\": {up99:.1}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        seed = args.seed,
-        hit = cache_on.hit_ratio,
-        mlr = max_load_ratio,
-        mpg = cache_on.messages_per_get,
-        ok = churn.lookup_success,
-        lost = churn.lost_records,
-        maint = churn.maint_msgs_per_get,
-        fth = fresh_ttl.hit_ratio,
-        fgh = fresh_gossip.hit_ratio,
-        ftp = fresh_ttl.p99_staleness_us,
-        fgp = fresh_gossip.p99_staleness_us,
-        fthop = fresh_ttl.mean_hops_per_get,
-        fghop = fresh_gossip.mean_hops_per_get,
-        fph = fresh_push.hit_ratio,
-        fpp = fresh_push.p99_staleness_us,
-        fpm = fresh_push.messages_per_get,
-        lbp50 = lat_blind.p50_us,
-        lbp95 = lat_blind.p95_us,
-        lbmpg = lat_blind.messages_per_get,
-        lap50 = lat_full.p50_us,
-        lap95 = lat_full.p95_us,
-        lampg = lat_full.messages_per_get,
-        lasucc = lat_full.success_ratio,
-        sev = engine_serial.events,
-        shev = engine_sharded.events,
-        seps = engine_serial.events_per_sec,
-        sheps = engine_sharded.events_per_sec,
-        spd = speedup,
-        rss = engine_sharded.peak_rss_bytes,
-        udps = udp_micro.batched_dgrams_per_sec,
-        ubsp = udp_micro.speedup,
-        usys = udp_micro.syscall_cost_ns,
-        usucc = udp_swarm.lookup_success,
-        unodes = udp_swarm.nodes,
-        up50 = udp_swarm.p50_wall_us,
-        up99 = udp_swarm.p99_wall_us,
-    );
-
+    let json = bench_compare::artifact(args.seed);
     std::fs::create_dir_all(&args.out).expect("output dir");
     let path = std::path::Path::new(&args.out).join("BENCH_ci.json");
     std::fs::write(&path, &json).expect("write BENCH_ci.json");

@@ -27,6 +27,7 @@ use dharma_types::{sha1, Id160};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::output::percentile;
 use crate::overlay::{build_overlay, OverlayConfig};
 
 /// Freshness-workload parameters.
@@ -349,16 +350,12 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
     let cache_misses = counters.cache_misses() - misses_before;
     assert_eq!(cache_hits + cache_misses, gets, "every GET is accounted");
     staleness.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        let idx = ((staleness.len() as f64 * p).ceil() as usize).saturating_sub(1);
-        staleness[idx.min(staleness.len() - 1)]
-    };
     FreshSimReport {
         gets,
         writes,
         cache_hits,
         hit_ratio: cache_hits as f64 / gets as f64,
-        p99_staleness_us: pct(0.99),
+        p99_staleness_us: percentile(&staleness, 0.99),
         max_staleness_us: *staleness.last().expect("ops >= 1"),
         mean_hops_per_get: lookup_msgs as f64 / gets as f64,
         messages_per_get: (counters.sent() - sent_before) as f64 / gets as f64,

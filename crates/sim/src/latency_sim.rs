@@ -24,6 +24,7 @@ use dharma_types::{sha1, Id160};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::output::percentile;
 use crate::overlay::{build_overlay, OverlayConfig};
 
 /// Latency-workload parameters.
@@ -255,10 +256,6 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
     }
 
     times.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        let idx = ((times.len() as f64 * p).ceil() as usize).saturating_sub(1);
-        times[idx.min(times.len() - 1)]
-    };
     let gets = cfg.ops as u64;
     let alpha_sum: usize = (0..cfg.nodes as u32)
         .map(|a| net.node(a).current_alpha())
@@ -267,8 +264,8 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
         gets,
         successes,
         success_ratio: successes as f64 / gets as f64,
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
+        p50_us: percentile(&times, 0.50),
+        p95_us: percentile(&times, 0.95),
         max_us: *times.last().expect("ops >= 1"),
         mean_us: times.iter().sum::<u64>() as f64 / gets as f64,
         messages_per_get: (counters.sent() - sent_before) as f64 / gets as f64,

@@ -51,9 +51,7 @@ pub use latency_sim::{simulate_latency, LatencySimConfig, LatencySimReport};
 pub use parallel_replay::replay_parallel;
 pub use pipeline::ExpContext;
 pub use replay::{replay, EventOrder, ReplayConfig};
-pub use scale::{
-    measure_engine_run, peak_rss_bytes, scale_bench, scale_full, scale_smoke, EngineRun,
-};
+pub use scale::{measure_engine_run, peak_rss_bytes, scale_full, scale_smoke, EngineRun};
 pub use search_sim::{simulate_searches, SearchSimConfig, SearchSimReport, StrategyStats};
 pub use trend::{run_trend, TrendConfig, TrendReport};
 pub use udp_bench::{

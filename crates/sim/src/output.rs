@@ -111,6 +111,16 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// Nearest-rank percentile over an ascending-sorted slice (0 when empty):
+/// the element at index `ceil(n·p) − 1`.
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64 * p).ceil() as usize).saturating_sub(1);
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Down-samples a scatter series to at most `max_points`, keeping extremes —
 /// the figures plot hundreds of thousands of points, which is pointless in
 /// CSV; systematic sampling preserves the visual shape.
@@ -174,6 +184,20 @@ mod tests {
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,2\n3,4\n");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_at_the_edges() {
+        assert_eq!(percentile(&[], 0.99), 0);
+        assert_eq!(percentile(&[7], 0.0), 7);
+        assert_eq!(percentile(&[7], 0.5), 7);
+        assert_eq!(percentile(&[7], 1.0), 7);
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 0.0), 1);
+        assert_eq!(percentile(&hundred, 0.50), 50);
+        assert_eq!(percentile(&hundred, 0.99), 99);
+        assert_eq!(percentile(&hundred, 1.0), 100);
+        assert_eq!(percentile(&[10, 20, 30], 0.34), 20, "ceil(1.02) - 1 = 1");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! and is genuinely order-dependent, so it is rejected here (the sequential
 //! engine handles it).
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 
 use dharma_folksonomy::{ApproxPolicy, BPolicy, Fg, ResId, TagId, Trg};
 use dharma_par::ThreadPool;
@@ -49,7 +49,7 @@ pub fn replay_parallel(reference: &Trg, policy: ApproxPolicy, seed: u64, pool: &
     let num_tags = reference.num_tags();
     let num_res = reference.num_resources();
 
-    // One shard (tiny parking_lot mutex + map) per source tag.
+    // One shard (mutex + map) per source tag.
     let shards: Vec<Mutex<FxHashMap<TagId, u64>>> = (0..num_tags)
         .map(|_| Mutex::new(FxHashMap::default()))
         .collect();
@@ -97,7 +97,7 @@ pub fn replay_parallel(reference: &Trg, policy: ApproxPolicy, seed: u64, pool: &
 
             // Forward arcs (t, τ) — all attached neighbors, one shard lock.
             if newly_attached {
-                let mut out = shards[t.idx()].lock();
+                let mut out = shards[t.idx()].lock().expect("shard lock");
                 for &(tau, _, _, cur) in &playlist {
                     if tau == t || cur == 0 {
                         continue;
@@ -126,7 +126,11 @@ pub fn replay_parallel(reference: &Trg, policy: ApproxPolicy, seed: u64, pool: &
                 }
             }
             for tau in attached {
-                *shards[tau.idx()].lock().entry(t).or_insert(0) += 1;
+                *shards[tau.idx()]
+                    .lock()
+                    .expect("shard lock")
+                    .entry(t)
+                    .or_insert(0) += 1;
             }
         }
     });
@@ -134,7 +138,7 @@ pub fn replay_parallel(reference: &Trg, policy: ApproxPolicy, seed: u64, pool: &
     // Assemble the Fg from the shards.
     let mut fg = Fg::with_capacity(num_tags);
     for (t1, shard) in shards.into_iter().enumerate() {
-        let map = shard.into_inner();
+        let map = shard.into_inner().expect("shard lock");
         for (t2, w) in map {
             fg.add_sim(TagId(t1 as u32), t2, w);
         }

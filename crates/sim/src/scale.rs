@@ -105,12 +105,6 @@ pub fn scale_smoke(seed: u64) -> ChurnConfig {
     scenario(1_000, 400, 30_000_000, 1_000, seed)
 }
 
-/// The bench-artifact scenario: small enough for the CI bench job, big
-/// enough that events/sec means something (256 nodes, 60k GETs).
-pub fn scale_bench(seed: u64) -> ChurnConfig {
-    scenario(256, 128, 60_000_000, 1_000, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,14 +46,7 @@ use dharma_types::{sha1, DharmaError, Id160, Result};
 
 use dharma_dataset::Zipf;
 
-/// Nearest-rank percentile over an ascending-sorted slice (0 when empty).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).saturating_sub(1);
-    sorted[idx.min(sorted.len() - 1)]
-}
+use crate::output::percentile;
 
 /// Swarm/microbench sizing knobs.
 #[derive(Clone, Debug)]

@@ -4,50 +4,48 @@
 //! The four sim sections (cache / maintenance / freshness / latency) are
 //! pure functions of the seed — the engine trace behind them is
 //! bit-reproducible, so their values must not move unless a protocol
-//! change *intends* to move them. This test replicates `bench_ci`'s exact
-//! section configs and formats the metrics with the same format strings,
-//! so any drift — a hash-order leak, an RNG draw reordering, an
-//! accidental config change — fails CI with a readable before/after
-//! instead of silently shifting the benchmark artifact. (The engine and
-//! udp sections are wall-clock and are deliberately not pinned.)
+//! change *intends* to move them. This test renders the artifact with the
+//! function `bench_ci` itself prints (`bench_compare::artifact`) and pins
+//! the value text of its fields, so any drift — a hash-order leak, an RNG
+//! draw reordering, an accidental config change — fails CI with a
+//! readable before/after instead of silently shifting the benchmark
+//! artifact.
 //!
 //! If a change legitimately moves these numbers, rerun
 //! `cargo run --release -p dharma-sim --bin bench_ci`, copy the new
 //! values here, and say why in the commit message.
 
-use dharma_kademlia::LatencyConfig;
-use dharma_sim::{
-    simulate_cache_workload, simulate_churn, simulate_freshness, simulate_latency, CacheSimConfig,
-    ChurnConfig, FreshSimConfig, LatencySimConfig,
-};
+use std::sync::OnceLock;
+
+use dharma_sim::bench_compare;
 
 const SEED: u64 = 42;
 
+/// The value text of `section.key`, exactly as the artifact prints it.
+fn field(section: &str, key: &str) -> &'static str {
+    static ARTIFACT: OnceLock<String> = OnceLock::new();
+    let json = ARTIFACT.get_or_init(|| bench_compare::artifact(SEED));
+    let body = json
+        .split_once(&format!("  \"{section}\": {{\n"))
+        .unwrap_or_else(|| panic!("no section {section}"))
+        .1;
+    let body = &body[..body.find('}').expect("section closes")];
+    body.split_once(&format!("    \"{key}\": "))
+        .unwrap_or_else(|| panic!("no field {section}.{key}"))
+        .1
+        .split([',', '\n'])
+        .next()
+        .expect("split yields a first piece")
+}
+
 #[test]
 fn cache_section_is_pinned() {
-    let base = CacheSimConfig {
-        nodes: 32,
-        k: 6,
-        keys: 16,
-        ops: 600,
-        zipf_s: 1.2,
-        seed: SEED,
-        ..CacheSimConfig::default()
-    };
-    let off = simulate_cache_workload(&base);
-    let on = simulate_cache_workload(&CacheSimConfig {
-        cache: Some(CacheSimConfig::ablation_cache()),
-        replication: Some(CacheSimConfig::ablation_replication()),
-        ..base
-    });
-    let max_load_ratio = if on.max_get_load == 0 {
-        0.0
-    } else {
-        off.max_get_load as f64 / on.max_get_load as f64
-    };
+    let f = |key| field("cache", key);
     let got = format!(
-        "hit_ratio={:.6} max_load_ratio={:.4} messages_per_get={:.4}",
-        on.hit_ratio, max_load_ratio, on.messages_per_get
+        "hit_ratio={} max_load_ratio={} messages_per_get={}",
+        f("hit_ratio"),
+        f("max_load_ratio"),
+        f("messages_per_get")
     );
     assert_eq!(
         got,
@@ -57,22 +55,12 @@ fn cache_section_is_pinned() {
 
 #[test]
 fn maintenance_section_is_pinned() {
-    let churn = simulate_churn(&ChurnConfig {
-        nodes: 24,
-        k: 8,
-        keys: 12,
-        horizon_us: 60_000_000,
-        op_interval_us: 500_000,
-        mean_session_us: 20_000_000,
-        mean_downtime_us: 5_000_000,
-        sample_interval_us: 3_000_000,
-        repair: Some(ChurnConfig::ablation_adaptive()),
-        seed: SEED,
-        ..ChurnConfig::default()
-    });
+    let f = |key| field("maintenance", key);
     let got = format!(
-        "lookup_success={:.6} lost_records={} maint_msgs_per_get={:.4}",
-        churn.lookup_success, churn.lost_records, churn.maint_msgs_per_get
+        "lookup_success={} lost_records={} maint_msgs_per_get={}",
+        f("lookup_success"),
+        f("lost_records"),
+        f("maint_msgs_per_get")
     );
     assert_eq!(
         got,
@@ -82,28 +70,16 @@ fn maintenance_section_is_pinned() {
 
 #[test]
 fn freshness_section_is_pinned() {
-    let base = FreshSimConfig {
-        nodes: 32,
-        k: 6,
-        keys: 16,
-        ops: 600,
-        seed: SEED,
-        ..FreshSimConfig::default()
-    };
-    let ttl = simulate_freshness(&base);
-    let gossip = simulate_freshness(&FreshSimConfig {
-        freshness: Some(FreshSimConfig::ablation_freshness()),
-        ..base
-    });
+    let f = |key| field("freshness", key);
     let got = format!(
-        "ttl_hit={:.6} gossip_hit={:.6} ttl_p99_staleness_us={} gossip_p99_staleness_us={} \
-         ttl_hops={:.4} gossip_hops={:.4}",
-        ttl.hit_ratio,
-        gossip.hit_ratio,
-        ttl.p99_staleness_us,
-        gossip.p99_staleness_us,
-        ttl.mean_hops_per_get,
-        gossip.mean_hops_per_get
+        "ttl_hit={} gossip_hit={} ttl_p99_staleness_us={} gossip_p99_staleness_us={} \
+         ttl_hops={} gossip_hops={}",
+        f("ttl_only_hit_ratio"),
+        f("gossip_hit_ratio"),
+        f("ttl_only_p99_staleness_us"),
+        f("gossip_p99_staleness_us"),
+        f("ttl_only_hops_per_get"),
+        f("gossip_hops_per_get")
     );
     assert_eq!(
         got,
@@ -114,29 +90,17 @@ fn freshness_section_is_pinned() {
 
 #[test]
 fn latency_section_is_pinned() {
-    let base = LatencySimConfig {
-        nodes: 32,
-        keys: 16,
-        warmup_ops: 240,
-        ops: 400,
-        seed: SEED,
-        ..LatencySimConfig::default()
-    };
-    let blind = simulate_latency(&base);
-    let full = simulate_latency(&LatencySimConfig {
-        latency: Some(LatencyConfig::default()),
-        ..base
-    });
+    let f = |key| field("latency", key);
     let got = format!(
-        "blind_p50={} blind_p95={} blind_mpg={:.4} aware_p50={} aware_p95={} aware_mpg={:.4} \
-         aware_success={:.6}",
-        blind.p50_us,
-        blind.p95_us,
-        blind.messages_per_get,
-        full.p50_us,
-        full.p95_us,
-        full.messages_per_get,
-        full.success_ratio
+        "blind_p50={} blind_p95={} blind_mpg={} aware_p50={} aware_p95={} aware_mpg={} \
+         aware_success={}",
+        f("baseline_p50_us"),
+        f("baseline_p95_us"),
+        f("baseline_messages_per_get"),
+        f("aware_p50_us"),
+        f("aware_p95_us"),
+        f("aware_messages_per_get"),
+        f("aware_lookup_success")
     );
     assert_eq!(
         got,

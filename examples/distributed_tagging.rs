@@ -5,7 +5,7 @@
 //! tagging costs on the same workload.
 //!
 //! ```sh
-//! cargo run -p dharma-apps --release --example distributed_tagging
+//! cargo run -p dharma-integration --release --example distributed_tagging
 //! ```
 
 use dharma_core::{ApproxPolicy, DharmaClient, DharmaConfig};

@@ -2,11 +2,11 @@
 //! the "TagExplorer"-style navigation of §III-C, at the model level.
 //!
 //! ```sh
-//! cargo run -p dharma-apps --release --example faceted_search_cli
+//! cargo run -p dharma-integration --release --example faceted_search_cli
 //! # or non-interactively:
 //! echo "1
 //! 2
-//! q" | cargo run -p dharma-apps --release --example faceted_search_cli
+//! q" | cargo run -p dharma-integration --release --example faceted_search_cli
 //! ```
 //!
 //! At each step the top candidates are shown ranked by similarity to the

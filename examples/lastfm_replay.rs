@@ -4,7 +4,7 @@
 //! III-style quality metrics plus a search-convergence comparison.
 //!
 //! ```sh
-//! cargo run -p dharma-apps --release --example lastfm_replay
+//! cargo run -p dharma-integration --release --example lastfm_replay
 //! ```
 
 use dharma_dataset::{GeneratorConfig, Scale};

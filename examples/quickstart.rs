@@ -3,7 +3,7 @@
 //! lines of user code.
 //!
 //! ```sh
-//! cargo run -p dharma-apps --release --example quickstart
+//! cargo run -p dharma-integration --release --example quickstart
 //! ```
 
 use dharma_core::{ApproxPolicy, DharmaClient, DharmaConfig, DhtFacetedSearch};

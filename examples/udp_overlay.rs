@@ -4,7 +4,7 @@
 //! with appends from two different nodes, and read it back filtered.
 //!
 //! ```sh
-//! cargo run -p dharma-apps --release --example udp_overlay
+//! cargo run -p dharma-integration --release --example udp_overlay
 //! ```
 
 use std::time::Duration;

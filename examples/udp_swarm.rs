@@ -11,9 +11,9 @@
 //! report wall-clock lookup latencies back over the rendezvous.
 //!
 //! ```sh
-//! cargo run -p dharma-apps --release --example udp_swarm
+//! cargo run -p dharma-integration --release --example udp_swarm
 //! # larger: 4 processes x 8 nodes, 2000 GETs/process
-//! cargo run -p dharma-apps --release --example udp_swarm -- --full
+//! cargo run -p dharma-integration --release --example udp_swarm -- --full
 //! ```
 
 use dharma_net::sys::SyscallMode;
