@@ -83,8 +83,10 @@ pub struct MaintConfig {
     /// an incoming `Replicate`, so only one holder pays per round).
     /// Ignored when [`MaintConfig::adaptive`] is set.
     pub repair_interval_us: u64,
-    /// Join-time key handoff: push held records to a newly-learned contact
-    /// that is now among the `k` closest for them.
+    /// Join-time key handoff: when a node announces its join — a
+    /// `FIND_NODE` for its own id that enters it into a bucket — push it the
+    /// held records it is now among the `k` closest for. A contact merely
+    /// seen for the first time, or seen again after an eviction, gets none.
     pub join_handoff: bool,
     /// Demotion-sweep cadence, µs (`None` = off): reclaim beyond-`k`
     /// replicas whose popularity has decayed (the adaptive-replication
@@ -166,7 +168,8 @@ impl MaintConfigBuilder {
         repair_interval_us: u64
     );
     maint_setter!(
-        /// See [`MaintConfig::join_handoff`].
+        /// Hand held records to a joiner on its self-lookup; see
+        /// [`MaintConfig::join_handoff`].
         join_handoff: bool
     );
     maint_setter!(

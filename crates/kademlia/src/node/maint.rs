@@ -4,9 +4,13 @@
 //! * a **liveness probe** sweep walks the buckets round-robin and pings the
 //!   least-recently-seen contact; a failed probe evicts it and promotes the
 //!   freshest replacement-cache entry;
-//! * **join-time key handoff** — when a *new* contact enters a bucket, the
-//!   node pushes it a [`Message::Replicate`] snapshot of every held key the
-//!   newcomer is now among the `k` closest for (the Kademlia §2.5 rule);
+//! * **join-time key handoff** — a node joins by looking up its own id, so
+//!   a `FIND_NODE` for the sender's own id, from a sender that message
+//!   entered into a bucket, announces a join: after replying, the node
+//!   pushes the joiner a [`Message::Replicate`] snapshot of every held key
+//!   it is now among the `k` closest for (the Kademlia §2.5 rule). A mere
+//!   first sighting — a contact learned late, or one evicted on a lost
+//!   probe and re-entered by its next message — is not a join;
 //! * a **repair sweep** re-pushes every held key to its current `k` closest
 //!   nodes, restoring replicas lost to departures. An incoming `Replicate`
 //!   for a key suppresses the local re-push for one interval, so a healthy
@@ -279,11 +283,19 @@ impl KademliaNode {
         }
     }
 
-    /// Join-time key handoff: `newcomer` just entered a bucket for the
-    /// first time; push it every held key it is now among the `k` closest
-    /// for (Kademlia §2.5 — keeps the replica set correct as the
-    /// population shifts, without waiting for a repair sweep).
-    pub(super) fn handoff_to(&mut self, ctx: &mut Ctx<KadOutput>, newcomer: Contact) {
+    /// Join-time key handoff: `newcomer` just entered a bucket with a
+    /// lookup of its own id — the join announcement; push it every held key
+    /// it is now among the `k` closest for (Kademlia §2.5 — keeps the
+    /// replica set correct as the population shifts, without waiting for a
+    /// repair sweep). Nothing else triggers it: a re-entering or
+    /// late-learned contact joined long ago, and a node that returns
+    /// without announcing itself is caught up by the repair sweep within
+    /// one interval, exactly as a write lost on the wire is.
+    pub(super) fn handoff_to(&mut self, ctx: &mut Ctx<KadOutput>, newcomer: &Contact) {
+        let on = |m: &MaintConfig| m.join_handoff;
+        if !self.cfg.maintenance.as_ref().is_some_and(on) || self.storage.is_empty() {
+            return;
+        }
         let now = ctx.now_us;
         let keys: Vec<Id160> = self
             .storage
@@ -300,7 +312,7 @@ impl KademliaNode {
                 continue;
             }
             if let Some((snapshot, stamp)) = self.snapshot(&key) {
-                self.send_write(ctx, &newcomer, Some(REPAIR_OP), key, snapshot, stamp);
+                self.send_write(ctx, newcomer, Some(REPAIR_OP), key, snapshot, stamp);
                 handed += 1;
             }
         }

@@ -136,6 +136,163 @@ fn join_handoff_transfers_keys_to_newcomer() {
     );
 }
 
+/// A node holding `keys` blocks that knows `peers` contacts, hand-off on.
+fn stocked_node(k: usize, keys: u8, peers: u8) -> (KademliaNode, Vec<Id160>) {
+    let cfg = KadConfig {
+        k,
+        maintenance: Some(MaintConfig::default()),
+        ..KadConfig::default()
+    };
+    let mut node = KademliaNode::new(sha1(b"stocked"), 0, cfg);
+    let held: Vec<Id160> = (0..keys).map(|i| sha1(&[b'k', i])).collect();
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    for key in &held {
+        // Empty routing table: the write applies locally and completes.
+        node.append(&mut ctx, *key, "x", 1);
+    }
+    for p in 1..=peers {
+        node.add_seed(contact(p));
+    }
+    (node, held)
+}
+
+/// What `node` sends in answer to one datagram, decoded.
+fn answers(node: &mut KademliaNode, from: &Contact, msg: Message) -> Vec<Message> {
+    let mut ctx: Ctx<KadOutput> = Ctx::new(1_000, 0, 2);
+    node.on_message(&mut ctx, from.addr, msg.encode_to_bytes());
+    let (sends, _, _) = ctx.into_effects();
+    let decode = |m: &dharma_net::OutMessage| Message::decode_exact(&m.payload).expect("own wire");
+    sends.iter().map(decode).collect()
+}
+
+fn find_node(from: &Contact, target: Id160) -> Message {
+    let from = from.clone();
+    Message::FindNode {
+        rpc: 7,
+        from,
+        target,
+    }
+}
+
+#[test]
+fn a_self_lookup_is_answered_before_its_keys_are_handed_over() {
+    let (mut node, held) = stocked_node(2, 24, 6);
+    let joiner = contact(42);
+    let sent = answers(&mut node, &joiner, find_node(&joiner, joiner.id));
+    assert!(
+        matches!(sent[0], Message::FoundNodes { rpc: 7, .. }),
+        "the join lookup's reply must not queue behind the transfer: {:?}",
+        sent[0]
+    );
+    let mut handed: Vec<Id160> = Vec::new();
+    for m in &sent[1..] {
+        match m {
+            Message::Replicate { key, .. } => handed.push(*key),
+            other => panic!("only snapshots follow the reply: {other:?}"),
+        }
+    }
+    // Exactly the keys the joiner now ranks within `k` for, each once.
+    let ranks = |key: &Id160| node.routing().closest(key, 2).contains(&joiner);
+    let mut expect: Vec<Id160> = held.iter().copied().filter(ranks).collect();
+    handed.sort_unstable();
+    expect.sort_unstable();
+    assert_eq!(handed, expect);
+    assert!(!expect.is_empty() && expect.len() < held.len());
+}
+
+#[test]
+fn a_first_message_that_is_not_a_self_lookup_hands_nothing_off() {
+    // k = 8 and a handful of contacts: each ranks within k for every held
+    // key, so a hand-off, if triggered, would be visible.
+    let (mut node, held) = stocked_node(8, 5, 0);
+    let first_messages: [fn(&Contact) -> Message; 3] = [
+        |from: &Contact| Message::Ping {
+            rpc: 7,
+            from: from.clone(),
+        },
+        |from: &Contact| Message::FindValue {
+            rpc: 7,
+            from: from.clone(),
+            key: sha1(b"a key nobody holds"),
+            top_n: 5,
+            no_cache: false,
+        },
+        |from: &Contact| find_node(from, sha1(b"somebody else")),
+    ];
+    for (i, first) in first_messages.iter().enumerate() {
+        let stranger = contact(10 + i as u8);
+        let sent = answers(&mut node, &stranger, first(&stranger));
+        assert!(node.routing().contains(&stranger.id), "message {i} enters");
+        assert_eq!(sent.len(), 1, "message {i}: the reply and nothing else");
+        assert!(!matches!(sent[0], Message::Replicate { .. }));
+    }
+    // A self-lookup that enters its sender is a join...
+    let joiner = contact(20);
+    let sent = answers(&mut node, &joiner, find_node(&joiner, joiner.id));
+    assert_eq!(sent.len(), 1 + held.len(), "reply + every held key");
+    // ...a known contact repeating it (`Refreshed`) is not, and neither is
+    // one of the strangers above looking itself up later,
+    for known in [joiner, contact(10)] {
+        let sent = answers(&mut node, &known, find_node(&known, known.id));
+        assert_eq!(sent.len(), 1, "no second hand-off to {known:?}");
+    }
+    // nor a newcomer that merely looks up somebody else.
+    let other = contact(21);
+    let sent = answers(&mut node, &other, find_node(&other, sha1(b"somebody else")));
+    assert_eq!(sent.len(), 1);
+}
+
+#[test]
+fn a_static_overlay_hands_nothing_off() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let counters = NetCounters::new();
+    let cfg = KadConfig {
+        rpc_timeout_us: 300_000,
+        maintenance: Some(MaintConfig {
+            probe_interval_us: 100_000,
+            repair_interval_us: 3_000_000,
+            join_handoff: true,
+            demote_interval_us: None,
+            adaptive: None,
+        }),
+        counters: counters.clone(),
+        ..test_cfg(4)
+    };
+    let sim = dharma_net::SimConfig {
+        drop_rate: 0.05,
+        ..sim_cfg(75)
+    };
+    // Every node joins here — with nothing stored anywhere yet.
+    let (mut net, _contacts) = build_overlay(sim, 16, cfg);
+    let keys: Vec<Id160> = (0..12u8).map(|i| sha1(&[b'b', i])).collect();
+    for (i, key) in keys.iter().enumerate() {
+        net.with_node(i as u32 % 16, |n, ctx| n.append(ctx, *key, "seed", 1));
+        net.run_until(net.now_us() + 100_000);
+    }
+    // Nobody joins or leaves from here on: lost probes evict live contacts
+    // and their next message re-enters them, full buckets admit contacts
+    // late — first sightings all, joins none.
+    let mut rng = StdRng::seed_from_u64(75);
+    for i in 0..300u32 {
+        let key = keys[rng.gen_range(0..keys.len())];
+        net.with_node(i % 16, |n, ctx| match i % 4 {
+            0 => n.append(ctx, key, "tag", 1),
+            _ => n.get(ctx, key, 5),
+        });
+        net.run_until(net.now_us() + 50_000);
+    }
+    net.run_until(net.now_us() + 4_000_000);
+    assert!(
+        counters.probes_sent() > 100 && net.counters().dropped() > 100,
+        "probes must run and datagrams must be lost for contacts to re-enter"
+    );
+    assert_eq!(counters.handoffs(), 0, "nobody joined");
+    for key in &keys {
+        let held = holders(&net, key).len();
+        assert!(held >= 4, "block {key:?} is down to {held} holders");
+    }
+}
+
 #[test]
 fn repair_sweep_restores_replicas_after_departures() {
     let maint = MaintConfig {

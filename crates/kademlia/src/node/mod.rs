@@ -35,9 +35,10 @@
 //!   serve and to pin a cached view. Handles `FindValue`, `CachePush`;
 //! * `fresh` — version gossip, revalidation, invalidation push
 //!   ([`KadConfig::freshness`]). Handles `InvalidatePush`;
-//! * `maint` — liveness probes, join handoff, repair and demotion sweeps,
-//!   churn-adaptive cadence, graceful leave ([`KadConfig::maintenance`]).
-//!   Handles `Leave`;
+//! * `maint` — liveness probes, key handoff to a joiner (a join is
+//!   announced by the joiner's lookup of its own id), repair and demotion
+//!   sweeps, churn-adaptive cadence, graceful leave
+//!   ([`KadConfig::maintenance`]). Handles `Leave`;
 //! * `latency` — the RTT book, adaptive timeouts and α, proximity
 //!   neighbor selection ([`KadConfig::latency`]).
 //!
@@ -255,25 +256,14 @@ impl KademliaNode {
         self.gets_served
     }
 
-    /// Every message is evidence of liveness — and a *first* appearance of
-    /// a contact in a bucket is the join-handoff trigger: the newcomer may
-    /// now rank among the k closest for keys we hold. Exception: a peer
-    /// that just announced its departure is tombstoned; its own
+    /// Every message is evidence of liveness: notes the sender and reports
+    /// whether it entered a bucket with this very message. Exception: a
+    /// peer that just announced its departure is tombstoned; its own
     /// out-of-order stragglers (a parting `Replicate` delivered after the
     /// `Leave`) must not re-insert it.
-    fn note_sender(&mut self, ctx: &mut Ctx<KadOutput>, sender: &Contact) {
-        if self.maint.recently_departed(&sender.id, ctx.now_us) {
-            return;
-        }
-        let outcome = self.note_contact_latency_aware(sender.clone());
-        let handoff = self
-            .cfg
-            .maintenance
-            .as_ref()
-            .is_some_and(|m| m.join_handoff);
-        if outcome == NoteOutcome::Inserted && handoff && !self.storage.is_empty() {
-            self.handoff_to(ctx, sender.clone());
-        }
+    fn note_sender(&mut self, now_us: u64, sender: &Contact) -> bool {
+        !self.maint.recently_departed(&sender.id, now_us)
+            && self.note_contact_latency_aware(sender.clone()) == NoteOutcome::Inserted
     }
 }
 
@@ -318,12 +308,19 @@ impl Node for KademliaNode {
         if let Message::Leave { from, .. } = &msg {
             return self.handle_leave(ctx.now_us, from);
         }
-        self.note_sender(ctx, msg.sender());
+        let entered = self.note_sender(ctx.now_us, msg.sender());
         match msg {
             Message::Ping { rpc, from } => self.on_ping(ctx, rpc, &from),
             Message::Pong { rpc, from, digest } => self.on_pong(ctx, rpc, &from, &digest),
             Message::FindNode { rpc, from, target } => {
-                self.reply_found_nodes(ctx, from.addr, rpc, &target)
+                self.reply_found_nodes(ctx, from.addr, rpc, &target);
+                // A node joins by looking up its own id: that lookup, from
+                // a sender this message entered, announces the join. The
+                // reply goes first — the join must not queue behind the
+                // transfer it triggers.
+                if entered && target == from.id {
+                    self.handoff_to(ctx, &from);
+                }
             }
             Message::FindValue {
                 rpc,

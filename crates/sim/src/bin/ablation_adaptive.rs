@@ -18,7 +18,11 @@
 //! * **all-graceful departures** — 0 records lost, with repair
 //!   re-replication traffic well below the crash-only run (the parting
 //!   handoff pre-heals the replica set, and low-weighted `Leave` notices
-//!   keep the estimated churn — and with it the repair cadence — down).
+//!   keep the estimated churn — and with it the repair cadence — down);
+//! * **a static overlay hands nothing off** — any row without a departure
+//!   (so without a join; both near-zero rows of `--smoke`) reports 0 join
+//!   hand-offs: a contact seen for the first time, or seen again after a
+//!   lost probe evicted it, is not a join.
 //!
 //! `--smoke` shrinks everything to a small overlay and short horizon (the
 //! CI job), with a correspondingly relaxed success bar.
@@ -219,6 +223,22 @@ fn main() {
     }
     if all_graceful.graceful_departures != all_graceful.departures {
         failures.push("all-graceful run had crash-style departures".to_string());
+    }
+    let reports = [
+        ("near-zero/fixed", &quiet_fixed),
+        ("near-zero/adaptive", &quiet_adaptive),
+        ("moderate/fixed", &moderate_fixed),
+        ("moderate/adaptive", &moderate_adaptive),
+        ("moderate/graceful", &all_graceful),
+    ];
+    for (row, rep) in reports {
+        // Nobody left, so nobody joined: only a join hands keys over.
+        if rep.departures == 0 && rep.handoffs != 0 {
+            failures.push(format!(
+                "{row}: {} join hand-offs in a run without a single join",
+                rep.handoffs
+            ));
+        }
     }
     if (all_graceful.rereplications as f64) > 0.7 * crash_only.rereplications as f64 {
         failures.push(format!(

@@ -64,7 +64,7 @@ fn maintenance_section_is_pinned() {
     );
     assert_eq!(
         got,
-        "lookup_success=1.000000 lost_records=0 maint_msgs_per_get=25.9167"
+        "lookup_success=1.000000 lost_records=0 maint_msgs_per_get=25.5000"
     );
 }
 

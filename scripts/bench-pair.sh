@@ -6,7 +6,12 @@
 #   --rounds N               alternating pairs per workload (default 4)
 #   --seconds S              measured seconds per run (default: run_seconds
 #                            of BENCHMARK.json)
-#   --datagrams-may-change   do not fail when fixed-work counts differ
+#   --seed N                 workload seed of the timed runs (default 42; a
+#                            claim must also hold at one unused so far)
+#   --datagrams-may-change W[,W...]
+#                            the named workloads' fixed-work counts may differ;
+#                            every other simulated workload is still held to
+#                            bit-identical counts
 #   --claim METRIC@WORKLOAD  also print the verdict on a claimed gain
 #
 # The parent is exported (`git archive`) under /root/scratch — or $TMPDIR,
@@ -23,28 +28,36 @@
 # workload runs `--ops 4000` at
 # seeds 7 and 1234 on both sides: a change that alters no datagram repeats
 # lookups_per_op / msgs_per_op / bytes_per_op bit for bit, and the script
-# exits 1 when they differ unless told that datagrams may change.
+# exits 1 when they differ — except on a workload the change says it moves
+# (--datagrams-may-change): there the counts print parent -> change, and one
+# `--trace 1 --ops 4000` run per side (seed 7) adds the traffic delta, every
+# per-message-type count and maintenance, timer, event, failure, staleness,
+# storage and RTT-sample row that differs — what a re-pin attaches as its
+# evidence. (Those two traced results stay in runs/traced-<side>-<workload>.json
+# for the wall-clock handler rows, which differ on every run.)
 #
 # Only the JSON object on the benchmark's last stdout line is read.
 set -euo pipefail
 
 rounds=4
 seconds=
-may_change=0
+seed=42
+may_change=
 claim=
 while [ $# -gt 0 ]; do
     case "$1" in
         --rounds) rounds=$2; shift 2 ;;
         --seconds) seconds=$2; shift 2 ;;
-        --datagrams-may-change) may_change=1; shift ;;
+        --seed) seed=$2; shift 2 ;;
+        --datagrams-may-change) may_change=$2; shift 2 ;;
         --claim) claim=$2; shift 2 ;;
-        -h|--help) sed -n '2,27p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,38p' "$0"; exit 0 ;;
         --*) echo "unknown option $1" >&2; exit 2 ;;
         *) break ;;
     esac
 done
 if [ $# -lt 1 ]; then
-    echo "usage: scripts/bench-pair.sh [--rounds N] [--seconds S] [--datagrams-may-change] [--claim METRIC@WORKLOAD] <parent-ref> [workload...]" >&2
+    echo "usage: scripts/bench-pair.sh [--rounds N] [--seconds S] [--seed N] [--datagrams-may-change W[,W...]] [--claim METRIC@WORKLOAD] <parent-ref> [workload...]" >&2
     exit 2
 fi
 parent_ref=$1; shift
@@ -84,9 +97,9 @@ build() { # <side> <source root>
 build parent "$work/parent-src"
 build change "$root"
 
-run() { # <side> <workload> <args...>: prints the JSON last line
-    local side=$1 workload=$2; shift 2
-    "$work/target-$side/release/dharma-bench" --workload "$workload" --trace 0 "$@" | tail -n 1
+run() { # <side> <workload> <trace 0|1> <args...>: prints the JSON last line
+    local side=$1 workload=$2 trace=$3; shift 3
+    "$work/target-$side/release/dharma-bench" --workload "$workload" --trace "$trace" "$@" | tail -n 1
 }
 
 metric() { # <metric> reads JSON lines on stdin, prints one value per line
@@ -115,10 +128,10 @@ for w in "${workloads[@]}"; do
         if [ $((r % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             echo "$w round $r/$rounds: $side" >&2
-            run "$side" "$w" --seed 42 --seconds "$seconds" >> "$work/runs/$side-$w.jsonl"
+            run "$side" "$w" 0 --seed "$seed" --seconds "$seconds" >> "$work/runs/$side-$w.jsonl"
         done
     done
-    echo "== $w: median [quartiles] of $rounds x ${seconds}s, parent ($parent_ref) -> change"
+    echo "== $w: median [quartiles] of $rounds x ${seconds}s at seed $seed, parent ($parent_ref) -> change"
     verdict=
     for side in parent change; do
         if grep -q '"correct": *false' "$work/runs/$side-$w.jsonl" ||
@@ -151,25 +164,43 @@ for w in "${workloads[@]}"; do
     case "$claim" in *"@$w") echo "== claim $claim: ${verdict:-no such end-to-end metric}" ;; esac
 done
 
+# The ledger rows that count datagrams and what they leave behind: exact per
+# seed, so a row that differs is the change and not the host.
+traffic_rows='^(kad\.node\.(msgs_per_op\..*|maint_msgs_per_op|timers_per_op)|net\.sim\.events_per_op|e2e\.(fail|stale_read)_share|kad\.storage\.keys_per_node_max|kad\.rtt\.samples_per_op)$'
+
 echo "== fixed work: --ops 4000, seeds 7 and 1234"
 for w in "${workloads[@]}"; do
     [ "$w" = udp_search ] && continue # real sockets: counts do not repeat
-    for seed in 7 1234; do
+    case ",$may_change," in *",$w,"*) waived=1 ;; *) waived=0 ;; esac
+    for fs in 7 1234; do
         for side in parent change; do
-            run "$side" "$w" --seed "$seed" --ops 4000 > "$work/runs/fixed-$side-$w-$seed.json"
+            run "$side" "$w" 0 --seed "$fs" --ops 4000 > "$work/runs/fixed-$side-$w-$fs.json"
         done
         names="lookups_per_op msgs_per_op bytes_per_op"
         [ "$w" = mixed_full ] && names="$names lat_p50_ms" # virtual time
         for name in $names; do
-            p=$(metric "$name" < "$work/runs/fixed-parent-$w-$seed.json")
-            c=$(metric "$name" < "$work/runs/fixed-change-$w-$seed.json")
+            p=$(metric "$name" < "$work/runs/fixed-parent-$w-$fs.json")
+            c=$(metric "$name" < "$work/runs/fixed-change-$w-$fs.json")
             if [ "$p" = "$c" ]; then
-                echo "   $w seed $seed $name: $p (identical)"
+                echo "   $w seed $fs $name: $p (identical)"
+            elif [ "$waived" -eq 1 ]; then
+                echo "   $w seed $fs $name: $p -> $c (may change)"
             else
-                echo "   $w seed $seed $name: $p -> $c DIFFERS"
-                [ "$may_change" -eq 1 ] || status=1
+                echo "   $w seed $fs $name: $p -> $c DIFFERS"
+                status=1
             fi
         done
+    done
+    [ "$waived" -eq 1 ] || continue
+    echo "   $w traffic delta: --trace 1 --ops 4000 --seed 7, rows that differ"
+    for side in parent change; do
+        run "$side" "$w" 1 --seed 7 --ops 4000 > "$work/runs/traced-$side-$w.json"
+    done
+    grep -o '"[a-z0-9_.]*": *{"value"' "$work/runs/traced-parent-$w.json" | cut -d'"' -f2 |
+        grep -E "$traffic_rows" | while read -r name; do
+        p=$(metric "$name" < "$work/runs/traced-parent-$w.json")
+        c=$(metric "$name" < "$work/runs/traced-change-$w.json")
+        [ "$p" = "$c" ] || printf '      %-40s %12s -> %s\n' "$name" "$p" "$c"
     done
 done
 [ "$status" -eq 0 ] || echo "bench-pair: FAILED (see above)" >&2
