@@ -317,25 +317,32 @@ impl<V: Clone> HotCache<V> {
         dropped
     }
 
+    /// True when some view of block `id` (any `top_n` variant) is cached.
+    pub fn holds_any(&self, id: &Id160) -> bool {
+        self.by_id.contains_key(id)
+    }
+
     /// Version-gossip revalidation, the *drop* half: removes every cached
     /// view of block `id` whose stamp is strictly below `below` (a digest
     /// claimed a newer write exists, so these views must not be served
     /// again). Returns the `top_n` variants dropped, so the caller can
     /// refresh the ones worth refreshing.
     pub fn invalidate_stale(&mut self, id: &Id160, below: VersionStamp) -> Vec<u32> {
-        let Some(indices) = self.by_id.get(id).cloned() else {
-            return Vec::new();
-        };
         let mut dropped = Vec::new();
-        for idx in indices {
-            if let Some(slot) = self.slots[idx as usize].as_ref() {
-                if slot.key.0 == *id
-                    && self.map.get(&slot.key) == Some(&idx)
-                    && slot.version < below
+        // Walks the key's views in place: a removal takes its index out of
+        // the list, so the walk stays at `at` and meets the next one there.
+        let mut at = 0;
+        while let Some(&idx) = self.by_id.get(id).and_then(|views| views.get(at)) {
+            match self.slots[idx as usize].as_ref() {
+                Some(slot)
+                    if slot.key.0 == *id
+                        && self.map.get(&slot.key) == Some(&idx)
+                        && slot.version < below =>
                 {
                     dropped.push(slot.key.1);
                     self.remove_slot(idx);
                 }
+                _ => at += 1,
             }
         }
         self.stats.invalidations += dropped.len() as u64;

@@ -27,6 +27,10 @@
 //! ever, so the receiver still notes the sender, settles the RPC, samples
 //! the RTT and absorbs the digest.
 //!
+//! Both decoders read the datagram where it lies: the shared primitives
+//! take a `&mut &[u8]` cursor over the received bytes
+//! ([`dharma_types::wire`]), and skipping a field is moving that cursor.
+//!
 //! The rule cannot change which datagrams are accepted: a byte string
 //! fails the skipping decoder exactly when it fails the owning one,
 //! because every check that can fail is shared and only allocation is
@@ -64,7 +68,7 @@ impl WireEncode for Contact {
 impl WireDecode for Contact {
     const MIN_WIRE_LEN: usize = ID160_BYTES + 1;
 
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         let id = buf.get_id()?;
         let addr = buf.get_varint()? as u32;
         Ok(Contact { id, addr })
@@ -97,7 +101,7 @@ impl WireDecode for StoredEntry {
     /// An empty name's length byte plus a one-byte weight.
     const MIN_WIRE_LEN: usize = 2;
 
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         let name = buf.get_str()?;
         let weight = buf.get_varint()?;
         Ok(StoredEntry { name, weight })
@@ -138,7 +142,7 @@ impl WireEncode for DigestEntry {
 impl WireDecode for DigestEntry {
     const MIN_WIRE_LEN: usize = ID160_BYTES + VersionStamp::MIN_WIRE_LEN;
 
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         let key = buf.get_id()?;
         let version = VersionStamp::decode(buf)?;
         Ok(DigestEntry { key, version })
@@ -438,7 +442,7 @@ pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
     }
 }
 
-pub(crate) fn get_opt_blob(buf: &mut Bytes) -> Result<Option<Vec<u8>>> {
+pub(crate) fn get_opt_blob(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
     Ok(if buf.get_flag()? {
         Some(buf.get_bytes_field()?)
     } else {
@@ -661,23 +665,22 @@ impl WireEncode for Message {
 }
 
 impl WireDecode for Message {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         Self::decode_with(buf, |_| true)
     }
 }
 
 impl Message {
-    /// Decodes one received datagram in place — `payload` is a view, not a
-    /// copy — requiring it to be consumed to its end. `wants_value(rpc)`
-    /// is asked, once type, request id and sender are read, whether a
+    /// Decodes one received datagram in place — through a cursor over
+    /// `payload`'s bytes, the one [`WireDecode::decode_exact`] reads with —
+    /// requiring it to be consumed to its end. `wants_value(rpc)` is
+    /// asked, once type, request id and sender are read, whether a
     /// `FoundValue`'s blob and entries will be used; when not, they are
     /// validated and skipped (module docs) and arrive as `None` / empty.
-    pub fn decode_datagram(
-        mut payload: Bytes,
-        wants_value: impl FnOnce(u64) -> bool,
-    ) -> Result<Self> {
-        let msg = Self::decode_with(&mut payload, wants_value)?;
-        expect_consumed(&payload)?;
+    pub fn decode_datagram(payload: Bytes, wants_value: impl FnOnce(u64) -> bool) -> Result<Self> {
+        let mut buf: &[u8] = &payload;
+        let msg = Self::decode_with(&mut buf, wants_value)?;
+        expect_consumed(buf)?;
         Ok(msg)
     }
 
@@ -717,12 +720,11 @@ impl Message {
         buf.freeze()
     }
 
-    fn decode_with(buf: &mut Bytes, wants_value: impl FnOnce(u64) -> bool) -> Result<Self> {
-        use bytes::Buf;
-        if buf.is_empty() {
+    fn decode_with(buf: &mut &[u8], wants_value: impl FnOnce(u64) -> bool) -> Result<Self> {
+        let Some((&ty, rest)) = buf.split_first() else {
             return Err(DharmaError::Decode("empty message".into()));
-        }
-        let ty = buf.get_u8();
+        };
+        *buf = rest;
         let rpc = buf.get_varint()?;
         let from = Contact::decode(buf)?;
         Ok(match ty {

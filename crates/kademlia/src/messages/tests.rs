@@ -41,13 +41,22 @@ fn decode_unwanted(data: &[u8]) -> Result<Message> {
     out
 }
 
+/// The datagram decoder wanting every value against `decode_exact`: one
+/// cursor, one result — the same message or the same error.
+fn check_datagram_equals_exact(data: &[u8]) -> Result<Message> {
+    let exact = Message::decode_exact(data);
+    let datagram = Message::decode_datagram(Bytes::copy_from_slice(data), |_| true);
+    assert_eq!(datagram, exact, "on {data:?}");
+    exact
+}
+
 /// The lazy decoder against the eager one on arbitrary bytes: the same
-/// datagrams accepted and rejected, and — blob and entries aside —
-/// the same message. Anything accepted survives a re-encode roundtrip.
+/// datagrams accepted and rejected — a rejected one with the same error,
+/// since skipping runs the owning decoder's checks in its order — and,
+/// blob and entries aside, the same message. Anything accepted survives
+/// a re-encode roundtrip.
 fn check_decoders_agree(data: &[u8]) {
-    let eager = Message::decode_exact(data);
-    let wanted = Message::decode_datagram(Bytes::copy_from_slice(data), |_| true);
-    assert_eq!(eager.is_ok(), wanted.is_ok());
+    let eager = check_datagram_equals_exact(data);
     let lazy = decode_unwanted(data);
     assert_eq!(
         eager.is_ok(),
@@ -55,9 +64,9 @@ fn check_decoders_agree(data: &[u8]) {
         "accept sets differ on {data:?}"
     );
     let Ok(mut eager) = eager else {
+        assert_eq!(lazy.unwrap_err(), eager.unwrap_err(), "on {data:?}");
         return;
     };
-    assert_eq!(wanted.unwrap(), eager);
     roundtrip(&eager);
     if let Message::FoundValue { blob, entries, .. } = &mut eager {
         (*blob, *entries) = (None, Vec::new());
@@ -298,6 +307,33 @@ fn every_strict_prefix_fails_to_decode() {
         }
         check_decoders_agree(&enc);
     }
+}
+
+#[test]
+fn datagram_and_exact_decoders_agree_on_the_whole_corpus() {
+    // `decode_datagram` and `decode_exact` share one cursor type and one
+    // decoder: message for message and error for error, on every corpus
+    // encoding, every strict prefix of it, and every single-byte mutant.
+    let (mut accepted, mut rejected) = (0, 0);
+    for m in &corpus() {
+        let enc = m.encode_to_bytes();
+        assert_eq!(check_datagram_equals_exact(&enc).as_ref(), Ok(m));
+        for cut in 0..enc.len() {
+            assert!(check_datagram_equals_exact(&enc[..cut]).is_err());
+        }
+        for i in 0..enc.len() {
+            for pattern in [0x01u8, 0x80, 0xff] {
+                let mut bent = enc.to_vec();
+                bent[i] ^= pattern;
+                match check_datagram_equals_exact(&bent) {
+                    Ok(_) => accepted += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+    }
+    // Both outcomes are exercised, so agreement is not vacuous.
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
 }
 
 #[test]

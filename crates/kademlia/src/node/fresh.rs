@@ -62,7 +62,7 @@ pub(super) struct FreshState {
     pub(super) hits: HitHistory,
     /// Recent effective local writes, newest last — the digest's news
     /// section. Bounded by [`NEWS_CAP`].
-    news: Vec<(Id160, u64)>,
+    news: Vec<News>,
     /// In-flight revalidations: rpc id → the `(key, top_n)` view being
     /// refreshed (routes the reply and dedups refreshes per key).
     pub(super) revalidating: FxHashMap<u64, (Id160, u32)>,
@@ -73,6 +73,17 @@ pub(super) struct FreshState {
     /// Count of `push_invalidations` rounds sent — drives the 1-in-N
     /// liveness-sampling rotation for ack-tracked pushes.
     push_calls: u64,
+}
+
+/// One slot of the news ring: a key written here, when, and the stamp it
+/// is stored at. Stored stamps change only by writes, each of which
+/// re-notes its key; a key dropped from storage keeps its slot (ring
+/// order stays the writes' order) with `stamp: None`. So the digest reads
+/// the ring alone, never storage.
+struct News {
+    key: Id160,
+    at_us: u64,
+    stamp: Option<VersionStamp>,
 }
 
 impl FreshState {
@@ -109,10 +120,28 @@ impl KademliaNode {
         let Some(f) = self.fresh.as_mut() else {
             return;
         };
-        f.news.retain(|(k, _)| *k != key);
-        f.news.push((key, now_us));
+        let stamp = self.storage.get(&key).map(|s| s.version);
+        f.news.retain(|n| n.key != key);
+        f.news.push(News {
+            key,
+            at_us: now_us,
+            stamp,
+        });
         if f.news.len() > NEWS_CAP {
             f.news.remove(0);
+        }
+    }
+
+    /// Storage just dropped keys (lazy expiry, demotion, the expiry
+    /// sweep): their news slots stop gossiping, in place.
+    pub(super) fn forget_unheld_news(&mut self) {
+        let Some(f) = self.fresh.as_mut() else {
+            return;
+        };
+        for n in &mut f.news {
+            if n.stamp.is_some() && !self.storage.contains(&n.key) {
+                n.stamp = None;
+            }
         }
     }
 
@@ -149,6 +178,7 @@ impl KademliaNode {
     /// tests, each a walk over a few bucket lengths
     /// ([`RoutingTable::local_ranks_within`]), plus — only when the first
     /// two sections leave room — one linear selection over the held keys.
+    /// The news section probes no storage: its slots carry their stamps.
     ///
     /// [`RoutingTable::local_ranks_within`]: crate::RoutingTable::local_ranks_within
     pub(super) fn build_digest(&self, around: Option<&Id160>, now_us: u64) -> Vec<DigestEntry> {
@@ -160,28 +190,27 @@ impl KademliaNode {
             return Vec::new();
         }
         let mut out: Vec<DigestEntry> = Vec::new();
-        let push = |out: &mut Vec<DigestEntry>, key: &Id160| {
+        let stored = |key: &Id160| self.storage.get(key).map(|s| s.version);
+        let push = |out: &mut Vec<DigestEntry>, key: &Id160, stamp: Option<VersionStamp>| {
             if out.len() < max && !out.iter().any(|e| e.key == *key) {
                 // A copy this node no longer speaks for must not gossip:
                 // its frozen stamp would confirm equally-stale views.
-                if let Some(state) = self.storage.get(key) {
+                if let Some(version) = stamp {
                     if self.likely_authoritative(key) {
-                        out.push(DigestEntry {
-                            key: *key,
-                            version: state.version,
-                        });
+                        out.push(DigestEntry { key: *key, version });
                     }
                 }
             }
         };
-        for (key, at) in f.news.iter().rev() {
-            if now_us.saturating_sub(*at) <= f.cfg.news_window_us {
-                push(&mut out, key);
+        for n in f.news.iter().rev() {
+            if now_us.saturating_sub(n.at_us) <= f.cfg.news_window_us {
+                debug_assert_eq!(n.stamp, stored(&n.key), "news slot out of date");
+                push(&mut out, &n.key, n.stamp);
             }
         }
         if let Some(pop) = self.popularity.as_ref().filter(|_| out.len() < max) {
             for key in pop.hottest(max, now_us) {
-                push(&mut out, &key);
+                push(&mut out, &key, stored(&key));
             }
         }
         if let Some(target) = around {
@@ -198,7 +227,7 @@ impl KademliaNode {
                 }
                 held.sort_unstable_by_key(|k| k.distance(target));
                 for key in held {
-                    push(&mut out, &key);
+                    push(&mut out, &key, stored(&key));
                 }
             }
         }
@@ -235,14 +264,14 @@ impl KademliaNode {
             let f = fresh.as_mut().expect("checked above");
             for e in digest {
                 f.book.note(e.key, e.version);
-                // Authoritative holders reconcile through `Replicate`
-                // merges, not gossip; only cached views are managed here.
-                if storage.contains(&e.key) {
-                    continue;
-                }
+                // Only cached views are managed here — and authoritative
+                // holders reconcile through `Replicate` merges, not gossip.
                 let Some(cache) = cache.as_mut() else {
                     continue;
                 };
+                if !cache.holds_any(&e.key) || storage.contains(&e.key) {
+                    continue;
+                }
                 let dropped = cache.invalidate_stale(&e.key, e.version);
                 if dropped.is_empty() {
                     cache.confirm_fresh(&e.key, e.version, ctx.now_us, f.cfg.max_view_lifetime_us);

@@ -368,3 +368,128 @@ fn invalidation_pushes_equal_the_encoded_owned_read() {
     assert_eq!(entries[0].weight, 8);
     assert_eq!((entries, blob), (read.entries, read.blob));
 }
+
+/// The news section as it was built before the ring carried stamps: every
+/// slot in the window re-read from storage.
+fn news_digest_from_storage(node: &KademliaNode, now_us: u64) -> Vec<DigestEntry> {
+    let f = node.fresh.as_ref().expect("fresh on");
+    let in_window = |n: &&News| now_us.saturating_sub(n.at_us) <= f.cfg.news_window_us;
+    let recomputed = f.news.iter().rev().filter(in_window).filter_map(|n| {
+        let version = node.storage.get(&n.key)?.version;
+        node.likely_authoritative(&n.key).then_some(DigestEntry {
+            key: n.key,
+            version,
+        })
+    });
+    recomputed.take(f.cfg.digest_max).collect()
+}
+
+/// The ring's stamps stand in for storage: after every kind of event that
+/// moves a stored stamp or drops a key — local and received writes, an
+/// empty-append touch of a held and of an unheld key, a routing change,
+/// demotion, lazy expiry, the expiry sweep — each slot holds the key's
+/// stored stamp (or `None`, in place), and the digest equals the one
+/// re-read from storage.
+#[test]
+fn news_ring_stamps_track_storage_through_every_mutation() {
+    use crate::node::{MaintConfig, TIMER_DEMOTE, TIMER_EXPIRE};
+    let local = sha1(b"ring-keeper");
+    let freshness = FreshConfig::builder()
+        .digest_max(64)
+        .news_window_us(3_600_000_000);
+    let cfg = KadConfig {
+        freshness: Some(freshness.build().expect("valid")),
+        record_ttl_us: Some(20_000_000),
+        maintenance: Some(MaintConfig {
+            demote_interval_us: Some(1_000_000),
+            ..MaintConfig::default()
+        }),
+        ..fresh_cfg(1_000_000)
+    };
+    let mut node = KademliaNode::new(local, 0, cfg);
+    let check = |node: &KademliaNode, now_us: u64| {
+        let f = node.fresh.as_ref().expect("fresh on");
+        for n in &f.news {
+            let stored = node.storage.get(&n.key).map(|s| s.version);
+            assert_eq!(n.stamp, stored, "slot for {:?} at {now_us}", n.key);
+        }
+        let digest = node.build_digest(None, now_us);
+        assert_eq!(
+            digest,
+            news_digest_from_storage(node, now_us),
+            "at {now_us}"
+        );
+        digest.len()
+    };
+    let slots = |node: &KademliaNode| {
+        let f = node.fresh.as_ref().expect("fresh on");
+        let held = f.news.iter().filter(|n| n.stamp.is_some()).count();
+        (f.news.len(), held)
+    };
+    let append = |node: &mut KademliaNode, now_us: u64, key: Id160, entries: Vec<StoredEntry>| {
+        let write = Message::Append {
+            rpc: now_us + 1,
+            from: contact(4),
+            key,
+            entries,
+            stamp: st(now_us + 1),
+        };
+        node.on_message(&mut Ctx::new(now_us, 0, 1), 4, write.encode_to_bytes());
+    };
+    let rock = |weight| {
+        vec![StoredEntry {
+            name: "rock".into(),
+            weight,
+        }]
+    };
+
+    // Writes with an empty routing table apply locally; two keys sit next
+    // to the local id, so no contact can ever outrank this node on them.
+    let own = [local.with_flipped_bit(159), local.with_flipped_bit(158)];
+    let far: Vec<Id160> = (0..10u8).map(|i| sha1(&[b'f', i])).collect();
+    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+    for (i, key) in own.iter().chain(&far).enumerate() {
+        ctx.now_us = i as u64;
+        node.append(&mut ctx, *key, "x", 1);
+    }
+    append(&mut node, 100, far[0], rock(3)); // a received write raises a stamp
+    assert_eq!(check(&node, 100), 12);
+
+    // Empty appends touch: a held key moves to the front at its stamp, an
+    // unheld one takes a slot that gossips nothing.
+    let ghost = sha1(b"never-written");
+    append(&mut node, 200, far[1], Vec::new());
+    append(&mut node, 201, ghost, Vec::new());
+    assert_eq!(slots(&node), (13, 12));
+    assert_eq!(check(&node, 300), 12);
+
+    // The overlay fills in: most far keys leave this node's replica set.
+    for n in 0..200u32 {
+        node.routing.note_contact(Contact {
+            id: sha1(&n.to_le_bytes()),
+            addr: n + 1,
+        });
+    }
+    let spoken = check(&node, 400);
+    assert!((2..12).contains(&spoken), "{spoken} keys still spoken for");
+
+    // Demotion drops the far copies; their slots stay, silent.
+    node.on_timer(&mut Ctx::new(5_000_000, 0, 2), TIMER_DEMOTE);
+    let (len, held) = slots(&node);
+    assert!(len == 13 && held < 12, "{held} of {len} slots still held");
+    check(&node, 5_000_000);
+
+    // A key written later outlives the TTL of the others; one of those is
+    // dropped lazily, the rest by the sweep.
+    append(&mut node, 15_000_000, far[2], rock(1));
+    let zombie = *own
+        .iter()
+        .find(|k| node.storage.contains(k))
+        .expect("own key held");
+    assert!(node.drop_if_expired(&zombie, 25_000_000));
+    check(&node, 25_000_000);
+    node.on_timer(&mut Ctx::new(25_000_000, 0, 3), TIMER_EXPIRE);
+    assert_eq!(node.storage.len(), 1);
+    assert_eq!(slots(&node), (13, 1));
+    check(&node, 25_000_000);
+}

@@ -439,6 +439,7 @@ impl KademliaNode {
             self.invalidate_cached(&key);
             self.cfg.counters.record_replica_demoted();
         }
+        self.forget_unheld_news();
     }
 
     /// Handles an incoming [`Message::Leave`]: purge the sender from the

@@ -358,6 +358,7 @@ impl Node for KademliaNode {
             TIMER_EXPIRE => {
                 if let Some(ttl) = self.cfg.record_ttl_us {
                     self.storage.expire(ctx.now_us, ttl);
+                    self.forget_unheld_news();
                     ctx.set_timer(ttl / 2, TIMER_EXPIRE);
                 }
             }

@@ -95,7 +95,7 @@ impl KademliaNode {
                 .encode_filtered(&target, *top_n, budget, &mut body);
             if let Some((truncated, version)) = held {
                 self.cfg.counters.record_cache_miss();
-                let mut body = body.freeze();
+                let mut body: &[u8] = &body;
                 let value = Some(FetchedValue {
                     blob: get_opt_blob(&mut body).expect("this node's own encoding"),
                     entries: Vec::decode(&mut body).expect("this node's own encoding"),

@@ -389,6 +389,7 @@ impl KademliaNode {
         if self.expired_locally(key, now_us) {
             self.storage.remove(key);
             self.invalidate_cached(key);
+            self.forget_unheld_news();
             return true;
         }
         false

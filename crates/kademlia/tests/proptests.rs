@@ -290,8 +290,8 @@ proptest! {
     #[test]
     fn decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Message::decode_exact(&data);
-        let mut bytes = Bytes::from(data);
-        let _ = Message::decode(&mut bytes);
+        let _ = Message::decode(&mut &data[..]);
+        let _ = Message::decode_datagram(Bytes::from(data), |_| false);
     }
 
     /// Every strict prefix of a valid encoding is rejected — a truncated
@@ -300,10 +300,10 @@ proptest! {
     fn message_prefixes_never_decode(msg in arb_message()) {
         let enc = msg.encode_to_bytes();
         for cut in 0..enc.len() {
-            prop_assert!(
-                Message::decode_exact(&enc[..cut]).is_err(),
-                "prefix of {} bytes decoded", cut
-            );
+            let exact = Message::decode_exact(&enc[..cut]);
+            prop_assert!(exact.is_err(), "prefix of {} bytes decoded", cut);
+            let datagram = Message::decode_datagram(Bytes::from(enc[..cut].to_vec()), |_| true);
+            prop_assert_eq!(datagram, exact, "prefix of {} bytes", cut);
         }
     }
 
@@ -314,7 +314,9 @@ proptest! {
         let mut enc = msg.encode_to_bytes().to_vec();
         let i = (idx % enc.len() as u64) as usize;
         enc[i] ^= xor;
-        if let Ok(decoded) = Message::decode_exact(&enc) {
+        let datagram = Message::decode_datagram(Bytes::from(enc.clone()), |_| true);
+        prop_assert_eq!(&datagram, &Message::decode_exact(&enc));
+        if let Ok(decoded) = datagram {
             let re = decoded.encode_to_bytes();
             let again = Message::decode_exact(&re).unwrap();
             prop_assert_eq!(again, decoded, "accepted mutants must roundtrip");
@@ -715,7 +717,7 @@ proptest! {
                             let (cut, version) =
                                 s.encode_filtered(&key, top_n, budget, &mut buf).unwrap();
                             prop_assert_eq!(version, s.stamp(&key));
-                            let mut body = buf.freeze();
+                            let mut body: &[u8] = &buf;
                             let blob = body.get_flag().unwrap().then(|| body.get_bytes_field().unwrap());
                             let served = Vec::<StoredEntry>::decode(&mut body).unwrap();
                             prop_assert!(body.is_empty());

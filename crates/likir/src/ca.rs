@@ -1,6 +1,6 @@
 //! The certification authority, certificates and user identities.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use dharma_types::hmac::{hmac_sha1, verify_hmac_sha1};
 use dharma_types::{
@@ -40,7 +40,7 @@ impl WireEncode for Certificate {
 }
 
 impl WireDecode for Certificate {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         Ok(Certificate {
             user_id: buf.get_str()?,
             node_id: buf.get_id()?,

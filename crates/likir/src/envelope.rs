@@ -1,6 +1,6 @@
 //! Signed RPC envelopes and authenticated content records.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use dharma_types::{DharmaError, Id160, ReadBytes, Result, WireDecode, WireEncode, WriteBytes};
 
@@ -69,7 +69,7 @@ impl WireEncode for SignedEnvelope {
 }
 
 impl WireDecode for SignedEnvelope {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         Ok(SignedEnvelope {
             cert: Certificate::decode(buf)?,
             nonce: buf.get_varint()?,
@@ -140,7 +140,7 @@ impl WireEncode for AuthenticatedRecord {
 }
 
 impl WireDecode for AuthenticatedRecord {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         Ok(AuthenticatedRecord {
             cert: Certificate::decode(buf)?,
             namespace: buf.get_str()?,

@@ -13,7 +13,7 @@
 //! counter and mints with `observed_max + 1`. Ties between concurrent
 //! writers are broken by the writer id, so the order is total.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use crate::error::Result;
 use crate::id::{Id160, ID160_BYTES};
@@ -77,7 +77,7 @@ impl WireEncode for VersionStamp {
 impl WireDecode for VersionStamp {
     const MIN_WIRE_LEN: usize = 1 + crate::id::ID160_BYTES;
 
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         let seq = buf.get_varint()?;
         let writer = buf.get_id()?;
         Ok(VersionStamp { seq, writer })

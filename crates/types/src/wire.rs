@@ -1,4 +1,5 @@
-//! A small, explicit binary codec over [`bytes`].
+//! A small, explicit binary codec: encode into a [`BytesMut`], decode from
+//! a `&[u8]`.
 //!
 //! Every overlay message in the DHARMA stack is encoded through these traits
 //! so that the *exact* UDP payload size of each message is known — the paper's
@@ -7,6 +8,12 @@
 //! resources" (§V-A). A self-describing format like JSON would make payload
 //! accounting fuzzy; a fixed binary layout keeps it exact.
 //!
+//! Decoding reads through a borrowed cursor, `&mut &[u8]`: every primitive
+//! of [`ReadBytes`] checks what it needs against the slice, splits it off
+//! the front and leaves the cursor on the rest. A received datagram is
+//! decoded where it lies — no copy, no shared handle per byte read — and
+//! whatever the decoder keeps (names, blobs) is copied out of it.
+//!
 //! Layout conventions:
 //! * integers are unsigned LEB128 varints (`put_varint`) unless fixed width is
 //!   structurally required;
@@ -14,7 +21,7 @@
 //! * sequences are length-prefixed (varint) followed by the elements;
 //! * [`Id160`] is 20 raw bytes.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::{DharmaError, Result};
 use crate::id::{Id160, ID160_BYTES};
@@ -49,20 +56,20 @@ pub trait WireDecode: Sized {
     /// reserving memory for it (see [`get_seq_len`]).
     const MIN_WIRE_LEN: usize = 1;
 
-    /// Consumes the encoding of `Self` from the front of `buf`.
-    fn decode(buf: &mut Bytes) -> Result<Self>;
+    /// Consumes the encoding of `Self` from the front of `buf`, advancing
+    /// the cursor past it.
+    fn decode(buf: &mut &[u8]) -> Result<Self>;
 
     /// Decodes from a slice, requiring the input to be fully consumed.
-    fn decode_exact(data: &[u8]) -> Result<Self> {
-        let mut bytes = Bytes::copy_from_slice(data);
-        let v = Self::decode(&mut bytes)?;
-        expect_consumed(&bytes)?;
+    fn decode_exact(mut data: &[u8]) -> Result<Self> {
+        let v = Self::decode(&mut data)?;
+        expect_consumed(data)?;
         Ok(v)
     }
 }
 
 /// Errors unless `buf` was consumed to its end (one datagram, one message).
-pub fn expect_consumed(buf: &Bytes) -> Result<()> {
+pub fn expect_consumed(buf: &[u8]) -> Result<()> {
     if buf.is_empty() {
         return Ok(());
     }
@@ -78,16 +85,16 @@ pub fn expect_consumed(buf: &Bytes) -> Result<()> {
 /// what a caller reserves for the sequence by what the datagram can
 /// actually carry — a hostile prefix cannot buy an allocation larger than
 /// an honest datagram of the same size would.
-pub fn get_seq_len(buf: &mut Bytes, min_wire_len: usize) -> Result<usize> {
+pub fn get_seq_len(buf: &mut &[u8], min_wire_len: usize) -> Result<usize> {
     let len = buf.get_varint()?;
     let fits = usize::try_from(len)
         .ok()
         .and_then(|n| n.checked_mul(min_wire_len.max(1)))
-        .is_some_and(|bytes| bytes <= buf.remaining());
+        .is_some_and(|bytes| bytes <= buf.len());
     if !fits {
         return Err(DharmaError::Decode(format!(
             "sequence length {len} exceeds what the remaining {} bytes can hold",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok(len as usize)
@@ -156,15 +163,15 @@ pub trait ReadBytes {
     fn skip_bytes_field(&mut self) -> Result<()>;
 }
 
-impl ReadBytes for Bytes {
+impl ReadBytes for &[u8] {
     fn get_varint(&mut self) -> Result<u64> {
         let mut shift = 0u32;
         let mut out = 0u64;
         loop {
-            if !self.has_remaining() {
+            let Some((&byte, rest)) = self.split_first() else {
                 return Err(DharmaError::Decode("truncated varint".into()));
-            }
-            let byte = self.get_u8();
+            };
+            *self = rest;
             if shift >= 64 || (shift == 63 && byte > 1) {
                 return Err(DharmaError::Decode("varint overflows u64".into()));
             }
@@ -181,22 +188,22 @@ impl ReadBytes for Bytes {
         if len > MAX_FIELD_LEN {
             return Err(DharmaError::Decode(format!("field length {len} too large")));
         }
-        if len > self.remaining() {
+        if len > self.len() {
             return Err(DharmaError::Decode(format!(
                 "field length {len} exceeds remaining {} bytes",
-                self.remaining()
+                self.len()
             )));
         }
         Ok(len)
     }
 
     fn get_flag(&mut self) -> Result<bool> {
-        match self.first() {
-            Some(&byte @ 0..=1) => {
-                self.advance(1);
+        match self.split_first() {
+            Some((&byte @ 0..=1, rest)) => {
+                *self = rest;
                 Ok(byte == 1)
             }
-            Some(byte) => Err(DharmaError::Decode(format!(
+            Some((byte, _)) => Err(DharmaError::Decode(format!(
                 "flag byte {byte} is neither 0 nor 1"
             ))),
             None => Err(DharmaError::Decode("truncated flag".into())),
@@ -205,36 +212,39 @@ impl ReadBytes for Bytes {
 
     fn get_str(&mut self) -> Result<String> {
         let len = self.get_len()?;
-        let name = utf8(&self[..len])?.to_owned();
-        self.advance(len);
+        let (raw, rest) = self.split_at(len);
+        let name = utf8(raw)?.to_owned();
+        *self = rest;
         Ok(name)
     }
 
     fn skip_str(&mut self) -> Result<()> {
         let len = self.get_len()?;
-        utf8(&self[..len])?;
-        self.advance(len);
+        let (raw, rest) = self.split_at(len);
+        utf8(raw)?;
+        *self = rest;
         Ok(())
     }
 
     fn get_bytes_field(&mut self) -> Result<Vec<u8>> {
         let len = self.get_len()?;
-        Ok(self.split_to(len).to_vec())
+        let (raw, rest) = self.split_at(len);
+        *self = rest;
+        Ok(raw.to_vec())
     }
 
     fn skip_bytes_field(&mut self) -> Result<()> {
         let len = self.get_len()?;
-        self.advance(len);
+        *self = &self[len..];
         Ok(())
     }
 
     fn get_id(&mut self) -> Result<Id160> {
-        if self.remaining() < ID160_BYTES {
+        let Some((id, rest)) = self.split_first_chunk::<ID160_BYTES>() else {
             return Err(DharmaError::Decode("truncated id".into()));
-        }
-        let mut arr = [0u8; ID160_BYTES];
-        self.copy_to_slice(&mut arr);
-        Ok(Id160(arr))
+        };
+        *self = rest;
+        Ok(Id160(*id))
     }
 }
 
@@ -265,7 +275,7 @@ impl WireEncode for Id160 {
 impl WireDecode for Id160 {
     const MIN_WIRE_LEN: usize = ID160_BYTES;
 
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         buf.get_id()
     }
 }
@@ -281,7 +291,7 @@ impl WireEncode for String {
 }
 
 impl WireDecode for String {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         buf.get_str()
     }
 }
@@ -297,7 +307,7 @@ impl WireEncode for u64 {
 }
 
 impl WireDecode for u64 {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         buf.get_varint()
     }
 }
@@ -318,7 +328,7 @@ impl<T: WireEncode> WireEncode for Vec<T> {
 }
 
 impl<T: WireDecode> WireDecode for Vec<T> {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
         let len = get_seq_len(buf, T::MIN_WIRE_LEN)?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
@@ -351,20 +361,20 @@ mod tests {
             buf.clear();
             buf.put_varint(v);
             assert_eq!(buf.len(), varint_len(v), "len of {v}");
-            let mut bytes = buf.clone().freeze();
-            assert_eq!(bytes.get_varint().unwrap(), v);
-            assert!(bytes.is_empty());
+            let mut cursor: &[u8] = &buf;
+            assert_eq!(cursor.get_varint().unwrap(), v);
+            assert!(cursor.is_empty());
         }
     }
 
     #[test]
     fn varint_rejects_truncation_and_overflow() {
-        let mut b = Bytes::from_static(&[0x80]);
+        let mut b: &[u8] = &[0x80];
         assert!(b.get_varint().is_err());
         // 11 continuation bytes overflow u64.
-        let mut b = Bytes::from_static(&[
+        let mut b: &[u8] = &[
             0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
-        ]);
+        ];
         assert!(b.get_varint().is_err());
     }
 
@@ -372,15 +382,16 @@ mod tests {
     fn string_roundtrip() {
         let mut buf = BytesMut::new();
         buf.put_str("heavy-metal ✓");
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         assert_eq!(b.get_str().unwrap(), "heavy-metal ✓");
+        assert!(b.is_empty());
     }
 
     #[test]
     fn string_rejects_invalid_utf8() {
         let mut buf = BytesMut::new();
         buf.put_bytes_field(&[0xff, 0xfe]);
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         assert!(b.get_str().is_err());
     }
 
@@ -389,7 +400,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_varint(1000);
         buf.put_slice(b"short");
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         assert!(b.get_bytes_field().is_err());
     }
 
@@ -398,8 +409,11 @@ mod tests {
         let id = crate::sha1::sha1(b"x");
         let mut buf = BytesMut::new();
         buf.put_id(&id);
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         assert_eq!(b.get_id().unwrap(), id);
+        assert!(b.is_empty());
+        let mut short: &[u8] = &buf[..ID160_BYTES - 1];
+        assert!(short.get_id().is_err());
     }
 
     #[test]
@@ -418,7 +432,7 @@ mod tests {
     fn hostile_sequence_length_rejected() {
         let mut buf = BytesMut::new();
         buf.put_varint(u32::MAX as u64); // absurd element count
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         assert!(Vec::<u64>::decode(&mut b).is_err());
     }
 
@@ -431,7 +445,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_varint(65_000);
         buf.resize(65_507, 0xff);
-        let err = Vec::<Id160>::decode(&mut buf.freeze()).unwrap_err();
+        let err = Vec::<Id160>::decode(&mut &buf[..]).unwrap_err();
         assert!(err.to_string().contains("sequence length 65000"), "{err}");
         // The largest claim the bytes can honour still decodes.
         let ids = vec![crate::sha1::sha1(b"x"); 3];
@@ -440,21 +454,21 @@ mod tests {
         let mut short = BytesMut::new();
         short.put_varint(3);
         short.resize(1 + 3 * ID160_BYTES - 1, 0);
-        assert!(get_seq_len(&mut short.freeze(), ID160_BYTES).is_err());
+        assert!(get_seq_len(&mut &short[..], ID160_BYTES).is_err());
         // Counts that overflow `usize` arithmetic are claims like any other.
         let mut huge = BytesMut::new();
         huge.put_varint(u64::MAX);
-        assert!(get_seq_len(&mut huge.freeze(), ID160_BYTES).is_err());
+        assert!(get_seq_len(&mut &huge[..], ID160_BYTES).is_err());
     }
 
     #[test]
     fn flags_are_exactly_zero_or_one() {
-        assert!(!Bytes::from_static(&[0]).get_flag().unwrap());
-        assert!(Bytes::from_static(&[1]).get_flag().unwrap());
+        assert!(!(&[0u8][..]).get_flag().unwrap());
+        assert!((&[1u8][..]).get_flag().unwrap());
         for byte in 2..=u8::MAX {
-            assert!(Bytes::from(vec![byte]).get_flag().is_err(), "{byte}");
+            assert!((&[byte][..]).get_flag().is_err(), "{byte}");
         }
-        assert!(Bytes::new().get_flag().is_err());
+        assert!((&[][..]).get_flag().is_err());
     }
 
     #[test]
@@ -463,16 +477,19 @@ mod tests {
         buf.put_str("heavy-metal ✓");
         buf.put_bytes_field(&[1, 2, 3]);
         buf.put_bytes_field(&[0xff, 0xfe]); // not UTF-8
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         b.skip_str().unwrap();
         b.skip_bytes_field().unwrap();
         assert_eq!(b.len(), 3);
-        assert!(b.clone().get_str().is_err() && b.clone().skip_str().is_err());
+        let (mut read, mut skip) = (b, b);
+        assert!(read.get_str().is_err() && skip.skip_str().is_err());
         b.skip_bytes_field().unwrap();
         assert!(b.is_empty());
         // A length prefix past the end fails both ways.
-        let mut cut = Bytes::from_static(&[5, b'a']);
-        assert!(cut.clone().skip_str().is_err() && cut.skip_bytes_field().is_err());
+        let cut: &[u8] = &[5, b'a'];
+        let [mut a, mut b, mut c, mut d] = [cut; 4];
+        assert!(a.skip_str().is_err() && b.skip_bytes_field().is_err());
+        assert!(c.get_str().is_err() && d.get_bytes_field().is_err());
     }
 
     #[test]

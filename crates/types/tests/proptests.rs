@@ -33,9 +33,9 @@ proptest! {
         let mut buf = BytesMut::new();
         buf.put_varint(v);
         prop_assert_eq!(buf.len(), varint_len(v));
-        let mut bytes = buf.freeze();
-        prop_assert_eq!(bytes.get_varint().unwrap(), v);
-        prop_assert!(bytes.is_empty());
+        let mut cursor: &[u8] = &buf;
+        prop_assert_eq!(cursor.get_varint().unwrap(), v);
+        prop_assert!(cursor.is_empty());
     }
 
     /// String fields roundtrip for arbitrary unicode.
@@ -43,8 +43,9 @@ proptest! {
     fn string_roundtrip(s in "\\PC{0,300}") {
         let mut buf = BytesMut::new();
         buf.put_str(&s);
-        let mut bytes = buf.freeze();
-        prop_assert_eq!(bytes.get_str().unwrap(), s);
+        let mut cursor: &[u8] = &buf;
+        prop_assert_eq!(cursor.get_str().unwrap(), s);
+        prop_assert!(cursor.is_empty());
     }
 
     /// Vec<u64> roundtrips through encode/decode_exact.
