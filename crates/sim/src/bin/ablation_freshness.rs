@@ -27,7 +27,8 @@
 //!
 //! `--smoke` shrinks the overlay and op count for the CI job. Besides the
 //! CSV series, the run writes `fresh.json` (the schema documented in
-//! `DESIGN.md`) for the consolidated benchmark artifact.
+//! `DESIGN.md`) with every field of each configuration's report, for
+//! readers who want more than the table. No other program reads it.
 
 use dharma_sim::output::{f2, CsvSink, TextTable};
 use dharma_sim::{simulate_freshness, ExpArgs, FreshSimConfig, FreshSimReport};

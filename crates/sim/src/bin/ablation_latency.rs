@@ -5,8 +5,9 @@
 //! Three configurations replay the same single-GET-at-a-time workload on
 //! one geo-clustered topology — four metro clusters (1–15 ms within,
 //! 15–140 ms across, ±2 ms jitter), 1% baseline loss, and one designated
-//! lossy cluster at 25% — measuring the wall-clock completion time of
-//! every GET rather than its hop count:
+//! lossy cluster at 25% — measuring the completion time of every GET in
+//! `SimNet` virtual time (deterministic per seed) rather than its hop
+//! count:
 //!
 //! * **baseline** — the latency-blind protocol of every prior PR: pure-LRU
 //!   routing, XOR-ordered shortlists, fixed α;
@@ -22,8 +23,9 @@
 //! success **≥ 99%** — faster *and* no chattier, not faster by flooding.
 //!
 //! `--smoke` shrinks the overlay and op count for the CI job. Besides the
-//! CSV series, the run writes `latency.json` (the schema documented in
-//! `DESIGN.md`) for the consolidated benchmark artifact.
+//! CSV series, the run writes `latency.json`: one object per configuration
+//! with every field of the `LatencySimReport` it was measured from, for
+//! readers who want more than the table. No other program reads it.
 
 use dharma_kademlia::LatencyConfig;
 use dharma_sim::output::{f2, CsvSink, TextTable};
@@ -147,7 +149,7 @@ fn main() {
         "Ablation A9 — latency-aware lookups on the clustered lossy topology (dharma-latency)",
     );
     println!(
-        "(times are wall-clock GET completion on a 4-cluster topology, one \
+        "(times are virtual-time GET completion on a 4-cluster topology, one \
          cluster lossy at 25%; msgs/GET counts every datagram sent during \
          the measured phase)"
     );

@@ -1,6 +1,10 @@
-//! Runs every experiment binary's logic in sequence (E1–E6, A1–A4) at the
-//! configured scale. Equivalent to invoking each binary, but shares one
-//! dataset build. Mostly a convenience for regenerating EXPERIMENTS.md.
+//! Runs every deterministic experiment binary in sequence — the paper's
+//! tables and figures (E1–E7) and the ablations A1–A9 — by spawning each
+//! as its own process with this binary's arguments forwarded verbatim, so
+//! every child builds its own dataset. Left out on purpose:
+//! `ablation_scale` and `bench_udp` measure wall-clock time, and
+//! `bench_ci` has its own line in `scripts/check-outputs.sh`, which pins
+//! the files and stdout of `run_all --seed 42`.
 
 use std::process::Command;
 
@@ -21,6 +25,8 @@ fn main() {
         "ablation_cache",
         "ablation_churn",
         "ablation_adaptive",
+        "ablation_freshness",
+        "ablation_latency",
         "trend_emergence",
     ];
     let self_path = std::env::current_exe().expect("own path");

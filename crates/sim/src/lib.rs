@@ -18,8 +18,8 @@
 //! | `ablation_latency` | A9 — latency-blind vs PNS + biased shortlists vs + adaptive α on the clustered lossy topology (`dharma-latency`) |
 //! | `ablation_scale` | A-scale — serial vs sharded engine throughput at 1k/10k nodes (events/sec, peak RSS) |
 //! | `bench_udp` | real-socket transport bench — syscall-batching microbench + multi-process UDP swarm |
-//! | `bench_ci` | consolidated `BENCH_ci.json` for the CI bench job (`--compare` = trend gate) |
-//! | `run_all` | everything above, in sequence |
+//! | `bench_ci` | consolidated `BENCH_ci.json` (simulated quality metrics, pinned byte for byte) |
+//! | `run_all` | every bin above except `ablation_scale`, `bench_udp` (wall-clock) and `bench_ci`, in sequence |
 //!
 //! Each binary prints the paper-shaped table to stdout and writes CSV series
 //! under `--out` (default `results/`). All runs are seeded and reproducible.
@@ -28,9 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod bench_compare;
 pub mod cache_sim;
 pub mod churn;
+pub mod ci_artifact;
 pub mod fresh_sim;
 pub mod latency_sim;
 pub mod output;

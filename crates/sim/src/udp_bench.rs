@@ -18,8 +18,8 @@
 //!    real datagrams and reporting wall-clock lookup latency percentiles
 //!    and lookup success. `bench_udp` runs the participants as **child
 //!    processes** (spawned from the current executable with
-//!    `--swarm-child`); the in-process thread variant backs `bench_ci`
-//!    and the tests.
+//!    `--swarm-child`); the in-process thread variant backs this
+//!    module's unit test.
 //!
 //! Wall-clock numbers here are *measurements*, not deterministic outputs:
 //! seeds pin the workload (keys, Zipf draws, node ids) but latency and
@@ -360,8 +360,8 @@ fn swarm_kad_config() -> KadConfig {
 
 /// One participant's life: register K nodes, bootstrap, write the key
 /// partition, run Zipf GETs, report. Works identically whether the caller
-/// is a child process (`bench_udp --swarm-child`) or a thread (`bench_ci`,
-/// tests) — the rendezvous address is all it needs.
+/// is a child process (`bench_udp --swarm-child`) or a thread
+/// ([`run_swarm_threaded`]) — the rendezvous address is all it needs.
 pub fn run_swarm_participant(
     cfg: &UdpBenchConfig,
     rendezvous: SocketAddr,
@@ -506,8 +506,9 @@ fn aggregate_reports(cfg: &UdpBenchConfig, reports: &[(String, f64)]) -> SwarmRe
     }
 }
 
-/// Runs the swarm with every participant on a thread in this process —
-/// the variant `bench_ci` and the tests use (no child processes needed).
+/// Runs the swarm with every participant on a thread in this process, so
+/// a test needs no child processes; this module's unit test is its only
+/// caller.
 pub fn run_swarm_threaded(cfg: &UdpBenchConfig) -> Result<SwarmReport> {
     let mut server = RendezvousServer::start(cfg.procs)?;
     let addr = server.addr();

@@ -5,7 +5,7 @@
 //! pure functions of the seed — the engine trace behind them is
 //! bit-reproducible, so their values must not move unless a protocol
 //! change *intends* to move them. This test renders the artifact with the
-//! function `bench_ci` itself prints (`bench_compare::artifact`) and pins
+//! function `bench_ci` itself prints (`ci_artifact::artifact`) and pins
 //! the value text of its fields, so any drift — a hash-order leak, an RNG
 //! draw reordering, an accidental config change — fails CI with a
 //! readable before/after instead of silently shifting the benchmark
@@ -13,18 +13,19 @@
 //!
 //! If a change legitimately moves these numbers, rerun
 //! `cargo run --release -p dharma-sim --bin bench_ci`, copy the new
-//! values here, and say why in the commit message.
+//! values here, re-pin `tests/outputs.sha256` (`scripts/check-outputs.sh`
+//! writes the new manifest), and say why in the commit message.
 
 use std::sync::OnceLock;
 
-use dharma_sim::bench_compare;
+use dharma_sim::ci_artifact;
 
 const SEED: u64 = 42;
 
 /// The value text of `section.key`, exactly as the artifact prints it.
 fn field(section: &str, key: &str) -> &'static str {
     static ARTIFACT: OnceLock<String> = OnceLock::new();
-    let json = ARTIFACT.get_or_init(|| bench_compare::artifact(SEED));
+    let json = ARTIFACT.get_or_init(|| ci_artifact::artifact(SEED));
     let body = json
         .split_once(&format!("  \"{section}\": {{\n"))
         .unwrap_or_else(|| panic!("no section {section}"))
@@ -73,18 +74,23 @@ fn freshness_section_is_pinned() {
     let f = |key| field("freshness", key);
     let got = format!(
         "ttl_hit={} gossip_hit={} ttl_p99_staleness_us={} gossip_p99_staleness_us={} \
-         ttl_hops={} gossip_hops={}",
+         ttl_hops={} gossip_hops={} push_hit_ratio={} push_p99_staleness_us={} \
+         push_msgs_per_get={}",
         f("ttl_only_hit_ratio"),
         f("gossip_hit_ratio"),
         f("ttl_only_p99_staleness_us"),
         f("gossip_p99_staleness_us"),
         f("ttl_only_hops_per_get"),
-        f("gossip_hops_per_get")
+        f("gossip_hops_per_get"),
+        f("push_hit_ratio"),
+        f("push_p99_staleness_us"),
+        f("push_msgs_per_get")
     );
     assert_eq!(
         got,
         "ttl_hit=0.265000 gossip_hit=0.403333 ttl_p99_staleness_us=3600000 \
-         gossip_p99_staleness_us=2410000 ttl_hops=1.8583 gossip_hops=1.2817"
+         gossip_p99_staleness_us=2410000 ttl_hops=1.8583 gossip_hops=1.2817 \
+         push_hit_ratio=0.395000 push_p99_staleness_us=1640000 push_msgs_per_get=7.9333"
     );
 }
 
