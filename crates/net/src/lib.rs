@@ -16,12 +16,15 @@
 //! unchanged on:
 //!
 //! * [`sim::SimNet`] — the DES (all experiments run here);
-//! * [`udp::UdpRuntime`] — real `std::net` UDP sockets (the `udp_overlay`
-//!   example), demonstrating that the protocol stack is not
+//! * [`udp::UdpWorker`] — real UDP sockets, several nodes per
+//!   shared-nothing worker thread (`dharma-bench`'s `udp_search`
+//!   workload), and [`udp::UdpRuntime`], its one-node wrapper (the
+//!   `udp_overlay` example), demonstrating that the protocol stack is not
 //!   simulation-bound.
 //!
-//! All counters live in [`counters::NetCounters`], which Table I reads to
-//! verify lookup costs.
+//! [`sys`] holds the batched `sendmmsg`/`recvmmsg` socket layer under
+//! both, and [`topology`] the per-link delay model. All counters live in
+//! [`counters::NetCounters`], which Table I reads to verify lookup costs.
 
 #![warn(missing_docs)]
 
@@ -31,7 +34,6 @@ pub mod sim;
 pub mod sys;
 pub mod topology;
 pub mod udp;
-pub mod udp_swarm;
 
 pub use counters::{NetCounters, ShardCounters};
 pub use node::{Ctx, Instrumented, Metric, Node, NodeAddr, OutMessage};

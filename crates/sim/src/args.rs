@@ -36,16 +36,23 @@ impl Default for ExpArgs {
 impl ExpArgs {
     /// Parses `std::env::args`, exiting with a usage message on errors.
     pub fn parse() -> ExpArgs {
-        match Self::try_parse(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: <bin> [--scale tiny|small|medium|paper] [--seed N] [--out DIR] [--threads N]"
-                );
-                std::process::exit(2);
-            }
-        }
+        Self::try_parse(std::env::args().skip(1)).unwrap_or_else(|e| exit_with_usage(&e, ""))
+    }
+
+    /// [`ExpArgs::parse`] for the binaries that also have a reduced
+    /// `--smoke` run: returns whether `--smoke` appeared, in any position.
+    /// The other binaries parse with [`ExpArgs::parse`] and reject it.
+    pub fn parse_with_smoke() -> (ExpArgs, bool) {
+        Self::try_parse_with_smoke(std::env::args().skip(1))
+            .unwrap_or_else(|e| exit_with_usage(&e, " [--smoke]"))
+    }
+
+    fn try_parse_with_smoke<I: IntoIterator<Item = String>>(
+        args: I,
+    ) -> Result<(ExpArgs, bool), String> {
+        let (smoke, rest): (Vec<String>, Vec<String>) =
+            args.into_iter().partition(|a| a == "--smoke");
+        Ok((Self::try_parse(rest)?, !smoke.is_empty()))
     }
 
     /// Parses from an explicit iterator (testable).
@@ -83,6 +90,21 @@ impl ExpArgs {
             dharma_par::ThreadPool::new(self.threads)
         }
     }
+}
+
+/// Prints `err` and a usage line named after this program (the file name
+/// of argv[0]; `extra` lists its own flags), then exits with status 2.
+fn exit_with_usage(err: &str, extra: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_name()
+        .and_then(|f| f.to_str())
+        .unwrap_or(&argv0);
+    eprintln!("error: {err}");
+    eprintln!(
+        "usage: {bin}{extra} [--scale tiny|small|medium|paper] [--seed N] [--out DIR] [--threads N]"
+    );
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -125,5 +147,28 @@ mod tests {
         assert!(parse(&["--scale", "gigantic"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--wat"]).is_err());
+        assert!(
+            parse(&["--smoke"]).is_err(),
+            "the paper bins reject --smoke"
+        );
+    }
+
+    #[test]
+    fn smoke_is_found_in_any_position() {
+        let split = |s: &[&str]| ExpArgs::try_parse_with_smoke(s.iter().map(|s| s.to_string()));
+        for argv in [
+            &["--smoke", "--seed", "7"][..],
+            &["--seed", "7", "--smoke"],
+            &["--out", "x", "--smoke", "--seed", "7"],
+        ] {
+            let (a, smoke) = split(argv).unwrap();
+            assert!(smoke, "{argv:?}");
+            assert_eq!(a.seed, 7);
+        }
+        assert!(!split(&["--seed", "7"]).unwrap().1);
+        assert!(
+            split(&["--smoke", "--wat"]).is_err(),
+            "unknown flags stay errors"
+        );
     }
 }

@@ -47,31 +47,9 @@ fn csv_row(label: &str, repair: &str, rep: &ChurnReport) -> Vec<String> {
 }
 
 fn main() {
-    // `--smoke` is this binary's own flag; everything else is ExpArgs.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let rest: Vec<String> = raw.into_iter().filter(|a| a != "--smoke").collect();
-    let args = match ExpArgs::try_parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: ablation_churn [--smoke] [--seed N] [--out DIR]");
-            std::process::exit(2);
-        }
-    };
-
+    let (args, smoke) = ExpArgs::parse_with_smoke();
     let base = if smoke {
-        ChurnConfig {
-            nodes: 24,
-            k: 8,
-            keys: 12,
-            horizon_us: 60_000_000,
-            op_interval_us: 500_000,
-            mean_downtime_us: 5_000_000,
-            sample_interval_us: 3_000_000,
-            seed: args.seed,
-            ..ChurnConfig::default()
-        }
+        ChurnConfig::smoke(args.seed)
     } else {
         ChurnConfig {
             seed: args.seed,
@@ -89,13 +67,7 @@ fn main() {
         ]
     };
     let repair_cfg = if smoke {
-        dharma_kademlia::MaintConfig::builder()
-            .probe_interval_us(1_000_000)
-            .repair_interval_us(6_000_000)
-            .join_handoff(true)
-            .demote_interval_us(None)
-            .build()
-            .expect("smoke repair config is in range")
+        ChurnConfig::smoke_repair()
     } else {
         ChurnConfig::ablation_repair()
     };

@@ -82,27 +82,9 @@ fn json_object(mode: &str, rep: &LatencySimReport) -> String {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let rest: Vec<String> = raw.into_iter().filter(|a| a != "--smoke").collect();
-    let args = match ExpArgs::try_parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: ablation_latency [--smoke] [--seed N] [--out DIR]");
-            std::process::exit(2);
-        }
-    };
-
+    let (args, smoke) = ExpArgs::parse_with_smoke();
     let base = if smoke {
-        LatencySimConfig {
-            nodes: 32,
-            keys: 16,
-            warmup_ops: 240,
-            ops: 400,
-            seed: args.seed,
-            ..LatencySimConfig::default()
-        }
+        LatencySimConfig::smoke(args.seed)
     } else {
         LatencySimConfig {
             seed: args.seed,

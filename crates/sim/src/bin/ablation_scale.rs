@@ -55,17 +55,7 @@ fn csv_row(run: &EngineRun) -> Vec<String> {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let rest: Vec<String> = raw.into_iter().filter(|a| a != "--smoke").collect();
-    let args = match ExpArgs::try_parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: ablation_scale [--smoke] [--seed N] [--out DIR]");
-            std::process::exit(2);
-        }
-    };
+    let (args, smoke) = ExpArgs::parse_with_smoke();
 
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

@@ -1,62 +1,32 @@
-//! **bench_udp — real-socket transport benchmark**
-//! ([`dharma_sim::udp_bench`]).
+//! **bench_udp — syscall-batching microbench** ([`dharma_sim::udp_bench`]).
 //!
-//! Two phases, both on loopback:
+//! Datagrams/sec/core through a loopback socket pair with
+//! `sendmmsg`/`recvmmsg` batching vs the legacy one-syscall-per-packet
+//! discipline, plus an `SO_REUSEPORT` arm (several sockets sharing one
+//! port). Acceptance: batched ≥ 2× the per-packet rate (≥ 1.5× under
+//! `--smoke`, where short pumps are noisier), enforced only where the
+//! host's syscall cost lets batching express it.
 //!
-//! 1. **Syscall-batching microbench** — datagrams/sec/core through a
-//!    socket pair with `sendmmsg`/`recvmmsg` batching vs the legacy
-//!    one-syscall-per-packet discipline, plus an `SO_REUSEPORT` arm
-//!    (several sockets sharing one port). Acceptance: batched ≥ 2× the
-//!    per-packet rate (≥ 1.5× under `--smoke`, where short pumps are
-//!    noisier).
-//!
-//! 2. **Multi-process overlay swarm** — M child processes × K Kademlia
-//!    nodes, each node on its own UDP socket inside a shared-nothing
-//!    [`UdpWorker`](dharma_net::udp::UdpWorker), joined through a TCP
-//!    rendezvous, running the Zipf GET workload. Reports wall-clock
-//!    lookup latency percentiles and lookup success. Acceptance: ≥ 99 %
-//!    of GETs return a value.
-//!
-//! Wall-clock figures are host-dependent measurements: seeds pin the
-//! workload, not the nanoseconds. Only ratios and the success floor are
-//! enforced.
+//! This is the one real-socket number `dharma-bench`'s `udp_search`
+//! workload cannot produce: `udp_search` already runs Kademlia GETs over
+//! `UdpWorker` threads on loopback, end to end. Wall-clock figures are
+//! host-dependent measurements; only ratios are enforced.
 
 use dharma_sim::output::{f2, CsvSink, TextTable};
-use dharma_sim::{
-    maybe_run_swarm_child, run_swarm_multiprocess, transport_microbench, ExpArgs, UdpBenchConfig,
-};
+use dharma_sim::{transport_microbench, ExpArgs};
 
 fn main() {
-    // If the parent re-invoked us as a swarm participant, this runs the
-    // child and exits; the normal bench path continues below.
-    maybe_run_swarm_child();
-
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let rest: Vec<String> = raw.into_iter().filter(|a| a != "--smoke").collect();
-    let args = match ExpArgs::try_parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: bench_udp [--smoke] [--seed N] [--out DIR]");
-            std::process::exit(2);
-        }
-    };
-    let cfg = if smoke {
-        UdpBenchConfig::smoke(args.seed)
-    } else {
-        UdpBenchConfig::full(args.seed)
-    };
+    let (args, smoke) = ExpArgs::parse_with_smoke();
+    let datagrams = if smoke { 30_000 } else { 300_000 };
     let mut failures: Vec<String> = Vec::new();
 
-    // ----- phase 1: syscall-batching microbench -------------------------
     // Short loopback pumps are noisy (scheduler, softirq placement), so
     // the recorded figure is the best of three attempts — regressions in
     // the batching path lose all three, noise doesn't.
     let micro = {
         let mut best: Option<dharma_sim::MicrobenchReport> = None;
         for _ in 0..3 {
-            match transport_microbench(cfg.micro_datagrams) {
+            match transport_microbench(datagrams) {
                 Ok(m) => {
                     if best.as_ref().is_none_or(|b| m.speedup > b.speedup) {
                         best = Some(m);
@@ -130,45 +100,6 @@ fn main() {
         }
     }
 
-    // ----- phase 2: multi-process overlay swarm -------------------------
-    let swarm = match run_swarm_multiprocess(&cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("swarm run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut stable = TextTable::new([
-        "procs", "nodes", "lookups", "success", "p50 ms", "p99 ms", "acks",
-    ]);
-    stable.row(vec![
-        swarm.procs.to_string(),
-        swarm.nodes.to_string(),
-        swarm.lookups.to_string(),
-        format!("{:.1}%", swarm.lookup_success * 100.0),
-        format!("{:.2}", swarm.p50_wall_us / 1000.0),
-        format!("{:.2}", swarm.p99_wall_us / 1000.0),
-        swarm.write_acks.to_string(),
-    ]);
-    stable.print(&format!(
-        "bench_udp — {} processes x {} nodes, Zipf(s={}) GETs over real loopback UDP",
-        cfg.procs, cfg.nodes_per_proc, cfg.zipf_s
-    ));
-
-    let expected_lookups = (cfg.procs * cfg.gets_per_proc) as u64;
-    if swarm.lookups < expected_lookups {
-        failures.push(format!(
-            "swarm completed only {}/{} GETs before the phase deadline",
-            swarm.lookups, expected_lookups
-        ));
-    }
-    if swarm.lookup_success < 0.99 {
-        failures.push(format!(
-            "swarm lookup success {:.4} below the 0.99 floor",
-            swarm.lookup_success
-        ));
-    }
-
     // ----- CSV ----------------------------------------------------------
     let sink = CsvSink::new(&args.out, "bench_udp").expect("output dir");
     let path = sink
@@ -183,13 +114,6 @@ fn main() {
                 "syscall_cost_ns",
                 "reuseport_sockets",
                 "reuseport_dps",
-                "procs",
-                "nodes",
-                "lookups",
-                "successes",
-                "lookup_success",
-                "p50_wall_us",
-                "p99_wall_us",
             ],
             vec![vec![
                 if smoke { "smoke" } else { "full" }.to_string(),
@@ -200,13 +124,6 @@ fn main() {
                 format!("{:.1}", micro.syscall_cost_ns),
                 micro.reuseport_sockets.to_string(),
                 format!("{:.1}", micro.reuseport_dgrams_per_sec),
-                swarm.procs.to_string(),
-                swarm.nodes.to_string(),
-                swarm.lookups.to_string(),
-                swarm.successes.to_string(),
-                format!("{:.6}", swarm.lookup_success),
-                format!("{:.1}", swarm.p50_wall_us),
-                format!("{:.1}", swarm.p99_wall_us),
             ]],
         )
         .expect("write csv");

@@ -126,6 +126,35 @@ impl Default for ChurnConfig {
 }
 
 impl ChurnConfig {
+    /// The `--smoke` scale of `ablation_churn` and `ablation_adaptive` (and
+    /// the A7 section of `BENCH_ci.json`): 24 nodes, k = 8, 12 keys over
+    /// one virtual minute. Each caller sets the session length and repair.
+    pub fn smoke(seed: u64) -> Self {
+        ChurnConfig {
+            nodes: 24,
+            k: 8,
+            keys: 12,
+            horizon_us: 60_000_000,
+            op_interval_us: 500_000,
+            mean_downtime_us: 5_000_000,
+            sample_interval_us: 3_000_000,
+            seed,
+            ..ChurnConfig::default()
+        }
+    }
+
+    /// [`Self::ablation_repair`] at the smoke scale's shorter horizon:
+    /// probes every 1 s, repair every 6 s, handoff on, demotion off.
+    pub fn smoke_repair() -> MaintConfig {
+        MaintConfig::builder()
+            .probe_interval_us(1_000_000)
+            .repair_interval_us(6_000_000)
+            .join_handoff(true)
+            .demote_interval_us(None)
+            .build()
+            .expect("smoke repair config is in range")
+    }
+
     /// The maintenance configuration the "repair on" ablation rows use:
     /// probes every 2 s, repair every 15 s, handoff on. Demotion stays
     /// off here: the ablation isolates the repair guarantee, and the
@@ -664,28 +693,18 @@ mod tests {
         }
     }
 
-    fn fast_repair() -> MaintConfig {
-        MaintConfig::builder()
-            .probe_interval_us(1_000_000)
-            .repair_interval_us(6_000_000)
-            .join_handoff(true)
-            .demote_interval_us(None)
-            .build()
-            .expect("fast repair config is in range")
-    }
-
     #[test]
     fn same_seed_identical_availability_trace() {
-        let a = simulate_churn(&small(Some(fast_repair()), 7));
-        let b = simulate_churn(&small(Some(fast_repair()), 7));
+        let a = simulate_churn(&small(Some(ChurnConfig::smoke_repair()), 7));
+        let b = simulate_churn(&small(Some(ChurnConfig::smoke_repair()), 7));
         assert_eq!(a, b, "fixed seed must be bit-identical");
-        let c = simulate_churn(&small(Some(fast_repair()), 8));
+        let c = simulate_churn(&small(Some(ChurnConfig::smoke_repair()), 8));
         assert_ne!(a, c, "different seeds must diverge");
     }
 
     #[test]
     fn repair_keeps_records_alive_under_churn() {
-        let with = simulate_churn(&small(Some(fast_repair()), 9));
+        let with = simulate_churn(&small(Some(ChurnConfig::smoke_repair()), 9));
         assert!(with.departures > 0 && with.joins > 0, "churn must happen");
         assert_eq!(with.lost_records, 0, "repair must not lose records");
         assert!(
@@ -698,7 +717,7 @@ mod tests {
 
     #[test]
     fn disabling_repair_degrades_availability() {
-        let with = simulate_churn(&small(Some(fast_repair()), 10));
+        let with = simulate_churn(&small(Some(ChurnConfig::smoke_repair()), 10));
         let without = simulate_churn(&small(None, 10));
         assert!(
             without.mean_availability < with.mean_availability,
@@ -714,7 +733,7 @@ mod tests {
 
     #[test]
     fn graceful_departures_preserve_data() {
-        let mut cfg = small(Some(fast_repair()), 11);
+        let mut cfg = small(Some(ChurnConfig::smoke_repair()), 11);
         cfg.graceful_fraction = 1.0;
         let rep = simulate_churn(&cfg);
         assert!(rep.departures > 0, "churn must happen");
@@ -739,7 +758,7 @@ mod tests {
         // (shards=1 is the distinct legacy discipline, pinned bit-identical
         // by `same_seed_identical_availability_trace` and the smoke tests.)
         let base = |shards| {
-            let mut c = small(Some(fast_repair()), 13);
+            let mut c = small(Some(ChurnConfig::smoke_repair()), 13);
             c.shards = shards;
             c
         };
@@ -756,7 +775,7 @@ mod tests {
     fn batched_populate_settles_every_key() {
         // write_batch > 1 is a scale knob, not a semantics change: records
         // still replicate and the run stays churn-correct end-to-end.
-        let mut cfg = small(Some(fast_repair()), 14);
+        let mut cfg = small(Some(ChurnConfig::smoke_repair()), 14);
         cfg.write_batch = 4;
         let rep = simulate_churn(&cfg);
         assert_eq!(rep.lost_records, 0, "batched populate must not lose data");

@@ -5,8 +5,9 @@
 //! quality metrics. Two checks guard it byte for byte:
 //! `crates/sim/tests/bench_sections.rs` pins every field at seed 42, and
 //! `scripts/check-outputs.sh` hashes the file `bench_ci` writes against
-//! `tests/outputs.sha256`. Wall-clock measurements (engine throughput,
-//! the real-socket swarm) are `ablation_scale`'s and `bench_udp`'s.
+//! `tests/outputs.sha256`. Wall-clock measurements are elsewhere: engine
+//! throughput is `ablation_scale`'s, the syscall layer `bench_udp`'s, and
+//! GETs over real sockets `dharma-bench`'s `udp_search` workload.
 
 use dharma_kademlia::LatencyConfig;
 
@@ -43,27 +44,12 @@ pub fn artifact(seed: u64) -> String {
     };
 
     let churn = simulate_churn(&ChurnConfig {
-        nodes: 24,
-        k: 8,
-        keys: 12,
-        horizon_us: 60_000_000,
-        op_interval_us: 500_000,
         mean_session_us: 20_000_000,
-        mean_downtime_us: 5_000_000,
-        sample_interval_us: 3_000_000,
         repair: Some(ChurnConfig::ablation_adaptive()),
-        seed,
-        ..ChurnConfig::default()
+        ..ChurnConfig::smoke(seed)
     });
 
-    let fresh_base = FreshSimConfig {
-        nodes: 32,
-        k: 6,
-        keys: 16,
-        ops: 600,
-        seed,
-        ..FreshSimConfig::default()
-    };
+    let fresh_base = FreshSimConfig::smoke(seed);
     let fresh_ttl = simulate_freshness(&fresh_base);
     let fresh_gossip = simulate_freshness(&FreshSimConfig {
         freshness: Some(FreshSimConfig::ablation_freshness()),
@@ -81,14 +67,7 @@ pub fn artifact(seed: u64) -> String {
         ..fresh_base
     });
 
-    let latency_base = LatencySimConfig {
-        nodes: 32,
-        keys: 16,
-        warmup_ops: 240,
-        ops: 400,
-        seed,
-        ..LatencySimConfig::default()
-    };
+    let latency_base = LatencySimConfig::smoke(seed);
     let lat_blind = simulate_latency(&latency_base);
     let lat_full = simulate_latency(&LatencySimConfig {
         latency: Some(LatencyConfig::default()),

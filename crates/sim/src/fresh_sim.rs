@@ -21,14 +21,13 @@
 use dharma_cache::{CacheConfig, FreshConfig, PopularityConfig};
 use dharma_dataset::Zipf;
 use dharma_kademlia::{KadOutput, KademliaNode, MaintConfig, StoredEntry};
-use dharma_net::SimNet;
 use dharma_types::{sha1, Id160};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::output::percentile;
-use crate::overlay::{build_overlay, OverlayConfig};
+use crate::overlay::{build_overlay, drive_to_completion, OverlayConfig};
 
 /// Freshness-workload parameters.
 #[derive(Clone, Debug)]
@@ -91,6 +90,19 @@ impl Default for FreshSimConfig {
 }
 
 impl FreshSimConfig {
+    /// The `--smoke` scale of `ablation_freshness` (and the A8 section of
+    /// `BENCH_ci.json`): 32 nodes, k = 6, 16 keys, 600 GETs.
+    pub fn smoke(seed: u64) -> Self {
+        FreshSimConfig {
+            nodes: 32,
+            k: 6,
+            keys: 16,
+            ops: 600,
+            seed,
+            ..FreshSimConfig::default()
+        }
+    }
+
     /// The cache configuration of the ablation rows: a deliberately short
     /// TTL (5 virtual seconds), so the staleness/hit-ratio trade-off the
     /// gossip is meant to break is actually exercised.
@@ -192,24 +204,10 @@ pub struct FreshSimReport {
     pub lookup_failures: u64,
 }
 
-/// Drives the net until `op` completes, pacing in small virtual-time
-/// slices (maintenance timers re-arm forever, so idle-draining would
-/// fast-forward through years of sweeps).
-fn drive_to_completion(net: &mut SimNet<KademliaNode>, op: u64) -> KadOutput {
-    let deadline = net.now_us() + 10_000_000;
-    loop {
-        for (id, out) in net.take_completions() {
-            if id == op {
-                return out;
-            }
-        }
-        assert!(
-            net.now_us() < deadline,
-            "operation {op} still pending after 10 virtual seconds"
-        );
-        net.run_until(net.now_us() + 5_000);
-    }
-}
+// `drive_to_completion` paces each operation in 5 ms virtual slices, with
+// 10 virtual seconds of patience.
+const SLICE_US: u64 = 5_000;
+const PATIENCE_US: u64 = 10_000_000;
 
 /// Replays the freshness workload of [`FreshSimConfig`] and reports hit
 /// ratio, staleness percentiles and lookup cost.
@@ -251,7 +249,7 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
             })
             .collect();
         let op = net.with_node(writer, |n, ctx| n.append_many(ctx, *key, entries));
-        drive_to_completion(&mut net, op);
+        drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
         let done = net.now_us();
         for e in 0..4 {
             write_log[i].push((done, format!("seed-{e}")));
@@ -309,7 +307,7 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
             let key = keys[key_idx];
             let wname = name.clone();
             let op = net.with_node(writer, |n, ctx| n.append(ctx, key, &wname, 1));
-            drive_to_completion(&mut net, op);
+            drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
             write_log[key_idx].push((net.now_us(), name));
             writes += 1;
         }
@@ -317,7 +315,7 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
         let requester = live[i % live.len()];
         let issued_at = net.now_us();
         let op = net.with_node(requester, |n, ctx| n.get(ctx, keys[key_idx], cfg.top_n));
-        let out = drive_to_completion(&mut net, op);
+        let out = drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
         let KadOutput::Value { value, messages } = out else {
             panic!("GET completed with a non-value output");
         };

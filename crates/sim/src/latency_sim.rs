@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::output::percentile;
-use crate::overlay::{build_overlay, OverlayConfig};
+use crate::overlay::{build_overlay, drive_to_completion, OverlayConfig};
 
 /// Latency-workload parameters.
 #[derive(Clone, Debug)]
@@ -68,6 +68,20 @@ impl Default for LatencySimConfig {
 }
 
 impl LatencySimConfig {
+    /// The `--smoke` scale of `ablation_latency` (and the A9 section of
+    /// `BENCH_ci.json`): 32 nodes, 16 keys, 240 warmup and 400 measured
+    /// GETs.
+    pub fn smoke(seed: u64) -> Self {
+        LatencySimConfig {
+            nodes: 32,
+            keys: 16,
+            warmup_ops: 240,
+            ops: 400,
+            seed,
+            ..LatencySimConfig::default()
+        }
+    }
+
     /// The topology of the ablation rows: four metro clusters (1–15 ms
     /// within, 15–140 ms across, ±2 ms jitter, 1% baseline loss) with
     /// cluster 3 designated lossy (25% on every link it touches). The wide
@@ -136,23 +150,11 @@ pub struct LatencySimReport {
     pub mean_final_alpha: f64,
 }
 
-/// Drives the net until `op` completes, in fine virtual-time slices so the
-/// recorded completion instant overshoots the true one by ≤ 0.25 ms.
-fn drive_to_completion(net: &mut SimNet<KademliaNode>, op: u64) -> KadOutput {
-    let deadline = net.now_us() + 30_000_000;
-    loop {
-        for (id, out) in net.take_completions() {
-            if id == op {
-                return out;
-            }
-        }
-        assert!(
-            net.now_us() < deadline,
-            "operation {op} still pending after 30 virtual seconds"
-        );
-        net.run_until(net.now_us() + 250);
-    }
-}
+// `drive_to_completion` paces each operation in 0.25 ms virtual slices,
+// so a recorded completion instant overshoots the true one by at most
+// that, with 30 virtual seconds of patience.
+const SLICE_US: u64 = 250;
+const PATIENCE_US: u64 = 30_000_000;
 
 /// Replays the latency workload of [`LatencySimConfig`] and reports
 /// completion-time percentiles, datagram cost and success ratio.
@@ -209,7 +211,7 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
         for attempt in 0..5 {
             let writer = ((i + attempt * 13) % cfg.nodes) as u32;
             let op = net.with_node(writer, |n, ctx| n.append(ctx, key, "payload", 1));
-            drive_to_completion(&mut net, op);
+            drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
             let replicas = (0..cfg.nodes as u32)
                 .filter(|a| net.node(*a).storage().contains(&key))
                 .count();
@@ -228,7 +230,7 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
         let issued_at = net.now_us();
         for _ in 0..3 {
             let op = net.with_node(requester, |n, ctx| n.get(ctx, key, 0));
-            let out = drive_to_completion(net, op);
+            let out = drive_to_completion(net, op, SLICE_US, PATIENCE_US);
             let KadOutput::Value { value, .. } = out else {
                 panic!("GET completed with a non-value output");
             };

@@ -17,7 +17,7 @@
 //! | `ablation_freshness` | A8 — TTL-only vs version gossip vs gossip + warm routing (`dharma-fresh`) |
 //! | `ablation_latency` | A9 — latency-blind vs PNS + biased shortlists vs + adaptive α on the clustered lossy topology (`dharma-latency`) |
 //! | `ablation_scale` | A-scale — serial vs sharded engine throughput at 1k/10k nodes (events/sec, peak RSS) |
-//! | `bench_udp` | real-socket transport bench — syscall-batching microbench + multi-process UDP swarm |
+//! | `bench_udp` | real-socket syscall-batching microbench (batched vs per-packet, plus `SO_REUSEPORT`); Kademlia GETs over real sockets are `dharma-bench`'s `udp_search` |
 //! | `bench_ci` | consolidated `BENCH_ci.json` (simulated quality metrics, pinned byte for byte) |
 //! | `run_all` | every bin above except `ablation_scale`, `bench_udp` (wall-clock) and `bench_ci`, in sequence |
 //!
@@ -35,7 +35,6 @@ pub mod fresh_sim;
 pub mod latency_sim;
 pub mod output;
 pub mod overlay;
-pub mod parallel_replay;
 pub mod pipeline;
 pub mod replay;
 pub mod scale;
@@ -48,13 +47,9 @@ pub use cache_sim::{simulate_cache_workload, CacheSimConfig, CacheSimReport};
 pub use churn::{simulate_churn, ChurnConfig, ChurnReport};
 pub use fresh_sim::{simulate_freshness, FreshSimConfig, FreshSimReport};
 pub use latency_sim::{simulate_latency, LatencySimConfig, LatencySimReport};
-pub use parallel_replay::replay_parallel;
 pub use pipeline::ExpContext;
 pub use replay::{replay, EventOrder, ReplayConfig};
 pub use scale::{measure_engine_run, peak_rss_bytes, scale_full, scale_smoke, EngineRun};
 pub use search_sim::{simulate_searches, SearchSimConfig, SearchSimReport, StrategyStats};
 pub use trend::{run_trend, TrendConfig, TrendReport};
-pub use udp_bench::{
-    maybe_run_swarm_child, run_swarm_multiprocess, run_swarm_threaded, transport_microbench,
-    MicrobenchReport, SwarmReport, UdpBenchConfig,
-};
+pub use udp_bench::{transport_microbench, MicrobenchReport};

@@ -1,7 +1,7 @@
 //! Simulated-overlay construction shared by the DHT-level experiments.
 
 use dharma_cache::{CacheConfig, FreshConfig, PopularityConfig};
-use dharma_kademlia::{KadConfig, KademliaNode, LatencyConfig, MaintConfig};
+use dharma_kademlia::{KadConfig, KadOutput, KademliaNode, LatencyConfig, MaintConfig};
 use dharma_net::{SimConfig, SimNet, TopologyConfig};
 use dharma_types::Id160;
 use rand::rngs::StdRng;
@@ -34,9 +34,6 @@ pub struct OverlayConfig {
     /// Version gossip & cache-aware lookup routing on every node
     /// (`dharma-fresh`); `None` keeps the TTL-only cache protocol.
     pub freshness: Option<FreshConfig>,
-    /// Event-engine shards (1 = the serial engine; ≥2 enables the
-    /// window-barrier sharded engine and its parallel executor).
-    pub shards: usize,
     /// Geo-clustered per-link delay/loss model. `None` keeps the classic
     /// global-uniform `latency_us`/`drop_rate` link discipline and stays
     /// byte-identical to prior runs; `Some` switches the simulator to
@@ -46,12 +43,6 @@ pub struct OverlayConfig {
     /// proximity neighbor selection, shortlist bias, adaptive α).
     /// `None` keeps the latency-oblivious protocol of prior PRs.
     pub latency: Option<LatencyConfig>,
-    /// Join-batch size for bootstrap. `0` keeps the legacy single-drain
-    /// bootstrap (byte-identical to prior runs). At large N set this to a
-    /// few hundred: joins are admitted in batches and each batch settles
-    /// under a bounded event budget, so bootstrap work stays O(n·log n)
-    /// instead of piling every join lookup into one unbounded drain.
-    pub bootstrap_batch: usize,
 }
 
 impl Default for OverlayConfig {
@@ -68,10 +59,8 @@ impl Default for OverlayConfig {
             replication: None,
             maintenance: None,
             freshness: None,
-            shards: 1,
             topology: None,
             latency: None,
-            bootstrap_batch: 0,
         }
     }
 }
@@ -98,19 +87,9 @@ impl OverlayConfig {
     }
 }
 
-/// Per-join event allowance in batched bootstrap: generous headroom over a
-/// join lookup's worst case (α walkers × O(log n) hops × k-wide replies).
-const JOIN_EVENT_BUDGET: u64 = 4_096;
-
-/// Builds and bootstraps an overlay: node 0 is the rendezvous; every other
-/// node seeds it and performs the standard join lookup.
-///
-/// With `bootstrap_batch == 0` every join is admitted up front and the
-/// whole queue drains once — the historical path, kept byte-identical.
-/// With `bootstrap_batch > 0` joins are admitted in batches and each batch
-/// settles under a bounded event budget before the next is admitted, so no
-/// single drain ever holds the full O(n) join backlog; afterwards every
-/// node's routing table is asserted populated.
+/// Builds and bootstraps an overlay on the serial engine: node 0 is the
+/// rendezvous; every other node seeds it and performs the standard join
+/// lookup. All joins are admitted up front and settle together.
 pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
     let mut net = SimNet::new(SimConfig {
         // With a topology the min delay is the engine lookahead; the
@@ -124,14 +103,12 @@ pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
         drop_rate: cfg.drop_rate,
         mtu: cfg.mtu,
         seed: cfg.seed,
-        shards: cfg.shards.max(1),
+        shards: 1,
         topology: cfg.topology.clone(),
     });
-    net.enable_parallel();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD1A2);
     let kad = cfg.kad_config(net.counters());
     let mut rendezvous = None;
-    let mut since_drain = 0u64;
     for i in 0..cfg.nodes {
         let id = Id160::random(&mut rng);
         let addr = net.add_node(KademliaNode::new(id, i as u32, kad.clone()));
@@ -143,49 +120,43 @@ pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
                 net.with_node(addr, |node, ctx| {
                     node.bootstrap(ctx);
                 });
-                since_drain += 1;
             }
-        }
-        if cfg.bootstrap_batch > 0 && since_drain >= cfg.bootstrap_batch as u64 {
-            net.run_until_idle(since_drain * JOIN_EVENT_BUDGET);
-            since_drain = 0;
         }
     }
     // Maintenance timers re-arm forever, so a maintained overlay must
-    // bootstrap time-bounded; a static one drains the queue as before.
+    // bootstrap time-bounded; a static one drains the queue.
     if cfg.maintenance.is_some() {
         net.run_until(net.now_us() + 2_000_000);
-    } else if cfg.bootstrap_batch == 0 {
-        net.run_until_idle(u64::MAX);
     } else {
-        net.run_until_idle(since_drain.max(1) * JOIN_EVENT_BUDGET);
-    }
-    if cfg.bootstrap_batch > 0 {
-        assert_bootstrapped(&net, cfg);
+        net.run_until_idle(u64::MAX);
     }
     net.take_completions();
     net
 }
 
-/// Batched-bootstrap postcondition: joiners hold at least their seed and —
-/// on a loss-free network — the rendezvous has heard back from the fleet.
-fn assert_bootstrapped(net: &SimNet<KademliaNode>, cfg: &OverlayConfig) {
-    let lossless = cfg.drop_rate == 0.0;
-    for addr in 0..cfg.nodes as u32 {
-        // A joiner always holds its seed; under loss the rendezvous has no
-        // such guarantee, so it is only checked on a loss-free network.
-        let floor = if lossless {
-            cfg.nodes.saturating_sub(1).min(3)
-        } else if addr == 0 {
-            0
-        } else {
-            1
-        };
-        let have = net.node(addr).routing().len();
+/// Drives the net until `op` completes, in `slice_us` virtual-time slices:
+/// maintenance timers re-arm forever, so idle-draining would fast-forward
+/// through years of sweeps, and the slice bounds how far the recorded
+/// completion instant overshoots the true one. Panics if `op` is still
+/// pending after `patience_us` of virtual time.
+pub fn drive_to_completion(
+    net: &mut SimNet<KademliaNode>,
+    op: u64,
+    slice_us: u64,
+    patience_us: u64,
+) -> KadOutput {
+    let deadline = net.now_us() + patience_us;
+    loop {
+        for (id, out) in net.take_completions() {
+            if id == op {
+                return out;
+            }
+        }
         assert!(
-            have >= floor,
-            "bootstrap left node {addr} with {have} contacts (< {floor})"
+            net.now_us() < deadline,
+            "operation {op} still pending after {patience_us} virtual µs"
         );
+        net.run_until(net.now_us() + slice_us);
     }
 }
 
@@ -201,38 +172,6 @@ mod tests {
             ..OverlayConfig::default()
         });
         for i in 0..24u32 {
-            assert!(net.node(i).routing().len() >= 3, "node {i} underpopulated");
-        }
-    }
-
-    #[test]
-    fn batched_bootstrap_populates_routing_tables() {
-        // Batched admission must leave the overlay as connected as the
-        // single-drain path (assert_bootstrapped runs inside the builder).
-        let net = build_overlay(&OverlayConfig {
-            nodes: 48,
-            seed: 7,
-            bootstrap_batch: 8,
-            ..OverlayConfig::default()
-        });
-        for i in 0..48u32 {
-            assert!(net.node(i).routing().len() >= 3, "node {i} underpopulated");
-        }
-    }
-
-    #[test]
-    fn batched_bootstrap_on_sharded_engine() {
-        // The sharded engine + batched joins end-to-end: the overlay forms
-        // and stays functional with cross-shard join traffic.
-        let net = build_overlay(&OverlayConfig {
-            nodes: 32,
-            seed: 11,
-            shards: 4,
-            bootstrap_batch: 8,
-            ..OverlayConfig::default()
-        });
-        assert_eq!(net.shard_count(), 4);
-        for i in 0..32u32 {
             assert!(net.node(i).routing().len() >= 3, "node {i} underpopulated");
         }
     }

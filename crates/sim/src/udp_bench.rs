@@ -1,124 +1,28 @@
-//! Real-socket transport benchmark: syscall-batching microbench plus the
-//! multi-process overlay swarm (`bench_udp`, `examples/udp_swarm.rs`).
+//! Real-socket transport microbench (`bench_udp`): what the syscall layer
+//! under `UdpWorker` costs, measured on loopback with no overlay on top.
 //!
-//! Two measurements, both on loopback:
+//! One thread pumps datagrams through a [`BatchSocket`] pair in
+//! [`SyscallMode::Batched`] (`sendmmsg` / `recvmmsg`) and again in
+//! [`SyscallMode::PerPacket`] (the legacy one-syscall-per-packet
+//! discipline). The ratio is the headline number: datagrams/sec/core
+//! batched vs not. A third arm exercises `SO_REUSEPORT`: several sockets
+//! sharing one port, each fed by its own sender, drained by one thread.
 //!
-//! 1. **Transport microbench** — one thread pumps datagrams through a
-//!    [`BatchSocket`] pair in [`SyscallMode::Batched`] (`sendmmsg` /
-//!    `recvmmsg`) and again in [`SyscallMode::PerPacket`] (the legacy
-//!    one-syscall-per-packet discipline the old `UdpRuntime` used). The
-//!    ratio is the headline number: datagrams/sec/core batched vs not.
-//!    A third arm exercises `SO_REUSEPORT`: several sockets sharing one
-//!    port, each fed by its own sender, drained by one thread.
-//!
-//! 2. **Overlay swarm** — M participants × K Kademlia nodes each, every
-//!    node on its own UDP socket inside a shared-nothing
-//!    [`UdpWorker`], joined through the TCP rendezvous
-//!    ([`dharma_net::udp_swarm`]), running the Zipf GET workload over
-//!    real datagrams and reporting wall-clock lookup latency percentiles
-//!    and lookup success. `bench_udp` runs the participants as **child
-//!    processes** (spawned from the current executable with
-//!    `--swarm-child`); the in-process thread variant backs this
-//!    module's unit test.
-//!
-//! Wall-clock numbers here are *measurements*, not deterministic outputs:
-//! seeds pin the workload (keys, Zipf draws, node ids) but latency and
-//! throughput depend on the host. CI gates only on ratios and on the
-//! lookup-success floor.
+//! Kademlia GETs over real sockets are measured elsewhere: `dharma-bench`'s
+//! `udp_search` workload runs them over `UdpWorker` threads end to end.
+//! No workload runs here, so nothing needs a seed, and every number is a
+//! host-dependent measurement; `bench_udp` gates only on the ratio.
 
 // dharma-lint: allow-file(D1): a real-socket benchmark harness — every timing
 // here measures actual syscalls and is reported as informational wall-clock.
 
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use dharma_cache::CacheConfig;
-use dharma_kademlia::{Contact, KadConfig, KadOutput, KademliaNode, LatencyConfig};
 use dharma_net::sys::{BatchSocket, BufPool, SyscallMode, MAX_BATCH};
-use dharma_net::udp::UdpWorker;
-use dharma_net::udp_swarm::{RendezvousClient, RendezvousServer};
-use dharma_types::{sha1, DharmaError, Id160, Result};
-
-use dharma_dataset::Zipf;
-
-use crate::output::percentile;
-
-/// Swarm/microbench sizing knobs.
-#[derive(Clone, Debug)]
-pub struct UdpBenchConfig {
-    /// Participants (processes for `bench_udp`, threads for the CI arm).
-    pub procs: usize,
-    /// Overlay nodes hosted per participant.
-    pub nodes_per_proc: usize,
-    /// Distinct keys written before the GET phase.
-    pub keys: usize,
-    /// Zipf-sampled GETs issued per participant.
-    pub gets_per_proc: usize,
-    /// Zipf skew for the GET workload (the paper's tag-popularity shape).
-    pub zipf_s: f64,
-    /// Datagram MTU enforced at send time.
-    pub mtu: usize,
-    /// Master seed (workload-deterministic; wall clock is not).
-    pub seed: u64,
-    /// Transport discipline for the swarm run.
-    pub mode: SyscallMode,
-    /// Wall budget for the bootstrap phase.
-    pub bootstrap_ms: u64,
-    /// Wall budget for drain/settle phases (writes, final drain).
-    pub settle_ms: u64,
-    /// Datagrams pumped per microbench arm.
-    pub micro_datagrams: u64,
-}
-
-impl UdpBenchConfig {
-    /// CI smoke sizing: small swarm, a few seconds end to end.
-    pub fn smoke(seed: u64) -> Self {
-        UdpBenchConfig {
-            procs: 2,
-            nodes_per_proc: 4,
-            keys: 24,
-            gets_per_proc: 150,
-            zipf_s: 0.9,
-            mtu: 1400,
-            seed,
-            mode: SyscallMode::Batched,
-            bootstrap_ms: 1_500,
-            settle_ms: 1_500,
-            micro_datagrams: 30_000,
-        }
-    }
-
-    /// Full sizing: the ROADMAP measurement.
-    pub fn full(seed: u64) -> Self {
-        UdpBenchConfig {
-            procs: 4,
-            nodes_per_proc: 8,
-            keys: 200,
-            gets_per_proc: 1_500,
-            zipf_s: 0.9,
-            mtu: 1400,
-            seed,
-            mode: SyscallMode::Batched,
-            bootstrap_ms: 3_000,
-            settle_ms: 3_000,
-            micro_datagrams: 300_000,
-        }
-    }
-
-    /// Total nodes across all participants.
-    pub fn total_nodes(&self) -> usize {
-        self.procs * self.nodes_per_proc
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transport microbench
-// ---------------------------------------------------------------------------
+use dharma_types::{DharmaError, Result};
 
 /// Microbench results (single thread, loopback).
 #[derive(Clone, Debug)]
@@ -313,355 +217,6 @@ pub fn transport_microbench(datagrams: u64) -> Result<MicrobenchReport> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Overlay swarm
-// ---------------------------------------------------------------------------
-
-/// Aggregated swarm results (parent side).
-#[derive(Clone, Debug)]
-pub struct SwarmReport {
-    /// Participants that reported back.
-    pub procs: usize,
-    /// Total overlay nodes.
-    pub nodes: usize,
-    /// GET operations issued swarm-wide.
-    pub lookups: u64,
-    /// GETs that returned a value.
-    pub successes: u64,
-    /// `successes / lookups`.
-    pub lookup_success: f64,
-    /// Mean of per-participant p50 wall-clock GET latencies (µs).
-    pub p50_wall_us: f64,
-    /// Mean of per-participant p99 wall-clock GET latencies (µs).
-    pub p99_wall_us: f64,
-    /// Write acks received during the seeding phase.
-    pub write_acks: u64,
-}
-
-fn swarm_key(rank: usize) -> Id160 {
-    sha1(format!("swarm-key-{rank}").as_bytes())
-}
-
-fn swarm_node_id(addr: u32) -> Id160 {
-    sha1(format!("swarm-node-{addr}").as_bytes())
-}
-
-fn swarm_kad_config() -> KadConfig {
-    KadConfig {
-        k: 4,
-        alpha: 2,
-        rpc_timeout_us: 300_000,
-        reply_budget: 1_200,
-        cache: Some(CacheConfig::default()),
-        latency: Some(LatencyConfig::default()),
-        ..KadConfig::default()
-    }
-}
-
-/// One participant's life: register K nodes, bootstrap, write the key
-/// partition, run Zipf GETs, report. Works identically whether the caller
-/// is a child process (`bench_udp --swarm-child`) or a thread
-/// ([`run_swarm_threaded`]) — the rendezvous address is all it needs.
-pub fn run_swarm_participant(
-    cfg: &UdpBenchConfig,
-    rendezvous: SocketAddr,
-    proc_idx: usize,
-) -> Result<()> {
-    let k = cfg.nodes_per_proc;
-    let mut client = RendezvousClient::connect(rendezvous)?;
-    let mut worker: UdpWorker<KademliaNode> = UdpWorker::new(
-        cfg.mtu,
-        cfg.seed ^ (proc_idx as u64).wrapping_mul(0x9E37_79B9),
-    );
-    for j in 0..k {
-        let addr = (proc_idx * k + j) as u32;
-        let node = KademliaNode::new(swarm_node_id(addr), addr, swarm_kad_config());
-        let slot = worker.add_node(node, addr, "127.0.0.1:0".parse().expect("literal"))?;
-        client.register(addr, worker.local_addr(slot)?)?;
-    }
-    worker.set_mode(cfg.mode);
-
-    // Learn the whole swarm's sockets, then bootstrap off node 0.
-    for (addr, sock) in client.done()? {
-        worker.register_peer(addr, sock);
-    }
-    let seed_contact = Contact {
-        id: swarm_node_id(0),
-        addr: 0,
-    };
-    for slot in 0..k {
-        if worker.node_addr(slot) != 0 {
-            let seed = seed_contact.clone();
-            worker.with_node(slot, move |n, ctx| {
-                n.add_seed(seed);
-                n.bootstrap(ctx);
-            });
-        }
-        worker.poll(Duration::from_millis(cfg.bootstrap_ms / (2 * k as u64 + 2)))?;
-    }
-    let boot_deadline = Instant::now() + Duration::from_millis(cfg.bootstrap_ms / 2);
-    while Instant::now() < boot_deadline {
-        worker.poll(Duration::from_millis(10))?;
-    }
-    client.barrier("bootstrapped")?;
-
-    // Seed this participant's key partition (round-robin over its nodes);
-    // a write completes when its `Written` ack arrives.
-    let mut write_acks = 0u64;
-    let mut writes_pending = 0u64;
-    for (i, rank) in (proc_idx..cfg.keys).step_by(cfg.procs).enumerate() {
-        let key = swarm_key(rank);
-        worker.with_node(i % k, |n, ctx| {
-            n.append(ctx, key, "tag", 1);
-        });
-        writes_pending += 1;
-        worker.poll(Duration::from_millis(2))?;
-    }
-    let settle_deadline = Instant::now() + Duration::from_millis(cfg.settle_ms);
-    while writes_pending > 0 && Instant::now() < settle_deadline {
-        worker.poll(Duration::from_millis(5))?;
-        for slot in 0..k {
-            for (_, out) in worker.take_completions(slot) {
-                if let KadOutput::Written { acks, .. } = out {
-                    writes_pending -= 1;
-                    write_acks += u64::from(acks);
-                }
-            }
-        }
-    }
-    client.barrier("seeded")?;
-
-    // Zipf GET phase: a closed loop with one in-flight GET per node.
-    let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(proc_idx as u64));
-    let mut pending: HashMap<(usize, u64), Instant> = HashMap::new();
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(cfg.gets_per_proc);
-    let mut successes = 0u64;
-    let mut issued = 0usize;
-    let phase_deadline = Instant::now() + Duration::from_secs(120);
-    while (issued < cfg.gets_per_proc || !pending.is_empty()) && Instant::now() < phase_deadline {
-        while pending.len() < k && issued < cfg.gets_per_proc {
-            let key = swarm_key(zipf.sample(&mut rng));
-            let slot = issued % k;
-            let op = worker.with_node(slot, |n, ctx| n.get(ctx, key, 10));
-            pending.insert((slot, op), Instant::now());
-            issued += 1;
-        }
-        worker.poll(Duration::from_millis(2))?;
-        for slot in 0..k {
-            for (op, out) in worker.take_completions(slot) {
-                let Some(t0) = pending.remove(&(slot, op)) else {
-                    continue; // stray bootstrap/maintenance completion
-                };
-                if let KadOutput::Value { value, .. } = out {
-                    latencies_us.push(t0.elapsed().as_micros() as u64);
-                    successes += u64::from(value.is_some());
-                }
-            }
-        }
-    }
-
-    latencies_us.sort_unstable();
-    let p50 = percentile(&latencies_us, 0.50);
-    let p99 = percentile(&latencies_us, 0.99);
-    client.report("lookups", latencies_us.len() as f64)?;
-    client.report("successes", successes as f64)?;
-    client.report("p50_us", p50 as f64)?;
-    client.report("p99_us", p99 as f64)?;
-    client.report("write_acks", write_acks as f64)?;
-    client.bye()
-}
-
-fn aggregate_reports(cfg: &UdpBenchConfig, reports: &[(String, f64)]) -> SwarmReport {
-    let sum = |key: &str| -> f64 {
-        reports
-            .iter()
-            .filter(|(key_i, _)| key_i == key)
-            .map(|&(_, v)| v)
-            .sum()
-    };
-    let mean = |key: &str| -> f64 {
-        let n = reports.iter().filter(|(key_i, _)| key_i == key).count();
-        if n == 0 {
-            0.0
-        } else {
-            sum(key) / n as f64
-        }
-    };
-    let lookups = sum("lookups") as u64;
-    let successes = sum("successes") as u64;
-    SwarmReport {
-        procs: cfg.procs,
-        nodes: cfg.total_nodes(),
-        lookups,
-        successes,
-        lookup_success: if lookups == 0 {
-            0.0
-        } else {
-            successes as f64 / lookups as f64
-        },
-        p50_wall_us: mean("p50_us"),
-        p99_wall_us: mean("p99_us"),
-        write_acks: sum("write_acks") as u64,
-    }
-}
-
-/// Runs the swarm with every participant on a thread in this process, so
-/// a test needs no child processes; this module's unit test is its only
-/// caller.
-pub fn run_swarm_threaded(cfg: &UdpBenchConfig) -> Result<SwarmReport> {
-    let mut server = RendezvousServer::start(cfg.procs)?;
-    let addr = server.addr();
-    let handles: Vec<_> = (0..cfg.procs)
-        .map(|i| {
-            let cfg = cfg.clone();
-            std::thread::spawn(move || run_swarm_participant(&cfg, addr, i))
-        })
-        .collect();
-    let reports = server.wait_reports(Duration::from_secs(300));
-    let mut first_err: Option<DharmaError> = None;
-    for h in handles {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => first_err = first_err.or(Some(e)),
-            Err(_) => {
-                first_err = first_err.or(Some(DharmaError::Io("swarm participant panicked".into())))
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    Ok(aggregate_reports(cfg, &reports?))
-}
-
-/// The marker flag a parent passes to its children.
-pub const SWARM_CHILD_FLAG: &str = "--swarm-child";
-
-/// Builds the child-process argument vector for participant `proc_idx`.
-fn child_args(cfg: &UdpBenchConfig, rendezvous: SocketAddr, proc_idx: usize) -> Vec<String> {
-    vec![
-        SWARM_CHILD_FLAG.to_string(),
-        rendezvous.to_string(),
-        proc_idx.to_string(),
-        cfg.procs.to_string(),
-        cfg.nodes_per_proc.to_string(),
-        cfg.keys.to_string(),
-        cfg.gets_per_proc.to_string(),
-        format!("{}", cfg.zipf_s),
-        cfg.mtu.to_string(),
-        cfg.seed.to_string(),
-        match cfg.mode {
-            SyscallMode::Batched => "batched".to_string(),
-            SyscallMode::PerPacket => "per-packet".to_string(),
-        },
-        cfg.bootstrap_ms.to_string(),
-        cfg.settle_ms.to_string(),
-    ]
-}
-
-/// If this process was invoked as a swarm child (`--swarm-child` present
-/// in `std::env::args`), runs the participant and exits; otherwise
-/// returns. Call this first in any binary that spawns swarm children.
-pub fn maybe_run_swarm_child() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) != Some(SWARM_CHILD_FLAG) {
-        return;
-    }
-    match parse_child_args(&args[1..]) {
-        Ok((cfg, rendezvous, proc_idx)) => {
-            match run_swarm_participant(&cfg, rendezvous, proc_idx) {
-                Ok(()) => std::process::exit(0),
-                Err(e) => {
-                    eprintln!("swarm child {proc_idx}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("swarm child: bad arguments: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_child_args(
-    rest: &[String],
-) -> std::result::Result<(UdpBenchConfig, SocketAddr, usize), String> {
-    if rest.len() != 12 {
-        return Err(format!("expected 12 child fields, got {}", rest.len()));
-    }
-    let field = |i: usize| -> &str { &rest[i] };
-    let num = |i: usize| -> std::result::Result<u64, String> {
-        field(i)
-            .parse()
-            .map_err(|_| format!("bad numeric field {i}: {:?}", field(i)))
-    };
-    let rendezvous: SocketAddr = field(0)
-        .parse()
-        .map_err(|_| format!("bad rendezvous addr {:?}", field(0)))?;
-    let proc_idx = num(1)? as usize;
-    let mode = match field(9) {
-        "batched" => SyscallMode::Batched,
-        "per-packet" => SyscallMode::PerPacket,
-        other => return Err(format!("bad mode {other:?}")),
-    };
-    let cfg = UdpBenchConfig {
-        procs: num(2)? as usize,
-        nodes_per_proc: num(3)? as usize,
-        keys: num(4)? as usize,
-        gets_per_proc: num(5)? as usize,
-        zipf_s: field(6)
-            .parse()
-            .map_err(|_| format!("bad zipf exponent {:?}", field(6)))?,
-        mtu: num(7)? as usize,
-        seed: num(8)?,
-        mode,
-        bootstrap_ms: num(10)?,
-        settle_ms: num(11)?,
-        micro_datagrams: 0,
-    };
-    Ok((cfg, rendezvous, proc_idx))
-}
-
-/// Runs the swarm with every participant as a **separate OS process**,
-/// re-invoking the current executable with `--swarm-child`. The calling
-/// binary must call [`maybe_run_swarm_child`] before anything else.
-pub fn run_swarm_multiprocess(cfg: &UdpBenchConfig) -> Result<SwarmReport> {
-    let exe = std::env::current_exe()?;
-    let mut server = RendezvousServer::start(cfg.procs)?;
-    let addr = server.addr();
-    let mut children = Vec::with_capacity(cfg.procs);
-    for i in 0..cfg.procs {
-        let child = std::process::Command::new(&exe)
-            .args(child_args(cfg, addr, i))
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| DharmaError::Io(format!("spawning swarm child {i}: {e}")))?;
-        children.push(child);
-    }
-    let reports = server.wait_reports(Duration::from_secs(300));
-    let mut failed = 0usize;
-    for (i, mut child) in children.into_iter().enumerate() {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                eprintln!("swarm child {i} exited with {status}");
-                failed += 1;
-            }
-            Err(e) => {
-                eprintln!("swarm child {i} unwaitable: {e}");
-                failed += 1;
-            }
-        }
-    }
-    if failed > 0 {
-        return Err(DharmaError::Io(format!("{failed} swarm children failed")));
-    }
-    Ok(aggregate_reports(cfg, &reports?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,51 +243,5 @@ mod tests {
             assert_eq!(report.reuseport_sockets, 4, "the shared-port arm ran");
             assert!(report.reuseport_dgrams_per_sec > 0.0);
         }
-    }
-
-    #[test]
-    fn threaded_swarm_reaches_high_lookup_success() {
-        let cfg = UdpBenchConfig {
-            procs: 2,
-            nodes_per_proc: 3,
-            keys: 10,
-            gets_per_proc: 40,
-            zipf_s: 0.9,
-            mtu: 1400,
-            seed: 7,
-            mode: SyscallMode::Batched,
-            bootstrap_ms: 800,
-            settle_ms: 800,
-            micro_datagrams: 0,
-        };
-        let report = run_swarm_threaded(&cfg).unwrap();
-        assert_eq!(report.procs, 2);
-        assert_eq!(report.nodes, 6);
-        assert_eq!(report.lookups, 80, "every GET completes (timeout = miss)");
-        assert!(
-            report.lookup_success >= 0.95,
-            "tiny swarm lookup success {:.3} below floor",
-            report.lookup_success
-        );
-        assert!(report.p50_wall_us > 0.0 && report.p99_wall_us >= report.p50_wall_us);
-        assert!(report.write_acks > 0, "seeding writes were acked");
-    }
-
-    #[test]
-    fn child_args_roundtrip() {
-        let cfg = UdpBenchConfig::smoke(99);
-        let addr: SocketAddr = "127.0.0.1:4567".parse().unwrap();
-        let argv = child_args(&cfg, addr, 3);
-        assert_eq!(argv[0], SWARM_CHILD_FLAG);
-        let (parsed, r, idx) = parse_child_args(&argv[1..]).unwrap();
-        assert_eq!(r, addr);
-        assert_eq!(idx, 3);
-        assert_eq!(parsed.procs, cfg.procs);
-        assert_eq!(parsed.nodes_per_proc, cfg.nodes_per_proc);
-        assert_eq!(parsed.keys, cfg.keys);
-        assert_eq!(parsed.gets_per_proc, cfg.gets_per_proc);
-        assert_eq!(parsed.seed, cfg.seed);
-        assert_eq!(parsed.mtu, cfg.mtu);
-        assert!(matches!(parsed.mode, SyscallMode::Batched));
     }
 }

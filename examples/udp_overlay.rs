@@ -6,6 +6,9 @@
 //! ```sh
 //! cargo run -p dharma-integration --release --example udp_overlay
 //! ```
+//!
+//! `cargo test` runs it too (`test = true` on its `[[example]]`), so the
+//! filtered GET and the merged weight below are checked on every test run.
 
 use std::time::Duration;
 
@@ -124,5 +127,13 @@ fn pump(runtimes: &mut [UdpRuntime<KademliaNode>], cycles: usize) {
         for rt in runtimes.iter_mut() {
             let _ = rt.poll(Duration::from_millis(3));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn kademlia_get_over_udp_sockets_returns_the_merged_block() {
+        super::main().expect("the example runs to completion");
     }
 }
