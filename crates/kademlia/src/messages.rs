@@ -14,28 +14,42 @@
 //!
 //! ## Decide before you decode
 //!
-//! A GET asks `α` holders and completes on the first `FoundValue`; the
-//! others arrive anyway, as do replies to lookups long finished. Their
-//! blob and entry list — one `String` per entry — would be built and
-//! dropped. [`Message::decode_datagram`] therefore reads type, request id
-//! and sender, asks its caller whether this reply's value will be used,
-//! and if not **validates and skips** it: the blob flag, the blob's length
-//! prefix, the entry count against the bytes left, every name's length
-//! prefix and UTF-8, every weight varint — the checks of the owning
-//! decoder, in its order, through the same `ReadBytes` primitives, keeping
-//! nothing. The rest of the reply (flags, stamp, digest) is decoded as
-//! ever, so the receiver still notes the sender, settles the RPC, samples
-//! the RTT and absorbs the digest.
+//! Three messages carry a value — a blob option, then an entry list:
+//! `FoundValue`, `CachePush` and `InvalidatePush`. Built owned, that is
+//! one `String` per entry, and most receivers need none of them: a GET
+//! asks `α` holders and completes on the first `FoundValue` (the others
+//! arrive anyway, as do replies to lookups long finished), and a cache
+//! pins a pushed or revalidated view only to forward it as bytes again.
+//! `Message::decode_datagram` therefore reads type, request id, sender
+//! and — for a push — the key, then asks its caller what the value is
+//! for. There are three answers (`ValueUse`):
 //!
-//! Both decoders read the datagram where it lies: the shared primitives
+//! * **skip** — validate it and keep nothing (a reply nobody waits for;
+//!   a push to a holder, or to a node that caches nothing);
+//! * **body** — validate it and keep its wire bytes (a push or a
+//!   revalidation reply, pinned as a cached view);
+//! * **owned** — build the blob and entries and keep the wire bytes too
+//!   (the first value to reach a GET in flight: its caller gets the
+//!   entries, the cache pins the bytes).
+//!
+//! Validating is the owning decoder's checks, in its order, through the
+//! same `ReadBytes` primitives: the blob flag, the blob's length prefix,
+//! the entry count against the bytes left, every name's length prefix and
+//! UTF-8, every weight varint. A kept body is copied out of the datagram
+//! (the UDP runtime recycles its receive buffers, and a slice would pin a
+//! whole one per cached view). The rest of the message (flags, stamp,
+//! digest) is decoded as ever, so the receiver still notes the sender,
+//! settles the RPC, samples the RTT and absorbs the digest.
+//!
+//! Every decoder reads the datagram where it lies: the shared primitives
 //! take a `&mut &[u8]` cursor over the received bytes
 //! ([`dharma_types::wire`]), and skipping a field is moving that cursor.
 //!
-//! The rule cannot change which datagrams are accepted: a byte string
-//! fails the skipping decoder exactly when it fails the owning one,
-//! because every check that can fail is shared and only allocation is
-//! left out. The tests hold the two to that on the whole mutation corpus
-//! and every truncation prefix.
+//! The answer cannot change which datagrams are accepted: a byte string
+//! fails under one answer exactly when it fails under the others, with the
+//! same error, because every check that can fail is shared and only
+//! allocation is left out. The tests hold the three to that on the whole
+//! mutation corpus and every truncation prefix.
 //!
 //! Flag bytes are 0 or 1; any other value is a decode error, not `false`,
 //! so a message has one encoding of each flag and `encode(decode(x)) == x`
@@ -163,6 +177,18 @@ pub struct FetchedValue {
     /// True when the reply came from a hot-block cache rather than
     /// authoritative storage (possibly stale within the cache TTL).
     pub from_cache: bool,
+}
+
+/// What a receiver does with the value a `FoundValue`, `CachePush` or
+/// `InvalidatePush` carries (module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum ValueUse {
+    /// Validate it, keep nothing.
+    Skip,
+    /// Validate it, keep its wire body.
+    Body,
+    /// Build the owned blob and entries, and keep the wire body.
+    Owned,
 }
 
 /// The RPC messages.
@@ -417,7 +443,7 @@ impl Message {
     const T_REPLICATE: u8 = 10;
     const T_CACHE_PUSH: u8 = 11;
     const T_LEAVE: u8 = 12;
-    const T_INVALIDATE_PUSH: u8 = 13;
+    pub(crate) const T_INVALIDATE_PUSH: u8 = 13;
 }
 
 /// Writes the frame every message starts with: type, request id, sender.
@@ -450,23 +476,20 @@ pub(crate) fn get_opt_blob(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
     })
 }
 
-/// Opens a pushed view (`CachePush`, `InvalidatePush`): header, key, width.
-fn put_push_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact, key: &Id160, top_n: u32) {
-    put_head(buf, ty, rpc, from);
-    buf.put_id(key);
-    buf.put_varint(u64::from(top_n));
-}
-
-/// Opens an `InvalidatePush` datagram. As with [`put_found_value_head`],
-/// the caller writes the value next and closes with [`put_push_tail`].
-pub(crate) fn put_invalidate_push_head(
+/// Opens a pushed view (`CachePush`, `InvalidatePush`): header, key,
+/// width. The value — the blob option and the entry list — comes next, and
+/// [`put_push_tail`] closes it.
+pub(crate) fn put_push_head(
     buf: &mut BytesMut,
+    ty: u8,
     rpc: u64,
     from: &Contact,
     key: &Id160,
     top_n: u32,
 ) {
-    put_push_head(buf, Message::T_INVALIDATE_PUSH, rpc, from, key, top_n);
+    put_head(buf, ty, rpc, from);
+    buf.put_id(key);
+    buf.put_varint(u64::from(top_n));
 }
 
 /// Closes a pushed view: truncation flag, stamp.
@@ -476,29 +499,10 @@ pub(crate) fn put_push_tail(buf: &mut BytesMut, truncated: bool, stamp: &Version
     stamp.encode(buf);
 }
 
-/// Writes the view a push carries: blob, entries, truncation flag, stamp.
-fn put_view(
-    buf: &mut BytesMut,
-    blob: Option<&[u8]>,
-    entries: &[StoredEntry],
-    truncated: bool,
-    stamp: &VersionStamp,
-) {
-    put_opt_blob(buf, blob);
-    entries.encode(buf);
-    put_push_tail(buf, truncated, stamp);
-}
-
-/// Opens a `FoundValue` datagram. The caller writes the value next — the
-/// blob option and the entry list, from an owned message or straight out
-/// of [`crate::Storage::encode_filtered`] — and closes with
-/// [`put_found_value_tail`]; the layout lives in this pair alone.
-pub(crate) fn put_found_value_head(buf: &mut BytesMut, rpc: u64, from: &Contact) {
-    put_head(buf, Message::T_FOUND_VALUE, rpc, from);
-}
-
-/// Closes a `FoundValue` datagram opened by [`put_found_value_head`].
-pub(crate) fn put_found_value_tail(
+/// Closes a `FoundValue` datagram: it opens with [`put_head`], the value —
+/// the blob option and the entry list — comes next, and this writes the
+/// rest.
+fn put_found_value_tail(
     buf: &mut BytesMut,
     truncated: bool,
     version: &VersionStamp,
@@ -510,18 +514,6 @@ pub(crate) fn put_found_value_tail(
     version.encode(buf);
     buf.put_u8(u8::from(from_cache));
     digest.encode(buf);
-}
-
-/// Exactly what [`put_found_value_head`] and [`put_found_value_tail`]
-/// write around a value, in bytes: with the value's length, the capacity
-/// of a reply buffer that never grows.
-pub(crate) fn found_value_frame_len(
-    rpc: u64,
-    from: &Contact,
-    version: &VersionStamp,
-    digest: &[DigestEntry],
-) -> usize {
-    head_len(rpc, from) + 2 + version.encoded_len() + digest_len(digest)
 }
 
 /// Exactly what encoding `digest` writes, in bytes.
@@ -543,8 +535,8 @@ fn put_found_nodes(
     digest.encode(buf);
 }
 
-/// Exactly what [`put_invalidate_push_head`] writes, in bytes.
-pub(crate) fn invalidate_push_head_len(rpc: u64, from: &Contact, top_n: u32) -> usize {
+/// Exactly what opening a pushed view writes, in bytes.
+pub(crate) fn push_head_len(rpc: u64, from: &Contact, top_n: u32) -> usize {
     head_len(rpc, from) + ID160_BYTES + varint_len(u64::from(top_n))
 }
 
@@ -589,7 +581,7 @@ impl WireEncode for Message {
                 from_cache,
                 digest,
             } => {
-                put_found_value_head(buf, *rpc, from);
+                put_head(buf, Self::T_FOUND_VALUE, *rpc, from);
                 put_opt_blob(buf, blob.as_deref());
                 entries.encode(buf);
                 put_found_value_tail(buf, *truncated, version, *from_cache, digest);
@@ -640,12 +632,9 @@ impl WireEncode for Message {
                 blob,
                 entries,
                 truncated,
-                version,
-            } => {
-                put_push_head(buf, Self::T_CACHE_PUSH, *rpc, from, key, *top_n);
-                put_view(buf, blob.as_deref(), entries, *truncated, version);
+                version: stamp,
             }
-            Message::InvalidatePush {
+            | Message::InvalidatePush {
                 rpc,
                 from,
                 key,
@@ -655,8 +644,15 @@ impl WireEncode for Message {
                 truncated,
                 stamp,
             } => {
-                put_push_head(buf, Self::T_INVALIDATE_PUSH, *rpc, from, key, *top_n);
-                put_view(buf, blob.as_deref(), entries, *truncated, stamp);
+                let ty = if matches!(self, Message::CachePush { .. }) {
+                    Self::T_CACHE_PUSH
+                } else {
+                    Self::T_INVALIDATE_PUSH
+                };
+                put_push_head(buf, ty, *rpc, from, key, *top_n);
+                put_opt_blob(buf, blob.as_deref());
+                entries.encode(buf);
+                put_push_tail(buf, *truncated, stamp);
             }
             Message::Ack { rpc, from } => put_head(buf, Self::T_ACK, *rpc, from),
             Message::Leave { rpc, from } => put_head(buf, Self::T_LEAVE, *rpc, from),
@@ -666,22 +662,68 @@ impl WireEncode for Message {
 
 impl WireDecode for Message {
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        Self::decode_with(buf, |_| true)
+        Ok(Self::decode_with(buf, |_, _| ValueUse::Owned)?.0)
     }
 }
 
 impl Message {
     /// Decodes one received datagram in place — through a cursor over
     /// `payload`'s bytes, the one [`WireDecode::decode_exact`] reads with —
-    /// requiring it to be consumed to its end. `wants_value(rpc)` is
-    /// asked, once type, request id and sender are read, whether a
-    /// `FoundValue`'s blob and entries will be used; when not, they are
-    /// validated and skipped (module docs) and arrive as `None` / empty.
-    pub fn decode_datagram(payload: Bytes, wants_value: impl FnOnce(u64) -> bool) -> Result<Self> {
+    /// requiring it to be consumed to its end. `value_use(rpc, key)` is
+    /// asked what the value of a `FoundValue` (`key` is `None`) or of a
+    /// push (the key it names) is for, once everything before the value
+    /// is read (module docs). Owned parts not asked for arrive as `None` /
+    /// empty; a kept wire body comes back beside the message, copied out
+    /// of `payload`, which is dropped here.
+    pub(crate) fn decode_datagram(
+        payload: Bytes,
+        value_use: impl FnOnce(u64, Option<&Id160>) -> ValueUse,
+    ) -> Result<(Self, Option<Bytes>)> {
         let mut buf: &[u8] = &payload;
-        let msg = Self::decode_with(&mut buf, wants_value)?;
+        let (msg, body) = Self::decode_with(&mut buf, value_use)?;
         expect_consumed(buf)?;
-        Ok(msg)
+        Ok((msg, body.map(Bytes::copy_from_slice)))
+    }
+
+    /// Encodes a `FoundValue` reply around a value's wire body — a
+    /// holder's from [`crate::Storage::encode_filtered`], a cache's as it
+    /// was pinned — into a buffer of exactly its size.
+    pub(crate) fn encode_found_value(
+        rpc: u64,
+        from: &Contact,
+        body: &[u8],
+        truncated: bool,
+        version: &VersionStamp,
+        from_cache: bool,
+        digest: &[DigestEntry],
+    ) -> Bytes {
+        let len = head_len(rpc, from) + body.len() + 2 + version.encoded_len() + digest_len(digest);
+        let mut buf = BytesMut::with_capacity(len);
+        put_head(&mut buf, Self::T_FOUND_VALUE, rpc, from);
+        buf.extend_from_slice(body);
+        put_found_value_tail(&mut buf, truncated, version, from_cache, digest);
+        debug_assert_eq!(buf.len(), len, "the reply buffer never grows");
+        buf.freeze()
+    }
+
+    /// Encodes a `CachePush` around a pinned view's wire body into a
+    /// buffer of exactly its size.
+    pub(crate) fn encode_cache_push(
+        rpc: u64,
+        from: &Contact,
+        key: &Id160,
+        top_n: u32,
+        body: &[u8],
+        truncated: bool,
+        version: &VersionStamp,
+    ) -> Bytes {
+        let len = push_head_len(rpc, from, top_n) + body.len() + 1 + version.encoded_len();
+        let mut buf = BytesMut::with_capacity(len);
+        put_push_head(&mut buf, Self::T_CACHE_PUSH, rpc, from, key, top_n);
+        buf.extend_from_slice(body);
+        put_push_tail(&mut buf, truncated, version);
+        debug_assert_eq!(buf.len(), len, "the push buffer never grows");
+        buf.freeze()
     }
 
     /// Encodes a `FoundNodes` reply from borrowed parts into a buffer of
@@ -705,29 +747,18 @@ impl Message {
         buf.freeze()
     }
 
-    /// Encodes a `CachePush` of `view` without taking the view apart.
-    pub(crate) fn encode_cache_push(
-        rpc: u64,
-        from: &Contact,
-        key: &Id160,
-        top_n: u32,
-        view: &FetchedValue,
-    ) -> Bytes {
-        let mut buf = BytesMut::new();
-        put_push_head(&mut buf, Self::T_CACHE_PUSH, rpc, from, key, top_n);
-        let (blob, entries) = (view.blob.as_deref(), &view.entries);
-        put_view(&mut buf, blob, entries, view.truncated, &view.version);
-        buf.freeze()
-    }
-
-    fn decode_with(buf: &mut &[u8], wants_value: impl FnOnce(u64) -> bool) -> Result<Self> {
+    fn decode_with<'a>(
+        buf: &mut &'a [u8],
+        value_use: impl FnOnce(u64, Option<&Id160>) -> ValueUse,
+    ) -> Result<(Self, Option<&'a [u8]>)> {
         let Some((&ty, rest)) = buf.split_first() else {
             return Err(DharmaError::Decode("empty message".into()));
         };
         *buf = rest;
         let rpc = buf.get_varint()?;
         let from = Contact::decode(buf)?;
-        Ok(match ty {
+        let mut body = None;
+        let msg = match ty {
             Message::T_PING => Message::Ping { rpc, from },
             Message::T_PONG => Message::Pong {
                 rpc,
@@ -753,19 +784,7 @@ impl Message {
                 no_cache: buf.get_flag()?,
             },
             Message::T_FOUND_VALUE => {
-                let (blob, entries) = if wants_value(rpc) {
-                    (get_opt_blob(buf)?, Vec::<StoredEntry>::decode(buf)?)
-                } else {
-                    // Same checks, same order, nothing kept.
-                    if buf.get_flag()? {
-                        buf.skip_bytes_field()?;
-                    }
-                    for _ in 0..get_seq_len(buf, StoredEntry::MIN_WIRE_LEN)? {
-                        buf.skip_str()?;
-                        buf.get_varint()?;
-                    }
-                    (None, Vec::new())
-                };
+                let (blob, entries) = value_part(buf, value_use(rpc, None), &mut body)?;
                 Message::FoundValue {
                     rpc,
                     from,
@@ -799,31 +818,67 @@ impl Message {
                 entries: Vec::<StoredEntry>::decode(buf)?,
                 stamp: VersionStamp::decode(buf)?,
             },
-            Message::T_CACHE_PUSH => Message::CachePush {
-                rpc,
-                from,
-                key: buf.get_id()?,
-                top_n: buf.get_varint()? as u32,
-                blob: get_opt_blob(buf)?,
-                entries: Vec::<StoredEntry>::decode(buf)?,
-                truncated: buf.get_flag()?,
-                version: VersionStamp::decode(buf)?,
-            },
-            Message::T_INVALIDATE_PUSH => Message::InvalidatePush {
-                rpc,
-                from,
-                key: buf.get_id()?,
-                top_n: buf.get_varint()? as u32,
-                blob: get_opt_blob(buf)?,
-                entries: Vec::<StoredEntry>::decode(buf)?,
-                truncated: buf.get_flag()?,
-                stamp: VersionStamp::decode(buf)?,
-            },
+            Message::T_CACHE_PUSH => {
+                let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
+                let (blob, entries) = value_part(buf, value_use(rpc, Some(&key)), &mut body)?;
+                Message::CachePush {
+                    rpc,
+                    from,
+                    key,
+                    top_n,
+                    blob,
+                    entries,
+                    truncated: buf.get_flag()?,
+                    version: VersionStamp::decode(buf)?,
+                }
+            }
+            Message::T_INVALIDATE_PUSH => {
+                let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
+                let (blob, entries) = value_part(buf, value_use(rpc, Some(&key)), &mut body)?;
+                Message::InvalidatePush {
+                    rpc,
+                    from,
+                    key,
+                    top_n,
+                    blob,
+                    entries,
+                    truncated: buf.get_flag()?,
+                    stamp: VersionStamp::decode(buf)?,
+                }
+            }
             Message::T_ACK => Message::Ack { rpc, from },
             Message::T_LEAVE => Message::Leave { rpc, from },
             other => return Err(DharmaError::Decode(format!("unknown message type {other}"))),
-        })
+        };
+        Ok((msg, body))
     }
+}
+
+/// The value a `FoundValue` or a push carries — the blob option, then the
+/// entry list — read as `value_use` says: the owned parts are built for
+/// [`ValueUse::Owned`] alone, and the bytes they span go to `body` for
+/// all but [`ValueUse::Skip`]. Every answer runs the owning decoder's
+/// checks in its order, so a byte string fails alike under all three.
+fn value_part<'a>(
+    buf: &mut &'a [u8],
+    value_use: ValueUse,
+    body: &mut Option<&'a [u8]>,
+) -> Result<(Option<Vec<u8>>, Vec<StoredEntry>)> {
+    let start = *buf;
+    let owned = if value_use == ValueUse::Owned {
+        (get_opt_blob(buf)?, Vec::<StoredEntry>::decode(buf)?)
+    } else {
+        if buf.get_flag()? {
+            buf.skip_bytes_field()?;
+        }
+        for _ in 0..get_seq_len(buf, StoredEntry::MIN_WIRE_LEN)? {
+            buf.skip_str()?;
+            buf.get_varint()?;
+        }
+        (None, Vec::new())
+    };
+    *body = (value_use != ValueUse::Skip).then(|| &start[..start.len() - buf.len()]);
+    Ok(owned)
 }
 
 #[cfg(test)]

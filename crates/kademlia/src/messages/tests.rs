@@ -25,53 +25,111 @@ fn roundtrip(m: &Message) {
     assert_eq!(&dec, m);
 }
 
-/// Decodes the way `on_message` does for a reply nobody is waiting
-/// for: in place, `FoundValue` bodies validated and skipped. Also
-/// checks the question is put for `FoundValue` only, with its rpc.
-fn decode_unwanted(data: &[u8]) -> Result<Message> {
+/// Decodes the way `on_message` does, giving `answer` to the question
+/// what the value is for. Also checks the question is put for the three
+/// value-bearing types only, with the rpc and (for a push) the key, and
+/// that a body comes back exactly when `answer` keeps one.
+fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> {
     let mut asked = None;
-    let out = Message::decode_datagram(Bytes::copy_from_slice(data), |rpc| {
-        asked = Some(rpc);
-        false
+    let out = Message::decode_datagram(Bytes::copy_from_slice(data), |rpc, key| {
+        asked = Some((rpc, key.copied()));
+        answer
     });
-    if let Ok(m) = &out {
-        let is_value = matches!(m, Message::FoundValue { .. });
-        assert_eq!(asked, is_value.then(|| m.rpc_id()));
+    if let Ok((m, body)) = &out {
+        let expected = match m {
+            Message::FoundValue { rpc, .. } => Some((*rpc, None)),
+            Message::CachePush { rpc, key, .. } | Message::InvalidatePush { rpc, key, .. } => {
+                Some((*rpc, Some(*key)))
+            }
+            _ => None,
+        };
+        assert_eq!(asked, expected);
+        assert_eq!(body.is_some(), asked.is_some() && answer != ValueUse::Skip);
     }
     out
 }
 
-/// The datagram decoder wanting every value against `decode_exact`: one
-/// cursor, one result — the same message or the same error.
+/// The wire body of `m`'s value — its blob option, then its entry list —
+/// for the three value-bearing types.
+fn value_body(m: &Message) -> Option<Bytes> {
+    let (Message::FoundValue { blob, entries, .. }
+    | Message::CachePush { blob, entries, .. }
+    | Message::InvalidatePush { blob, entries, .. }) = m
+    else {
+        return None;
+    };
+    let mut body = BytesMut::new();
+    put_opt_blob(&mut body, blob.as_deref());
+    entries.encode(&mut body);
+    Some(body.freeze())
+}
+
+/// A kept body is the value the eager decode built, as `data` carried
+/// it: the body decodes, to its end, to that blob and those entries, and
+/// where `data` is its message's own encoding the body is their
+/// re-encoding byte for byte. (Elsewhere it may differ: an overlong
+/// varint is kept as received.)
+fn check_body(data: &[u8], eager: &Message, body: &[u8]) {
+    let mut rest = body;
+    let blob = get_opt_blob(&mut rest).expect("a kept body decodes");
+    let entries = Vec::<StoredEntry>::decode(&mut rest).expect("a kept body decodes");
+    assert!(rest.is_empty(), "the body ends where the value does");
+    let mut decoded = BytesMut::new();
+    put_opt_blob(&mut decoded, blob.as_deref());
+    entries.encode(&mut decoded);
+    let expected = value_body(eager).expect("a value-bearing message");
+    assert_eq!(&decoded[..], &expected[..], "on {data:?}");
+    if eager.encode_to_bytes() == *data {
+        assert_eq!(body, &expected[..], "on {data:?}");
+    }
+}
+
+/// The datagram decoder building every value against `decode_exact`: one
+/// cursor, one result — the same message or the same error — and, on a
+/// value, the body that carried it.
 fn check_datagram_equals_exact(data: &[u8]) -> Result<Message> {
     let exact = Message::decode_exact(data);
-    let datagram = Message::decode_datagram(Bytes::copy_from_slice(data), |_| true);
-    assert_eq!(datagram, exact, "on {data:?}");
+    let datagram = decode_as(data, ValueUse::Owned);
+    let message = datagram.as_ref().map(|(m, _)| m);
+    assert_eq!(message, exact.as_ref(), "on {data:?}");
+    if let (Ok(m), Ok((_, Some(body)))) = (&exact, &datagram) {
+        check_body(data, m, body);
+    }
     exact
 }
 
-/// The lazy decoder against the eager one on arbitrary bytes: the same
+/// The three answers against each other on arbitrary bytes: the same
 /// datagrams accepted and rejected — a rejected one with the same error,
-/// since skipping runs the owning decoder's checks in its order — and,
-/// blob and entries aside, the same message. Anything accepted survives
-/// a re-encode roundtrip.
+/// since every answer runs the owning decoder's checks in its order —
+/// and, blob and entries aside, the same message; a kept body is the one
+/// that carried the eager decode's value. Anything accepted survives a
+/// re-encode roundtrip.
 fn check_decoders_agree(data: &[u8]) {
     let eager = check_datagram_equals_exact(data);
-    let lazy = decode_unwanted(data);
-    assert_eq!(
-        eager.is_ok(),
-        lazy.is_ok(),
-        "accept sets differ on {data:?}"
-    );
-    let Ok(mut eager) = eager else {
-        assert_eq!(lazy.unwrap_err(), eager.unwrap_err(), "on {data:?}");
-        return;
-    };
-    roundtrip(&eager);
-    if let Message::FoundValue { blob, entries, .. } = &mut eager {
-        (*blob, *entries) = (None, Vec::new());
+    if let Ok(m) = &eager {
+        roundtrip(m);
     }
-    assert_eq!(lazy.unwrap(), eager);
+    let without_value = |mut m: Message| {
+        if let Message::FoundValue { blob, entries, .. }
+        | Message::CachePush { blob, entries, .. }
+        | Message::InvalidatePush { blob, entries, .. } = &mut m
+        {
+            (*blob, *entries) = (None, Vec::new());
+        }
+        m
+    };
+    for answer in [ValueUse::Skip, ValueUse::Body] {
+        let lazy = decode_as(data, answer);
+        let message = lazy.clone().map(|(m, _)| m);
+        assert_eq!(
+            message,
+            eager.clone().map(without_value),
+            "{answer:?} on {data:?}"
+        );
+        if let (Ok(m), Ok((_, Some(body)))) = (&eager, &lazy) {
+            check_body(data, m, body);
+        }
+    }
 }
 
 /// Offsets of `m`'s flag bytes in its encoding: booleans are found by
@@ -312,9 +370,10 @@ fn every_strict_prefix_fails_to_decode() {
 #[test]
 fn datagram_and_exact_decoders_agree_on_the_whole_corpus() {
     // `decode_datagram` and `decode_exact` share one cursor type and one
-    // decoder: message for message and error for error, on every corpus
-    // encoding, every strict prefix of it, and every single-byte mutant.
-    let (mut accepted, mut rejected) = (0, 0);
+    // decoder: message for message and error for error, with a kept body
+    // equal to the value re-encoded, on every corpus encoding, every
+    // strict prefix of it, and every single-byte mutant.
+    let (mut accepted, mut rejected, mut bodies) = (0, 0, 0);
     for m in &corpus() {
         let enc = m.encode_to_bytes();
         assert_eq!(check_datagram_equals_exact(&enc).as_ref(), Ok(m));
@@ -326,14 +385,20 @@ fn datagram_and_exact_decoders_agree_on_the_whole_corpus() {
                 let mut bent = enc.to_vec();
                 bent[i] ^= pattern;
                 match check_datagram_equals_exact(&bent) {
-                    Ok(_) => accepted += 1,
+                    Ok(m) => {
+                        (accepted, bodies) = (accepted + 1, bodies + value_body(&m).iter().count())
+                    }
                     Err(_) => rejected += 1,
                 }
             }
         }
     }
-    // Both outcomes are exercised, so agreement is not vacuous.
-    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
+    // Both outcomes are exercised, kept bodies among them, so agreement is
+    // not vacuous.
+    assert!(
+        accepted > 0 && rejected > 0 && bodies > 0,
+        "{accepted} / {rejected} / {bodies}"
+    );
 }
 
 #[test]
@@ -350,7 +415,8 @@ fn flag_bytes_other_than_zero_and_one_are_rejected() {
                 let mut bent = enc.to_vec();
                 bent[at] = byte;
                 assert!(
-                    Message::decode_exact(&bent).is_err() && decode_unwanted(&bent).is_err(),
+                    Message::decode_exact(&bent).is_err()
+                        && decode_as(&bent, ValueUse::Skip).is_err(),
                     "flag byte {byte} at {at} accepted for {m:?}",
                 );
             }
@@ -366,11 +432,12 @@ fn hostile_entry_count_is_refused_before_any_reservation() {
     // then carries junk: both decoders refuse at the count (two bytes
     // per entry at least cannot fit), not 2 MiB of `Vec` later.
     let mut buf = BytesMut::new();
-    put_found_value_head(&mut buf, 1, &contact(1));
+    put_head(&mut buf, Message::T_FOUND_VALUE, 1, &contact(1));
     put_opt_blob(&mut buf, None);
     buf.put_varint(65_000);
     buf.resize(65_507, 0xff);
-    for decoded in [Message::decode_exact(&buf), decode_unwanted(&buf)] {
+    let skipped = decode_as(&buf, ValueUse::Skip).map(|(m, _)| m);
+    for decoded in [Message::decode_exact(&buf), skipped] {
         let err = decoded.unwrap_err().to_string();
         assert!(err.contains("sequence length 65000"), "{err}");
     }
@@ -492,9 +559,10 @@ fn truncation_inside_digest_entries_fails_cleanly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
 
-    /// Lazy ≡ eager beyond the fixed corpus: random `FoundValue`s
-    /// (multi-byte names, large weights, absent and empty parts),
-    /// intact, cut short, and with random bytes overwritten.
+    /// Lazy ≡ eager beyond the fixed corpus: random values (multi-byte
+    /// names, large weights, absent and empty parts) in each of the three
+    /// value-bearing messages, intact, cut short, and with random bytes
+    /// overwritten.
     #[test]
     fn lazy_decode_equals_eager_decode_on_random_values(
         rpc in any::<u64>(),
@@ -505,55 +573,111 @@ proptest! {
         damage in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
         cut in any::<u16>(),
     ) {
-        let m = Message::FoundValue {
-            rpc,
-            from: contact(7),
-            blob,
-            entries: entries
-                .into_iter()
-                .map(|(name, weight)| StoredEntry { name, weight })
-                .collect(),
-            truncated: flags.0,
-            version: st(rpc),
-            from_cache: flags.1,
-            digest: vec![DigestEntry { key: sha1(b"d"), version: st(3) }; digest_len],
-        };
-        let mut enc = m.encode_to_bytes().to_vec();
-        check_decoders_agree(&enc);
-        assert_eq!(Message::decode_exact(&enc).unwrap(), m);
-        for (at, byte) in damage {
-            let at = usize::from(at) % enc.len();
-            enc[at] = byte;
+        let entries: Vec<StoredEntry> = entries
+            .into_iter()
+            .map(|(name, weight)| StoredEntry { name, weight })
+            .collect();
+        let (from, key, top_n, truncated) = (contact(7), sha1(&rpc.to_le_bytes()), rpc as u32, flags.0);
+        let carriers = [
+            Message::FoundValue {
+                rpc,
+                from: from.clone(),
+                blob: blob.clone(),
+                entries: entries.clone(),
+                truncated,
+                version: st(rpc),
+                from_cache: flags.1,
+                digest: vec![DigestEntry { key: sha1(b"d"), version: st(3) }; digest_len],
+            },
+            Message::CachePush {
+                rpc,
+                from: from.clone(),
+                key,
+                top_n,
+                blob: blob.clone(),
+                entries: entries.clone(),
+                truncated,
+                version: st(rpc),
+            },
+            Message::InvalidatePush { rpc, from, key, top_n, blob, entries, truncated, stamp: st(rpc) },
+        ];
+        for m in carriers {
+            let mut enc = m.encode_to_bytes().to_vec();
             check_decoders_agree(&enc);
+            assert_eq!(Message::decode_exact(&enc).unwrap(), m);
+            for &(at, byte) in &damage {
+                let at = usize::from(at) % enc.len();
+                enc[at] = byte;
+                check_decoders_agree(&enc);
+            }
+            check_decoders_agree(&enc[..usize::from(cut) % (enc.len() + 1)]);
         }
-        check_decoders_agree(&enc[..usize::from(cut) % (enc.len() + 1)]);
     }
 }
 
 #[test]
-fn borrowed_cache_push_encodes_like_the_owned_message() {
-    let view = FetchedValue {
-        blob: Some(b"uri://x".to_vec()),
-        entries: vec![StoredEntry {
-            name: "rock".into(),
-            weight: 12,
-        }],
-        truncated: true,
-        version: st(42),
-        from_cache: false,
+fn body_built_cache_push_encodes_like_the_owned_message() {
+    for (blob, truncated) in [(None, true), (Some(b"uri://x".to_vec()), false)] {
+        let owned = Message::CachePush {
+            rpc: 17,
+            from: contact(3),
+            key: sha1(b"hot"),
+            top_n: 100,
+            blob,
+            entries: vec![
+                StoredEntry {
+                    name: "rock".into(),
+                    weight: 300,
+                },
+                StoredEntry {
+                    name: "pop".into(),
+                    weight: 12,
+                },
+            ],
+            truncated,
+            version: st(42),
+        };
+        let body = value_body(&owned).expect("a push carries a value");
+        let (key, version) = (sha1(b"hot"), st(42));
+        let built =
+            Message::encode_cache_push(17, &contact(3), &key, 100, &body, truncated, &version);
+        assert_eq!(built, owned.encode_to_bytes());
+    }
+}
+
+/// A value is kept as it arrived: a weight sent as an overlong varint
+/// decodes to its number, while the kept body — what a cache pins and
+/// forwards — holds the sender's bytes, not the canonical ones.
+#[test]
+fn a_kept_body_holds_the_value_as_received() {
+    let rock = vec![StoredEntry {
+        name: "rock".into(),
+        weight: 5,
+    }];
+    let mut overlong = BytesMut::new();
+    put_opt_blob(&mut overlong, None);
+    rock.encode(&mut overlong);
+    let mut overlong = overlong.to_vec();
+    *overlong.last_mut().expect("the weight byte") |= 0x80;
+    overlong.push(0); // 5 as [0x85, 0x00]
+    let mut push = BytesMut::new();
+    put_push_head(
+        &mut push,
+        Message::T_CACHE_PUSH,
+        17,
+        &contact(3),
+        &sha1(b"hot"),
+        8,
+    );
+    push.extend_from_slice(&overlong);
+    put_push_tail(&mut push, false, &st(9));
+    let (_, body) = decode_as(&push, ValueUse::Body).expect("accepted");
+    assert_eq!(body.as_deref(), Some(&overlong[..]));
+    let Ok(Message::CachePush { entries, .. }) = Message::decode_exact(&push) else {
+        panic!("a CachePush");
     };
-    let owned = Message::CachePush {
-        rpc: 17,
-        from: contact(3),
-        key: sha1(b"hot"),
-        top_n: 100,
-        blob: view.blob.clone(),
-        entries: view.entries.clone(),
-        truncated: view.truncated,
-        version: view.version,
-    };
-    let borrowed = Message::encode_cache_push(17, &contact(3), &sha1(b"hot"), 100, &view);
-    assert_eq!(borrowed, owned.encode_to_bytes());
+    assert_eq!(entries, rock);
+    check_decoders_agree(&push);
 }
 
 #[test]

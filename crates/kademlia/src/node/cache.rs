@@ -10,20 +10,52 @@
 //! track per-key GET rates and push replicas beyond the base `k` when a
 //! key runs hot; the demotion sweep (`maint`) is the counterpart.
 //!
+//! A cached view is its wire body ([`CachedView`]): the blob option and
+//! entry list exactly as the holder encoded them, kept as bytes from the
+//! datagram that brought them. Pinning a view, forwarding it
+//! (`CachePush`) and serving it (`FoundValue`) copy bytes between a
+//! message's head and tail; no entry is built, except for this node's own
+//! caller on a local hit.
+//!
 //! [`KadConfig::cache`]: super::KadConfig::cache
 //! [`KadConfig::replication`]: super::KadConfig::replication
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 
 use dharma_cache::{CacheStats, HotCache, PopularityEstimator};
 use dharma_net::Ctx;
-use dharma_types::{Id160, VersionStamp, WireEncode};
+use dharma_types::{Id160, VersionStamp, WireDecode};
 
 use super::{KadOutput, KademliaNode};
-use crate::messages::{
-    found_value_frame_len, put_found_value_head, put_found_value_tail, Contact, FetchedValue,
-    Message,
-};
+use crate::messages::{get_opt_blob, Contact, FetchedValue, Message};
+
+/// A cached view as it travels on the wire: its body — the blob option,
+/// then the entry list, the bytes [`crate::Storage::encode_filtered`]
+/// writes — and whether the entry list was cut. Its stamp sits in the
+/// cache slot.
+#[derive(Clone, Debug)]
+pub(super) struct CachedView {
+    pub(super) body: Bytes,
+    pub(super) truncated: bool,
+}
+
+impl CachedView {
+    /// The view at `version` as the [`FetchedValue`] a local caller gets:
+    /// its body decoded once. Only for bodies this node encoded (a held
+    /// value's wire memo) or validated on receipt.
+    pub(super) fn fetched(&self, version: VersionStamp, from_cache: bool) -> FetchedValue {
+        let mut body = &self.body[..];
+        let blob = get_opt_blob(&mut body).expect("an encoded or validated body");
+        let entries = Vec::decode(&mut body).expect("an encoded or validated body");
+        FetchedValue {
+            blob,
+            entries,
+            truncated: self.truncated,
+            version,
+            from_cache,
+        }
+    }
+}
 
 impl KademliaNode {
     /// Hot-block cache statistics (`None` when caching is disabled).
@@ -70,14 +102,10 @@ impl KademliaNode {
                     .record(key, from.id, from.addr, top_n, ctx.now_us);
             }
             let digest = self.build_digest(Some(&key), ctx.now_us);
-            // The reply buffer is sized to the byte, so it never grows.
-            let len = found_value_frame_len(rpc, &self.contact, &version, &digest) + body.len();
-            let mut reply = BytesMut::with_capacity(len);
-            put_found_value_head(&mut reply, rpc, &self.contact);
-            reply.extend_from_slice(&body);
-            put_found_value_tail(&mut reply, truncated, &version, false, &digest);
-            debug_assert_eq!(reply.len(), len);
-            ctx.send(from.addr, reply.freeze());
+            let own = &self.contact;
+            let reply =
+                Message::encode_found_value(rpc, own, &body, truncated, &version, false, &digest);
+            ctx.send(from.addr, reply);
             // Authoritative holders track per-key GET rates and push extra
             // replicas when a key runs hot.
             return self.maybe_promote_replicas(ctx, key);
@@ -89,20 +117,13 @@ impl KademliaNode {
         // a cached view could predate its write, and a FoundNodes reply
         // keeps its lookup advancing instead).
         if !no_cache {
-            if let Some(view) = self.serve_cached(&key, top_n, ctx.now_us) {
-                let reply = Message::FoundValue {
-                    rpc,
-                    from: self.contact.clone(),
-                    blob: view.blob,
-                    entries: view.entries,
-                    truncated: view.truncated,
-                    version: view.version,
-                    from_cache: true,
-                    // Cached views never gossip: their versions are
-                    // another holder's.
-                    digest: Vec::new(),
-                };
-                ctx.send(from.addr, reply.encode_to_bytes());
+            if let Some((view, version)) = self.serve_cached(&key, top_n, ctx.now_us) {
+                // Cached views never gossip: their versions are another
+                // holder's.
+                let (own, body, truncated) = (&self.contact, &view.body[..], view.truncated);
+                let reply =
+                    Message::encode_found_value(rpc, own, body, truncated, &version, true, &[]);
+                ctx.send(from.addr, reply);
                 // A path cache actively serving a key is exactly the view
                 // whose staleness matters most — refresh it ahead of the
                 // TTL too.
@@ -133,11 +154,11 @@ impl KademliaNode {
         key: &Id160,
         top_n: u32,
         now_us: u64,
-    ) -> Option<FetchedValue> {
+    ) -> Option<(CachedView, VersionStamp)> {
         let cache = self.cache.as_mut()?;
         let (view, version) = cache.get(&(*key, top_n), now_us)?;
         let Some(f) = &self.fresh else {
-            return Some(view);
+            return Some((view, version));
         };
         if !f.book.admits(key, version) {
             let highest = f.book.highest(key).unwrap_or_default();
@@ -146,27 +167,28 @@ impl KademliaNode {
         }
         let age = cache.age_of(&(*key, top_n), now_us).unwrap_or(0);
         let bar = f.cfg.max_serve_age_us;
-        (bar == 0 || age <= bar).then_some(view)
+        (bar == 0 || age <= bar).then_some((view, version))
     }
 
     /// Pins a view a peer sent — a revalidation reply, a `CachePush`, an
     /// `InvalidatePush`, or the value a GET just fetched — as this node's
-    /// cached copy, served from here on flagged `from_cache`. Refused
-    /// (`false`) while the key's write guard is armed: the view may
-    /// predate a write this node has in flight or just issued.
+    /// cached copy of `key` at `version`, served from here on flagged
+    /// `from_cache`. Refused (`false`) while the key's write guard is
+    /// armed: the view may predate a write this node has in flight or just
+    /// issued.
     pub(super) fn pin_view(
         &mut self,
         key: Id160,
         top_n: u32,
-        mut view: FetchedValue,
+        view: CachedView,
+        version: VersionStamp,
         now_us: u64,
     ) -> bool {
         if self.recently_wrote(&key, now_us) {
             return false;
         }
         if let Some(cache) = &mut self.cache {
-            view.from_cache = true;
-            cache.insert((key, top_n), view.version, view, now_us);
+            cache.insert((key, top_n), version, view, now_us);
         }
         true
     }
@@ -192,13 +214,13 @@ impl KademliaNode {
 
     /// `CachePush`: a requester pushed the view it just fetched to this
     /// path node, which missed. Authoritative holders ignore pushes (their
-    /// storage is fresher by definition); everyone else caches the view.
-    pub(super) fn on_cache_push(&mut self, now_us: u64, msg: Message) {
+    /// storage is fresher by definition): theirs, like every push to a
+    /// node that caches nothing, arrives without its body (`value_use`).
+    /// Everyone else caches the view.
+    pub(super) fn on_cache_push(&mut self, now_us: u64, msg: Message, body: Option<Bytes>) {
         let Message::CachePush {
             key,
             top_n,
-            blob,
-            entries,
             truncated,
             version,
             ..
@@ -207,15 +229,8 @@ impl KademliaNode {
             return;
         };
         self.observe_stamp(version);
-        if !self.storage.contains(&key) {
-            let view = FetchedValue {
-                blob,
-                entries,
-                truncated,
-                version,
-                from_cache: true,
-            };
-            self.pin_view(key, top_n, view, now_us);
+        if let Some(body) = body {
+            self.pin_view(key, top_n, CachedView { body, truncated }, version, now_us);
         }
     }
 
@@ -260,11 +275,12 @@ impl KademliaNode {
 #[cfg(test)]
 mod tests {
     use dharma_cache::{CacheConfig, PopularityConfig};
-    use dharma_net::{NetCounters, SimNet};
-    use dharma_types::sha1;
+    use dharma_net::{NetCounters, Node, SimNet};
+    use dharma_types::{sha1, WireEncode};
 
-    use super::super::testutil::{build_overlay, get_value, sim_cfg, test_cfg};
+    use super::super::testutil::{build_overlay, contact, get_value, sim_cfg, test_cfg};
     use super::*;
+    use crate::messages::StoredEntry;
     use crate::node::KadConfig;
     /// Like `build_net` but with hot-block caching (and optionally
     /// adaptive replication) enabled on every node. Returns the shared
@@ -389,6 +405,69 @@ mod tests {
         let v = v.expect("a cached view outlives the authoritative holders");
         assert!(v.from_cache, "only caches can answer after the crash");
         assert!(counters.cache_hits() > hits_before);
+    }
+
+    /// A path cache serves the view pushed to it byte for byte: its
+    /// `FoundValue` is the owned message of that view, flagged
+    /// `from_cache`, without a digest.
+    #[test]
+    fn a_path_cache_serves_the_pushed_view_as_the_owned_reply() {
+        let cfg = KadConfig {
+            cache: Some(CacheConfig {
+                capacity: 8,
+                ttl_us: 1_000_000,
+            }),
+            ..test_cfg(8)
+        };
+        let mut node = KademliaNode::new(sha1(b"path-node"), 0, cfg);
+        let (key, version) = (sha1(b"pushed"), VersionStamp::new(300, sha1(b"w")));
+        let entries = vec![
+            StoredEntry {
+                name: "rock✓".into(),
+                weight: 70_000,
+            },
+            StoredEntry {
+                name: "pop".into(),
+                weight: 3,
+            },
+        ];
+        let blob = Some(b"uri://x".to_vec());
+        let push = Message::CachePush {
+            rpc: 9,
+            from: contact(9),
+            key,
+            top_n: 2,
+            blob: blob.clone(),
+            entries: entries.clone(),
+            truncated: true,
+            version,
+        };
+        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+        node.on_message(&mut ctx, 9, push.encode_to_bytes());
+        let find = Message::FindValue {
+            rpc: 77,
+            from: contact(5),
+            key,
+            top_n: 2,
+            no_cache: false,
+        };
+        node.on_message(&mut ctx, 5, find.encode_to_bytes());
+        let (sends, _, _) = ctx.into_effects();
+        let owned = Message::FoundValue {
+            rpc: 77,
+            from: node.contact.clone(),
+            blob,
+            entries,
+            truncated: true,
+            version,
+            from_cache: true,
+            digest: vec![],
+        };
+        assert_eq!(sends.len(), 1);
+        assert_eq!(
+            (sends[0].to, &sends[0].payload),
+            (5, &owned.encode_to_bytes())
+        );
     }
 
     #[test]

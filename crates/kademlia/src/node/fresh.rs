@@ -31,18 +31,16 @@
 //!
 //! [`RoutingTable::local_ranks_within`]: crate::RoutingTable::local_ranks_within
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 
 use dharma_cache::{FetcherBook, FreshConfig, FreshnessBook, HitHistory};
 use dharma_net::Ctx;
 use dharma_types::{FxHashMap, Id160, VersionStamp, WireEncode};
 
+use super::cache::CachedView;
 use super::rpc::{PUSH_OP, REFRESH_OP};
 use super::{KadOutput, KademliaNode};
-use crate::messages::{
-    invalidate_push_head_len, put_invalidate_push_head, put_push_tail, Contact, DigestEntry,
-    FetchedValue, Message,
-};
+use crate::messages::{push_head_len, put_push_head, put_push_tail, Contact, DigestEntry, Message};
 
 /// Bound on the digest news ring (recent effective local writes).
 const NEWS_CAP: usize = 32;
@@ -334,21 +332,21 @@ impl KademliaNode {
         self.fresh.as_mut()?.revalidating.remove(&rpc)
     }
 
-    /// A revalidation came back: re-pin the refreshed view (authoritative
-    /// by construction — the request set `no_cache`) under its new
-    /// version.
+    /// A revalidation came back: re-pin the refreshed view at its new
+    /// version. `None` — a `from_cache` reply, which the request's
+    /// `no_cache` should have ruled out — re-pins nothing.
     pub(super) fn on_revalidated(
         &mut self,
         now_us: u64,
         rpc: u64,
         from: &Contact,
-        view: FetchedValue,
+        view: Option<CachedView>,
+        version: VersionStamp,
     ) {
-        let Some((key, top_n)) = self.end_revalidation(rpc) else {
+        let Some(((key, top_n), view)) = self.end_revalidation(rpc).zip(view) else {
             return;
         };
-        let version = view.version;
-        if view.from_cache || !self.pin_view(key, top_n, view, now_us) {
+        if !self.pin_view(key, top_n, view, version, now_us) {
             return;
         }
         self.note_version(key, version);
@@ -496,9 +494,10 @@ impl KademliaNode {
             // would double the push overhead for no freshness gain.
             self.cfg.counters.record_invalidate_pushes(1);
             let push = |rpc: u64, from: &Contact| {
-                let len = invalidate_push_head_len(rpc, from, top_n) + view.len();
+                let len = push_head_len(rpc, from, top_n) + view.len();
                 let mut push = BytesMut::with_capacity(len);
-                put_invalidate_push_head(&mut push, rpc, from, &key, top_n);
+                let ty = Message::T_INVALIDATE_PUSH;
+                put_push_head(&mut push, ty, rpc, from, &key, top_n);
                 push.extend_from_slice(view);
                 debug_assert_eq!(push.len(), len);
                 push.freeze()
@@ -515,16 +514,20 @@ impl KademliaNode {
     /// `InvalidatePush`: the push carries the holder's post-write view, so
     /// this fetcher's cache slot converges in the same RTT — unlike a
     /// digest entry, no revalidation RPC is ever needed.
-    pub(super) fn on_invalidate_push(&mut self, ctx: &mut Ctx<KadOutput>, msg: Message) {
+    pub(super) fn on_invalidate_push(
+        &mut self,
+        ctx: &mut Ctx<KadOutput>,
+        msg: Message,
+        body: Option<Bytes>,
+    ) {
         let Message::InvalidatePush {
             rpc,
             from,
             key,
             top_n,
-            blob,
-            entries,
             truncated,
             stamp,
+            ..
         } = msg
         else {
             return;
@@ -534,17 +537,12 @@ impl KademliaNode {
         // key at serve time (`fresh_admits`).
         self.note_version(key, stamp);
         // Like `CachePush`: authoritative holders reconcile through
-        // `Replicate` merges, not pushes.
-        if !self.storage.contains(&key) {
+        // `Replicate` merges, not pushes, so theirs arrives without its
+        // body (`value_use`).
+        if let Some(body) = body {
             self.drop_stale_views(&key, stamp);
-            let view = FetchedValue {
-                blob,
-                entries,
-                truncated,
-                version: stamp,
-                from_cache: true,
-            };
-            self.pin_view(key, top_n, view, ctx.now_us);
+            let view = CachedView { body, truncated };
+            self.pin_view(key, top_n, view, stamp, ctx.now_us);
         }
         // `rpc == 0` marks an unacked push (the sender tracks only a
         // liveness sample of its fan-out).

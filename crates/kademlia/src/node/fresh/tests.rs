@@ -5,7 +5,7 @@ use dharma_types::{sha1, WireDecode};
 
 use super::super::testutil::{contact, fresh_cfg, st};
 use super::*;
-use crate::messages::StoredEntry;
+use crate::messages::{FetchedValue, StoredEntry, ValueUse};
 use crate::node::KadConfig;
 
 fn push_view(node: &mut KademliaNode, ctx: &mut Ctx<KadOutput>, key: Id160, version: u64) {
@@ -367,6 +367,101 @@ fn invalidation_pushes_equal_the_encoded_owned_read() {
     let read = node.storage.read_filtered(&key, 2, budget).unwrap();
     assert_eq!(entries[0].weight, 8);
     assert_eq!((entries, blob), (read.entries, read.blob));
+}
+
+/// A push whose body fails validation — here a name that is not UTF-8 —
+/// is dropped whole, though no entry of it is built: nothing is pinned,
+/// no version noted, nothing sent. The intact push pins.
+#[test]
+fn a_push_with_a_name_that_is_not_utf8_is_dropped_whole() {
+    let key = sha1(b"bent-block");
+    let rock = vec![StoredEntry {
+        name: "rock".into(),
+        weight: 3,
+    }];
+    let (from, blob, truncated) = (contact(9), None, false);
+    let pushes = [
+        Message::CachePush {
+            rpc: 5,
+            from: from.clone(),
+            key,
+            top_n: 0,
+            blob: blob.clone(),
+            entries: rock.clone(),
+            truncated,
+            version: st(7),
+        },
+        Message::InvalidatePush {
+            rpc: 6,
+            from,
+            key,
+            top_n: 0,
+            blob,
+            entries: rock,
+            truncated,
+            stamp: st(7),
+        },
+    ];
+    for push in pushes {
+        let mut node = KademliaNode::new(sha1(b"fetcher"), 0, fresh_cfg(1_000_000));
+        let enc = push.encode_to_bytes();
+        let at = enc
+            .windows(5)
+            .position(|w| w == b"\x04rock")
+            .expect("the name");
+        let mut bent = enc.to_vec();
+        bent[at + 1] = 0xff;
+        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+        node.on_message(&mut ctx, 9, Bytes::from(bent));
+        assert!(node.cache.as_ref().unwrap().is_empty(), "{push:?}");
+        assert_eq!(node.fresh.as_ref().unwrap().book.highest(&key), None);
+        let (sends, timers, _) = ctx.into_effects();
+        assert!(sends.is_empty() && timers.is_empty());
+        node.on_message(&mut Ctx::new(0, 0, 2), 9, enc);
+        assert_eq!(node.cache.as_ref().unwrap().len(), 1, "{push:?}");
+    }
+}
+
+/// An `InvalidatePush` to a node that holds the key is decoded without
+/// its body and pins nothing — the holder reconciles through `Replicate`
+/// merges — and is acked all the same when its sender tracks it.
+#[test]
+fn a_holder_acks_an_invalidate_push_and_pins_nothing() {
+    let mut node = KademliaNode::new(sha1(b"holder"), 0, fresh_cfg(1_000_000));
+    let key = sha1(b"held-block");
+    // An empty routing table: the append applies locally.
+    node.append(&mut Ctx::new(0, 0, 1), key, "rock", 1);
+    assert!(node.storage.contains(&key));
+    assert_eq!(node.value_use(31, Some(&key)), ValueUse::Skip);
+    for rpc in [0, 31] {
+        let push = Message::InvalidatePush {
+            rpc,
+            from: contact(9),
+            key,
+            top_n: 0,
+            blob: None,
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight: 5,
+            }],
+            truncated: false,
+            stamp: st(50),
+        };
+        let mut ctx: Ctx<KadOutput> = Ctx::new(10, 0, 2);
+        node.on_message(&mut ctx, 9, push.encode_to_bytes());
+        assert!(
+            node.cache.as_ref().unwrap().is_empty(),
+            "a holder pins no push"
+        );
+        let (sends, _, _) = ctx.into_effects();
+        let acks: Vec<(u32, u64)> = (sends.iter())
+            .filter_map(|m| match Message::decode_exact(&m.payload) {
+                Ok(Message::Ack { rpc, .. }) => Some((m.to, rpc)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, if rpc == 0 { vec![] } else { vec![(9, rpc)] });
+    }
 }
 
 /// The news section as it was built before the ring carried stamps: every

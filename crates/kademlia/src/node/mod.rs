@@ -63,13 +63,14 @@ use dharma_cache::{HotCache, PopularityEstimator};
 use dharma_net::{Ctx, Instrumented, Metric, Node, NodeAddr};
 use dharma_types::{FxHashMap, Id160, VersionStamp};
 
+use self::cache::CachedView;
 use self::fresh::FreshState;
 use self::latency::Latency;
 use self::maint::MaintState;
 use self::rpc::PendingRpc;
 use self::write::WriteGuard;
 use crate::lookup::LookupState;
-use crate::messages::{Contact, FetchedValue, Message};
+use crate::messages::{Contact, Message};
 use crate::routing::{NoteOutcome, RoutingTable};
 use crate::rtt::AlphaController;
 use crate::storage::{Storage, WriteBody};
@@ -158,7 +159,7 @@ pub struct KademliaNode {
     next_rpc: u64,
     next_op: u64,
     /// Hot-block cache (present when `cfg.cache` is set).
-    cache: Option<HotCache<FetchedValue>>,
+    cache: Option<HotCache<CachedView>>,
     /// Per-key GET-rate tracker (present when `cfg.replication` is set).
     popularity: Option<PopularityEstimator>,
     /// `FIND_VALUE` requests received — the per-node GET load metric the
@@ -301,7 +302,8 @@ impl Node for KademliaNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<KadOutput>, _from: NodeAddr, payload: Bytes) {
-        let Ok(msg) = Message::decode_datagram(payload, |rpc| self.wants_value(rpc)) else {
+        let decoded = Message::decode_datagram(payload, |rpc, key| self.value_use(rpc, key));
+        let Ok((msg, body)) = decoded else {
             return; // malformed datagram: drop silently, as UDP servers do
         };
         // Graceful departure: purge first, never note the sender as live.
@@ -335,13 +337,14 @@ impl Node for KademliaNode {
                 contacts,
                 digest,
             } => self.on_found_nodes(ctx, rpc, from, contacts, &digest),
-            // Messages that carry a value body are handed over whole.
-            Message::FoundValue { .. } => self.on_found_value(ctx, msg),
+            // Messages that carry a value are handed over whole, with the
+            // wire body `value_use` asked to keep.
+            Message::FoundValue { .. } => self.on_found_value(ctx, msg, body),
             Message::Store { .. } | Message::Append { .. } | Message::Replicate { .. } => {
                 self.on_write(ctx, msg)
             }
-            Message::CachePush { .. } => self.on_cache_push(ctx.now_us, msg),
-            Message::InvalidatePush { .. } => self.on_invalidate_push(ctx, msg),
+            Message::CachePush { .. } => self.on_cache_push(ctx.now_us, msg, body),
+            Message::InvalidatePush { .. } => self.on_invalidate_push(ctx, msg, body),
             Message::Ack { rpc, from } => self.on_ack(ctx, rpc, &from.id),
             Message::Leave { .. } => unreachable!("handled before the sender is noted"),
         }

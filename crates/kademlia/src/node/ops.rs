@@ -8,12 +8,13 @@
 use bytes::{Bytes, BytesMut};
 
 use dharma_net::{Ctx, NodeAddr};
-use dharma_types::{Id160, WireDecode, WireEncode};
+use dharma_types::{Id160, WireEncode};
 
+use super::cache::CachedView;
 use super::rpc::{REFRESH_OP, REPAIR_OP};
 use super::{KadOutput, KademliaNode, OpKind, OpState, Phase};
 use crate::lookup::LookupState;
-use crate::messages::{get_opt_blob, Contact, DigestEntry, FetchedValue, Message};
+use crate::messages::{Contact, DigestEntry, FetchedValue, Message, ValueUse};
 use crate::rtt::AlphaController;
 
 impl KademliaNode {
@@ -85,9 +86,9 @@ impl KademliaNode {
 
         // Local fast path for reads: this node may itself hold the value
         // authoritatively, or (with caching on) hold a fresh cached view.
+        // Both are wire bodies — a held value is read the way a peer would
+        // be served it, from its wire memo — decoded once for the caller.
         if let OpKind::Get { top_n, .. } = &kind {
-            // A held value is read the way a peer would be served it — from
-            // its wire memo — and decoded the way a reply would be.
             let mut body = BytesMut::new();
             let budget = self.cfg.reply_budget;
             let held = self
@@ -95,27 +96,16 @@ impl KademliaNode {
                 .encode_filtered(&target, *top_n, budget, &mut body);
             if let Some((truncated, version)) = held {
                 self.cfg.counters.record_cache_miss();
-                let mut body: &[u8] = &body;
-                let value = Some(FetchedValue {
-                    blob: get_opt_blob(&mut body).expect("this node's own encoding"),
-                    entries: Vec::decode(&mut body).expect("this node's own encoding"),
-                    truncated,
-                    version,
-                    from_cache: false,
-                });
+                let body = body.freeze();
+                let value = Some(CachedView { body, truncated }.fetched(version, false));
                 ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
                 return op_id;
             }
             if !bypass_cache {
-                if let Some(view) = self.serve_cached(&target, *top_n, ctx.now_us) {
+                if let Some((view, version)) = self.serve_cached(&target, *top_n, ctx.now_us) {
                     self.cfg.counters.record_cache_hit();
-                    ctx.complete(
-                        op_id,
-                        KadOutput::Value {
-                            value: Some(view),
-                            messages: 0,
-                        },
-                    );
+                    let value = Some(view.fetched(version, true));
+                    ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
                     self.maybe_refresh_ahead(ctx, target, *top_n);
                     return op_id;
                 }
@@ -237,17 +227,27 @@ impl KademliaNode {
         self.ops.remove(&op_id);
     }
 
-    /// Whether the blob and entries of a `FoundValue` answering `rpc`
-    /// will be read: it revalidates a cached view, or it is the first
-    /// value to reach a GET still in flight. Everything else — a second
-    /// or third holder's answer, a reply to a finished or forgotten
-    /// lookup — settles its RPC and feeds liveness, RTT and gossip from
-    /// the reply's other fields alone.
-    pub(super) fn wants_value(&self, rpc: u64) -> bool {
-        self.pending.get(&rpc).is_some_and(|pend| {
-            let live_get = |op: &OpState| matches!(op.kind, OpKind::Get { .. });
-            pend.op == REFRESH_OP || self.ops.get(&pend.op).is_some_and(live_get)
-        })
+    /// What the value of a received message is for (the messages module's
+    /// "Decide before you decode"): of a push of `pushed`, or of a
+    /// `FoundValue` answering `rpc`.
+    ///
+    /// * A push's body is pinned — unless this node holds the key (its
+    ///   storage is fresher) or caches nothing.
+    /// * A revalidation reply's body re-pins a cached view.
+    /// * The first value to reach a GET still in flight is built for the
+    ///   caller, and its body may be pinned and pushed on.
+    ///
+    /// Everything else — a second or third holder's answer, a reply to a
+    /// finished or forgotten lookup — settles its RPC and feeds liveness,
+    /// RTT and gossip from the reply's other fields alone.
+    pub(super) fn value_use(&self, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
+        let live_get = |op: &OpState| matches!(op.kind, OpKind::Get { .. });
+        match (pushed, self.pending.get(&rpc)) {
+            (Some(key), _) if self.cache.is_some() && !self.storage.contains(key) => ValueUse::Body,
+            (None, Some(pend)) if pend.op == REFRESH_OP => ValueUse::Body,
+            (None, Some(pend)) if self.ops.get(&pend.op).is_some_and(live_get) => ValueUse::Owned,
+            _ => ValueUse::Skip,
+        }
     }
 
     /// Answers a `FIND_NODE` — or a `FIND_VALUE` this node has no servable
@@ -319,8 +319,13 @@ impl KademliaNode {
     /// `FoundValue`: a holder (or a path cache) answered a `FIND_VALUE` —
     /// of a GET still in flight, whose first value completes it, or of a
     /// revalidation. Any other reply only settles its RPC and feeds
-    /// gossip (and was decoded without its body, see `wants_value`).
-    pub(super) fn on_found_value(&mut self, ctx: &mut Ctx<KadOutput>, msg: Message) {
+    /// gossip (and was decoded without its value, see `value_use`).
+    pub(super) fn on_found_value(
+        &mut self,
+        ctx: &mut Ctx<KadOutput>,
+        msg: Message,
+        body: Option<Bytes>,
+    ) {
         let Message::FoundValue {
             rpc,
             from,
@@ -340,15 +345,9 @@ impl KademliaNode {
         let Some(pend) = self.settle(rpc, &from.id, now) else {
             return;
         };
-        let value = FetchedValue {
-            blob,
-            entries,
-            truncated,
-            version,
-            from_cache,
-        };
+        let view = body.map(|body| CachedView { body, truncated });
         if pend.op == REFRESH_OP {
-            return self.on_revalidated(now, rpc, &from, value);
+            return self.on_revalidated(now, rpc, &from, view.filter(|_| !from_cache), version);
         }
         // Sentinel ops have no op state; neither has a finished lookup.
         let Some(op) = self.ops.get(&pend.op) else {
@@ -386,21 +385,30 @@ impl KademliaNode {
         // circulate cache-to-cache indefinitely, unbounding staleness. And
         // while a write guard is armed, the arriving view may predate the
         // write — don't pin it.
-        if !from_cache && self.cache.is_some() && !self.recently_wrote(&key, now) {
+        let pins = !from_cache && self.cache.is_some() && !self.recently_wrote(&key, now);
+        if let Some(view) = view.filter(|_| pins) {
             // Apply the Kademlia caching rule: push the view to the path
             // node closest to the key that missed, so the next lookup from
             // anywhere stops before the hot holders ...
             let nearest_miss = op.value_misses.iter().min_by_key(|c| c.id.distance(&key));
             if let Some(target) = nearest_miss {
+                let (body, truncated) = (&view.body[..], view.truncated);
                 self.notify(ctx, target.addr, |rpc, from| {
-                    Message::encode_cache_push(rpc, from, &key, top_n, &value)
+                    Message::encode_cache_push(rpc, from, &key, top_n, body, truncated, &version)
                 });
             }
             // ... and keep a requester-local view (served as a cache hit
-            // on the next GET of this key from this node): the one copy
-            // made of the value, which itself moves on to the caller.
-            self.pin_view(key, top_n, value.clone(), now);
+            // on the next GET of this key from this node): the body as it
+            // arrived, while the entries move on to the caller.
+            self.pin_view(key, top_n, view, version, now);
         }
+        let value = FetchedValue {
+            blob,
+            entries,
+            truncated,
+            version,
+            from_cache,
+        };
         let done = KadOutput::Value {
             value: Some(value),
             messages: op.messages,

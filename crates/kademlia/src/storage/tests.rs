@@ -2,7 +2,7 @@
 //! held to the owned read, and `apply` held to the calls it stands for.
 
 use super::*;
-use crate::messages::{put_found_value_head, put_found_value_tail, Contact, Message};
+use crate::messages::{Contact, Message};
 use dharma_types::{sha1, WireEncode};
 use proptest::prelude::*;
 
@@ -270,17 +270,15 @@ proptest! {
             // Budgets past 300 stand for "no budget".
             let (top_n, cut) = widths[(i / 2) % 2];
             let budget = if cut < 300 { cut } else { usize::MAX };
-            let mut served = BytesMut::new();
-            put_found_value_head(&mut served, 7, &from);
-            let head = served.len();
-            let got = s.encode_filtered(&key, top_n, budget, &mut served);
+            let mut body = BytesMut::new();
+            let got = s.encode_filtered(&key, top_n, budget, &mut body);
             let Some(read) = s.read_filtered(&key, top_n, budget) else {
-                prop_assert!(got.is_none() && served.len() == head, "step {}", i);
+                prop_assert!(got.is_none() && body.is_empty(), "step {}", i);
                 continue;
             };
-            let body = served.len() - head;
             let (truncated, version) = got.unwrap();
-            put_found_value_tail(&mut served, truncated, &version, false, &[]);
+            let served =
+                Message::encode_found_value(7, &from, &body, truncated, &version, false, &[]);
             let owned = Message::FoundValue {
                 rpc: 7,
                 from: from.clone(),
@@ -296,7 +294,7 @@ proptest! {
                 &owned.encode_to_bytes()[..],
                 "step {} kind {} top_n {} budget {}", i, kind, top_n, budget
             );
-            prop_assert_eq!(s.heap_bytes(), unread_heap_bytes(&s) + body, "step {}", i);
+            prop_assert_eq!(s.heap_bytes(), unread_heap_bytes(&s) + body.len(), "step {}", i);
         }
         let mut untouched = BytesMut::new();
         prop_assert!(s.encode_filtered(&sha1(b"absent"), 0, 99, &mut untouched).is_none());

@@ -13,6 +13,14 @@
 #                            every other simulated workload is still held to
 #                            bit-identical counts
 #   --claim METRIC@WORKLOAD  also print the verdict on a claimed gain
+#   --json FILE              also record what is printed, as one JSON run
+#                            object appended to the array in FILE (created
+#                            when absent): both revs, seed, rounds, seconds,
+#                            every metric's medians, quartiles, pairs won and
+#                            bound, the claim verdict, the fixed-work counts,
+#                            and a host fingerprint (nproc, CPU model,
+#                            kernel, and a ~2 s single-thread awk loop timed
+#                            before and after the runs)
 #
 # The parent is exported (`git archive`) under /root/scratch — or $TMPDIR,
 # or /tmp — and both sides are built once, offline, into their own
@@ -44,6 +52,7 @@ seconds=
 seed=42
 may_change=
 claim=
+json=
 while [ $# -gt 0 ]; do
     case "$1" in
         --rounds) rounds=$2; shift 2 ;;
@@ -51,13 +60,14 @@ while [ $# -gt 0 ]; do
         --seed) seed=$2; shift 2 ;;
         --datagrams-may-change) may_change=$2; shift 2 ;;
         --claim) claim=$2; shift 2 ;;
-        -h|--help) sed -n '2,38p' "$0"; exit 0 ;;
+        --json) json=$(realpath -m "$2"); shift 2 ;;
+        -h|--help) sed -n '2,46p' "$0"; exit 0 ;;
         --*) echo "unknown option $1" >&2; exit 2 ;;
         *) break ;;
     esac
 done
 if [ $# -lt 1 ]; then
-    echo "usage: scripts/bench-pair.sh [--rounds N] [--seconds S] [--seed N] [--datagrams-may-change W[,W...]] [--claim METRIC@WORKLOAD] <parent-ref> [workload...]" >&2
+    echo "usage: scripts/bench-pair.sh [--rounds N] [--seconds S] [--seed N] [--datagrams-may-change W[,W...]] [--claim METRIC@WORKLOAD] [--json FILE] <parent-ref> [workload...]" >&2
     exit 2
 fi
 parent_ref=$1; shift
@@ -96,6 +106,17 @@ build() { # <side> <source root>
 }
 build parent "$work/parent-src"
 build change "$root"
+
+ref_loop() { # seconds one thread takes for 3e7 awk iterations on this host
+    local t0 t1
+    t0=$(date +%s%N)
+    awk 'BEGIN { for (i = 0; i < 30000000; i++) s += i % 7; if (s < 0) print s }'
+    t1=$(date +%s%N)
+    awk -v ns=$((t1 - t0)) 'BEGIN { printf "%.3f", ns / 1e9 }'
+}
+# JSON fragments, gathered as the results print (only with --json).
+js_workloads=() js_claim=null js_fixed=()
+[ -z "$json" ] || loop_before=$(ref_loop)
 
 run() { # <side> <workload> <trace 0|1> <args...>: prints the JSON last line
     local side=$1 workload=$2 trace=$3; shift 3
@@ -140,28 +161,37 @@ for w in "${workloads[@]}"; do
             status=1
         fi
     done
+    : > "$work/json-metrics"
     while read -r name better bound; do
         read -r p1 p p3 < <(metric "$name" < "$work/runs/parent-$w.jsonl" | quartiles)
         read -r c1 c c3 < <(metric "$name" < "$work/runs/change-$w.jsonl" | quartiles)
         won=$(pairs_won "$better" "$work/runs/parent-$w.jsonl" "$work/runs/change-$w.jsonl" "$name")
         awk -v n="$name" -v p="$p" -v p1="$p1" -v p3="$p3" -v c="$c" -v c1="$c1" -v c3="$c3" \
-            -v won="$won" -v rounds="$rounds" -v better="$better" -v bound="$bound" 'BEGIN {
+            -v won="$won" -v rounds="$rounds" -v better="$better" -v bound="$bound" \
+            -v jf="$work/json-metrics" 'BEGIN {
             ratio = (p == 0) ? 1 : c / p
             worse = (better == "higher") ? (ratio < 1 - bound) : (ratio > 1 + bound)
             printf "   %-15s %11.4f [%.4f, %.4f] -> %11.4f [%.4f, %.4f]  x%.3f  won %d/%d  (better=%s, bound %s)%s\n",
                 n, p, p1, p3, c, c1, c3, ratio, won, rounds, better, bound, worse ? "  WORSE THAN BOUND" : ""
+            if (p == "nan" || c == "nan") exit
+            printf "\"%s\": {\"parent\": {\"q1\": %s, \"median\": %s, \"q3\": %s}, \"change\": {\"q1\": %s, \"median\": %s, \"q3\": %s}, \"ratio\": %.4f, \"won\": %d, \"better\": \"%s\", \"bound\": %s, \"worse_than_bound\": %s}\n",
+                n, p1, p, p3, c1, c, c3, ratio, won, better, bound, worse ? "true" : "false" >> jf
         }'
         if [ "$claim" = "$name@$w" ]; then
             verdict=$(awk -v p="$p" -v p1="$p1" -v p3="$p3" -v c="$c" -v won="$won" -v rounds="$rounds" \
-                -v better="$better" 'BEGIN {
+                -v better="$better" -v claim="$claim" -v jf="$work/json-claim" 'BEGIN {
                 gain = (better == "higher") ? c - p : p - c
+                holds = 10 * won >= 9 * rounds && gain > p3 - p1
                 printf "won %d/%d pairs (needs %d), medians apart by %.4f against a parent interquartile range of %.4f: %s",
-                    won, rounds, int((9 * rounds + 9) / 10), gain, p3 - p1,
-                    (10 * won >= 9 * rounds && gain > p3 - p1) ? "claim holds" : "unresolved"
+                    won, rounds, int((9 * rounds + 9) / 10), gain, p3 - p1, holds ? "claim holds" : "unresolved"
+                printf "{\"claim\": \"%s\", \"won\": %d, \"needed\": %d, \"gain\": %.4f, \"parent_iqr\": %.4f, \"verdict\": \"%s\"}\n",
+                    claim, won, int((9 * rounds + 9) / 10), gain, p3 - p1, holds ? "claim holds" : "unresolved" > jf
             }')
+            js_claim=$(cat "$work/json-claim")
         fi
     done <<<"$bounds"
     case "$claim" in *"@$w") echo "== claim $claim: ${verdict:-no such end-to-end metric}" ;; esac
+    js_workloads+=("  \"$w\": {$(awk 'NR > 1 { printf ", " } { printf "%s", $0 }' "$work/json-metrics")}")
 done
 
 # The ledger rows that count datagrams and what they leave behind: exact per
@@ -181,6 +211,8 @@ for w in "${workloads[@]}"; do
         for name in $names; do
             p=$(metric "$name" < "$work/runs/fixed-parent-$w-$fs.json")
             c=$(metric "$name" < "$work/runs/fixed-change-$w-$fs.json")
+            same=$([ "$p" = "$c" ] && echo true || echo false)
+            js_fixed+=("  {\"workload\": \"$w\", \"seed\": $fs, \"metric\": \"$name\", \"parent\": ${p:-null}, \"change\": ${c:-null}, \"identical\": $same}")
             if [ "$p" = "$c" ]; then
                 echo "   $w seed $fs $name: $p (identical)"
             elif [ "$waived" -eq 1 ]; then
@@ -203,5 +235,35 @@ for w in "${workloads[@]}"; do
         [ "$p" = "$c" ] || printf '      %-40s %12s -> %s\n' "$name" "$p" "$c"
     done
 done
+
+if [ -n "$json" ]; then
+    loop_after=$(ref_loop)
+    joined() { local IFS=$'\x1f'; local s="$*"; printf '%s' "${s//$'\x1f'/$',\n'}"; }
+    dirty=false
+    git diff --quiet HEAD || dirty=true
+    cpu=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo | head -n 1 | tr -d '"\\')
+    run_json=$(cat <<EOF
+{"parent_ref": "$parent_ref", "parent_rev": "$parent_sha",
+ "change_rev": "$(git rev-parse HEAD)", "change_dirty": $dirty, "change_diff_sha1": "$(git diff HEAD | sha1sum | cut -c1-40)",
+ "seed": $seed, "rounds": $rounds, "seconds": $seconds, "failed": $([ "$status" -eq 0 ] && echo false || echo true),
+ "host": {"nproc": $(nproc), "cpu_model": "$cpu", "kernel": "$(uname -r)",
+  "ref_loop": {"awk": "$(basename "$(readlink -f "$(command -v awk)")")", "iterations": 30000000, "s_before": $loop_before, "s_after": $loop_after}},
+ "claim": $js_claim,
+ "workloads": {
+$(joined "${js_workloads[@]}")
+ },
+ "fixed_work": [
+$(joined "${js_fixed[@]}")
+ ]}
+EOF
+)
+    if [ -s "$json" ]; then # an array already: drop its closing line, append
+        prior=$(sed '$d' "$json")
+        printf '%s,\n%s\n]\n' "$prior" "$run_json" > "$json"
+    else
+        printf '[\n%s\n]\n' "$run_json" > "$json"
+    fi
+    echo "== recorded in $json" >&2
+fi
 [ "$status" -eq 0 ] || echo "bench-pair: FAILED (see above)" >&2
 exit "$status"
