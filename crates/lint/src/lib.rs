@@ -1,9 +1,8 @@
 //! `dharma-lint` — the workspace static-analysis pass that enforces the
 //! DHARMA determinism contract and unsafe-FFI hygiene.
 //!
-//! The sharded `SimNet` engine promises bit-reproducible results,
-//! invariant across shard and thread counts (see
-//! `DESIGN.md`, "Sharded-engine determinism contract"). That promise is a
+//! The `SimNet` engine promises bit-reproducible results for a given seed
+//! (see `DESIGN.md`, "`SimNet` determinism contract"). That promise is a
 //! *global* property: one stray wall-clock read, ambient RNG draw, or
 //! hash-order-dependent loop anywhere in a simulated component silently
 //! breaks it — the worst kind of bug, because every individual run still

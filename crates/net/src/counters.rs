@@ -44,61 +44,10 @@ struct Inner {
     alpha_narrowed: AtomicU64,
 }
 
-/// Engine-side transport tallies accumulated by one event shard as plain
-/// (unshared) integers and folded into the shared [`NetCounters`] at window
-/// barriers via [`NetCounters::merge_shard`].
-///
-/// Per-event atomic increments would make the shared cache line the hottest
-/// contended word in a parallel run; a shard instead counts locally and pays
-/// six atomic adds per *window*, not six per event.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Datagrams accepted at send time.
-    pub sent: u64,
-    /// Payload bytes accepted at send time.
-    pub bytes_sent: u64,
-    /// Datagrams delivered to a live node.
-    pub delivered: u64,
-    /// Datagrams dropped (loss, dead or departed destination).
-    pub dropped: u64,
-    /// Sends rejected at the MTU check.
-    pub oversize_rejected: u64,
-    /// Timer expirations fired.
-    pub timers_fired: u64,
-}
-
-impl ShardCounters {
-    /// True when nothing was recorded (merge can be skipped).
-    pub fn is_zero(&self) -> bool {
-        *self == ShardCounters::default()
-    }
-}
-
 impl NetCounters {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Folds one shard's window-local tallies into the shared totals.
-    pub fn merge_shard(&self, c: &ShardCounters) {
-        if c.is_zero() {
-            return;
-        }
-        self.inner.sent.fetch_add(c.sent, Ordering::Relaxed);
-        self.inner
-            .bytes_sent
-            .fetch_add(c.bytes_sent, Ordering::Relaxed);
-        self.inner
-            .delivered
-            .fetch_add(c.delivered, Ordering::Relaxed);
-        self.inner.dropped.fetch_add(c.dropped, Ordering::Relaxed);
-        self.inner
-            .oversize_rejected
-            .fetch_add(c.oversize_rejected, Ordering::Relaxed);
-        self.inner
-            .timers_fired
-            .fetch_add(c.timers_fired, Ordering::Relaxed);
     }
 
     /// Records a successful send of `bytes` payload bytes.
@@ -487,46 +436,6 @@ mod tests {
             0,
             "latency adaptation is lookup-path, not maintenance"
         );
-    }
-
-    #[test]
-    fn shard_counters_merge_matches_per_event_recording() {
-        // The same traffic recorded per-event and via a shard merge must
-        // produce identical totals (satellite: counter hygiene).
-        let per_event = NetCounters::new();
-        per_event.record_sent(100);
-        per_event.record_sent(60);
-        per_event.record_delivered();
-        per_event.record_dropped();
-        per_event.record_oversize();
-        per_event.record_timer();
-        per_event.record_timer();
-
-        let merged = NetCounters::new();
-        let a = ShardCounters {
-            sent: 1,
-            bytes_sent: 100,
-            delivered: 1,
-            timers_fired: 2,
-            ..ShardCounters::default()
-        };
-        let b = ShardCounters {
-            sent: 1,
-            bytes_sent: 60,
-            dropped: 1,
-            oversize_rejected: 1,
-            ..ShardCounters::default()
-        };
-        merged.merge_shard(&a);
-        merged.merge_shard(&b);
-        merged.merge_shard(&ShardCounters::default()); // no-op
-
-        assert_eq!(merged.sent(), per_event.sent());
-        assert_eq!(merged.bytes_sent(), per_event.bytes_sent());
-        assert_eq!(merged.delivered(), per_event.delivered());
-        assert_eq!(merged.dropped(), per_event.dropped());
-        assert_eq!(merged.oversize_rejected(), per_event.oversize_rejected());
-        assert_eq!(merged.timers_fired(), per_event.timers_fired());
     }
 
     #[test]

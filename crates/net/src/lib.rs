@@ -35,7 +35,7 @@ pub mod sys;
 pub mod topology;
 pub mod udp;
 
-pub use counters::{NetCounters, ShardCounters};
+pub use counters::NetCounters;
 pub use node::{Ctx, Instrumented, Metric, Node, NodeAddr, OutMessage};
 pub use sim::{SimConfig, SimNet};
 pub use topology::TopologyConfig;

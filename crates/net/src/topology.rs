@@ -14,27 +14,18 @@
 //!   otherwise — `base = f(seed, min(a, b), max(a, b))`, so links are
 //!   symmetric and reproducible without storing an O(n²) matrix;
 //! * each datagram adds uniform **jitter** `0..=jitter_us` drawn from the
-//!   *sender's* RNG stream, and is lost with the link's loss probability
+//!   simulator's master RNG, and is lost with the link's loss probability
 //!   (`base_loss`, or `lossy_loss` when either endpoint lives in the
 //!   designated lossy cluster).
 //!
 //! Determinism contract: the base delay and loss probability of a link are
 //! pure functions of `(seed, sender, receiver)`; the only consumed
-//! randomness (loss draw + jitter draw) comes from the sender's stream in
-//! the sender's event order. Under the sharded engine that order is
-//! shard-layout independent, so topology runs keep the engine's
-//! bit-reproducibility across shard and thread counts.
-//!
-//! Lookahead rule for sharded runs: the engine's conservative window length
-//! is still [`crate::sim::SimConfig::latency_min_us`]; with a topology
-//! installed it must not exceed [`TopologyConfig::min_delay_us`] (jitter
-//! only ever adds delay), and [`crate::sim::SimNet::new`] asserts exactly
-//! that. Callers typically set `latency_min_us = topology.min_delay_us()`.
+//! randomness (loss draw + jitter draw) comes from the master stream in
+//! event order, so a topology run is as reproducible as a uniform one.
 
 use crate::node::NodeAddr;
 
 /// `splitmix64` finalizer: decorrelates hash inputs into uniform u64s.
-/// The same mix the sharded engine uses for per-node RNG streams.
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -60,7 +51,7 @@ pub struct TopologyConfig {
     /// Base one-way delay range (µs) for links between clusters.
     pub inter_us: (u64, u64),
     /// Per-datagram uniform jitter `0..=jitter_us` (µs) added to the base
-    /// delay, drawn from the sender's RNG stream.
+    /// delay, drawn from the simulator's master RNG.
     pub jitter_us: u64,
     /// Loss probability on ordinary links.
     pub base_loss: f64,
@@ -138,8 +129,8 @@ impl TopologyConfig {
         }
     }
 
-    /// The global minimum one-way delay (µs) — the sharded engine's
-    /// lookahead ceiling (jitter only adds on top of the base delay).
+    /// The global minimum one-way delay (µs): no datagram arrives sooner
+    /// (jitter only adds on top of the base delay).
     pub fn min_delay_us(&self) -> u64 {
         self.intra_us.0.min(self.inter_us.0)
     }

@@ -4,10 +4,9 @@
 //! replaying millions of tagging events over sharded folksonomy graphs,
 //! computing per-tag comparison metrics (Kendall τ, cosine, recall) over
 //! hundreds of thousands of tags, and running thousands of independent
-//! faceted-search simulations; `SimNet`'s sharded engine runs its shards
-//! through the same pool, one scope per window. A full `rayon` dependency
-//! is out of scope for the offline build, so this crate provides the ~5% of
-//! rayon those callers need, on `std::sync` alone:
+//! faceted-search simulations. A full `rayon` dependency is out of scope for
+//! the offline build, so this crate provides the ~5% of rayon those callers
+//! need, on `std::sync` alone:
 //!
 //! * [`ThreadPool`] — a fixed number of persistent workers serving **one
 //!   shared FIFO** (`Mutex<VecDeque<Job>>` + one `Condvar`). No per-worker
@@ -27,17 +26,18 @@
 //! Panics inside tasks are caught, the first one is re-thrown from the scope
 //! owner once every task has finished, and the pool survives.
 //!
-//! Why the workers persist: a `std::thread::scope` fan-out with one spawn
-//! per task was built and measured (ISSUE 22) and is refused. `SimNet` opens
-//! a scope per window, and one thread spawn per shard per window took
-//! `ablation_scale --smoke`'s sharded×4 run from 2.3 s to 5.6 s on the
-//! 2-vCPU host.
+//! Why the workers persist is an open question. The one measurement behind
+//! them was a windowed event engine that opened a scope per window, where
+//! one thread spawn per task cost more than twice the run time; that engine
+//! is gone. The callers left open far fewer scopes, each over chunk-sized
+//! tasks, and whether a `std::thread::scope` fan-out would serve them as
+//! well has not been measured.
 
 #![warn(missing_docs)]
 
 mod pool;
 
-pub use pool::{global, par_for_each_index, par_map, par_map_reduce, Scope, ThreadPool};
+pub use pool::{par_for_each_index, par_map, par_map_reduce, Scope, ThreadPool};
 
 /// Splits `n` work items into chunks of a size that balances scheduling
 /// overhead against load balance: at least `min_chunk`, at most enough to

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -219,12 +219,6 @@ impl<'scope> Scope<'scope> {
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
         self.shared.push(job);
     }
-}
-
-/// The process-wide default pool, sized to available parallelism.
-pub fn global() -> &'static ThreadPool {
-    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(ThreadPool::with_default_threads)
 }
 
 fn default_threads() -> usize {
@@ -495,20 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_is_reusable() {
-        let g = global();
-        let c = AtomicU64::new(0);
-        g.scope(|s| {
-            for _ in 0..10 {
-                s.spawn(|_| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(c.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
     fn par_map_panic_drops_every_produced_element_once() {
         static MADE: AtomicU64 = AtomicU64::new(0);
         static DROPPED: AtomicU64 = AtomicU64::new(0);
@@ -558,16 +538,17 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 4);
     }
 
-    /// The `SimNet` window pattern — many short scopes back to back — from
-    /// two owners at once: a lost condvar wake-up would hang here.
+    /// Many short scopes back to back from two owners sharing one pool:
+    /// a lost condvar wake-up would hang here.
     #[test]
-    fn concurrent_owners_on_global_all_complete() {
+    fn concurrent_owners_on_one_pool_all_complete() {
+        let pool = ThreadPool::new(2);
         std::thread::scope(|threads| {
             for _ in 0..2 {
                 threads.spawn(|| {
                     for round in 0..200 {
                         let c = AtomicU64::new(0);
-                        global().scope(|s| {
+                        pool.scope(|s| {
                             for _ in 0..4 {
                                 s.spawn(|_| {
                                     c.fetch_add(1, Ordering::Relaxed);

@@ -87,11 +87,6 @@ pub struct ChurnConfig {
     /// Version gossip & cache-aware routing on every node; `None` keeps
     /// the TTL-only cache protocol.
     pub freshness: Option<FreshConfig>,
-    /// Event-engine shards (1 = the serial engine, bit-identical to all
-    /// prior churn numbers; ≥2 runs the window-barrier sharded engine,
-    /// whose results are invariant in the shard count but a *different*
-    /// deterministic sequence than the serial engine).
-    pub shards: usize,
     /// Keys written per populate settle-window. 1 (the default) settles
     /// after every write — the historical, bit-identical populate. At
     /// thousands of keys raise it so populate costs `keys / write_batch`
@@ -119,7 +114,6 @@ impl Default for ChurnConfig {
             seed: 42,
             cache: None,
             freshness: None,
-            shards: 1,
             write_batch: 1,
         }
     }
@@ -243,8 +237,8 @@ pub struct ChurnReport {
     pub maint_msgs_per_get: f64,
     /// Simulator events fired over the whole run (deliveries + timers) —
     /// the numerator of the engine's events/sec throughput metric.
-    /// Deterministic per seed and engine discipline, so it participates in
-    /// the report's equality-based determinism checks.
+    /// Deterministic per seed, so it participates in the report's
+    /// equality-based determinism checks.
     pub events_processed: u64,
 }
 
@@ -365,10 +359,9 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
         drop_rate: 0.0,
         mtu: 64 * 1024,
         seed: cfg.seed,
-        shards: cfg.shards.max(1),
+        shards: 1,
         topology: None,
     });
-    net.enable_parallel();
     let counters = net.counters();
     let kad = kad_config(cfg, counters.clone());
     // Scenario RNG: node identities, session/downtime draws, workload.
@@ -748,27 +741,6 @@ mod tests {
             "success {:.3} too low",
             rep.lookup_success
         );
-    }
-
-    #[test]
-    fn sharded_engine_churn_report_invariant_in_shard_count() {
-        // The whole churn pipeline — bootstrap, populate, churn, repair,
-        // retries — must produce ONE deterministic report on the sharded
-        // engine regardless of how many shards carve up the node set.
-        // (shards=1 is the distinct legacy discipline, pinned bit-identical
-        // by `same_seed_identical_availability_trace` and the smoke tests.)
-        let base = |shards| {
-            let mut c = small(Some(ChurnConfig::smoke_repair()), 13);
-            c.shards = shards;
-            c
-        };
-        let two = simulate_churn(&base(2));
-        let four = simulate_churn(&base(4));
-        let eight = simulate_churn(&base(8));
-        assert!(two.departures > 0 && two.joins > 0, "churn must happen");
-        assert!(two.gets > 0 && two.events_processed > 0);
-        assert_eq!(two, four, "2-shard vs 4-shard run diverged");
-        assert_eq!(two, eight, "2-shard vs 8-shard run diverged");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | `ablation_adaptive` | A7 — fixed vs adaptive cadence × churn, graceful leave (`dharma-adapt`) |
 //! | `ablation_freshness` | A8 — TTL-only vs version gossip vs gossip + warm routing (`dharma-fresh`) |
 //! | `ablation_latency` | A9 — latency-blind vs PNS + biased shortlists vs + adaptive α on the clustered lossy topology (`dharma-latency`) |
-//! | `ablation_scale` | A-scale — serial vs sharded engine throughput at 1k/10k nodes (events/sec, peak RSS) |
+//! | `ablation_scale` | A-scale — event-engine throughput at 1k/10k nodes (events/sec, wall time, peak RSS) |
 //! | `bench_udp` | real-socket syscall-batching microbench (batched vs per-packet, plus `SO_REUSEPORT`); Kademlia GETs over real sockets are `dharma-bench`'s `udp_search` |
 //! | `bench_ci` | consolidated `BENCH_ci.json` (simulated quality metrics, pinned byte for byte) |
 //! | `run_all` | every bin above except `ablation_scale`, `bench_udp` (wall-clock) and `bench_ci`, in sequence |

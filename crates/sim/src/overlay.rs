@@ -92,13 +92,8 @@ impl OverlayConfig {
 /// lookup. All joins are admitted up front and settle together.
 pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
     let mut net = SimNet::new(SimConfig {
-        // With a topology the min delay is the engine lookahead; the
-        // global-uniform bounds are ignored by the per-link discipline.
-        latency_min_us: cfg
-            .topology
-            .as_ref()
-            .map(|t| t.min_delay_us())
-            .unwrap_or(cfg.latency_us.0),
+        // The per-link discipline ignores the global-uniform bounds.
+        latency_min_us: cfg.latency_us.0,
         latency_max_us: cfg.latency_us.1,
         drop_rate: cfg.drop_rate,
         mtu: cfg.mtu,

@@ -1,13 +1,11 @@
-//! Engine-throughput harness: runs the churn+cache workload on the serial
-//! and sharded engines and measures what the tentpole refactor is for —
-//! **events/sec** and **peak RSS** at 10³–10⁴-node scale.
+//! Engine-throughput harness: runs the churn+cache workload on the event
+//! engine and measures **events/sec** and **peak RSS** at 10³–10⁴-node
+//! scale.
 //!
 //! The scenario is [`ChurnConfig`]-shaped (the A-churn/A7/A8 pipeline with
-//! caching enabled), so one preset drives every engine comparison: the
-//! simulated *results* per engine discipline are deterministic (and, for
-//! `shards ≥ 2`, invariant in the shard count), while wall-clock and RSS
-//! are measurements of the run, reported but never part of determinism
-//! checks or CI regression gates.
+//! caching enabled): the simulated *results* are deterministic per seed,
+//! while wall-clock and RSS are measurements of the run, reported but never
+//! part of determinism checks or CI regression gates.
 
 use crate::churn::{simulate_churn, ChurnConfig, ChurnReport};
 use crate::CacheSimConfig;
@@ -15,8 +13,6 @@ use crate::CacheSimConfig;
 /// One measured engine run.
 #[derive(Clone, Debug)]
 pub struct EngineRun {
-    /// Engine shard count the run used (1 = serial discipline).
-    pub shards: usize,
     /// Simulator events fired (deliveries + timers) — deterministic.
     pub events: u64,
     /// Wall-clock duration of the run, µs — a measurement, not a result.
@@ -28,7 +24,7 @@ pub struct EngineRun {
     /// everything run so far, so measure the biggest scenario last or in
     /// its own process for a tight bound.
     pub peak_rss_bytes: u64,
-    /// The full simulation report (deterministic per discipline).
+    /// The full simulation report (deterministic per seed).
     pub report: ChurnReport,
 }
 
@@ -41,7 +37,6 @@ pub fn measure_engine_run(cfg: &ChurnConfig) -> EngineRun {
     let wall_us = start.elapsed().as_micros().max(1) as u64;
     let events = report.events_processed;
     EngineRun {
-        shards: cfg.shards.max(1),
         events,
         wall_us,
         events_per_sec: events as f64 / (wall_us as f64 / 1e6),
@@ -88,7 +83,6 @@ fn scenario(
         seed,
         cache: Some(CacheSimConfig::ablation_cache()),
         freshness: None,
-        shards: 1,
         write_batch: 100,
     }
 }
@@ -99,8 +93,8 @@ pub fn scale_full(seed: u64) -> ChurnConfig {
     scenario(10_000, 2_000, 300_000_000, 250, seed)
 }
 
-/// The CI smoke scenario: 1k nodes, 30k GETs — the parallel path
-/// exercised end-to-end on every PR inside a small wall budget.
+/// The CI smoke scenario: 1k nodes, 30k GETs — the engine at scale,
+/// exercised end to end on every PR inside a small wall budget.
 pub fn scale_smoke(seed: u64) -> ChurnConfig {
     scenario(1_000, 400, 30_000_000, 1_000, seed)
 }
