@@ -14,20 +14,23 @@
 //!
 //! ## Decide before you decode
 //!
-//! Three messages carry a value — a blob option, then an entry list:
-//! `FoundValue`, `CachePush` and `InvalidatePush`. Built owned, that is
-//! one `String` per entry, and most receivers need none of them: a GET
-//! asks `α` holders and completes on the first `FoundValue` (the others
-//! arrive anyway, as do replies to lookups long finished), and a cache
-//! pins a pushed or revalidated view only to forward it as bytes again.
-//! `Message::decode_datagram` therefore reads type, request id, sender
-//! and — for a push — the key, then asks its caller what the value is
-//! for. There are three answers (`ValueUse`):
+//! Four messages carry a value — a blob option, then an entry list:
+//! `FoundValue`, `CachePush`, `InvalidatePush` and `Replicate`. Built
+//! owned, that is one `String` per entry, and most receivers need none of
+//! them: a GET asks `α` holders and completes on the first `FoundValue`
+//! (the others arrive anyway, as do replies to lookups long finished), a
+//! cache pins a pushed or revalidated view only to forward it as bytes
+//! again, and a replica merges a `Replicate` by comparing its entries with
+//! the ones it holds, which usually agree. `Message::decode_datagram`
+//! therefore reads type, request id, sender and — for a push or a
+//! `Replicate` — the key, then asks its caller what the value is for.
+//! There are three answers (`ValueUse`):
 //!
 //! * **skip** — validate it and keep nothing (a reply nobody waits for;
 //!   a push to a holder, or to a node that caches nothing);
 //! * **body** — validate it and keep its wire bytes (a push or a
-//!   revalidation reply, pinned as a cached view);
+//!   revalidation reply, pinned as a cached view; a `Replicate`, merged
+//!   from its body);
 //! * **owned** — build the blob and entries and keep the wire bytes too
 //!   (the first value to reach a GET in flight: its caller gets the
 //!   entries, the cache pins the bytes).
@@ -57,7 +60,7 @@
 
 use bytes::{Bytes, BytesMut};
 
-use dharma_types::wire::{expect_consumed, get_seq_len, varint_len};
+use dharma_types::wire::{expect_consumed, get_bytes_ref, get_seq_len, varint_len};
 use dharma_types::{
     DharmaError, Id160, ReadBytes, Result, VersionStamp, WireDecode, WireEncode, WriteBytes,
     ID160_BYTES,
@@ -179,8 +182,8 @@ pub struct FetchedValue {
     pub from_cache: bool,
 }
 
-/// What a receiver does with the value a `FoundValue`, `CachePush` or
-/// `InvalidatePush` carries (module docs).
+/// What a receiver does with the value a `FoundValue`, `CachePush`,
+/// `InvalidatePush` or `Replicate` carries (module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ValueUse {
     /// Validate it, keep nothing.
@@ -312,7 +315,7 @@ pub enum Message {
         key: Id160,
         /// Blob snapshot, if the value has one.
         blob: Option<Vec<u8>>,
-        /// Entry snapshot.
+        /// Entry snapshot, in the sender's reply order.
         entries: Vec<StoredEntry>,
         /// The snapshot's *existing* origin stamp (replication repairs
         /// holders that missed a write; it never mints a new version).
@@ -440,7 +443,7 @@ impl Message {
     const T_STORE: u8 = 7;
     const T_APPEND: u8 = 8;
     const T_ACK: u8 = 9;
-    const T_REPLICATE: u8 = 10;
+    pub(crate) const T_REPLICATE: u8 = 10;
     const T_CACHE_PUSH: u8 = 11;
     const T_LEAVE: u8 = 12;
     pub(crate) const T_INVALIDATE_PUSH: u8 = 13;
@@ -468,12 +471,10 @@ pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
     }
 }
 
-pub(crate) fn get_opt_blob(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
-    Ok(if buf.get_flag()? {
-        Some(buf.get_bytes_field()?)
-    } else {
-        None
-    })
+/// Reads an optional blob as a slice of the input.
+pub(crate) fn get_opt_blob<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a [u8]>> {
+    let present = buf.get_flag()?;
+    present.then(|| get_bytes_ref(buf)).transpose()
 }
 
 /// Opens a pushed view (`CachePush`, `InvalidatePush`): header, key,
@@ -662,22 +663,22 @@ impl WireEncode for Message {
 
 impl WireDecode for Message {
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self::decode_with(buf, |_, _| ValueUse::Owned)?.0)
+        Ok(Self::decode_with(buf, |_, _, _| ValueUse::Owned)?.0)
     }
 }
 
 impl Message {
     /// Decodes one received datagram in place — through a cursor over
     /// `payload`'s bytes, the one [`WireDecode::decode_exact`] reads with —
-    /// requiring it to be consumed to its end. `value_use(rpc, key)` is
-    /// asked what the value of a `FoundValue` (`key` is `None`) or of a
-    /// push (the key it names) is for, once everything before the value
-    /// is read (module docs). Owned parts not asked for arrive as `None` /
-    /// empty; a kept wire body comes back beside the message, copied out
-    /// of `payload`, which is dropped here.
+    /// requiring it to be consumed to its end. `value_use(type, rpc, key)`
+    /// is asked what the value of a `FoundValue` (`key` is `None`), a push
+    /// or a `Replicate` (the key it names) is for, once everything before
+    /// the value is read (module docs). Owned parts not asked for arrive as
+    /// `None` / empty; a kept wire body comes back beside the message,
+    /// copied out of `payload`, which is dropped here.
     pub(crate) fn decode_datagram(
         payload: Bytes,
-        value_use: impl FnOnce(u64, Option<&Id160>) -> ValueUse,
+        value_use: impl FnOnce(u8, u64, Option<&Id160>) -> ValueUse,
     ) -> Result<(Self, Option<Bytes>)> {
         let mut buf: &[u8] = &payload;
         let (msg, body) = Self::decode_with(&mut buf, value_use)?;
@@ -726,6 +727,26 @@ impl Message {
         buf.freeze()
     }
 
+    /// Encodes a `Replicate` around a held value's full-width wire body
+    /// ([`crate::Storage::encode_snapshot`]) into a buffer of exactly its
+    /// size.
+    pub(crate) fn encode_replicate(
+        rpc: u64,
+        from: &Contact,
+        key: &Id160,
+        body: &[u8],
+        stamp: &VersionStamp,
+    ) -> Bytes {
+        let len = head_len(rpc, from) + ID160_BYTES + body.len() + stamp.encoded_len();
+        let mut buf = BytesMut::with_capacity(len);
+        put_head(&mut buf, Self::T_REPLICATE, rpc, from);
+        buf.put_id(key);
+        buf.extend_from_slice(body);
+        stamp.encode(&mut buf);
+        debug_assert_eq!(buf.len(), len, "the push buffer never grows");
+        buf.freeze()
+    }
+
     /// Encodes a `FoundNodes` reply from borrowed parts into a buffer of
     /// exactly its size — the reply every lookup hop sends, so it neither
     /// builds a [`Message`] nor grows its buffer.
@@ -749,7 +770,7 @@ impl Message {
 
     fn decode_with<'a>(
         buf: &mut &'a [u8],
-        value_use: impl FnOnce(u64, Option<&Id160>) -> ValueUse,
+        value_use: impl FnOnce(u8, u64, Option<&Id160>) -> ValueUse,
     ) -> Result<(Self, Option<&'a [u8]>)> {
         let Some((&ty, rest)) = buf.split_first() else {
             return Err(DharmaError::Decode("empty message".into()));
@@ -784,7 +805,7 @@ impl Message {
                 no_cache: buf.get_flag()?,
             },
             Message::T_FOUND_VALUE => {
-                let (blob, entries) = value_part(buf, value_use(rpc, None), &mut body)?;
+                let (blob, entries) = value_part(buf, value_use(ty, rpc, None), &mut body)?;
                 Message::FoundValue {
                     rpc,
                     from,
@@ -810,17 +831,21 @@ impl Message {
                 entries: Vec::<StoredEntry>::decode(buf)?,
                 stamp: VersionStamp::decode(buf)?,
             },
-            Message::T_REPLICATE => Message::Replicate {
-                rpc,
-                from,
-                key: buf.get_id()?,
-                blob: get_opt_blob(buf)?,
-                entries: Vec::<StoredEntry>::decode(buf)?,
-                stamp: VersionStamp::decode(buf)?,
-            },
+            Message::T_REPLICATE => {
+                let key = buf.get_id()?;
+                let (blob, entries) = value_part(buf, value_use(ty, rpc, Some(&key)), &mut body)?;
+                Message::Replicate {
+                    rpc,
+                    from,
+                    key,
+                    blob,
+                    entries,
+                    stamp: VersionStamp::decode(buf)?,
+                }
+            }
             Message::T_CACHE_PUSH => {
                 let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
-                let (blob, entries) = value_part(buf, value_use(rpc, Some(&key)), &mut body)?;
+                let (blob, entries) = value_part(buf, value_use(ty, rpc, Some(&key)), &mut body)?;
                 Message::CachePush {
                     rpc,
                     from,
@@ -834,7 +859,7 @@ impl Message {
             }
             Message::T_INVALIDATE_PUSH => {
                 let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
-                let (blob, entries) = value_part(buf, value_use(rpc, Some(&key)), &mut body)?;
+                let (blob, entries) = value_part(buf, value_use(ty, rpc, Some(&key)), &mut body)?;
                 Message::InvalidatePush {
                     rpc,
                     from,
@@ -854,10 +879,10 @@ impl Message {
     }
 }
 
-/// The value a `FoundValue` or a push carries — the blob option, then the
-/// entry list — read as `value_use` says: the owned parts are built for
-/// [`ValueUse::Owned`] alone, and the bytes they span go to `body` for
-/// all but [`ValueUse::Skip`]. Every answer runs the owning decoder's
+/// The value a `FoundValue`, a push or a `Replicate` carries — the blob
+/// option, then the entry list — read as `value_use` says: the owned parts
+/// are built for [`ValueUse::Owned`] alone, and the bytes they span go to
+/// `body` for all but [`ValueUse::Skip`]. Every answer runs the owning decoder's
 /// checks in its order, so a byte string fails alike under all three.
 fn value_part<'a>(
     buf: &mut &'a [u8],
@@ -866,11 +891,10 @@ fn value_part<'a>(
 ) -> Result<(Option<Vec<u8>>, Vec<StoredEntry>)> {
     let start = *buf;
     let owned = if value_use == ValueUse::Owned {
-        (get_opt_blob(buf)?, Vec::<StoredEntry>::decode(buf)?)
+        let blob = get_opt_blob(buf)?.map(<[u8]>::to_vec);
+        (blob, Vec::<StoredEntry>::decode(buf)?)
     } else {
-        if buf.get_flag()? {
-            buf.skip_bytes_field()?;
-        }
+        get_opt_blob(buf)?;
         for _ in 0..get_seq_len(buf, StoredEntry::MIN_WIRE_LEN)? {
             buf.skip_str()?;
             buf.get_varint()?;

@@ -26,21 +26,24 @@ fn roundtrip(m: &Message) {
 }
 
 /// Decodes the way `on_message` does, giving `answer` to the question
-/// what the value is for. Also checks the question is put for the three
-/// value-bearing types only, with the rpc and (for a push) the key, and
-/// that a body comes back exactly when `answer` keeps one.
+/// what the value is for. Also checks the question is put for the four
+/// value-bearing types only, with the type, the rpc and (for a push or a
+/// `Replicate`) the key, and that a body comes back exactly when `answer`
+/// keeps one.
 fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> {
     let mut asked = None;
-    let out = Message::decode_datagram(Bytes::copy_from_slice(data), |rpc, key| {
-        asked = Some((rpc, key.copied()));
+    let out = Message::decode_datagram(Bytes::copy_from_slice(data), |ty, rpc, key| {
+        asked = Some((ty, rpc, key.copied()));
         answer
     });
     if let Ok((m, body)) = &out {
         let expected = match m {
-            Message::FoundValue { rpc, .. } => Some((*rpc, None)),
-            Message::CachePush { rpc, key, .. } | Message::InvalidatePush { rpc, key, .. } => {
-                Some((*rpc, Some(*key)))
+            Message::FoundValue { rpc, .. } => Some((Message::T_FOUND_VALUE, *rpc, None)),
+            Message::CachePush { rpc, key, .. } => Some((Message::T_CACHE_PUSH, *rpc, Some(*key))),
+            Message::InvalidatePush { rpc, key, .. } => {
+                Some((Message::T_INVALIDATE_PUSH, *rpc, Some(*key)))
             }
+            Message::Replicate { rpc, key, .. } => Some((Message::T_REPLICATE, *rpc, Some(*key))),
             _ => None,
         };
         assert_eq!(asked, expected);
@@ -50,11 +53,12 @@ fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> 
 }
 
 /// The wire body of `m`'s value — its blob option, then its entry list —
-/// for the three value-bearing types.
+/// for the four value-bearing types.
 fn value_body(m: &Message) -> Option<Bytes> {
     let (Message::FoundValue { blob, entries, .. }
     | Message::CachePush { blob, entries, .. }
-    | Message::InvalidatePush { blob, entries, .. }) = m
+    | Message::InvalidatePush { blob, entries, .. }
+    | Message::Replicate { blob, entries, .. }) = m
     else {
         return None;
     };
@@ -72,6 +76,7 @@ fn value_body(m: &Message) -> Option<Bytes> {
 fn check_body(data: &[u8], eager: &Message, body: &[u8]) {
     let mut rest = body;
     let blob = get_opt_blob(&mut rest).expect("a kept body decodes");
+    let blob = blob.map(<[u8]>::to_vec);
     let entries = Vec::<StoredEntry>::decode(&mut rest).expect("a kept body decodes");
     assert!(rest.is_empty(), "the body ends where the value does");
     let mut decoded = BytesMut::new();
@@ -112,7 +117,8 @@ fn check_decoders_agree(data: &[u8]) {
     let without_value = |mut m: Message| {
         if let Message::FoundValue { blob, entries, .. }
         | Message::CachePush { blob, entries, .. }
-        | Message::InvalidatePush { blob, entries, .. } = &mut m
+        | Message::InvalidatePush { blob, entries, .. }
+        | Message::Replicate { blob, entries, .. } = &mut m
         {
             (*blob, *entries) = (None, Vec::new());
         }
@@ -303,6 +309,23 @@ fn corpus() -> Vec<Message> {
             }],
             stamp: st(9),
         },
+        Message::Replicate {
+            rpc: 16,
+            from: contact(2),
+            key: sha1(b"k2"),
+            blob: None,
+            entries: vec![
+                StoredEntry {
+                    name: "rock✓".into(),
+                    weight: 300,
+                },
+                StoredEntry {
+                    name: "".into(),
+                    weight: 0,
+                },
+            ],
+            stamp: st(10),
+        },
         Message::CachePush {
             rpc: 17,
             from: contact(3),
@@ -422,8 +445,8 @@ fn flag_bytes_other_than_zero_and_one_are_rejected() {
             }
         }
     }
-    // FindValue ×2, FoundValue 3 ×2, Replicate, CachePush 2, InvalidatePush 2.
-    assert_eq!(flags, 13);
+    // FindValue ×2, FoundValue 3 ×2, Replicate ×2, CachePush 2, InvalidatePush 2.
+    assert_eq!(flags, 14);
 }
 
 #[test]
@@ -560,7 +583,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
 
     /// Lazy ≡ eager beyond the fixed corpus: random values (multi-byte
-    /// names, large weights, absent and empty parts) in each of the three
+    /// names, large weights, absent and empty parts) in each of the four
     /// value-bearing messages, intact, cut short, and with random bytes
     /// overwritten.
     #[test]
@@ -599,7 +622,17 @@ proptest! {
                 truncated,
                 version: st(rpc),
             },
-            Message::InvalidatePush { rpc, from, key, top_n, blob, entries, truncated, stamp: st(rpc) },
+            Message::InvalidatePush {
+                rpc,
+                from: from.clone(),
+                key,
+                top_n,
+                blob: blob.clone(),
+                entries: entries.clone(),
+                truncated,
+                stamp: st(rpc),
+            },
+            Message::Replicate { rpc, from, key, blob, entries, stamp: st(rpc) },
         ];
         for m in carriers {
             let mut enc = m.encode_to_bytes().to_vec();
@@ -641,6 +674,32 @@ fn body_built_cache_push_encodes_like_the_owned_message() {
         let (key, version) = (sha1(b"hot"), st(42));
         let built =
             Message::encode_cache_push(17, &contact(3), &key, 100, &body, truncated, &version);
+        assert_eq!(built, owned.encode_to_bytes());
+    }
+}
+
+#[test]
+fn body_built_replicate_encodes_like_the_owned_message() {
+    for blob in [None, Some(b"uri://x".to_vec())] {
+        let owned = Message::Replicate {
+            rpc: 15,
+            from: contact(1),
+            key: sha1(b"k"),
+            blob,
+            entries: vec![
+                StoredEntry {
+                    name: "rock✓".into(),
+                    weight: 70_000,
+                },
+                StoredEntry {
+                    name: "pop".into(),
+                    weight: 3,
+                },
+            ],
+            stamp: st(9),
+        };
+        let body = value_body(&owned).expect("a replica carries a value");
+        let built = Message::encode_replicate(15, &contact(1), &sha1(b"k"), &body, &st(9));
         assert_eq!(built, owned.encode_to_bytes());
     }
 }

@@ -46,6 +46,7 @@ impl CachedView {
     pub(super) fn fetched(&self, version: VersionStamp, from_cache: bool) -> FetchedValue {
         let mut body = &self.body[..];
         let blob = get_opt_blob(&mut body).expect("an encoded or validated body");
+        let blob = blob.map(<[u8]>::to_vec);
         let entries = Vec::decode(&mut body).expect("an encoded or validated body");
         FetchedValue {
             blob,
@@ -267,7 +268,7 @@ impl KademliaNode {
             .counters
             .record_replicas_promoted(targets.len() as u64);
         for contact in &targets {
-            self.send_write(ctx, contact, None, key, snapshot.clone(), stamp);
+            self.send_write(ctx, contact, None, key, &snapshot, stamp);
         }
     }
 }

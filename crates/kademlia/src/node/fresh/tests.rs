@@ -432,7 +432,8 @@ fn a_holder_acks_an_invalidate_push_and_pins_nothing() {
     // An empty routing table: the append applies locally.
     node.append(&mut Ctx::new(0, 0, 1), key, "rock", 1);
     assert!(node.storage.contains(&key));
-    assert_eq!(node.value_use(31, Some(&key)), ValueUse::Skip);
+    let asked = node.value_use(Message::T_INVALIDATE_PUSH, 31, Some(&key));
+    assert_eq!(asked, ValueUse::Skip);
     for rpc in [0, 31] {
         let push = Message::InvalidatePush {
             rpc,

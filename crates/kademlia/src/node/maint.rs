@@ -312,7 +312,7 @@ impl KademliaNode {
                 continue;
             }
             if let Some((snapshot, stamp)) = self.snapshot(&key) {
-                self.send_write(ctx, newcomer, Some(REPAIR_OP), key, snapshot, stamp);
+                self.send_write(ctx, newcomer, Some(REPAIR_OP), key, &snapshot, stamp);
                 handed += 1;
             }
         }
@@ -337,7 +337,7 @@ impl KademliaNode {
         let targets = self.routing.closest(&key, self.cfg.k);
         for t in &targets {
             let op = tracked.then_some(REPAIR_OP);
-            self.send_write(ctx, t, op, key, snapshot.clone(), stamp);
+            self.send_write(ctx, t, op, key, &snapshot, stamp);
         }
         targets.len() as u64
     }

@@ -302,7 +302,8 @@ impl Node for KademliaNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<KadOutput>, _from: NodeAddr, payload: Bytes) {
-        let decoded = Message::decode_datagram(payload, |rpc, key| self.value_use(rpc, key));
+        let decoded =
+            Message::decode_datagram(payload, |ty, rpc, key| self.value_use(ty, rpc, key));
         let Ok((msg, body)) = decoded else {
             return; // malformed datagram: drop silently, as UDP servers do
         };
@@ -341,7 +342,7 @@ impl Node for KademliaNode {
             // wire body `value_use` asked to keep.
             Message::FoundValue { .. } => self.on_found_value(ctx, msg, body),
             Message::Store { .. } | Message::Append { .. } | Message::Replicate { .. } => {
-                self.on_write(ctx, msg)
+                self.on_write(ctx, msg, body)
             }
             Message::CachePush { .. } => self.on_cache_push(ctx.now_us, msg, body),
             Message::InvalidatePush { .. } => self.on_invalidate_push(ctx, msg, body),

@@ -227,10 +227,11 @@ impl KademliaNode {
         self.ops.remove(&op_id);
     }
 
-    /// What the value of a received message is for (the messages module's
-    /// "Decide before you decode"): of a push of `pushed`, or of a
-    /// `FoundValue` answering `rpc`.
+    /// What the value of a received message of type `ty` is for (the
+    /// messages module's "Decide before you decode"): of a `Replicate` or a
+    /// push of `pushed`, or of a `FoundValue` answering `rpc`.
     ///
+    /// * A `Replicate` is merged from its body.
     /// * A push's body is pinned — unless this node holds the key (its
     ///   storage is fresher) or caches nothing.
     /// * A revalidation reply's body re-pins a cached view.
@@ -240,9 +241,10 @@ impl KademliaNode {
     /// Everything else — a second or third holder's answer, a reply to a
     /// finished or forgotten lookup — settles its RPC and feeds liveness,
     /// RTT and gossip from the reply's other fields alone.
-    pub(super) fn value_use(&self, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
+    pub(super) fn value_use(&self, ty: u8, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
         let live_get = |op: &OpState| matches!(op.kind, OpKind::Get { .. });
         match (pushed, self.pending.get(&rpc)) {
+            _ if ty == Message::T_REPLICATE => ValueUse::Body,
             (Some(key), _) if self.cache.is_some() && !self.storage.contains(key) => ValueUse::Body,
             (None, Some(pend)) if pend.op == REFRESH_OP => ValueUse::Body,
             (None, Some(pend)) if self.ops.get(&pend.op).is_some_and(live_get) => ValueUse::Owned,

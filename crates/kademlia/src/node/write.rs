@@ -26,39 +26,38 @@ use crate::storage::WriteBody;
 
 impl WriteBody {
     /// The datagram that carries this write to one replica.
-    fn message(self, rpc: u64, from: &Contact, key: Id160, stamp: VersionStamp) -> Bytes {
+    fn message(&self, rpc: u64, from: &Contact, key: Id160, stamp: VersionStamp) -> Bytes {
         let from = from.clone();
         match self {
             WriteBody::Blob(blob) => Message::Store {
                 rpc,
                 from,
                 key,
-                blob,
+                blob: blob.clone(),
                 stamp,
             },
             WriteBody::Entries(entries) => Message::Append {
                 rpc,
                 from,
                 key,
-                entries,
+                entries: entries.clone(),
                 stamp,
             },
-            WriteBody::Snapshot { blob, entries } => Message::Replicate {
-                rpc,
-                from,
-                key,
-                blob,
-                entries,
-                stamp,
-            },
+            WriteBody::Snapshot(body) => {
+                return Message::encode_replicate(rpc, &from, &key, body, &stamp)
+            }
         }
         .encode_to_bytes()
     }
 
     /// The inverse of [`Self::message`]: the write a `Store` / `Append` /
-    /// `Replicate` carries, as `(rpc, sender, key, body, stamp)`. `None`
-    /// for every other message.
-    fn carried_by(msg: Message) -> Option<(u64, Contact, Id160, WriteBody, VersionStamp)> {
+    /// `Replicate` carries, as `(rpc, sender, key, body, stamp)` — a
+    /// `Replicate`'s from the wire `body` it was decoded with. `None` for
+    /// every other message.
+    fn carried_by(
+        msg: Message,
+        body: Option<Bytes>,
+    ) -> Option<(u64, Contact, Id160, WriteBody, VersionStamp)> {
         Some(match msg {
             Message::Store {
                 rpc,
@@ -78,10 +77,9 @@ impl WriteBody {
                 rpc,
                 from,
                 key,
-                blob,
-                entries,
                 stamp,
-            } => (rpc, from, key, WriteBody::Snapshot { blob, entries }, stamp),
+                ..
+            } => (rpc, from, key, WriteBody::Snapshot(body?), stamp),
             _ => return None,
         })
     }
@@ -210,7 +208,7 @@ impl KademliaNode {
             return self.finish_write(ctx, op_id, 0);
         }
         for contact in &replicas {
-            self.send_write(ctx, contact, Some(op_id), key, body.clone(), stamp);
+            self.send_write(ctx, contact, Some(op_id), key, body, stamp);
         }
     }
 
@@ -224,7 +222,7 @@ impl KademliaNode {
         to: &Contact,
         op: Option<u64>,
         key: Id160,
-        body: WriteBody,
+        body: &WriteBody,
         stamp: VersionStamp,
     ) {
         let build = |rpc: u64, from: &Contact| body.message(rpc, from, key, stamp);
@@ -263,13 +261,14 @@ impl KademliaNode {
         }
     }
 
-    /// Handles an incoming `Store` / `Append` / `Replicate`: apply, ack.
-    pub(super) fn on_write(&mut self, ctx: &mut Ctx<KadOutput>, msg: Message) {
-        let Some((rpc, from, key, body, stamp)) = WriteBody::carried_by(msg) else {
+    /// Handles an incoming `Store` / `Append` / `Replicate` (with the wire
+    /// body `value_use` kept): apply, ack.
+    pub(super) fn on_write(&mut self, ctx: &mut Ctx<KadOutput>, msg: Message, body: Option<Bytes>) {
+        let Some((rpc, from, key, body, stamp)) = WriteBody::carried_by(msg, body) else {
             return;
         };
         self.observe_stamp(stamp);
-        let replica = matches!(body, WriteBody::Snapshot { .. });
+        let replica = matches!(body, WriteBody::Snapshot(_));
         // TTL accept gate: a record that already outlived
         // `record_ttl_us` here is a zombie awaiting the expiry sweep —
         // merging an incoming snapshot would re-wind its clock and
@@ -327,11 +326,11 @@ impl KademliaNode {
         );
     }
 
-    /// A `Replicate`-ready snapshot of one held value and the origin stamp
-    /// it travels under.
+    /// What a `Replicate` of one held value carries, encoded once for
+    /// every target, and the origin stamp it travels under.
     pub(super) fn snapshot(&self, key: &Id160) -> Option<(WriteBody, VersionStamp)> {
-        let (blob, entries, stamp) = self.storage.snapshot(key)?;
-        Some((WriteBody::Snapshot { blob, entries }, stamp))
+        let (body, stamp) = self.storage.encode_snapshot(key)?;
+        Some((WriteBody::Snapshot(body), stamp))
     }
 
     /// Folds an observed origin stamp into the Lamport write clock.
@@ -475,9 +474,14 @@ mod tests {
     use dharma_net::{Node, SimConfig, SimNet};
     use dharma_types::sha1;
 
-    use super::super::testutil::{build_net, build_overlay, sim_cfg, st, test_cfg};
+    use std::time::{Duration, Instant};
+
+    use super::super::testutil::{
+        build_net, build_overlay, contact, fresh_cfg, sim_cfg, st, test_cfg,
+    };
     use super::*;
-    use crate::node::KadConfig;
+    use crate::messages::DigestEntry;
+    use crate::node::{KadConfig, MaintConfig};
     #[test]
     fn replicate_does_not_resurrect_expired_records() {
         let cfg = KadConfig {
@@ -669,5 +673,100 @@ mod tests {
         });
         assert_eq!(net.node(2).storage().weight(&tags, "rock"), 5);
         assert_eq!(net.node(2).storage().get(&tags).unwrap().refreshed_us, now);
+    }
+
+    /// A `Replicate` of exactly what a replica holds changes no entry, but
+    /// it is still a repair round: the stamp rises to the incoming one, the
+    /// record is refreshed, the key is news in the digest, this node's own
+    /// sweep skips it and the sender is acked — with no name interned and
+    /// the wire memo kept (the storage's heap size does not move).
+    #[test]
+    fn an_identical_replicate_refreshes_and_acks_without_interning() {
+        let cfg = KadConfig {
+            maintenance: Some(MaintConfig::default()),
+            ..fresh_cfg(1_000_000)
+        };
+        let mut node = KademliaNode::new(sha1(b"replica"), 0, cfg);
+        let key = sha1(b"held");
+        let entries = (0..30u64).map(|i| StoredEntry {
+            name: format!("tag {} ✓", i % 17 + i / 17 * 100),
+            weight: 1 + i % 4,
+        });
+        // An empty routing table: the append applies locally.
+        node.append_many(&mut Ctx::new(0, 0, 1), key, entries.collect());
+        let find = Message::FindValue {
+            rpc: 1,
+            from: contact(5),
+            key,
+            top_n: 10,
+            no_cache: false,
+        };
+        node.on_message(&mut Ctx::new(10, 0, 2), 5, find.encode_to_bytes());
+        let heap = node.storage().heap_bytes();
+        let (_, held, _) = node.storage().snapshot(&key).expect("held");
+        let stamp = VersionStamp::new(1 << 40, sha1(b"origin"));
+        let replicate = Message::Replicate {
+            rpc: 41,
+            from: contact(7),
+            key,
+            blob: None,
+            entries: held,
+            stamp,
+        };
+        let mut ctx = Ctx::new(2_000, 0, 3);
+        node.on_message(&mut ctx, 7, replicate.encode_to_bytes());
+        assert_eq!(node.storage().heap_bytes(), heap);
+        let value = node.storage().get(&key).expect("held");
+        assert_eq!((value.version, value.refreshed_us), (stamp, 2_000));
+        let news = DigestEntry {
+            key,
+            version: stamp,
+        };
+        assert!(node.build_digest(None, 2_000).contains(&news));
+        assert!(node.maint.last_replicate_seen.contains_key(&key));
+        let ack = Message::Ack {
+            rpc: 41,
+            from: node.contact.clone(),
+        };
+        let (sends, _, _) = ctx.into_effects();
+        let acked = |m: &dharma_net::OutMessage| m.to == 7 && m.payload == ack.encode_to_bytes();
+        assert!(sends.iter().any(acked), "{sends:?}");
+    }
+
+    /// No write path is quadratic in block size: a 20,000-entry append
+    /// onto an empty block, and a 20,000-entry `Replicate` whose second
+    /// half all differs, each take well under a second unoptimised.
+    #[test]
+    fn twenty_thousand_entry_writes_stay_fast() {
+        let mut node = KademliaNode::new(sha1(b"bulk"), 0, test_cfg(4));
+        let key = sha1(b"hub");
+        let entries = (0..20_000u64).map(|i| StoredEntry {
+            name: format!("r{:05}", (i * 7_919) % 20_000),
+            weight: 1 + i % 7,
+        });
+        let started = Instant::now();
+        node.append_many(&mut Ctx::new(0, 0, 1), key, entries.collect());
+        let appended = started.elapsed();
+        let (_, mut held, _) = node.storage().snapshot(&key).expect("held");
+        held.iter_mut().skip(10_000).for_each(|e| e.weight += 1);
+        let replicate = Message::Replicate {
+            rpc: 1,
+            from: contact(2),
+            key,
+            blob: None,
+            entries: held.clone(),
+            stamp: st(5),
+        };
+        let started = Instant::now();
+        node.on_message(&mut Ctx::new(1, 0, 2), 2, replicate.encode_to_bytes());
+        let merged = started.elapsed();
+        held.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.name.cmp(&b.name)));
+        let stored = node.storage().snapshot(&key).expect("held").1;
+        assert!(stored == held, "the merge raised the second half");
+        let bound = Duration::from_secs(1);
+        assert!(
+            appended < bound && merged < bound,
+            "{appended:?} / {merged:?}"
+        );
     }
 }

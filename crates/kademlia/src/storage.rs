@@ -14,43 +14,68 @@
 //! construction:
 //!
 //! * entry names are interned **once per node** in a [`NameInterner`] —
-//!   every value stores `(Sym, weight)` pairs (12 bytes each, sorted by
-//!   symbol for binary-search lookup) instead of an owned `String` per
-//!   entry per key. Tag vocabularies are tiny compared to key counts, so
-//!   the shared table amortizes to near-zero per record;
+//!   every value stores `(Sym, weight)` pairs (12 bytes each) instead of an
+//!   owned `String` per entry per key. Tag vocabularies are tiny compared
+//!   to key counts, so the shared table amortizes to near-zero per record;
+//! * a value's pairs are kept in **reply order** — weight descending, ties
+//!   by name ascending — the order every read serves and every `Replicate`
+//!   carries. Names are unique per key, so the order is total;
 //! * blobs are `Box<[u8]>` — no spare `Vec` capacity is retained;
 //! * a value that has been read since its last write also holds its **wire
 //!   memo** — the one memo a value has: the encoded reply body (blob
 //!   option, then the ranked entry list — the layout `FoundValue`,
-//!   `CachePush` and `InvalidatePush` share) for the `(top_n, byte_budget)`
-//!   it was last served at, with that read's `truncated` flag. Blocks
-//!   change only by token appends and hub blocks are read far more often
-//!   than they are written, so the `α` holders a GET asks, and every GET
-//!   until the next write, answer with one copy of bytes already ranked
-//!   and encoded instead of walking entries and the name table again.
-//!   The memo is built by the first [`Storage::encode_filtered`] after a
-//!   write — never by a write — and re-built when a read asks a different
-//!   width or budget (callers ask a key at one width). It is dropped by
-//!   **every** mutation of what it encodes: `append`, a `merge_max` that
-//!   raises or adds an entry or adopts a blob, `put_blob`; a `merge_max`
-//!   that changes nothing keeps it (the stamp travels beside the body, not
-//!   in it), and it goes with the value itself (`remove`, `expire`). Its
-//!   size is bounded by what it answers: at most the blob plus the reply
-//!   budget, per key read since its last write. It has no capacity, TTL
-//!   or knob, and [`Storage::heap_bytes`] counts it.
+//!   `CachePush`, `InvalidatePush` and `Replicate` share) for the
+//!   `(top_n, byte_budget)` it was last served at, with that read's
+//!   `truncated` flag. Hub blocks are read far more often than they are
+//!   written, so the `α` holders a GET asks, and every GET until the next
+//!   write, answer with one copy of bytes already encoded. The memo is
+//!   built by the first [`Storage::encode_filtered`] after a write — never
+//!   by a write — and re-built when a read asks a different width or
+//!   budget (callers ask a key at one width). It is dropped by **every**
+//!   mutation of what it encodes: an `append` or a `merge_max` that raises
+//!   or adds an entry or adopts a blob, `put_blob`; a `merge_max` that
+//!   changes nothing keeps it (the stamp travels beside the body, not in
+//!   it), and it goes with the value itself (`remove`, `expire`). Its size
+//!   is bounded by what it answers: at most the blob plus the reply budget,
+//!   per key read since its last write. It has no capacity, TTL or knob,
+//!   and [`Storage::heap_bytes`] counts it.
+//!
+//! ## What a write and a read cost
+//!
+//! Blocks change only by token appends (paper §IV-A) and merges that take
+//! the max, so a write only raises weights, and an entry it touches only
+//! moves towards the front. A batch of up to `SMALL_BATCH` entries finds
+//! each one by a scan over the pairs and rotates it into place, found by
+//! binary search over the entries ahead of it; names are resolved only to
+//! break a weight tie. A larger batch goes through a transient name index
+//! and one stable re-sort, O(n log n) and close to one pass when little
+//! moved. No write is quadratic in block size. A read is a prefix: the
+//! first `top_n` entries, cut further at the byte budget.
+//!
+//! A `Replicate` is merged from its wire body (`WriteBody::Snapshot`):
+//! its entries arrive in the sender's reply order and are walked in
+//! lockstep with the held ones. A block the sender holds identically is
+//! confirmed with no `String` built, no name interned and the memo kept;
+//! from the first difference on, the rest of the entries go through the
+//! batch write.
 //!
 //! The compact layout is an internal detail: reads resolve symbols back to
 //! names ([`Storage::snapshot`], [`Storage::read_filtered`]) and all
 //! observable semantics — ordering, truncation, versioning, expiry — are
 //! unchanged from the string-keyed representation.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 use std::ops::Bound;
 
-use bytes::BytesMut;
-use dharma_types::{Id160, NameInterner, Sym, VersionStamp, WriteBytes};
+use bytes::{Bytes, BytesMut};
+use dharma_types::wire::{get_seq_len, get_str_ref};
+use dharma_types::{
+    FxHashMap, Id160, NameInterner, ReadBytes, Result, Sym, VersionStamp, WireDecode, WriteBytes,
+};
 
-use crate::messages::{put_entry, put_opt_blob, StoredEntry};
+use crate::messages::{get_opt_blob, put_entry, put_opt_blob, StoredEntry};
 
 /// What a write carries — the one shape behind the three write messages
 /// and the coordinator's local apply ([`Storage::apply`]).
@@ -60,12 +85,23 @@ pub(crate) enum WriteBody {
     Blob(Vec<u8>),
     /// `APPEND`: add tokens to entries (the client write primitive).
     Entries(Vec<StoredEntry>),
-    /// `REPLICATE`: a snapshot merged idempotently (adopt the blob if
-    /// absent, each entry takes the max).
-    Snapshot {
-        blob: Option<Vec<u8>>,
-        entries: Vec<StoredEntry>,
-    },
+    /// `REPLICATE`: a held value's full-width wire body — the blob option,
+    /// then every entry in reply order ([`Storage::encode_snapshot`]) —
+    /// merged idempotently (adopt the blob if absent, each entry takes the
+    /// max).
+    Snapshot(Bytes),
+}
+
+/// Batches of more entries than this are applied by one re-sort instead
+/// of one rotation each.
+const SMALL_BATCH: usize = 16;
+
+/// How a write folds an incoming weight into the held one.
+type Combine = fn(u64, u64) -> u64;
+
+/// Reply order: weight descending, ties by name ascending.
+fn rank(names: &NameInterner, a: &(Sym, u64), b: &(Sym, u64)) -> Ordering {
+    (b.1.cmp(&a.1)).then_with(|| names.resolve(a.0).cmp(names.resolve(b.0)))
 }
 
 /// A stored value (compact form; names are interned per [`Storage`]).
@@ -73,7 +109,7 @@ pub(crate) enum WriteBody {
 pub struct ValueState {
     /// Blob payload (`r̃` URI records), stored without spare capacity.
     blob: Option<Box<[u8]>>,
-    /// Weighted entries, `(interned name, token count)`, sorted by symbol.
+    /// Weighted entries, `(interned name, token count)`, in reply order.
     entries: Vec<(Sym, u64)>,
     /// Last write (or replication refresh) time, µs. Drives expiry.
     pub refreshed_us: u64,
@@ -109,117 +145,112 @@ impl ValueState {
         self.entries.len()
     }
 
-    fn weight_of(&self, sym: Sym) -> Option<u64> {
-        self.entries
-            .binary_search_by_key(&sym, |&(s, _)| s)
-            .ok()
-            .map(|ix| self.entries[ix].1)
-    }
-
     /// Replaces the blob.
     fn set_blob(&mut self, blob: Box<[u8]>) {
         self.blob = Some(blob);
         self.memo = None;
     }
 
-    /// Merges a replica idempotently: the blob is adopted if absent and
-    /// each entry takes `max(local, incoming)` tokens.
-    fn merge_max(
-        &mut self,
-        names: &mut NameInterner,
-        blob: Option<&[u8]>,
-        entries: &[StoredEntry],
-    ) {
+    /// Adopts `blob` if none is held.
+    fn adopt(&mut self, blob: Option<&[u8]>) {
         if let (None, Some(b)) = (&self.blob, blob) {
             self.set_blob(b.into());
         }
-        for e in entries {
-            self.raise_to(names.intern(&e.name), e.weight);
-        }
     }
 
-    /// Adds `tokens` to `sym`'s weight (inserting at the sort position on
-    /// first sight) and returns the new weight.
-    fn add(&mut self, sym: Sym, tokens: u64) -> u64 {
-        self.memo = None;
-        match self.entries.binary_search_by_key(&sym, |&(s, _)| s) {
-            Ok(ix) => {
-                self.entries[ix].1 += tokens;
-                self.entries[ix].1
-            }
-            Err(ix) => {
-                self.entries.insert(ix, (sym, tokens));
-                tokens
-            }
-        }
-    }
-
-    /// Raises `sym`'s weight to at least `weight`; true when it changed.
-    fn raise_to(&mut self, sym: Sym, weight: u64) -> bool {
-        match self.entries.binary_search_by_key(&sym, |&(s, _)| s) {
-            Ok(ix) if weight <= self.entries[ix].1 => return false,
-            Ok(ix) => self.entries[ix].1 = weight,
-            Err(ix) => self.entries.insert(ix, (sym, weight)),
-        }
-        self.memo = None;
-        true
-    }
-
-    /// The one rank-and-budget walk behind both read emitters: the heaviest
-    /// `top_n` entries (0 = all) whose encodings fit `byte_budget`
-    /// (varint-accurate), in reply order — weight descending, ties by name
-    /// ascending — and whether anything was cut. Ranked as the compact
-    /// pairs they are stored as: a comparison resolves names only to break
-    /// a weight tie. Names are unique per key, so the order is total and
-    /// selecting then sorting a prefix equals sorting everything.
-    fn select(
-        &self,
-        names: &NameInterner,
-        top_n: u32,
-        byte_budget: usize,
-    ) -> (Vec<(Sym, u64)>, bool) {
-        let by_rank = |a: &(Sym, u64), b: &(Sym, u64)| {
-            (b.1.cmp(&a.1)).then_with(|| names.resolve(a.0).cmp(names.resolve(b.0)))
-        };
-        let len = self.entries.len();
-        let limit = if top_n == 0 {
-            len
-        } else {
-            len.min(top_n as usize)
-        };
-        let mut ranked = self.entries.clone();
-        if limit < len {
-            if limit > 0 {
-                ranked.select_nth_unstable_by(limit - 1, by_rank);
-            }
-            ranked.truncate(limit);
-        }
-        ranked.sort_unstable_by(by_rank);
-        let mut used = 0usize;
-        let fits = ranked.iter().take_while(|&&(sym, weight)| {
-            used += entry_encoded_len(names.resolve(sym), weight);
-            used <= byte_budget
+    /// Folds `weight` into `sym`'s entry (created at 0 on first sight) and
+    /// moves the entry up to its rank. Returns its weight, and whether
+    /// anything changed.
+    fn bump(&mut self, names: &NameInterner, sym: Sym, weight: u64, fold: Combine) -> (u64, bool) {
+        let held = self.entries.iter().position(|e| e.0 == sym);
+        let at = held.unwrap_or_else(|| {
+            self.entries.push((sym, 0));
+            self.entries.len() - 1
         });
-        let keep = fits.count();
-        ranked.truncate(keep);
-        (ranked, limit < len || keep < limit)
+        let entry = (sym, fold(self.entries[at].1, weight));
+        if held.is_some() && entry.1 == self.entries[at].1 {
+            return (entry.1, false);
+        }
+        let to = self.entries[..at].partition_point(|e| rank(names, e, &entry).is_lt());
+        self.entries[to..=at].rotate_right(1);
+        self.entries[to] = entry;
+        self.memo = None;
+        (entry.1, true)
     }
 
-    /// Encodes the filtered read into a fresh memo.
-    fn encode(&self, names: &NameInterner, top_n: u32, byte_budget: usize) -> WireMemo {
-        let (entries, truncated) = self.select(names, top_n, byte_budget);
+    /// Folds every `(sym, weight)` of `batch` in as [`Self::bump`] does;
+    /// true when anything changed.
+    fn write(&mut self, names: &NameInterner, batch: &[(Sym, u64)], fold: Combine) -> bool {
+        if batch.len() <= SMALL_BATCH {
+            let mut bump = |&(sym, weight): &(Sym, u64)| self.bump(names, sym, weight, fold).1;
+            return batch.iter().fold(false, |changed, e| bump(e) | changed);
+        }
+        let mut at: FxHashMap<Sym, usize> = (self.entries.iter().enumerate())
+            .map(|(ix, e)| (e.0, ix))
+            .collect();
+        let mut changed = false;
+        for &(sym, weight) in batch {
+            let ix = *at.entry(sym).or_insert_with(|| {
+                changed = true;
+                self.entries.push((sym, 0));
+                self.entries.len() - 1
+            });
+            let held = self.entries[ix].1;
+            self.entries[ix].1 = fold(held, weight);
+            changed |= self.entries[ix].1 != held;
+        }
+        if changed {
+            self.entries.sort_by(|a, b| rank(names, a, b));
+            self.memo = None;
+        }
+        changed
+    }
+
+    /// [`Storage::merge_max`] of a snapshot's wire body, walked in
+    /// lockstep with the held entries (module docs).
+    fn merge_body(&mut self, names: &mut NameInterner, mut body: &[u8]) -> Result<()> {
+        self.adopt(get_opt_blob(&mut body)?);
+        let mut rest = Vec::new();
+        for i in 0..get_seq_len(&mut body, StoredEntry::MIN_WIRE_LEN)? {
+            let (name, weight) = (get_str_ref(&mut body)?, body.get_varint()?);
+            let held = |&(sym, w): &(Sym, u64)| w == weight && names.resolve(sym) == name;
+            if !(rest.is_empty() && self.entries.get(i).is_some_and(held)) {
+                rest.push((names.intern(name), weight));
+            }
+        }
+        self.write(names, &rest, u64::max);
+        Ok(())
+    }
+
+    /// The read both emitters serve: the first `top_n` entries (0 = all)
+    /// whose encodings fit `budget` bytes (varint-accurate) — a prefix of
+    /// the held order — and whether anything was cut.
+    fn ranked(&self, names: &NameInterner, top_n: u32, budget: usize) -> (&[(Sym, u64)], bool) {
+        let limit = NonZeroU32::new(top_n).map_or(usize::MAX, |n| n.get() as usize);
+        let mut used = 0usize;
+        let fits = self
+            .entries
+            .iter()
+            .take(limit)
+            .take_while(|&&(sym, weight)| {
+                used += entry_encoded_len(names.resolve(sym), weight);
+                used <= budget
+            });
+        let keep = fits.count();
+        (&self.entries[..keep], keep < self.entries.len())
+    }
+
+    /// Encodes the filtered read — the blob option, then the entry list —
+    /// and returns it with its `truncated` flag.
+    fn encode(&self, names: &NameInterner, top_n: u32, byte_budget: usize) -> (BytesMut, bool) {
+        let (entries, truncated) = self.ranked(names, top_n, byte_budget);
         let mut body = BytesMut::new();
         put_opt_blob(&mut body, self.blob());
         body.put_varint(entries.len() as u64);
-        for (sym, weight) in entries {
+        for &(sym, weight) in entries {
             put_entry(&mut body, names.resolve(sym), weight);
         }
-        WireMemo {
-            top_n,
-            byte_budget,
-            truncated,
-            body: body[..].into(),
-        }
+        (body, truncated)
     }
 }
 
@@ -281,7 +312,9 @@ impl Storage {
         let sym = self.names.intern(name);
         let state = self.values.entry(key).or_default();
         state.version = state.version.max(stamp);
-        state.add(sym, tokens)
+        state
+            .bump(&self.names, sym, tokens, |held, tokens| held + tokens)
+            .0
     }
 
     /// The origin stamp of `key` ([`VersionStamp::ZERO`] when absent or
@@ -312,7 +345,11 @@ impl Storage {
         now_us: u64,
     ) {
         let state = self.values.entry(key).or_default();
-        state.merge_max(&mut self.names, blob, entries);
+        state.adopt(blob);
+        let batch: Vec<(Sym, u64)> = (entries.iter())
+            .map(|e| (self.names.intern(&e.name), e.weight))
+            .collect();
+        state.write(&self.names, &batch, u64::max);
         // The replica carries the *origin* stamp of the snapshot it came
         // from; taking the max keeps re-replication idempotent (replaying
         // the same snapshot never moves the version) while still letting a
@@ -343,13 +380,13 @@ impl Storage {
         match body {
             WriteBody::Blob(blob) => state.set_blob(blob.as_slice().into()),
             WriteBody::Entries(entries) => {
-                for e in entries {
-                    state.add(self.names.intern(&e.name), e.weight);
-                }
+                let batch: Vec<(Sym, u64)> = (entries.iter())
+                    .map(|e| (self.names.intern(&e.name), e.weight))
+                    .collect();
+                state.write(&self.names, &batch, |held, tokens| held + tokens);
             }
-            WriteBody::Snapshot { blob, entries } => {
-                state.merge_max(&mut self.names, blob.as_deref(), entries)
-            }
+            WriteBody::Snapshot(body) => (state.merge_body(&mut self.names, body))
+                .expect("a snapshot body is encoded here or validated on receipt"),
         }
         state.version = state.version.max(stamp);
         state.refreshed_us = state.refreshed_us.max(now_us);
@@ -378,30 +415,28 @@ impl Storage {
         self.values.get(key)
     }
 
-    /// A `Replicate`-ready snapshot of one held value: the blob, every
-    /// entry with its name resolved from the intern table, and the value's
-    /// origin stamp (replication forwards the *existing* stamp — repair
-    /// never mints). Entry order is symbol order (deterministic; receivers
-    /// re-rank by weight anyway).
+    /// One held value, owned: the blob, every entry with its name resolved
+    /// from the intern table, in reply order (the unfiltered
+    /// [`Self::read_filtered`]), and the value's origin stamp. An
+    /// inspection API for tests and drivers: the node never builds it, and
+    /// a `Replicate` carries the wire body `encode_snapshot` writes.
     pub fn snapshot(
         &self,
         key: &Id160,
     ) -> Option<(Option<Vec<u8>>, Vec<StoredEntry>, VersionStamp)> {
-        self.values.get(key).map(|state| {
-            let entries: Vec<StoredEntry> = state
-                .entries
-                .iter()
-                .map(|&(sym, weight)| StoredEntry {
-                    name: self.names.resolve(sym).to_owned(),
-                    weight,
-                })
-                .collect();
-            (
-                state.blob.as_deref().map(<[u8]>::to_vec),
-                entries,
-                state.version,
-            )
-        })
+        let read = self.read_filtered(key, 0, usize::MAX)?;
+        Some((read.blob, read.entries, read.version))
+    }
+
+    /// What a `Replicate` of `key` carries: the held value's full-width
+    /// wire body — the blob option, then every entry in reply order — and
+    /// its origin stamp (repair forwards the *existing* stamp, never
+    /// mints). Encoded per call, once per push round; the wire memo is
+    /// left as it is.
+    pub(crate) fn encode_snapshot(&self, key: &Id160) -> Option<(Bytes, VersionStamp)> {
+        let state = self.values.get(key)?;
+        let (body, _) = state.encode(&self.names, 0, usize::MAX);
+        Some((body.freeze(), state.version))
     }
 
     /// The weight of one entry (0 when absent).
@@ -409,10 +444,11 @@ impl Storage {
         let Some(sym) = self.names.lookup(name) else {
             return 0;
         };
-        self.values
+        let held = self
+            .values
             .get(key)
-            .and_then(|v| v.weight_of(sym))
-            .unwrap_or(0)
+            .and_then(|v| v.entries.iter().find(|e| e.0 == sym));
+        held.map_or(0, |e| e.1)
     }
 
     /// Filtered read: the heaviest `top_n` entries (0 = unlimited) that fit
@@ -426,8 +462,8 @@ impl Storage {
         byte_budget: usize,
     ) -> Option<FilteredRead> {
         let state = self.values.get(key)?;
-        let (entries, truncated) = state.select(&self.names, top_n, byte_budget);
-        let entries = entries.into_iter().map(|(sym, weight)| StoredEntry {
+        let (entries, truncated) = state.ranked(&self.names, top_n, byte_budget);
+        let entries = entries.iter().map(|&(sym, weight)| StoredEntry {
             name: self.names.resolve(sym).to_owned(),
             weight,
         });
@@ -455,8 +491,16 @@ impl Storage {
     ) -> Option<(bool, VersionStamp)> {
         let state = self.values.get_mut(key)?;
         let asked = |m: &WireMemo| (m.top_n, m.byte_budget) == (top_n, byte_budget);
-        let memo = (state.memo.take().filter(asked))
-            .unwrap_or_else(|| state.encode(&self.names, top_n, byte_budget));
+        let memo = (state.memo.take().filter(asked)).unwrap_or_else(|| {
+            let (body, truncated) = state.encode(&self.names, top_n, byte_budget);
+            let body = body[..].into();
+            WireMemo {
+                top_n,
+                byte_budget,
+                truncated,
+                body,
+            }
+        });
         let memo = state.memo.insert(memo);
         buf.extend_from_slice(&memo.body);
         Some((memo.truncated, state.version))

@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::messages::{Contact, Message};
-use dharma_types::{sha1, WireEncode};
+use dharma_types::{sha1, WireDecode, WireEncode};
 use proptest::prelude::*;
 
 /// Mints test stamps from one writer; seq order = write order.
@@ -215,6 +215,20 @@ fn heap_bytes_counts_the_wire_memo() {
     assert_eq!(s.heap_bytes(), written + 3);
 }
 
+/// A `Replicate` body: the blob option, then `entries` as listed.
+fn snapshot_body(blob: Option<&[u8]>, entries: &[StoredEntry]) -> WriteBody {
+    let mut body = BytesMut::new();
+    put_opt_blob(&mut body, blob);
+    entries.encode(&mut body);
+    WriteBody::Snapshot(body.freeze())
+}
+
+/// The blob and entries a `Replicate` body carries, owned.
+fn owned(mut body: &[u8]) -> (Option<Vec<u8>>, Vec<StoredEntry>) {
+    let blob = get_opt_blob(&mut body).unwrap().map(<[u8]>::to_vec);
+    (blob, Vec::decode_exact(body).unwrap())
+}
+
 /// What `s` would weigh had nothing been served since the last write.
 fn unread_heap_bytes(s: &Storage) -> usize {
     let mut unread = s.clone();
@@ -321,11 +335,8 @@ proptest! {
                 0 => WriteBody::Blob(name.into_bytes()),
                 1 | 2 => WriteBody::Entries(vec![entry(&name, w), entry("a", 1)]),
                 3 => WriteBody::Entries(Vec::new()),
-                4 => WriteBody::Snapshot {
-                    blob: Some(name.clone().into_bytes()),
-                    entries: vec![entry(&name, w * 3)],
-                },
-                5 => WriteBody::Snapshot { blob: None, entries: Vec::new() },
+                4 => snapshot_body(Some(name.as_bytes()), &[entry(&name, w * 3), entry("b", w)]),
+                5 => snapshot_body(None, &[]),
                 _ => {
                     prop_assert_eq!(one.remove(&key), many.remove(&key));
                     continue;
@@ -339,8 +350,9 @@ proptest! {
                         many.append(key, &e.name, e.weight, stamp);
                     }
                 }
-                WriteBody::Snapshot { blob, entries } => {
-                    many.merge_max(key, blob.as_deref(), entries, stamp, now)
+                WriteBody::Snapshot(body) => {
+                    let (blob, entries) = owned(body);
+                    many.merge_max(key, blob.as_deref(), &entries, stamp, now)
                 }
             }
             many.touch(key, now);
@@ -394,4 +406,250 @@ fn shared_vocabulary_is_stored_once() {
         }
     }
     assert!(s.heap_bytes() < unique.heap_bytes());
+}
+
+/// The reference read of a model block: its entries in reply order
+/// (weight descending, ties by name ascending), the first `top_n` (0 =
+/// all) cut where their encodings pass `budget`, encoded after the blob
+/// option; and whether anything was cut.
+fn reference_read(
+    blob: Option<&[u8]>,
+    model: &BTreeMap<String, u64>,
+    top_n: u32,
+    budget: usize,
+) -> (Vec<u8>, bool) {
+    let mut ranked: Vec<(&String, u64)> = model.iter().map(|(n, &w)| (n, w)).collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let mut body = BytesMut::new();
+    put_opt_blob(&mut body, blob);
+    let mut kept = Vec::new();
+    let mut used = 0;
+    for &(name, weight) in ranked.iter().take(if top_n == 0 {
+        usize::MAX
+    } else {
+        top_n as usize
+    }) {
+        used += StoredEntry {
+            name: name.clone(),
+            weight,
+        }
+        .encoded_len();
+        if used > budget {
+            break;
+        }
+        kept.push(StoredEntry {
+            name: name.clone(),
+            weight,
+        });
+    }
+    kept.encode(&mut body);
+    (body.to_vec(), kept.len() < ranked.len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+    /// Blocks are kept in reply order under every write, and a read is a
+    /// prefix of it. A random interleaving of single- and multi-entry
+    /// appends (heavy weight ties, non-ASCII names, repeated names within
+    /// one batch), `merge_max` that raises, raises nothing or adds names,
+    /// a `Replicate` body that agrees with the held block up to a random
+    /// point, storing and adopting a blob, remove then re-create, and
+    /// batches large enough to take the re-sort path, is held after every
+    /// step to an independent `BTreeMap` model: the stored order is the
+    /// model sorted by (weight desc, name asc), and `encode_filtered` is
+    /// the model's reference encoding byte for byte at three
+    /// `(top_n, budget)` pairs — whole, a top-4 prefix, and a budget that
+    /// cuts mid-prefix.
+    #[test]
+    fn ranked_blocks_equal_the_full_rerank(
+        steps in proptest::collection::vec(
+            (0u8..10, "[a-dé✓]{1,3}", 1u64..4, proptest::collection::vec(("[a-eé]{1,2}", 0u64..4), 0..40)),
+            1..40,
+        ),
+    ) {
+        let key = sha1(b"k");
+        let mut s = Storage::new();
+        let mut model: BTreeMap<String, u64> = BTreeMap::new();
+        let mut blob: Option<Vec<u8>> = None;
+        let entries = |batch: &[(String, u64)]| -> Vec<StoredEntry> {
+            batch.iter().map(|(name, weight)| StoredEntry { name: name.clone(), weight: *weight }).collect()
+        };
+        for (i, (kind, name, w, batch)) in steps.into_iter().enumerate() {
+            let stamp = st(i as u64 + 1);
+            let raise = |model: &mut BTreeMap<String, u64>, written: &[StoredEntry]| {
+                for e in written {
+                    let held = model.entry(e.name.clone()).or_default();
+                    *held = (*held).max(e.weight);
+                }
+            };
+            match kind {
+                0 => {
+                    let got = s.append(key, &name, w, stamp);
+                    let held = model.entry(name).or_default();
+                    *held += w;
+                    prop_assert_eq!(got, *held);
+                }
+                1 | 2 => {
+                    // A batch of either size: up to 40 entries, so both
+                    // the rotations and the re-sort are taken.
+                    let written = entries(&batch);
+                    s.apply(key, &WriteBody::Entries(written.clone()), stamp, 0);
+                    for e in written {
+                        *model.entry(e.name).or_default() += e.weight;
+                    }
+                }
+                3 => {
+                    let raised = [
+                        StoredEntry { name: name.clone(), weight: w * 5 },
+                        StoredEntry { name: format!("{name}r"), weight: w },
+                    ];
+                    s.merge_max(key, None, &raised, stamp, 0);
+                    raise(&mut model, &raised);
+                }
+                4 => {
+                    let held = s.snapshot(&key).map(|(_, e, _)| e).unwrap_or_default();
+                    s.merge_max(key, None, &held, stamp, 0);
+                    let added = entries(&batch);
+                    s.merge_max(key, None, &added, stamp, 0);
+                    raise(&mut model, &added);
+                }
+                5 => {
+                    // What a peer holding the same block, raised from one
+                    // random point on, would send.
+                    let mut held = s.snapshot(&key).map(|(_, e, _)| e).unwrap_or_default();
+                    let from = batch.len() % (held.len() + 1);
+                    held.iter_mut().skip(from).for_each(|e| e.weight += w % 2);
+                    held.extend(entries(&batch));
+                    let body = snapshot_body(Some(name.as_bytes()), &held);
+                    s.apply(key, &body, stamp, 0);
+                    raise(&mut model, &held);
+                    blob.get_or_insert_with(|| name.into_bytes());
+                }
+                6 => {
+                    s.put_blob(key, name.clone().into_bytes(), stamp);
+                    blob = Some(name.into_bytes());
+                }
+                7 => {
+                    s.merge_max(key, Some(name.as_bytes()), &[], stamp, 0);
+                    blob.get_or_insert_with(|| name.into_bytes());
+                }
+                8 => {
+                    s.remove(&key);
+                    (model, blob) = (BTreeMap::new(), None);
+                    let got = s.append(key, &name, w, stamp);
+                    model.insert(name, w);
+                    prop_assert_eq!(got, w);
+                }
+                _ => {
+                    let held = s.snapshot(&key).map(|(_, e, _)| e).unwrap_or_default();
+                    s.apply(key, &snapshot_body(None, &held), stamp, 0);
+                }
+            }
+            let mut ranked: Vec<(String, u64)> = model.iter().map(|(n, &w)| (n.clone(), w)).collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            let Some((_, stored, _)) = s.snapshot(&key) else {
+                // Only an empty append can leave the key unwritten.
+                prop_assert!(model.is_empty() && blob.is_none(), "step {}", i);
+                continue;
+            };
+            let stored: Vec<(String, u64)> = stored.into_iter().map(|e| (e.name, e.weight)).collect();
+            prop_assert_eq!(&stored, &ranked, "step {} kind {}", i, kind);
+            for (top_n, budget) in [(0, usize::MAX), (4, usize::MAX), (0, 24)] {
+                let mut body = BytesMut::new();
+                let (truncated, _) = s.encode_filtered(&key, top_n, budget, &mut body).unwrap();
+                let (want, cut) = reference_read(blob.as_deref(), &model, top_n, budget);
+                prop_assert_eq!(&body[..], &want[..], "step {} kind {} top_n {} budget {}", i, kind, top_n, budget);
+                prop_assert_eq!(truncated, cut, "step {}", i);
+            }
+        }
+    }
+}
+
+/// A block of 40 entries under heavy weight ties, with a memo served.
+fn held_block() -> (Storage, Id160) {
+    let (mut s, key) = (Storage::new(), sha1(b"block"));
+    for i in 0..40u64 {
+        s.append(
+            key,
+            &format!("tag-{:02}-é", (i * 7) % 40),
+            1 + i % 3,
+            st(i + 1),
+        );
+    }
+    s.encode_filtered(&key, 10, usize::MAX, &mut BytesMut::new());
+    (s, key)
+}
+
+/// A `Replicate` of exactly the held block is a confirmation: no name is
+/// interned, the wire memo stays, and the stamp and refresh time still
+/// rise to the incoming ones.
+#[test]
+fn a_replicate_equal_to_the_held_block_interns_nothing_and_keeps_the_memo() {
+    let (mut s, key) = held_block();
+    let (body, _) = s.encode_snapshot(&key).unwrap();
+    let (names, heap) = (s.names.len(), s.heap_bytes());
+    assert!(s.get(&key).unwrap().memo.is_some());
+    assert!(s.apply(key, &WriteBody::Snapshot(body), st(99), 5_000));
+    assert_eq!((s.names.len(), s.heap_bytes()), (names, heap));
+    let held = s.get(&key).unwrap();
+    assert!(held.memo.is_some(), "the memo survives");
+    assert_eq!((held.version, held.refreshed_us), (st(99), 5_000));
+}
+
+/// A `Replicate` that differs from the held block — one weight raised or
+/// lowered, one extra name, a blob to adopt, a holder with fewer entries,
+/// entries in an order no holder sends — leaves the state and the served
+/// bytes `merge_max` of the owned entries leaves.
+#[test]
+fn a_replicate_that_differs_merges_like_merge_max() {
+    let (held, key) = held_block();
+    let (_, entries, _) = held.snapshot(&key).unwrap();
+    for what in [
+        "raised",
+        "lowered",
+        "extra name",
+        "blob",
+        "fewer",
+        "reversed",
+    ] {
+        let (mut sent, mut blob) = (entries.clone(), None);
+        match what {
+            "raised" => sent[17].weight += 1,
+            "lowered" => sent[3].weight -= 1,
+            "extra name" => sent.insert(
+                5,
+                StoredEntry {
+                    name: "new ✓".into(),
+                    weight: 2,
+                },
+            ),
+            "blob" => blob = Some(b"uri://adopted".to_vec()),
+            "fewer" => {
+                sent.remove(11);
+                sent.truncate(30);
+            }
+            _ => {
+                sent.reverse();
+                sent[0].weight = 9;
+            }
+        }
+        let (mut wire, mut owned) = (held.clone(), held.clone());
+        let body = snapshot_body(blob.as_deref(), &sent);
+        let rose = wire.apply(key, &body, st(99), 7);
+        owned.merge_max(key, blob.as_deref(), &sent, st(99), 7);
+        assert!(rose, "{what}");
+        assert_eq!(wire.snapshot(&key), owned.snapshot(&key), "{what}");
+        assert_eq!(wire.names.len(), owned.names.len(), "{what}");
+        assert_eq!(wire.heap_bytes(), owned.heap_bytes(), "{what}");
+        for (top_n, budget) in [(0, usize::MAX), (10, usize::MAX), (0, 90)] {
+            let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
+            assert_eq!(
+                wire.encode_filtered(&key, top_n, budget, &mut a),
+                owned.encode_filtered(&key, top_n, budget, &mut b),
+                "{what}"
+            );
+            assert_eq!(a, b, "{what} at {top_n} / {budget}");
+        }
+    }
 }

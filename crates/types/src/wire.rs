@@ -100,6 +100,22 @@ pub fn get_seq_len(buf: &mut &[u8], min_wire_len: usize) -> Result<usize> {
     Ok(len as usize)
 }
 
+/// Reads a length-prefixed UTF-8 string as a slice of the input: what
+/// [`ReadBytes::get_str`] reads, with the same checks and errors, borrowed
+/// instead of copied.
+pub fn get_str_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+    get_bytes_ref(buf).and_then(utf8)
+}
+
+/// Reads a length-prefixed byte string as a slice of the input: what
+/// [`ReadBytes::get_bytes_field`] reads, borrowed instead of copied.
+pub fn get_bytes_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
+    let len = buf.get_len()?;
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(raw)
+}
+
 /// Buffer-writing helpers (varints, strings, ids).
 pub trait WriteBytes {
     /// Writes an unsigned LEB128 varint.
@@ -211,32 +227,19 @@ impl ReadBytes for &[u8] {
     }
 
     fn get_str(&mut self) -> Result<String> {
-        let len = self.get_len()?;
-        let (raw, rest) = self.split_at(len);
-        let name = utf8(raw)?.to_owned();
-        *self = rest;
-        Ok(name)
+        get_str_ref(self).map(str::to_owned)
     }
 
     fn skip_str(&mut self) -> Result<()> {
-        let len = self.get_len()?;
-        let (raw, rest) = self.split_at(len);
-        utf8(raw)?;
-        *self = rest;
-        Ok(())
+        get_str_ref(self).map(drop)
     }
 
     fn get_bytes_field(&mut self) -> Result<Vec<u8>> {
-        let len = self.get_len()?;
-        let (raw, rest) = self.split_at(len);
-        *self = rest;
-        Ok(raw.to_vec())
+        get_bytes_ref(self).map(<[u8]>::to_vec)
     }
 
     fn skip_bytes_field(&mut self) -> Result<()> {
-        let len = self.get_len()?;
-        *self = &self[len..];
-        Ok(())
+        get_bytes_ref(self).map(drop)
     }
 
     fn get_id(&mut self) -> Result<Id160> {
