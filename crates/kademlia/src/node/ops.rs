@@ -228,8 +228,9 @@ impl KademliaNode {
     }
 
     /// What the value of a received message of type `ty` is for (the
-    /// messages module's "Decide before you decode"): of a `Replicate` or a
-    /// push of `pushed`, or of a `FoundValue` answering `rpc`.
+    /// `messages::decode` module's "Decide before you decode"): of a
+    /// `Replicate` or a push of `pushed`, or of a `FoundValue` answering
+    /// `rpc`.
     ///
     /// * A `Replicate` is merged from its body.
     /// * A push's body is pinned — unless this node holds the key (its
