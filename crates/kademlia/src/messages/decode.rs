@@ -27,11 +27,15 @@
 //! Validating is the owning decoder's checks, in its order, through the
 //! same `ReadBytes` primitives: the blob flag, the blob's length prefix,
 //! the entry count against the bytes left, every name's length prefix and
-//! UTF-8, every weight varint. A kept body is copied out of the datagram
-//! (the UDP runtime recycles its receive buffers, and a slice would pin a
-//! whole one per cached view). The rest of the message (flags, stamp,
-//! digest) is decoded as ever, so the receiver still notes the sender,
-//! settles the RPC, samples the RTT and absorbs the digest.
+//! UTF-8, every weight varint. The primitives' fast paths for one-byte
+//! varints and ASCII names ([`dharma_types::wire`]) make most of that walk
+//! a bounds check and an ASCII test. A `Replicate` body is validated once,
+//! here: the merge compares its names with the held ones as bytes, and
+//! checks UTF-8 again only for a name it interns. A kept body is copied
+//! out of the datagram (the UDP runtime recycles its receive buffers, and
+//! a slice would pin a whole one per cached view). The rest of the message
+//! (flags, stamp, digest) is decoded as ever, so the receiver still notes
+//! the sender, settles the RPC, samples the RTT and absorbs the digest.
 //!
 //! The answer cannot change which datagrams are accepted: a byte string
 //! fails under one answer exactly when it fails under the others, with the

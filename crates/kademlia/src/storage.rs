@@ -70,7 +70,7 @@ use std::num::NonZeroU32;
 use std::ops::Bound;
 
 use bytes::{Bytes, BytesMut};
-use dharma_types::wire::{get_seq_len, get_str_ref};
+use dharma_types::wire::{get_bytes_ref, get_seq_len, utf8};
 use dharma_types::{
     FxHashMap, Id160, NameInterner, ReadBytes, Result, Sym, VersionStamp, WireDecode, WriteBytes,
 };
@@ -207,15 +207,30 @@ impl ValueState {
     }
 
     /// [`Storage::merge_max`] of a snapshot's wire body, walked in
-    /// lockstep with the held entries (module docs).
+    /// lockstep with the held entries (module docs). A name equal, byte for
+    /// byte, to the held one at its position is that entry's name, and so
+    /// valid UTF-8 already; only a name that must be interned is checked.
+    /// The checks run in the owning decoder's order (name, then weight),
+    /// so a body fails here exactly as it fails `get_str` and
+    /// `get_varint`.
     fn merge_body(&mut self, names: &mut NameInterner, mut body: &[u8]) -> Result<()> {
         self.adopt(get_opt_blob(&mut body)?);
         let mut rest = Vec::new();
         for i in 0..get_seq_len(&mut body, StoredEntry::MIN_WIRE_LEN)? {
-            let (name, weight) = (get_str_ref(&mut body)?, body.get_varint()?);
-            let held = |&(sym, w): &(Sym, u64)| w == weight && names.resolve(sym) == name;
-            if !(rest.is_empty() && self.entries.get(i).is_some_and(held)) {
-                rest.push((names.intern(name), weight));
+            let raw = get_bytes_ref(&mut body)?;
+            let same = |&(sym, _): &(Sym, u64)| names.resolve(sym).as_bytes() == raw;
+            match self.entries.get(i).filter(|e| rest.is_empty() && same(e)) {
+                Some(&(sym, held)) => {
+                    let weight = body.get_varint()?;
+                    if weight != held {
+                        rest.push((sym, weight));
+                    }
+                }
+                None => {
+                    let name = utf8(raw)?;
+                    let weight = body.get_varint()?;
+                    rest.push((names.intern(name), weight));
+                }
             }
         }
         self.write(names, &rest, u64::max);

@@ -653,3 +653,76 @@ fn a_replicate_that_differs_merges_like_merge_max() {
         }
     }
 }
+
+/// A `Replicate` that agrees with the held block up to entry 20 and then
+/// differs — a raised weight under a held name, a new non-ASCII name, an
+/// entry dropped — merges as `merge_max` of the owned entries: the names
+/// compared byte for byte in the agreeing prefix and checked as UTF-8 in
+/// the tail resolve to the same symbols.
+#[test]
+fn a_replicate_with_a_differing_non_ascii_tail_merges_like_merge_max() {
+    let (held, key) = held_block();
+    let (_, mut sent, _) = held.snapshot(&key).unwrap();
+    sent[20].weight += 4;
+    sent.insert(
+        26,
+        StoredEntry {
+            name: "naïve-ü ✓".into(),
+            weight: 2,
+        },
+    );
+    sent.remove(33);
+    let (mut wire, mut owned) = (held.clone(), held.clone());
+    assert!(wire.apply(key, &snapshot_body(None, &sent), st(99), 7));
+    owned.merge_max(key, None, &sent, st(99), 7);
+    assert_eq!(wire.snapshot(&key), owned.snapshot(&key));
+    assert_eq!(wire.names.len(), held.names.len() + 1);
+    assert_eq!(wire.names.len(), owned.names.len());
+    assert_eq!(wire.heap_bytes(), owned.heap_bytes());
+}
+
+/// A name that is not UTF-8 is refused with the error a string field
+/// fails with, wherever it stands: first, in the agreeing prefix beside a
+/// held name of its length, or in the tail after a difference.
+#[test]
+fn a_replicate_body_with_a_name_that_is_not_utf8_is_refused() {
+    let (held, key) = held_block();
+    let (_, entries, _) = held.snapshot(&key).unwrap();
+    let raw_entry = |raw: &[u8], weight| {
+        let mut buf = BytesMut::new();
+        buf.put_bytes_field(raw);
+        buf.put_varint(weight);
+        buf
+    };
+    let mut bent = entries[5].name.clone().into_bytes();
+    bent[0] = 0xc3; // a lead byte before an ASCII byte
+    for (at, raw) in [
+        (0, &b"\xff"[..]),
+        (5, &bent[..]),
+        (30, &"é".as_bytes()[..1]),
+    ] {
+        let mut body = BytesMut::new();
+        put_opt_blob(&mut body, None);
+        body.put_varint(entries.len() as u64);
+        for (i, e) in entries.iter().enumerate() {
+            match i.cmp(&at) {
+                Ordering::Equal => body.extend_from_slice(&raw_entry(raw, e.weight)),
+                // The tail case differs in a weight just before.
+                Ordering::Less if at == 30 && i == 29 => {
+                    body.extend_from_slice(&raw_entry(e.name.as_bytes(), e.weight + 1))
+                }
+                _ => e.encode(&mut body),
+            }
+        }
+        let mut state = held.get(&key).unwrap().clone();
+        let mut names = held.names.clone();
+        let err = state.merge_body(&mut names, &body).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "decode error: invalid utf-8 in string field",
+            "at {at}"
+        );
+        let mut cursor: &[u8] = &raw_entry(raw, 1);
+        assert_eq!(cursor.get_str().unwrap_err().to_string(), err.to_string());
+    }
+}

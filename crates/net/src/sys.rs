@@ -19,8 +19,13 @@
 //! * **A recycling buffer pool** ([`BufPool`]): receive slots are
 //!   `BytesMut` buffers handed to the protocol as frozen [`Bytes`] and
 //!   reclaimed via `Bytes::try_into_mut` once the node callback returns,
-//!   so the steady-state hot path performs **zero allocations** and no
-//!   `Bytes::copy_from_slice` per datagram.
+//!   so the steady-state hot path allocates no buffer and makes no
+//!   `Bytes::copy_from_slice` per datagram. Batch headers and buffer
+//!   slots live on the stack and a worker's [`PollSet`] is re-armed in
+//!   place, so a poll or a receive allocates nothing either; what is left
+//!   is the one `Arc` per datagram that the vendored `bytes` stub's
+//!   `freeze` boxes a buffer in (`crates/net/tests/alloc_budget.rs` pins
+//!   it).
 //!
 //! [`SyscallMode::PerPacket`] keeps the portable one-datagram-per-syscall
 //! path: it is the only mode off Linux (where the readiness wait falls
@@ -570,7 +575,9 @@ impl BatchSocket {
             if n == 0 {
                 return Ok(total);
             }
-            let mut bufs: Vec<BytesMut> = (0..n).map(|_| pool.take()).collect();
+            // On the stack, like the headers: a receive allocates nothing.
+            let mut bufs: [Option<BytesMut>; MAX_BATCH] =
+                std::array::from_fn(|i| (i < n).then(|| pool.take()));
             let mut names = [linux::sockaddr_storage::zeroed(); MAX_BATCH];
             let mut iovs: [linux::iovec; MAX_BATCH] = std::array::from_fn(|_| linux::iovec {
                 iov_base: std::ptr::null_mut(),
@@ -588,7 +595,7 @@ impl BatchSocket {
                 },
                 msg_len: 0,
             });
-            for (i, buf) in bufs.iter_mut().enumerate() {
+            for (i, buf) in bufs.iter_mut().flatten().enumerate() {
                 iovs[i].iov_base = buf.as_mut_ptr().cast();
                 iovs[i].iov_len = buf.len();
                 hdrs[i].msg_hdr.msg_name = (&mut names[i] as *mut linux::sockaddr_storage).cast();
@@ -609,7 +616,7 @@ impl BatchSocket {
             };
             if rc < 0 {
                 let err = io::Error::last_os_error();
-                for buf in bufs {
+                for buf in bufs.into_iter().flatten() {
                     pool.put(buf);
                 }
                 return match err.kind() {
@@ -618,7 +625,7 @@ impl BatchSocket {
                 };
             }
             let got = rc as usize;
-            for (i, mut buf) in bufs.into_iter().enumerate() {
+            for (i, mut buf) in bufs.into_iter().flatten().enumerate() {
                 if i < got {
                     buf.truncate(hdrs[i].msg_len as usize);
                     match linux::decode_sockaddr(&names[i]) {
@@ -700,52 +707,83 @@ impl BatchSocket {
     }
 }
 
+/// The readiness set of a fixed list of sockets. Its `pollfd` array is
+/// built as sockets join and re-armed in place by every [`PollSet::wait`],
+/// so a wait allocates nothing.
+#[derive(Default)]
+pub struct PollSet {
+    #[cfg(target_os = "linux")]
+    fds: Vec<linux::pollfd>,
+    #[cfg(not(target_os = "linux"))]
+    len: usize,
+}
+
+impl PollSet {
+    /// Adds `sock` to the set; its ready flag is the next index.
+    pub fn push(&mut self, sock: &UdpSocket) {
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::fd::AsRawFd;
+            self.fds.push(linux::pollfd {
+                fd: sock.as_raw_fd(),
+                events: linux::POLLIN,
+                revents: 0,
+            });
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = sock;
+            self.len += 1;
+        }
+    }
+
+    /// Waits up to `timeout` for any socket of the set to become readable,
+    /// setting the matching `ready` flags. One `poll(2)` syscall on Linux;
+    /// the portable fallback sleeps a bounded slice and reports everything
+    /// ready (a non-blocking drain then finds the truth).
+    pub fn wait(&mut self, timeout: Duration, ready: &mut [bool]) -> io::Result<usize> {
+        #[cfg(target_os = "linux")]
+        {
+            assert_eq!(self.fds.len(), ready.len(), "one ready flag per socket");
+            let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+            let fds = &mut self.fds;
+            // SAFETY: fds is a live, correctly-sized pollfd array.
+            let rc = unsafe { linux::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+            if rc < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    ready.iter_mut().for_each(|r| *r = false);
+                    return Ok(0);
+                }
+                return Err(err);
+            }
+            let mut n = 0;
+            for (i, fd) in fds.iter().enumerate() {
+                ready[i] = fd.revents & linux::POLLIN != 0;
+                n += usize::from(ready[i]);
+            }
+            Ok(n)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            assert_eq!(self.len, ready.len(), "one ready flag per socket");
+            std::thread::sleep(timeout.min(Duration::from_millis(1)));
+            ready.iter_mut().for_each(|r| *r = true);
+            Ok(ready.len())
+        }
+    }
+}
+
 /// Waits up to `timeout` for any of `socks` to become readable, setting
-/// the matching `ready` flags. One `poll(2)` syscall on Linux; the
-/// portable fallback sleeps a bounded slice and reports everything ready
-/// (a non-blocking drain then finds the truth).
+/// the matching `ready` flags: a one-off [`PollSet`].
 pub fn poll_readable(
     socks: &[&UdpSocket],
     timeout: Duration,
     ready: &mut [bool],
 ) -> io::Result<usize> {
-    assert_eq!(socks.len(), ready.len(), "one ready flag per socket");
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::fd::AsRawFd;
-        let mut fds: Vec<linux::pollfd> = socks
-            .iter()
-            .map(|s| linux::pollfd {
-                fd: s.as_raw_fd(),
-                events: linux::POLLIN,
-                revents: 0,
-            })
-            .collect();
-        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        // SAFETY: fds is a live, correctly-sized pollfd array.
-        let rc = unsafe { linux::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                ready.iter_mut().for_each(|r| *r = false);
-                return Ok(0);
-            }
-            return Err(err);
-        }
-        let mut n = 0;
-        for (i, fd) in fds.iter().enumerate() {
-            ready[i] = fd.revents & linux::POLLIN != 0;
-            n += usize::from(ready[i]);
-        }
-        Ok(n)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = socks;
-        std::thread::sleep(timeout.min(Duration::from_millis(1)));
-        ready.iter_mut().for_each(|r| *r = true);
-        Ok(ready.len())
-    }
+    let mut set = PollSet::default();
+    socks.iter().for_each(|sock| set.push(sock));
+    set.wait(timeout, ready)
 }
 
 #[cfg(test)]

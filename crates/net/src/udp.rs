@@ -13,10 +13,14 @@
 //! * [`UdpRuntime`] — the single-node convenience wrapper (a worker with
 //!   one slot) that the `udp_overlay` example and the existing tests use.
 //!
-//! The hot receive path does **zero allocations and zero payload copies**
-//! in steady state: datagrams land directly in pooled buffers, freeze into
-//! [`Bytes`](bytes::Bytes) for the node callback, and the storage is reclaimed via
-//! `Bytes::try_into_mut` as soon as the node drops its handle.
+//! The hot receive path makes **zero payload copies** and, in steady
+//! state, one allocation per datagram: datagrams land directly in pooled
+//! buffers, freeze into [`Bytes`](bytes::Bytes) for the node callback, and
+//! the storage is reclaimed via `Bytes::try_into_mut` as soon as the node
+//! drops its handle. The allocation is the `Arc` the vendored `bytes`
+//! stub's `freeze` puts a buffer in; the poll (a [`PollSet`] re-armed in
+//! place) and the batch receive allocate nothing.
+//! `crates/net/tests/alloc_budget.rs` pins it.
 //!
 //! Peer addressing: protocol messages carry the compact [`NodeAddr`]
 //! indices, so each worker keeps an address book mapping indices to socket
@@ -41,7 +45,7 @@ use dharma_types::{DharmaError, FxHashMap, Result};
 
 use crate::counters::NetCounters;
 use crate::node::{Ctx, Node, NodeAddr, OpId};
-use crate::sys::{poll_readable, BatchSocket, BufPool, SyscallMode, MAX_BATCH};
+use crate::sys::{BatchSocket, BufPool, PollSet, SyscallMode, MAX_BATCH};
 
 /// One hosted node: its socket, pending completions, and state machine.
 struct Slot<N: Node> {
@@ -67,6 +71,8 @@ pub struct UdpWorker<N: Node> {
     rng: StdRng,
     /// Reusable receive scratch (drained every dispatch round).
     rx: Vec<(BytesMut, SocketAddr)>,
+    /// Every slot's socket, in slot order, for the multi-socket poll.
+    poll_set: PollSet,
     /// Reusable readiness flags for the multi-socket poll.
     ready: Vec<bool>,
 }
@@ -86,6 +92,7 @@ impl<N: Node> UdpWorker<N> {
             counters: NetCounters::new(),
             rng: StdRng::seed_from_u64(seed),
             rx: Vec::with_capacity(MAX_BATCH),
+            poll_set: PollSet::default(),
             ready: Vec::new(),
         }
     }
@@ -105,6 +112,7 @@ impl<N: Node> UdpWorker<N> {
         sock.socket().set_nonblocking(true)?;
         let local = sock.local_addr()?;
         let slot_idx = self.slots.len();
+        self.poll_set.push(sock.socket());
         self.peers.insert(self_addr, local);
         self.peers_rev.insert(local, self_addr);
         let mut ctx = Ctx::new(self.now_us(), self_addr, self.rng.gen());
@@ -227,12 +235,8 @@ impl<N: Node> UdpWorker<N> {
             let wait = Duration::from_millis(wait_ms);
             self.ready.clear();
             self.ready.resize(self.slots.len(), false);
-            let n_ready = {
-                let socks: Vec<&std::net::UdpSocket> =
-                    self.slots.iter().map(|s| s.sock.socket()).collect();
-                poll_readable(&socks, wait, &mut self.ready)
-                    .map_err(|e| DharmaError::Io(e.to_string()))?
-            };
+            let n_ready = (self.poll_set.wait(wait, &mut self.ready))
+                .map_err(|e| DharmaError::Io(e.to_string()))?;
             if n_ready == 0 {
                 continue;
             }

@@ -14,6 +14,29 @@
 //! decoded where it lies — no copy, no shared handle per byte read — and
 //! whatever the decoder keeps (names, blobs) is copied out of it.
 //!
+//! ## The receive-side fast paths
+//!
+//! A received value is mostly short names and small weights, and every
+//! one of them is validated on receipt, so two checks take a shortcut for
+//! the common case. Each shortcut accepts and rejects exactly what the
+//! general check does, leaves the cursor in the same place and fails with
+//! the same error; the tests hold both to a copy of the general form on
+//! random input.
+//!
+//! * [`ReadBytes::get_varint`] returns a first byte below `0x80` as the
+//!   whole value. That is the general loop's first iteration: at shift 0
+//!   the overflow test cannot fire, and a clear continuation bit ends the
+//!   varint. Every name length under 128 bytes and every weight under 128
+//!   is such a byte. Any other first byte, or none, goes to the loop.
+//! * [`ReadBytes::skip_str`] accepts an all-ASCII name after a bounds
+//!   check. ASCII is valid UTF-8, so `from_utf8` could not have refused
+//!   it; a name with any byte of `0x80` or above goes through `from_utf8`
+//!   as before. [`get_str_ref`], which must return a `&str`, and
+//!   [`ReadBytes::get_str`], which owns one, keep their one `from_utf8`.
+//!
+//! The slice primitives are `#[inline]`, so a walk over an entry list in
+//! another crate compiles to one loop instead of a call per field.
+//!
 //! Layout conventions:
 //! * integers are unsigned LEB128 varints (`put_varint`) unless fixed width is
 //!   structurally required;
@@ -103,12 +126,14 @@ pub fn get_seq_len(buf: &mut &[u8], min_wire_len: usize) -> Result<usize> {
 /// Reads a length-prefixed UTF-8 string as a slice of the input: what
 /// [`ReadBytes::get_str`] reads, with the same checks and errors, borrowed
 /// instead of copied.
+#[inline]
 pub fn get_str_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
     get_bytes_ref(buf).and_then(utf8)
 }
 
 /// Reads a length-prefixed byte string as a slice of the input: what
 /// [`ReadBytes::get_bytes_field`] reads, borrowed instead of copied.
+#[inline]
 pub fn get_bytes_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     let len = buf.get_len()?;
     let (raw, rest) = buf.split_at(len);
@@ -180,7 +205,13 @@ pub trait ReadBytes {
 }
 
 impl ReadBytes for &[u8] {
+    #[inline]
     fn get_varint(&mut self) -> Result<u64> {
+        // A one-byte varint (module docs).
+        if let Some((&byte @ 0..0x80, rest)) = self.split_first() {
+            *self = rest;
+            return Ok(u64::from(byte));
+        }
         let mut shift = 0u32;
         let mut out = 0u64;
         loop {
@@ -199,6 +230,7 @@ impl ReadBytes for &[u8] {
         }
     }
 
+    #[inline]
     fn get_len(&mut self) -> Result<usize> {
         let len = self.get_varint()? as usize;
         if len > MAX_FIELD_LEN {
@@ -226,12 +258,19 @@ impl ReadBytes for &[u8] {
         }
     }
 
+    #[inline]
     fn get_str(&mut self) -> Result<String> {
         get_str_ref(self).map(str::to_owned)
     }
 
+    #[inline]
     fn skip_str(&mut self) -> Result<()> {
-        get_str_ref(self).map(drop)
+        // An ASCII name is valid UTF-8 (module docs).
+        let raw = get_bytes_ref(self)?;
+        if raw.is_ascii() {
+            return Ok(());
+        }
+        utf8(raw).map(drop)
     }
 
     fn get_bytes_field(&mut self) -> Result<Vec<u8>> {
@@ -251,7 +290,9 @@ impl ReadBytes for &[u8] {
     }
 }
 
-fn utf8(raw: &[u8]) -> Result<&str> {
+/// The check every string field is held to: `raw` as a `&str`, or the
+/// error an invalid one fails with.
+pub fn utf8(raw: &[u8]) -> Result<&str> {
     std::str::from_utf8(raw)
         .map_err(|_| DharmaError::Decode("invalid utf-8 in string field".into()))
 }
@@ -493,6 +534,173 @@ mod tests {
         let [mut a, mut b, mut c, mut d] = [cut; 4];
         assert!(a.skip_str().is_err() && b.skip_bytes_field().is_err());
         assert!(c.get_str().is_err() && d.get_bytes_field().is_err());
+    }
+
+    /// The general forms the fast paths must agree with: the varint loop
+    /// alone, and a string check that runs `from_utf8` on every name. Error
+    /// texts are spelled out, so a changed text fails the comparison.
+    mod general {
+        use super::*;
+
+        pub fn get_varint(buf: &mut &[u8]) -> Result<u64> {
+            let mut shift = 0u32;
+            let mut out = 0u64;
+            loop {
+                let Some((&byte, rest)) = buf.split_first() else {
+                    return Err(DharmaError::Decode("truncated varint".into()));
+                };
+                *buf = rest;
+                if shift >= 64 || (shift == 63 && byte > 1) {
+                    return Err(DharmaError::Decode("varint overflows u64".into()));
+                }
+                out |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(out);
+                }
+                shift += 7;
+            }
+        }
+
+        pub fn get_len(buf: &mut &[u8]) -> Result<usize> {
+            let len = get_varint(buf)? as usize;
+            if len > MAX_FIELD_LEN {
+                return Err(DharmaError::Decode(format!("field length {len} too large")));
+            }
+            if len > buf.len() {
+                return Err(DharmaError::Decode(format!(
+                    "field length {len} exceeds remaining {} bytes",
+                    buf.len()
+                )));
+            }
+            Ok(len)
+        }
+
+        pub fn get_str_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+            let len = get_len(buf)?;
+            let (raw, rest) = buf.split_at(len);
+            *buf = rest;
+            std::str::from_utf8(raw)
+                .map_err(|_| DharmaError::Decode("invalid utf-8 in string field".into()))
+        }
+    }
+
+    /// One field of a generated input, with the read that consumes it.
+    fn field(kind: u8, x: u64, y: u8) -> (Vec<u8>, u8) {
+        let mut buf = BytesMut::new();
+        let ascii = |n: u64| (0..n % 20).map(|i| ((x >> (i % 8)) as u8 ^ i as u8) & 0x7f);
+        let name = |buf: &mut BytesMut, raw: &[u8]| buf.put_bytes_field(raw);
+        let text = [1 + y % 3, 2 + y % 3]; // skip_str, or get_str / get_str_ref
+        match kind {
+            0 => buf.put_u8(x as u8 & 0x7f),
+            1 => buf.put_varint(x | 0x80),
+            // Ten bytes that overflow at shift 63, or eleven.
+            2 => {
+                buf.put_slice(&[0xff; 9]);
+                if y.is_multiple_of(2) {
+                    buf.put_u8(2 + (x % 126) as u8);
+                } else {
+                    buf.put_slice(&[0xff, 0x01]);
+                }
+            }
+            // A continuation bit with nothing after it.
+            3 => buf.put_u8(0x80 | x as u8),
+            4 => name(&mut buf, &ascii(x).collect::<Vec<_>>()),
+            5 => {
+                let word = ["é", "✓", "naïve", "tag-😀", "Ü-ß"][(x % 5) as usize];
+                let mut raw: Vec<u8> = ascii(x >> 8).collect();
+                raw.extend_from_slice(word.as_bytes());
+                name(&mut buf, &raw);
+            }
+            // A lone continuation byte inside an ASCII name.
+            6 => {
+                let mut raw: Vec<u8> = ascii(x).collect();
+                raw.insert(raw.len() / 2, 0x80 | (y & 0x3f));
+                name(&mut buf, &raw);
+            }
+            // A three-byte sequence (`✓`) cut after two bytes.
+            7 => {
+                let mut raw: Vec<u8> = ascii(x).collect();
+                raw.extend_from_slice(&"✓".as_bytes()[..2]);
+                raw.extend(ascii(x >> 16));
+                name(&mut buf, &raw);
+            }
+            // A length prefix past the bytes left, or past MAX_FIELD_LEN.
+            8 => {
+                let raw: Vec<u8> = ascii(x).collect();
+                let past = if y.is_multiple_of(4) {
+                    MAX_FIELD_LEN
+                } else {
+                    1 + (x % 300) as usize
+                };
+                buf.put_varint((raw.len() + past) as u64);
+                buf.put_slice(&raw);
+            }
+            _ => (0..x % 8).for_each(|i| buf.put_u8((x >> (8 * i)) as u8)),
+        }
+        let read = match kind {
+            0..=3 => 0,
+            4..=8 => text[usize::from(y % 2)],
+            _ => y,
+        };
+        (buf.to_vec(), read)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(
+            if cfg!(miri) { 64 } else { 1024 }
+        ))]
+
+        /// Over fields of every shape — one-byte, multi-byte and
+        /// overflowing varints, a truncated one, ASCII and non-ASCII names,
+        /// a lone continuation byte, a cut UTF-8 sequence, lengths past the
+        /// end — read in order, out of order (one read in four is drawn at
+        /// random) and cut short, every fast-path primitive returns what
+        /// the general form returns, fails with its error text and leaves
+        /// the same bytes behind.
+        #[test]
+        fn fast_paths_read_exactly_what_the_general_forms_read(
+            fields in proptest::collection::vec(
+                (0u8..10, proptest::arbitrary::any::<u64>(), proptest::arbitrary::any::<u8>()),
+                0..12,
+            ),
+            (cut, drawn) in (proptest::arbitrary::any::<u16>(), proptest::arbitrary::any::<u64>()),
+        ) {
+            let (mut input, mut reads) = (Vec::new(), Vec::new());
+            for (i, &(kind, x, y)) in fields.iter().enumerate() {
+                let (bytes, read) = field(kind, x, y);
+                input.extend(bytes);
+                let random = (drawn >> (2 * (i % 32))) & 3 == 0;
+                reads.push(if random { (drawn >> i) as u8 } else { read } % 5);
+            }
+            if cut % 2 == 1 {
+                input.truncate(usize::from(cut / 2) % (input.len() + 1));
+            }
+            let (mut fast, mut general): (&[u8], &[u8]) = (&input, &input);
+            let show = |r: Result<String>| r.map_err(|e| e.to_string());
+            for read in reads {
+                let (a, b) = match read {
+                    0 => (
+                        fast.get_varint().map(|v| v.to_string()),
+                        general::get_varint(&mut general).map(|v| v.to_string()),
+                    ),
+                    1 => (
+                        fast.skip_str().map(|()| String::new()),
+                        general::get_str_ref(&mut general).map(|_| String::new()),
+                    ),
+                    2 => (fast.get_str(), general::get_str_ref(&mut general).map(str::to_owned)),
+                    3 => (
+                        get_str_ref(&mut fast).map(str::to_owned),
+                        general::get_str_ref(&mut general).map(str::to_owned),
+                    ),
+                    _ => (
+                        fast.get_len().map(|n| n.to_string()),
+                        general::get_len(&mut general).map(|n| n.to_string()),
+                    ),
+                };
+                proptest::prop_assert_eq!(show(a), show(b), "read {} of {:?}", read, input);
+                proptest::prop_assert_eq!(fast, general, "read {} of {:?}", read, input);
+            }
+        }
     }
 
     #[test]

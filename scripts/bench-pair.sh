@@ -19,8 +19,7 @@
 #                            every metric's medians, quartiles, pairs won and
 #                            bound, the claim verdict, the fixed-work counts,
 #                            and a host fingerprint (nproc, CPU model,
-#                            kernel, and a ~2 s single-thread awk loop timed
-#                            before and after the runs)
+#                            kernel)
 #
 # The parent is exported (`git archive`) under /root/scratch — or $TMPDIR,
 # or /tmp — and both sides are built once, offline, into their own
@@ -107,16 +106,8 @@ build() { # <side> <source root>
 build parent "$work/parent-src"
 build change "$root"
 
-ref_loop() { # seconds one thread takes for 3e7 awk iterations on this host
-    local t0 t1
-    t0=$(date +%s%N)
-    awk 'BEGIN { for (i = 0; i < 30000000; i++) s += i % 7; if (s < 0) print s }'
-    t1=$(date +%s%N)
-    awk -v ns=$((t1 - t0)) 'BEGIN { printf "%.3f", ns / 1e9 }'
-}
 # JSON fragments, gathered as the results print (only with --json).
 js_workloads=() js_claim=null js_fixed=()
-[ -z "$json" ] || loop_before=$(ref_loop)
 
 run() { # <side> <workload> <trace 0|1> <args...>: prints the JSON last line
     local side=$1 workload=$2 trace=$3; shift 3
@@ -237,7 +228,6 @@ for w in "${workloads[@]}"; do
 done
 
 if [ -n "$json" ]; then
-    loop_after=$(ref_loop)
     joined() { local IFS=$'\x1f'; local s="$*"; printf '%s' "${s//$'\x1f'/$',\n'}"; }
     dirty=false
     git diff --quiet HEAD || dirty=true
@@ -246,8 +236,7 @@ if [ -n "$json" ]; then
 {"parent_ref": "$parent_ref", "parent_rev": "$parent_sha",
  "change_rev": "$(git rev-parse HEAD)", "change_dirty": $dirty, "change_diff_sha1": "$(git diff HEAD | sha1sum | cut -c1-40)",
  "seed": $seed, "rounds": $rounds, "seconds": $seconds, "failed": $([ "$status" -eq 0 ] && echo false || echo true),
- "host": {"nproc": $(nproc), "cpu_model": "$cpu", "kernel": "$(uname -r)",
-  "ref_loop": {"awk": "$(basename "$(readlink -f "$(command -v awk)")")", "iterations": 30000000, "s_before": $loop_before, "s_after": $loop_after}},
+ "host": {"nproc": $(nproc), "cpu_model": "$cpu", "kernel": "$(uname -r)"},
  "claim": $js_claim,
  "workloads": {
 $(joined "${js_workloads[@]}")
