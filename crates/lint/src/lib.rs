@@ -7,8 +7,8 @@
 //! hash-order-dependent loop anywhere in a simulated component silently
 //! breaks it — the worst kind of bug, because every individual run still
 //! looks fine. Likewise, the hot-path libc FFI (`net::sys`) and the
-//! scoped-spawn pool (`dharma-par`) carry `unsafe` whose soundness
-//! arguments must stay written down next to the code.
+//! real-socket worker that drives it (`net::udp`) carry `unsafe` whose
+//! soundness arguments must stay written down next to the code.
 //!
 //! This crate closes both gaps mechanically. It is a dependency-free,
 //! token-level scanner (see [`lexer`]) with a small rule engine (see

@@ -9,7 +9,7 @@
 //! | D2 | deterministic crates, non-test | ambient randomness (`thread_rng`, `rand::random`, `RandomState`, `from_entropy`, `OsRng`, `getrandom`) |
 //! | D3 | deterministic crates, non-test | iteration over hash-ordered collections (`HashMap`/`HashSet`/`FxHashMap`/`FxHashSet`, plus the `FetcherBook` wrapper) |
 //! | D4 | workspace-wide | `unsafe` without a `// SAFETY:` comment |
-//! | D5 | workspace-wide | `unsafe` outside the sanctioned FFI modules (`net::sys`, `net::udp`, `dharma-par`) |
+//! | D5 | workspace-wide | `unsafe` outside the sanctioned FFI modules (`net::sys`, `net::udp`) |
 //! | P0 | workspace-wide | malformed `dharma-lint:` pragma |
 //!
 //! "Deterministic crates" are the ones whose code runs under the `SimNet`
@@ -40,13 +40,9 @@ use crate::lexer::{lex, Comment, Lexed, Spanned, Tok};
 pub const DETERMINISTIC_CRATES: &[&str] = &["net", "kademlia", "cache", "sim", "core", "types"];
 
 /// Files in which `unsafe` is permitted (D5): the hand-rolled libc FFI
-/// layer, the real-socket worker that drives it, and the scoped thread
-/// pool (one transmute: scoped-spawn lifetime erasure). Everything else forbids unsafe.
-pub const UNSAFE_ALLOWED: &[&str] = &[
-    "crates/net/src/sys.rs",
-    "crates/net/src/udp.rs",
-    "crates/par/src/",
-];
+/// layer and the real-socket worker that drives it. Everything else
+/// forbids unsafe.
+pub const UNSAFE_ALLOWED: &[&str] = &["crates/net/src/sys.rs", "crates/net/src/udp.rs"];
 
 /// All rule identifiers (pragma validation + docs).
 pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5"];
@@ -714,15 +710,12 @@ mod tests {
     fn d5_fires_outside_the_sanctioned_files() {
         let src = "fn f() { // SAFETY: documented but still misplaced\n unsafe { danger() } }";
         assert_eq!(rules_fired(FREE, src), vec!["D5"]);
-        // Sanctioned files: sys.rs, udp.rs, and all of dharma-par.
+        // Sanctioned files: sys.rs and udp.rs only; dharma-par is not one.
         assert_eq!(
             rules_fired("crates/net/src/sys.rs", src),
             Vec::<&str>::new()
         );
-        assert_eq!(
-            rules_fired("crates/par/src/pool.rs", src),
-            Vec::<&str>::new()
-        );
+        assert_eq!(rules_fired("crates/par/src/pool.rs", src), vec!["D5"]);
         let silenced = format!("// dharma-lint: allow-file(D5): fixture\n{src}");
         assert_eq!(rules_fired(FREE, &silenced), Vec::<&str>::new());
     }

@@ -1,9 +1,11 @@
 //! Property tests: the parallel helpers agree with their sequential
 //! counterparts for arbitrary inputs, chunk sizes and thread counts.
 
-use dharma_par::{par_for_each_index, par_map, par_map_reduce, ThreadPool};
+use dharma_par::{par_map, par_map_reduce, ThreadPool};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -49,20 +51,23 @@ proptest! {
         let seq: String = items.iter().map(|x| format!("{x},")).collect();
         prop_assert_eq!(par, seq);
     }
+}
 
-    #[test]
-    fn for_each_touches_every_index_once(
-        n in 0usize..3000,
-        chunk in 1usize..500,
-        threads in 1usize..6,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let counters: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_for_each_index(&pool, n, chunk, |i| {
-            counters[i].fetch_add(1, Ordering::Relaxed);
+/// `ThreadPool::new(n)` is a bound on the threads a call runs on, not
+/// `n` workers plus a caller that helps.
+#[test]
+fn a_pool_of_n_runs_on_at_most_n_threads() {
+    let items: Vec<u32> = (0..256).collect();
+    for n in 1..=3 {
+        let seen = Mutex::new(HashSet::new());
+        par_map(&ThreadPool::new(n), &items, 1, |_| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(Duration::from_micros(200));
         });
-        for (i, c) in counters.iter().enumerate() {
-            prop_assert_eq!(c.load(Ordering::Relaxed), 1, "index {}", i);
-        }
+        let threads = seen.into_inner().unwrap().len();
+        assert!(
+            threads <= n,
+            "ThreadPool::new({n}) ran on {threads} threads"
+        );
     }
 }

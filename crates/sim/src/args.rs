@@ -5,7 +5,8 @@
 //! * `--scale tiny|small|medium|paper` — dataset preset (default `small`);
 //! * `--seed <u64>` — master seed (default 42);
 //! * `--out <dir>` — CSV output directory (default `results`);
-//! * `--threads <n>` — worker threads (default: available parallelism).
+//! * `--threads <n>` — the parallel helpers run on exactly `n` threads
+//!   (default: available parallelism); `--threads 1` runs them serially.
 
 use dharma_dataset::Scale;
 
@@ -18,7 +19,7 @@ pub struct ExpArgs {
     pub seed: u64,
     /// Output directory for CSV series.
     pub out: String,
-    /// Worker thread count (0 = auto).
+    /// Threads the parallel helpers run on (0 = available parallelism).
     pub threads: usize,
 }
 
@@ -82,7 +83,7 @@ impl ExpArgs {
         Ok(out)
     }
 
-    /// Builds the worker pool this run should use.
+    /// The thread count this run's parallel helpers use.
     pub fn pool(&self) -> dharma_par::ThreadPool {
         if self.threads == 0 {
             dharma_par::ThreadPool::with_default_threads()
