@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// let doubled = dharma_par::par_map(&pool, &data, 256, |x| x * 2);
 /// assert_eq!(doubled[7], 14);
 /// ```
-#[derive(Clone, Copy, Debug)]
 pub struct ThreadPool {
     threads: usize,
 }

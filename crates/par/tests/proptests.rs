@@ -53,18 +53,20 @@ proptest! {
     }
 }
 
-/// `ThreadPool::new(n)` is a bound on the threads a call runs on, not
-/// `n` workers plus a caller that helps.
+/// `ThreadPool::new(n)` bounds the threads a call runs on, the caller
+/// included.
 #[test]
 fn a_pool_of_n_runs_on_at_most_n_threads() {
     let items: Vec<u32> = (0..256).collect();
     for n in 1..=3 {
         let seen = Mutex::new(HashSet::new());
         par_map(&ThreadPool::new(n), &items, 1, |_| {
-            seen.lock().unwrap().insert(std::thread::current().id());
+            seen.lock()
+                .expect("no task panics")
+                .insert(std::thread::current().id());
             std::thread::sleep(Duration::from_micros(200));
         });
-        let threads = seen.into_inner().unwrap().len();
+        let threads = seen.into_inner().expect("no task panics").len();
         assert!(
             threads <= n,
             "ThreadPool::new({n}) ran on {threads} threads"
