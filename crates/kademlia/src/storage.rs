@@ -16,7 +16,10 @@
 //! * entry names are interned **once per node** in a [`NameInterner`] —
 //!   every value stores `(Sym, weight)` pairs (12 bytes each) instead of an
 //!   owned `String` per entry per key. Tag vocabularies are tiny compared
-//!   to key counts, so the shared table amortizes to near-zero per record;
+//!   to key counts, so the shared table amortizes to near-zero per record.
+//!   The table allocates nothing per name: a name is its bytes in the
+//!   node's one arena, 4 bytes of end offset and at least 16 bytes of
+//!   index (two or more 8-byte slots; the index is at most half full);
 //! * a value's pairs are kept in **reply order** — weight descending, ties
 //!   by name ascending — the order every read serves and every `Replicate`
 //!   carries. Names are unique per key, so the order is total;
@@ -536,8 +539,8 @@ impl Storage {
     }
 
     /// Approximate heap bytes held: values, entry vectors, wire memos,
-    /// blobs, and the shared name table. Used by scale runs to report
-    /// per-node state size.
+    /// blobs, and the shared name table (by the capacity of its vectors).
+    /// Used by scale runs to report per-node state size.
     pub fn heap_bytes(&self) -> usize {
         let per_value = std::mem::size_of::<Id160>() + std::mem::size_of::<ValueState>();
         let values: usize = self

@@ -215,6 +215,28 @@ fn heap_bytes_counts_the_wire_memo() {
     assert_eq!(s.heap_bytes(), written + 3);
 }
 
+#[test]
+fn heap_bytes_counts_the_name_table_by_capacity() {
+    let mut s = Storage::new();
+    let k = sha1(b"k");
+    // Four 4-byte names fill a 16-byte arena, a 4-slot offset vector and
+    // an 8-slot index to its half-load line ...
+    for (i, name) in ["rock", "jazz", "folk", "punk"].into_iter().enumerate() {
+        s.append(k, name, 1, st(i as u64 + 1));
+    }
+    let full = s.heap_bytes();
+    // ... so a fifth regrows all three: arena 16 → 32 bytes, offsets
+    // 4 → 8 (4 bytes each), index 8 → 16 slots (8 bytes each); the value
+    // gains one 16-byte pair.
+    s.append(k, "soul", 1, st(5));
+    let pair = std::mem::size_of::<(Sym, u64)>();
+    assert_eq!(s.heap_bytes(), full + pair + 16 + 4 * 4 + 8 * 8);
+    // A sixth fits the new capacities: only its pair is new.
+    let grown = s.heap_bytes();
+    s.append(k, "funk", 1, st(6));
+    assert_eq!(s.heap_bytes(), grown + pair);
+}
+
 /// A `Replicate` body: the blob option, then `entries` as listed.
 fn snapshot_body(blob: Option<&[u8]>, entries: &[StoredEntry]) -> WriteBody {
     let mut body = BytesMut::new();
@@ -230,10 +252,15 @@ fn owned(mut body: &[u8]) -> (Option<Vec<u8>>, Vec<StoredEntry>) {
 }
 
 /// What `s` would weigh had nothing been served since the last write.
-fn unread_heap_bytes(s: &Storage) -> usize {
-    let mut unread = s.clone();
-    unread.values.values_mut().for_each(|v| v.memo = None);
-    unread.heap_bytes()
+/// (Measured in place: a clone's vectors would not keep their capacity.)
+fn unread_heap_bytes(s: &mut Storage) -> usize {
+    let memos: Vec<_> = s.values.values_mut().map(|v| v.memo.take()).collect();
+    let unread = s.heap_bytes();
+    s.values
+        .values_mut()
+        .zip(memos)
+        .for_each(|(v, m)| v.memo = m);
+    unread
 }
 
 proptest! {
@@ -308,7 +335,8 @@ proptest! {
                 &owned.encode_to_bytes()[..],
                 "step {} kind {} top_n {} budget {}", i, kind, top_n, budget
             );
-            prop_assert_eq!(s.heap_bytes(), unread_heap_bytes(&s) + body.len(), "step {}", i);
+            let unread = unread_heap_bytes(&mut s);
+            prop_assert_eq!(s.heap_bytes(), unread + body.len(), "step {}", i);
         }
         let mut untouched = BytesMut::new();
         prop_assert!(s.encode_filtered(&sha1(b"absent"), 0, 99, &mut untouched).is_none());

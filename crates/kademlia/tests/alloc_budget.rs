@@ -25,8 +25,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
-use dharma_cache::CacheConfig;
-use dharma_kademlia::{Contact, KadConfig, KadOutput, KademliaNode, Message, StoredEntry};
+use dharma_cache::{CacheConfig, FreshConfig};
+use dharma_kademlia::{
+    Contact, DigestEntry, KadConfig, KadOutput, KademliaNode, Message, StoredEntry,
+};
 use dharma_net::{Ctx, Node, NodeAddr, OutMessage};
 use dharma_types::{sha1, Id160, VersionStamp, WireDecode, WireEncode};
 
@@ -327,6 +329,130 @@ fn a_one_entry_append() {
     let (sent, _, cost) = deliver(&mut h, R, &append.encode_to_bytes());
     assert_eq!(sent.len(), 1);
     assert_eq!(cost, (8, 297));
+}
+
+/// A one-entry `Append` of a name `H` has never seen costs what one to a
+/// held name does: the name table's arena, offsets and index, and the
+/// block's pair vector, all have room for a 101st name. (A table of one
+/// allocation per name spent two more here: the name and its hash chain.)
+#[test]
+fn a_one_entry_append_of_a_fresh_name() {
+    let mut h = holder();
+    let append = Message::Append {
+        rpc: 51,
+        from: contact(R),
+        key: key(),
+        entries: vec![StoredEntry {
+            name: "tag-100".into(),
+            weight: 1,
+        }],
+        stamp: stamp(2),
+    };
+    let (sent, _, cost) = deliver(&mut h, R, &append.encode_to_bytes());
+    assert_eq!(sent.len(), 1);
+    assert_eq!(cost, (8, 297));
+}
+
+/// A 1,000-entry `Append` of fresh names to an empty key: the interner's
+/// growth path. The owned decode (a `String` per entry and the vector),
+/// the interned batch, the block, the ack, and the name table's three
+/// vectors growing by doubling: a few dozen allocations for a thousand
+/// names, where one allocation per name and hash chain spent about two
+/// per name.
+#[test]
+fn a_1000_entry_append_of_fresh_names() {
+    let mut h = node(H, false);
+    let append = Message::Append {
+        rpc: 52,
+        from: contact(R),
+        key: key(),
+        entries: (0..1_000u64)
+            .map(|i| StoredEntry {
+                name: format!("fresh-{i:04}"),
+                weight: 1 + i % 7,
+            })
+            .collect(),
+        stamp: stamp(1),
+    };
+    let (sent, _, cost) = deliver(&mut h, R, &append.encode_to_bytes());
+    assert_eq!(sent.len(), 1);
+    assert_eq!(cost, (1_058, 239_580));
+}
+
+/// A node with the freshness layer on (digests of up to 8 entries).
+fn fresh_node(addr: NodeAddr) -> KademliaNode {
+    let cfg = KadConfig {
+        k: 8,
+        reply_budget: 4_000,
+        freshness: Some(FreshConfig::default()),
+        ..KadConfig::default()
+    };
+    KademliaNode::new(contact(addr).id, addr, cfg)
+}
+
+/// Sixteen block keys.
+fn keys() -> impl Iterator<Item = Id160> {
+    (0..16u32).map(|i| sha1(&i.to_le_bytes()))
+}
+
+/// A digest build: a freshness-enabled `H` holding sixteen one-entry
+/// blocks and knowing twenty contacts answers `FIND_NODE`. Against the
+/// plain reply below (5 allocations, 937 bytes), the digest adds two
+/// allocations and 667 bytes: its build, and its entries in the reply.
+#[test]
+fn a_find_node_reply_with_a_digest() {
+    let mut h = fresh_node(H);
+    known(20).into_iter().for_each(|c| h.add_seed(c));
+    for (i, k) in keys().enumerate() {
+        let append = Message::Append {
+            rpc: 70 + i as u64,
+            from: contact(R),
+            key: k,
+            entries: block()[..1].to_vec(),
+            stamp: stamp(1),
+        };
+        deliver(&mut h, R, &append.encode_to_bytes());
+    }
+    let find = Message::FindNode {
+        rpc: 90,
+        from: contact(R),
+        target: sha1(b"somewhere"),
+    };
+    deliver(&mut h, R, &find.encode_to_bytes());
+    let (sent, _, cost) = deliver(&mut h, R, &find.encode_to_bytes());
+    assert!(matches!(
+        Message::decode_exact(&sent[0].payload),
+        Ok(Message::FoundNodes { digest, .. }) if !digest.is_empty()
+    ));
+    assert_eq!(cost, (7, 1_604));
+}
+
+/// A digest absorb: a freshness-enabled `R` receives a `Pong` whose
+/// eight-entry digest raises the versions of keys its freshness book
+/// already tracks (an earlier `Pong` named them): the decoded digest
+/// vector, and nothing for the book.
+#[test]
+fn a_pong_digest_absorb() {
+    let mut r = fresh_node(R);
+    let pong = |rpc, seq| {
+        let digest = keys()
+            .take(8)
+            .map(|key| DigestEntry {
+                key,
+                version: stamp(seq),
+            })
+            .collect();
+        Message::Pong {
+            rpc,
+            from: contact(H),
+            digest,
+        }
+        .encode_to_bytes()
+    };
+    deliver(&mut r, H, &pong(100, 1));
+    let (sent, _, cost) = deliver(&mut r, H, &pong(101, 2));
+    assert!(sent.is_empty());
+    assert_eq!(cost, (1, 448));
 }
 
 /// Twenty contacts known to `H`, in addresses 100 and up.

@@ -1,21 +1,32 @@
-//! Interning tables for the two identifier kinds the node state is full of:
-//! entry names (tag strings) and [`Id160`] storage keys.
+//! The interning table for entry names (tag strings).
 //!
 //! At simulation scale (10⁴–10⁵ nodes) the dominant RAM cost of a node is
 //! its record storage, and the dominant cost of a record is the repeated
-//! identifier material: the same tag names recur across thousands of
-//! entries, and the same block keys recur across replica sets, caches and
-//! per-key statistics. Interning replaces each repeat with a 4-byte handle
-//! into a table that stores the identifier once.
+//! name material: the same tag names recur across thousands of entries.
+//! Interning replaces each repeat with a 4-byte handle into a table that
+//! stores the name once.
 //!
-//! Both tables use a hash-chain index (`FxHash → candidate ids`) instead of
-//! a `HashMap<owned key, id>` so the identifier bytes are stored exactly
-//! once, in the resolve table. Handles are dense indices: allocation order
-//! is insertion order, which keeps resolution a bounds-checked array load
-//! and makes the tables trivially serializable.
+//! The table is three flat vectors and no per-name allocation:
+//!
+//! * one **arena** — every name's bytes, concatenated in handle order;
+//! * **`ends`** — each name's end offset in the arena, so resolving a
+//!   handle is two loads and a slice;
+//! * one open-addressed **index** of `(hash fragment, handle + 1)` slots
+//!   (0 marks an empty slot), probed linearly and doubled before it is
+//!   half full. A probe compares the 32-bit fragment before it compares
+//!   any bytes, and a regrow re-places slots from their fragments alone.
+//!
+//! **The hash is finalised.** The slot and the fragment come from FxHash
+//! over the bytes followed by a multiply–xorshift mix, never from the raw
+//! Fx value: Fx multiplies whole 8-byte words, so names that differ only
+//! in their high bytes (every `r0000123`-style name of one length) share
+//! its low bits and would fill one probe cluster. The mix spreads every
+//! input bit over the fragment.
+//!
+//! Handles are dense: allocation order is insertion order, which keeps
+//! resolution a bounds-checked array load.
 
-use crate::fx::FxHashMap;
-use crate::id::Id160;
+use crate::fx::FxHasher;
 use std::hash::Hasher;
 
 /// An interned string handle (index into a [`NameInterner`]).
@@ -29,30 +40,31 @@ impl Sym {
     }
 }
 
-/// An interned [`Id160`] handle (index into a [`KeyInterner`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Kid(u32);
-
-impl Kid {
-    /// The dense table index of this key handle.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
+/// The 32-bit hash fragment of `name`: FxHash, then the SplitMix64
+/// finaliser, high half.
+fn fragment(name: &str) -> u32 {
+    let mut h = FxHasher::default();
+    h.write(name.as_bytes());
+    let mut x = h.finish();
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((x ^ (x >> 31)) >> 32) as u32
 }
 
-fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = crate::fx::FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
+/// Index slots of the first non-empty table.
+const MIN_SLOTS: usize = 8;
 
 /// A string interner: each distinct name is stored once, handles are
 /// [`Sym`]s in insertion order.
 #[derive(Clone, Debug, Default)]
 pub struct NameInterner {
-    /// FxHash of a name → table indices of names with that hash.
-    buckets: FxHashMap<u64, Vec<u32>>,
-    names: Vec<Box<str>>,
+    /// Every name's bytes, in handle order.
+    arena: String,
+    /// End offset of each name in `arena`.
+    ends: Vec<u32>,
+    /// `(fragment, handle + 1)` per slot; a power-of-two length, at most
+    /// half full; `(_, 0)` is empty.
+    index: Vec<(u32, u32)>,
 }
 
 impl NameInterner {
@@ -61,124 +73,112 @@ impl NameInterner {
         Self::default()
     }
 
+    /// The slot holding `name`, or the empty slot where it would go.
+    /// `index` must be non-empty.
+    fn probe(&self, name: &str, frag: u32) -> usize {
+        let mask = self.index.len() - 1;
+        let mut at = frag as usize & mask;
+        loop {
+            let (f, s) = self.index[at];
+            if s == 0 || (f == frag && self.resolve(Sym(s - 1)) == name) {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
     /// Returns the handle of `name`, inserting it on first sight.
     pub fn intern(&mut self, name: &str) -> Sym {
-        let h = fx_hash_bytes(name.as_bytes());
-        let chain = self.buckets.entry(h).or_default();
-        for &ix in chain.iter() {
-            if &*self.names[ix as usize] == name {
-                return Sym(ix);
+        let frag = fragment(name);
+        let mut at = 0;
+        if !self.index.is_empty() {
+            at = self.probe(name, frag);
+            if self.index[at].1 != 0 {
+                return Sym(self.index[at].1 - 1);
             }
         }
-        let ix = u32::try_from(self.names.len()).expect("interner overflow");
-        self.names.push(name.into());
-        chain.push(ix);
-        Sym(ix)
+        if 2 * (self.ends.len() + 1) > self.index.len() {
+            self.grow();
+            at = self.probe(name, frag);
+        }
+        let sym = u32::try_from(self.ends.len()).expect("interner overflow");
+        self.arena.push_str(name);
+        let end = u32::try_from(self.arena.len()).expect("interner overflow");
+        self.ends.push(end);
+        self.index[at] = (frag, sym + 1);
+        Sym(sym)
+    }
+
+    /// Doubles the index and re-places every slot by its fragment.
+    fn grow(&mut self) {
+        let slots = (2 * self.index.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.index, vec![(0, 0); slots]);
+        for (frag, s) in old.into_iter().filter(|&(_, s)| s != 0) {
+            let mut at = frag as usize & (slots - 1);
+            while self.index[at].1 != 0 {
+                at = (at + 1) & (slots - 1);
+            }
+            self.index[at] = (frag, s);
+        }
     }
 
     /// Returns the handle of `name` if it was interned before.
     pub fn lookup(&self, name: &str) -> Option<Sym> {
-        let h = fx_hash_bytes(name.as_bytes());
-        let chain = self.buckets.get(&h)?;
-        chain
-            .iter()
-            .find(|&&ix| &*self.names[ix as usize] == name)
-            .map(|&ix| Sym(ix))
+        if self.index.is_empty() {
+            return None;
+        }
+        match self.index[self.probe(name, fragment(name))] {
+            (_, 0) => None,
+            (_, s) => Some(Sym(s - 1)),
+        }
     }
 
     /// The name behind a handle.
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
+        let i = sym.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arena[start as usize..self.ends[i] as usize]
     }
 
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True when nothing was interned yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Approximate heap bytes held by the table (name bytes + index).
+    /// Heap bytes held by the table: the capacities of the arena, the
+    /// offsets and the index.
     pub fn heap_bytes(&self) -> usize {
-        let names: usize = self
-            .names
-            .iter()
-            .map(|n| n.len() + std::mem::size_of::<Box<str>>())
-            .sum();
-        let index = self.buckets.len()
-            * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>())
-            + self.names.len() * std::mem::size_of::<u32>();
-        names + index
-    }
-}
-
-/// An [`Id160`] interner: each distinct key is stored once (20 bytes),
-/// handles are [`Kid`]s in insertion order.
-#[derive(Clone, Debug, Default)]
-pub struct KeyInterner {
-    buckets: FxHashMap<u64, Vec<u32>>,
-    keys: Vec<Id160>,
-}
-
-impl KeyInterner {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the handle of `key`, inserting it on first sight.
-    pub fn intern(&mut self, key: &Id160) -> Kid {
-        let h = fx_hash_bytes(key.as_bytes());
-        let chain = self.buckets.entry(h).or_default();
-        for &ix in chain.iter() {
-            if self.keys[ix as usize] == *key {
-                return Kid(ix);
-            }
-        }
-        let ix = u32::try_from(self.keys.len()).expect("interner overflow");
-        self.keys.push(*key);
-        chain.push(ix);
-        Kid(ix)
-    }
-
-    /// Returns the handle of `key` if it was interned before.
-    pub fn lookup(&self, key: &Id160) -> Option<Kid> {
-        let h = fx_hash_bytes(key.as_bytes());
-        let chain = self.buckets.get(&h)?;
-        chain
-            .iter()
-            .find(|&&ix| self.keys[ix as usize] == *key)
-            .map(|&ix| Kid(ix))
-    }
-
-    /// The key behind a handle.
-    pub fn resolve(&self, kid: Kid) -> &Id160 {
-        &self.keys[kid.index()]
-    }
-
-    /// Number of distinct interned keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when nothing was interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.arena.capacity()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
+            + self.index.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    impl NameInterner {
+        /// The farthest any name sits from its home slot.
+        fn max_probe_distance(&self) -> usize {
+            let mask = self.index.len() - 1;
+            (0..self.index.len())
+                .filter(|&at| self.index[at].1 != 0)
+                .map(|at| at.wrapping_sub(self.index[at].0 as usize) & mask)
+                .max()
+                .unwrap_or(0)
+        }
+    }
 
     #[test]
     fn names_dedupe_and_resolve() {
         let mut t = NameInterner::new();
+        assert_eq!(t.lookup("rock"), None);
         let a = t.intern("rock");
         let b = t.intern("jazz");
         let a2 = t.intern("rock");
@@ -195,8 +195,8 @@ mod tests {
 
     #[test]
     fn names_survive_many_inserts_with_collisions() {
-        // Thousands of short names: exercises bucket chains and checks the
-        // handle ↔ name bijection end-to-end.
+        // Thousands of short names: exercises probe runs and regrowth and
+        // checks the handle ↔ name bijection end-to-end.
         let mut t = NameInterner::new();
         let names: Vec<String> = (0..5_000).map(|i| format!("tag-{i}")).collect();
         let syms: Vec<Sym> = names.iter().map(|n| t.intern(n)).collect();
@@ -219,23 +219,8 @@ mod tests {
         assert_ne!(empty, nul);
         assert_ne!(nul, spaced);
         assert_eq!(t.resolve(empty), "");
-    }
-
-    #[test]
-    fn keys_dedupe_and_resolve() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut t = KeyInterner::new();
-        let keys: Vec<Id160> = (0..2_000).map(|_| Id160::random(&mut rng)).collect();
-        let kids: Vec<Kid> = keys.iter().map(|k| t.intern(k)).collect();
-        assert_eq!(t.len(), keys.len());
-        for (k, kid) in keys.iter().zip(&kids) {
-            assert_eq!(t.resolve(*kid), k);
-            assert_eq!(t.lookup(k), Some(*kid));
-            assert_eq!(t.intern(k), *kid);
-        }
-        let other = Id160::random(&mut rng);
-        assert_eq!(t.lookup(&other), None);
-        assert!(!t.is_empty());
+        assert_eq!(t.resolve(nul), "\0");
+        assert_eq!(t.lookup(""), Some(empty));
     }
 
     #[test]
@@ -245,11 +230,29 @@ mod tests {
             let s = t.intern(&format!("n{i}"));
             assert_eq!(s.index(), i, "handles are dense and ordered");
         }
-        let mut k = KeyInterner::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        for i in 0..100usize {
-            let kid = k.intern(&Id160::random(&mut rng));
-            assert_eq!(kid.index(), i);
+    }
+
+    /// Names that share their raw Fx low bits (one 8-byte word each, or a
+    /// long shared prefix) still spread: no probe run is long.
+    #[test]
+    fn same_shape_names_keep_probe_runs_short() {
+        let n = if cfg!(miri) { 2_000 } else { 100_000 };
+        let mut t = NameInterner::new();
+        let names: Vec<String> = (0..n)
+            .map(|i| format!("r{i:07}"))
+            .chain((0..n).map(|i| format!("t{i:010}")))
+            .collect();
+        let syms: Vec<Sym> = names.iter().map(|n| t.intern(n)).collect();
+        assert_eq!(t.len(), names.len());
+        assert!(
+            t.max_probe_distance() <= 32,
+            "probe distance {}",
+            t.max_probe_distance()
+        );
+        for (n, s) in names.iter().zip(&syms) {
+            assert_eq!(t.resolve(*s), n.as_str());
+            assert_eq!(t.intern(n), *s);
         }
+        assert_eq!(t.len(), names.len());
     }
 }

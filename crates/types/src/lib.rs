@@ -36,7 +36,7 @@ pub mod wire;
 pub use error::{DharmaError, Result};
 pub use fx::{FxHashMap, FxHashSet};
 pub use id::{Distance, Id160, ID160_BITS, ID160_BYTES};
-pub use intern::{KeyInterner, Kid, NameInterner, Sym};
+pub use intern::{NameInterner, Sym};
 pub use keys::{block_key, node_id_for_user, BlockType};
 pub use sha1::{sha1, Sha1};
 pub use stamp::VersionStamp;

@@ -1,8 +1,10 @@
 //! Property-based tests for the foundation types.
 
+use std::collections::BTreeMap;
+
 use bytes::BytesMut;
 use dharma_types::wire::varint_len;
-use dharma_types::{sha1, Id160, ReadBytes, WireDecode, WireEncode, WriteBytes};
+use dharma_types::{sha1, Id160, NameInterner, ReadBytes, WireDecode, WireEncode, WriteBytes};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,6 +91,58 @@ proptest! {
             }
         } else {
             prop_assert_eq!(a, b);
+        }
+    }
+}
+
+/// Names drawn to collide: shared 4- to 7-byte prefixes (one of them
+/// multi-byte) with a short tail, so many names have equal lengths and
+/// differ in one byte; plus the empty name and `"\0"`.
+fn colliding_name() -> impl Strategy<Value = String> {
+    let prefixes = ["tag-", "ñé-", "r00000", "t000000"];
+    prop_oneof![
+        Just(String::new()),
+        Just("\0".to_owned()),
+        (0..prefixes.len(), "[ab\0é]{0,2}")
+            .prop_map(move |(p, tail)| prefixes[p].to_owned() + &tail),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+    /// The interner against a map model: over a random sequence of
+    /// `intern` (0), `lookup` (1) and `resolve` (2), every handle is the
+    /// name's first-sight rank, `lookup` finds exactly the interned names,
+    /// and every handle resolves to its name.
+    #[test]
+    fn interner_matches_a_map_model(
+        ops in proptest::collection::vec((0u8..3, colliding_name(), any::<u16>()), 0..200),
+    ) {
+        let mut t = NameInterner::new();
+        let mut model: BTreeMap<String, u32> = BTreeMap::new();
+        let mut syms = Vec::new();
+        for (op, name, pick) in ops {
+            match op {
+                0 => {
+                    let next = model.len() as u32;
+                    let want = *model.entry(name.clone()).or_insert(next);
+                    let sym = t.intern(&name);
+                    prop_assert_eq!(sym.index() as u32, want);
+                    syms.push(sym);
+                }
+                1 => prop_assert_eq!(t.lookup(&name).map(|s| s.index() as u32), model.get(&name).copied()),
+                _ if !syms.is_empty() => {
+                    let sym = syms[usize::from(pick) % syms.len()];
+                    prop_assert_eq!(model.get(t.resolve(sym)).copied(), Some(sym.index() as u32));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(t.len(), model.len());
+        }
+        for (name, &ix) in &model {
+            let sym = t.lookup(name).expect("interned");
+            prop_assert_eq!((sym.index() as u32, t.resolve(sym)), (ix, name.as_str()));
         }
     }
 }

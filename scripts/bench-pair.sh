@@ -43,7 +43,13 @@
 # evidence. (Those two traced results stay in runs/traced-<side>-<workload>.json
 # for the wall-clock handler rows, which differ on every run.)
 #
-# Only the JSON object on the benchmark's last stdout line is read.
+# Each timed run's whole output is kept in runs/<side>-<workload>-<round>.out,
+# its `#` lines next to its JSON. Per workload and side the script prints
+# the median raw rate (the "... raw" figure every workload's `#` line
+# gives) and the median calibration tick (where the workload prints one):
+# a calibrated metric that moves while the raw rate does not is the tick
+# moving. Everything else is read from the JSON object on the benchmark's
+# last stdout line.
 set -euo pipefail
 
 rounds=4
@@ -60,7 +66,7 @@ while [ $# -gt 0 ]; do
         --datagrams-may-change) may_change=$2; shift 2 ;;
         --claim) claim=$2; shift 2 ;;
         --json) json=$(realpath -m "$2"); shift 2 ;;
-        -h|--help) sed -n '2,46p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,53p' "$0"; exit 0 ;;
         --*) echo "unknown option $1" >&2; exit 2 ;;
         *) break ;;
     esac
@@ -108,10 +114,34 @@ build change "$root"
 
 # JSON fragments, gathered as the results print (only with --json).
 js_workloads=() js_claim=null js_fixed=()
+declare -A raw tick # per side: the workload's median raw rate and tick
 
 run() { # <side> <workload> <trace 0|1> <args...>: prints the JSON last line
     local side=$1 workload=$2 trace=$3; shift 3
     "$work/target-$side/release/dharma-bench" --workload "$workload" --trace "$trace" "$@" | tail -n 1
+}
+
+timed() { # <side> <workload> <round>: one timed run, output kept whole
+    local out=$work/runs/$1-$2-$3.out
+    "$work/target-$1/release/dharma-bench" --workload "$2" --trace 0 --seed "$seed" \
+        --seconds "$seconds" > "$out"
+    tail -n 1 "$out" >> "$work/runs/$1-$2.jsonl"
+}
+
+raw_rate() { # reads a run's output, prints its "... raw" rate
+    awk '/^#/ && match($0, /[0-9][0-9.]*( [a-z]+)?\/s raw/) {
+        s = substr($0, RSTART, RLENGTH); sub(/[^0-9.].*/, "", s); print s; exit }'
+}
+
+tick_us() { # reads a run's output, prints its median calibration tick
+    sed -n 's|^# calibration: .*quartiles [0-9.]* / \([0-9.]*\) / .*|\1|p'
+}
+
+median_of() { # <extractor> <files...>: median of one figure over the files
+    local f=$1; shift
+    local m
+    m=$(for out in "$@"; do "$f" < "$out"; done | quartiles | cut -d' ' -f2)
+    [ "$m" = nan ] && echo null || echo "$m"
 }
 
 metric() { # <metric> reads JSON lines on stdin, prints one value per line
@@ -140,10 +170,15 @@ for w in "${workloads[@]}"; do
         if [ $((r % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             echo "$w round $r/$rounds: $side" >&2
-            run "$side" "$w" 0 --seed "$seed" --seconds "$seconds" >> "$work/runs/$side-$w.jsonl"
+            timed "$side" "$w" "$r"
         done
     done
     echo "== $w: median [quartiles] of $rounds x ${seconds}s at seed $seed, parent ($parent_ref) -> change"
+    for side in parent change; do
+        raw[$side]=$(median_of raw_rate "$work/runs/$side-$w-"*.out)
+        tick[$side]=$(median_of tick_us "$work/runs/$side-$w-"*.out)
+        echo "   $side: raw rate median ${raw[$side]}/s, calibration tick median ${tick[$side]} us"
+    done
     verdict=
     for side in parent change; do
         if grep -q '"correct": *false' "$work/runs/$side-$w.jsonl" ||
@@ -182,6 +217,8 @@ for w in "${workloads[@]}"; do
         fi
     done <<<"$bounds"
     case "$claim" in *"@$w") echo "== claim $claim: ${verdict:-no such end-to-end metric}" ;; esac
+    printf '"raw_rate": {"parent": %s, "change": %s}\n"tick_us": {"parent": %s, "change": %s}\n' \
+        "${raw[parent]}" "${raw[change]}" "${tick[parent]}" "${tick[change]}" >> "$work/json-metrics"
     js_workloads+=("  \"$w\": {$(awk 'NR > 1 { printf ", " } { printf "%s", $0 }' "$work/json-metrics")}")
 done
 
