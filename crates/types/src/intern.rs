@@ -21,10 +21,11 @@
 //! Fx value: Fx multiplies whole 8-byte words, so names that differ only
 //! in their high bytes (every `r0000123`-style name of one length) share
 //! its low bits and would fill one probe cluster. The mix spreads every
-//! input bit over the fragment.
+//! input bit over the fragment. Like every Fx table in the workspace, the
+//! index does not resist names crafted to collide.
 //!
-//! Handles are dense: allocation order is insertion order, which keeps
-//! resolution a bounds-checked array load.
+//! Handles are dense and in insertion order, so a handle indexes `ends`
+//! directly.
 
 use crate::fx::FxHasher;
 use std::hash::Hasher;
@@ -73,33 +74,32 @@ impl NameInterner {
         Self::default()
     }
 
-    /// The slot holding `name`, or the empty slot where it would go.
-    /// `index` must be non-empty.
-    fn probe(&self, name: &str, frag: u32) -> usize {
-        let mask = self.index.len() - 1;
+    /// Finds `name`: its handle, or the empty slot where it would go
+    /// (slot 0 of an empty index).
+    fn probe(&self, name: &str, frag: u32) -> Result<Sym, usize> {
+        let Some(mask) = self.index.len().checked_sub(1) else {
+            return Err(0);
+        };
         let mut at = frag as usize & mask;
         loop {
-            let (f, s) = self.index[at];
-            if s == 0 || (f == frag && self.resolve(Sym(s - 1)) == name) {
-                return at;
+            match self.index[at] {
+                (_, 0) => return Err(at),
+                (f, s) if f == frag && self.resolve(Sym(s - 1)) == name => return Ok(Sym(s - 1)),
+                _ => at = (at + 1) & mask,
             }
-            at = (at + 1) & mask;
         }
     }
 
     /// Returns the handle of `name`, inserting it on first sight.
     pub fn intern(&mut self, name: &str) -> Sym {
         let frag = fragment(name);
-        let mut at = 0;
-        if !self.index.is_empty() {
-            at = self.probe(name, frag);
-            if self.index[at].1 != 0 {
-                return Sym(self.index[at].1 - 1);
-            }
-        }
+        let mut at = match self.probe(name, frag) {
+            Ok(sym) => return sym,
+            Err(at) => at,
+        };
         if 2 * (self.ends.len() + 1) > self.index.len() {
             self.grow();
-            at = self.probe(name, frag);
+            at = self.probe(name, frag).expect_err("the name is new");
         }
         let sym = u32::try_from(self.ends.len()).expect("interner overflow");
         self.arena.push_str(name);
@@ -124,13 +124,7 @@ impl NameInterner {
 
     /// Returns the handle of `name` if it was interned before.
     pub fn lookup(&self, name: &str) -> Option<Sym> {
-        if self.index.is_empty() {
-            return None;
-        }
-        match self.index[self.probe(name, fragment(name))] {
-            (_, 0) => None,
-            (_, s) => Some(Sym(s - 1)),
-        }
+        self.probe(name, fragment(name)).ok()
     }
 
     /// The name behind a handle.
