@@ -74,8 +74,8 @@ impl NetCounters {
     }
 
     /// Records `n` sends and their payload bytes in one shot (used by the
-    /// batched UDP flush path, which learns the accepted count from a
-    /// single `sendmmsg` return).
+    /// UDP flush, which reports what one pass over the send queue handed
+    /// to the kernel).
     pub fn record_sent_batch(&self, n: u64, bytes: u64) {
         self.inner.sent.fetch_add(n, Ordering::Relaxed);
         self.inner.bytes_sent.fetch_add(bytes, Ordering::Relaxed);

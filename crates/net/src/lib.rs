@@ -22,8 +22,8 @@
 //!   `udp_overlay` example), demonstrating that the protocol stack is not
 //!   simulation-bound.
 //!
-//! [`sys`] holds the batched `sendmmsg`/`recvmmsg` socket layer under
-//! both, and [`topology`] the per-link delay model. All counters live in
+//! [`sys`] holds the `std::net` socket layer under [`udp`], and
+//! [`topology`] the per-link delay model. All counters live in
 //! [`counters::NetCounters`], which Table I reads to verify lookup costs.
 
 #![warn(missing_docs)]

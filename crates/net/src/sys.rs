@@ -1,37 +1,32 @@
-//! Low-level batched-syscall socket plumbing for the real-UDP runtime.
+//! Low-level socket plumbing for the real-UDP runtime.
 //!
-//! The deployment path of the overlay lives or dies on transport
-//! throughput, and a one-syscall-per-packet receive loop caps a core at a
-//! few hundred thousand datagrams/sec. [`BatchSocket`] wraps a
-//! `std::net::UdpSocket` with the three ingredients of a shared-nothing
-//! transport worker:
+//! [`BatchSocket`] wraps a `std::net::UdpSocket` and moves one datagram
+//! per syscall (`send_to` / `recv_from`) on every platform, with the
+//! three ingredients of a shared-nothing transport worker around it:
 //!
 //! * **`SO_REUSEPORT` binding** ([`BatchSocket::bind`]): on Linux the
 //!   socket is created by hand (`socket(2)`/`setsockopt(2)`/`bind(2)` via
 //!   direct FFI — the workspace vendors no `libc`/`socket2` crate) so the
 //!   option can be set *before* `bind`, letting N per-core sockets share
 //!   one port with kernel 4-tuple load balancing.
-//! * **Batched syscalls** ([`SyscallMode::Batched`]): receives drain with
-//!   `recvmmsg(2)` and sends flush with `sendmmsg(2)`, up to
-//!   [`MAX_BATCH`] datagrams per syscall; readiness waits go through
-//!   `poll(2)` with a *computed* timeout instead of re-arming
-//!   `SO_RCVTIMEO` every loop iteration.
+//! * **Batches per poll iteration, not per syscall** (the batch in
+//!   `BatchSocket` and [`MAX_BATCH`]): sends queue on the socket and
+//!   leave together in one [`BatchSocket::flush`] per poll iteration, and
+//!   a receive drains at most [`MAX_BATCH`] datagrams before the worker
+//!   dispatches them and reads on. On Linux the socket is non-blocking
+//!   and readiness waits go through `poll(2)` with a *computed* timeout
+//!   instead of re-arming `SO_RCVTIMEO` every loop iteration; elsewhere
+//!   the wait falls back to a cached `set_read_timeout`, re-armed only
+//!   when the computed wait actually changes (see [`TimeoutCache`]).
 //! * **A recycling buffer pool** ([`BufPool`]): receive slots are
 //!   `BytesMut` buffers handed to the protocol as frozen [`Bytes`] and
 //!   reclaimed via `Bytes::try_into_mut` once the node callback returns,
 //!   so the steady-state hot path allocates no buffer and makes no
-//!   `Bytes::copy_from_slice` per datagram. Batch headers and buffer
-//!   slots live on the stack and a worker's [`PollSet`] is re-armed in
-//!   place, so a poll or a receive allocates nothing either; what is left
-//!   is the one `Arc` per datagram that the vendored `bytes` stub's
-//!   `freeze` boxes a buffer in (`crates/net/tests/alloc_budget.rs` pins
-//!   it).
-//!
-//! [`SyscallMode::PerPacket`] keeps the portable one-datagram-per-syscall
-//! path: it is the only mode off Linux (where the readiness wait falls
-//! back to a cached `set_read_timeout` — re-armed only when the computed
-//! wait actually changes, see [`TimeoutCache`]) and doubles as the
-//! baseline arm of the `bench_udp` transport microbenchmark on Linux.
+//!   `Bytes::copy_from_slice` per datagram. A worker's [`PollSet`] is
+//!   re-armed in place, so a poll or a receive allocates nothing either;
+//!   what is left is the one `Arc` per datagram that the vendored `bytes`
+//!   stub's `freeze` boxes a buffer in (`crates/net/tests/alloc_budget.rs`
+//!   pins it).
 
 use std::collections::VecDeque;
 use std::io;
@@ -40,23 +35,12 @@ use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 
-/// Largest datagram batch moved per `recvmmsg`/`sendmmsg` syscall.
+/// Most datagrams one [`BatchSocket::recv_now`] drains: the chunk a worker
+/// reads from a readable socket before it dispatches and reads on.
 pub const MAX_BATCH: usize = 32;
 
 /// Receive-slot size: comfortably above every MTU the stack uses.
 pub const RECV_SLOT_BYTES: usize = 2048;
-
-/// Which syscall discipline a [`BatchSocket`] runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SyscallMode {
-    /// `recvmmsg`/`sendmmsg` batches behind a `poll(2)` readiness wait
-    /// (Linux; requests degrade to [`SyscallMode::PerPacket`] elsewhere).
-    Batched,
-    /// One `recv_from`/`send_to` syscall per datagram — the legacy
-    /// discipline, kept as the portable fallback and the microbenchmark
-    /// baseline.
-    PerPacket,
-}
 
 /// A pool of fixed-size receive buffers recycled through
 /// `Bytes::try_into_mut`.
@@ -167,33 +151,11 @@ impl TimeoutCache {
 #[cfg(target_os = "linux")]
 mod linux {
     //! Hand-declared FFI against the platform libc: exactly the symbols
-    //! and struct layouts (x86_64/aarch64 Linux) the batched path needs.
+    //! and struct layouts (x86_64/aarch64 Linux) the `SO_REUSEPORT` bind
+    //! and the `poll(2)` wait need.
     #![allow(non_camel_case_types)]
 
     use std::os::raw::{c_int, c_uint, c_ulong, c_void};
-
-    #[repr(C)]
-    pub struct iovec {
-        pub iov_base: *mut c_void,
-        pub iov_len: usize,
-    }
-
-    #[repr(C)]
-    pub struct msghdr {
-        pub msg_name: *mut c_void,
-        pub msg_namelen: c_uint,
-        pub msg_iov: *mut iovec,
-        pub msg_iovlen: usize,
-        pub msg_control: *mut c_void,
-        pub msg_controllen: usize,
-        pub msg_flags: c_int,
-    }
-
-    #[repr(C)]
-    pub struct mmsghdr {
-        pub msg_hdr: msghdr,
-        pub msg_len: c_uint,
-    }
 
     #[repr(C)]
     pub struct pollfd {
@@ -205,7 +167,6 @@ mod linux {
     /// Generic socket-address buffer (matches `sockaddr_storage` size and
     /// alignment).
     #[repr(C, align(8))]
-    #[derive(Clone, Copy)]
     pub struct sockaddr_storage(pub [u8; 128]);
 
     impl sockaddr_storage {
@@ -220,7 +181,6 @@ mod linux {
     pub const SOCK_CLOEXEC: c_int = 0x8_0000;
     pub const SOL_SOCKET: c_int = 1;
     pub const SO_REUSEPORT: c_int = 15;
-    pub const MSG_DONTWAIT: c_int = 0x40;
     pub const POLLIN: i16 = 0x1;
 
     extern "C" {
@@ -234,14 +194,6 @@ mod linux {
             len: c_uint,
         ) -> c_int;
         pub fn close(fd: c_int) -> c_int;
-        pub fn recvmmsg(
-            fd: c_int,
-            vec: *mut mmsghdr,
-            vlen: c_uint,
-            flags: c_int,
-            timeout: *mut c_void,
-        ) -> c_int;
-        pub fn sendmmsg(fd: c_int, vec: *mut mmsghdr, vlen: c_uint, flags: c_int) -> c_int;
         pub fn poll(fds: *mut pollfd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
@@ -265,40 +217,14 @@ mod linux {
             }
         }
     }
-
-    /// Decodes a kernel-written socket address.
-    pub fn decode_sockaddr(buf: &sockaddr_storage) -> Option<std::net::SocketAddr> {
-        let family = u16::from_ne_bytes([buf.0[0], buf.0[1]]);
-        if family == AF_INET {
-            let port = u16::from_be_bytes([buf.0[2], buf.0[3]]);
-            let ip = std::net::Ipv4Addr::new(buf.0[4], buf.0[5], buf.0[6], buf.0[7]);
-            Some(std::net::SocketAddr::V4(std::net::SocketAddrV4::new(
-                ip, port,
-            )))
-        } else if family == AF_INET6 {
-            let port = u16::from_be_bytes([buf.0[2], buf.0[3]]);
-            let flow = u32::from_be_bytes([buf.0[4], buf.0[5], buf.0[6], buf.0[7]]);
-            let mut oct = [0u8; 16];
-            oct.copy_from_slice(&buf.0[8..24]);
-            let scope = u32::from_ne_bytes([buf.0[24], buf.0[25], buf.0[26], buf.0[27]]);
-            Some(std::net::SocketAddr::V6(std::net::SocketAddrV6::new(
-                std::net::Ipv6Addr::from(oct),
-                port,
-                flow,
-                scope,
-            )))
-        } else {
-            None
-        }
-    }
 }
 
-/// A UDP socket with batched receive/send and a computed-wait readiness
-/// discipline. See the module docs for the full picture.
+/// A UDP socket with a send queue, a capped receive drain and a
+/// computed-wait readiness discipline. See the module docs for the full
+/// picture.
 #[derive(Debug)]
 pub struct BatchSocket {
     sock: UdpSocket,
-    mode: SyscallMode,
     /// Blocking-path read-timeout cache (portable fallback only; Linux
     /// waits in `poll(2)` and never touches `SO_RCVTIMEO`).
     #[cfg_attr(target_os = "linux", allow(dead_code))]
@@ -312,18 +238,17 @@ impl BatchSocket {
     /// `bind` so several sockets (one per core) can share the port.
     ///
     /// Off Linux `reuseport` is ignored (the portable fallback binds via
-    /// `std` and cannot share ports) and the effective mode is always
-    /// [`SyscallMode::PerPacket`].
+    /// `std` and cannot share ports).
     pub fn bind(addr: SocketAddr, reuseport: bool) -> io::Result<BatchSocket> {
         let sock = Self::bind_inner(addr, reuseport)?;
-        let mut s = BatchSocket {
+        // Linux waits in poll(2) on a non-blocking fd; the portable path
+        // blocks with a cached read timeout.
+        sock.set_nonblocking(cfg!(target_os = "linux"))?;
+        Ok(BatchSocket {
             sock,
-            mode: SyscallMode::PerPacket,
             timeout_cache: TimeoutCache::default(),
             tx: VecDeque::new(),
-        };
-        s.set_mode(SyscallMode::Batched);
-        Ok(s)
+        })
     }
 
     #[cfg(target_os = "linux")]
@@ -381,26 +306,6 @@ impl BatchSocket {
         &self.sock
     }
 
-    /// The active syscall discipline.
-    pub fn mode(&self) -> SyscallMode {
-        self.mode
-    }
-
-    /// Selects the syscall discipline. [`SyscallMode::Batched`] is only
-    /// honoured on Linux; elsewhere the socket stays per-packet.
-    pub fn set_mode(&mut self, mode: SyscallMode) {
-        let effective = if cfg!(target_os = "linux") {
-            mode
-        } else {
-            SyscallMode::PerPacket
-        };
-        self.mode = effective;
-        // Batched and Linux per-packet paths wait via poll(2) on a
-        // non-blocking fd; the portable path blocks with a cached read
-        // timeout.
-        let _ = self.sock.set_nonblocking(cfg!(target_os = "linux"));
-    }
-
     /// Queues one outgoing datagram for the next [`BatchSocket::flush`].
     pub fn queue_send(&mut self, to: SocketAddr, payload: Bytes) {
         self.tx.push_back(SendEntry { to, payload });
@@ -411,17 +316,10 @@ impl BatchSocket {
         self.tx.len()
     }
 
-    /// Flushes the send queue — `sendmmsg` batches in
-    /// [`SyscallMode::Batched`], `send_to` per datagram otherwise. Stops
-    /// early (leaving the rest queued) when the kernel pushes back.
+    /// Flushes the send queue, one `send_to` per datagram. A hard error
+    /// drops the datagram it hit and the flush goes on; it stops early
+    /// (leaving the rest queued) when the kernel pushes back.
     pub fn flush(&mut self) -> FlushOutcome {
-        match self.mode {
-            SyscallMode::Batched => self.flush_batched(),
-            SyscallMode::PerPacket => self.flush_per_packet(),
-        }
-    }
-
-    fn flush_per_packet(&mut self) -> FlushOutcome {
         let mut out = FlushOutcome::default();
         while let Some(entry) = self.tx.front() {
             match self.sock.send_to(&entry.payload, entry.to) {
@@ -441,92 +339,10 @@ impl BatchSocket {
         out
     }
 
-    #[cfg(target_os = "linux")]
-    fn flush_batched(&mut self) -> FlushOutcome {
-        use std::os::fd::AsRawFd;
-        let mut out = FlushOutcome::default();
-        while !self.tx.is_empty() {
-            let n = self.tx.len().min(MAX_BATCH);
-            let mut names = [linux::sockaddr_storage::zeroed(); MAX_BATCH];
-            let mut iovs: [linux::iovec; MAX_BATCH] = std::array::from_fn(|_| linux::iovec {
-                iov_base: std::ptr::null_mut(),
-                iov_len: 0,
-            });
-            let mut hdrs: [linux::mmsghdr; MAX_BATCH] = std::array::from_fn(|_| linux::mmsghdr {
-                msg_hdr: linux::msghdr {
-                    msg_name: std::ptr::null_mut(),
-                    msg_namelen: 0,
-                    msg_iov: std::ptr::null_mut(),
-                    msg_iovlen: 0,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
-                },
-                msg_len: 0,
-            });
-            for i in 0..n {
-                let entry = &self.tx[i];
-                let name_len = linux::encode_sockaddr(&entry.to, &mut names[i]);
-                // The kernel only reads from send iovecs; the *mut is an
-                // artefact of sharing `iovec` with the receive path.
-                iovs[i].iov_base = entry.payload.as_ptr() as *mut _;
-                iovs[i].iov_len = entry.payload.len();
-                hdrs[i].msg_hdr.msg_name = (&mut names[i] as *mut linux::sockaddr_storage).cast();
-                hdrs[i].msg_hdr.msg_namelen = name_len;
-                hdrs[i].msg_hdr.msg_iov = &mut iovs[i];
-                hdrs[i].msg_hdr.msg_iovlen = 1;
-            }
-            // SAFETY: hdrs/iovs/names outlive the call; payload bytes are
-            // kept alive by the queue entries until after it returns.
-            let rc =
-                unsafe { linux::sendmmsg(self.sock.as_raw_fd(), hdrs.as_mut_ptr(), n as u32, 0) };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                match err.kind() {
-                    io::ErrorKind::WouldBlock => break,
-                    io::ErrorKind::Interrupted => continue,
-                    _ => {
-                        // Hard error: charge it to the head datagram and
-                        // keep the rest for the next flush.
-                        out.dropped += 1;
-                        self.tx.pop_front();
-                    }
-                }
-                continue;
-            }
-            for _ in 0..rc as usize {
-                let entry = self.tx.pop_front().expect("sendmmsg count within queue");
-                out.sent += 1;
-                out.bytes += entry.payload.len() as u64;
-            }
-            if (rc as usize) < n {
-                break; // kernel pushed back mid-batch
-            }
-        }
-        out
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn flush_batched(&mut self) -> FlushOutcome {
-        self.flush_per_packet()
-    }
-
     /// Drains up to `max` pending datagrams without waiting. Buffers come
     /// from (and unread slots return to) `pool`; each datagram lands in
     /// `out` truncated to its length, alongside the sender address.
     pub fn recv_now(
-        &mut self,
-        pool: &mut BufPool,
-        out: &mut Vec<(BytesMut, SocketAddr)>,
-        max: usize,
-    ) -> io::Result<usize> {
-        match self.mode {
-            SyscallMode::Batched => self.recv_now_batched(pool, out, max),
-            SyscallMode::PerPacket => self.recv_now_per_packet(pool, out, max),
-        }
-    }
-
-    fn recv_now_per_packet(
         &mut self,
         pool: &mut BufPool,
         out: &mut Vec<(BytesMut, SocketAddr)>,
@@ -559,98 +375,6 @@ impl BatchSocket {
             }
         }
         Ok(got)
-    }
-
-    #[cfg(target_os = "linux")]
-    fn recv_now_batched(
-        &mut self,
-        pool: &mut BufPool,
-        out: &mut Vec<(BytesMut, SocketAddr)>,
-        max: usize,
-    ) -> io::Result<usize> {
-        use std::os::fd::AsRawFd;
-        let mut total = 0usize;
-        loop {
-            let n = (max - total).min(MAX_BATCH);
-            if n == 0 {
-                return Ok(total);
-            }
-            // On the stack, like the headers: a receive allocates nothing.
-            let mut bufs: [Option<BytesMut>; MAX_BATCH] =
-                std::array::from_fn(|i| (i < n).then(|| pool.take()));
-            let mut names = [linux::sockaddr_storage::zeroed(); MAX_BATCH];
-            let mut iovs: [linux::iovec; MAX_BATCH] = std::array::from_fn(|_| linux::iovec {
-                iov_base: std::ptr::null_mut(),
-                iov_len: 0,
-            });
-            let mut hdrs: [linux::mmsghdr; MAX_BATCH] = std::array::from_fn(|_| linux::mmsghdr {
-                msg_hdr: linux::msghdr {
-                    msg_name: std::ptr::null_mut(),
-                    msg_namelen: 0,
-                    msg_iov: std::ptr::null_mut(),
-                    msg_iovlen: 0,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
-                },
-                msg_len: 0,
-            });
-            for (i, buf) in bufs.iter_mut().flatten().enumerate() {
-                iovs[i].iov_base = buf.as_mut_ptr().cast();
-                iovs[i].iov_len = buf.len();
-                hdrs[i].msg_hdr.msg_name = (&mut names[i] as *mut linux::sockaddr_storage).cast();
-                hdrs[i].msg_hdr.msg_namelen = 128;
-                hdrs[i].msg_hdr.msg_iov = &mut iovs[i];
-                hdrs[i].msg_hdr.msg_iovlen = 1;
-            }
-            // SAFETY: every pointer in hdrs targets stack arrays or the
-            // `bufs` storage, all of which outlive the call.
-            let rc = unsafe {
-                linux::recvmmsg(
-                    self.sock.as_raw_fd(),
-                    hdrs.as_mut_ptr(),
-                    n as u32,
-                    linux::MSG_DONTWAIT,
-                    std::ptr::null_mut(),
-                )
-            };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                for buf in bufs.into_iter().flatten() {
-                    pool.put(buf);
-                }
-                return match err.kind() {
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(total),
-                    _ => Err(err),
-                };
-            }
-            let got = rc as usize;
-            for (i, mut buf) in bufs.into_iter().flatten().enumerate() {
-                if i < got {
-                    buf.truncate(hdrs[i].msg_len as usize);
-                    match linux::decode_sockaddr(&names[i]) {
-                        Some(from) => out.push((buf, from)),
-                        None => pool.put(buf),
-                    }
-                } else {
-                    pool.put(buf);
-                }
-            }
-            total += got;
-            if got < n {
-                return Ok(total); // queue drained
-            }
-        }
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn recv_now_batched(
-        &mut self,
-        pool: &mut BufPool,
-        out: &mut Vec<(BytesMut, SocketAddr)>,
-        max: usize,
-    ) -> io::Result<usize> {
-        self.recv_now_per_packet(pool, out, max)
     }
 
     /// Waits up to `timeout` for readability, then drains up to `max`

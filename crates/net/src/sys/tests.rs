@@ -1,4 +1,4 @@
-//! The batched socket layer's tests, over loopback sockets.
+//! The socket layer's tests, over loopback sockets.
 
 // dharma-lint: allow-file(D1): test code timing real socket waits; it was
 // exempt as an inline `#[cfg(test)]` module and nothing here feeds SimNet.
@@ -40,25 +40,67 @@ fn batched_roundtrip_between_two_sockets() {
     }
 }
 
+/// Port 0 is not a valid destination (`sendto` fails with `EINVAL` on
+/// Linux): the flush drops that datagram and still sends the one behind it.
+#[cfg(target_os = "linux")]
 #[test]
-fn per_packet_mode_roundtrips_too() {
+fn flush_charges_a_hard_error_to_the_head_and_sends_the_rest() {
     let mut a = BatchSocket::bind(loopback(), false).unwrap();
     let mut b = BatchSocket::bind(loopback(), false).unwrap();
-    a.set_mode(SyscallMode::PerPacket);
-    b.set_mode(SyscallMode::PerPacket);
     let addr_b = b.local_addr().unwrap();
     let mut pool = BufPool::with_slots(4);
 
-    a.queue_send(addr_b, Bytes::from(vec![7u8; 32]));
-    assert_eq!(a.flush().sent, 1);
+    a.queue_send(loopback(), Bytes::from(vec![1u8; 16]));
+    a.queue_send(addr_b, Bytes::from(vec![2u8; 48]));
+    let flushed = a.flush();
+    assert_eq!(
+        flushed,
+        FlushOutcome {
+            sent: 1,
+            bytes: 48,
+            dropped: 1
+        }
+    );
+    assert_eq!(a.pending_tx(), 0);
+
     let mut got = Vec::new();
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while got.is_empty() && std::time::Instant::now() < deadline {
-        b.recv_wait(&mut pool, &mut got, 4, Duration::from_millis(50))
+        b.recv_wait(&mut pool, &mut got, MAX_BATCH, Duration::from_millis(50))
             .unwrap();
     }
+    // Loopback keeps order: anything sent ahead of the good datagram has
+    // landed by now.
+    b.recv_now(&mut pool, &mut got, MAX_BATCH).unwrap();
     assert_eq!(got.len(), 1);
-    assert_eq!(got[0].0.as_ref(), &[7u8; 32]);
+    assert_eq!(got[0].0.as_ref(), &[2u8; 48]);
+}
+
+#[test]
+fn recv_now_honours_max() {
+    let mut a = BatchSocket::bind(loopback(), false).unwrap();
+    let mut b = BatchSocket::bind(loopback(), false).unwrap();
+    // The portable fallback's socket blocks: bound its reads so a drain
+    // of an empty queue returns instead of hanging.
+    b.sock
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let addr_b = b.local_addr().unwrap();
+    let mut pool = BufPool::with_slots(8);
+
+    for i in 0..5u8 {
+        a.queue_send(addr_b, Bytes::from(vec![i; 8]));
+    }
+    assert_eq!(a.flush().sent, 5);
+    let mut ready = [false];
+    poll_readable(&[&b.sock], Duration::from_secs(2), &mut ready).unwrap();
+
+    let mut got = Vec::new();
+    assert_eq!(b.recv_now(&mut pool, &mut got, 2).unwrap(), 2);
+    assert_eq!(got.len(), 2);
+    assert_eq!(b.recv_now(&mut pool, &mut got, MAX_BATCH).unwrap(), 3);
+    let firsts: Vec<u8> = got.iter().map(|(buf, _)| buf[0]).collect();
+    assert_eq!(firsts, [0, 1, 2, 3, 4], "send order");
 }
 
 #[cfg(target_os = "linux")]

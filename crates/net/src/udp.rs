@@ -6,10 +6,10 @@
 //!   node slots, one [`BatchSocket`] per slot, a private receive buffer
 //!   pool, and a private timer heap. Nothing in the hot path is shared
 //!   with other workers, so N workers on N cores scale without a lock.
-//!   Receives drain with `recvmmsg`, sends flush with `sendmmsg` (single
-//!   syscalls per *batch*, not per packet), and the wait between bursts is
-//!   one computed `poll(2)` across all of the worker's sockets — the old
-//!   per-iteration `set_read_timeout` syscall is gone.
+//!   Sends queue per socket and flush once per poll iteration, receives
+//!   drain in chunks of up to [`MAX_BATCH`] datagrams, and the wait
+//!   between bursts is one computed `poll(2)` across all of the worker's
+//!   sockets — the old per-iteration `set_read_timeout` syscall is gone.
 //! * [`UdpRuntime`] — the single-node convenience wrapper (a worker with
 //!   one slot) that the `udp_overlay` example and the existing tests use.
 //!
@@ -19,7 +19,7 @@
 //! the storage is reclaimed via `Bytes::try_into_mut` as soon as the node
 //! drops its handle. The allocation is the `Arc` the vendored `bytes`
 //! stub's `freeze` puts a buffer in; the poll (a [`PollSet`] re-armed in
-//! place) and the batch receive allocate nothing.
+//! place) and the receive drain allocate nothing.
 //! `crates/net/tests/alloc_budget.rs` pins it.
 //!
 //! Peer addressing: protocol messages carry the compact [`NodeAddr`]
@@ -45,7 +45,7 @@ use dharma_types::{DharmaError, FxHashMap, Result};
 
 use crate::counters::NetCounters;
 use crate::node::{Ctx, Node, NodeAddr, OpId};
-use crate::sys::{BatchSocket, BufPool, PollSet, SyscallMode, MAX_BATCH};
+use crate::sys::{BatchSocket, BufPool, PollSet, MAX_BATCH};
 
 /// One hosted node: its socket, pending completions, and state machine.
 struct Slot<N: Node> {
@@ -138,15 +138,6 @@ impl<N: Node> UdpWorker<N> {
         self.slots.is_empty()
     }
 
-    /// Selects the syscall discipline for every hosted socket.
-    /// [`SyscallMode::PerPacket`] is the portable fallback and doubles as
-    /// the legacy one-syscall-per-packet baseline for `bench_udp`.
-    pub fn set_mode(&mut self, mode: SyscallMode) {
-        for slot in &mut self.slots {
-            slot.sock.set_mode(mode);
-        }
-    }
-
     /// The local socket address of slot `slot`.
     pub fn local_addr(&self, slot: usize) -> Result<SocketAddr> {
         Ok(self.slots[slot].sock.local_addr()?)
@@ -209,11 +200,11 @@ impl<N: Node> UdpWorker<N> {
     /// Processes traffic and timers for up to `budget`. Returns the number
     /// of datagrams dispatched to hosted nodes.
     ///
-    /// Each iteration fires due timers, flushes queued sends (one
-    /// `sendmmsg` per batch), computes the exact wait until the next timer
-    /// or the budget end, parks in **one** `poll(2)` across all sockets,
-    /// and batch-drains whichever became readable. No syscalls are spent
-    /// re-arming timeouts that did not change.
+    /// Each iteration fires due timers, flushes queued sends, computes
+    /// the exact wait until the next timer or the budget end, parks in
+    /// **one** `poll(2)` across all sockets, and drains each socket that
+    /// became readable in chunks of up to [`MAX_BATCH`] datagrams. No
+    /// syscalls are spent re-arming timeouts that did not change.
     pub fn poll(&mut self, budget: Duration) -> Result<u64> {
         let deadline = Instant::now() + budget;
         let mut handled = 0u64;
@@ -304,7 +295,7 @@ impl<N: Node> UdpWorker<N> {
 
     /// Applies a callback's effects: queues sends (MTU-checked) on the
     /// slot's socket, arms timers, collects completions. Sends stay queued
-    /// until the next flush so bursts leave in one `sendmmsg`.
+    /// until the next flush, once per poll iteration.
     fn apply(&mut self, slot: usize, ctx: Ctx<N::Output>) {
         let (sends, timers, completions) = ctx.into_effects();
         for msg in sends {
@@ -376,11 +367,6 @@ impl<N: Node> UdpRuntime<N> {
     /// Registers a peer's socket address under its overlay transport index.
     pub fn register_peer(&mut self, addr: NodeAddr, sock: SocketAddr) {
         self.worker.register_peer(addr, sock);
-    }
-
-    /// Selects the syscall discipline (see [`UdpWorker::set_mode`]).
-    pub fn set_mode(&mut self, mode: SyscallMode) {
-        self.worker.set_mode(mode);
     }
 
     /// Shared counters.
@@ -494,29 +480,6 @@ mod tests {
             }
         }
         assert_eq!(rt_b.node().got, vec![(0, b"ping".to_vec())]);
-        assert_eq!(rt_a.node().got, vec![(1, b"pong".to_vec())]);
-    }
-
-    #[test]
-    fn per_packet_mode_interops_with_batched() {
-        // The legacy one-syscall-per-packet arm must speak the same
-        // protocol as the batched arm (bench_udp compares the two).
-        let mut rt_a = UdpRuntime::bind(collector(false), 0, "127.0.0.1:0", 1400, 5).unwrap();
-        let mut rt_b = UdpRuntime::bind(collector(true), 1, "127.0.0.1:0", 1400, 6).unwrap();
-        rt_a.set_mode(SyscallMode::PerPacket);
-        let addr_a = rt_a.local_addr().unwrap();
-        let addr_b = rt_b.local_addr().unwrap();
-        rt_a.register_peer(1, addr_b);
-        rt_b.register_peer(0, addr_a);
-
-        rt_a.with_node(|_, ctx| ctx.send(1, Bytes::from_static(b"ping")));
-        for _ in 0..20 {
-            rt_b.poll(Duration::from_millis(10)).unwrap();
-            rt_a.poll(Duration::from_millis(10)).unwrap();
-            if !rt_a.node().got.is_empty() {
-                break;
-            }
-        }
         assert_eq!(rt_a.node().got, vec![(1, b"pong".to_vec())]);
     }
 

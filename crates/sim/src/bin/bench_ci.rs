@@ -9,8 +9,8 @@
 //! seeded (`--seed`, default 42) and deterministic, so the file is pinned
 //! byte for byte: field by field in `crates/sim/tests/bench_sections.rs`,
 //! and as a whole by `scripts/check-outputs.sh` against
-//! `tests/outputs.sha256`. Wall-clock measurements live in their own jobs
-//! (`ablation_scale --smoke`, `bench_udp --smoke`).
+//! `tests/outputs.sha256`. Wall-clock measurements live elsewhere
+//! (`ablation_scale --smoke`, and `dharma-bench`).
 
 use dharma_sim::{ci_artifact, ExpArgs};
 

@@ -2,7 +2,7 @@
 //! tables and figures (E1–E7) and the ablations A1–A9 — by spawning each
 //! as its own process with this binary's arguments forwarded verbatim, so
 //! every child builds its own dataset. Left out on purpose:
-//! `ablation_scale` and `bench_udp` measure wall-clock time, and
+//! `ablation_scale` measures wall-clock time, and
 //! `bench_ci` has its own line in `scripts/check-outputs.sh`, which pins
 //! the files and stdout of `run_all --seed 42`.
 

@@ -30,7 +30,7 @@
 //! [`ChurnConfig`] is **bit-identical** across runs — the property the
 //! determinism tests pin down.
 
-use dharma_cache::{CacheConfig, FreshConfig};
+use dharma_cache::CacheConfig;
 use dharma_dataset::Zipf;
 use dharma_kademlia::{Contact, KadConfig, KadOutput, KademliaNode, MaintConfig, StoredEntry};
 use dharma_net::{NetCounters, NodeAddr, SimConfig, SimNet};
@@ -84,9 +84,6 @@ pub struct ChurnConfig {
     /// Hot-block caching on every node (the A8-at-scale scenario); `None`
     /// keeps the plain churn overlay.
     pub cache: Option<CacheConfig>,
-    /// Version gossip & cache-aware routing on every node; `None` keeps
-    /// the TTL-only cache protocol.
-    pub freshness: Option<FreshConfig>,
     /// Keys written per populate settle-window. 1 (the default) settles
     /// after every write — the historical, bit-identical populate. At
     /// thousands of keys raise it so populate costs `keys / write_batch`
@@ -113,7 +110,6 @@ impl Default for ChurnConfig {
             get_retries: 2,
             seed: 42,
             cache: None,
-            freshness: None,
             write_batch: 1,
         }
     }
@@ -342,7 +338,6 @@ fn kad_config(cfg: &ChurnConfig, counters: NetCounters) -> KadConfig {
         ping_before_evict: true,
         maintenance: cfg.repair.clone(),
         cache: cfg.cache.clone(),
-        freshness: cfg.freshness.clone(),
         counters,
         ..KadConfig::default()
     }

@@ -6,8 +6,8 @@
 //! `crates/sim/tests/bench_sections.rs` pins every field at seed 42, and
 //! `scripts/check-outputs.sh` hashes the file `bench_ci` writes against
 //! `tests/outputs.sha256`. Wall-clock measurements are elsewhere: engine
-//! throughput is `ablation_scale`'s, the syscall layer `bench_udp`'s, and
-//! GETs over real sockets `dharma-bench`'s `udp_search` workload.
+//! throughput is `ablation_scale`'s, and GETs over real sockets (socket
+//! layer included) `dharma-bench`'s `udp_search` workload.
 
 use dharma_kademlia::LatencyConfig;
 

@@ -17,9 +17,11 @@
 //! | `ablation_freshness` | A8 — TTL-only vs version gossip vs gossip + warm routing (`dharma-fresh`) |
 //! | `ablation_latency` | A9 — latency-blind vs PNS + biased shortlists vs + adaptive α on the clustered lossy topology (`dharma-latency`) |
 //! | `ablation_scale` | A-scale — event-engine throughput at 1k/10k nodes (events/sec, wall time, peak RSS) |
-//! | `bench_udp` | real-socket syscall-batching microbench (batched vs per-packet, plus `SO_REUSEPORT`); Kademlia GETs over real sockets are `dharma-bench`'s `udp_search` |
 //! | `bench_ci` | consolidated `BENCH_ci.json` (simulated quality metrics, pinned byte for byte) |
-//! | `run_all` | every bin above except `ablation_scale`, `bench_udp` (wall-clock) and `bench_ci`, in sequence |
+//! | `run_all` | every bin above except `ablation_scale` (wall-clock) and `bench_ci`, in sequence |
+//!
+//! Kademlia GETs over real sockets are `dharma-bench`'s `udp_search`
+//! workload.
 //!
 //! Each binary prints the paper-shaped table to stdout and writes CSV series
 //! under `--out` (default `results/`). All runs are seeded and reproducible.
@@ -40,7 +42,6 @@ pub mod replay;
 pub mod scale;
 pub mod search_sim;
 pub mod trend;
-pub mod udp_bench;
 
 pub use args::ExpArgs;
 pub use cache_sim::{simulate_cache_workload, CacheSimConfig, CacheSimReport};
@@ -52,4 +53,3 @@ pub use replay::{replay, EventOrder, ReplayConfig};
 pub use scale::{measure_engine_run, peak_rss_bytes, scale_full, scale_smoke, EngineRun};
 pub use search_sim::{simulate_searches, SearchSimConfig, SearchSimReport, StrategyStats};
 pub use trend::{run_trend, TrendConfig, TrendReport};
-pub use udp_bench::{transport_microbench, MicrobenchReport};

@@ -7,6 +7,9 @@ use dharma_types::Id160;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Link latency bounds (µs) of every overlay's global-uniform discipline.
+const LATENCY_US: (u64, u64) = (1_000, 10_000);
+
 /// Overlay parameters for experiments.
 #[derive(Clone, Debug)]
 pub struct OverlayConfig {
@@ -18,8 +21,6 @@ pub struct OverlayConfig {
     pub alpha: usize,
     /// Transport MTU in bytes.
     pub mtu: usize,
-    /// Mean link latency bounds (µs).
-    pub latency_us: (u64, u64),
     /// Datagram loss probability.
     pub drop_rate: f64,
     /// Seed.
@@ -35,9 +36,10 @@ pub struct OverlayConfig {
     /// (`dharma-fresh`); `None` keeps the TTL-only cache protocol.
     pub freshness: Option<FreshConfig>,
     /// Geo-clustered per-link delay/loss model. `None` keeps the classic
-    /// global-uniform `latency_us`/`drop_rate` link discipline and stays
-    /// byte-identical to prior runs; `Some` switches the simulator to
-    /// per-link base delays + jitter and ignores `latency_us.1`/`drop_rate`.
+    /// global-uniform link discipline (1–10 ms per datagram, with
+    /// `drop_rate` loss) and stays byte-identical to prior runs; `Some`
+    /// switches the simulator to per-link base delays + jitter and ignores
+    /// both bounds and `drop_rate`.
     pub topology: Option<TopologyConfig>,
     /// Latency-aware protocol behaviour on every node (RTT estimation,
     /// proximity neighbor selection, shortlist bias, adaptive α).
@@ -52,7 +54,6 @@ impl Default for OverlayConfig {
             k: 20,
             alpha: 3,
             mtu: 64 * 1024,
-            latency_us: (1_000, 10_000),
             drop_rate: 0.0,
             seed: 0,
             cache: None,
@@ -93,8 +94,8 @@ impl OverlayConfig {
 pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
     let mut net = SimNet::new(SimConfig {
         // The per-link discipline ignores the global-uniform bounds.
-        latency_min_us: cfg.latency_us.0,
-        latency_max_us: cfg.latency_us.1,
+        latency_min_us: LATENCY_US.0,
+        latency_max_us: LATENCY_US.1,
         drop_rate: cfg.drop_rate,
         mtu: cfg.mtu,
         seed: cfg.seed,

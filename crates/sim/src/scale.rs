@@ -82,7 +82,6 @@ fn scenario(
         get_retries: 2,
         seed,
         cache: Some(CacheSimConfig::ablation_cache()),
-        freshness: None,
         write_batch: 100,
     }
 }
