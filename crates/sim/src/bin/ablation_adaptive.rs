@@ -28,52 +28,45 @@
 //! CI job), with a correspondingly relaxed success bar.
 
 use dharma_kademlia::{AdaptConfig, MaintConfig};
-use dharma_sim::output::{f2, CsvSink, TextTable};
+use dharma_sim::output::{f2, pct, Acceptance, Col, Table};
 use dharma_sim::{simulate_churn, ChurnConfig, ChurnReport, ExpArgs};
 
-/// Console row (human-formatted percentages).
-fn table_row(churn: &str, mode: &str, rep: &ChurnReport) -> Vec<String> {
-    vec![
-        churn.to_string(),
-        mode.to_string(),
-        format!("{:.1}%", rep.lookup_success * 100.0),
-        rep.lost_records.to_string(),
-        rep.departures.to_string(),
-        rep.graceful_departures.to_string(),
-        f2(rep.maint_msgs_per_get),
-        rep.rereplications.to_string(),
-        rep.messages_total.to_string(),
-    ]
-}
+type Row = (&'static str, &'static str, ChurnReport);
+type C = Col<Row>;
 
-/// CSV row (raw numerics only).
-fn csv_row(churn: &str, mode: &str, rep: &ChurnReport) -> Vec<String> {
-    vec![
-        churn.to_string(),
-        mode.to_string(),
-        format!("{:.6}", rep.lookup_success),
-        rep.lost_records.to_string(),
-        rep.departures.to_string(),
-        rep.graceful_departures.to_string(),
-        format!("{:.4}", rep.maint_msgs_per_get),
-        rep.probes.to_string(),
-        rep.rereplications.to_string(),
-        rep.leave_notices.to_string(),
-        rep.leave_handoffs.to_string(),
-        rep.messages_total.to_string(),
-    ]
-}
+/// The console shows percentages; the CSV carries raw numerics only, plus
+/// the probe and leave counters the console leaves out.
+const COLUMNS: &[C] = &[
+    C::new("churn", "churn", |r| r.0.to_string()),
+    C::new("cadence", "cadence", |r| r.1.to_string()),
+    C::new("lookup ok", "lookup_success", |r| pct(r.2.lookup_success))
+        .csv(|r| format!("{:.6}", r.2.lookup_success)),
+    C::new("lost", "lost_records", |r| r.2.lost_records.to_string()),
+    C::new("departs", "departures", |r| r.2.departures.to_string()),
+    C::new("graceful", "graceful_departures", |r| {
+        r.2.graceful_departures.to_string()
+    }),
+    C::new("maint/GET", "maint_msgs_per_get", |r| {
+        f2(r.2.maint_msgs_per_get)
+    })
+    .csv(|r| format!("{:.4}", r.2.maint_msgs_per_get)),
+    C::new("", "probes", |r| r.2.probes.to_string()),
+    C::new("repushes", "rereplications", |r| {
+        r.2.rereplications.to_string()
+    }),
+    C::new("", "leave_notices", |r| r.2.leave_notices.to_string()),
+    C::new("", "leave_handoffs", |r| r.2.leave_handoffs.to_string()),
+    C::new("msgs", "messages_total", |r| r.2.messages_total.to_string()),
+];
 
 fn main() {
     let (args, smoke) = ExpArgs::parse_with_smoke();
-    let base = if smoke {
+    let mut base = if smoke {
         ChurnConfig::smoke(args.seed)
     } else {
-        ChurnConfig {
-            seed: args.seed,
-            ..ChurnConfig::default()
-        }
+        ChurnConfig::default()
     };
+    base.seed = args.seed;
     // Churn rows: mean session lengths. "near-zero" makes expected
     // departures over the horizon ≈ 0–2, the regime where fixed knobs pay
     // pure overhead; "moderate" is PR 3's repair-guarantee scenario.
@@ -113,149 +106,90 @@ fn main() {
         simulate_churn(&cfg)
     };
 
-    let mut table = TextTable::new([
-        "churn",
-        "cadence",
-        "lookup ok",
-        "lost",
-        "departs",
-        "graceful",
-        "maint/GET",
-        "repushes",
-        "msgs",
-    ]);
-    let mut rows = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let record = |table: &mut TextTable,
-                  rows: &mut Vec<Vec<String>>,
-                  churn: &str,
-                  mode: &str,
-                  rep: &ChurnReport| {
-        table.row(table_row(churn, mode, rep));
-        rows.push(csv_row(churn, mode, rep));
-    };
-
     // ----- fixed vs adaptive across churn levels ----------------------
     let quiet_fixed = run(near_zero_session, &fixed_cfg, 0.0);
     let quiet_adaptive = run(near_zero_session, &adaptive_cfg, 0.0);
-    record(&mut table, &mut rows, "near-zero", "fixed", &quiet_fixed);
-    record(
-        &mut table,
-        &mut rows,
-        "near-zero",
-        "adaptive",
-        &quiet_adaptive,
-    );
-
     let moderate_fixed = run(moderate_session, &fixed_cfg, 0.0);
     let moderate_adaptive = run(moderate_session, &adaptive_cfg, 0.0);
-    record(&mut table, &mut rows, "moderate", "fixed", &moderate_fixed);
-    record(
-        &mut table,
-        &mut rows,
-        "moderate",
-        "adaptive",
-        &moderate_adaptive,
-    );
-
     // ----- crash-only vs all-graceful departures (adaptive cadence) ---
     let crash_only = &moderate_adaptive;
     let all_graceful = run(moderate_session, &adaptive_cfg, 1.0);
-    record(&mut table, &mut rows, "moderate", "graceful", &all_graceful);
 
     // ----- the dharma-adapt acceptance bar ----------------------------
-    if quiet_adaptive.maint_msgs_per_get * 2.0 > quiet_fixed.maint_msgs_per_get {
-        failures.push(format!(
+    let mut bar = Acceptance::default();
+    bar.fail_if(
+        quiet_adaptive.maint_msgs_per_get * 2.0 > quiet_fixed.maint_msgs_per_get,
+        format!(
             "near-zero churn: adaptive cadence saves only {:.2} -> {:.2} maint msgs/GET (need ≥ 2x)",
             quiet_fixed.maint_msgs_per_get, quiet_adaptive.maint_msgs_per_get
-        ));
-    }
-    if quiet_adaptive.lookup_success < success_bar {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        quiet_adaptive.lookup_success < success_bar,
+        format!(
             "near-zero churn: adaptive lookup success {:.3} below the {success_bar} bar",
             quiet_adaptive.lookup_success
-        ));
-    }
-    if moderate_adaptive.lookup_success < success_bar {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        moderate_adaptive.lookup_success < success_bar,
+        format!(
             "moderate churn: adaptive lookup success {:.3} below the {success_bar} bar",
             moderate_adaptive.lookup_success
-        ));
-    }
-    if moderate_adaptive.lost_records != 0 {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        moderate_adaptive.lost_records != 0,
+        format!(
             "moderate churn: adaptive cadence lost {} records (must be 0)",
             moderate_adaptive.lost_records
-        ));
-    }
-    if all_graceful.lost_records != 0 {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        all_graceful.lost_records != 0,
+        format!(
             "all-graceful run lost {} records (must be 0)",
             all_graceful.lost_records
-        ));
-    }
-    if all_graceful.graceful_departures != all_graceful.departures {
-        failures.push("all-graceful run had crash-style departures".to_string());
-    }
-    let reports = [
-        ("near-zero/fixed", &quiet_fixed),
-        ("near-zero/adaptive", &quiet_adaptive),
-        ("moderate/fixed", &moderate_fixed),
-        ("moderate/adaptive", &moderate_adaptive),
-        ("moderate/graceful", &all_graceful),
-    ];
-    for (row, rep) in reports {
-        // Nobody left, so nobody joined: only a join hands keys over.
-        if rep.departures == 0 && rep.handoffs != 0 {
-            failures.push(format!(
-                "{row}: {} join hand-offs in a run without a single join",
-                rep.handoffs
-            ));
-        }
-    }
-    if (all_graceful.rereplications as f64) > 0.7 * crash_only.rereplications as f64 {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        all_graceful.graceful_departures != all_graceful.departures,
+        "all-graceful run had crash-style departures".into(),
+    );
+    bar.fail_if(
+        (all_graceful.rereplications as f64) > 0.7 * crash_only.rereplications as f64,
+        format!(
             "graceful departures should need well below the crash-only run's repair \
              traffic: {} repushes vs {}",
             all_graceful.rereplications, crash_only.rereplications
-        ));
-    }
-
-    table.print("Ablation A7 — maintenance cadence policy × churn (dharma-adapt)");
-    println!(
-        "(maint/GET is probes+handoffs+repushes+leave traffic per GET; repushes \
-         is repair re-replication pushes alone; the graceful row drains every \
-         departing node through the leave protocol)"
+        ),
     );
 
-    let sink = CsvSink::new(&args.out, "ablation_adaptive").expect("output dir");
-    let path = sink
-        .write(
-            "adaptive.csv",
-            &[
-                "churn",
-                "cadence",
-                "lookup_success",
-                "lost_records",
-                "departures",
-                "graceful_departures",
-                "maint_msgs_per_get",
-                "probes",
-                "rereplications",
-                "leave_notices",
-                "leave_handoffs",
-                "messages_total",
-            ],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ACCEPTANCE FAILURE: {f}");
-        }
-        std::process::exit(1);
+    let mut table = Table::new(COLUMNS);
+    table.rows = vec![
+        ("near-zero", "fixed", quiet_fixed),
+        ("near-zero", "adaptive", quiet_adaptive),
+        ("moderate", "fixed", moderate_fixed),
+        ("moderate", "adaptive", moderate_adaptive),
+        ("moderate", "graceful", all_graceful),
+    ];
+    for (churn, mode, rep) in &table.rows {
+        // Nobody left, so nobody joined: only a join hands keys over.
+        bar.fail_if(
+            rep.departures == 0 && rep.handoffs != 0,
+            format!(
+                "{churn}/{mode}: {} join hand-offs in a run without a single join",
+                rep.handoffs
+            ),
+        );
     }
-    println!("acceptance checks passed ✓");
+
+    table.print(
+        "Ablation A7 — maintenance cadence policy × churn (dharma-adapt)",
+        "(maint/GET is probes+handoffs+repushes+leave traffic per GET; repushes \
+         is repair re-replication pushes alone; the graceful row drains every \
+         departing node through the leave protocol)",
+    );
+    table.write_csv(&args.out, "ablation_adaptive", "adaptive.csv");
+    bar.finish();
 }

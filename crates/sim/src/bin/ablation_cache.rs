@@ -7,79 +7,47 @@
 //! overlay configurations — baseline, hot-block caching (`dharma-cache`),
 //! and caching plus popularity-driven adaptive replication — reporting the
 //! cache hit ratio and how sharply GET load concentrates on the busiest
-//! node. The acceptance bar for the subsystem: at s ≥ 1.0, over ≥ 1000 ops
-//! on ≥ 64 nodes, hit ratio > 50% and ≥ 2× lower max per-node load.
+//! node. This binary enforces no bar; `tests/cache_effectiveness.rs` holds
+//! the subsystem to one at s = 1.2, over 1,500 ops on 64 nodes: a hit
+//! ratio above 50% and at least 2× lower max per-node load (at seed 42:
+//! 0.5507, and 147 vs 521). At s = 1.0 the hit ratio stays just under half
+//! (0.4967 with the cache, 0.4547 with cache + replication, at seed 42).
 
-use dharma_sim::output::{f2, CsvSink, TextTable};
-use dharma_sim::{simulate_cache_workload, CacheSimConfig, ExpArgs};
+use dharma_sim::output::{f2, Col, Table};
+use dharma_sim::{simulate_cache_workload, CacheSimConfig, CacheSimReport, ExpArgs};
+
+type Row = (f64, &'static str, CacheSimReport);
+type C = Col<Row>;
+
+const COLUMNS: &[C] = &[
+    C::new("zipf s", "zipf_s", |r| format!("{:.1}", r.0)),
+    C::new("config", "config", |r| r.1.to_string()),
+    C::new("hit ratio", "hit_ratio", |r| f2(r.2.hit_ratio)),
+    C::new("max load", "max_load", |r| r.2.max_get_load.to_string()),
+    C::new("mean load", "mean_load", |r| f2(r.2.mean_get_load)),
+    C::new("msgs/GET", "msgs_per_get", |r| f2(r.2.messages_per_get)),
+    C::new("promoted", "replicas_promoted", |r| {
+        r.2.replicas_promoted.to_string()
+    }),
+];
 
 fn main() {
     let args = ExpArgs::parse();
-    let mut table = TextTable::new([
-        "zipf s",
-        "config",
-        "hit ratio",
-        "max load",
-        "mean load",
-        "msgs/GET",
-        "promoted",
-    ]);
-    let mut rows = Vec::new();
+    let mut table = Table::new(COLUMNS);
     for s in [0.8f64, 1.0, 1.2, 1.4] {
-        let base_cfg = CacheSimConfig {
+        let base = CacheSimConfig {
             zipf_s: s,
             seed: args.seed,
             ..CacheSimConfig::default()
         };
-        let configs = [
-            ("baseline", None, None),
-            ("cache", Some(CacheSimConfig::ablation_cache()), None),
-            (
-                "cache+repl",
-                Some(CacheSimConfig::ablation_cache()),
-                Some(CacheSimConfig::ablation_replication()),
-            ),
-        ];
-        for (name, cache, replication) in configs {
-            let rep = simulate_cache_workload(&CacheSimConfig {
-                cache,
-                replication,
-                ..base_cfg.clone()
-            });
-            let row = vec![
-                format!("{s:.1}"),
-                name.to_string(),
-                f2(rep.hit_ratio),
-                rep.max_get_load.to_string(),
-                f2(rep.mean_get_load),
-                f2(rep.messages_per_get),
-                rep.replicas_promoted.to_string(),
-            ];
-            table.row(row.clone());
-            rows.push(row);
+        for (name, cfg) in base.ablation_arms() {
+            table.rows.push((s, name, simulate_cache_workload(&cfg)));
         }
     }
-    table.print("Ablation A5 — hot-block caching & adaptive replication vs Zipf GET load");
-    println!(
+    table.print(
+        "Ablation A5 — hot-block caching & adaptive replication vs Zipf GET load",
         "(hit ratio counts GETs answered by a requester-local or on-path cache; \
-         max load is FIND_VALUEs at the busiest node)"
+         max load is FIND_VALUEs at the busiest node)",
     );
-
-    let sink = CsvSink::new(&args.out, "ablation_cache").expect("output dir");
-    let path = sink
-        .write(
-            "cache.csv",
-            &[
-                "zipf_s",
-                "config",
-                "hit_ratio",
-                "max_load",
-                "mean_load",
-                "msgs_per_get",
-                "replicas_promoted",
-            ],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
+    table.write_csv(&args.out, "ablation_cache", "cache.csv");
 }

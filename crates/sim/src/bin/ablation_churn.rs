@@ -15,47 +15,51 @@
 //! `--smoke` shrinks the sweep to one moderate-churn pair over a small
 //! overlay and short horizon (the CI job).
 
-use dharma_sim::output::{f2, CsvSink, TextTable};
+use dharma_sim::churn::GET_RETRIES;
+use dharma_sim::output::{f2, pct, Acceptance, Col, Table};
 use dharma_sim::{simulate_churn, ChurnConfig, ChurnReport, ExpArgs};
 
-/// Console row (human-formatted percentages).
-fn table_row(label: &str, repair: &str, rep: &ChurnReport) -> Vec<String> {
-    vec![
-        label.to_string(),
-        repair.to_string(),
-        format!("{:.1}%", rep.lookup_success * 100.0),
-        f2(rep.mean_availability),
-        rep.lost_records.to_string(),
-        rep.departures.to_string(),
-        f2(rep.maint_msgs_per_get),
-        rep.messages_total.to_string(),
-    ]
-}
+type Row = (&'static str, &'static str, ChurnReport);
+type C = Col<Row>;
 
-/// CSV row (raw numerics only — downstream parsers get plain numbers).
-fn csv_row(label: &str, repair: &str, rep: &ChurnReport) -> Vec<String> {
-    vec![
-        label.to_string(),
-        repair.to_string(),
-        format!("{:.6}", rep.lookup_success),
-        format!("{:.6}", rep.mean_availability),
-        rep.lost_records.to_string(),
-        rep.departures.to_string(),
-        format!("{:.4}", rep.maint_msgs_per_get),
-        rep.messages_total.to_string(),
-    ]
-}
+/// The console shows percentages; the CSV carries raw numerics only, so
+/// downstream parsers get plain numbers.
+const COLUMNS: &[C] = &[
+    C::new("churn", "churn", |r| r.0.to_string()),
+    C::new("repair", "repair", |r| r.1.to_string()),
+    C::new("lookup ok", "lookup_success", |r| pct(r.2.lookup_success))
+        .csv(|r| format!("{:.6}", r.2.lookup_success)),
+    C::new("mean avail", "mean_availability", |r| {
+        f2(r.2.mean_availability)
+    })
+    .csv(|r| format!("{:.6}", r.2.mean_availability)),
+    C::new("lost", "lost_records", |r| r.2.lost_records.to_string()),
+    C::new("departs", "departures", |r| r.2.departures.to_string()),
+    C::new("maint/GET", "maint_msgs_per_get", |r| {
+        f2(r.2.maint_msgs_per_get)
+    })
+    .csv(|r| format!("{:.4}", r.2.maint_msgs_per_get)),
+    C::new("msgs", "messages_total", |r| r.2.messages_total.to_string()),
+];
+
+type Point = (String, u64, f64);
+type P = Col<Point>;
+
+/// One sample of a row's availability curve.
+const CURVE: &[P] = &[
+    P::new("", "config", |p| p.0.clone()),
+    P::new("", "t_us", |p| p.1.to_string()),
+    P::new("", "availability", |p| f2(p.2)),
+];
 
 fn main() {
     let (args, smoke) = ExpArgs::parse_with_smoke();
-    let base = if smoke {
+    let mut base = if smoke {
         ChurnConfig::smoke(args.seed)
     } else {
-        ChurnConfig {
-            seed: args.seed,
-            ..ChurnConfig::default()
-        }
+        ChurnConfig::default()
     };
+    base.seed = args.seed;
     // Churn rows: mean session length as a fraction of the horizon.
     let sessions: Vec<(&str, u64)> = if smoke {
         vec![("moderate", 20_000_000)]
@@ -72,109 +76,59 @@ fn main() {
         ChurnConfig::ablation_repair()
     };
 
-    let mut table = TextTable::new([
-        "churn",
-        "repair",
-        "lookup ok",
-        "mean avail",
-        "lost",
-        "departs",
-        "maint/GET",
-        "msgs",
-    ]);
-    let mut rows = Vec::new();
-    let mut curves: Vec<(String, ChurnReport)> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    for (label, session) in &sessions {
+    let mut table = Table::new(COLUMNS);
+    let mut bar = Acceptance::default();
+    for (label, session) in sessions {
         let mut with = base.clone();
-        with.mean_session_us = *session;
+        with.mean_session_us = session;
         with.repair = Some(repair_cfg.clone());
         let rep_on = simulate_churn(&with);
-
-        let mut without = with.clone();
+        let mut without = with;
         without.repair = None;
         let rep_off = simulate_churn(&without);
 
-        for (mode, rep) in [("on", &rep_on), ("off", &rep_off)] {
-            table.row(table_row(label, mode, rep));
-            rows.push(csv_row(label, mode, rep));
-            curves.push((format!("{label}-{mode}"), rep.clone()));
-        }
-
         // The dharma-maint guarantee, enforced on the moderate row (and on
         // the single smoke row): repair keeps every record resolvable.
-        if *label == "moderate" {
-            let bar = if smoke { 0.95 } else { 0.99 };
-            if rep_on.lookup_success < bar {
-                failures.push(format!(
-                    "repair-on lookup success {:.3} below the {bar} bar",
+        if label == "moderate" {
+            let floor = if smoke { 0.95 } else { 0.99 };
+            bar.fail_if(
+                rep_on.lookup_success < floor,
+                format!(
+                    "repair-on lookup success {:.3} below the {floor} bar",
                     rep_on.lookup_success
-                ));
-            }
-            if rep_on.lost_records != 0 {
-                failures.push(format!(
-                    "repair-on lost {} records (must be 0)",
-                    rep_on.lost_records
-                ));
-            }
-            if rep_off.mean_availability >= rep_on.mean_availability && rep_off.lost_records == 0 {
-                failures.push(
-                    "repair-off shows no degradation — the ablation is not exercising churn"
-                        .to_string(),
-                );
-            }
+                ),
+            );
+            bar.fail_if(
+                rep_on.lost_records != 0,
+                format!("repair-on lost {} records (must be 0)", rep_on.lost_records),
+            );
+            bar.fail_if(
+                rep_off.mean_availability >= rep_on.mean_availability && rep_off.lost_records == 0,
+                "repair-off shows no degradation — the ablation is not exercising churn".into(),
+            );
         }
+        table.rows.push((label, "on", rep_on));
+        table.rows.push((label, "off", rep_off));
     }
 
-    table.print("Ablation A6 — churn rate × repair on/off (dharma-maint)");
-    println!(
-        "(lookup ok counts GETs answered within {} retries; mean avail is the \
-         availability-curve mean; lost is keys with no live holder at the end; \
-         maint/GET is probes+handoffs+re-replications per GET)",
-        base.get_retries
+    table.print(
+        "Ablation A6 — churn rate × repair on/off (dharma-maint)",
+        &format!(
+            "(lookup ok counts GETs answered within {} retries; mean avail is the \
+             availability-curve mean; lost is keys with no live holder at the end; \
+             maint/GET is probes+handoffs+re-replications per GET)",
+            GET_RETRIES
+        ),
     );
-
-    let sink = CsvSink::new(&args.out, "ablation_churn").expect("output dir");
-    let path = sink
-        .write(
-            "churn.csv",
-            &[
-                "churn",
-                "repair",
-                "lookup_success",
-                "mean_availability",
-                "lost_records",
-                "departures",
-                "maint_msgs_per_get",
-                "messages_total",
-            ],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
-    let curve_rows: Vec<Vec<String>> = curves
-        .iter()
-        .flat_map(|(label, rep)| {
-            rep.availability_trace
-                .iter()
-                .map(move |(t, a)| vec![label.clone(), t.to_string(), f2(*a)])
-        })
-        .collect();
-    let path = sink
-        .write(
-            "churn_availability.csv",
-            &["config", "t_us", "availability"],
-            curve_rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ACCEPTANCE FAILURE: {f}");
-        }
-        std::process::exit(1);
+    table.write_csv(&args.out, "ablation_churn", "churn.csv");
+    let mut curve = Table::new(CURVE);
+    for (label, mode, rep) in &table.rows {
+        let config = format!("{label}-{mode}");
+        let trace = rep.availability_trace.iter();
+        curve
+            .rows
+            .extend(trace.map(|&(t, a)| (config.clone(), t, a)));
     }
-    println!("acceptance checks passed ✓");
+    curve.write_csv(&args.out, "ablation_churn", "churn_availability.csv");
+    bar.finish();
 }

@@ -7,21 +7,25 @@
 //! taxonomy-style browser could never ship over UDP.
 
 use dharma_folksonomy::SearchConfig;
-use dharma_sim::output::{f2, CsvSink, TextTable};
-use dharma_sim::{simulate_searches, ExpArgs, ExpContext, SearchSimConfig};
+use dharma_sim::output::{f2, Col, Table};
+use dharma_sim::{simulate_searches, ExpArgs, ExpContext, SearchSimConfig, SearchSimReport};
+
+type Row = (String, SearchSimReport);
+type C = Col<Row>;
+
+const COLUMNS: &[C] = &[
+    C::new("display cap", "cap", |r| r.0.clone()),
+    C::new("last mu", "last_mu", |r| f2(r.1.last.mean)),
+    C::new("rand mu", "rand_mu", |r| f2(r.1.random.mean)),
+    C::new("first mu", "first_mu", |r| f2(r.1.first.mean)),
+    C::new("rand median", "rand_median", |r| f2(r.1.random.median)),
+];
 
 fn main() {
     let ctx = ExpContext::build(ExpArgs::parse());
     let caps: [Option<usize>; 6] = [Some(10), Some(25), Some(50), Some(100), Some(250), None];
 
-    let mut table = TextTable::new([
-        "display cap",
-        "last mu",
-        "rand mu",
-        "first mu",
-        "rand median",
-    ]);
-    let mut rows = Vec::new();
+    let mut table = Table::new(COLUMNS);
     for cap in caps {
         let cfg = SearchSimConfig {
             seeds: 50,
@@ -34,31 +38,11 @@ fn main() {
         };
         let rep = simulate_searches(&ctx.pool, &ctx.dataset, &ctx.exact_fg, &cfg);
         let label = cap.map_or("none".to_string(), |c| c.to_string());
-        table.row([
-            label.clone(),
-            f2(rep.last.mean),
-            f2(rep.random.mean),
-            f2(rep.first.mean),
-            f2(rep.random.median),
-        ]);
-        rows.push(vec![
-            label,
-            f2(rep.last.mean),
-            f2(rep.random.mean),
-            f2(rep.first.mean),
-            f2(rep.random.median),
-        ]);
+        table.rows.push((label, rep));
     }
-    table.print("Ablation A4 — index-side filtering cap vs search convergence");
-    println!("(the paper's cap of 100 sits on the flat part of the curve: filtering costs little precision)");
-
-    let sink = CsvSink::new(&ctx.args.out, "ablation_filtering").expect("output dir");
-    let path = sink
-        .write(
-            "filtering.csv",
-            &["cap", "last_mu", "rand_mu", "first_mu", "rand_median"],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
+    table.print(
+        "Ablation A4 — index-side filtering cap vs search convergence",
+        "(the paper's cap of 100 sits on the flat part of the curve: filtering costs little precision)",
+    );
+    table.write_csv(&ctx.args.out, "ablation_filtering", "filtering.csv");
 }

@@ -4,64 +4,39 @@
 //! where they saturate — the cost/quality trade the paper's conclusion
 //! ("even k = 1 suffices") rests on.
 
-use dharma_folksonomy::compare::compare_graphs;
-use dharma_sim::output::{f4, CsvSink, TextTable};
+use dharma_folksonomy::compare::{compare_graphs, GraphComparison};
+use dharma_sim::output::{f4, pct, Col, Table};
 use dharma_sim::{ExpArgs, ExpContext};
+
+/// `(k, share of the exact FG's arcs kept, comparison)`.
+type Row = (usize, f64, GraphComparison);
+type C = Col<Row>;
+
+const COLUMNS: &[C] = &[
+    C::new("k", "k", |r| r.0.to_string()),
+    C::new("arcs kept", "arcs_kept", |r| pct(r.1)).csv(|r| f4(r.1)),
+    C::new("Recall mu", "recall_mu", |r| f4(r.2.recall.mean())),
+    C::new("", "recall_sigma", |r| f4(r.2.recall.std())),
+    C::new("Ktau mu", "ktau_mu", |r| f4(r.2.tau.mean())),
+    C::new("theta mu", "theta_mu", |r| f4(r.2.theta.mean())),
+    C::new("sim1% mu", "sim1_mu", |r| f4(r.2.sim1.mean())),
+];
 
 fn main() {
     let ctx = ExpContext::build(ExpArgs::parse());
     let ks = [1usize, 2, 3, 5, 10, 25, 50, 100, 250, 500];
 
-    let mut table = TextTable::new([
-        "k",
-        "arcs kept",
-        "Recall mu",
-        "Ktau mu",
-        "theta mu",
-        "sim1% mu",
-    ]);
-    let mut rows = Vec::new();
+    let mut table = Table::new(COLUMNS);
     let exact_arcs = ctx.exact_fg.num_arcs();
     for k in ks {
         let model = ctx.replay_paper(k);
         let cmp = compare_graphs(&ctx.pool, &ctx.exact_fg, model.fg(), 2);
         let kept = model.fg().num_arcs() as f64 / exact_arcs as f64;
-        table.row([
-            k.to_string(),
-            format!("{:.1}%", kept * 100.0),
-            f4(cmp.recall.mean()),
-            f4(cmp.tau.mean()),
-            f4(cmp.theta.mean()),
-            f4(cmp.sim1.mean()),
-        ]);
-        rows.push(vec![
-            k.to_string(),
-            f4(kept),
-            f4(cmp.recall.mean()),
-            f4(cmp.recall.std()),
-            f4(cmp.tau.mean()),
-            f4(cmp.theta.mean()),
-            f4(cmp.sim1.mean()),
-        ]);
+        table.rows.push((k, kept, cmp));
     }
-    table.print("Ablation A2 — connection parameter sweep");
-    println!("(paper: recall grows sub-linearly with k; rank metrics are high already at k = 1)");
-
-    let sink = CsvSink::new(&ctx.args.out, "ablation_k_sweep").expect("output dir");
-    let path = sink
-        .write(
-            "k_sweep.csv",
-            &[
-                "k",
-                "arcs_kept",
-                "recall_mu",
-                "recall_sigma",
-                "ktau_mu",
-                "theta_mu",
-                "sim1_mu",
-            ],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
+    table.print(
+        "Ablation A2 — connection parameter sweep",
+        "(paper: recall grows sub-linearly with k; rank metrics are high already at k = 1)",
+    );
+    table.write_csv(&ctx.args.out, "ablation_k_sweep", "k_sweep.csv");
 }

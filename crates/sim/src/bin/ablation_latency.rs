@@ -27,192 +27,121 @@
 //! with every field of the `LatencySimReport` it was measured from, for
 //! readers who want more than the table. No other program reads it.
 
-use dharma_kademlia::LatencyConfig;
-use dharma_sim::output::{f2, CsvSink, TextTable};
+use dharma_sim::output::{f2, ms, Acceptance, Col, Table};
 use dharma_sim::{simulate_latency, ExpArgs, LatencySimConfig, LatencySimReport};
 
-fn report_row(mode: &str, rep: &LatencySimReport) -> Vec<String> {
-    vec![
-        mode.to_string(),
-        format!("{:.1}", rep.p50_us as f64 / 1_000.0),
-        format!("{:.1}", rep.p95_us as f64 / 1_000.0),
-        format!("{:.1}", rep.mean_us / 1_000.0),
-        f2(rep.messages_per_get),
-        format!("{:.3}", rep.success_ratio),
-        rep.pns_evictions.to_string(),
-        rep.alpha_widened.to_string(),
-        f2(rep.mean_final_alpha),
-    ]
-}
+type Row = (&'static str, &'static str, LatencySimReport);
+type C = Col<Row>;
 
-/// Serializes one report as a JSON object body (no external deps: the
-/// fields are all numeric, so hand-rolling is trivial and deterministic).
-fn json_object(mode: &str, rep: &LatencySimReport) -> String {
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"gets\": {},\n",
-            "      \"success_ratio\": {:.6},\n",
-            "      \"p50_us\": {},\n",
-            "      \"p95_us\": {},\n",
-            "      \"mean_us\": {:.1},\n",
-            "      \"max_us\": {},\n",
-            "      \"messages_per_get\": {:.4},\n",
-            "      \"rtt_samples\": {},\n",
-            "      \"pns_evictions\": {},\n",
-            "      \"alpha_widened\": {},\n",
-            "      \"alpha_narrowed\": {},\n",
-            "      \"mean_final_alpha\": {:.4}\n",
-            "    }}"
-        ),
-        mode,
-        rep.gets,
-        rep.success_ratio,
-        rep.p50_us,
-        rep.p95_us,
-        rep.mean_us,
-        rep.max_us,
-        rep.messages_per_get,
-        rep.rtt_samples,
-        rep.pns_evictions,
-        rep.alpha_widened,
-        rep.alpha_narrowed,
-        rep.mean_final_alpha,
-    )
-}
+/// The text table and the CSV share their cells; `latency.json` carries
+/// every report field, with full precision and times in µs.
+const COLUMNS: &[C] = &[
+    C::new("config", "config", |r| r.0.to_string()),
+    C::json("gets", |r| r.2.gets.to_string()),
+    C::json("success_ratio", |r| format!("{:.6}", r.2.success_ratio)),
+    C::new("p50 ms", "p50_ms", |r| ms(r.2.p50_us as f64))
+        .and_json("p50_us", |r| r.2.p50_us.to_string()),
+    C::new("p95 ms", "p95_ms", |r| ms(r.2.p95_us as f64))
+        .and_json("p95_us", |r| r.2.p95_us.to_string()),
+    C::new("mean ms", "mean_ms", |r| ms(r.2.mean_us))
+        .and_json("mean_us", |r| format!("{:.1}", r.2.mean_us)),
+    C::json("max_us", |r| r.2.max_us.to_string()),
+    C::new("msgs/GET", "messages_per_get", |r| f2(r.2.messages_per_get))
+        .and_json("messages_per_get", |r| {
+            format!("{:.4}", r.2.messages_per_get)
+        }),
+    C::new("success", "success_ratio", |r| {
+        format!("{:.3}", r.2.success_ratio)
+    }),
+    C::json("rtt_samples", |r| r.2.rtt_samples.to_string()),
+    C::new("pns demotions", "pns_evictions", |r| {
+        r.2.pns_evictions.to_string()
+    })
+    .and_json("pns_evictions", |r| r.2.pns_evictions.to_string()),
+    C::new("α widened", "alpha_widened", |r| {
+        r.2.alpha_widened.to_string()
+    })
+    .and_json("alpha_widened", |r| r.2.alpha_widened.to_string()),
+    C::json("alpha_narrowed", |r| r.2.alpha_narrowed.to_string()),
+    C::new("final α", "mean_final_alpha", |r| f2(r.2.mean_final_alpha))
+        .and_json("mean_final_alpha", |r| {
+            format!("{:.4}", r.2.mean_final_alpha)
+        }),
+];
 
 fn main() {
     let (args, smoke) = ExpArgs::parse_with_smoke();
-    let base = if smoke {
+    let mut base = if smoke {
         LatencySimConfig::smoke(args.seed)
     } else {
-        LatencySimConfig {
-            seed: args.seed,
-            ..LatencySimConfig::default()
-        }
+        LatencySimConfig::default()
     };
-
-    let run = |latency: Option<LatencyConfig>| -> LatencySimReport {
-        simulate_latency(&LatencySimConfig {
-            latency,
-            ..base.clone()
-        })
-    };
-
-    let baseline = run(None);
-    let pns_bias = run(Some(
-        LatencyConfig::builder()
-            .adaptive_alpha(false)
-            .build()
-            .expect("pns+bias config is in range"),
-    ));
-    let full = run(Some(LatencyConfig::default()));
-
-    let mut table = TextTable::new([
-        "config",
-        "p50 ms",
-        "p95 ms",
-        "mean ms",
-        "msgs/GET",
-        "success",
-        "pns demotions",
-        "α widened",
-        "final α",
-    ]);
-    let rows = vec![
-        report_row("baseline", &baseline),
-        report_row("pns+bias", &pns_bias),
-        report_row("adaptive-α", &full),
-    ];
-    for r in &rows {
-        table.row(r.clone());
+    base.seed = args.seed;
+    let mut table = Table::new(COLUMNS);
+    for (label, name, cfg) in base.ablation_arms() {
+        table.rows.push((label, name, simulate_latency(&cfg)));
     }
+    let [baseline, pns_bias, full] = [0, 1, 2].map(|i| &table.rows[i].2);
     table.print(
         "Ablation A9 — latency-aware lookups on the clustered lossy topology (dharma-latency)",
-    );
-    println!(
         "(times are virtual-time GET completion on a 4-cluster topology, one \
          cluster lossy at 25%; msgs/GET counts every datagram sent during \
-         the measured phase)"
+         the measured phase)",
     );
 
     // ----- the dharma-latency acceptance bar --------------------------
-    let mut failures: Vec<String> = Vec::new();
+    let mut bar = Acceptance::default();
     let p50_bar = (baseline.p50_us as f64 * 0.70) as u64;
     let p95_bar = (baseline.p95_us as f64 * 0.70) as u64;
-    if full.p50_us > p50_bar {
-        failures.push(format!(
+    bar.fail_if(
+        full.p50_us > p50_bar,
+        format!(
             "p50 {} µs not >= 30% under the baseline {} µs (bar {} µs)",
             full.p50_us, baseline.p50_us, p50_bar
-        ));
-    }
-    if full.p95_us > p95_bar {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        full.p95_us > p95_bar,
+        format!(
             "p95 {} µs not >= 30% under the baseline {} µs (bar {} µs)",
             full.p95_us, baseline.p95_us, p95_bar
-        ));
-    }
-    if full.messages_per_get > baseline.messages_per_get {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        full.messages_per_get > baseline.messages_per_get,
+        format!(
             "adaptive-α must not outspend the baseline: {:.2} vs {:.2} msgs/GET",
             full.messages_per_get, baseline.messages_per_get
-        ));
-    }
-    if full.success_ratio < 0.99 {
-        failures.push(format!(
+        ),
+    );
+    bar.fail_if(
+        full.success_ratio < 0.99,
+        format!(
             "lookup success {:.4} below the 99% floor",
             full.success_ratio
-        ));
-    }
-    if pns_bias.pns_evictions == 0 {
-        failures.push("PNS never demoted a slow bucket resident".to_string());
-    }
-    if full.alpha_widened == 0 {
-        failures.push("adaptive α never widened on the lossy cluster".to_string());
-    }
-    if baseline.rtt_samples != 0 {
-        failures.push("the latency-blind baseline recorded RTT samples".to_string());
-    }
+        ),
+    );
+    bar.fail_if(
+        pns_bias.pns_evictions == 0,
+        "PNS never demoted a slow bucket resident".into(),
+    );
+    bar.fail_if(
+        full.alpha_widened == 0,
+        "adaptive α never widened on the lossy cluster".into(),
+    );
+    bar.fail_if(
+        baseline.rtt_samples != 0,
+        "the latency-blind baseline recorded RTT samples".into(),
+    );
 
-    let sink = CsvSink::new(&args.out, "ablation_latency").expect("output dir");
-    let path = sink
-        .write(
-            "latency.csv",
-            &[
-                "config",
-                "p50_ms",
-                "p95_ms",
-                "mean_ms",
-                "messages_per_get",
-                "success_ratio",
-                "pns_evictions",
-                "alpha_widened",
-                "mean_final_alpha",
-            ],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
-
-    let json = format!(
-        "{{\n  \"experiment\": \"ablation_latency\",\n  \"smoke\": {},\n  \"seed\": {},\n  \"configs\": {{\n{},\n{},\n{}\n  }}\n}}\n",
+    table.write_csv(&args.out, "ablation_latency", "latency.csv");
+    table.write_json(
+        &args.out,
+        "ablation_latency",
+        "latency.json",
         smoke,
         args.seed,
-        json_object("baseline", &baseline),
-        json_object("pns_bias", &pns_bias),
-        json_object("adaptive_alpha", &full),
+        |r| r.1,
     );
-    let json_path = std::path::Path::new(&args.out)
-        .join("ablation_latency")
-        .join("latency.json");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("wrote {}", json_path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ACCEPTANCE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("acceptance checks passed ✓");
+    bar.finish();
 }

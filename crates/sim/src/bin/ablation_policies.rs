@@ -6,11 +6,23 @@
 //! A drops arcs (recall), B flattens weights (θ), and together they shed the
 //! noise tail (sim1%).
 
-use dharma_folksonomy::compare::compare_graphs;
+use dharma_folksonomy::compare::{compare_graphs, GraphComparison};
 use dharma_folksonomy::{ApproxPolicy, BPolicy};
-use dharma_sim::output::{f4, CsvSink, TextTable};
+use dharma_sim::output::{f4, Col, Table};
 use dharma_sim::replay::{EventOrder, ReplayConfig};
 use dharma_sim::{ExpArgs, ExpContext};
+
+type Row = (&'static str, usize, GraphComparison);
+type C = Col<Row>;
+
+const COLUMNS: &[C] = &[
+    C::new("policy", "policy", |r| r.0.to_string()),
+    C::new("arcs", "arcs", |r| r.1.to_string()),
+    C::new("Recall mu", "recall_mu", |r| f4(r.2.recall.mean())),
+    C::new("Ktau mu", "ktau_mu", |r| f4(r.2.tau.mean())),
+    C::new("theta mu", "theta_mu", |r| f4(r.2.theta.mean())),
+    C::new("sim1% mu", "sim1_mu", |r| f4(r.2.sim1.mean())),
+];
 
 fn main() {
     let ctx = ExpContext::build(ExpArgs::parse());
@@ -30,15 +42,7 @@ fn main() {
         ),
     ];
 
-    let mut table = TextTable::new([
-        "policy",
-        "arcs",
-        "Recall mu",
-        "Ktau mu",
-        "theta mu",
-        "sim1% mu",
-    ]);
-    let mut rows = Vec::new();
+    let mut table = Table::new(COLUMNS);
     for (name, policy) in policies {
         let model = ctx.replay_with(&ReplayConfig {
             policy,
@@ -46,41 +50,12 @@ fn main() {
             seed: ctx.args.seed,
         });
         let cmp = compare_graphs(&ctx.pool, &ctx.exact_fg, model.fg(), 2);
-        table.row([
-            name.to_string(),
-            model.fg().num_arcs().to_string(),
-            f4(cmp.recall.mean()),
-            f4(cmp.tau.mean()),
-            f4(cmp.theta.mean()),
-            f4(cmp.sim1.mean()),
-        ]);
-        rows.push(vec![
-            name.to_string(),
-            model.fg().num_arcs().to_string(),
-            f4(cmp.recall.mean()),
-            f4(cmp.tau.mean()),
-            f4(cmp.theta.mean()),
-            f4(cmp.sim1.mean()),
-        ]);
+        table.rows.push((name, model.fg().num_arcs(), cmp));
     }
 
-    table.print(&format!("Ablation A1 — approximation policies (k = {k})"));
-    println!("(exact reproduces the derived FG: recall = tau = theta = 1; A drops arcs; B rescales weights)");
-
-    let sink = CsvSink::new(&ctx.args.out, "ablation_policies").expect("output dir");
-    let path = sink
-        .write(
-            "policies.csv",
-            &[
-                "policy",
-                "arcs",
-                "recall_mu",
-                "ktau_mu",
-                "theta_mu",
-                "sim1_mu",
-            ],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
+    table.print(
+        &format!("Ablation A1 — approximation policies (k = {k})"),
+        "(exact reproduces the derived FG: recall = tau = theta = 1; A drops arcs; B rescales weights)",
+    );
+    table.write_csv(&ctx.args.out, "ablation_policies", "policies.csv");
 }

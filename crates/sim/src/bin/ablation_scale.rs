@@ -10,8 +10,38 @@
 //! per seed. Wall-clock and RSS are measurements, never compared for
 //! equality or gated in CI.
 
-use dharma_sim::output::{CsvSink, TextTable};
-use dharma_sim::{measure_engine_run, scale_full, scale_smoke, ExpArgs};
+use dharma_sim::output::{pct, Acceptance, Col, Table};
+use dharma_sim::{measure_engine_run, scale_full, scale_smoke, EngineRun, ExpArgs};
+
+type C = Col<EngineRun>;
+
+/// The console rounds and rescales; the CSV carries raw numerics, plus the
+/// churn counts the console leaves out.
+const COLUMNS: &[C] = &[
+    C::new("events", "events", |r| r.events.to_string()),
+    C::new("wall s", "wall_us", |r| {
+        format!("{:.1}", r.wall_us as f64 / 1e6)
+    })
+    .csv(|r| r.wall_us.to_string()),
+    C::new("events/s", "events_per_sec", |r| {
+        format!("{:.0}", r.events_per_sec)
+    })
+    .csv(|r| format!("{:.1}", r.events_per_sec)),
+    C::new("RSS MiB", "peak_rss_bytes", |r| {
+        format!("{:.0}", r.peak_rss_bytes as f64 / (1024.0 * 1024.0))
+    })
+    .csv(|r| r.peak_rss_bytes.to_string()),
+    C::new("lookup ok", "lookup_success", |r| {
+        pct(r.report.lookup_success)
+    })
+    .csv(|r| format!("{:.6}", r.report.lookup_success)),
+    C::new("lost", "lost_records", |r| {
+        r.report.lost_records.to_string()
+    }),
+    C::new("GETs", "gets", |r| r.report.gets.to_string()),
+    C::new("", "departures", |r| r.report.departures.to_string()),
+    C::new("", "joins", |r| r.report.joins.to_string()),
+];
 
 fn main() {
     let (args, smoke) = ExpArgs::parse_with_smoke();
@@ -21,81 +51,28 @@ fn main() {
         scale_full(args.seed)
     };
     let run = measure_engine_run(&cfg);
-    let rss_mib = run.peak_rss_bytes as f64 / (1024.0 * 1024.0);
-
-    let mut table = TextTable::new([
-        "events",
-        "wall s",
-        "events/s",
-        "RSS MiB",
-        "lookup ok",
-        "lost",
-        "GETs",
-    ]);
-    table.row(vec![
-        run.events.to_string(),
-        format!("{:.1}", run.wall_us as f64 / 1e6),
-        format!("{:.0}", run.events_per_sec),
-        format!("{rss_mib:.0}"),
-        format!("{:.1}%", run.report.lookup_success * 100.0),
-        run.report.lost_records.to_string(),
-        run.report.gets.to_string(),
-    ]);
-    table.print(&format!(
-        "Ablation A-scale — engine throughput, {} nodes / {} GETs",
-        cfg.nodes, run.report.gets
-    ));
 
     // ----- acceptance ---------------------------------------------------
-    let mut failures: Vec<String> = Vec::new();
-    if run.report.gets == 0 || run.report.lookup_success < 0.90 {
-        failures.push(format!(
+    let mut bar = Acceptance::default();
+    bar.fail_if(
+        run.report.gets == 0 || run.report.lookup_success < 0.90,
+        format!(
             "run unhealthy: {} GETs, success {:.3}",
             run.report.gets, run.report.lookup_success
-        ));
-    }
-    if !smoke && run.report.gets < 1_000_000 {
-        failures.push(format!(
-            "full run must issue >= 1M GETs, issued {}",
-            run.report.gets
-        ));
-    }
+        ),
+    );
+    bar.fail_if(
+        !smoke && run.report.gets < 1_000_000,
+        format!("full run must issue >= 1M GETs, issued {}", run.report.gets),
+    );
 
-    let sink = CsvSink::new(&args.out, "ablation_scale").expect("output dir");
-    let path = sink
-        .write(
-            "scale.csv",
-            &[
-                "events",
-                "wall_us",
-                "events_per_sec",
-                "peak_rss_bytes",
-                "lookup_success",
-                "lost_records",
-                "gets",
-                "departures",
-                "joins",
-            ],
-            vec![vec![
-                run.events.to_string(),
-                run.wall_us.to_string(),
-                format!("{:.1}", run.events_per_sec),
-                run.peak_rss_bytes.to_string(),
-                format!("{:.6}", run.report.lookup_success),
-                run.report.lost_records.to_string(),
-                run.report.gets.to_string(),
-                run.report.departures.to_string(),
-                run.report.joins.to_string(),
-            ]],
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ACCEPTANCE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("acceptance checks passed ✓");
+    let caption = format!(
+        "Ablation A-scale — engine throughput, {} nodes / {} GETs",
+        cfg.nodes, run.report.gets
+    );
+    let mut table = Table::new(COLUMNS);
+    table.rows.push(run);
+    table.print(&caption, "");
+    table.write_csv(&args.out, "ablation_scale", "scale.csv");
+    bar.finish();
 }

@@ -2,17 +2,25 @@
 //! size. Lookups should cost `O(log n)` messages; this calibrates the
 //! substrate independently of DHARMA.
 
-use dharma_sim::output::{f2, CsvSink, TextTable};
+use dharma_sim::output::{f2, Col, Table};
 use dharma_sim::overlay::{build_overlay, OverlayConfig};
 use dharma_sim::ExpArgs;
 use dharma_types::sha1;
 
+/// `(nodes, mean datagrams per GET, mean datagrams per PUT)`.
+type Row = (usize, f64, f64);
+type C = Col<Row>;
+
+const COLUMNS: &[C] = &[
+    C::new("nodes", "nodes", |r| r.0.to_string()),
+    C::new("mean msgs/GET", "get_msgs", |r| f2(r.1)),
+    C::new("mean msgs/PUT", "put_msgs", |r| f2(r.2)),
+    C::new("log2(n)", "log2n", |r| f2((r.0 as f64).log2())),
+];
+
 fn main() {
     let args = ExpArgs::parse();
-    let sink = CsvSink::new(&args.out, "overlay_scaling").expect("output dir");
-
-    let mut table = TextTable::new(["nodes", "mean msgs/GET", "mean msgs/PUT", "log2(n)"]);
-    let mut rows = Vec::new();
+    let mut table = Table::new(COLUMNS);
     for nodes in [16usize, 32, 64, 128, 256, 512] {
         let mut net = build_overlay(&OverlayConfig {
             nodes,
@@ -42,28 +50,11 @@ fn main() {
 
         let get = get_msgs as f64 / f64::from(trials);
         let put = put_msgs as f64 / f64::from(trials);
-        table.row([
-            nodes.to_string(),
-            f2(get),
-            f2(put),
-            f2((nodes as f64).log2()),
-        ]);
-        rows.push(vec![
-            nodes.to_string(),
-            f2(get),
-            f2(put),
-            f2((nodes as f64).log2()),
-        ]);
+        table.rows.push((nodes, get, put));
     }
-    table.print("Overlay scaling — messages per lookup vs network size");
-    println!("(expected: sub-linear growth tracking log2(n), validating the O(log n) lookup cost)");
-
-    let path = sink
-        .write(
-            "scaling.csv",
-            &["nodes", "get_msgs", "put_msgs", "log2n"],
-            rows,
-        )
-        .expect("write csv");
-    println!("wrote {}", path.display());
+    table.print(
+        "Overlay scaling — messages per lookup vs network size",
+        "(expected: sub-linear growth tracking log2(n), validating the O(log n) lookup cost)",
+    );
+    table.write_csv(&args.out, "overlay_scaling", "scaling.csv");
 }

@@ -20,14 +20,13 @@
 
 use dharma_cache::{CacheConfig, PopularityConfig};
 use dharma_dataset::Zipf;
-use dharma_kademlia::{KadOutput, KademliaNode, StoredEntry};
-use dharma_net::SimNet;
+use dharma_kademlia::StoredEntry;
 use dharma_types::{sha1, Id160};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::overlay::{build_overlay, OverlayConfig};
+use crate::overlay::{build_overlay, drive, OverlayConfig, Pace};
 
 /// Cache-workload parameters.
 #[derive(Clone, Debug)]
@@ -69,6 +68,22 @@ impl Default for CacheSimConfig {
 }
 
 impl CacheSimConfig {
+    /// The A5 configurations over this workload, in table order: the
+    /// baseline, hot-block caching, and caching plus adaptive replication.
+    pub fn ablation_arms(&self) -> [(&'static str, CacheSimConfig); 3] {
+        let arm = |cache: bool, replication: bool| {
+            let mut cfg = self.clone();
+            cfg.cache = cache.then(Self::ablation_cache);
+            cfg.replication = replication.then(Self::ablation_replication);
+            cfg
+        };
+        [
+            ("baseline", arm(false, false)),
+            ("cache", arm(true, false)),
+            ("cache+repl", arm(true, true)),
+        ]
+    }
+
     /// The cache configuration used by the "cache on" ablation rows: large
     /// enough to hold every hot view, TTL far beyond the replay's virtual
     /// duration (staleness is exercised by the unit/property tests; the
@@ -113,32 +128,14 @@ pub struct CacheSimReport {
     pub replicas_promoted: u64,
 }
 
-/// Drives the simulator until operation `op` completes, stepping in small
-/// bursts so virtual time stays tight to message latencies (draining the
-/// whole queue would fast-forward through every pending RPC-timeout timer
-/// and artificially age the caches).
-fn drive_to_completion(net: &mut SimNet<KademliaNode>, op: u64) -> KadOutput {
-    let mut budget: u64 = 50_000_000;
-    loop {
-        for (id, out) in net.take_completions() {
-            if id == op {
-                return out;
-            }
-        }
-        let stepped = net.run_until_idle(64);
-        assert!(stepped > 0, "operation {op} never completed");
-        budget = budget.saturating_sub(stepped);
-        assert!(budget > 0, "operation {op} exceeded the event budget");
-    }
-}
-
 /// Replays the Zipf GET workload of [`CacheSimConfig`] and reports cache
 /// effectiveness and load concentration.
 pub fn simulate_cache_workload(cfg: &CacheSimConfig) -> CacheSimReport {
-    assert!(cfg.nodes >= 2, "need an overlay");
+    let nodes = cfg.nodes;
+    assert!(nodes >= 2, "need an overlay");
     assert!(cfg.keys >= 1 && cfg.ops >= 1);
     let mut net = build_overlay(&OverlayConfig {
-        nodes: cfg.nodes,
+        nodes,
         k: cfg.k,
         seed: cfg.seed,
         cache: cfg.cache.clone(),
@@ -153,7 +150,7 @@ pub fn simulate_cache_workload(cfg: &CacheSimConfig) -> CacheSimReport {
         .map(|i| sha1(format!("tag-block-{i}").as_bytes()))
         .collect();
     for (i, key) in keys.iter().enumerate() {
-        let writer = (i % cfg.nodes) as u32;
+        let writer = (i % nodes) as u32;
         let entries: Vec<StoredEntry> = (0..8)
             .map(|e| StoredEntry {
                 name: format!("entry-{e}"),
@@ -161,7 +158,7 @@ pub fn simulate_cache_workload(cfg: &CacheSimConfig) -> CacheSimReport {
             })
             .collect();
         let op = net.with_node(writer, |n, ctx| n.append_many(ctx, *key, entries));
-        drive_to_completion(&mut net, op);
+        drive(&mut net, op, Pace::Steps);
     }
 
     // Measure only the GET phase.
@@ -169,17 +166,17 @@ pub fn simulate_cache_workload(cfg: &CacheSimConfig) -> CacheSimReport {
     let misses_before = counters.cache_misses();
     let promoted_before = counters.replicas_promoted();
     let sent_before = counters.sent();
-    let load_before: Vec<u64> = (0..cfg.nodes)
+    let load_before: Vec<u64> = (0..nodes)
         .map(|a| net.node(a as u32).gets_served())
         .collect();
 
     let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xCAC4E);
     for i in 0..cfg.ops {
-        let requester = (i % cfg.nodes) as u32;
+        let requester = (i % nodes) as u32;
         let key = keys[zipf.sample(&mut rng)];
         let op = net.with_node(requester, |n, ctx| n.get(ctx, key, cfg.top_n));
-        drive_to_completion(&mut net, op);
+        drive(&mut net, op, Pace::Steps);
     }
     // Let in-flight cache pushes and promotion replicas land before the
     // final per-node accounting.
@@ -189,11 +186,11 @@ pub fn simulate_cache_workload(cfg: &CacheSimConfig) -> CacheSimReport {
     let gets = cfg.ops as u64;
     let cache_hits = counters.cache_hits() - hits_before;
     let cache_misses = counters.cache_misses() - misses_before;
-    let loads: Vec<u64> = (0..cfg.nodes)
+    let loads: Vec<u64> = (0..nodes)
         .map(|a| net.node(a as u32).gets_served() - load_before[a])
         .collect();
     let max_get_load = loads.iter().copied().max().unwrap_or(0);
-    let mean_get_load = loads.iter().sum::<u64>() as f64 / cfg.nodes as f64;
+    let mean_get_load = loads.iter().sum::<u64>() as f64 / nodes as f64;
     CacheSimReport {
         gets,
         cache_hits,

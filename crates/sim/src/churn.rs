@@ -32,14 +32,16 @@
 
 use dharma_cache::CacheConfig;
 use dharma_dataset::Zipf;
-use dharma_kademlia::{Contact, KadConfig, KadOutput, KademliaNode, MaintConfig, StoredEntry};
-use dharma_net::{NetCounters, NodeAddr, SimConfig, SimNet};
+use dharma_kademlia::{KadOutput, KademliaNode, MaintConfig, MaintConfigBuilder, StoredEntry};
+use dharma_net::{NodeAddr, SimNet};
 use dharma_types::{sha1, FxHashMap, Id160};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+use crate::overlay::{add_member, build_overlay_with_ids, OverlayConfig};
 
 /// Churn-scenario parameters.
 #[derive(Clone, Debug)]
@@ -53,8 +55,6 @@ pub struct ChurnConfig {
     pub keys: usize,
     /// Zipf exponent of the GET key distribution.
     pub zipf_s: f64,
-    /// Index-side filtering limit on every GET.
-    pub top_n: u32,
     /// Virtual duration of the churn + workload phase, µs.
     pub horizon_us: u64,
     /// One GET is issued every this many µs.
@@ -76,9 +76,6 @@ pub struct ChurnConfig {
     pub graceful_fraction: f64,
     /// Availability is sampled every this many µs.
     pub sample_interval_us: u64,
-    /// How often a failed GET is reissued from another live node before
-    /// counting as a lookup failure.
-    pub get_retries: u32,
     /// Master seed (drives scenario sampling and the simulator).
     pub seed: u64,
     /// Hot-block caching on every node (the A8-at-scale scenario); `None`
@@ -98,7 +95,6 @@ impl Default for ChurnConfig {
             k: 20,
             keys: 32,
             zipf_s: 1.2,
-            top_n: 0,
             horizon_us: 300_000_000,     // 5 virtual minutes
             op_interval_us: 250_000,     // 4 GETs/s
             mean_session_us: 60_000_000, // churn: ~5 sessions/node over the run
@@ -107,7 +103,6 @@ impl Default for ChurnConfig {
             repair: Some(MaintConfig::default()),
             graceful_fraction: 0.0,
             sample_interval_us: 5_000_000,
-            get_retries: 2,
             seed: 42,
             cache: None,
             write_batch: 1,
@@ -133,14 +128,20 @@ impl ChurnConfig {
         }
     }
 
+    /// Repair with join handoff on and demotion off, probing every
+    /// `probe_us` and sweeping every `repair_us`.
+    fn repair(probe_us: u64, repair_us: u64) -> MaintConfigBuilder {
+        MaintConfig::builder()
+            .probe_interval_us(probe_us)
+            .repair_interval_us(repair_us)
+            .join_handoff(true)
+            .demote_interval_us(None)
+    }
+
     /// [`Self::ablation_repair`] at the smoke scale's shorter horizon:
     /// probes every 1 s, repair every 6 s, handoff on, demotion off.
     pub fn smoke_repair() -> MaintConfig {
-        MaintConfig::builder()
-            .probe_interval_us(1_000_000)
-            .repair_interval_us(6_000_000)
-            .join_handoff(true)
-            .demote_interval_us(None)
+        Self::repair(1_000_000, 6_000_000)
             .build()
             .expect("smoke repair config is in range")
     }
@@ -154,11 +155,7 @@ impl ChurnConfig {
     /// [`MaintConfig::demote_interval_us`] exposes; long-running
     /// deployments want it on, which is the [`MaintConfig`] default).
     pub fn ablation_repair() -> MaintConfig {
-        MaintConfig::builder()
-            .probe_interval_us(2_000_000)
-            .repair_interval_us(15_000_000)
-            .join_handoff(true)
-            .demote_interval_us(None)
+        Self::repair(2_000_000, 15_000_000)
             .build()
             .expect("ablation repair config is in range")
     }
@@ -170,11 +167,8 @@ impl ChurnConfig {
     /// departure/s observed per node) pins the cadence to the min bounds
     /// while a near-idle overlay coasts at the max.
     pub fn ablation_adaptive() -> MaintConfig {
-        MaintConfig::builder()
-            .probe_interval_us(2_000_000) // unused: adaptive cadence below
-            .repair_interval_us(15_000_000)
-            .join_handoff(true)
-            .demote_interval_us(None)
+        // The fixed intervals are unused: adaptive cadence below.
+        Self::repair(2_000_000, 15_000_000)
             .adaptive(Some(dharma_kademlia::AdaptConfig {
                 probe_min_us: 2_000_000,
                 probe_max_us: 6_000_000,
@@ -240,7 +234,7 @@ pub struct ChurnReport {
 
 /// Scenario events, processed in `(time, seq)` order between simulator
 /// bursts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum ChurnEvent {
     /// Node `addr` departs permanently.
     Depart(NodeAddr),
@@ -252,41 +246,38 @@ enum ChurnEvent {
     Sample,
 }
 
-/// A scheduled scenario event. The heap is a min-heap on `(at, seq)` —
-/// `seq` is unique, so the order is total and exactly the `(time, seq)`
-/// order the old linear-scan scheduler produced, at O(log n) per op
-/// instead of O(n).
-struct Sched {
-    at: u64,
+/// The scenario schedule: a min-heap on `(at, seq)`. `seq` is unique, so
+/// the order is total and events themselves are never compared.
+#[derive(Default)]
+struct Schedule {
+    heap: BinaryHeap<Reverse<(u64, u64, ChurnEvent)>>,
     seq: u64,
-    ev: ChurnEvent,
 }
 
-impl PartialEq for Sched {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+impl Schedule {
+    fn push(&mut self, at: u64, ev: ChurnEvent) {
+        self.seq += 1;
+        self.heap.push(Reverse((at, self.seq, ev)));
     }
-}
-impl Eq for Sched {}
-impl PartialOrd for Sched {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Sched {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, the schedule needs a min.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+
+    /// The earliest event, if it is due by `horizon`.
+    fn pop_until(&mut self, horizon: u64) -> Option<(u64, ChurnEvent)> {
+        let Reverse((at, _, _)) = self.heap.peek()?;
+        if *at > horizon {
+            return None;
+        }
+        let Reverse((at, _, ev)) = self.heap.pop()?;
+        Some((at, ev))
     }
 }
 
-/// An issued GET the driver is still waiting on.
+/// An issued GET the driver is still waiting on, keyed by its
+/// `(coordinator, op)`.
 #[derive(Clone, Copy, Debug)]
 struct InflightGet {
     key_idx: usize,
     issued_at_us: u64,
     attempts: u32,
-    coordinator: NodeAddr,
 }
 
 /// Weibull sample with the given mean: `scale · (−ln u)^(1/shape)` where
@@ -303,9 +294,6 @@ fn sample_weibull(rng: &mut StdRng, mean_us: u64, shape: f64) -> u64 {
 /// expansion of ln Γ), extended to x > 1 by the recurrence
 /// Γ(1 + x) = x · Γ(x).
 fn gamma_1p(x: f64) -> f64 {
-    // Γ(1+x) = x·Γ(x); use the Weierstrass product truncation via the
-    // well-known polynomial min-max fit on [0,1] (Abramowitz & Stegun
-    // 6.1.36, |ε| < 3e-7), extended by the recurrence for x > 1.
     if x > 1.0 {
         return x * gamma_1p(x - 1.0);
     }
@@ -328,62 +316,30 @@ fn gamma_1p(x: f64) -> f64 {
     acc
 }
 
-/// The per-node protocol configuration of a churn run.
-fn kad_config(cfg: &ChurnConfig, counters: NetCounters) -> KadConfig {
-    KadConfig {
-        k: cfg.k,
-        alpha: 3,
-        rpc_timeout_us: 300_000,
-        reply_budget: 60_000,
-        ping_before_evict: true,
-        maintenance: cfg.repair.clone(),
-        cache: cfg.cache.clone(),
-        counters,
-        ..KadConfig::default()
-    }
-}
+/// How often a failed GET is reissued from another live node before
+/// counting as a lookup failure.
+pub const GET_RETRIES: u32 = 2;
 
 /// Replays the churn scenario of [`ChurnConfig`] and reports lookup
 /// success, the availability curve, and maintenance overhead.
 pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
-    assert!(cfg.nodes >= 4, "need an overlay");
+    let nodes = cfg.nodes;
+    assert!(nodes >= 4, "need an overlay");
     assert!(cfg.keys >= 1 && cfg.horizon_us > 0 && cfg.op_interval_us > 0);
-    let mut net: SimNet<KademliaNode> = SimNet::new(SimConfig {
-        latency_min_us: 1_000,
-        latency_max_us: 10_000,
-        drop_rate: 0.0,
-        mtu: 64 * 1024,
+    let overlay = OverlayConfig {
+        nodes,
+        k: cfg.k,
         seed: cfg.seed,
-        shards: 1,
-        topology: None,
-    });
-    let counters = net.counters();
-    let kad = kad_config(cfg, counters.clone());
+        cache: cfg.cache.clone(),
+        maintenance: cfg.repair.clone(),
+        ..OverlayConfig::default()
+    };
     // Scenario RNG: node identities, session/downtime draws, workload.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC4A9);
-
-    // ----- build + bootstrap ------------------------------------------
-    let mut live: Vec<NodeAddr> = Vec::new();
-    let rendezvous: Contact;
-    {
-        let id = Id160::random(&mut rng);
-        let addr = net.add_node(KademliaNode::new(id, 0, kad.clone()));
-        rendezvous = net.node(addr).contact().clone();
-        live.push(addr);
-    }
-    for i in 1..cfg.nodes {
-        let id = Id160::random(&mut rng);
-        let addr = net.add_node(KademliaNode::new(id, i as NodeAddr, kad.clone()));
-        net.node_mut(addr).add_seed(rendezvous.clone());
-        net.with_node(addr, |n, ctx| {
-            n.bootstrap(ctx);
-        });
-        live.push(addr);
-    }
-    // Join lookups need longer to propagate routing state in big overlays;
-    // 2 ms/node leaves the historical 2 s untouched up to 1 000 nodes.
-    net.run_until(2_000_000.max(cfg.nodes as u64 * 2_000));
-    net.take_completions();
+    let mut net = build_overlay_with_ids(&overlay, &mut rng);
+    let counters = net.counters();
+    let kad = overlay.kad_config(counters.clone());
+    let mut live: Vec<NodeAddr> = (0..nodes as NodeAddr).collect();
 
     // ----- populate the tag blocks ------------------------------------
     let keys: Vec<Id160> = (0..cfg.keys)
@@ -418,29 +374,14 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
     // ----- schedule the scenario --------------------------------------
     let t0 = net.now_us();
     let horizon = t0 + cfg.horizon_us;
-    let mut schedule: BinaryHeap<Sched> = BinaryHeap::new();
-    let mut schedule_seq = 0u64;
-    let push = |schedule: &mut BinaryHeap<Sched>, seq: &mut u64, at, ev| {
-        *seq += 1;
-        schedule.push(Sched { at, seq: *seq, ev });
-    };
+    let mut schedule = Schedule::default();
     // Node 0 is the immortal rendezvous; everyone else gets a session.
     for &addr in live.iter().skip(1) {
         let session = sample_weibull(&mut rng, cfg.mean_session_us, cfg.session_shape);
-        push(
-            &mut schedule,
-            &mut schedule_seq,
-            t0 + session,
-            ChurnEvent::Depart(addr),
-        );
+        schedule.push(t0 + session, ChurnEvent::Depart(addr));
     }
-    push(
-        &mut schedule,
-        &mut schedule_seq,
-        t0 + cfg.op_interval_us,
-        ChurnEvent::IssueGet,
-    );
-    push(&mut schedule, &mut schedule_seq, t0, ChurnEvent::Sample);
+    schedule.push(t0 + cfg.op_interval_us, ChurnEvent::IssueGet);
+    schedule.push(t0, ChurnEvent::Sample);
 
     let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
     // Keyed by `(coordinator, op)`: op ids are allocated per node and
@@ -454,23 +395,42 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
     let mut departures = 0u64;
     let mut graceful_departures = 0u64;
     let mut joins = 0u64;
-    let mut next_join_slot = cfg.nodes as u64;
     let mut trace: Vec<(u64, f64)> = Vec::new();
 
-    let availability = |net: &SimNet<KademliaNode>, live: &[NodeAddr], keys: &[Id160]| -> f64 {
-        let holders_alive = |key: &Id160| {
+    // Keys with at least one live authoritative holder.
+    let held = |net: &SimNet<KademliaNode>, live: &[NodeAddr]| -> usize {
+        let held = |key: &Id160| {
             live.iter()
                 .any(|&a| net.is_alive(a) && net.node(a).storage().contains(key))
         };
-        keys.iter().filter(|k| holders_alive(k)).count() as f64 / keys.len() as f64
+        keys.iter().filter(|key| held(key)).count()
+    };
+    let availability =
+        |net: &SimNet<KademliaNode>, live: &[NodeAddr]| held(net, live) as f64 / keys.len() as f64;
+    // Issues an unfiltered GET for key `key_idx` from `addr`, its attempt
+    // `attempts`.
+    let issue = |net: &mut SimNet<KademliaNode>,
+                 inflight: &mut FxHashMap<(NodeAddr, u64), InflightGet>,
+                 addr: NodeAddr,
+                 key_idx: usize,
+                 attempts: u32| {
+        let op = net.with_node(addr, |n, ctx| n.get(ctx, keys[key_idx], 0));
+        let issued_at_us = net.now_us();
+        inflight.insert(
+            (addr, op),
+            InflightGet {
+                key_idx,
+                issued_at_us,
+                attempts,
+            },
+        );
     };
 
     // GETs unanswered for this long are retried/failed (covers ops whose
     // coordinator departed mid-lookup, taking its RPC timers with it).
     let get_deadline_us = 2_000_000u64;
 
-    while schedule.peek().is_some_and(|s| s.at <= horizon) {
-        let Sched { at, ev, .. } = schedule.pop().expect("peeked");
+    while let Some((at, ev)) = schedule.pop_until(horizon) {
         net.run_until(at.max(net.now_us()));
 
         // Settle completed GETs (and expire overdue ones) before the event.
@@ -496,32 +456,22 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
         for key in overdue {
             done.push((key, false));
         }
-        for (key, ok) in done {
-            let Some(get) = inflight.remove(&key) else {
+        for ((coordinator, op), ok) in done {
+            let Some(get) = inflight.remove(&(coordinator, op)) else {
                 continue;
             };
             if ok {
                 gets_ok += 1;
-            } else if get.attempts < cfg.get_retries {
+            } else if get.attempts < GET_RETRIES {
                 // Reissue from a different live node.
                 retries += 1;
                 let candidates: Vec<NodeAddr> = live
                     .iter()
                     .copied()
-                    .filter(|&a| net.is_alive(a) && a != get.coordinator)
+                    .filter(|&a| net.is_alive(a) && a != coordinator)
                     .collect();
                 if let Some(&addr) = candidates.get(rng.gen_range(0..candidates.len().max(1))) {
-                    let key = keys[get.key_idx];
-                    let op = net.with_node(addr, |n, ctx| n.get(ctx, key, cfg.top_n));
-                    inflight.insert(
-                        (addr, op),
-                        InflightGet {
-                            key_idx: get.key_idx,
-                            issued_at_us: net.now_us(),
-                            attempts: get.attempts + 1,
-                            coordinator: addr,
-                        },
-                    );
+                    issue(&mut net, &mut inflight, addr, get.key_idx, get.attempts + 1);
                 }
             }
         }
@@ -540,67 +490,28 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
                 live.retain(|&a| a != addr);
                 departures += 1;
                 let downtime = sample_weibull(&mut rng, cfg.mean_downtime_us, 1.0);
-                push(
-                    &mut schedule,
-                    &mut schedule_seq,
-                    net.now_us() + downtime,
-                    ChurnEvent::Join,
-                );
+                schedule.push(net.now_us() + downtime, ChurnEvent::Join);
             }
             ChurnEvent::Join => {
-                let id = Id160::random(&mut rng);
-                let node = KademliaNode::new(id, next_join_slot as NodeAddr, kad.clone());
-                let addr = net.spawn(node);
-                next_join_slot += 1;
-                net.node_mut(addr).add_seed(rendezvous.clone());
-                net.with_node(addr, |n, ctx| {
-                    n.bootstrap(ctx);
-                });
+                let addr = add_member(&mut net, Id160::random(&mut rng), &kad);
                 live.push(addr);
                 joins += 1;
                 let session = sample_weibull(&mut rng, cfg.mean_session_us, cfg.session_shape);
-                push(
-                    &mut schedule,
-                    &mut schedule_seq,
-                    net.now_us() + session,
-                    ChurnEvent::Depart(addr),
-                );
+                schedule.push(net.now_us() + session, ChurnEvent::Depart(addr));
             }
             ChurnEvent::IssueGet => {
                 let key_idx = zipf.sample(&mut rng);
                 // `live` holds exactly the alive nodes (departures retain it,
-                // joins push) — an O(1) pick draws the same RNG sequence the
-                // old O(n) filter-then-index did, which kept only alive
-                // entries of `live` and therefore all of them.
+                // joins push).
                 debug_assert!(live.iter().all(|&a| net.is_alive(a)));
                 let addr = live[rng.gen_range(0..live.len())];
-                let key = keys[key_idx];
-                let op = net.with_node(addr, |n, ctx| n.get(ctx, key, cfg.top_n));
+                issue(&mut net, &mut inflight, addr, key_idx, 0);
                 gets += 1;
-                inflight.insert(
-                    (addr, op),
-                    InflightGet {
-                        key_idx,
-                        issued_at_us: net.now_us(),
-                        attempts: 0,
-                        coordinator: addr,
-                    },
-                );
-                push(
-                    &mut schedule,
-                    &mut schedule_seq,
-                    net.now_us() + cfg.op_interval_us,
-                    ChurnEvent::IssueGet,
-                );
+                schedule.push(net.now_us() + cfg.op_interval_us, ChurnEvent::IssueGet);
             }
             ChurnEvent::Sample => {
-                trace.push((at - t0, availability(&net, &live, &keys)));
-                push(
-                    &mut schedule,
-                    &mut schedule_seq,
-                    at + cfg.sample_interval_us,
-                    ChurnEvent::Sample,
-                );
+                trace.push((at - t0, availability(&net, &live)));
+                schedule.push(at + cfg.sample_interval_us, ChurnEvent::Sample);
             }
         }
     }
@@ -619,16 +530,8 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
             gets_ok += 1;
         }
     }
-    trace.push((net.now_us() - t0, availability(&net, &live, &keys)));
-
-    let lost_records = keys
-        .iter()
-        .filter(|key| {
-            !live
-                .iter()
-                .any(|&a| net.is_alive(a) && net.node(a).storage().contains(key))
-        })
-        .count();
+    trace.push((net.now_us() - t0, availability(&net, &live)));
+    let lost_records = keys.len() - held(&net, &live);
     let mean_availability = trace.iter().map(|(_, a)| a).sum::<f64>() / trace.len() as f64;
     let maint = counters.maintenance_messages();
     ChurnReport {
@@ -751,6 +654,18 @@ mod tests {
             "success {:.3} too low",
             rep.lookup_success
         );
+    }
+
+    #[test]
+    fn gamma_1p_holds_the_shapes_in_use() {
+        // x = 1 / shape for Weibull shapes 2, 1 and 0.5.
+        for (x, want) in [(0.5, 0.886_226_925_452_758), (1.0, 1.0), (2.0, 2.0)] {
+            let got = gamma_1p(x);
+            assert!(
+                ((got - want) / want).abs() < 1e-6,
+                "Γ(1 + {x}) = {got}, want {want}"
+            );
+        }
     }
 
     #[test]

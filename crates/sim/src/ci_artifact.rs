@@ -9,8 +9,6 @@
 //! throughput is `ablation_scale`'s, and GETs over real sockets (socket
 //! layer included) `dharma-bench`'s `udp_search` workload.
 
-use dharma_kademlia::LatencyConfig;
-
 use crate::{
     simulate_cache_workload, simulate_churn, simulate_freshness, simulate_latency, CacheSimConfig,
     ChurnConfig, FreshSimConfig, LatencySimConfig,
@@ -18,24 +16,21 @@ use crate::{
 
 /// Runs the four headline ablations (A5 cache, A7 adaptive maintenance,
 /// A8 freshness, A9 latency) at smoke scale and renders `BENCH_ci.json`.
-/// A pure function of `seed`: `crates/sim/tests/bench_sections.rs` pins
-/// its sections byte-for-byte.
+/// Each section's arms are the ablation binaries' own
+/// (`ablation_arms`). A pure function of `seed`:
+/// `crates/sim/tests/bench_sections.rs` pins its sections byte-for-byte.
 pub fn artifact(seed: u64) -> String {
     let cache_base = CacheSimConfig {
         nodes: 32,
         k: 6,
         keys: 16,
         ops: 600,
-        zipf_s: 1.2,
         seed,
         ..CacheSimConfig::default()
     };
-    let cache_off = simulate_cache_workload(&cache_base);
-    let cache_on = simulate_cache_workload(&CacheSimConfig {
-        cache: Some(CacheSimConfig::ablation_cache()),
-        replication: Some(CacheSimConfig::ablation_replication()),
-        ..cache_base
-    });
+    let [(_, cache_off), _, (_, cache_on)] = cache_base.ablation_arms();
+    let cache_off = simulate_cache_workload(&cache_off);
+    let cache_on = simulate_cache_workload(&cache_on);
     // How much the busiest node's GET load drops when caching is on.
     let max_load_ratio = if cache_on.max_get_load == 0 {
         0.0
@@ -43,36 +38,20 @@ pub fn artifact(seed: u64) -> String {
         cache_off.max_get_load as f64 / cache_on.max_get_load as f64
     };
 
-    let churn = simulate_churn(&ChurnConfig {
-        mean_session_us: 20_000_000,
-        repair: Some(ChurnConfig::ablation_adaptive()),
-        ..ChurnConfig::smoke(seed)
-    });
+    let mut churn = ChurnConfig::smoke(seed);
+    churn.mean_session_us = 20_000_000;
+    churn.repair = Some(ChurnConfig::ablation_adaptive());
+    let churn = simulate_churn(&churn);
 
-    let fresh_base = FreshSimConfig::smoke(seed);
-    let fresh_ttl = simulate_freshness(&fresh_base);
-    let fresh_gossip = simulate_freshness(&FreshSimConfig {
-        freshness: Some(FreshSimConfig::ablation_freshness()),
-        ..fresh_base.clone()
-    });
-    // The push-enabled arm (gossip + warm routing + write-triggered
-    // invalidation push) — the A8 arm with its own staleness/message
-    // budget.
-    let fresh_push = simulate_freshness(&FreshSimConfig {
-        freshness: Some({
-            let mut f = FreshSimConfig::ablation_freshness_push();
-            f.cache_aware_routing = true;
-            f
-        }),
-        ..fresh_base
-    });
+    // The TTL-only, gossip + warm routing and gossip + push rows of A8
+    // (`cache_aware_routing` defaults to on, so this section's `gossip` is
+    // the binary's `gossip+warm`).
+    let [ttl, _, warm, push] = FreshSimConfig::smoke(seed).ablation_arms();
+    let [fresh_ttl, fresh_gossip, fresh_push] = [ttl, warm, push].map(|a| simulate_freshness(&a.2));
 
-    let latency_base = LatencySimConfig::smoke(seed);
-    let lat_blind = simulate_latency(&latency_base);
-    let lat_full = simulate_latency(&LatencySimConfig {
-        latency: Some(LatencyConfig::default()),
-        ..latency_base
-    });
+    // The latency-blind and adaptive-α rows of A9.
+    let [blind, _, full] = LatencySimConfig::smoke(seed).ablation_arms();
+    let [lat_blind, lat_full] = [blind, full].map(|a| simulate_latency(&a.2));
 
     format!(
         concat!(

@@ -20,14 +20,14 @@
 
 use dharma_cache::{CacheConfig, FreshConfig, PopularityConfig};
 use dharma_dataset::Zipf;
-use dharma_kademlia::{KadOutput, KademliaNode, MaintConfig, StoredEntry};
+use dharma_kademlia::{KadOutput, MaintConfig, StoredEntry};
 use dharma_types::{sha1, Id160};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::output::percentile;
-use crate::overlay::{build_overlay, drive_to_completion, OverlayConfig};
+use crate::overlay::{add_member, build_overlay, drive, light_liveness, OverlayConfig, Pace};
 
 /// Freshness-workload parameters.
 #[derive(Clone, Debug)]
@@ -40,16 +40,8 @@ pub struct FreshSimConfig {
     pub keys: usize,
     /// GET operations to replay.
     pub ops: usize,
-    /// Zipf exponent of the key-popularity distribution.
-    pub zipf_s: f64,
-    /// Index-side filtering limit on every GET (0 = unfiltered, so served
-    /// views list every entry and staleness is computed exactly).
-    pub top_n: u32,
     /// One overlay APPEND is issued every this many GETs (0 = no writes).
     pub write_every: usize,
-    /// Virtual time between consecutive GETs, µs (paces the replay so
-    /// TTLs and maintenance cadences mean something).
-    pub op_interval_us: u64,
     /// Hot-block cache on every node.
     pub cache: CacheConfig,
     /// Version gossip / cache-aware routing (`None` = TTL-only baseline).
@@ -69,6 +61,13 @@ pub struct FreshSimConfig {
     pub seed: u64,
 }
 
+/// Zipf exponent of the key-popularity distribution.
+const ZIPF_S: f64 = 1.2;
+
+/// Virtual time between consecutive GETs, µs (paces the replay so TTLs
+/// and maintenance cadences mean something).
+const OP_INTERVAL_US: u64 = 30_000;
+
 impl Default for FreshSimConfig {
     fn default() -> Self {
         FreshSimConfig {
@@ -76,13 +75,10 @@ impl Default for FreshSimConfig {
             k: 8,
             keys: 24,
             ops: 1500,
-            zipf_s: 1.2,
-            top_n: 0,
             write_every: 10,
-            op_interval_us: 30_000,
             cache: FreshSimConfig::ablation_cache(),
             freshness: None,
-            maintenance: Some(FreshSimConfig::ablation_maintenance()),
+            maintenance: Some(light_liveness()),
             turnover_every: 0,
             seed: 42,
         }
@@ -101,6 +97,31 @@ impl FreshSimConfig {
             seed,
             ..FreshSimConfig::default()
         }
+    }
+
+    /// The A8 configurations over this workload, in table order, as
+    /// `(label, JSON name, config)`: TTL-only, gossip, gossip with
+    /// cache-aware (warm-peer) routing, and that plus invalidation push.
+    pub fn ablation_arms(&self) -> [(&'static str, &'static str, FreshSimConfig); 4] {
+        let arm = |freshness: Option<FreshConfig>, warm: bool| {
+            let mut cfg = self.clone();
+            cfg.freshness = freshness.map(|mut f| {
+                f.cache_aware_routing = warm;
+                f
+            });
+            cfg
+        };
+        let gossip = Self::ablation_freshness;
+        [
+            ("ttl-only", "ttl_only", arm(None, false)),
+            ("gossip", "gossip", arm(Some(gossip()), false)),
+            ("gossip+warm", "gossip_warm", arm(Some(gossip()), true)),
+            (
+                "gossip+push",
+                "gossip_push",
+                arm(Some(Self::ablation_freshness_push()), true),
+            ),
+        ]
     }
 
     /// The cache configuration of the ablation rows: a deliberately short
@@ -145,29 +166,6 @@ impl FreshSimConfig {
         cfg.push_fanout = 5;
         cfg
     }
-
-    /// A light liveness loop (probes every 2 s, repair effectively off):
-    /// its only role here is carrying `Pong` digests, and it runs in every
-    /// configuration so the comparison stays fair.
-    pub fn ablation_maintenance() -> MaintConfig {
-        MaintConfig::builder()
-            .probe_interval_us(2_000_000)
-            .repair_interval_us(3_600_000_000)
-            .join_handoff(false)
-            .demote_interval_us(None)
-            .build()
-            .expect("ablation maintenance config is in range")
-    }
-
-    /// Popularity tracking with promotion disabled (an impossibly high
-    /// hot threshold): holders rank their hottest keys for the digest
-    /// without adaptive replication muddying the comparison.
-    fn tracking_only_popularity() -> PopularityConfig {
-        PopularityConfig {
-            hot_threshold: f64::INFINITY,
-            ..PopularityConfig::default()
-        }
-    }
 }
 
 /// What one freshness replay measured.
@@ -204,10 +202,12 @@ pub struct FreshSimReport {
     pub lookup_failures: u64,
 }
 
-// `drive_to_completion` paces each operation in 5 ms virtual slices, with
-// 10 virtual seconds of patience.
-const SLICE_US: u64 = 5_000;
-const PATIENCE_US: u64 = 10_000_000;
+/// Each operation is driven in 5 ms virtual slices, with 10 virtual
+/// seconds of patience.
+const PACE: Pace = Pace::Slices {
+    slice_us: 5_000,
+    patience_us: 10_000_000,
+};
 
 /// Replays the freshness workload of [`FreshSimConfig`] and reports hit
 /// ratio, staleness percentiles and lookup cost.
@@ -219,7 +219,13 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
         k: cfg.k,
         seed: cfg.seed,
         cache: Some(cfg.cache.clone()),
-        replication: Some(FreshSimConfig::tracking_only_popularity()),
+        // Popularity tracking with promotion disabled (an impossibly high
+        // hot threshold): holders rank their hottest keys for the digest
+        // without adaptive replication muddying the comparison.
+        replication: Some(PopularityConfig {
+            hot_threshold: f64::INFINITY,
+            ..PopularityConfig::default()
+        }),
         maintenance: cfg.maintenance.clone(),
         freshness: cfg.freshness.clone(),
         ..OverlayConfig::default()
@@ -229,9 +235,7 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
     // The fresh-identity nodes the turnover scenario spawns run exactly
     // the fleet's protocol config.
     let spawn_kad = overlay.kad_config(counters.clone());
-    let rendezvous = net.node(0).contact().clone();
     let mut live: Vec<u32> = (0..cfg.nodes as u32).collect();
-    let mut next_slot = cfg.nodes as u32;
 
     // Populate each tag block with a handful of uniquely named entries.
     let keys: Vec<Id160> = (0..cfg.keys)
@@ -249,7 +253,7 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
             })
             .collect();
         let op = net.with_node(writer, |n, ctx| n.append_many(ctx, *key, entries));
-        drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
+        drive(&mut net, op, PACE);
         let done = net.now_us();
         for e in 0..4 {
             write_log[i].push((done, format!("seed-{e}")));
@@ -260,16 +264,15 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
     let misses_before = counters.cache_misses();
     let sent_before = counters.sent();
 
-    let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
+    let zipf = Zipf::new(cfg.keys, ZIPF_S);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF4E54);
     let mut staleness: Vec<u64> = Vec::with_capacity(cfg.ops);
     let mut lookup_msgs = 0u64;
     let mut writes = 0u64;
-    let mut write_seq = 0u64;
     let mut turnovers = 0u64;
     let mut lookup_failures = 0u64;
     for i in 0..cfg.ops {
-        net.run_until(net.now_us() + cfg.op_interval_us);
+        net.run_until(net.now_us() + OP_INTERVAL_US);
         net.take_completions();
         if cfg.turnover_every > 0 && i > 0 && i % cfg.turnover_every == 0 {
             // One authoritative holder of the hottest key departs for
@@ -284,15 +287,7 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
             if let Some(victim) = victim {
                 net.remove(victim);
                 live.retain(|&a| a != victim);
-                let id = Id160::random(&mut rng);
-                let node = KademliaNode::new(id, next_slot, spawn_kad.clone());
-                let addr = net.spawn(node);
-                next_slot += 1;
-                net.node_mut(addr).add_seed(rendezvous.clone());
-                net.with_node(addr, |n, ctx| {
-                    n.bootstrap(ctx);
-                });
-                live.push(addr);
+                live.push(add_member(&mut net, Id160::random(&mut rng), &spawn_kad));
                 turnovers += 1;
             }
         }
@@ -302,20 +297,20 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
             // hazard the gossip exists for.
             let key_idx = zipf.sample(&mut rng);
             let writer = live[(i / cfg.write_every) % live.len()];
-            let name = format!("w-{write_seq}");
-            write_seq += 1;
+            let name = format!("w-{writes}");
             let key = keys[key_idx];
-            let wname = name.clone();
-            let op = net.with_node(writer, |n, ctx| n.append(ctx, key, &wname, 1));
-            drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
+            let op = net.with_node(writer, |n, ctx| n.append(ctx, key, &name, 1));
+            drive(&mut net, op, PACE);
             write_log[key_idx].push((net.now_us(), name));
             writes += 1;
         }
         let key_idx = zipf.sample(&mut rng);
         let requester = live[i % live.len()];
         let issued_at = net.now_us();
-        let op = net.with_node(requester, |n, ctx| n.get(ctx, keys[key_idx], cfg.top_n));
-        let out = drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
+        // Unfiltered, so served views list every entry and staleness is
+        // computed exactly.
+        let op = net.with_node(requester, |n, ctx| n.get(ctx, keys[key_idx], 0));
+        let out = drive(&mut net, op, PACE);
         let KadOutput::Value { value, messages } = out else {
             panic!("GET completed with a non-value output");
         };

@@ -17,7 +17,7 @@
 //! success ratio, and the latency-subsystem counters the `ablation_latency`
 //! acceptance bar inspects.
 
-use dharma_kademlia::{KadOutput, KademliaNode, LatencyConfig, MaintConfig};
+use dharma_kademlia::{KadOutput, KademliaNode, LatencyConfig};
 use dharma_net::{SimNet, TopologyConfig};
 use dharma_types::{sha1, Id160};
 
@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::output::percentile;
-use crate::overlay::{build_overlay, drive_to_completion, OverlayConfig};
+use crate::overlay::{build_overlay, drive, join, light_liveness, OverlayConfig, Pace};
 
 /// Latency-workload parameters.
 #[derive(Clone, Debug)]
@@ -34,8 +34,6 @@ pub struct LatencySimConfig {
     pub nodes: usize,
     /// Kademlia replication factor.
     pub k: usize,
-    /// Baseline lookup parallelism (and `alpha_min` of the adaptive arm).
-    pub alpha: usize,
     /// Distinct keys stored before the GET phase.
     pub keys: usize,
     /// Unmeasured GETs that warm the RTT books before measurement.
@@ -56,7 +54,6 @@ impl Default for LatencySimConfig {
         LatencySimConfig {
             nodes: 64,
             k: 8,
-            alpha: 3,
             keys: 32,
             warmup_ops: 480,
             ops: 600,
@@ -82,6 +79,30 @@ impl LatencySimConfig {
         }
     }
 
+    /// The A9 configurations over this workload, in table order, as
+    /// `(label, JSON name, config)`: latency-blind, proximity neighbor
+    /// selection with latency-biased shortlists, and that plus adaptive α.
+    pub fn ablation_arms(&self) -> [(&'static str, &'static str, LatencySimConfig); 3] {
+        let arm = |latency| {
+            let mut cfg = self.clone();
+            cfg.latency = latency;
+            cfg
+        };
+        let pns_bias = LatencyConfig::builder()
+            .adaptive_alpha(false)
+            .build()
+            .expect("pns+bias config is in range");
+        [
+            ("baseline", "baseline", arm(None)),
+            ("pns+bias", "pns_bias", arm(Some(pns_bias))),
+            (
+                "adaptive-α",
+                "adaptive_alpha",
+                arm(Some(LatencyConfig::default())),
+            ),
+        ]
+    }
+
     /// The topology of the ablation rows: four metro clusters (1–15 ms
     /// within, 15–140 ms across, ±2 ms jitter, 1% baseline loss) with
     /// cluster 3 designated lossy (25% on every link it touches). The wide
@@ -101,21 +122,6 @@ impl LatencySimConfig {
             lossy_cluster: Some(3),
             lossy_loss: 0.25,
         }
-    }
-
-    /// The light liveness loop every configuration runs (probes every
-    /// 2 s, repair effectively off). Persistent loss steadily evicts
-    /// contacts from lossy-cluster nodes' tables; without the probe
-    /// cycle's re-discovery those nodes decay into isolation and drag
-    /// the success ratio down identically in every arm.
-    pub fn ablation_maintenance() -> MaintConfig {
-        MaintConfig::builder()
-            .probe_interval_us(2_000_000)
-            .repair_interval_us(3_600_000_000)
-            .join_handoff(false)
-            .demote_interval_us(None)
-            .build()
-            .expect("ablation maintenance config is in range")
     }
 }
 
@@ -150,28 +156,31 @@ pub struct LatencySimReport {
     pub mean_final_alpha: f64,
 }
 
-// `drive_to_completion` paces each operation in 0.25 ms virtual slices,
-// so a recorded completion instant overshoots the true one by at most
-// that, with 30 virtual seconds of patience.
-const SLICE_US: u64 = 250;
-const PATIENCE_US: u64 = 30_000_000;
+/// Each operation is driven in 0.25 ms virtual slices, so a recorded
+/// completion instant overshoots the true one by at most that, with 30
+/// virtual seconds of patience.
+const PACE: Pace = Pace::Slices {
+    slice_us: 250,
+    patience_us: 30_000_000,
+};
 
 /// Replays the latency workload of [`LatencySimConfig`] and reports
 /// completion-time percentiles, datagram cost and success ratio.
 pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
-    assert!(cfg.nodes >= 8, "need an overlay");
+    let nodes = cfg.nodes;
+    assert!(nodes >= 8, "need an overlay");
     assert!(cfg.keys >= 1 && cfg.ops >= 1);
-    let overlay = OverlayConfig {
-        nodes: cfg.nodes,
+    // Lookup parallelism stays at the builder's α = 3, the default
+    // `alpha_min` of the latency-aware arms.
+    let mut net = build_overlay(&OverlayConfig {
+        nodes,
         k: cfg.k,
-        alpha: cfg.alpha,
         seed: cfg.seed,
         topology: Some(cfg.topology.clone()),
         latency: cfg.latency.clone(),
-        maintenance: Some(LatencySimConfig::ablation_maintenance()),
+        maintenance: Some(light_liveness()),
         ..OverlayConfig::default()
-    };
-    let mut net = build_overlay(&overlay);
+    });
     let counters = net.counters();
 
     // Join retries: a lossy-cluster node can lose its whole bootstrap
@@ -179,19 +188,15 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
     // contact and it starts the run isolated. Real deployments retry the
     // join against their configured bootstrap peers until it takes;
     // mirror that (identically in every arm) before the workload starts.
-    let rendezvous = net.node(0).contact().clone();
     for _ in 0..8 {
-        let strays: Vec<u32> = (1..cfg.nodes as u32)
+        let strays: Vec<u32> = (1..nodes as u32)
             .filter(|a| net.node(*a).routing().len() < 3)
             .collect();
         if strays.is_empty() {
             break;
         }
         for a in strays {
-            net.node_mut(a).add_seed(rendezvous.clone());
-            net.with_node(a, |n, ctx| {
-                n.bootstrap(ctx);
-            });
+            join(&mut net, a);
         }
         net.run_until(net.now_us() + 2_000_000);
         net.take_completions();
@@ -205,14 +210,14 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
     let keys: Vec<Id160> = (0..cfg.keys)
         .map(|i| sha1(format!("latency-key-{i}").as_bytes()))
         .collect();
-    let replica_floor = cfg.k.min(cfg.nodes / 2);
+    let replica_floor = cfg.k.min(nodes / 2);
     for (i, key) in keys.iter().enumerate() {
         let key = *key;
         for attempt in 0..5 {
-            let writer = ((i + attempt * 13) % cfg.nodes) as u32;
+            let writer = ((i + attempt * 13) % nodes) as u32;
             let op = net.with_node(writer, |n, ctx| n.append(ctx, key, "payload", 1));
-            drive_to_completion(&mut net, op, SLICE_US, PATIENCE_US);
-            let replicas = (0..cfg.nodes as u32)
+            drive(&mut net, op, PACE);
+            let replicas = (0..nodes as u32)
                 .filter(|a| net.node(*a).storage().contains(&key))
                 .count();
             if replicas >= replica_floor {
@@ -225,12 +230,12 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
     // timed from first issue to first success (or final failure).
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1A7E);
     let issue_get = |net: &mut SimNet<KademliaNode>, rng: &mut StdRng| -> (u64, bool) {
-        let requester = rng.gen_range(0..cfg.nodes as u32);
+        let requester = rng.gen_range(0..nodes as u32);
         let key = keys[rng.gen_range(0..cfg.keys)];
         let issued_at = net.now_us();
         for _ in 0..3 {
             let op = net.with_node(requester, |n, ctx| n.get(ctx, key, 0));
-            let out = drive_to_completion(net, op, SLICE_US, PATIENCE_US);
+            let out = drive(net, op, PACE);
             let KadOutput::Value { value, .. } = out else {
                 panic!("GET completed with a non-value output");
             };
@@ -259,9 +264,7 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
 
     times.sort_unstable();
     let gets = cfg.ops as u64;
-    let alpha_sum: usize = (0..cfg.nodes as u32)
-        .map(|a| net.node(a).current_alpha())
-        .sum();
+    let alpha_sum: usize = (0..nodes as u32).map(|a| net.node(a).current_alpha()).sum();
     LatencySimReport {
         gets,
         successes,
@@ -275,7 +278,7 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
         pns_evictions: counters.pns_evictions(),
         alpha_widened: counters.alpha_widened(),
         alpha_narrowed: counters.alpha_narrowed(),
-        mean_final_alpha: alpha_sum as f64 / cfg.nodes as f64,
+        mean_final_alpha: alpha_sum as f64 / nodes as f64,
     }
 }
 

@@ -1,4 +1,10 @@
-//! Table rendering and CSV emission for the experiment binaries.
+//! Table rendering and CSV / JSON emission for the experiment binaries.
+//!
+//! The paper's tables and figures print through [`TextTable`] and
+//! [`CsvSink`] directly. The ablations declare their columns once, as a
+//! list of [`Col`]s, and publish the rows through a [`Table`], which
+//! renders the text table, the CSV and the JSON report from that one list;
+//! their acceptance bars report through [`Acceptance`].
 
 use std::fs;
 use std::io::Write;
@@ -101,6 +107,167 @@ impl CsvSink {
     }
 }
 
+/// A column's name and cell in one rendering of a [`Table`]; an empty
+/// name leaves the column out of that rendering.
+type Part<R> = (&'static str, fn(&R) -> String);
+
+/// One published column of an ablation's results: its header and cell in
+/// the text table, in the CSV, and in the JSON report.
+pub struct Col<R> {
+    text: Part<R>,
+    csv: Part<R>,
+    json: Part<R>,
+}
+
+impl<R> Col<R> {
+    /// A column headed `head` in the text table and `key` in the CSV, with
+    /// the same cell in both.
+    pub const fn new(head: &'static str, key: &'static str, cell: fn(&R) -> String) -> Self {
+        Col {
+            text: (head, cell),
+            csv: (key, cell),
+            json: ("", cell),
+        }
+    }
+
+    /// A column only the JSON report carries, as `json`.
+    pub const fn json(json: &'static str, value: fn(&R) -> String) -> Self {
+        Col {
+            json: (json, value),
+            ..Col::new("", "", value)
+        }
+    }
+
+    /// This column with its CSV cell formatted by `csv` instead (raw
+    /// numbers where the text table rounds or rescales).
+    pub const fn csv(self, csv: fn(&R) -> String) -> Self {
+        Col {
+            csv: (self.csv.0, csv),
+            ..self
+        }
+    }
+
+    /// This column, also in the JSON report as `json`.
+    pub const fn and_json(self, json: &'static str, value: fn(&R) -> String) -> Self {
+        Col {
+            json: (json, value),
+            ..self
+        }
+    }
+}
+
+/// An ablation's rows under its declared columns.
+pub struct Table<R: 'static> {
+    cols: &'static [Col<R>],
+    /// The rows, in print order.
+    pub rows: Vec<R>,
+}
+
+impl<R> Table<R> {
+    /// An empty table with columns `cols`.
+    pub fn new(cols: &'static [Col<R>]) -> Self {
+        Table {
+            cols,
+            rows: Vec::new(),
+        }
+    }
+
+    /// One rendering (`part` picks it): the names of the columns it
+    /// carries, and each row's cells in them.
+    fn render(&self, part: fn(&Col<R>) -> Part<R>) -> (Vec<&'static str>, Vec<Vec<String>>) {
+        let parts: Vec<Part<R>> = self
+            .cols
+            .iter()
+            .map(part)
+            .filter(|p| !p.0.is_empty())
+            .collect();
+        let cells = |row| parts.iter().map(|(_, cell)| cell(row)).collect();
+        let names = parts.iter().map(|p| p.0).collect();
+        (names, self.rows.iter().map(cells).collect())
+    }
+
+    /// Prints the text table under `caption`, then `note` unless it is
+    /// empty.
+    pub fn print(&self, caption: &str, note: &str) {
+        let (header, rows) = self.render(|c| c.text);
+        let mut table = TextTable::new(header);
+        for row in rows {
+            table.row(row);
+        }
+        table.print(caption);
+        if !note.is_empty() {
+            println!("{note}");
+        }
+    }
+
+    /// Writes the CSV to `out/experiment/file` and prints its path.
+    pub fn write_csv(&self, out: &str, experiment: &str, file: &str) {
+        let (header, rows) = self.render(|c| c.csv);
+        let sink = CsvSink::new(out, experiment).expect("output dir");
+        let path = sink.write(file, &header, rows).expect("write csv");
+        println!("wrote {}", path.display());
+    }
+
+    /// Writes the JSON report to `out/experiment/file`: the run's
+    /// `smoke` and `seed`, then one object per row under the name `name`
+    /// gives it, holding that row's JSON columns. Prints its path.
+    pub fn write_json(
+        &self,
+        out: &str,
+        experiment: &str,
+        file: &str,
+        smoke: bool,
+        seed: u64,
+        name: fn(&R) -> &str,
+    ) {
+        let (keys, rows) = self.render(|c| c.json);
+        let object = |(row, values): (&R, Vec<String>)| {
+            let fields: Vec<String> = keys
+                .iter()
+                .zip(values)
+                .map(|(k, v)| format!("      \"{k}\": {v}"))
+                .collect();
+            format!("    \"{}\": {{\n{}\n    }}", name(row), fields.join(",\n"))
+        };
+        let objects: Vec<String> = self.rows.iter().zip(rows).map(object).collect();
+        let json = format!(
+            "{{\n  \"experiment\": \"{experiment}\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \"configs\": {{\n{}\n  }}\n}}\n",
+            objects.join(",\n")
+        );
+        let dir = Path::new(out).join(experiment);
+        fs::create_dir_all(&dir).expect("output dir");
+        let path = dir.join(file);
+        fs::write(&path, json).expect("write json");
+        println!("wrote {}", path.display());
+    }
+}
+
+/// An ablation's acceptance bar: the checks that failed, reported when
+/// the run ends.
+#[derive(Default)]
+pub struct Acceptance(Vec<String>);
+
+impl Acceptance {
+    /// Records `failure` when `failed`.
+    pub fn fail_if(&mut self, failed: bool, failure: String) {
+        if failed {
+            self.0.push(failure);
+        }
+    }
+
+    /// Prints each failure to stderr and exits with status 1, or prints
+    /// that every check passed.
+    pub fn finish(self) {
+        if !self.0.is_empty() {
+            for f in &self.0 {
+                eprintln!("ACCEPTANCE FAILURE: {f}");
+            }
+            std::process::exit(1);
+        }
+        println!("acceptance checks passed ✓");
+    }
+}
+
 /// Formats a float the way the paper's tables do (4 significant decimals).
 pub fn f4(x: f64) -> String {
     format!("{x:.4}")
@@ -109,6 +276,16 @@ pub fn f4(x: f64) -> String {
 /// Formats a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
+}
+
+/// Formats a share as a percentage with 1 decimal (`0.9876` → `98.8%`).
+pub fn pct(x: f64) -> String {
+    format!("{:.1}%", x * 100.0)
+}
+
+/// Formats a µs count as ms with 1 decimal.
+pub fn ms(us: f64) -> String {
+    format!("{:.1}", us / 1_000.0)
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice (0 when empty):
@@ -183,6 +360,40 @@ mod tests {
             .unwrap();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,2\n3,4\n");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn one_column_list_renders_csv_and_json() {
+        type C = Col<(&'static str, u64, f64)>;
+        const COLS: &[C] = &[
+            C::new("config", "config", |r| r.0.to_string()),
+            C::json("count", |r| r.1.to_string()),
+            C::new("ratio", "ratio", |r| f2(r.2)).csv(|r| format!("{:.4}", r.2)),
+            C::new("", "n", |r| r.1.to_string()).and_json("n", |r| r.1.to_string()),
+            C::new("share", "", |r| pct(r.2)).and_json("share", |r| format!("{:.6}", r.2)),
+        ];
+        let mut table = Table::new(COLS);
+        table.rows = vec![("a", 3, 0.5), ("b", 4, 0.25)];
+        let (head, rows) = table.render(|c| c.text);
+        assert_eq!(head, ["config", "ratio", "share"]);
+        assert_eq!(rows[1], ["b", "0.25", "25.0%"]);
+
+        let dir = std::env::temp_dir().join(format!("dharma-table-{}", std::process::id()));
+        let out = dir.to_str().unwrap();
+        table.write_csv(out, "t", "t.csv");
+        let csv = std::fs::read_to_string(dir.join("t/t.csv")).unwrap();
+        assert_eq!(csv, "config,ratio,n\na,0.5000,3\nb,0.2500,4\n");
+        table.write_json(out, "t", "t.json", true, 7, |r| r.0);
+        let json = std::fs::read_to_string(dir.join("t/t.json")).unwrap();
+        let a =
+            "    \"a\": {\n      \"count\": 3,\n      \"n\": 3,\n      \"share\": 0.500000\n    }";
+        assert!(
+            json.starts_with("{\n  \"experiment\": \"t\",\n  \"smoke\": true,\n  \"seed\": 7,\n"),
+            "{json}"
+        );
+        assert!(json.contains(a), "{json}");
+        assert!(json.ends_with("\n  }\n}\n"), "{json}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

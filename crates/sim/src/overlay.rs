@@ -1,8 +1,12 @@
-//! Simulated-overlay construction shared by the DHT-level experiments.
+//! The one place the DHT-level experiments build, join and drive a
+//! simulated overlay: [`build_overlay`] (or `build_overlay_with_ids`, for
+//! a driver that draws identities from its own stream), `add_member` /
+//! `join` for nodes that arrive later, and `drive`, which runs the net
+//! until one operation completes at the driver's `Pace`.
 
 use dharma_cache::{CacheConfig, FreshConfig, PopularityConfig};
 use dharma_kademlia::{KadConfig, KadOutput, KademliaNode, LatencyConfig, MaintConfig};
-use dharma_net::{SimConfig, SimNet, TopologyConfig};
+use dharma_net::{NodeAddr, SimConfig, SimNet, TopologyConfig};
 use dharma_types::Id160;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,10 +92,41 @@ impl OverlayConfig {
     }
 }
 
-/// Builds and bootstraps an overlay on the serial engine: node 0 is the
-/// rendezvous; every other node seeds it and performs the standard join
-/// lookup. All joins are admitted up front and settle together.
+/// A light liveness loop (probes every 2 s, repair effectively off), the
+/// one preset A8 and A9 share. It runs in every configuration of both, so
+/// their comparisons stay fair: in A8 it carries `Pong` digests; in A9 its
+/// probe cycle re-discovers the contacts persistent loss evicts from
+/// lossy-cluster nodes, which would otherwise decay into isolation and
+/// drag the success ratio down identically in every arm.
+pub(crate) fn light_liveness() -> MaintConfig {
+    MaintConfig::builder()
+        .probe_interval_us(2_000_000)
+        .repair_interval_us(3_600_000_000)
+        .join_handoff(false)
+        .demote_interval_us(None)
+        .build()
+        .expect("light liveness config is in range")
+}
+
+/// Builds and bootstraps an overlay on the serial engine, with node
+/// identities drawn from the builder's own stream, `seed ^ 0xD1A2`: node 0
+/// is the rendezvous; every other node seeds it and performs the standard
+/// join lookup. All joins are admitted up front and settle together, for
+/// 2 virtual seconds or 2 ms per node, whichever is longer: join lookups
+/// need longer to propagate routing state in big overlays, and maintenance
+/// timers re-arm forever, so settling is time-bounded rather than drained
+/// to idle.
 pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
+    build_overlay_with_ids(cfg, &mut StdRng::seed_from_u64(cfg.seed ^ 0xD1A2))
+}
+
+/// [`build_overlay`], drawing each node's identity from `ids` instead: a
+/// driver that keeps drawing from the same stream afterwards passes its
+/// own.
+pub(crate) fn build_overlay_with_ids(
+    cfg: &OverlayConfig,
+    ids: &mut StdRng,
+) -> SimNet<KademliaNode> {
     let mut net = SimNet::new(SimConfig {
         // The per-link discipline ignores the global-uniform bounds.
         latency_min_us: LATENCY_US.0,
@@ -102,57 +137,91 @@ pub fn build_overlay(cfg: &OverlayConfig) -> SimNet<KademliaNode> {
         shards: 1,
         topology: cfg.topology.clone(),
     });
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD1A2);
     let kad = cfg.kad_config(net.counters());
-    let mut rendezvous = None;
-    for i in 0..cfg.nodes {
-        let id = Id160::random(&mut rng);
-        let addr = net.add_node(KademliaNode::new(id, i as u32, kad.clone()));
-        match &rendezvous {
-            None => rendezvous = Some(net.node(addr).contact().clone()),
-            Some(seed_contact) => {
-                let seed_contact = seed_contact.clone();
-                net.node_mut(addr).add_seed(seed_contact);
-                net.with_node(addr, |node, ctx| {
-                    node.bootstrap(ctx);
-                });
-            }
-        }
+    for _ in 0..cfg.nodes {
+        add_member(&mut net, Id160::random(ids), &kad);
     }
-    // Maintenance timers re-arm forever, so a maintained overlay must
-    // bootstrap time-bounded; a static one drains the queue.
-    if cfg.maintenance.is_some() {
-        net.run_until(net.now_us() + 2_000_000);
-    } else {
-        net.run_until_idle(u64::MAX);
-    }
+    net.run_until(net.now_us() + 2_000_000.max(cfg.nodes as u64 * 2_000));
     net.take_completions();
     net
 }
 
-/// Drives the net until `op` completes, in `slice_us` virtual-time slices:
-/// maintenance timers re-arm forever, so idle-draining would fast-forward
-/// through years of sweeps, and the slice bounds how far the recorded
-/// completion instant overshoots the true one. Panics if `op` is still
-/// pending after `patience_us` of virtual time.
-pub fn drive_to_completion(
-    net: &mut SimNet<KademliaNode>,
-    op: u64,
-    slice_us: u64,
-    patience_us: u64,
-) -> KadOutput {
-    let deadline = net.now_us() + patience_us;
+/// Adds a node with identity `id` running `kad` at the next free address
+/// and, unless it is node 0 (the rendezvous), [`join`]s it. Drivers with
+/// churn add their fresh-identity replacements through this too.
+pub(crate) fn add_member(net: &mut SimNet<KademliaNode>, id: Id160, kad: &KadConfig) -> NodeAddr {
+    let addr = net.add_node(KademliaNode::new(id, net.len() as NodeAddr, kad.clone()));
+    if addr != 0 {
+        join(net, addr);
+    }
+    addr
+}
+
+/// Seeds `addr` with the rendezvous (node 0, which never departs) and
+/// starts its join lookup.
+pub(crate) fn join(net: &mut SimNet<KademliaNode>, addr: NodeAddr) {
+    let rendezvous = net.node(0).contact().clone();
+    net.node_mut(addr).add_seed(rendezvous);
+    net.with_node(addr, |node, ctx| {
+        node.bootstrap(ctx);
+    });
+}
+
+/// How [`drive`] advances the simulator while it waits for an operation.
+/// Each driver fixes its own: the two move virtual time differently, and
+/// with it every cache TTL and every later RNG draw.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Pace {
+    /// Bursts of 64 events (at most 50 M in all): virtual time stays tight
+    /// to message latencies, where draining the queue would fast-forward
+    /// through every pending RPC-timeout timer and age the caches. For
+    /// overlays without maintenance timers (A5).
+    Steps,
+    /// Virtual-time slices of `slice_us`, which bound how far a recorded
+    /// completion instant overshoots the true one; panics after
+    /// `patience_us` of virtual time. Maintenance timers re-arm forever,
+    /// so stepping to idle would fast-forward through years of sweeps
+    /// (A8, A9).
+    Slices {
+        /// Length of one slice, µs.
+        slice_us: u64,
+        /// Virtual time after which a pending operation panics, µs.
+        patience_us: u64,
+    },
+}
+
+/// Drives the net until operation `op` completes, at `pace`, and returns
+/// its output. Panics if it does not complete.
+pub(crate) fn drive(net: &mut SimNet<KademliaNode>, op: u64, pace: Pace) -> KadOutput {
+    let start = net.now_us();
+    let mut events = 0u64;
     loop {
         for (id, out) in net.take_completions() {
             if id == op {
                 return out;
             }
         }
-        assert!(
-            net.now_us() < deadline,
-            "operation {op} still pending after {patience_us} virtual µs"
-        );
-        net.run_until(net.now_us() + slice_us);
+        match pace {
+            Pace::Steps => {
+                let stepped = net.run_until_idle(64);
+                assert!(stepped > 0, "operation {op} never completed");
+                events += stepped;
+                assert!(
+                    events < 50_000_000,
+                    "operation {op} exceeded the event budget"
+                );
+            }
+            Pace::Slices {
+                slice_us,
+                patience_us,
+            } => {
+                assert!(
+                    net.now_us() < start + patience_us,
+                    "operation {op} still pending after {patience_us} virtual µs"
+                );
+                net.run_until(net.now_us() + slice_us);
+            }
+        }
     }
 }
 

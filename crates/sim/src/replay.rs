@@ -55,78 +55,97 @@ impl ReplayConfig {
     }
 }
 
-/// Replays `reference` under `cfg`, returning the evolved folksonomy
-/// (its TRG is equal to the reference when the run completes).
-pub fn replay(reference: &Trg, cfg: &ReplayConfig) -> Folksonomy {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let num_res = reference.num_resources();
-    let num_tags = reference.num_tags();
+/// The annotation instances of a reference TRG not yet played, drawn one
+/// at a time: the resource among those with instances left, through a
+/// Fenwick tree over their static popularity under an [`EventOrder`]; then
+/// the tag within it ∝ its reference weight `u(t, r)` among tags with
+/// instances left (a linear scan: `|Tags(r)|` is small on average). Both
+/// [`replay`] and the trend-emergence run draw their baseline from it.
+pub(crate) struct Playlist {
+    /// Per resource: `(tag, u(t, r), instances left)`.
+    tags: Vec<Vec<(TagId, u32, u32)>>,
+    /// Per resource: instances left.
+    left: Vec<u64>,
+    fenwick: Fenwick,
+    remaining: u64,
+}
 
-    // Per-resource playlists: (tag, remaining instances), plus the static
-    // per-tag weights for the within-resource draw.
-    let mut playlists: Vec<Vec<(TagId, u32, u32)>> = Vec::with_capacity(num_res);
-    // Fenwick over resources. Weight = |Tags(r)| (static popularity) while
-    // the resource has instances left, 0 afterwards.
-    let mut popularity = vec![0u64; num_res];
-    let mut remaining_mass: Vec<u64> = vec![0; num_res];
-    for r in 0..num_res {
-        let rid = ResId(r as u32);
-        let list: Vec<(TagId, u32, u32)> = reference.tags_of(rid).map(|(t, u)| (t, u, u)).collect();
-        let degree = list.len() as u64;
-        let mass: u64 = list.iter().map(|&(_, u, _)| u64::from(u)).sum();
-        remaining_mass[r] = mass;
-        popularity[r] = match cfg.order {
-            EventOrder::PopularityBiased => degree,
-            EventOrder::Uniform => u64::from(mass > 0),
-        };
-        playlists.push(list);
+impl Playlist {
+    /// Every instance of `reference`, interleaved across resources by
+    /// `order`.
+    pub(crate) fn new(reference: &Trg, order: EventOrder) -> Self {
+        let num_res = reference.num_resources();
+        let mut tags = Vec::with_capacity(num_res);
+        let mut popularity = vec![0u64; num_res];
+        let mut left = vec![0u64; num_res];
+        for r in 0..num_res {
+            let list: Vec<(TagId, u32, u32)> = reference
+                .tags_of(ResId(r as u32))
+                .map(|(t, u)| (t, u, u))
+                .collect();
+            left[r] = list.iter().map(|&(_, u, _)| u64::from(u)).sum();
+            popularity[r] = match order {
+                EventOrder::PopularityBiased => list.len() as u64,
+                EventOrder::Uniform => u64::from(left[r] > 0),
+            };
+            tags.push(list);
+        }
+        Playlist {
+            fenwick: Fenwick::from_weights(&popularity),
+            remaining: left.iter().sum(),
+            tags,
+            left,
+        }
     }
-    let mut fenwick = Fenwick::from_weights(&popularity);
 
-    let mut model = Folksonomy::with_capacity(cfg.policy, num_tags, num_res);
-    let total: u64 = remaining_mass.iter().sum();
+    /// Instances not yet drawn.
+    pub(crate) fn remaining(&self) -> u64 {
+        self.remaining
+    }
 
-    for _ in 0..total {
-        // Draw the resource among those still active, ∝ static popularity.
-        let r = fenwick.sample(&mut rng);
-        let playlist = &mut playlists[r];
-
-        // Draw the tag within the resource ∝ static u(t, r) among tags with
-        // instances left (linear scan: |Tags(r)| is small on average and the
-        // hot, high-degree resources amortize via the early-exit below).
-        let live_weight: u64 = playlist
+    /// Draws the next instance, `(resource, tag)`, and removes it.
+    pub(crate) fn draw(&mut self, rng: &mut StdRng) -> (ResId, TagId) {
+        let r = self.fenwick.sample(rng);
+        let tags = &mut self.tags[r];
+        let live: u64 = tags
             .iter()
             .filter(|&&(_, _, rem)| rem > 0)
             .map(|&(_, u, _)| u64::from(u))
             .sum();
-        debug_assert!(live_weight > 0);
-        let mut pick = rng.gen_range(0..live_weight);
-        let mut chosen = usize::MAX;
-        for (i, &(_, u, rem)) in playlist.iter().enumerate() {
-            if rem == 0 {
-                continue;
-            }
-            let w = u64::from(u);
-            if pick < w {
-                chosen = i;
-                break;
-            }
-            pick -= w;
-        }
-        let (tag, _, rem) = &mut playlist[chosen];
-        *rem -= 1;
-        let tag = *tag;
-
-        model.tag(ResId(r as u32), tag, &mut rng);
-
-        remaining_mass[r] -= 1;
-        if remaining_mass[r] == 0 {
+        let mut pick = rng.gen_range(0..live);
+        let chosen = tags
+            .iter()
+            .position(|&(_, u, rem)| {
+                let w = if rem > 0 { u64::from(u) } else { 0 };
+                if pick < w {
+                    return true;
+                }
+                pick -= w;
+                false
+            })
+            .expect("the pick falls inside the live weight");
+        tags[chosen].2 -= 1;
+        self.remaining -= 1;
+        self.left[r] -= 1;
+        if self.left[r] == 0 {
             // Resource exhausted: remove it from the draw.
-            let w = fenwick.weight(r);
-            fenwick.sub(r, w);
+            self.fenwick.sub(r, self.fenwick.weight(r));
         }
+        (ResId(r as u32), tags[chosen].0)
     }
+}
 
+/// Replays `reference` under `cfg`, returning the evolved folksonomy
+/// (its TRG is equal to the reference when the run completes).
+pub fn replay(reference: &Trg, cfg: &ReplayConfig) -> Folksonomy {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut playlist = Playlist::new(reference, cfg.order);
+    let mut model =
+        Folksonomy::with_capacity(cfg.policy, reference.num_tags(), reference.num_resources());
+    while playlist.remaining() > 0 {
+        let (r, tag) = playlist.draw(&mut rng);
+        model.tag(r, tag, &mut rng);
+    }
     model
 }
 

@@ -70,7 +70,6 @@ fn scenario(
         k: 20,
         keys,
         zipf_s: 1.2,
-        top_n: 0,
         horizon_us,
         op_interval_us,
         mean_session_us: (horizon_us * 2).max(1),
@@ -79,7 +78,6 @@ fn scenario(
         repair: Some(ChurnConfig::ablation_repair()),
         graceful_fraction: 0.0,
         sample_interval_us: (horizon_us / 5).max(1),
-        get_retries: 2,
         seed,
         cache: Some(CacheSimConfig::ablation_cache()),
         write_batch: 100,

@@ -19,8 +19,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dharma_dataset::Fenwick;
 use dharma_folksonomy::{ApproxPolicy, Folksonomy, ResId, TagId, Trg};
+
+use crate::replay::{EventOrder, Playlist};
 
 /// Configuration of one trend-emergence run.
 #[derive(Clone, Debug)]
@@ -92,19 +93,8 @@ pub fn run_trend(reference: &Trg, cfg: &TrendConfig) -> TrendReport {
     let num_tags = reference.num_tags();
     let trend_tag = TagId(num_tags as u32);
 
-    // Baseline playlists, as in the replay engine.
-    let mut playlists: Vec<Vec<(TagId, u32, u32)>> = Vec::with_capacity(num_res);
-    let mut popularity = vec![0u64; num_res];
-    let mut remaining_mass = vec![0u64; num_res];
-    for r in 0..num_res {
-        let rid = ResId(r as u32);
-        let list: Vec<(TagId, u32, u32)> = reference.tags_of(rid).map(|(t, u)| (t, u, u)).collect();
-        popularity[r] = list.len() as u64;
-        remaining_mass[r] = list.iter().map(|&(_, u, _)| u64::from(u)).sum();
-        playlists.push(list);
-    }
-    let mut fenwick = Fenwick::from_weights(&popularity);
-    let total_baseline: u64 = remaining_mass.iter().sum();
+    // The baseline history, drawn as in the replay engine.
+    let mut baseline = Playlist::new(reference, EventOrder::PopularityBiased);
 
     // Trend targets: the most popular resources (by |Tags(r)|).
     let mut by_degree: Vec<(usize, u32)> = (0..num_res as u32)
@@ -127,51 +117,10 @@ pub fn run_trend(reference: &Trg, cfg: &TrendConfig) -> TrendReport {
     let mut model = Folksonomy::with_capacity(cfg.policy, num_tags + 1, num_res);
 
     // Phase 1 — warmup: replay the first fraction of baseline events.
-    let warmup_events = (total_baseline as f64 * cfg.warmup_fraction) as u64;
-    let mut baseline_done = 0u64;
-    let play_baseline = |model: &mut Folksonomy,
-                         fenwick: &mut Fenwick,
-                         playlists: &mut Vec<Vec<(TagId, u32, u32)>>,
-                         remaining_mass: &mut Vec<u64>,
-                         rng: &mut StdRng| {
-        let r = fenwick.sample(rng);
-        let playlist = &mut playlists[r];
-        let live: u64 = playlist
-            .iter()
-            .filter(|&&(_, _, rem)| rem > 0)
-            .map(|&(_, u, _)| u64::from(u))
-            .sum();
-        let mut pick = rng.gen_range(0..live);
-        let mut chosen = usize::MAX;
-        for (i, &(_, u, rem)) in playlist.iter().enumerate() {
-            if rem == 0 {
-                continue;
-            }
-            let w = u64::from(u);
-            if pick < w {
-                chosen = i;
-                break;
-            }
-            pick -= w;
-        }
-        playlist[chosen].2 -= 1;
-        let tag = playlist[chosen].0;
-        model.tag(ResId(r as u32), tag, rng);
-        remaining_mass[r] -= 1;
-        if remaining_mass[r] == 0 {
-            let w = fenwick.weight(r);
-            fenwick.sub(r, w);
-        }
-    };
+    let warmup_events = (baseline.remaining() as f64 * cfg.warmup_fraction) as u64;
     for _ in 0..warmup_events {
-        play_baseline(
-            &mut model,
-            &mut fenwick,
-            &mut playlists,
-            &mut remaining_mass,
-            &mut rng,
-        );
-        baseline_done += 1;
+        let (r, tag) = baseline.draw(&mut rng);
+        model.tag(r, tag, &mut rng);
     }
 
     // Phase 2 — injection: trend events interleaved with baseline traffic.
@@ -204,8 +153,7 @@ pub fn run_trend(reference: &Trg, cfg: &TrendConfig) -> TrendReport {
     };
 
     while injected < cfg.trend_events {
-        let baseline_left = baseline_done < total_baseline;
-        let do_trend = !baseline_left || rng.gen::<f64>() < cfg.trend_rate;
+        let do_trend = baseline.remaining() == 0 || rng.gen::<f64>() < cfg.trend_rate;
         if do_trend {
             let &target = &targets[rng.gen_range(0..targets.len())];
             model.tag(target, trend_tag, &mut rng);
@@ -218,14 +166,8 @@ pub fn run_trend(reference: &Trg, cfg: &TrendConfig) -> TrendReport {
                 samples.push(sample);
             }
         } else {
-            play_baseline(
-                &mut model,
-                &mut fenwick,
-                &mut playlists,
-                &mut remaining_mass,
-                &mut rng,
-            );
-            baseline_done += 1;
+            let (r, tag) = baseline.draw(&mut rng);
+            model.tag(r, tag, &mut rng);
         }
     }
 
