@@ -23,7 +23,7 @@
 //! so a message has one encoding of each flag and `encode(decode(x)) == x`
 //! for all of them.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use dharma_types::wire::{get_bytes_ref, varint_len};
 use dharma_types::{
@@ -44,6 +44,10 @@ impl WireEncode for Contact {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_id(&self.id);
         buf.put_varint(u64::from(self.addr));
+    }
+
+    fn encoded_len(&self) -> usize {
+        ID160_BYTES + varint_len(u64::from(self.addr))
     }
 }
 
@@ -73,9 +77,18 @@ pub(crate) fn put_entry(buf: &mut BytesMut, name: &str, weight: u64) {
     buf.put_varint(weight);
 }
 
+/// Exactly what [`put_entry`] writes, in bytes.
+pub(crate) fn entry_len(name: &str, weight: u64) -> usize {
+    varint_len(name.len() as u64) + name.len() + varint_len(weight)
+}
+
 impl WireEncode for StoredEntry {
     fn encode(&self, buf: &mut BytesMut) {
         put_entry(buf, &self.name, self.weight);
+    }
+
+    fn encoded_len(&self) -> usize {
+        entry_len(&self.name, self.weight)
     }
 }
 
@@ -412,7 +425,7 @@ fn put_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact) {
 
 /// Exactly what [`put_head`] writes, in bytes.
 fn head_len(rpc: u64, from: &Contact) -> usize {
-    1 + varint_len(rpc) + ID160_BYTES + varint_len(u64::from(from.addr))
+    1 + varint_len(rpc) + from.encoded_len()
 }
 
 /// Writes an optional blob: a flag byte, then the bytes when present.
@@ -422,6 +435,11 @@ pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
     if let Some(b) = blob {
         buf.put_bytes_field(b);
     }
+}
+
+/// Exactly what [`put_opt_blob`] writes, in bytes.
+fn opt_blob_len(blob: Option<&[u8]>) -> usize {
+    1 + blob.map_or(0, |b| varint_len(b.len() as u64) + b.len())
 }
 
 /// Reads an optional blob as a slice of the input.
@@ -470,12 +488,6 @@ fn put_found_value_tail(
     digest.encode(buf);
 }
 
-/// Exactly what encoding `digest` writes, in bytes.
-fn digest_len(digest: &[DigestEntry]) -> usize {
-    let entries: usize = digest.iter().map(DigestEntry::encoded_len).sum();
-    varint_len(digest.len() as u64) + entries
-}
-
 /// Writes a `FoundNodes` datagram: header, contacts, digest.
 fn put_found_nodes(
     buf: &mut BytesMut,
@@ -494,126 +506,6 @@ pub(crate) fn push_head_len(rpc: u64, from: &Contact, top_n: u32) -> usize {
     head_len(rpc, from) + ID160_BYTES + varint_len(u64::from(top_n))
 }
 
-impl WireEncode for Message {
-    fn encode(&self, buf: &mut BytesMut) {
-        use bytes::BufMut;
-        match self {
-            Message::Ping { rpc, from } => put_head(buf, Self::T_PING, *rpc, from),
-            Message::Pong { rpc, from, digest } => {
-                put_head(buf, Self::T_PONG, *rpc, from);
-                digest.encode(buf);
-            }
-            Message::FindNode { rpc, from, target } => {
-                put_head(buf, Self::T_FIND_NODE, *rpc, from);
-                buf.put_id(target);
-            }
-            Message::FoundNodes {
-                rpc,
-                from,
-                contacts,
-                digest,
-            } => put_found_nodes(buf, *rpc, from, contacts, digest),
-            Message::FindValue {
-                rpc,
-                from,
-                key,
-                top_n,
-                no_cache,
-            } => {
-                put_head(buf, Self::T_FIND_VALUE, *rpc, from);
-                buf.put_id(key);
-                buf.put_varint(u64::from(*top_n));
-                buf.put_u8(u8::from(*no_cache));
-            }
-            Message::FoundValue {
-                rpc,
-                from,
-                blob,
-                entries,
-                truncated,
-                version,
-                from_cache,
-                digest,
-            } => {
-                put_head(buf, Self::T_FOUND_VALUE, *rpc, from);
-                put_opt_blob(buf, blob.as_deref());
-                entries.encode(buf);
-                put_found_value_tail(buf, *truncated, version, *from_cache, digest);
-            }
-            Message::Store {
-                rpc,
-                from,
-                key,
-                blob,
-                stamp,
-            } => {
-                put_head(buf, Self::T_STORE, *rpc, from);
-                buf.put_id(key);
-                buf.put_bytes_field(blob);
-                stamp.encode(buf);
-            }
-            Message::Append {
-                rpc,
-                from,
-                key,
-                entries,
-                stamp,
-            } => {
-                put_head(buf, Self::T_APPEND, *rpc, from);
-                buf.put_id(key);
-                entries.encode(buf);
-                stamp.encode(buf);
-            }
-            Message::Replicate {
-                rpc,
-                from,
-                key,
-                blob,
-                entries,
-                stamp,
-            } => {
-                put_head(buf, Self::T_REPLICATE, *rpc, from);
-                buf.put_id(key);
-                put_opt_blob(buf, blob.as_deref());
-                entries.encode(buf);
-                stamp.encode(buf);
-            }
-            Message::CachePush {
-                rpc,
-                from,
-                key,
-                top_n,
-                blob,
-                entries,
-                truncated,
-                version: stamp,
-            }
-            | Message::InvalidatePush {
-                rpc,
-                from,
-                key,
-                top_n,
-                blob,
-                entries,
-                truncated,
-                stamp,
-            } => {
-                let ty = if matches!(self, Message::CachePush { .. }) {
-                    Self::T_CACHE_PUSH
-                } else {
-                    Self::T_INVALIDATE_PUSH
-                };
-                put_push_head(buf, ty, *rpc, from, key, *top_n);
-                put_opt_blob(buf, blob.as_deref());
-                entries.encode(buf);
-                put_push_tail(buf, *truncated, stamp);
-            }
-            Message::Ack { rpc, from } => put_head(buf, Self::T_ACK, *rpc, from),
-            Message::Leave { rpc, from } => put_head(buf, Self::T_LEAVE, *rpc, from),
-        }
-    }
-}
-
 impl WireDecode for Message {
     fn decode(buf: &mut &[u8]) -> Result<Self> {
         Ok(Self::decode_with(buf, |_, _, _| ValueUse::Owned)?.0)
@@ -621,88 +513,6 @@ impl WireDecode for Message {
 }
 
 impl Message {
-    /// Encodes a `FoundValue` reply around a value's wire body — a
-    /// holder's from [`crate::Storage::encode_filtered`], a cache's as it
-    /// was pinned — into a buffer of exactly its size.
-    pub(crate) fn encode_found_value(
-        rpc: u64,
-        from: &Contact,
-        body: &[u8],
-        truncated: bool,
-        version: &VersionStamp,
-        from_cache: bool,
-        digest: &[DigestEntry],
-    ) -> Bytes {
-        let len = head_len(rpc, from) + body.len() + 2 + version.encoded_len() + digest_len(digest);
-        let mut buf = BytesMut::with_capacity(len);
-        put_head(&mut buf, Self::T_FOUND_VALUE, rpc, from);
-        buf.extend_from_slice(body);
-        put_found_value_tail(&mut buf, truncated, version, from_cache, digest);
-        debug_assert_eq!(buf.len(), len, "the reply buffer never grows");
-        buf.freeze()
-    }
-
-    /// Encodes a `CachePush` around a pinned view's wire body into a
-    /// buffer of exactly its size.
-    pub(crate) fn encode_cache_push(
-        rpc: u64,
-        from: &Contact,
-        key: &Id160,
-        top_n: u32,
-        body: &[u8],
-        truncated: bool,
-        version: &VersionStamp,
-    ) -> Bytes {
-        let len = push_head_len(rpc, from, top_n) + body.len() + 1 + version.encoded_len();
-        let mut buf = BytesMut::with_capacity(len);
-        put_push_head(&mut buf, Self::T_CACHE_PUSH, rpc, from, key, top_n);
-        buf.extend_from_slice(body);
-        put_push_tail(&mut buf, truncated, version);
-        debug_assert_eq!(buf.len(), len, "the push buffer never grows");
-        buf.freeze()
-    }
-
-    /// Encodes a `Replicate` around a held value's full-width wire body
-    /// ([`crate::Storage::encode_snapshot`]) into a buffer of exactly its
-    /// size.
-    pub(crate) fn encode_replicate(
-        rpc: u64,
-        from: &Contact,
-        key: &Id160,
-        body: &[u8],
-        stamp: &VersionStamp,
-    ) -> Bytes {
-        let len = head_len(rpc, from) + ID160_BYTES + body.len() + stamp.encoded_len();
-        let mut buf = BytesMut::with_capacity(len);
-        put_head(&mut buf, Self::T_REPLICATE, rpc, from);
-        buf.put_id(key);
-        buf.extend_from_slice(body);
-        stamp.encode(&mut buf);
-        debug_assert_eq!(buf.len(), len, "the push buffer never grows");
-        buf.freeze()
-    }
-
-    /// Encodes a `FoundNodes` reply from borrowed parts into a buffer of
-    /// exactly its size — the reply every lookup hop sends, so it neither
-    /// builds a [`Message`] nor grows its buffer.
-    pub(crate) fn encode_found_nodes(
-        rpc: u64,
-        from: &Contact,
-        contacts: &[Contact],
-        digest: &[DigestEntry],
-    ) -> Bytes {
-        let addrs: usize = contacts.iter().map(|c| varint_len(u64::from(c.addr))).sum();
-        let len = head_len(rpc, from)
-            + varint_len(contacts.len() as u64)
-            + contacts.len() * ID160_BYTES
-            + addrs
-            + digest_len(digest);
-        let mut buf = BytesMut::with_capacity(len);
-        put_found_nodes(&mut buf, rpc, from, contacts, digest);
-        debug_assert_eq!(buf.len(), len, "the reply buffer never grows");
-        buf.freeze()
-    }
-
     fn decode_with<'a>(
         buf: &mut &'a [u8],
         value_use: impl FnOnce(u8, u64, Option<&Id160>) -> ValueUse,
@@ -815,6 +625,7 @@ impl Message {
 }
 
 mod decode;
+mod encode;
 
 use decode::value_part;
 pub(crate) use decode::ValueUse;

@@ -2,6 +2,7 @@
 //! lazy decoder held to the eager one.
 
 use super::*;
+use bytes::Bytes;
 use dharma_types::sha1;
 use dharma_types::wire::varint_len;
 use proptest::prelude::*;
@@ -367,6 +368,20 @@ fn corpus() -> Vec<Message> {
 fn all_messages_roundtrip() {
     for m in &corpus() {
         roundtrip(m);
+    }
+}
+
+/// Every message is encoded into one buffer of exactly its size, and to
+/// the bytes a growing buffer gets: `encoded_len` is the length `encode`
+/// writes, and `encode_to_bytes`, which allocates that length and
+/// debug-asserts that it filled it, returns those bytes.
+#[test]
+fn every_message_encodes_exactly_into_its_buffer() {
+    for m in &corpus() {
+        let mut grown = BytesMut::new();
+        m.encode(&mut grown);
+        assert_eq!(m.encoded_len(), grown.len(), "{m:?}");
+        assert_eq!(m.encode_to_bytes(), grown.freeze(), "{m:?}");
     }
 }
 

@@ -20,7 +20,7 @@
 //! [`KadConfig::cache`]: super::KadConfig::cache
 //! [`KadConfig::replication`]: super::KadConfig::replication
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use dharma_cache::{CacheStats, HotCache, PopularityEstimator};
 use dharma_net::Ctx;
@@ -86,26 +86,23 @@ impl KademliaNode {
         // closer contacts so the requester reaches the live holders
         // instead.
         let speaks_for = self.fresh.is_none() || self.likely_authoritative(&key);
-        // Held values are served as their wire memo: one lookup, no owned
-        // read, no `Message` in between.
-        let mut body = BytesMut::new();
-        let budget = self.cfg.reply_budget;
-        let served = if speaks_for {
-            self.storage.encode_filtered(&key, top_n, budget, &mut body)
-        } else {
-            None
-        };
-        if let Some((truncated, version)) = served {
+        if speaks_for && self.storage.contains(&key) {
             // Holder-side interest tracking for write-triggered
             // invalidation push: remember who fetched this key.
             if let Some(f) = self.fresh.as_mut().filter(|f| f.cfg.push_on_write) {
                 f.fetchers
                     .record(key, from.id, from.addr, top_n, ctx.now_us);
             }
+            // The digest reads storage, so it is built before the memo is
+            // borrowed. Held values are served as their wire memo, copied
+            // once into the reply: no owned read, no `Message` in between.
             let digest = self.build_digest(Some(&key), ctx.now_us);
+            let budget = self.cfg.reply_budget;
+            let (body, truncated, version) =
+                (self.storage.serve(&key, top_n, budget)).expect("the key is held");
             let own = &self.contact;
             let reply =
-                Message::encode_found_value(rpc, own, &body, truncated, &version, false, &digest);
+                Message::encode_found_value(rpc, own, body, truncated, &version, false, &digest);
             ctx.send(from.addr, reply);
             // Authoritative holders track per-key GET rates and push extra
             // replicas when a key runs hot.

@@ -13,14 +13,20 @@
 //! storage dominates node state, so the representation is compact by
 //! construction:
 //!
-//! * entry names are interned **once per node** in a [`NameInterner`] —
-//!   every value stores `(Sym, weight)` pairs (12 bytes each) instead of an
-//!   owned `String` per entry per key. Tag vocabularies are tiny compared
-//!   to key counts, so the shared table amortizes to near-zero per record.
-//!   The table allocates nothing per name: a name is its bytes in the
-//!   node's one arena, 4 bytes of end offset and at least 16 bytes of
-//!   index (two or more 8-byte slots; the index is at most half full);
-//! * a value's pairs are kept in **reply order** — weight descending, ties
+//! * entry names are interned **once per node** in a [`NameInterner`]:
+//!   every value stores 12-byte entries (a `Sym` and a `u64` weight,
+//!   packed to 4-byte alignment so the pair does not pad to 16) instead of
+//!   an owned `String` per entry per key. Tag vocabularies are tiny
+//!   compared to key counts, so the shared table amortizes to near-zero
+//!   per record. The table allocates nothing per name: a name is its
+//!   bytes in the node's one arena, 4 bytes of end offset and at least 16
+//!   bytes of index (two or more 8-byte slots; the index is at most half
+//!   full);
+//! * a write of more than `SMALL_BATCH` entries (a bulk load, a
+//!   `Replicate` merge) reserves room for exactly the names it adds, so a
+//!   block filled by large writes holds no spare capacity; a small write
+//!   grows the block by doubling, as a token append at a time would;
+//! * a value's entries are kept in **reply order** — weight descending, ties
 //!   by name ascending — the order every read serves and every `Replicate`
 //!   carries. Names are unique per key, so the order is total;
 //! * blobs are `Box<[u8]>` — no spare `Vec` capacity is retained;
@@ -32,23 +38,29 @@
 //!   `truncated` flag. Hub blocks are read far more often than they are
 //!   written, so the `α` holders a GET asks, and every GET until the next
 //!   write, answer with one copy of bytes already encoded. The memo is
-//!   built by the first [`Storage::encode_filtered`] after a write — never
-//!   by a write — and re-built when a read asks a different width or
-//!   budget (callers ask a key at one width). It is dropped by **every**
-//!   mutation of what it encodes: an `append` or a `merge_max` that raises
-//!   or adds an entry or adopts a blob, `put_blob`; a `merge_max` that
-//!   changes nothing keeps it (the stamp travels beside the body, not in
-//!   it), and it goes with the value itself (`remove`, `expire`). Its size
-//!   is bounded by what it answers: at most the blob plus the reply budget,
-//!   per key read since its last write. It has no capacity, TTL or knob,
-//!   and [`Storage::heap_bytes`] counts it.
+//!   built by the first serving read after a write
+//!   ([`Storage::encode_filtered`], or the borrowing form the node's
+//!   `FIND_VALUE` handler uses) — never by a write — and re-built when a
+//!   read asks a different width or budget (callers ask a key at one
+//!   width). It is dropped by **every** mutation of what it encodes: an
+//!   `append` or a `merge_max` that raises or adds an entry or adopts a
+//!   blob, `put_blob`; a `merge_max` that changes nothing keeps it (the
+//!   stamp travels beside the body, not in it), and it goes with the value
+//!   itself (`remove`, `expire`). Its size is bounded by what it answers:
+//!   at most the blob plus the reply budget, per key read since its last
+//!   write. It has no capacity, TTL or knob, and [`Storage::heap_bytes`]
+//!   counts it.
+//!
+//! [`Storage::heap_bytes`] counts what is held, not what is used: entry
+//! vectors and the name table by capacity, memos and blobs by length (they
+//! are boxed slices, with no spare room).
 //!
 //! ## What a write and a read cost
 //!
 //! Blocks change only by token appends (paper §IV-A) and merges that take
 //! the max, so a write only raises weights, and an entry it touches only
 //! moves towards the front. A batch of up to `SMALL_BATCH` entries finds
-//! each one by a scan over the pairs and rotates it into place, found by
+//! each one by a scan over the entries and rotates it into place, found by
 //! binary search over the entries ahead of it; names are resolved only to
 //! break a weight tie. A larger batch goes through a transient name index
 //! and one stable re-sort, O(n log n) and close to one pass when little
@@ -78,7 +90,7 @@ use dharma_types::{
     FxHashMap, Id160, NameInterner, ReadBytes, Result, Sym, VersionStamp, WireDecode, WriteBytes,
 };
 
-use crate::messages::{get_opt_blob, put_entry, put_opt_blob, StoredEntry};
+use crate::messages::{entry_len, get_opt_blob, put_entry, put_opt_blob, StoredEntry};
 
 /// What a write carries — the one shape behind the three write messages
 /// and the coordinator's local apply ([`Storage::apply`]).
@@ -102,9 +114,29 @@ const SMALL_BATCH: usize = 16;
 /// How a write folds an incoming weight into the held one.
 type Combine = fn(u64, u64) -> u64;
 
+/// One weighted entry: an interned name and its token count, in 12 bytes.
+/// `packed(4)` drops the 4 bytes of padding a `(Sym, u64)` pair carries;
+/// the weight is only ever read by value ([`Self::weight`]), never
+/// borrowed.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed(4))]
+pub(crate) struct Entry(Sym, u64);
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 12);
+
+impl Entry {
+    fn sym(self) -> Sym {
+        self.0
+    }
+
+    fn weight(self) -> u64 {
+        self.1
+    }
+}
+
 /// Reply order: weight descending, ties by name ascending.
-fn rank(names: &NameInterner, a: &(Sym, u64), b: &(Sym, u64)) -> Ordering {
-    (b.1.cmp(&a.1)).then_with(|| names.resolve(a.0).cmp(names.resolve(b.0)))
+fn rank(names: &NameInterner, a: Entry, b: Entry) -> Ordering {
+    (b.weight().cmp(&a.weight())).then_with(|| names.resolve(a.sym()).cmp(names.resolve(b.sym())))
 }
 
 /// A stored value (compact form; names are interned per [`Storage`]).
@@ -112,8 +144,8 @@ fn rank(names: &NameInterner, a: &(Sym, u64), b: &(Sym, u64)) -> Ordering {
 pub struct ValueState {
     /// Blob payload (`r̃` URI records), stored without spare capacity.
     blob: Option<Box<[u8]>>,
-    /// Weighted entries, `(interned name, token count)`, in reply order.
-    entries: Vec<(Sym, u64)>,
+    /// Weighted entries in reply order.
+    entries: Vec<Entry>,
     /// Last write (or replication refresh) time, µs. Drives expiry.
     pub refreshed_us: u64,
     /// The highest origin stamp applied to this value. Every write carries
@@ -165,45 +197,52 @@ impl ValueState {
     /// moves the entry up to its rank. Returns its weight, and whether
     /// anything changed.
     fn bump(&mut self, names: &NameInterner, sym: Sym, weight: u64, fold: Combine) -> (u64, bool) {
-        let held = self.entries.iter().position(|e| e.0 == sym);
+        let held = self.entries.iter().position(|e| e.sym() == sym);
         let at = held.unwrap_or_else(|| {
-            self.entries.push((sym, 0));
+            self.entries.push(Entry(sym, 0));
             self.entries.len() - 1
         });
-        let entry = (sym, fold(self.entries[at].1, weight));
-        if held.is_some() && entry.1 == self.entries[at].1 {
-            return (entry.1, false);
+        let entry = Entry(sym, fold(self.entries[at].weight(), weight));
+        if held.is_some() && entry.weight() == self.entries[at].weight() {
+            return (entry.weight(), false);
         }
-        let to = self.entries[..at].partition_point(|e| rank(names, e, &entry).is_lt());
+        let to = self.entries[..at].partition_point(|&e| rank(names, e, entry).is_lt());
         self.entries[to..=at].rotate_right(1);
         self.entries[to] = entry;
         self.memo = None;
-        (entry.1, true)
+        (entry.weight(), true)
     }
 
-    /// Folds every `(sym, weight)` of `batch` in as [`Self::bump`] does;
-    /// true when anything changed.
-    fn write(&mut self, names: &NameInterner, batch: &[(Sym, u64)], fold: Combine) -> bool {
+    /// Folds every entry of `batch` in as [`Self::bump`] does; true when
+    /// anything changed. A large batch first finds the names it adds and
+    /// reserves exactly their room.
+    fn write(&mut self, names: &NameInterner, batch: &[Entry], fold: Combine) -> bool {
         if batch.len() <= SMALL_BATCH {
-            let mut bump = |&(sym, weight): &(Sym, u64)| self.bump(names, sym, weight, fold).1;
+            let mut bump = |e: &Entry| self.bump(names, e.sym(), e.weight(), fold).1;
             return batch.iter().fold(false, |changed, e| bump(e) | changed);
         }
         let mut at: FxHashMap<Sym, usize> = (self.entries.iter().enumerate())
-            .map(|(ix, e)| (e.0, ix))
+            .map(|(ix, e)| (e.sym(), ix))
             .collect();
+        for e in batch {
+            let next = at.len();
+            at.entry(e.sym()).or_insert(next);
+        }
+        self.entries.reserve_exact(at.len() - self.entries.len());
         let mut changed = false;
-        for &(sym, weight) in batch {
-            let ix = *at.entry(sym).or_insert_with(|| {
+        for &Entry(sym, weight) in batch {
+            let ix = at[&sym];
+            if ix == self.entries.len() {
+                self.entries.push(Entry(sym, 0));
                 changed = true;
-                self.entries.push((sym, 0));
-                self.entries.len() - 1
-            });
-            let held = self.entries[ix].1;
-            self.entries[ix].1 = fold(held, weight);
-            changed |= self.entries[ix].1 != held;
+            }
+            let held = self.entries[ix].weight();
+            let now = fold(held, weight);
+            self.entries[ix] = Entry(sym, now);
+            changed |= now != held;
         }
         if changed {
-            self.entries.sort_by(|a, b| rank(names, a, b));
+            self.entries.sort_by(|&a, &b| rank(names, a, b));
             self.memo = None;
         }
         changed
@@ -221,18 +260,18 @@ impl ValueState {
         let mut rest = Vec::new();
         for i in 0..get_seq_len(&mut body, StoredEntry::MIN_WIRE_LEN)? {
             let raw = get_bytes_ref(&mut body)?;
-            let same = |&(sym, _): &(Sym, u64)| names.resolve(sym).as_bytes() == raw;
+            let same = |e: &&Entry| names.resolve(e.sym()).as_bytes() == raw;
             match self.entries.get(i).filter(|e| rest.is_empty() && same(e)) {
-                Some(&(sym, held)) => {
+                Some(&Entry(sym, held)) => {
                     let weight = body.get_varint()?;
                     if weight != held {
-                        rest.push((sym, weight));
+                        rest.push(Entry(sym, weight));
                     }
                 }
                 None => {
                     let name = utf8(raw)?;
                     let weight = body.get_varint()?;
-                    rest.push((names.intern(name), weight));
+                    rest.push(Entry(names.intern(name), weight));
                 }
             }
         }
@@ -243,15 +282,15 @@ impl ValueState {
     /// The read both emitters serve: the first `top_n` entries (0 = all)
     /// whose encodings fit `budget` bytes (varint-accurate) — a prefix of
     /// the held order — and whether anything was cut.
-    fn ranked(&self, names: &NameInterner, top_n: u32, budget: usize) -> (&[(Sym, u64)], bool) {
+    fn ranked(&self, names: &NameInterner, top_n: u32, budget: usize) -> (&[Entry], bool) {
         let limit = NonZeroU32::new(top_n).map_or(usize::MAX, |n| n.get() as usize);
         let mut used = 0usize;
         let fits = self
             .entries
             .iter()
             .take(limit)
-            .take_while(|&&(sym, weight)| {
-                used += entry_encoded_len(names.resolve(sym), weight);
+            .take_while(|&&Entry(sym, weight)| {
+                used += entry_len(names.resolve(sym), weight);
                 used <= budget
             });
         let keep = fits.count();
@@ -265,7 +304,7 @@ impl ValueState {
         let mut body = BytesMut::new();
         put_opt_blob(&mut body, self.blob());
         body.put_varint(entries.len() as u64);
-        for &(sym, weight) in entries {
+        for &Entry(sym, weight) in entries {
             put_entry(&mut body, names.resolve(sym), weight);
         }
         (body, truncated)
@@ -364,8 +403,8 @@ impl Storage {
     ) {
         let state = self.values.entry(key).or_default();
         state.adopt(blob);
-        let batch: Vec<(Sym, u64)> = (entries.iter())
-            .map(|e| (self.names.intern(&e.name), e.weight))
+        let batch: Vec<Entry> = (entries.iter())
+            .map(|e| Entry(self.names.intern(&e.name), e.weight))
             .collect();
         state.write(&self.names, &batch, u64::max);
         // The replica carries the *origin* stamp of the snapshot it came
@@ -398,8 +437,8 @@ impl Storage {
         match body {
             WriteBody::Blob(blob) => state.set_blob(blob.as_slice().into()),
             WriteBody::Entries(entries) => {
-                let batch: Vec<(Sym, u64)> = (entries.iter())
-                    .map(|e| (self.names.intern(&e.name), e.weight))
+                let batch: Vec<Entry> = (entries.iter())
+                    .map(|e| Entry(self.names.intern(&e.name), e.weight))
                     .collect();
                 state.write(&self.names, &batch, |held, tokens| held + tokens);
             }
@@ -465,8 +504,8 @@ impl Storage {
         let held = self
             .values
             .get(key)
-            .and_then(|v| v.entries.iter().find(|e| e.0 == sym));
-        held.map_or(0, |e| e.1)
+            .and_then(|v| v.entries.iter().find(|e| e.sym() == sym));
+        held.map_or(0, |e| e.weight())
     }
 
     /// Filtered read: the heaviest `top_n` entries (0 = unlimited) that fit
@@ -481,7 +520,7 @@ impl Storage {
     ) -> Option<FilteredRead> {
         let state = self.values.get(key)?;
         let (entries, truncated) = state.ranked(&self.names, top_n, byte_budget);
-        let entries = entries.iter().map(|&(sym, weight)| StoredEntry {
+        let entries = entries.iter().map(|&Entry(sym, weight)| StoredEntry {
             name: self.names.resolve(sym).to_owned(),
             weight,
         });
@@ -497,9 +536,8 @@ impl Storage {
     /// the blob option, then the entry list — onto `buf` in `FoundValue`
     /// wire layout and returns `(truncated, version)` for the reply's tail.
     /// Writes nothing when `key` is absent. The bytes are the value's wire
-    /// memo (module docs): encoded by the first call after a write, or at
-    /// a new width or budget, and one copy from then on — hence
-    /// `&mut self`.
+    /// memo (module docs), copied; the node's `FIND_VALUE` handler borrows
+    /// it instead (`serve`).
     pub fn encode_filtered(
         &mut self,
         key: &Id160,
@@ -507,6 +545,21 @@ impl Storage {
         byte_budget: usize,
         buf: &mut BytesMut,
     ) -> Option<(bool, VersionStamp)> {
+        let (body, truncated, version) = self.serve(key, top_n, byte_budget)?;
+        buf.extend_from_slice(body);
+        Some((truncated, version))
+    }
+
+    /// [`Self::encode_filtered`] without the copy: the value's wire memo
+    /// itself (module docs), with `truncated` and `version`. Encoded by the
+    /// first call after a write, or at a new width or budget, and borrowed
+    /// from then on — hence `&mut self`.
+    pub(crate) fn serve(
+        &mut self,
+        key: &Id160,
+        top_n: u32,
+        byte_budget: usize,
+    ) -> Option<(&[u8], bool, VersionStamp)> {
         let state = self.values.get_mut(key)?;
         let asked = |m: &WireMemo| (m.top_n, m.byte_budget) == (top_n, byte_budget);
         let memo = (state.memo.take().filter(asked)).unwrap_or_else(|| {
@@ -520,8 +573,7 @@ impl Storage {
             }
         });
         let memo = state.memo.insert(memo);
-        buf.extend_from_slice(&memo.body);
-        Some((memo.truncated, state.version))
+        Some((&memo.body, memo.truncated, state.version))
     }
 
     /// Iterates all keys in id order (replication/maintenance).
@@ -538,29 +590,22 @@ impl Storage {
             .map(|(key, _)| key)
     }
 
-    /// Approximate heap bytes held: values, entry vectors, wire memos,
-    /// blobs, and the shared name table (by the capacity of its vectors).
-    /// Used by scale runs to report per-node state size.
+    /// Approximate heap bytes held: values, entry vectors (by capacity),
+    /// wire memos, blobs, and the shared name table (by the capacity of its
+    /// vectors). Used by scale runs to report per-node state size.
     pub fn heap_bytes(&self) -> usize {
         let per_value = std::mem::size_of::<Id160>() + std::mem::size_of::<ValueState>();
         let values: usize = self
             .values
             .values()
             .map(|v| {
-                v.entries.len() * std::mem::size_of::<(Sym, u64)>()
+                v.entries.capacity() * std::mem::size_of::<Entry>()
                     + v.memo.as_ref().map_or(0, |m| m.body.len())
                     + v.blob.as_ref().map(|b| b.len()).unwrap_or(0)
             })
             .sum();
         self.values.len() * per_value + values + self.names.heap_bytes()
     }
-}
-
-/// Encoded size of one entry (length-prefixed name + varint weight).
-fn entry_encoded_len(name: &str, weight: u64) -> usize {
-    dharma_types::wire::varint_len(name.len() as u64)
-        + name.len()
-        + dharma_types::wire::varint_len(weight)
 }
 
 #[cfg(test)]

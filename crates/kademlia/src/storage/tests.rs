@@ -225,16 +225,51 @@ fn heap_bytes_counts_the_name_table_by_capacity() {
         s.append(k, name, 1, st(i as u64 + 1));
     }
     let full = s.heap_bytes();
-    // ... so a fifth regrows all three: arena 16 → 32 bytes, offsets
-    // 4 → 8 (4 bytes each), index 8 → 16 slots (8 bytes each); the value
-    // gains one 16-byte pair.
+    // ... as they fill the value's first four entries (one-entry appends
+    // grow the vector by doubling, from four) ...
+    let entry = std::mem::size_of::<Entry>();
+    assert_eq!(s.get(&k).unwrap().entries.capacity(), 4);
+    // ... so a fifth regrows all four: arena 16 → 32 bytes, offsets
+    // 4 → 8 (4 bytes each), index 8 → 16 slots (8 bytes each), entries
+    // 4 → 8 (12 bytes each).
     s.append(k, "soul", 1, st(5));
-    let pair = std::mem::size_of::<(Sym, u64)>();
-    assert_eq!(s.heap_bytes(), full + pair + 16 + 4 * 4 + 8 * 8);
-    // A sixth fits the new capacities: only its pair is new.
+    assert_eq!(s.heap_bytes(), full + 16 + 4 * 4 + 8 * 8 + 4 * entry);
+    // A sixth fits every new capacity: nothing held grows.
     let grown = s.heap_bytes();
     s.append(k, "funk", 1, st(6));
-    assert_eq!(s.heap_bytes(), grown + pair);
+    assert_eq!(s.heap_bytes(), grown);
+}
+
+/// A write of more than `SMALL_BATCH` entries reserves room for exactly
+/// the names it adds, so a block filled by large writes holds no spare
+/// capacity: a fresh block (a repeated name counts once), a `Replicate`
+/// body that adds names to it, and an owned `merge_max` that does.
+#[test]
+fn a_large_write_fits_its_block_to_its_entries() {
+    let names = |from: u64, to: u64| -> Vec<StoredEntry> {
+        (from..to)
+            .map(|i| StoredEntry {
+                name: format!("name-{i:03}"),
+                weight: 1 + i % 5,
+            })
+            .collect()
+    };
+    let mut s = Storage::new();
+    let key = sha1(b"bulk");
+    let held = |s: &Storage| {
+        let entries = &s.get(&key).unwrap().entries;
+        (entries.len(), entries.capacity())
+    };
+    let mut load = names(0, 40);
+    load.push(load[3].clone());
+    assert!(s.apply(key, &WriteBody::Entries(load), st(1), 0));
+    assert_eq!(held(&s), (40, 40));
+    // Ten held names and 25 new ones, in an order no holder sends.
+    let replica = snapshot_body(None, &names(30, 65));
+    assert!(s.apply(key, &replica, st(2), 0));
+    assert_eq!(held(&s), (65, 65));
+    s.merge_max(key, None, &names(60, 80), st(3), 0);
+    assert_eq!(held(&s), (80, 80));
 }
 
 /// A `Replicate` body: the blob option, then `entries` as listed.

@@ -363,11 +363,19 @@ impl<T: WireEncode> WireEncode for [T] {
             item.encode(buf);
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(T::encoded_len).sum::<usize>()
+    }
 }
 
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         self.as_slice().encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.as_slice().encoded_len()
     }
 }
 
