@@ -23,7 +23,7 @@
 use bytes::Bytes;
 
 use dharma_cache::{CacheStats, HotCache, PopularityEstimator};
-use dharma_net::Ctx;
+use dharma_net::{Counter, Ctx};
 use dharma_types::{Id160, VersionStamp, WireDecode};
 
 use super::{KadOutput, KademliaNode};
@@ -198,7 +198,7 @@ impl KademliaNode {
             return;
         };
         let dropped = cache.invalidate_stale(key, below).len();
-        self.cfg.counters.record_stale_drops(dropped as u64);
+        self.cfg.counters.add(Counter::StaleDrops, dropped as u64);
     }
 
     /// Applies a local write's cache consequences: every cached view of
@@ -263,7 +263,7 @@ impl KademliaNode {
         }
         self.cfg
             .counters
-            .record_replicas_promoted(targets.len() as u64);
+            .add(Counter::ReplicasPromoted, targets.len() as u64);
         for contact in &targets {
             self.send_write(ctx, contact, None, key, &snapshot, stamp);
         }

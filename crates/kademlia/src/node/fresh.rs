@@ -34,7 +34,7 @@
 use bytes::{Bytes, BytesMut};
 
 use dharma_cache::{FetcherBook, FreshConfig, FreshnessBook, HitHistory};
-use dharma_net::Ctx;
+use dharma_net::{Counter, Ctx};
 use dharma_types::{FxHashMap, Id160, VersionStamp, WireEncode};
 
 use super::cache::CachedView;
@@ -275,7 +275,7 @@ impl KademliaNode {
                     cache.confirm_fresh(&e.key, e.version, ctx.now_us, f.cfg.max_view_lifetime_us);
                     continue;
                 }
-                cfg.counters.record_stale_drops(dropped.len() as u64);
+                cfg.counters.add(Counter::StaleDrops, dropped.len() as u64);
                 if f.cfg.revalidate_on_stale && !f.is_revalidating(&e.key) {
                     refresh.push((e.key, dropped[0]));
                 }
@@ -309,7 +309,7 @@ impl KademliaNode {
     /// checked) to `to`, tracked under [`REFRESH_OP`]. The reply re-pins
     /// the view; a timeout or a `FoundNodes` leaves things as they are.
     fn send_revalidation(&mut self, ctx: &mut Ctx<KadOutput>, to: Contact, key: Id160, top_n: u32) {
-        self.cfg.counters.record_revalidation();
+        self.cfg.counters.add(Counter::Revalidations, 1);
         let timeout_us = self.cfg.rpc_timeout_us;
         let rpc = self.request(ctx, to, REFRESH_OP, timeout_us, None, |rpc, from| {
             Message::FindValue {
@@ -492,7 +492,7 @@ impl KademliaNode {
             // invalidation is loss-tolerant by contract (the gossip
             // cadence backstops a lost push), so acking every duplicate
             // would double the push overhead for no freshness gain.
-            self.cfg.counters.record_invalidate_pushes(1);
+            self.cfg.counters.add(Counter::InvalidatePushes, 1);
             let push = |rpc: u64, from: &Contact| {
                 let len = push_head_len(rpc, from, top_n) + view.len();
                 let mut push = BytesMut::with_capacity(len);

@@ -7,6 +7,7 @@
 //!
 //! [`KadConfig::latency`]: super::KadConfig::latency
 
+use dharma_net::Counter;
 use dharma_types::Id160;
 
 use super::KademliaNode;
@@ -100,10 +101,10 @@ impl KademliaNode {
         };
         if timed_out {
             if ctl.on_timeout() {
-                self.cfg.counters.record_alpha_widened();
+                self.cfg.counters.add(Counter::AlphaWidened, 1);
             }
         } else if ctl.on_clean_reply() {
-            self.cfg.counters.record_alpha_narrowed();
+            self.cfg.counters.add(Counter::AlphaNarrowed, 1);
         }
         op.lookup.set_alpha(ctl.current());
         if let Some(l) = self.latency.as_mut() {
@@ -120,7 +121,7 @@ impl KademliaNode {
                 let estimate = |id: &Id160| l.rtt.estimate_us(id);
                 let (outcome, demoted) = self.routing.note_contact_pns(c, &estimate);
                 if demoted {
-                    self.cfg.counters.record_pns_eviction();
+                    self.cfg.counters.add(Counter::PnsEvictions, 1);
                 }
                 outcome
             }

@@ -45,7 +45,7 @@
 //!   no probe round, no timeout storm — with a short tombstone so
 //!   in-flight stragglers cannot re-insert the corpse.
 
-use dharma_net::Ctx;
+use dharma_net::{Counter, Ctx};
 use dharma_types::{FxHashMap, FxHashSet, Id160, WireEncode};
 
 use super::rpc::{PROBE_OP, REPAIR_OP};
@@ -264,7 +264,7 @@ impl KademliaNode {
         if !self.maint.probing.insert(contact.id) {
             return;
         }
-        self.cfg.counters.record_probe();
+        self.cfg.counters.add(Counter::ProbesSent, 1);
         let timeout_us = self.cfg.rpc_timeout_us;
         self.request(ctx, contact, PROBE_OP, timeout_us, None, |rpc, from| {
             let from = from.clone();
@@ -317,7 +317,7 @@ impl KademliaNode {
             }
         }
         if handed > 0 {
-            self.cfg.counters.record_handoffs(handed);
+            self.cfg.counters.add(Counter::Handoffs, handed);
         }
     }
 
@@ -382,7 +382,7 @@ impl KademliaNode {
             pushes += self.push_to_closest(ctx, *key, true);
         }
         if pushes > 0 {
-            self.cfg.counters.record_rereplications(pushes);
+            self.cfg.counters.add(Counter::Rereplications, pushes);
         }
         self.maint.repair_cursor = if done { None } else { batch.last().copied() };
     }
@@ -437,7 +437,7 @@ impl KademliaNode {
             self.push_to_closest(ctx, key, true);
             self.storage.remove(&key);
             self.invalidate_cached(&key);
-            self.cfg.counters.record_replica_demoted();
+            self.cfg.counters.add(Counter::ReplicasDemoted, 1);
         }
         self.forget_unheld_news();
     }
@@ -509,13 +509,13 @@ impl KademliaNode {
             pushes += self.push_to_closest(ctx, key, false);
         }
         if pushes > 0 {
-            self.cfg.counters.record_leave_handoffs(pushes);
+            self.cfg.counters.add(Counter::LeaveHandoffs, pushes);
         }
         let contacts: Vec<Contact> = self.routing.iter().cloned().collect();
         if !contacts.is_empty() {
             self.cfg
                 .counters
-                .record_leave_notices(contacts.len() as u64);
+                .add(Counter::LeaveNotices, contacts.len() as u64);
         }
         for c in contacts {
             self.notify(ctx, c.addr, |rpc, from| {

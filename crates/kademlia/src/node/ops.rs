@@ -7,7 +7,7 @@
 
 use bytes::{Bytes, BytesMut};
 
-use dharma_net::{Ctx, NodeAddr};
+use dharma_net::{Counter, Ctx, NodeAddr};
 use dharma_types::{Id160, WireEncode};
 
 use super::cache::CachedView;
@@ -95,7 +95,7 @@ impl KademliaNode {
                 .storage
                 .encode_filtered(&target, *top_n, budget, &mut body);
             if let Some((truncated, version)) = held {
-                self.cfg.counters.record_cache_miss();
+                self.cfg.counters.add(Counter::CacheMisses, 1);
                 let body = body.freeze();
                 let value = Some(CachedView { body, truncated }.fetched(version, false));
                 ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
@@ -103,7 +103,7 @@ impl KademliaNode {
             }
             if !bypass_cache {
                 if let Some((view, version)) = self.serve_cached(&target, *top_n, ctx.now_us) {
-                    self.cfg.counters.record_cache_hit();
+                    self.cfg.counters.add(Counter::CacheHits, 1);
                     let value = Some(view.fetched(version, true));
                     ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
                     self.maybe_refresh_ahead(ctx, target, *top_n);
@@ -181,7 +181,9 @@ impl KademliaNode {
         let queries = op.lookup.next_queries();
         let warm_redirects = op.lookup.take_warm_redirects();
         if warm_redirects > 0 {
-            self.cfg.counters.record_warm_redirects(warm_redirects);
+            self.cfg
+                .counters
+                .add(Counter::WarmRedirects, warm_redirects);
         }
         op.messages += queries.len() as u32;
         // The lookup may have converged (no queries issuable, none inflight).
@@ -210,7 +212,7 @@ impl KademliaNode {
             OpKind::Get { .. } => {
                 // Lookup ended without any node returning the value.
                 let messages = op.messages;
-                self.cfg.counters.record_cache_miss();
+                self.cfg.counters.add(Counter::CacheMisses, 1);
                 ctx.complete(
                     op_id,
                     KadOutput::Value {
@@ -376,9 +378,9 @@ impl KademliaNode {
         // Warm-peer bookkeeping: this contact just served the key.
         self.note_served_by(key, &from, from_cache, now);
         if from_cache {
-            self.cfg.counters.record_cache_hit();
+            self.cfg.counters.add(Counter::CacheHits, 1);
         } else {
-            self.cfg.counters.record_cache_miss();
+            self.cfg.counters.add(Counter::CacheMisses, 1);
             // The served authoritative version is gossip too.
             self.note_version(key, version);
             self.disarm_guard(&key, op.issued_at_us);

@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 
-use dharma_net::{Ctx, NodeAddr};
+use dharma_net::{Counter, Ctx, NodeAddr};
 use dharma_types::{Id160, WireEncode};
 
 use super::ops::lookup_query;
@@ -131,7 +131,7 @@ impl KademliaNode {
         if let Some(l) = self.latency.as_mut() {
             let rtt_us = now_us.saturating_sub(pend.sent_at_us);
             l.rtt.observe(pend.to.id, rtt_us, now_us);
-            self.cfg.counters.record_rtt_sample();
+            self.cfg.counters.add(Counter::RttSamples, 1);
         }
         self.alpha_feedback(pend.op, false);
         Some(pend)

@@ -105,9 +105,10 @@ impl Metric {
 }
 
 /// Telemetry exposed by a protocol node, independent of the runtime it is
-/// driven by. Runtimes surface it to operators (see
-/// [`UdpRuntime::metrics`](crate::udp::UdpRuntime::metrics)); the
-/// simulator's tests read node state directly instead.
+/// driven by. Over real sockets an operator reads it through
+/// [`UdpWorker::node`](crate::udp::UdpWorker::node), beside the worker's
+/// [`NetCounters`](crate::NetCounters) (the `udp_overlay` example prints
+/// both); the simulator's tests read node state directly instead.
 pub trait Instrumented {
     /// A snapshot of the node's observable gauges (cache statistics,
     /// popularity tracking, storage/routing occupancy, ...).

@@ -8,24 +8,21 @@
 //! event order. A run is therefore a pure function of the seed and of the
 //! calls made on the [`SimNet`].
 //!
-//! Two **delay disciplines** share the send path, selected by
-//! [`SimConfig::topology`]:
+//! There is **one link model**, the per-link [`TopologyConfig`] of
+//! [`crate::topology`]: a datagram's delay is its link's deterministic
+//! base (`f(seed, sender, receiver)`) plus uniform jitter from the master
+//! stream, and it is lost with its link's probability. `topology: None`
+//! (the default) is shorthand for [`TopologyConfig::uniform`] over
+//! `latency_min_us`, `latency_max_us` and `drop_rate`: one cluster whose
+//! every link has base delay `latency_min_us`, jitter up to
+//! `latency_max_us` and loss `drop_rate`. It makes the draws a uniform
+//! `latency_min_us ..= latency_max_us` range makes, in the same order (one
+//! loss draw, then a delay draw only when `max > min`), so every number
+//! measured on a uniform range reproduces byte for byte.
 //!
-//! * `topology: None` (the default) — the classic global-uniform model:
-//!   each datagram is delayed by `latency_min_us ..= latency_max_us` drawn
-//!   independently and lost with probability `drop_rate`. Every historical
-//!   number was measured here, and the draw order is preserved exactly, so
-//!   `None` runs stay byte-identical to them.
-//! * `topology: Some(t)` — the geo-clustered per-link model of
-//!   [`crate::topology`]: the delay is the link's deterministic base
-//!   (`f(seed, sender, receiver)`) plus uniform jitter from the master
-//!   stream, and the loss probability is per-link (`base_loss`, or
-//!   `lossy_loss` on links touching the designated lossy cluster).
-//!   `latency_min_us`, `latency_max_us` and `drop_rate` are unused.
-//!
-//! In both disciplines a datagram is **rejected at send time when larger
-//! than `mtu` bytes** — the UDP constraint that motivates the paper's
-//! index-side filtering (§V-A).
+//! A datagram is **rejected at send time when larger than `mtu` bytes** —
+//! the UDP constraint that motivates the paper's index-side filtering
+//! (§V-A).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,21 +31,20 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::counters::NetCounters;
+use crate::counters::{Counter, NetCounters};
 use crate::node::{Ctx, Node, NodeAddr, OpId};
 use crate::topology::TopologyConfig;
 
 /// Simulator parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Minimum one-way datagram latency (µs) of the global-uniform delay
-    /// discipline. Unused when a topology is installed.
+    /// Minimum one-way datagram latency (µs) when no topology is
+    /// installed: the base delay of every link of the one-cluster model.
     pub latency_min_us: u64,
-    /// Maximum one-way datagram latency (µs). Unused when a topology is
-    /// installed (per-link delays replace the global range).
+    /// Maximum one-way datagram latency (µs) when no topology is
+    /// installed: base plus the largest jitter draw.
     pub latency_max_us: u64,
-    /// Independent loss probability per datagram. Unused when a topology
-    /// is installed (loss becomes per-link).
+    /// Loss probability per datagram when no topology is installed.
     pub drop_rate: f64,
     /// Maximum datagram payload in bytes (UDP MTU budget).
     pub mtu: usize,
@@ -56,20 +52,20 @@ pub struct SimConfig {
     pub seed: u64,
     /// Must be 1: there is one event engine. The field exists only because
     /// `dharma-bench/src/overlay.rs` names it in an exhaustive struct
-    /// literal; it goes once ROADMAP item 2a moves those literals behind
+    /// literal; it goes once ROADMAP item 4 moves those literals behind
     /// builders. [`SimNet::new`] panics on any other value.
     pub shards: usize,
-    /// Per-link delay/loss model (`None` = the classic global-uniform
-    /// model, byte-identical to every historical run). See
-    /// [`crate::topology`] and the module docs for the two disciplines.
+    /// Per-link delay/loss model. `None` is shorthand for
+    /// [`TopologyConfig::uniform`] over the three fields above; see the
+    /// module docs.
     pub topology: Option<TopologyConfig>,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        // Global-uniform discipline: 20–120 ms WAN-ish latency for every
-        // link, no loss, conservative 1400-byte MTU. Install a `topology`
-        // for geo-clustered per-link delays instead.
+        // 20–120 ms WAN-ish latency on every link, no loss, conservative
+        // 1400-byte MTU. Install a `topology` for geo-clustered per-link
+        // delays instead.
         SimConfig {
             latency_min_us: 20_000,
             latency_max_us: 120_000,
@@ -83,38 +79,25 @@ impl Default for SimConfig {
 }
 
 /// One datagram's fate on the `from → to` link: `None` = lost, otherwise
-/// the one-way delay in µs, drawn from the master stream `rng`.
-///
-/// With `topology: None` this performs exactly the classic draws in the
-/// classic order (one loss draw, then a latency draw only when
-/// `max > min`), keeping legacy runs byte-identical to history. With a
-/// topology, the loss probability and base delay are per-link pure
-/// functions of `(seed, from, to)` and only the loss draw plus an optional
-/// jitter draw consume RNG state.
-fn link_draw(cfg: &SimConfig, rng: &mut StdRng, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-    match &cfg.topology {
-        None => {
-            if rng.gen::<f64>() < cfg.drop_rate {
-                return None;
-            }
-            Some(if cfg.latency_max_us > cfg.latency_min_us {
-                rng.gen_range(cfg.latency_min_us..=cfg.latency_max_us)
-            } else {
-                cfg.latency_min_us
-            })
-        }
-        Some(t) => {
-            if rng.gen::<f64>() < t.link_loss(cfg.seed, from, to) {
-                return None;
-            }
-            let base = t.link_base_us(cfg.seed, from, to);
-            Some(if t.jitter_us > 0 {
-                base + rng.gen_range(0..=t.jitter_us)
-            } else {
-                base
-            })
-        }
+/// the one-way delay in µs. The link's loss probability and base delay are
+/// pure functions of `(seed, from, to)`; only the loss draw and a jitter
+/// draw (when `jitter_us > 0`) consume the master stream `rng`.
+fn link_draw(
+    t: &TopologyConfig,
+    seed: u64,
+    rng: &mut StdRng,
+    from: NodeAddr,
+    to: NodeAddr,
+) -> Option<u64> {
+    if rng.gen::<f64>() < t.link_loss(seed, from, to) {
+        return None;
     }
+    let base = t.link_base_us(seed, from, to);
+    Some(if t.jitter_us > 0 {
+        base + rng.gen_range(0..=t.jitter_us)
+    } else {
+        base
+    })
 }
 
 #[derive(Debug)]
@@ -166,6 +149,8 @@ pub struct SimNet<N: Node> {
     /// The master RNG every draw comes from.
     rng: StdRng,
     cfg: SimConfig,
+    /// The link model: `cfg.topology`, or its uniform shorthand.
+    links: TopologyConfig,
     counters: NetCounters,
     completed: Vec<(NodeAddr, OpId, N::Output)>,
     events: u64,
@@ -175,17 +160,20 @@ impl<N: Node> SimNet<N> {
     /// Creates an empty simulated network.
     ///
     /// # Panics
-    /// When `cfg.shards != 1`, or when an installed topology is malformed.
+    /// When `cfg.shards != 1`, or when the link model is malformed (see
+    /// [`TopologyConfig::validate`]; a uniform `drop_rate` outside
+    /// `[0, 1]`, NaN included, is rejected like a topology's loss).
     pub fn new(cfg: SimConfig) -> Self {
         assert!(
             cfg.shards == 1,
             "SimConfig::shards must be 1 (got {}): there is one event engine, and the \
-             field stays only until ROADMAP item 2a unfreezes the benchmark's literals",
+             field stays only until ROADMAP item 4 unfreezes the benchmark's literals",
             cfg.shards
         );
-        if let Some(t) = &cfg.topology {
-            t.validate();
-        }
+        let links = cfg.topology.clone().unwrap_or_else(|| {
+            TopologyConfig::uniform(cfg.latency_min_us, cfg.latency_max_us, cfg.drop_rate)
+        });
+        links.validate();
         SimNet {
             nodes: Vec::new(),
             alive: Vec::new(),
@@ -195,6 +183,7 @@ impl<N: Node> SimNet<N> {
             seq: 0,
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
+            links,
             counters: NetCounters::new(),
             completed: Vec::new(),
             events: 0,
@@ -406,7 +395,7 @@ impl<N: Node> SimNet<N> {
         let addr = ev.to;
         if !self.alive[addr as usize] {
             if matches!(ev.kind, EventKind::Deliver { .. }) {
-                self.counters.record_dropped();
+                self.counters.add(Counter::Dropped, 1);
             }
             return true;
         }
@@ -414,11 +403,11 @@ impl<N: Node> SimNet<N> {
         let node = self.nodes[addr as usize].as_mut().expect("node present");
         match ev.kind {
             EventKind::Deliver { from, payload } => {
-                self.counters.record_delivered();
+                self.counters.add(Counter::Delivered, 1);
                 node.on_message(&mut ctx, from, payload);
             }
             EventKind::Timer { id } => {
-                self.counters.record_timer();
+                self.counters.add(Counter::TimersFired, 1);
                 node.on_timer(&mut ctx, id);
             }
         }
@@ -434,10 +423,12 @@ impl<N: Node> SimNet<N> {
         let (sends, timers, completions) = ctx.into_effects();
         for msg in sends {
             if msg.payload.len() > self.cfg.mtu {
-                self.counters.record_oversize();
+                self.counters.add(Counter::OversizeRejected, 1);
                 continue;
             }
-            self.counters.record_sent(msg.payload.len());
+            self.counters.add(Counter::Sent, 1);
+            self.counters
+                .add(Counter::BytesSent, msg.payload.len() as u64);
             // Departed addresses never receive again: count the datagram as
             // sent-then-lost (the sender cannot know), but keep the queue
             // free of events to dead addresses.
@@ -447,11 +438,12 @@ impl<N: Node> SimNet<N> {
                 .copied()
                 .unwrap_or_default()
             {
-                self.counters.record_dropped();
+                self.counters.add(Counter::Dropped, 1);
                 continue;
             }
-            let Some(latency) = link_draw(&self.cfg, &mut self.rng, from, msg.to) else {
-                self.counters.record_dropped();
+            let Some(latency) = link_draw(&self.links, self.cfg.seed, &mut self.rng, from, msg.to)
+            else {
+                self.counters.add(Counter::Dropped, 1);
                 continue;
             };
             let kind = EventKind::Deliver {
@@ -738,8 +730,22 @@ mod tests {
         assert_eq!(net.now_us(), topo.link_base_us(seed, a, b));
     }
 
+    /// A uniform loss rate is checked like a topology's: 1.5 used to drop
+    /// everything and NaN nothing, silently.
     #[test]
-    #[should_panic(expected = "ROADMAP item 2a")]
+    #[should_panic(expected = "loss probabilities must lie in [0, 1]")]
+    fn uniform_drop_rate_above_one_is_rejected() {
+        net(1.5, 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss probabilities must lie in [0, 1]")]
+    fn uniform_nan_drop_rate_is_rejected() {
+        net(f64::NAN, 13);
+    }
+
+    #[test]
+    #[should_panic(expected = "ROADMAP item 4")]
     fn shards_other_than_one_are_rejected() {
         let _net: SimNet<Echo> = SimNet::new(SimConfig {
             shards: 2,

@@ -13,11 +13,10 @@
 //!   `BatchSocket` and [`MAX_BATCH`]): sends queue on the socket and
 //!   leave together in one [`BatchSocket::flush`] per poll iteration, and
 //!   a receive drains at most [`MAX_BATCH`] datagrams before the worker
-//!   dispatches them and reads on. On Linux the socket is non-blocking
-//!   and readiness waits go through `poll(2)` with a *computed* timeout
-//!   instead of re-arming `SO_RCVTIMEO` every loop iteration; elsewhere
-//!   the wait falls back to a cached `set_read_timeout`, re-armed only
-//!   when the computed wait actually changes (see [`TimeoutCache`]).
+//!   dispatches them and reads on. Every socket is non-blocking: a worker
+//!   waits for readiness in one [`PollSet::wait`] (`poll(2)` on Linux)
+//!   with a *computed* timeout, then drains with
+//!   [`BatchSocket::recv_now`].
 //! * **A recycling buffer pool** ([`BufPool`]): receive slots are
 //!   `BytesMut` buffers handed to the protocol as frozen [`Bytes`] and
 //!   reclaimed via `Bytes::try_into_mut` once the node callback returns,
@@ -123,31 +122,6 @@ pub struct FlushOutcome {
     pub dropped: u64,
 }
 
-/// Caches the last `set_read_timeout` value so the blocking fallback path
-/// re-arms the socket option only when the computed wait actually changes
-/// (quantised to milliseconds — the kernel's effective granularity).
-///
-/// The pre-rework `UdpRuntime::poll` issued this syscall every loop
-/// iteration; with a stable timer wheel the wait is identical across
-/// iterations and the re-arm is pure overhead.
-#[derive(Debug, Default)]
-pub struct TimeoutCache {
-    last_ms: Option<u64>,
-}
-
-impl TimeoutCache {
-    /// Quantises `want` and returns the duration to re-arm with, or `None`
-    /// when the socket already has an equivalent timeout armed.
-    pub fn rearm(&mut self, want: Duration) -> Option<Duration> {
-        let ms = want.as_millis().clamp(1, 60_000) as u64;
-        if self.last_ms == Some(ms) {
-            return None;
-        }
-        self.last_ms = Some(ms);
-        Some(Duration::from_millis(ms))
-    }
-}
-
 #[cfg(target_os = "linux")]
 mod linux {
     //! Hand-declared FFI against the platform libc: exactly the symbols
@@ -219,16 +193,11 @@ mod linux {
     }
 }
 
-/// A UDP socket with a send queue, a capped receive drain and a
-/// computed-wait readiness discipline. See the module docs for the full
-/// picture.
+/// A non-blocking UDP socket with a send queue and a capped receive
+/// drain. See the module docs for the full picture.
 #[derive(Debug)]
 pub struct BatchSocket {
     sock: UdpSocket,
-    /// Blocking-path read-timeout cache (portable fallback only; Linux
-    /// waits in `poll(2)` and never touches `SO_RCVTIMEO`).
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    timeout_cache: TimeoutCache,
     /// Outgoing datagrams awaiting a flush.
     tx: VecDeque<SendEntry>,
 }
@@ -241,12 +210,9 @@ impl BatchSocket {
     /// `std` and cannot share ports).
     pub fn bind(addr: SocketAddr, reuseport: bool) -> io::Result<BatchSocket> {
         let sock = Self::bind_inner(addr, reuseport)?;
-        // Linux waits in poll(2) on a non-blocking fd; the portable path
-        // blocks with a cached read timeout.
-        sock.set_nonblocking(cfg!(target_os = "linux"))?;
+        sock.set_nonblocking(true)?;
         Ok(BatchSocket {
             sock,
-            timeout_cache: TimeoutCache::default(),
             tx: VecDeque::new(),
         })
     }
@@ -301,7 +267,7 @@ impl BatchSocket {
         self.sock.local_addr()
     }
 
-    /// Borrows the underlying socket (for multi-socket [`poll_readable`]).
+    /// Borrows the underlying socket (for a multi-socket [`PollSet`]).
     pub fn socket(&self) -> &UdpSocket {
         &self.sock
     }
@@ -357,10 +323,7 @@ impl BatchSocket {
                     out.push((buf, from));
                     got += 1;
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     pool.put(buf);
                     break;
                 }
@@ -375,59 +338,6 @@ impl BatchSocket {
             }
         }
         Ok(got)
-    }
-
-    /// Waits up to `timeout` for readability, then drains up to `max`
-    /// datagrams. On Linux the wait is one `poll(2)` with the computed
-    /// timeout; the portable path blocks in `recv_from` with a cached
-    /// `set_read_timeout` re-armed only when the wait changes.
-    pub fn recv_wait(
-        &mut self,
-        pool: &mut BufPool,
-        out: &mut Vec<(BytesMut, SocketAddr)>,
-        max: usize,
-        timeout: Duration,
-    ) -> io::Result<usize> {
-        #[cfg(target_os = "linux")]
-        {
-            let mut ready = [false];
-            poll_readable(&[&self.sock], timeout, &mut ready)?;
-            if !ready[0] {
-                return Ok(0);
-            }
-            self.recv_now(pool, out, max)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            if let Some(d) = self.timeout_cache.rearm(timeout) {
-                self.sock.set_read_timeout(Some(d))?;
-            }
-            let mut buf = pool.take();
-            match self.sock.recv_from(&mut buf) {
-                Ok((len, from)) => {
-                    buf.truncate(len);
-                    out.push((buf, from));
-                    // Opportunistically drain whatever else is pending.
-                    let _ = max;
-                    Ok(1)
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    pool.put(buf);
-                    Ok(0)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    pool.put(buf);
-                    Ok(0)
-                }
-                Err(e) => {
-                    pool.put(buf);
-                    Err(e)
-                }
-            }
-        }
     }
 }
 
@@ -496,18 +406,6 @@ impl PollSet {
             Ok(ready.len())
         }
     }
-}
-
-/// Waits up to `timeout` for any of `socks` to become readable, setting
-/// the matching `ready` flags: a one-off [`PollSet`].
-pub fn poll_readable(
-    socks: &[&UdpSocket],
-    timeout: Duration,
-    ready: &mut [bool],
-) -> io::Result<usize> {
-    let mut set = PollSet::default();
-    socks.iter().for_each(|sock| set.push(sock));
-    set.wait(timeout, ready)
 }
 
 #[cfg(test)]

@@ -9,6 +9,32 @@ fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
 }
 
+/// Waits up to `timeout` for `sock` alone to become readable: a one-socket
+/// [`PollSet`].
+fn readable(sock: &BatchSocket, timeout: Duration) -> bool {
+    let mut set = PollSet::default();
+    set.push(sock.socket());
+    let mut ready = [false];
+    set.wait(timeout, &mut ready).unwrap();
+    ready[0]
+}
+
+/// Drains `sock` into `got` until it holds `want` datagrams or two seconds
+/// pass.
+fn recv_until(
+    sock: &mut BatchSocket,
+    pool: &mut BufPool,
+    got: &mut Vec<(BytesMut, SocketAddr)>,
+    want: usize,
+) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while got.len() < want && std::time::Instant::now() < deadline {
+        if readable(sock, Duration::from_millis(50)) {
+            sock.recv_now(pool, got, MAX_BATCH).unwrap();
+        }
+    }
+}
+
 #[test]
 fn batched_roundtrip_between_two_sockets() {
     let mut a = BatchSocket::bind(loopback(), false).unwrap();
@@ -26,11 +52,7 @@ fn batched_roundtrip_between_two_sockets() {
     assert_eq!(a.pending_tx(), 0);
 
     let mut got = Vec::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while got.len() < 5 && std::time::Instant::now() < deadline {
-        b.recv_wait(&mut pool, &mut got, MAX_BATCH, Duration::from_millis(50))
-            .unwrap();
-    }
+    recv_until(&mut b, &mut pool, &mut got, 5);
     assert_eq!(got.len(), 5);
     let addr_a = a.local_addr().unwrap();
     for (i, (buf, from)) in got.iter().enumerate() {
@@ -64,11 +86,7 @@ fn flush_charges_a_hard_error_to_the_head_and_sends_the_rest() {
     assert_eq!(a.pending_tx(), 0);
 
     let mut got = Vec::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while got.is_empty() && std::time::Instant::now() < deadline {
-        b.recv_wait(&mut pool, &mut got, MAX_BATCH, Duration::from_millis(50))
-            .unwrap();
-    }
+    recv_until(&mut b, &mut pool, &mut got, 1);
     // Loopback keeps order: anything sent ahead of the good datagram has
     // landed by now.
     b.recv_now(&mut pool, &mut got, MAX_BATCH).unwrap();
@@ -80,11 +98,6 @@ fn flush_charges_a_hard_error_to_the_head_and_sends_the_rest() {
 fn recv_now_honours_max() {
     let mut a = BatchSocket::bind(loopback(), false).unwrap();
     let mut b = BatchSocket::bind(loopback(), false).unwrap();
-    // The portable fallback's socket blocks: bound its reads so a drain
-    // of an empty queue returns instead of hanging.
-    b.sock
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .unwrap();
     let addr_b = b.local_addr().unwrap();
     let mut pool = BufPool::with_slots(8);
 
@@ -92,8 +105,7 @@ fn recv_now_honours_max() {
         a.queue_send(addr_b, Bytes::from(vec![i; 8]));
     }
     assert_eq!(a.flush().sent, 5);
-    let mut ready = [false];
-    poll_readable(&[&b.sock], Duration::from_secs(2), &mut ready).unwrap();
+    assert!(readable(&b, Duration::from_secs(2)));
 
     let mut got = Vec::new();
     assert_eq!(b.recv_now(&mut pool, &mut got, 2).unwrap(), 2);
@@ -132,44 +144,16 @@ fn pool_recycles_payload_storage() {
 }
 
 #[test]
-fn timeout_cache_rearms_only_on_change() {
-    let mut cache = TimeoutCache::default();
-    assert_eq!(
-        cache.rearm(Duration::from_millis(5)),
-        Some(Duration::from_millis(5))
-    );
-    assert_eq!(cache.rearm(Duration::from_millis(5)), None);
-    assert_eq!(cache.rearm(Duration::from_micros(5_400)), None, "same ms");
-    assert_eq!(
-        cache.rearm(Duration::from_millis(9)),
-        Some(Duration::from_millis(9))
-    );
-    assert_eq!(
-        cache.rearm(Duration::ZERO),
-        Some(Duration::from_millis(1)),
-        "sub-millisecond waits clamp to the kernel granularity floor"
-    );
-}
-
-#[test]
-fn poll_readable_times_out_and_wakes() {
+fn poll_set_times_out_and_wakes() {
     let a = BatchSocket::bind(loopback(), false).unwrap();
     let b = BatchSocket::bind(loopback(), false).unwrap();
     let addr_a = a.local_addr().unwrap();
-    let mut ready = [false];
     // Nothing pending: the wait expires quietly.
     let start = std::time::Instant::now();
-    poll_readable(&[&a.sock], Duration::from_millis(20), &mut ready).unwrap();
+    assert!(!readable(&a, Duration::from_millis(20)));
     assert!(start.elapsed() >= Duration::from_millis(5));
     // A datagram wakes the poll well before the timeout.
     b.sock.send_to(b"x", addr_a).unwrap();
-    let mut woke = false;
-    for _ in 0..100 {
-        poll_readable(&[&a.sock], Duration::from_millis(50), &mut ready).unwrap();
-        if ready[0] {
-            woke = true;
-            break;
-        }
-    }
+    let woke = (0..100).any(|_| readable(&a, Duration::from_millis(50)));
     assert!(woke, "datagram arrival must mark the socket readable");
 }

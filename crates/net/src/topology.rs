@@ -1,10 +1,9 @@
-//! Geo-clustered per-link latency/loss topology — the second delay
-//! discipline of [`crate::sim::SimNet`].
+//! Geo-clustered per-link latency/loss topology — the one link model of
+//! [`crate::sim::SimNet`].
 //!
-//! The classic link model draws every datagram's delay from one global
-//! uniform range, so two peers at equal XOR distance are indistinguishable
-//! even when one is 5 ms away and the other 200 ms. A [`TopologyConfig`]
-//! replaces that with a deterministic *per-link* model:
+//! A global uniform delay range makes two peers at equal XOR distance
+//! indistinguishable even when one is 5 ms away and the other 200 ms. A
+//! [`TopologyConfig`] is a deterministic *per-link* model:
 //!
 //! * every address is hashed into one of `clusters` geographic clusters —
 //!   `cluster = f(seed, addr)`, stable for the life of the run;
@@ -18,10 +17,15 @@
 //!   (`base_loss`, or `lossy_loss` when either endpoint lives in the
 //!   designated lossy cluster).
 //!
+//! The paper's plain overlay — one uniform delay range and one loss rate
+//! for every datagram — is the one-cluster case,
+//! [`TopologyConfig::uniform`], which is what `SimConfig::topology: None`
+//! stands for.
+//!
 //! Determinism contract: the base delay and loss probability of a link are
 //! pure functions of `(seed, sender, receiver)`; the only consumed
 //! randomness (loss draw + jitter draw) comes from the master stream in
-//! event order, so a topology run is as reproducible as a uniform one.
+//! event order, so every run is a pure function of its seed.
 
 use crate::node::NodeAddr;
 
@@ -80,8 +84,25 @@ impl Default for TopologyConfig {
 }
 
 impl TopologyConfig {
+    /// The one-cluster model of a uniform `min_us ..= max_us` delay and
+    /// `loss` on every link: base delay `min_us`, jitter up to
+    /// `max_us - min_us` (none when `max_us <= min_us`), no lossy cluster.
+    /// It draws exactly what the uniform range draws: one loss draw, then
+    /// `min_us + gen_range(0..=max_us - min_us)` only when `max_us > min_us`.
+    pub fn uniform(min_us: u64, max_us: u64, loss: f64) -> Self {
+        TopologyConfig {
+            clusters: 1,
+            intra_us: (min_us, min_us),
+            inter_us: (min_us, min_us),
+            jitter_us: max_us.saturating_sub(min_us),
+            base_loss: loss,
+            lossy_cluster: None,
+            lossy_loss: 0.0,
+        }
+    }
+
     /// Panics when the model is malformed (empty ranges, probabilities
-    /// outside `[0, 1]`, zero clusters, zero minimum delay).
+    /// outside `[0, 1]` or NaN, zero clusters, zero minimum delay).
     pub fn validate(&self) {
         assert!(self.clusters >= 1, "topology needs at least one cluster");
         assert!(self.intra_us.0 <= self.intra_us.1, "empty intra range");
@@ -133,12 +154,6 @@ impl TopologyConfig {
     /// (jitter only adds on top of the base delay).
     pub fn min_delay_us(&self) -> u64 {
         self.intra_us.0.min(self.inter_us.0)
-    }
-
-    /// The global maximum one-way delay including jitter (µs) — what RPC
-    /// timeouts should comfortably exceed.
-    pub fn max_delay_us(&self) -> u64 {
-        self.intra_us.1.max(self.inter_us.1) + self.jitter_us
     }
 }
 
@@ -237,7 +252,7 @@ mod tests {
             for b in 0..50u32 {
                 let d = t.link_base_us(11, a, b);
                 assert!(d >= t.min_delay_us());
-                assert!(d + t.jitter_us <= t.max_delay_us());
+                assert!(d <= t.intra_us.1.max(t.inter_us.1));
             }
         }
     }

@@ -1,17 +1,14 @@
 //! A real-socket runtime for the same [`Node`] state machines.
 //!
-//! Two layers:
-//!
-//! * [`UdpWorker`] — the **shared-nothing unit**: one worker owns a set of
-//!   node slots, one [`BatchSocket`] per slot, a private receive buffer
-//!   pool, and a private timer heap. Nothing in the hot path is shared
-//!   with other workers, so N workers on N cores scale without a lock.
-//!   Sends queue per socket and flush once per poll iteration, receives
-//!   drain in chunks of up to [`MAX_BATCH`] datagrams, and the wait
-//!   between bursts is one computed `poll(2)` across all of the worker's
-//!   sockets — the old per-iteration `set_read_timeout` syscall is gone.
-//! * [`UdpRuntime`] — the single-node convenience wrapper (a worker with
-//!   one slot) that the `udp_overlay` example and the existing tests use.
+//! [`UdpWorker`] is the **shared-nothing unit**: one worker owns a set of
+//! node slots, one [`BatchSocket`] per slot, a private receive buffer
+//! pool, and a private timer heap. Nothing in the hot path is shared with
+//! other workers, so N workers on N cores scale without a lock. Sends
+//! queue per socket and flush once per poll iteration, receives drain in
+//! chunks of up to [`MAX_BATCH`] datagrams, and the wait between bursts is
+//! one computed `poll(2)` across all of the worker's sockets. A single
+//! node is a worker with one slot; the `udp_overlay` example runs five
+//! nodes on one worker, `dharma-bench`'s `udp_search` eight per worker.
 //!
 //! The hot receive path makes **zero payload copies** and, in steady
 //! state, one allocation per datagram: datagrams land directly in pooled
@@ -34,7 +31,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -43,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use dharma_types::{DharmaError, FxHashMap, Result};
 
-use crate::counters::NetCounters;
+use crate::counters::{Counter, NetCounters};
 use crate::node::{Ctx, Node, NodeAddr, OpId};
 use crate::sys::{BatchSocket, BufPool, PollSet, MAX_BATCH};
 
@@ -107,9 +104,6 @@ impl<N: Node> UdpWorker<N> {
         bind: SocketAddr,
     ) -> Result<usize> {
         let sock = BatchSocket::bind(bind, true)?;
-        // The worker multiplexes many sockets through one poll, so every
-        // socket must be non-blocking on every platform (Linux already is).
-        sock.socket().set_nonblocking(true)?;
         let local = sock.local_addr()?;
         let slot_idx = self.slots.len();
         self.poll_set.push(sock.socket());
@@ -260,11 +254,11 @@ impl<N: Node> UdpWorker<N> {
     fn dispatch(&mut self, slot: usize, buf: BytesMut, from_sock: SocketAddr) -> bool {
         let payload = buf.freeze();
         let Some(&from) = self.peers_rev.get(&from_sock) else {
-            self.counters.record_unknown_sender();
+            self.counters.add(Counter::UnknownSender, 1);
             self.pool.recycle(payload);
             return false;
         };
-        self.counters.record_delivered();
+        self.counters.add(Counter::Delivered, 1);
         let mut node = self.slots[slot].node.take().expect("node present");
         let mut ctx = Ctx::new(self.now_us(), self.slots[slot].addr, self.rng.gen());
         node.on_message(&mut ctx, from, payload.clone());
@@ -284,7 +278,7 @@ impl<N: Node> UdpWorker<N> {
                 return;
             }
             let Reverse((_, slot, id)) = self.timers.pop().expect("peeked");
-            self.counters.record_timer();
+            self.counters.add(Counter::TimersFired, 1);
             let mut node = self.slots[slot].node.take().expect("node present");
             let mut ctx = Ctx::new(now, self.slots[slot].addr, self.rng.gen());
             node.on_timer(&mut ctx, id);
@@ -300,13 +294,13 @@ impl<N: Node> UdpWorker<N> {
         let (sends, timers, completions) = ctx.into_effects();
         for msg in sends {
             if msg.payload.len() > self.mtu {
-                self.counters.record_oversize();
+                self.counters.add(Counter::OversizeRejected, 1);
                 continue;
             }
             if let Some(sock) = self.peers.get(&msg.to) {
                 self.slots[slot].sock.queue_send(*sock, msg.payload);
             } else {
-                self.counters.record_dropped();
+                self.counters.add(Counter::Dropped, 1);
             }
         }
         let now = self.now_us();
@@ -318,12 +312,9 @@ impl<N: Node> UdpWorker<N> {
 
     fn flush_slot(&mut self, slot: usize) {
         let outcome = self.slots[slot].sock.flush();
-        if outcome.sent > 0 {
-            self.counters.record_sent_batch(outcome.sent, outcome.bytes);
-        }
-        for _ in 0..outcome.dropped {
-            self.counters.record_dropped();
-        }
+        self.counters.add(Counter::Sent, outcome.sent);
+        self.counters.add(Counter::BytesSent, outcome.bytes);
+        self.counters.add(Counter::Dropped, outcome.dropped);
     }
 
     fn flush_all(&mut self) {
@@ -332,107 +323,6 @@ impl<N: Node> UdpWorker<N> {
                 self.flush_slot(slot);
             }
         }
-    }
-}
-
-/// Drives a single [`Node`] over a UDP socket — a one-slot [`UdpWorker`]
-/// kept for the `udp_overlay` example and single-node deployments.
-pub struct UdpRuntime<N: Node> {
-    worker: UdpWorker<N>,
-}
-
-impl<N: Node> UdpRuntime<N> {
-    /// Binds a socket and starts the node (its `on_start` runs immediately).
-    pub fn bind<A: ToSocketAddrs>(
-        node: N,
-        self_addr: NodeAddr,
-        bind: A,
-        mtu: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        let bind_addr = bind
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| DharmaError::Io("bind address resolved to nothing".into()))?;
-        let mut worker = UdpWorker::new(mtu, seed);
-        worker.add_node(node, self_addr, bind_addr)?;
-        Ok(UdpRuntime { worker })
-    }
-
-    /// The socket's local address.
-    pub fn local_addr(&self) -> Result<SocketAddr> {
-        self.worker.local_addr(0)
-    }
-
-    /// Registers a peer's socket address under its overlay transport index.
-    pub fn register_peer(&mut self, addr: NodeAddr, sock: SocketAddr) {
-        self.worker.register_peer(addr, sock);
-    }
-
-    /// Shared counters.
-    pub fn counters(&self) -> NetCounters {
-        self.worker.counters()
-    }
-
-    /// Microseconds since the runtime started.
-    pub fn now_us(&self) -> u64 {
-        self.worker.now_us()
-    }
-
-    /// Immutable node access.
-    pub fn node(&self) -> &N {
-        self.worker.node(0)
-    }
-
-    /// Issues client operations against the node, applying its effects.
-    pub fn with_node<R>(&mut self, f: impl FnOnce(&mut N, &mut Ctx<N::Output>) -> R) -> R {
-        self.worker.with_node(0, f)
-    }
-
-    /// Drains reported operation completions.
-    pub fn take_completions(&mut self) -> Vec<(OpId, N::Output)> {
-        self.worker.take_completions(0)
-    }
-
-    /// Telemetry snapshot for real deployments: the node's own gauges (for
-    /// a Kademlia node: cache statistics, popularity weights, storage and
-    /// routing occupancy) followed by this runtime's transport counters.
-    /// The sim reads node state directly; this is the operator-facing
-    /// equivalent over live sockets.
-    pub fn metrics(&self) -> Vec<crate::node::Metric>
-    where
-        N: crate::node::Instrumented,
-    {
-        let counters = self.worker.counters();
-        let mut out = self.node().metrics();
-        out.push(crate::node::Metric::new("net_sent", counters.sent() as f64));
-        out.push(crate::node::Metric::new(
-            "net_delivered",
-            counters.delivered() as f64,
-        ));
-        out.push(crate::node::Metric::new(
-            "net_dropped",
-            counters.dropped() as f64,
-        ));
-        out.push(crate::node::Metric::new(
-            "net_bytes_sent",
-            counters.bytes_sent() as f64,
-        ));
-        out.push(crate::node::Metric::new(
-            "net_timers_fired",
-            counters.timers_fired() as f64,
-        ));
-        out.push(crate::node::Metric::new(
-            "net_unknown_sender",
-            counters.unknown_sender() as f64,
-        ));
-        out
-    }
-
-    /// Processes traffic and timers for up to `budget`. Returns the number
-    /// of datagrams handled.
-    pub fn poll(&mut self, budget: Duration) -> Result<u64> {
-        self.worker.poll(budget)
     }
 }
 
@@ -461,34 +351,42 @@ mod tests {
         Collector { got: vec![], reply }
     }
 
+    /// A one-slot worker hosting `node` at overlay address `addr`.
+    fn solo<N: Node>(node: N, addr: NodeAddr, mtu: usize, seed: u64) -> UdpWorker<N> {
+        let mut w = UdpWorker::new(mtu, seed);
+        w.add_node(node, addr, "127.0.0.1:0".parse().unwrap())
+            .unwrap();
+        w
+    }
+
     #[test]
     fn udp_ping_pong_on_loopback() {
-        let mut rt_a = UdpRuntime::bind(collector(false), 0, "127.0.0.1:0", 1400, 1).unwrap();
-        let mut rt_b = UdpRuntime::bind(collector(true), 1, "127.0.0.1:0", 1400, 2).unwrap();
-        let addr_a = rt_a.local_addr().unwrap();
-        let addr_b = rt_b.local_addr().unwrap();
+        let mut rt_a = solo(collector(false), 0, 1400, 1);
+        let mut rt_b = solo(collector(true), 1, 1400, 2);
+        let addr_a = rt_a.local_addr(0).unwrap();
+        let addr_b = rt_b.local_addr(0).unwrap();
         rt_a.register_peer(1, addr_b);
         rt_b.register_peer(0, addr_a);
 
-        rt_a.with_node(|_, ctx| ctx.send(1, Bytes::from_static(b"ping")));
+        rt_a.with_node(0, |_, ctx| ctx.send(1, Bytes::from_static(b"ping")));
         // Drive both runtimes briefly.
         for _ in 0..20 {
             rt_b.poll(Duration::from_millis(10)).unwrap();
             rt_a.poll(Duration::from_millis(10)).unwrap();
-            if !rt_a.node().got.is_empty() {
+            if !rt_a.node(0).got.is_empty() {
                 break;
             }
         }
-        assert_eq!(rt_b.node().got, vec![(0, b"ping".to_vec())]);
-        assert_eq!(rt_a.node().got, vec![(1, b"pong".to_vec())]);
+        assert_eq!(rt_b.node(0).got, vec![(0, b"ping".to_vec())]);
+        assert_eq!(rt_a.node(0).got, vec![(1, b"pong".to_vec())]);
     }
 
     #[test]
     fn oversize_rejected_before_socket() {
-        let mut rt = UdpRuntime::bind(collector(false), 0, "127.0.0.1:0", 64, 3).unwrap();
-        let self_sock = rt.local_addr().unwrap();
+        let mut rt = solo(collector(false), 0, 64, 3);
+        let self_sock = rt.local_addr(0).unwrap();
         rt.register_peer(0, self_sock);
-        rt.with_node(|_, ctx| ctx.send(0, Bytes::from(vec![0u8; 65])));
+        rt.with_node(0, |_, ctx| ctx.send(0, Bytes::from(vec![0u8; 65])));
         assert_eq!(rt.counters().oversize_rejected(), 1);
         assert_eq!(rt.counters().sent(), 0);
     }
@@ -508,9 +406,9 @@ mod tests {
                 self.fired.push(id);
             }
         }
-        let mut rt = UdpRuntime::bind(T { fired: vec![] }, 0, "127.0.0.1:0", 1400, 4).unwrap();
+        let mut rt = solo(T { fired: vec![] }, 0, 1400, 4);
         rt.poll(Duration::from_millis(30)).unwrap();
-        assert_eq!(rt.node().fired, vec![7]);
+        assert_eq!(rt.node(0).fired, vec![7]);
     }
 
     #[test]
@@ -533,21 +431,19 @@ mod tests {
                 self.fired_at_us.push(ctx.now_us);
             }
         }
-        let mut rt = UdpRuntime::bind(
+        let mut rt = solo(
             T {
                 fired_at_us: vec![],
             },
             0,
-            "127.0.0.1:0",
             1400,
             9,
-        )
-        .unwrap();
+        );
         let deadline = Instant::now() + Duration::from_millis(500);
-        while rt.node().fired_at_us.len() < 2 && Instant::now() < deadline {
+        while rt.node(0).fired_at_us.len() < 2 && Instant::now() < deadline {
             rt.poll(Duration::from_millis(20)).unwrap();
         }
-        let fired = rt.node().fired_at_us.clone();
+        let fired = rt.node(0).fired_at_us.clone();
         assert_eq!(fired.len(), 2, "both timers fire");
         for (deadline_us, at) in [(20_000u64, fired[0]), (40_000u64, fired[1])] {
             assert!(at >= deadline_us, "timer fired early: {at} < {deadline_us}");
@@ -561,8 +457,8 @@ mod tests {
 
     #[test]
     fn unknown_sender_datagrams_are_counted_not_delivered() {
-        let mut rt = UdpRuntime::bind(collector(false), 0, "127.0.0.1:0", 1400, 8).unwrap();
-        let target = rt.local_addr().unwrap();
+        let mut rt = solo(collector(false), 0, 1400, 8);
+        let target = rt.local_addr(0).unwrap();
         let stranger = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         stranger.send_to(b"who dis", target).unwrap();
         for _ in 0..20 {
@@ -574,7 +470,7 @@ mod tests {
         assert_eq!(rt.counters().unknown_sender(), 1);
         assert_eq!(rt.counters().delivered(), 0);
         assert!(
-            rt.node().got.is_empty(),
+            rt.node(0).got.is_empty(),
             "stranger's datagram not delivered"
         );
     }
@@ -611,22 +507,22 @@ mod tests {
     fn receive_pool_recycles_in_steady_state() {
         // After a warm-up burst the pool must stop allocating: every
         // datagram buffer is reclaimed once the node drops its payload.
-        let mut rt_a = UdpRuntime::bind(collector(false), 0, "127.0.0.1:0", 1400, 12).unwrap();
-        let mut rt_b = UdpRuntime::bind(collector(true), 1, "127.0.0.1:0", 1400, 13).unwrap();
-        let addr_a = rt_a.local_addr().unwrap();
-        let addr_b = rt_b.local_addr().unwrap();
+        let mut rt_a = solo(collector(false), 0, 1400, 12);
+        let mut rt_b = solo(collector(true), 1, 1400, 13);
+        let addr_a = rt_a.local_addr(0).unwrap();
+        let addr_b = rt_b.local_addr(0).unwrap();
         rt_a.register_peer(1, addr_b);
         rt_b.register_peer(0, addr_a);
 
         for round in 0..3 {
-            rt_a.with_node(|_, ctx| ctx.send(1, Bytes::from_static(b"ping")));
+            rt_a.with_node(0, |_, ctx| ctx.send(1, Bytes::from_static(b"ping")));
             let want = round + 1;
             let deadline = Instant::now() + Duration::from_millis(500);
-            while rt_b.node().got.len() < want && Instant::now() < deadline {
+            while rt_b.node(0).got.len() < want && Instant::now() < deadline {
                 rt_b.poll(Duration::from_millis(5)).unwrap();
             }
         }
-        let (allocated, recycled) = rt_b.worker.pool_stats();
+        let (allocated, recycled) = rt_b.pool_stats();
         assert!(
             recycled >= 2,
             "pool must reclaim dropped payload storage (recycled {recycled})"

@@ -141,6 +141,32 @@ proptest! {
         prop_assert!(logs.iter().all(Vec::is_empty));
     }
 
+    /// `topology: None` is shorthand for the one-cluster model, written
+    /// out here as a literal: base delay = `latency_min_us`, jitter up to
+    /// `latency_max_us`, loss = `drop_rate`. Both make the same draws, so
+    /// every arrival, the final clock and the counters agree.
+    #[test]
+    fn uniform_delay_is_the_one_cluster_topology(
+        scripts in arb_scripts(),
+        seed in any::<u64>(),
+        loss_ix in 0usize..3,
+    ) {
+        let loss = [0.0, 0.1, 0.5][loss_ix];
+        let one_cluster = TopologyConfig {
+            clusters: 1,
+            intra_us: (500, 500),
+            inter_us: (500, 500),
+            jitter_us: 6_500,
+            base_loss: loss,
+            lossy_cluster: None,
+            lossy_loss: 0.0,
+        };
+        prop_assert_eq!(
+            run(&scripts, seed, loss, None),
+            run(&scripts, seed, loss, Some(one_cluster))
+        );
+    }
+
     /// Under a random per-link topology the same seed still reproduces the
     /// identical event history.
     #[test]

@@ -1,7 +1,8 @@
 //! The same Kademlia protocol stack over **real UDP sockets** — proof that
-//! the node state machines are not simulation-bound. Five nodes bind
-//! loopback sockets, bootstrap off the first, store a DHARMA-style block
-//! with appends from two different nodes, and read it back filtered.
+//! the node state machines are not simulation-bound. One `UdpWorker` hosts
+//! five nodes, each on its own loopback socket; they bootstrap off the
+//! first, store a DHARMA-style block with appends from two different nodes,
+//! and read it back filtered.
 //!
 //! ```sh
 //! cargo run -p dharma-integration --release --example udp_overlay
@@ -14,8 +15,12 @@ use std::time::Duration;
 
 use dharma_cache::CacheConfig;
 use dharma_kademlia::{KadConfig, KadOutput, KademliaNode, LatencyConfig};
-use dharma_net::udp::UdpRuntime;
+use dharma_net::udp::UdpWorker;
+use dharma_net::Instrumented;
 use dharma_types::{block_key, sha1, BlockType};
+
+/// How long the worker runs the overlay after each step of the script.
+const SETTLE: Duration = Duration::from_millis(400);
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const N: usize = 5;
@@ -25,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rpc_timeout_us: 300_000,
         reply_budget: 1_200,
         // Hot-block caching on, so the metrics dump below shows live
-        // CacheStats through the UDP runtime.
+        // CacheStats over real sockets.
         cache: Some(CacheConfig::default()),
         // Latency awareness on: the RTT books fill from real loopback
         // round trips, and the dump below carries rtt_contacts /
@@ -34,67 +39,56 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..KadConfig::default()
     };
 
-    // Bind N runtimes on loopback and build the shared address book.
-    let mut runtimes: Vec<UdpRuntime<KademliaNode>> = Vec::new();
+    // One worker, one slot per node: slot i hosts overlay address i, and
+    // the worker's address book knows every hosted socket.
+    let mut worker: UdpWorker<KademliaNode> = UdpWorker::new(1400, 0);
     for i in 0..N {
         let id = sha1(format!("udp-node-{i}").as_bytes());
         let node = KademliaNode::new(id, i as u32, cfg.clone());
-        runtimes.push(UdpRuntime::bind(
-            node,
-            i as u32,
-            "127.0.0.1:0",
-            1400,
-            i as u64,
-        )?);
+        worker.add_node(node, i as u32, "127.0.0.1:0".parse()?)?;
     }
-    let addrs: Vec<_> = runtimes.iter().map(|rt| rt.local_addr().unwrap()).collect();
-    for (i, rt) in runtimes.iter_mut().enumerate() {
-        for (j, &sock) in addrs.iter().enumerate() {
-            if i != j {
-                rt.register_peer(j as u32, sock);
-            }
-        }
-    }
-    println!("bound {N} UDP nodes: {addrs:?}");
+    let addrs = (0..N)
+        .map(|slot| worker.local_addr(slot))
+        .collect::<Result<Vec<_>, _>>()?;
+    println!("bound {N} UDP nodes on one worker: {addrs:?}");
 
     // Bootstrap everyone off node 0.
-    let node0 = runtimes[0].node().contact().clone();
-    for rt in runtimes.iter_mut().skip(1) {
+    let node0 = worker.node(0).contact().clone();
+    for slot in 1..N {
         let seed = node0.clone();
-        rt.with_node(move |n, ctx| {
+        worker.with_node(slot, move |n, ctx| {
             n.add_seed(seed);
             n.bootstrap(ctx);
         });
     }
-    pump(&mut runtimes, 40);
-    for (i, rt) in runtimes.iter().enumerate() {
-        println!("node {i} knows {} contacts", rt.node().routing().len());
+    worker.poll(SETTLE)?;
+    for slot in 0..N {
+        let known = worker.node(slot).routing().len();
+        println!("node {slot} knows {known} contacts");
     }
 
     // Two different nodes append to the same t̂ block — real-socket proof of
     // the commutative one-bit-token write.
     let key = block_key("rock", BlockType::TagNeighbors);
-    runtimes[1].with_node(|n, ctx| {
+    worker.with_node(1, |n, ctx| {
         n.append(ctx, key, "metal", 1);
     });
-    runtimes[3].with_node(|n, ctx| {
+    worker.with_node(3, |n, ctx| {
         n.append(ctx, key, "metal", 1);
-    });
-    runtimes[3].with_node(|n, ctx| {
         n.append(ctx, key, "grunge", 1);
     });
-    pump(&mut runtimes, 40);
+    worker.poll(SETTLE)?;
 
     // Read it back (filtered GET) from yet another node.
-    runtimes[4].with_node(|n, ctx| {
+    worker.with_node(4, |n, ctx| {
         n.get(ctx, key, 10);
     });
-    pump(&mut runtimes, 40);
-    let completions = runtimes[4].take_completions();
-    let value = completions
-        .iter()
+    worker.poll(SETTLE)?;
+    let value = worker
+        .take_completions(4)
+        .into_iter()
         .find_map(|(_, out)| match out {
-            KadOutput::Value { value: Some(v), .. } => Some(v.clone()),
+            KadOutput::Value { value: Some(v), .. } => Some(v),
             _ => None,
         })
         .expect("value should be found over UDP");
@@ -106,28 +100,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(metal.weight, 2, "appends from two sockets merged");
     println!("appends from two different sockets merged correctly ✓");
 
-    // Operator telemetry over real sockets: every runtime exposes its
-    // node's gauges (cache statistics, storage/routing occupancy, GET
-    // load) plus transport counters — what a deployment would scrape.
-    println!("\nper-node metrics (UdpRuntime::metrics):");
-    for (i, rt) in runtimes.iter().enumerate() {
-        let line: Vec<String> = rt
+    // Operator telemetry over real sockets: each node's gauges (cache
+    // statistics, storage/routing occupancy, GET load), then the worker's
+    // transport counters — what a deployment would scrape.
+    println!("\nper-node metrics (Instrumented::metrics):");
+    for slot in 0..N {
+        let line: Vec<String> = worker
+            .node(slot)
             .metrics()
             .into_iter()
             .map(|m| format!("{}={}", m.name, m.value))
             .collect();
-        println!("  node {i}: {}", line.join(" "));
+        println!("  node {slot}: {}", line.join(" "));
     }
+    let c = worker.counters();
+    println!(
+        "worker counters: sent={} delivered={} dropped={} bytes_sent={} timers_fired={} \
+         unknown_sender={} oversize_rejected={}",
+        c.sent(),
+        c.delivered(),
+        c.dropped(),
+        c.bytes_sent(),
+        c.timers_fired(),
+        c.unknown_sender(),
+        c.oversize_rejected()
+    );
     Ok(())
-}
-
-/// Round-robin polls every runtime for a few cycles.
-fn pump(runtimes: &mut [UdpRuntime<KademliaNode>], cycles: usize) {
-    for _ in 0..cycles {
-        for rt in runtimes.iter_mut() {
-            let _ = rt.poll(Duration::from_millis(3));
-        }
-    }
 }
 
 #[cfg(test)]
