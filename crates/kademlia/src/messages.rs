@@ -406,8 +406,8 @@ impl Message {
     const T_FOUND_NODES: u8 = 4;
     const T_FIND_VALUE: u8 = 5;
     const T_FOUND_VALUE: u8 = 6;
-    const T_STORE: u8 = 7;
-    const T_APPEND: u8 = 8;
+    pub(crate) const T_STORE: u8 = 7;
+    pub(crate) const T_APPEND: u8 = 8;
     const T_ACK: u8 = 9;
     pub(crate) const T_REPLICATE: u8 = 10;
     const T_CACHE_PUSH: u8 = 11;
@@ -550,7 +550,7 @@ impl Message {
                 no_cache: buf.get_flag()?,
             },
             Message::T_FOUND_VALUE => {
-                let (blob, entries) = value_part(buf, value_use(ty, rpc, None), &mut body)?;
+                let (blob, entries) = value_part(buf, ty, value_use(ty, rpc, None), &mut body)?;
                 Message::FoundValue {
                     rpc,
                     from,
@@ -562,35 +562,40 @@ impl Message {
                     digest: Vec::<DigestEntry>::decode(buf)?,
                 }
             }
-            Message::T_STORE => Message::Store {
-                rpc,
-                from,
-                key: buf.get_id()?,
-                blob: buf.get_bytes_field()?,
-                stamp: VersionStamp::decode(buf)?,
-            },
-            Message::T_APPEND => Message::Append {
-                rpc,
-                from,
-                key: buf.get_id()?,
-                entries: Vec::<StoredEntry>::decode(buf)?,
-                stamp: VersionStamp::decode(buf)?,
-            },
-            Message::T_REPLICATE => {
+            Message::T_STORE | Message::T_APPEND | Message::T_REPLICATE => {
                 let key = buf.get_id()?;
-                let (blob, entries) = value_part(buf, value_use(ty, rpc, Some(&key)), &mut body)?;
-                Message::Replicate {
-                    rpc,
-                    from,
-                    key,
-                    blob,
-                    entries,
-                    stamp: VersionStamp::decode(buf)?,
+                let (blob, entries) =
+                    value_part(buf, ty, value_use(ty, rpc, Some(&key)), &mut body)?;
+                let stamp = VersionStamp::decode(buf)?;
+                match ty {
+                    Message::T_STORE => Message::Store {
+                        rpc,
+                        from,
+                        key,
+                        blob: blob.unwrap_or_default(),
+                        stamp,
+                    },
+                    Message::T_APPEND => Message::Append {
+                        rpc,
+                        from,
+                        key,
+                        entries,
+                        stamp,
+                    },
+                    _ => Message::Replicate {
+                        rpc,
+                        from,
+                        key,
+                        blob,
+                        entries,
+                        stamp,
+                    },
                 }
             }
             Message::T_CACHE_PUSH => {
                 let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
-                let (blob, entries) = value_part(buf, value_use(ty, rpc, Some(&key)), &mut body)?;
+                let (blob, entries) =
+                    value_part(buf, ty, value_use(ty, rpc, Some(&key)), &mut body)?;
                 Message::CachePush {
                     rpc,
                     from,
@@ -604,7 +609,8 @@ impl Message {
             }
             Message::T_INVALIDATE_PUSH => {
                 let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
-                let (blob, entries) = value_part(buf, value_use(ty, rpc, Some(&key)), &mut body)?;
+                let (blob, entries) =
+                    value_part(buf, ty, value_use(ty, rpc, Some(&key)), &mut body)?;
                 Message::InvalidatePush {
                     rpc,
                     from,

@@ -6,7 +6,8 @@
 //! buffer — one allocation and the handle, where a growing buffer spent
 //! several on the way. The body-built encoders (`encode_found_value` and
 //! the rest) do the same around a value's bytes already encoded — a
-//! holder's wire memo, a cache's pinned view — and build no `Message`.
+//! holder's wire memo, a cache's pinned view, a write's body — and build
+//! no `Message`.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -242,10 +243,12 @@ impl Message {
         buf.freeze()
     }
 
-    /// Encodes a `Replicate` around a held value's full-width wire body
-    /// ([`crate::Storage::encode_snapshot`]) into a buffer of exactly its
-    /// size.
-    pub(crate) fn encode_replicate(
+    /// Encodes a write — a `Store`, `Append` or `Replicate`, as `ty` says
+    /// — around its wire body, the bytes between key and stamp
+    /// (`WriteBody`), into a buffer of exactly its size: the one copy a
+    /// coordinator makes per replica of a body it encoded once.
+    pub(crate) fn encode_write(
+        ty: u8,
         rpc: u64,
         from: &Contact,
         key: &Id160,
@@ -254,11 +257,11 @@ impl Message {
     ) -> Bytes {
         let len = head_len(rpc, from) + ID160_BYTES + body.len() + stamp.encoded_len();
         let mut buf = BytesMut::with_capacity(len);
-        put_head(&mut buf, Self::T_REPLICATE, rpc, from);
+        put_head(&mut buf, ty, rpc, from);
         buf.put_id(key);
         buf.extend_from_slice(body);
         stamp.encode(&mut buf);
-        debug_assert_eq!(buf.len(), len, "the push buffer never grows");
+        debug_assert_eq!(buf.len(), len, "the write buffer never grows");
         buf.freeze()
     }
 

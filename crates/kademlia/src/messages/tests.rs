@@ -4,7 +4,7 @@
 use super::*;
 use bytes::Bytes;
 use dharma_types::sha1;
-use dharma_types::wire::varint_len;
+use dharma_types::wire::{get_bytes_ref, varint_len};
 use proptest::prelude::*;
 
 /// Mints test stamps from a writer derived from the seq, so distinct
@@ -27,9 +27,9 @@ fn roundtrip(m: &Message) {
 }
 
 /// Decodes the way `on_message` does, giving `answer` to the question
-/// what the value is for. Also checks the question is put for the four
+/// what the value is for. Also checks the question is put for the six
 /// value-bearing types only, with the type, the rpc and (for a push or a
-/// `Replicate`) the key, and that a body comes back exactly when `answer`
+/// write) the key, and that a body comes back exactly when `answer`
 /// keeps one.
 fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> {
     let mut asked = None;
@@ -44,6 +44,8 @@ fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> 
             Message::InvalidatePush { rpc, key, .. } => {
                 Some((Message::T_INVALIDATE_PUSH, *rpc, Some(*key)))
             }
+            Message::Store { rpc, key, .. } => Some((Message::T_STORE, *rpc, Some(*key))),
+            Message::Append { rpc, key, .. } => Some((Message::T_APPEND, *rpc, Some(*key))),
             Message::Replicate { rpc, key, .. } => Some((Message::T_REPLICATE, *rpc, Some(*key))),
             _ => None,
         };
@@ -53,36 +55,47 @@ fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> 
     out
 }
 
-/// The wire body of `m`'s value — its blob option, then its entry list —
-/// for the four value-bearing types.
+/// The wire body of `m`'s value — a `Store`'s blob, an `Append`'s entry
+/// list, or the blob option and then the entry list of the other four
+/// value-bearing types — as `m` encodes it.
 fn value_body(m: &Message) -> Option<Bytes> {
-    let (Message::FoundValue { blob, entries, .. }
-    | Message::CachePush { blob, entries, .. }
-    | Message::InvalidatePush { blob, entries, .. }
-    | Message::Replicate { blob, entries, .. }) = m
-    else {
-        return None;
-    };
     let mut body = BytesMut::new();
-    put_opt_blob(&mut body, blob.as_deref());
-    entries.encode(&mut body);
+    match m {
+        Message::Store { blob, .. } => body.put_bytes_field(blob),
+        Message::Append { entries, .. } => entries.encode(&mut body),
+        Message::FoundValue { blob, entries, .. }
+        | Message::CachePush { blob, entries, .. }
+        | Message::InvalidatePush { blob, entries, .. }
+        | Message::Replicate { blob, entries, .. } => {
+            put_opt_blob(&mut body, blob.as_deref());
+            entries.encode(&mut body);
+        }
+        _ => return None,
+    }
     Some(body.freeze())
 }
 
 /// A kept body is the value the eager decode built, as `data` carried
-/// it: the body decodes, to its end, to that blob and those entries, and
-/// where `data` is its message's own encoding the body is their
-/// re-encoding byte for byte. (Elsewhere it may differ: an overlong
-/// varint is kept as received.)
+/// it: the body decodes, to its end and in the layout of `eager`'s value,
+/// to that value, and where `data` is its message's own encoding the body
+/// is its re-encoding byte for byte. (Elsewhere it may differ: an
+/// overlong varint is kept as received.)
 fn check_body(data: &[u8], eager: &Message, body: &[u8]) {
-    let mut rest = body;
-    let blob = get_opt_blob(&mut rest).expect("a kept body decodes");
-    let blob = blob.map(<[u8]>::to_vec);
-    let entries = Vec::<StoredEntry>::decode(&mut rest).expect("a kept body decodes");
+    const KEPT: &str = "a kept body decodes";
+    let (mut rest, mut decoded) = (body, BytesMut::new());
+    match eager {
+        Message::Store { .. } => decoded.put_bytes_field(get_bytes_ref(&mut rest).expect(KEPT)),
+        Message::Append { .. } => Vec::<StoredEntry>::decode(&mut rest)
+            .expect(KEPT)
+            .encode(&mut decoded),
+        _ => {
+            put_opt_blob(&mut decoded, get_opt_blob(&mut rest).expect(KEPT));
+            Vec::<StoredEntry>::decode(&mut rest)
+                .expect(KEPT)
+                .encode(&mut decoded);
+        }
+    }
     assert!(rest.is_empty(), "the body ends where the value does");
-    let mut decoded = BytesMut::new();
-    put_opt_blob(&mut decoded, blob.as_deref());
-    entries.encode(&mut decoded);
     let expected = value_body(eager).expect("a value-bearing message");
     assert_eq!(&decoded[..], &expected[..], "on {data:?}");
     if eager.encode_to_bytes() == *data {
@@ -116,12 +129,14 @@ fn check_decoders_agree(data: &[u8]) {
         roundtrip(m);
     }
     let without_value = |mut m: Message| {
-        if let Message::FoundValue { blob, entries, .. }
-        | Message::CachePush { blob, entries, .. }
-        | Message::InvalidatePush { blob, entries, .. }
-        | Message::Replicate { blob, entries, .. } = &mut m
-        {
-            (*blob, *entries) = (None, Vec::new());
+        match &mut m {
+            Message::Store { blob, .. } => *blob = Vec::new(),
+            Message::Append { entries, .. } => *entries = Vec::new(),
+            Message::FoundValue { blob, entries, .. }
+            | Message::CachePush { blob, entries, .. }
+            | Message::InvalidatePush { blob, entries, .. }
+            | Message::Replicate { blob, entries, .. } => (*blob, *entries) = (None, Vec::new()),
+            _ => {}
         }
         m
     };
@@ -283,6 +298,13 @@ fn corpus() -> Vec<Message> {
             blob: b"payload".to_vec(),
             stamp: st(1),
         },
+        Message::Store {
+            rpc: 12,
+            from: contact(2),
+            key: sha1(b"k2"),
+            blob: Vec::new(),
+            stamp: st(3),
+        },
         Message::Append {
             rpc: 13,
             from: contact(1),
@@ -298,6 +320,29 @@ fn corpus() -> Vec<Message> {
                 },
             ],
             stamp: st(2),
+        },
+        Message::Append {
+            rpc: 14,
+            from: contact(2),
+            key: sha1(b"k2"),
+            entries: vec![
+                StoredEntry {
+                    name: "naïve ✓".into(),
+                    weight: 300,
+                },
+                StoredEntry {
+                    name: "naïve ✓".into(),
+                    weight: 1,
+                },
+            ],
+            stamp: st(4),
+        },
+        Message::Append {
+            rpc: 14,
+            from: contact(3),
+            key: sha1(b"k"),
+            entries: vec![],
+            stamp: st(5),
         },
         Message::Replicate {
             rpc: 15,
@@ -714,9 +759,45 @@ fn body_built_replicate_encodes_like_the_owned_message() {
             stamp: st(9),
         };
         let body = value_body(&owned).expect("a replica carries a value");
-        let built = Message::encode_replicate(15, &contact(1), &sha1(b"k"), &body, &st(9));
+        let built = Message::encode_write(
+            Message::T_REPLICATE,
+            15,
+            &contact(1),
+            &sha1(b"k"),
+            &body,
+            &st(9),
+        );
         assert_eq!(built, owned.encode_to_bytes());
     }
+}
+
+/// A coordinator sends every write as its body between key and stamp,
+/// encoded once: for the same parts, `encode_write` writes the bytes the
+/// owned `Store`, `Append` and `Replicate` encode to, so the datagrams are
+/// the owned messages' by construction. Every write of the corpus, and
+/// a body kept by the decoder sent on as it arrived.
+#[test]
+fn body_built_writes_encode_like_the_owned_messages() {
+    let mut writes = 0;
+    for m in &corpus() {
+        let (ty, key, stamp) = match m {
+            Message::Store { key, stamp, .. } => (Message::T_STORE, key, stamp),
+            Message::Append { key, stamp, .. } => (Message::T_APPEND, key, stamp),
+            Message::Replicate { key, stamp, .. } => (Message::T_REPLICATE, key, stamp),
+            _ => continue,
+        };
+        writes += 1;
+        let enc = m.encode_to_bytes();
+        let body = value_body(m).expect("a write carries a body");
+        let built = Message::encode_write(ty, m.rpc_id(), m.sender(), key, &body, stamp);
+        assert_eq!(built, enc, "{m:?}");
+        let (_, kept) = decode_as(&enc, ValueUse::Body).expect("accepted");
+        let kept = kept.expect("a write's body is kept");
+        assert_eq!(kept, body, "{m:?}");
+        let resent = Message::encode_write(ty, m.rpc_id(), m.sender(), key, &kept, stamp);
+        assert_eq!(resent, enc, "{m:?}");
+    }
+    assert_eq!(writes, 7, "two Stores, three Appends, two Replicates");
 }
 
 /// A value is kept as it arrived: a weight sent as an overlong varint

@@ -341,9 +341,9 @@ impl Node for KademliaNode {
             // Messages that carry a value are handed over whole, with the
             // wire body `value_use` asked to keep.
             Message::FoundValue { .. } => self.on_found_value(ctx, msg, body),
-            Message::Store { .. } | Message::Append { .. } | Message::Replicate { .. } => {
-                self.on_write(ctx, msg, body)
-            }
+            Message::Store { .. } => self.on_write(ctx, msg, body.map(WriteBody::Blob)),
+            Message::Append { .. } => self.on_write(ctx, msg, body.map(WriteBody::Entries)),
+            Message::Replicate { .. } => self.on_write(ctx, msg, body.map(WriteBody::Snapshot)),
             Message::CachePush { .. } => self.on_cache_push(ctx.now_us, msg, body),
             Message::InvalidatePush { .. } => self.on_invalidate_push(ctx, msg, body),
             Message::Ack { rpc, from } => self.on_ack(ctx, rpc, &from.id),

@@ -231,10 +231,9 @@ impl KademliaNode {
 
     /// What the value of a received message of type `ty` is for (the
     /// `messages::decode` module's "Decide before you decode"): of a
-    /// `Replicate` or a push of `pushed`, or of a `FoundValue` answering
-    /// `rpc`.
+    /// write or a push of `pushed`, or of a `FoundValue` answering `rpc`.
     ///
-    /// * A `Replicate` is merged from its body.
+    /// * A `Store`, `Append` or `Replicate` is applied from its body.
     /// * A push's body is pinned — unless this node holds the key (its
     ///   storage is fresher) or caches nothing.
     /// * A revalidation reply's body re-pins a cached view.
@@ -246,8 +245,9 @@ impl KademliaNode {
     /// RTT and gossip from the reply's other fields alone.
     pub(super) fn value_use(&self, ty: u8, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
         let live_get = |op: &OpState| matches!(op.kind, OpKind::Get { .. });
+        let write = [Message::T_STORE, Message::T_APPEND, Message::T_REPLICATE].contains(&ty);
         match (pushed, self.pending.get(&rpc)) {
-            _ if ty == Message::T_REPLICATE => ValueUse::Body,
+            _ if write => ValueUse::Body,
             (Some(key), _) if self.cache.is_some() && !self.storage.contains(key) => ValueUse::Body,
             (None, Some(pend)) if pend.op == REFRESH_OP => ValueUse::Body,
             (None, Some(pend)) if self.ops.get(&pend.op).is_some_and(live_get) => ValueUse::Owned,

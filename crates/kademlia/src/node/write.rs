@@ -1,13 +1,20 @@
 //! The one way to apply a write.
 //!
 //! A client write (`put_blob`, `append`) and a republished snapshot are
-//! the same operation carrying a different [`WriteBody`]: a lookup fixes
-//! the replica set, [`KademliaNode::write_to_replicas`] sends the body to
-//! each replica as `Store` / `Append` / `Replicate`, and every holder —
-//! the coordinator's own copy included — applies it through
-//! [`KademliaNode::apply_write`]. Also here: the origin stamps writes
-//! travel under, the read-your-writes guards a writer keeps while caching
-//! is on, and the record TTL.
+//! the same operation carrying a different [`WriteBody`]: the bytes its
+//! message holds between key and stamp, encoded once, when the operation
+//! starts (a snapshot, when the sweep reads the held value). A lookup
+//! fixes the replica set, [`KademliaNode::write_to_replicas`] sends each
+//! replica those bytes as a `Store` / `Append` / `Replicate` — one exactly
+//! sized datagram per replica, built around the body by
+//! `Message::encode_write` — and every holder, the coordinator's own copy
+//! included, applies the same bytes through
+//! [`KademliaNode::apply_write`]: a replica keeps the body its decoder
+//! validated and hands it to storage, which interns each name from the
+//! bytes. No entry is cloned, re-encoded or decoded into a `String` on
+//! the way. Also here: the origin stamps writes travel under, the
+//! read-your-writes guards a writer keeps while caching is on, and the
+//! record TTL.
 //!
 //! When [`KadConfig::record_ttl_us`] is set, every maintenance push (and
 //! every incoming `Replicate` merge) is gated on the record's remaining
@@ -15,73 +22,59 @@
 //!
 //! [`KadConfig::record_ttl_us`]: super::KadConfig::record_ttl_us
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use dharma_net::Ctx;
-use dharma_types::{Id160, VersionStamp, WireEncode};
+use dharma_types::wire::varint_len;
+use dharma_types::{Id160, VersionStamp, WireEncode, WriteBytes};
 
 use super::{bound_book, KadOutput, KademliaNode, OpKind, Phase};
-use crate::messages::{Contact, Message, StoredEntry};
+use crate::messages::{entry_len, put_entry, Contact, Message, StoredEntry};
 use crate::storage::WriteBody;
 
 impl WriteBody {
-    /// The datagram that carries this write to one replica.
+    /// The datagram that carries this write to one replica: its body
+    /// between key and stamp, copied into an exactly sized buffer.
     fn message(&self, rpc: u64, from: &Contact, key: Id160, stamp: VersionStamp) -> Bytes {
-        let from = from.clone();
-        match self {
-            WriteBody::Blob(blob) => Message::Store {
-                rpc,
-                from,
-                key,
-                blob: blob.clone(),
-                stamp,
-            },
-            WriteBody::Entries(entries) => Message::Append {
-                rpc,
-                from,
-                key,
-                entries: entries.clone(),
-                stamp,
-            },
-            WriteBody::Snapshot(body) => {
-                return Message::encode_replicate(rpc, &from, &key, body, &stamp)
-            }
-        }
-        .encode_to_bytes()
+        let (ty, body) = match self {
+            WriteBody::Blob(body) => (Message::T_STORE, body),
+            WriteBody::Entries(body) => (Message::T_APPEND, body),
+            WriteBody::Snapshot(body) => (Message::T_REPLICATE, body),
+        };
+        Message::encode_write(ty, rpc, from, &key, body, &stamp)
     }
 
     /// The inverse of [`Self::message`]: the write a `Store` / `Append` /
-    /// `Replicate` carries, as `(rpc, sender, key, body, stamp)` — a
-    /// `Replicate`'s from the wire `body` it was decoded with. `None` for
-    /// every other message.
+    /// `Replicate` carries, as `(rpc, sender, key, body, stamp)`, with the
+    /// body its wire bytes were kept as. `None` for every other message.
     fn carried_by(
         msg: Message,
-        body: Option<Bytes>,
+        body: Option<WriteBody>,
     ) -> Option<(u64, Contact, Id160, WriteBody, VersionStamp)> {
-        Some(match msg {
+        match msg {
             Message::Store {
-                rpc,
-                from,
-                key,
-                blob,
-                stamp,
-            } => (rpc, from, key, WriteBody::Blob(blob), stamp),
-            Message::Append {
-                rpc,
-                from,
-                key,
-                entries,
-                stamp,
-            } => (rpc, from, key, WriteBody::Entries(entries), stamp),
-            Message::Replicate {
                 rpc,
                 from,
                 key,
                 stamp,
                 ..
-            } => (rpc, from, key, WriteBody::Snapshot(body?), stamp),
-            _ => return None,
-        })
+            }
+            | Message::Append {
+                rpc,
+                from,
+                key,
+                stamp,
+                ..
+            }
+            | Message::Replicate {
+                rpc,
+                from,
+                key,
+                stamp,
+                ..
+            } => Some((rpc, from, key, body?, stamp)),
+            _ => None,
+        }
     }
 }
 
@@ -103,32 +96,33 @@ const WRITE_GUARD_CAP: usize = 8192;
 impl KademliaNode {
     /// Stores a blob on the `k` nodes closest to `key`.
     pub fn put_blob(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, blob: Vec<u8>) -> u64 {
-        self.start_write(ctx, key, WriteBody::Blob(blob), None)
+        let mut body = BytesMut::with_capacity(varint_len(blob.len() as u64) + blob.len());
+        body.put_bytes_field(&blob);
+        self.start_write(ctx, key, WriteBody::Blob(body.freeze()), None)
     }
 
     /// Appends `tokens` to entry `name` of the weighted set at `key`, on the
     /// `k` closest nodes.
     pub fn append(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, name: &str, tokens: u64) -> u64 {
-        self.append_many(
-            ctx,
-            key,
-            vec![StoredEntry {
-                name: name.to_owned(),
-                weight: tokens,
-            }],
-        )
+        let mut body = BytesMut::with_capacity(1 + entry_len(name, tokens));
+        body.put_varint(1);
+        put_entry(&mut body, name, tokens);
+        self.start_write(ctx, key, WriteBody::Entries(body.freeze()), None)
     }
 
     /// Appends tokens to several entries of the weighted set at `key` in a
     /// single overlay operation (one lookup + k replica messages) — the
-    /// block-update primitive of DHARMA's Table I cost model.
+    /// block-update primitive of DHARMA's Table I cost model. The entries
+    /// are encoded here, once: every replica is sent, and every holder
+    /// applies, these bytes.
     pub fn append_many(
         &mut self,
         ctx: &mut Ctx<KadOutput>,
         key: Id160,
         entries: Vec<StoredEntry>,
     ) -> u64 {
-        self.start_write(ctx, key, WriteBody::Entries(entries), None)
+        let body = WriteBody::Entries(entries.encode_to_bytes());
+        self.start_write(ctx, key, body, None)
     }
 
     /// Pushes a snapshot of every held value to the `k` nodes currently
@@ -183,10 +177,7 @@ impl KademliaNode {
     ) {
         let self_dist = self.contact.id.distance(&key);
         let include_self = replicas.len() < self.cfg.k
-            || replicas
-                .last()
-                .map(|c| self_dist < c.id.distance(&key))
-                .unwrap_or(true);
+            || (replicas.last()).is_none_or(|c| self_dist < c.id.distance(&key));
         replicas.truncate(self.cfg.k.saturating_sub(usize::from(include_self)));
         // Client writes mint their origin stamp here, once the lookup
         // fixed the replica set; replication re-sends the snapshot's
@@ -227,14 +218,9 @@ impl KademliaNode {
     ) {
         let build = |rpc: u64, from: &Contact| body.message(rpc, from, key, stamp);
         match op {
-            Some(op) => {
-                let timeout_us = self.cfg.rpc_timeout_us;
-                self.request(ctx, to.clone(), op, timeout_us, None, build);
-            }
-            None => {
-                self.notify(ctx, to.addr, build);
-            }
-        }
+            Some(op) => self.request(ctx, to.clone(), op, self.cfg.rpc_timeout_us, None, build),
+            None => self.notify(ctx, to.addr, build),
+        };
     }
 
     /// Applies a write to local storage and runs its consequences: the
@@ -263,7 +249,12 @@ impl KademliaNode {
 
     /// Handles an incoming `Store` / `Append` / `Replicate` (with the wire
     /// body `value_use` kept): apply, ack.
-    pub(super) fn on_write(&mut self, ctx: &mut Ctx<KadOutput>, msg: Message, body: Option<Bytes>) {
+    pub(super) fn on_write(
+        &mut self,
+        ctx: &mut Ctx<KadOutput>,
+        msg: Message,
+        body: Option<WriteBody>,
+    ) {
         let Some((rpc, from, key, body, stamp)) = WriteBody::carried_by(msg, body) else {
             return;
         };
@@ -372,14 +363,9 @@ impl KademliaNode {
     ///
     /// [`KadConfig::record_ttl_us`]: super::KadConfig::record_ttl_us
     fn expired_locally(&self, key: &Id160, now_us: u64) -> bool {
-        match self.cfg.record_ttl_us {
-            Some(ttl) => self
-                .storage
-                .get(key)
-                .map(|s| now_us.saturating_sub(s.refreshed_us) > ttl)
-                .unwrap_or(false),
-            None => false,
-        }
+        let held = self.storage.get(key);
+        let age = held.map(|s| now_us.saturating_sub(s.refreshed_us));
+        matches!((self.cfg.record_ttl_us, age), (Some(ttl), Some(age)) if age > ttl)
     }
 
     /// Lazily drops `key` if it is expired-but-unswept. Returns true when

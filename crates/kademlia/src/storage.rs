@@ -67,12 +67,16 @@
 //! moved. No write is quadratic in block size. A read is a prefix: the
 //! first `top_n` entries, cut further at the byte budget.
 //!
-//! A `Replicate` is merged from its wire body (`WriteBody::Snapshot`):
-//! its entries arrive in the sender's reply order and are walked in
-//! lockstep with the held ones. A block the sender holds identically is
-//! confirmed with no `String` built, no name interned and the memo kept;
-//! from the first difference on, the rest of the entries go through the
-//! batch write.
+//! Every write is applied from its wire body (`WriteBody`), the bytes
+//! its message carries between key and stamp, which the write's
+//! coordinator encoded once and a replica's decoder validated on receipt:
+//! no `String` is built for any entry. An `Append` body's names are
+//! interned straight from the body, each a `&str` borrowed out of it, and
+//! its entries go through the batch write. A `Replicate` body's entries
+//! arrive in the sender's reply order and are walked in lockstep with the
+//! held ones. A block the sender holds identically is confirmed with no
+//! name interned and the memo kept; from the first difference on, the
+//! rest of the entries go through the batch write.
 //!
 //! The compact layout is an internal detail: reads resolve symbols back to
 //! names ([`Storage::snapshot`], [`Storage::read_filtered`]) and all
@@ -85,21 +89,24 @@ use std::num::NonZeroU32;
 use std::ops::Bound;
 
 use bytes::{Bytes, BytesMut};
-use dharma_types::wire::{get_bytes_ref, get_seq_len, utf8};
+use dharma_types::wire::{get_bytes_ref, get_seq_len, get_str_ref, utf8};
 use dharma_types::{
     FxHashMap, Id160, NameInterner, ReadBytes, Result, Sym, VersionStamp, WireDecode, WriteBytes,
 };
 
 use crate::messages::{entry_len, get_opt_blob, put_entry, put_opt_blob, StoredEntry};
 
-/// What a write carries — the one shape behind the three write messages
-/// and the coordinator's local apply ([`Storage::apply`]).
+/// What a write carries: the bytes a `Store`, `Append` or `Replicate`
+/// holds between its key and its stamp — encoded once where the write
+/// starts, sent as they are to every replica, and applied from them by
+/// every holder ([`Storage::apply`]).
 #[derive(Clone, Debug)]
 pub(crate) enum WriteBody {
-    /// `STORE`: replace the blob.
-    Blob(Vec<u8>),
-    /// `APPEND`: add tokens to entries (the client write primitive).
-    Entries(Vec<StoredEntry>),
+    /// `STORE`: a length-prefixed blob, which replaces the held one.
+    Blob(Bytes),
+    /// `APPEND`: an entry list whose tokens are added (the client write
+    /// primitive).
+    Entries(Bytes),
     /// `REPLICATE`: a held value's full-width wire body — the blob option,
     /// then every entry in reply order ([`Storage::encode_snapshot`]) —
     /// merged idempotently (adopt the blob if absent, each entry takes the
@@ -246,6 +253,20 @@ impl ValueState {
             self.memo = None;
         }
         changed
+    }
+
+    /// [`Storage::append`] of each entry of an `APPEND` body, as one
+    /// batch: every name is interned from the body's bytes, borrowed, and
+    /// checked as `get_str` checks it, then the weight as `get_varint` does.
+    fn add_body(&mut self, names: &mut NameInterner, mut list: &[u8]) -> Result<()> {
+        let n = get_seq_len(&mut list, StoredEntry::MIN_WIRE_LEN)?;
+        let mut batch = Vec::with_capacity(n);
+        for _ in 0..n {
+            let sym = names.intern(get_str_ref(&mut list)?);
+            batch.push(Entry(sym, list.get_varint()?));
+        }
+        self.write(names, &batch, |held, tokens| held + tokens);
+        Ok(())
     }
 
     /// [`Storage::merge_max`] of a snapshot's wire body, walked in
@@ -415,12 +436,14 @@ impl Storage {
         state.refreshed_us = state.refreshed_us.max(now_us);
     }
 
-    /// Applies one received write — whichever of [`Self::put_blob`],
-    /// [`Self::append`] (once per entry) or [`Self::merge_max`] its body
-    /// calls for, then [`Self::touch`] — under a single lookup of `key`,
-    /// and reports whether the stored stamp rose. An `APPEND` without
+    /// Applies one write from its body — whichever of [`Self::put_blob`],
+    /// [`Self::append`] (once per entry) or [`Self::merge_max`] it calls
+    /// for, then [`Self::touch`] — under a single lookup of `key`, and
+    /// reports whether the stored stamp rose. An `APPEND` body's names are
+    /// interned from the body itself, borrowed. An `APPEND` without
     /// entries (the `t̂` touch of a re-tag) writes nothing: it refreshes a
-    /// held record and creates none.
+    /// held record and creates none. The body was encoded by this node or
+    /// validated on receipt (`Message::decode_datagram`).
     pub(crate) fn apply(
         &mut self,
         key: Id160,
@@ -428,22 +451,20 @@ impl Storage {
         stamp: VersionStamp,
         now_us: u64,
     ) -> bool {
-        if matches!(body, WriteBody::Entries(entries) if entries.is_empty()) {
+        const VALID: &str = "a write body is encoded here or validated on receipt";
+        if matches!(body, WriteBody::Entries(list) if (&list[..]).get_varint().ok() == Some(0)) {
             self.touch(key, now_us);
             return false;
         }
         let state = self.values.entry(key).or_default();
         let before = state.version;
+        let names = &mut self.names;
         match body {
-            WriteBody::Blob(blob) => state.set_blob(blob.as_slice().into()),
-            WriteBody::Entries(entries) => {
-                let batch: Vec<Entry> = (entries.iter())
-                    .map(|e| Entry(self.names.intern(&e.name), e.weight))
-                    .collect();
-                state.write(&self.names, &batch, |held, tokens| held + tokens);
+            WriteBody::Blob(blob) => {
+                state.set_blob(get_bytes_ref(&mut &blob[..]).expect(VALID).into())
             }
-            WriteBody::Snapshot(body) => (state.merge_body(&mut self.names, body))
-                .expect("a snapshot body is encoded here or validated on receipt"),
+            WriteBody::Entries(list) => state.add_body(names, list).expect(VALID),
+            WriteBody::Snapshot(body) => state.merge_body(names, body).expect(VALID),
         }
         state.version = state.version.max(stamp);
         state.refreshed_us = state.refreshed_us.max(now_us);

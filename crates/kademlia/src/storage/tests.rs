@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::messages::{Contact, Message};
-use dharma_types::{sha1, WireDecode, WireEncode};
+use dharma_types::{sha1, WireEncode};
 use proptest::prelude::*;
 
 /// Mints test stamps from one writer; seq order = write order.
@@ -262,7 +262,7 @@ fn a_large_write_fits_its_block_to_its_entries() {
     };
     let mut load = names(0, 40);
     load.push(load[3].clone());
-    assert!(s.apply(key, &WriteBody::Entries(load), st(1), 0));
+    assert!(s.apply(key, &append_body(&load), st(1), 0));
     assert_eq!(held(&s), (40, 40));
     // Ten held names and 25 new ones, in an order no holder sends.
     let replica = snapshot_body(None, &names(30, 65));
@@ -272,18 +272,24 @@ fn a_large_write_fits_its_block_to_its_entries() {
     assert_eq!(held(&s), (80, 80));
 }
 
+/// An `Append` body: `entries` as listed.
+fn append_body(entries: &[StoredEntry]) -> WriteBody {
+    WriteBody::Entries(entries.encode_to_bytes())
+}
+
+/// A `Store` body: `blob`, length-prefixed.
+fn blob_body(blob: &[u8]) -> WriteBody {
+    let mut body = BytesMut::new();
+    body.put_bytes_field(blob);
+    WriteBody::Blob(body.freeze())
+}
+
 /// A `Replicate` body: the blob option, then `entries` as listed.
 fn snapshot_body(blob: Option<&[u8]>, entries: &[StoredEntry]) -> WriteBody {
     let mut body = BytesMut::new();
     put_opt_blob(&mut body, blob);
     entries.encode(&mut body);
     WriteBody::Snapshot(body.freeze())
-}
-
-/// The blob and entries a `Replicate` body carries, owned.
-fn owned(mut body: &[u8]) -> (Option<Vec<u8>>, Vec<StoredEntry>) {
-    let blob = get_opt_blob(&mut body).unwrap().map(<[u8]>::to_vec);
-    (blob, Vec::decode_exact(body).unwrap())
 }
 
 /// What `s` would weigh had nothing been served since the last write.
@@ -378,46 +384,76 @@ proptest! {
         prop_assert!(untouched.is_empty());
     }
 
-    /// `apply` is the separate calls under one lookup: on every body
-    /// — an `APPEND` of nothing and a snapshot of nothing included —
-    /// at fresh, repeated and stale stamps, on held and absent keys,
-    /// it reports the stamp comparison those calls would make and
-    /// leaves the same value, stamp, refresh time and served bytes
-    /// (a memo built by the read after one step must not survive the
-    /// next step's write).
+    /// `apply` of an encoded body is the public calls it stands for,
+    /// under one lookup: a `Store` body is `put_blob`, an `Append` body
+    /// is one `append` per entry in its order, a `Replicate` body is
+    /// `merge_max` of the entries it carries, each then `touch`. On
+    /// bodies of every shape — an `Append` of nothing (it only touches,
+    /// and raises no stamp) and a snapshot of nothing, a name repeated
+    /// inside one body, more than `SMALL_BATCH` entries (the re-sort
+    /// path) and non-ASCII names, each of these `Append`s also named
+    /// once ahead of the drawn steps — at fresh, repeated and stale
+    /// stamps, on held and absent keys, it reports the stamp comparison
+    /// those calls would make and leaves the same value, stamp, refresh
+    /// time and served bytes (a memo built by the read after one step
+    /// must not survive the next step's write).
     #[test]
     fn apply_equals_the_calls_it_stands_for(
-        steps in proptest::collection::vec((0u8..7, "[a-c]{1,2}", 1u64..4, 0u64..6), 1..40),
+        steps in proptest::collection::vec(
+            (0u8..7, proptest::collection::vec(("[a-cé✓]{1,2}", 1u64..4), 0..40), 0u64..6),
+            1..40,
+        ),
     ) {
         let keys = [sha1(b"k0"), sha1(b"k1")];
-        let entry = |name: &str, weight: u64| StoredEntry { name: name.into(), weight };
         let (mut one, mut many) = (Storage::new(), Storage::new());
-        for (i, (kind, name, w, seq)) in steps.into_iter().enumerate() {
-            let (key, stamp, now) = (keys[i % 2], st(seq), (seq * 7 + w) % 23);
+        let shape = |spec: &[(&str, u64)]| -> Vec<(String, u64)> {
+            spec.iter().map(|&(name, weight)| (name.to_owned(), weight)).collect()
+        };
+        let large = (0..SMALL_BATCH as u64 + 9).map(|i| (format!("n{}", i % 19), 1 + i % 3));
+        // An empty append to an absent key, a repeated name, a large
+        // batch with repeats (to the key the empty one did not create),
+        // non-ASCII names, an empty append to a held key.
+        let named = [
+            (3, Vec::new(), 1),
+            (1, shape(&[("a", 1), ("b", 2), ("a", 3)]), 1),
+            (1, large.collect(), 2),
+            (1, shape(&[("naïve ✓", 2), ("é", 1), ("a", 1)]), 2),
+            (3, Vec::new(), 3),
+        ];
+        for (i, (kind, batch, seq)) in named.into_iter().chain(steps).enumerate() {
+            let (key, stamp, now) = (keys[i % 2], st(seq), (seq * 7 + batch.len() as u64) % 23);
+            let entries: Vec<StoredEntry> = (batch.iter())
+                .map(|(name, weight)| StoredEntry { name: name.clone(), weight: *weight })
+                .collect();
+            let name = entries.first().map_or("x", |e| &e.name).to_owned();
+            let before = many.stamp(&key);
             let body = match kind {
-                0 => WriteBody::Blob(name.into_bytes()),
-                1 | 2 => WriteBody::Entries(vec![entry(&name, w), entry("a", 1)]),
-                3 => WriteBody::Entries(Vec::new()),
-                4 => snapshot_body(Some(name.as_bytes()), &[entry(&name, w * 3), entry("b", w)]),
-                5 => snapshot_body(None, &[]),
+                0 => {
+                    many.put_blob(key, name.clone().into_bytes(), stamp);
+                    blob_body(name.as_bytes())
+                }
+                1..=3 => {
+                    let entries = if kind == 3 { &[][..] } else { &entries[..] };
+                    for e in entries {
+                        many.append(key, &e.name, e.weight, stamp);
+                    }
+                    append_body(entries)
+                }
+                4 => {
+                    let tail = [StoredEntry { name: "b".into(), weight: 2 }];
+                    let sent = if entries.is_empty() { &tail[..] } else { &entries[..] };
+                    many.merge_max(key, Some(name.as_bytes()), sent, stamp, now);
+                    snapshot_body(Some(name.as_bytes()), sent)
+                }
+                5 => {
+                    many.merge_max(key, None, &[], stamp, now);
+                    snapshot_body(None, &[])
+                }
                 _ => {
                     prop_assert_eq!(one.remove(&key), many.remove(&key));
                     continue;
                 }
             };
-            let before = many.stamp(&key);
-            match &body {
-                WriteBody::Blob(blob) => many.put_blob(key, blob.clone(), stamp),
-                WriteBody::Entries(entries) => {
-                    for e in entries {
-                        many.append(key, &e.name, e.weight, stamp);
-                    }
-                }
-                WriteBody::Snapshot(body) => {
-                    let (blob, entries) = owned(body);
-                    many.merge_max(key, blob.as_deref(), &entries, stamp, now)
-                }
-            }
             many.touch(key, now);
             let rose = one.apply(key, &body, stamp, now);
             prop_assert_eq!(rose, many.stamp(&key) > before, "step {} kind {}", i, kind);
@@ -557,7 +593,7 @@ proptest! {
                     // A batch of either size: up to 40 entries, so both
                     // the rotations and the re-sort are taken.
                     let written = entries(&batch);
-                    s.apply(key, &WriteBody::Entries(written.clone()), stamp, 0);
+                    s.apply(key, &append_body(&written), stamp, 0);
                     for e in written {
                         *model.entry(e.name).or_default() += e.weight;
                     }

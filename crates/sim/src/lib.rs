@@ -37,6 +37,7 @@ pub mod fresh_sim;
 pub mod latency_sim;
 pub mod output;
 pub mod overlay;
+pub mod paper;
 pub mod pipeline;
 pub mod replay;
 pub mod scale;

@@ -364,6 +364,13 @@ impl<T: WireEncode> WireEncode for [T] {
         }
     }
 
+    /// Encodes into one buffer of exactly [`WireEncode::encoded_len`] bytes.
+    fn encode_to_bytes(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        self.encode(&mut buf);
+        buf.freeze()
+    }
+
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.iter().map(T::encoded_len).sum::<usize>()
     }
@@ -372,6 +379,10 @@ impl<T: WireEncode> WireEncode for [T] {
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         self.as_slice().encode(buf);
+    }
+
+    fn encode_to_bytes(&self) -> Bytes {
+        self.as_slice().encode_to_bytes()
     }
 
     fn encoded_len(&self) -> usize {
