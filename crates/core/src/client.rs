@@ -13,7 +13,7 @@
 //! updates* and Approximation B only *changes the increment it appends*.
 
 use dharma_folksonomy::{ApproxPolicy, BPolicy};
-use dharma_kademlia::{KadOutput, KademliaNode, StoredEntry};
+use dharma_kademlia::{KadOutput, KademliaNode, StoredEntry, ValueView};
 use dharma_likir::{AuthenticatedRecord, Identity};
 use dharma_net::SimNet;
 use dharma_types::{block_key, BlockType, DharmaError, FxHashMap, Id160, Result, VersionStamp};
@@ -210,15 +210,32 @@ pub struct TagReceipt {
     pub newly_attached: bool,
 }
 
-/// A fetched block: entries (name → weight) plus truncation flag.
+/// A fetched block, as the overlay delivered it: the value's validated
+/// wire body ([`ValueView`]), read through borrowing accessors. Nothing is
+/// decoded on receipt; a caller that keeps a name copies it out
+/// (`to_owned`), and a caller that only looks names up — a search step
+/// intersecting its running sets — never allocates one. The default is
+/// the empty block (no entries, no blob), what a search step reads for a
+/// key nobody holds.
 #[derive(Clone, Debug, Default)]
-pub struct BlockView {
-    /// Entries of the weighted set.
-    pub entries: Vec<(String, u64)>,
+pub struct BlockView(ValueView);
+
+impl BlockView {
+    /// Entries of the weighted set, `(name, weight)` in the holder's reply
+    /// order, borrowed from the body.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.0.entries()
+    }
+
     /// True if the server cut the list (top-n filtering or MTU).
-    pub truncated: bool,
-    /// Blob content, if the block stores one.
-    pub blob: Option<Vec<u8>>,
+    pub fn truncated(&self) -> bool {
+        self.0.truncated
+    }
+
+    /// Blob content, if the block stores one, borrowed from the body.
+    pub fn blob(&self) -> Option<&[u8]> {
+        self.0.blob()
+    }
 }
 
 /// The DHARMA tagging client.
@@ -466,16 +483,17 @@ impl DharmaClient {
         // The weight of t after our own step-1 increment tells us whether
         // this tagging attached t to r for the first time.
         let t_weight = view
-            .entries
-            .iter()
-            .find(|(n, _)| n == tag)
-            .map(|(_, w)| *w)
-            .unwrap_or(1);
+            .entries()
+            .find(|&(n, _)| n == tag)
+            .map_or(1, |(_, w)| w);
         let newly_attached = t_weight <= 1;
 
         // Neighborhood τ ∈ Tags(r) \ {t}.
-        let mut neighbors: Vec<(String, u64)> =
-            view.entries.into_iter().filter(|(n, _)| n != tag).collect();
+        let mut neighbors: Vec<(String, u64)> = view
+            .entries()
+            .filter(|&(n, _)| n != tag)
+            .map(|(n, w)| (n.to_owned(), w))
+            .collect();
         let neighborhood = neighbors.len();
 
         // 4. Forward arcs (t, τ) on t̂ — only when newly attached. This is a
@@ -557,7 +575,7 @@ impl DharmaClient {
     ) -> Result<(Option<Vec<u8>>, OpCost)> {
         let key = block_key(resource, BlockType::ResourceUri);
         let (view, cost) = self.run_get(net, key, 0)?;
-        Ok((view.and_then(|v| v.blob), cost))
+        Ok((view.and_then(|v| v.blob().map(<[u8]>::to_vec)), cost))
     }
 
     /// Gracefully departs the overlay: the home node pushes a parting
@@ -698,9 +716,11 @@ impl DharmaClient {
         Ok((served.map(|(view, _)| view), cost))
     }
 
-    /// The stamped GET underneath every client read. `fresh` requests the
-    /// cache-bypassing, authoritative-only lookup
-    /// ([`KademliaNode::get_fresh`] — the session-consistency
+    /// The stamped GET underneath every client read: a view GET
+    /// ([`KademliaNode::get_view`]), so the block arrives as its wire body
+    /// and no entry is built on the home node. `fresh` requests the
+    /// cache-bypassing, authoritative-only lookup (as
+    /// [`KademliaNode::get_fresh`] — the session-consistency
     /// escalation). Every served version raises the session floor: a
     /// later monotonic read may not go back behind it.
     fn run_get_stamped(
@@ -710,24 +730,13 @@ impl DharmaClient {
         top_n: u32,
         fresh: bool,
     ) -> Result<(Option<(BlockView, VersionStamp)>, OpCost)> {
-        let (out, cost) = self.run_op(net, true, true, |n, ctx| {
-            if fresh {
-                n.get_fresh(ctx, key, top_n)
-            } else {
-                n.get(ctx, key, top_n)
-            }
-        })?;
+        let (out, cost) =
+            self.run_op(net, true, true, |n, ctx| n.get_view(ctx, key, top_n, fresh))?;
         match out {
-            KadOutput::Value { value, .. } => {
-                let served = value.map(|v| {
-                    (
-                        BlockView {
-                            entries: v.entries.into_iter().map(|e| (e.name, e.weight)).collect(),
-                            truncated: v.truncated,
-                            blob: v.blob,
-                        },
-                        v.version,
-                    )
+            KadOutput::View { view, .. } => {
+                let served = view.map(|v| {
+                    let stamp = v.version;
+                    (BlockView(v), stamp)
                 });
                 if let Some((_, stamp)) = &served {
                     self.session.observe(key, *stamp);

@@ -6,6 +6,16 @@ use crate::testutil::overlay;
 use dharma_likir::CertificationAuthority;
 use dharma_types::{block_key, BlockType};
 
+/// The names of `view`'s entries, in reply order.
+fn names(view: &BlockView) -> Vec<&str> {
+    view.entries().map(|(n, _)| n).collect()
+}
+
+/// The weight of entry `name` in `view`, if it has one.
+fn weight(view: &BlockView, name: &str) -> Option<u64> {
+    view.entries().find(|&(n, _)| n == name).map(|(_, w)| w)
+}
+
 fn client(policy: ApproxPolicy, home: u32) -> DharmaClient {
     let ca = CertificationAuthority::new(b"dharma-tests");
     let identity = ca.register("alice", 0);
@@ -65,10 +75,8 @@ fn search_step_costs_2() {
         .unwrap();
     let (nbrs, res, cost) = c.search_step(&mut net, "rock").unwrap();
     assert_eq!(cost.lookups, 2);
-    assert_eq!(nbrs.entries.len(), 1);
-    assert_eq!(nbrs.entries[0].0, "metal");
-    assert_eq!(res.entries.len(), 1);
-    assert_eq!(res.entries[0].0, "r1");
+    assert_eq!(names(&nbrs), ["metal"]);
+    assert_eq!(names(&res), ["r1"]);
 }
 
 #[test]
@@ -87,7 +95,7 @@ fn tagging_updates_blocks_consistently() {
     let key = block_key("album", BlockType::ResourceTags);
     let (view, _) = c.run_get(&mut net, key, 0).unwrap();
     let view = view.unwrap();
-    let get = |n: &str| view.entries.iter().find(|(e, _)| e == n).map(|(_, w)| *w);
+    let get = |n: &str| weight(&view, n);
     assert_eq!(get("rock"), Some(2));
     assert_eq!(get("metal"), Some(1));
     assert_eq!(get("grunge"), Some(1));
@@ -96,15 +104,13 @@ fn tagging_updates_blocks_consistently() {
     // sim(grunge → rock) = u(rock, album) = 2 at attach time.
     let key = block_key("grunge", BlockType::TagNeighbors);
     let (view, _) = c.run_get(&mut net, key, 0).unwrap();
-    let entries = view.unwrap().entries;
-    let rock = entries.iter().find(|(n, _)| n == "rock").unwrap();
-    assert_eq!(rock.1, 2, "exact B adds u(rock, album)");
+    let rock = weight(&view.unwrap(), "rock").unwrap();
+    assert_eq!(rock, 2, "exact B adds u(rock, album)");
 
     let key = block_key("rock", BlockType::TagNeighbors);
     let (view, _) = c.run_get(&mut net, key, 0).unwrap();
-    let entries = view.unwrap().entries;
-    let grunge = entries.iter().find(|(n, _)| n == "grunge").unwrap();
-    assert_eq!(grunge.1, 1);
+    let grunge = weight(&view.unwrap(), "grunge").unwrap();
+    assert_eq!(grunge, 1);
 }
 
 #[test]
@@ -118,9 +124,8 @@ fn approximation_b_appends_unit() {
     c.tag(&mut net, "album", "grunge").unwrap();
     let key = block_key("grunge", BlockType::TagNeighbors);
     let (view, _) = c.run_get(&mut net, key, 0).unwrap();
-    let entries = view.unwrap().entries;
-    let rock = entries.iter().find(|(n, _)| n == "rock").unwrap();
-    assert_eq!(rock.1, 1, "Approximation B: unit token, not u(τ, r) = 3");
+    let rock = weight(&view.unwrap(), "rock").unwrap();
+    assert_eq!(rock, 1, "Approximation B: unit token, not u(τ, r) = 3");
 }
 
 #[test]
@@ -198,10 +203,8 @@ fn graceful_leave_preserves_data_and_fails_later_ops() {
     // client still resolves everything.
     let mut other = client(ApproxPolicy::EXACT, 7);
     let (nbrs, res, _) = other.search_step(&mut net, "rock").unwrap();
-    assert_eq!(res.entries.len(), 1);
-    assert_eq!(res.entries[0].0, "kept");
-    assert_eq!(nbrs.entries.len(), 1);
-    assert_eq!(nbrs.entries[0].0, "jazz");
+    assert_eq!(names(&res), ["kept"]);
+    assert_eq!(names(&nbrs), ["jazz"]);
     let (uri, _) = other.resolve_uri(&mut net, "kept").unwrap();
     assert!(uri.is_some(), "the URI record survives the departure");
 }
@@ -289,7 +292,8 @@ fn session_floor_tracks_writes_and_reads() {
     // An eventual read observes too, and behaves exactly like the
     // classic read path.
     let (view, _) = c.get(&mut net, r_bar, 0, Consistency::Eventual).unwrap();
-    assert_eq!(view.unwrap().entries, vec![("rock".to_owned(), 1)]);
+    let entries: Vec<(&str, u64)> = view.as_ref().unwrap().entries().collect();
+    assert_eq!(entries, [("rock", 1)]);
     c.reset_session();
     assert_eq!(c.session().tracked(), 0, "reset starts a new session");
 }
@@ -319,7 +323,8 @@ fn empty_t_hat_touch_leaves_no_phantom_session_floor() {
     let (view, _) = c
         .get(&mut net, t_hat, 0, Consistency::MonotonicReads)
         .expect("nothing is stale");
-    assert_eq!(view.unwrap().entries, vec![("pop".to_owned(), 1)]);
+    let entries: Vec<(&str, u64)> = view.as_ref().unwrap().entries().collect();
+    assert_eq!(entries, [("pop", 1)]);
 
     // A single-tag insert touches a t̂ block that does not exist yet.
     c.insert_resource(&mut net, "solo", "uri://s", &["jazz"])
@@ -347,7 +352,7 @@ fn read_your_writes_escalates_past_a_stale_cache() {
     let (view, _) = reader
         .get(&mut net, r_bar, 0, Consistency::Eventual)
         .unwrap();
-    assert_eq!(view.unwrap().entries.len(), 1);
+    assert_eq!(view.unwrap().entries().count(), 1);
 
     // The writer tags the resource from a different home node — the
     // reader's cached view is now stale (no freshness subsystem here
@@ -361,7 +366,7 @@ fn read_your_writes_escalates_past_a_stale_cache() {
         .unwrap();
     let stale = stale.unwrap();
     assert!(
-        !stale.entries.iter().any(|(n, _)| n == "brand-new"),
+        weight(&stale, "brand-new").is_none(),
         "precondition: the eventual read must still serve the stale cache \
          (home node accidentally a holder? pick another seed)"
     );
@@ -374,7 +379,7 @@ fn read_your_writes_escalates_past_a_stale_cache() {
         .get(&mut net, r_bar, 0, Consistency::ReadYourWrites)
         .unwrap();
     assert!(
-        fresh.unwrap().entries.iter().any(|(n, _)| n == "brand-new"),
+        weight(&fresh.unwrap(), "brand-new").is_some(),
         "the session read must reflect the imported session's write"
     );
     assert_eq!(

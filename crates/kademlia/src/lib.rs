@@ -37,7 +37,7 @@ pub mod routing;
 pub mod rtt;
 pub mod storage;
 
-pub use messages::{Contact, DigestEntry, Message, StoredEntry};
+pub use messages::{Contact, DigestEntry, Message, StoredEntry, ValueView};
 pub use node::{AdaptConfig, KadConfig, KadOutput, KademliaNode, MaintConfig, MaintConfigBuilder};
 pub use routing::{KBucket, NoteOutcome, RoutingTable};
 pub use rtt::{AlphaController, LatencyConfig, LatencyConfigBuilder, RttBook};

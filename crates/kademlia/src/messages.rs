@@ -635,6 +635,7 @@ mod encode;
 
 use decode::value_part;
 pub(crate) use decode::ValueUse;
+pub use decode::ValueView;
 
 #[cfg(test)]
 mod tests;

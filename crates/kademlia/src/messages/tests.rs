@@ -31,7 +31,7 @@ fn roundtrip(m: &Message) {
 /// value-bearing types only, with the type, the rpc and (for a push or a
 /// write) the key, and that a body comes back exactly when `answer`
 /// keeps one.
-fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> {
+pub(super) fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> {
     let mut asked = None;
     let out = Message::decode_datagram(Bytes::copy_from_slice(data), |ty, rpc, key| {
         asked = Some((ty, rpc, key.copied()));
@@ -206,7 +206,7 @@ fn flag_offsets(m: &Message) -> Vec<usize> {
 /// One representative encoding per variant shape (empty and populated
 /// collections, present and absent options) — shared by the roundtrip,
 /// truncation, and mutation tests.
-fn corpus() -> Vec<Message> {
+pub(super) fn corpus() -> Vec<Message> {
     vec![
         Message::Ping {
             rpc: 1,

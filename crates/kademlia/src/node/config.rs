@@ -7,7 +7,7 @@ use dharma_cache::{CacheConfig, FreshConfig, PopularityConfig};
 use dharma_net::NetCounters;
 use dharma_types::VersionStamp;
 
-use crate::messages::{Contact, FetchedValue};
+use crate::messages::{Contact, FetchedValue, ValueView};
 use crate::rtt::LatencyConfig;
 
 /// Churn-adaptive maintenance cadence (the `dharma-adapt` subsystem):
@@ -296,10 +296,24 @@ impl Default for KadConfig {
 pub enum KadOutput {
     /// A node lookup finished with the `k` closest contacts found.
     Nodes(Vec<Contact>),
-    /// A value lookup finished.
+    /// A value lookup ([`KademliaNode::get`] / [`KademliaNode::get_fresh`])
+    /// finished.
+    ///
+    /// [`KademliaNode::get`]: crate::KademliaNode::get
+    /// [`KademliaNode::get_fresh`]: crate::KademliaNode::get_fresh
     Value {
         /// The value, or `None` if no storing node was found.
         value: Option<FetchedValue>,
+        /// Messages this operation sent (diagnostics).
+        messages: u32,
+    },
+    /// A view lookup ([`KademliaNode::get_view`]) finished: the value as
+    /// its validated wire body, nothing decoded.
+    ///
+    /// [`KademliaNode::get_view`]: crate::KademliaNode::get_view
+    View {
+        /// The value, or `None` if no storing node was found.
+        view: Option<ValueView>,
         /// Messages this operation sent (diagnostics).
         messages: u32,
     },

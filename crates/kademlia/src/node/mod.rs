@@ -85,6 +85,9 @@ enum OpKind {
         /// session-consistency escalation path for reads whose served
         /// version fell below the client's session floor.
         fresh: bool,
+        /// Complete with the value's wire body ([`KadOutput::View`])
+        /// instead of owned entries ([`KadOutput::Value`]).
+        view: bool,
     },
     Write {
         body: WriteBody,

@@ -1,20 +1,22 @@
 //! Client operations: the iterative lookup every operation starts with,
 //! from [`KademliaNode::start_op`] through the `α`-parallel pump
 //! ([`crate::lookup`] decides whom to ask next) to completion — a read
-//! completes with the first value found, a write moves on to its replica
-//! phase (`write`). Bucket refresh for idle buckets is exposed as
+//! completes with the first value found (owned entries for
+//! [`KademliaNode::get`] and [`KademliaNode::get_fresh`], the wire body
+//! for [`KademliaNode::get_view`]), a write moves on to its replica phase
+//! (`write`). Bucket refresh for idle buckets is exposed as
 //! [`KademliaNode::refresh_bucket`] for long-running deployments.
 
 use bytes::{Bytes, BytesMut};
 
 use dharma_net::{Counter, Ctx, NodeAddr};
-use dharma_types::{Id160, WireEncode};
+use dharma_types::{Id160, VersionStamp, WireEncode};
 
 use super::cache::CachedView;
 use super::rpc::{REFRESH_OP, REPAIR_OP};
 use super::{KadOutput, KademliaNode, OpKind, OpState, Phase};
 use crate::lookup::LookupState;
-use crate::messages::{Contact, DigestEntry, FetchedValue, Message, ValueUse};
+use crate::messages::{Contact, DigestEntry, FetchedValue, Message, ValueUse, ValueView};
 use crate::rtt::AlphaController;
 
 impl KademliaNode {
@@ -38,16 +40,12 @@ impl KademliaNode {
     }
 
     /// Starts a value lookup for `key`. `top_n` > 0 requests index-side
-    /// filtering: only the heaviest `top_n` entries are returned.
+    /// filtering: only the heaviest `top_n` entries are returned. It
+    /// completes with owned entries ([`KadOutput::Value`]);
+    /// [`KademliaNode::get_view`] is the same lookup completing with the
+    /// wire body.
     pub fn get(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, top_n: u32) -> u64 {
-        self.start_op(
-            ctx,
-            key,
-            OpKind::Get {
-                top_n,
-                fresh: false,
-            },
-        )
+        self.get_op(ctx, key, top_n, false, false)
     }
 
     /// Starts a value lookup that refuses cached views end-to-end: the
@@ -57,7 +55,33 @@ impl KademliaNode {
     /// version falls below the client's session floor, the client re-reads
     /// through here before declaring the read stale.
     pub fn get_fresh(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, top_n: u32) -> u64 {
-        self.start_op(ctx, key, OpKind::Get { top_n, fresh: true })
+        self.get_op(ctx, key, top_n, true, false)
+    }
+
+    /// [`KademliaNode::get`] (or, with `fresh`, [`KademliaNode::get_fresh`])
+    /// completing with a [`KadOutput::View`]: the value's wire body as it
+    /// arrived and was validated — or, served locally, as this node holds
+    /// or caches it — with no entry built. The same datagrams go out and
+    /// come back; only what the caller receives differs.
+    pub fn get_view(
+        &mut self,
+        ctx: &mut Ctx<KadOutput>,
+        key: Id160,
+        top_n: u32,
+        fresh: bool,
+    ) -> u64 {
+        self.get_op(ctx, key, top_n, fresh, true)
+    }
+
+    fn get_op(
+        &mut self,
+        ctx: &mut Ctx<KadOutput>,
+        key: Id160,
+        top_n: u32,
+        fresh: bool,
+        view: bool,
+    ) -> u64 {
+        self.start_op(ctx, key, OpKind::Get { top_n, fresh, view })
     }
 
     /// Refreshes bucket `i` by looking up a random id inside it (periodic
@@ -87,26 +111,26 @@ impl KademliaNode {
         // Local fast path for reads: this node may itself hold the value
         // authoritatively, or (with caching on) hold a fresh cached view.
         // Both are wire bodies — a held value is read the way a peer would
-        // be served it, from its wire memo — decoded once for the caller.
-        if let OpKind::Get { top_n, .. } = &kind {
+        // be served it, from its wire memo — handed to a view GET as they
+        // are and decoded once for any other.
+        if let OpKind::Get { top_n, view, .. } = kind {
             let mut body = BytesMut::new();
             let budget = self.cfg.reply_budget;
             let held = self
                 .storage
-                .encode_filtered(&target, *top_n, budget, &mut body);
+                .encode_filtered(&target, top_n, budget, &mut body);
             if let Some((truncated, version)) = held {
                 self.cfg.counters.add(Counter::CacheMisses, 1);
                 let body = body.freeze();
-                let value = Some(CachedView { body, truncated }.fetched(version, false));
-                ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
+                let done = served(view, CachedView { body, truncated }, version, false);
+                ctx.complete(op_id, done);
                 return op_id;
             }
             if !bypass_cache {
-                if let Some((view, version)) = self.serve_cached(&target, *top_n, ctx.now_us) {
+                if let Some((cached, version)) = self.serve_cached(&target, top_n, ctx.now_us) {
                     self.cfg.counters.add(Counter::CacheHits, 1);
-                    let value = Some(view.fetched(version, true));
-                    ctx.complete(op_id, KadOutput::Value { value, messages: 0 });
-                    self.maybe_refresh_ahead(ctx, target, *top_n);
+                    ctx.complete(op_id, served(view, cached, version, true));
+                    self.maybe_refresh_ahead(ctx, target, top_n);
                     return op_id;
                 }
                 // An age-refused view stays resident: the read-through
@@ -209,17 +233,22 @@ impl KademliaNode {
         let closest = op.lookup.closest_responded();
         match &op.kind {
             OpKind::FindNodes => ctx.complete(op_id, KadOutput::Nodes(closest)),
-            OpKind::Get { .. } => {
+            &OpKind::Get { view, .. } => {
                 // Lookup ended without any node returning the value.
                 let messages = op.messages;
                 self.cfg.counters.add(Counter::CacheMisses, 1);
-                ctx.complete(
-                    op_id,
+                let done = if view {
+                    KadOutput::View {
+                        view: None,
+                        messages,
+                    }
+                } else {
                     KadOutput::Value {
                         value: None,
                         messages,
-                    },
-                );
+                    }
+                };
+                ctx.complete(op_id, done);
             }
             OpKind::Write { body, stamp } => {
                 let (key, body, stamp) = (op.lookup.target(), body.clone(), *stamp);
@@ -238,19 +267,24 @@ impl KademliaNode {
     ///   storage is fresher) or caches nothing.
     /// * A revalidation reply's body re-pins a cached view.
     /// * The first value to reach a GET still in flight is built for the
-    ///   caller, and its body may be pinned and pushed on.
+    ///   caller, and its body may be pinned and pushed on — unless the GET
+    ///   is a view GET, whose caller takes the body itself.
     ///
     /// Everything else — a second or third holder's answer, a reply to a
     /// finished or forgotten lookup — settles its RPC and feeds liveness,
     /// RTT and gossip from the reply's other fields alone.
     pub(super) fn value_use(&self, ty: u8, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
-        let live_get = |op: &OpState| matches!(op.kind, OpKind::Get { .. });
+        let live_get = |op: &OpState| match op.kind {
+            OpKind::Get { view: true, .. } => ValueUse::Body,
+            OpKind::Get { view: false, .. } => ValueUse::Owned,
+            _ => ValueUse::Skip,
+        };
         let write = [Message::T_STORE, Message::T_APPEND, Message::T_REPLICATE].contains(&ty);
         match (pushed, self.pending.get(&rpc)) {
             _ if write => ValueUse::Body,
             (Some(key), _) if self.cache.is_some() && !self.storage.contains(key) => ValueUse::Body,
             (None, Some(pend)) if pend.op == REFRESH_OP => ValueUse::Body,
-            (None, Some(pend)) if self.ops.get(&pend.op).is_some_and(live_get) => ValueUse::Owned,
+            (None, Some(pend)) => self.ops.get(&pend.op).map_or(ValueUse::Skip, live_get),
             _ => ValueUse::Skip,
         }
     }
@@ -322,7 +356,8 @@ impl KademliaNode {
     }
 
     /// `FoundValue`: a holder (or a path cache) answered a `FIND_VALUE` —
-    /// of a GET still in flight, whose first value completes it, or of a
+    /// of a GET still in flight, whose first value completes it (with the
+    /// owned entries, or with the body for a view GET), or of a
     /// revalidation. Any other reply only settles its RPC and feeds
     /// gossip (and was decoded without its value, see `value_use`).
     pub(super) fn on_found_value(
@@ -350,15 +385,15 @@ impl KademliaNode {
         let Some(pend) = self.settle(rpc, &from.id, now) else {
             return;
         };
-        let view = body.map(|body| CachedView { body, truncated });
+        let kept = body.map(|body| CachedView { body, truncated });
         if pend.op == REFRESH_OP {
-            return self.on_revalidated(now, rpc, &from, view.filter(|_| !from_cache), version);
+            return self.on_revalidated(now, rpc, &from, kept.filter(|_| !from_cache), version);
         }
         // Sentinel ops have no op state; neither has a finished lookup.
         let Some(op) = self.ops.get(&pend.op) else {
             return;
         };
-        let OpKind::Get { top_n, .. } = op.kind else {
+        let OpKind::Get { top_n, view, .. } = op.kind else {
             return;
         };
         let (key, bypass) = (op.lookup.target(), op.bypass_cache);
@@ -391,34 +426,62 @@ impl KademliaNode {
         // while a write guard is armed, the arriving view may predate the
         // write — don't pin it.
         let pins = !from_cache && self.cache.is_some() && !self.recently_wrote(&key, now);
-        if let Some(view) = view.filter(|_| pins) {
+        if let Some(pinned) = kept.as_ref().filter(|_| pins) {
             // Apply the Kademlia caching rule: push the view to the path
             // node closest to the key that missed, so the next lookup from
             // anywhere stops before the hot holders ...
             let nearest_miss = op.value_misses.iter().min_by_key(|c| c.id.distance(&key));
             if let Some(target) = nearest_miss {
-                let (body, truncated) = (&view.body[..], view.truncated);
+                let body = &pinned.body[..];
                 self.notify(ctx, target.addr, |rpc, from| {
                     Message::encode_cache_push(rpc, from, &key, top_n, body, truncated, &version)
                 });
             }
             // ... and keep a requester-local view (served as a cache hit
             // on the next GET of this key from this node): the body as it
-            // arrived, while the entries move on to the caller.
-            self.pin_view(key, top_n, view, version, now);
+            // arrived, shared with a view GET's caller, while owned
+            // entries move on to any other.
+            self.pin_view(key, top_n, pinned.clone(), version, now);
         }
-        let value = FetchedValue {
-            blob,
-            entries,
-            truncated,
-            version,
-            from_cache,
-        };
-        let done = KadOutput::Value {
-            value: Some(value),
-            messages: op.messages,
+        let messages = op.messages;
+        let done = if view {
+            let body = kept.expect("a view GET keeps its body (value_use)").body;
+            KadOutput::View {
+                view: Some(ValueView::new(body, truncated, version, from_cache)),
+                messages,
+            }
+        } else {
+            let value = FetchedValue {
+                blob,
+                entries,
+                truncated,
+                version,
+                from_cache,
+            };
+            KadOutput::Value {
+                value: Some(value),
+                messages,
+            }
         };
         ctx.complete(pend.op, done);
+    }
+}
+
+/// What a GET served from this node's own storage or cache completes
+/// with: `cached` itself for a view GET, its entries decoded once for any
+/// other.
+fn served(view: bool, cached: CachedView, version: VersionStamp, from_cache: bool) -> KadOutput {
+    if view {
+        let view = ValueView::new(cached.body, cached.truncated, version, from_cache);
+        KadOutput::View {
+            view: Some(view),
+            messages: 0,
+        }
+    } else {
+        KadOutput::Value {
+            value: Some(cached.fetched(version, from_cache)),
+            messages: 0,
+        }
     }
 }
 

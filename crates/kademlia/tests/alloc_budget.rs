@@ -179,11 +179,19 @@ fn holder() -> KademliaNode {
 /// `R` with a GET for the hub block in flight at `H`, and `H`'s
 /// `FoundValue` answering it.
 fn live_get() -> (KademliaNode, Bytes) {
+    live(|r, ctx| r.get(ctx, key(), TOP_N))
+}
+
+/// `R` with the GET `issue` starts in flight at `H`, and `H`'s
+/// `FoundValue` answering it.
+fn live(
+    issue: impl FnOnce(&mut KademliaNode, &mut Ctx<KadOutput>) -> u64,
+) -> (KademliaNode, Bytes) {
     let mut h = holder();
     let mut r = node(R, false);
     r.add_seed(contact(H));
     let sent = start(&mut r, |r, ctx| {
-        r.get(ctx, key(), TOP_N);
+        issue(r, ctx);
     });
     assert_eq!(sent.len(), 1, "one FIND_VALUE, to H");
     let (mut reply, _, _) = deliver(&mut h, R, &sent[0].payload);
@@ -227,6 +235,26 @@ fn a_live_get_completes_on_a_100_entry_found_value() {
         [(_, KadOutput::Value { value: Some(v), .. })] if v.entries.len() == 100
     ));
     assert_eq!(cost, (104, 5_331));
+}
+
+/// A live view GET completes on the same reply with its body: the reply
+/// is validated and its body kept (buffer and handle), no entry is built,
+/// and the completion is queued.
+#[test]
+fn a_live_view_get_completes_on_a_100_entry_found_value() {
+    let (mut r, reply) = live(|r, ctx| r.get_view(ctx, key(), TOP_N, false));
+    let (_, done, cost) = deliver(&mut r, H, &reply);
+    assert!(matches!(
+        &done[..],
+        [(_, KadOutput::View { view: Some(v), .. })] if v.entries().count() == 100
+    ));
+    assert_eq!(cost, (3, 1_431));
+    let (mut r, reply) = live_get();
+    let (_, _, owned) = deliver(&mut r, H, &reply);
+    assert!(
+        cost.0 < owned.0 && cost.1 < owned.1,
+        "{cost:?} vs {owned:?}"
+    );
 }
 
 /// The same `FoundValue` arriving after its GET completed is validated and

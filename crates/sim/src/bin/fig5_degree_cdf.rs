@@ -1,80 +1,40 @@
 //! **E2 — Table II + Figure 5**: dataset degree statistics and CDFs.
 //!
 //! Prints the μ/σ/max table for `Tags(r)`, `Res(t)` and `N_FG(t)` (paper
-//! values alongside for comparison) and writes the three cumulative degree
-//! distributions as CSV series.
+//! values alongside for comparison, from [`dharma_sim::paper::TABLE2`])
+//! and writes the three cumulative degree distributions as CSV series.
 
-use dharma_folksonomy::{cdf_points, DegreeStats, TagId};
+use dharma_folksonomy::{cdf_points, DegreeStats};
 use dharma_sim::output::{f2, CsvSink, TextTable};
+use dharma_sim::paper::TABLE2;
 use dharma_sim::{ExpArgs, ExpContext};
 
 fn main() {
     let ctx = ExpContext::build(ExpArgs::parse());
-    let trg = &ctx.dataset.trg;
-    let fg = &ctx.exact_fg;
-
     // Degree samples (active vertices only, as in the paper's snapshot).
-    let tags_r: Vec<u64> = (0..trg.num_resources() as u32)
-        .map(|r| trg.tag_degree(dharma_folksonomy::ResId(r)) as u64)
-        .filter(|&d| d > 0)
-        .collect();
-    let res_t: Vec<u64> = (0..trg.num_tags() as u32)
-        .map(|t| trg.res_degree(TagId(t)) as u64)
-        .filter(|&d| d > 0)
-        .collect();
-    let nfg_t: Vec<u64> = (0..fg.num_tags() as u32)
-        .map(|t| fg.out_degree(TagId(t)) as u64)
-        .filter(|&d| d > 0)
-        .collect();
-
-    let s_tags = DegreeStats::from_sizes(tags_r.iter().copied());
-    let s_res = DegreeStats::from_sizes(res_t.iter().copied());
-    let s_nfg = DegreeStats::from_sizes(nfg_t.iter().copied());
+    let [tags_r, res_t, nfg_t] = ctx.degree_samples();
+    let stats = [&tags_r, &res_t, &nfg_t].map(|s| DegreeStats::from_sizes(s.iter().copied()));
 
     let mut t = TextTable::new(["Degree", "Tags(r)", "Res(t)", "NFG(t)"]);
-    t.row([
-        "mu".to_string(),
-        f2(s_tags.mean),
-        f2(s_res.mean),
-        f2(s_nfg.mean),
-    ]);
-    t.row([
-        "sigma".to_string(),
-        f2(s_tags.std),
-        f2(s_res.std),
-        f2(s_nfg.std),
-    ]);
-    t.row([
-        "max".to_string(),
-        s_tags.max.to_string(),
-        s_res.max.to_string(),
-        s_nfg.max.to_string(),
-    ]);
-    t.row([
-        "paper mu".to_string(),
-        "5".to_string(),
-        "26".to_string(),
-        "316".to_string(),
-    ]);
-    t.row([
-        "paper sigma".to_string(),
-        "13".to_string(),
-        "525".to_string(),
-        "1569".to_string(),
-    ]);
-    t.row([
-        "paper max".to_string(),
-        "1182".to_string(),
-        "109717".to_string(),
-        "120568".to_string(),
-    ]);
+    for (label, [a, b, c]) in [
+        ("mu", stats.map(|s| f2(s.mean))),
+        ("sigma", stats.map(|s| f2(s.std))),
+        ("max", stats.map(|s| s.max.to_string())),
+        ("paper mu", TABLE2.mu.map(|v| v.to_string())),
+        ("paper sigma", TABLE2.sigma.map(|v| v.to_string())),
+        ("paper max", TABLE2.max.map(|v| v.to_string())),
+    ] {
+        t.row([label.to_string(), a, b, c]);
+    }
     t.print("Table II — Last.fm-like graph degree statistics");
 
     let stats = ctx.dataset.stats();
     println!(
-        "\nsingleton tags: {:.1}% (paper ~55%)   single-tag resources: {:.1}% (paper ~40%)",
+        "\nsingleton tags: {:.1}% (paper ~{:.0}%)   single-tag resources: {:.1}% (paper ~{:.0}%)",
         stats.singleton_tag_fraction * 100.0,
-        stats.singleton_resource_fraction * 100.0
+        TABLE2.singleton_tags * 100.0,
+        stats.singleton_resource_fraction * 100.0,
+        TABLE2.single_tag_resources * 100.0
     );
 
     let sink = CsvSink::new(&ctx.args.out, "fig5_degree_cdf").expect("output dir");

@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use dharma_dataset::{Dataset, GeneratorConfig};
-use dharma_folksonomy::{Fg, Folksonomy};
+use dharma_folksonomy::{Fg, Folksonomy, ResId, TagId};
 use dharma_par::ThreadPool;
 
 use crate::args::ExpArgs;
@@ -72,6 +72,21 @@ impl ExpContext {
             t.elapsed()
         );
         model
+    }
+
+    /// The three degree samples Table II summarises, over active vertices
+    /// only (as in the paper's snapshot): `|Tags(r)|` per resource,
+    /// `|Res(t)|` per tag and `|N_FG(t)|` per tag of the exact FG.
+    pub fn degree_samples(&self) -> [Vec<u64>; 3] {
+        fn active(sizes: impl Iterator<Item = usize>) -> Vec<u64> {
+            sizes.map(|d| d as u64).filter(|&d| d > 0).collect()
+        }
+        let (trg, fg) = (&self.dataset.trg, &self.exact_fg);
+        [
+            active((0..trg.num_resources() as u32).map(|r| trg.tag_degree(ResId(r)))),
+            active((0..trg.num_tags() as u32).map(|t| trg.res_degree(TagId(t)))),
+            active((0..fg.num_tags() as u32).map(|t| fg.out_degree(TagId(t)))),
+        ]
     }
 
     /// Replays under an arbitrary configuration.

@@ -67,24 +67,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (nbrs, res, _) = users[0].search_step(&mut net, "90s")?;
     println!(
         "\ntag '90s' now reaches {} resource(s): {:?}",
-        res.entries.len(),
-        res.entries
-            .iter()
+        res.entries().count(),
+        res.entries()
             .map(|(n, w)| format!("{n} (u={w})"))
             .collect::<Vec<_>>()
     );
     println!(
         "co-tags of '90s': {:?}",
-        nbrs.entries
-            .iter()
+        nbrs.entries()
             .map(|(n, w)| format!("{n} ({w})"))
             .collect::<Vec<_>>()
     );
     let dance = users[0].search_step(&mut net, "dance")?;
-    let dance_hit = dance.1.entries.iter().find(|(n, _)| n == "homework");
+    let dance_hit = dance.1.entries().find(|&(n, _)| n == "homework");
     println!(
         "u(dance, homework) = {} (three distinct users)",
-        dance_hit.map(|(_, w)| *w).unwrap_or(0)
+        dance_hit.map_or(0, |(_, w)| w)
     );
 
     // Cost comparison on a heavily-tagged resource.

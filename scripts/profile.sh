@@ -14,7 +14,8 @@
 #   --out DIR    where the sampler, its samples and the command's stdout go
 #                (default: $TMPDIR or /tmp, under dharma-profile/)
 #   --report F   report on a samples file an earlier run left, without
-#                running anything
+#                running anything; refused when the executable at the
+#                recorded path is no longer the file that was sampled
 #
 # The sampler (scripts/sigprof.c) is built with the system `cc` and loaded
 # into the command with LD_PRELOAD. It records the call stack every
@@ -22,7 +23,10 @@
 # process exits normally (a killed process leaves none). Addresses in the
 # executable are resolved with `addr2line -i`, so an inlined function
 # counts as its own frame; addresses in shared libraries count as the
-# library. Build the command with debug info (the workspace's release
+# library. The samples file records the executable's path and identity
+# (inode, size, mtime): addresses are resolved against the file at that
+# path, so a report on a rebuilt binary would print plausible but wrong
+# names, and the script refuses it instead. Build the command with debug info (the workspace's release
 # profile has it) for names and inlining. The report gives, per function,
 #
 #   self      the share of samples whose innermost frame it is;
@@ -44,7 +48,7 @@ while [ $# -gt 0 ]; do
         --out) out=$2; shift 2 ;;
         --report) report=$2; shift 2 ;;
         --) shift; break ;;
-        -h|--help) sed -n '2,36p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,40p' "$0"; exit 0 ;;
         *) echo "unknown option $1" >&2; exit 2 ;;
     esac
 done
@@ -63,6 +67,15 @@ if [ -z "$report" ]; then
 fi
 [ -s "$report" ] || { echo "no samples in $report (did the command exit normally?)" >&2; exit 1; }
 exe=$(sed -n 's/^exe //p' "$report" | head -n 1)
+sampled=$(sed -n 's/^exe-id //p' "$report" | head -n 1)
+now=$(stat -L -c '%i %s %Y' "$exe" 2>/dev/null || echo missing)
+if [ "$sampled" != "$now" ]; then
+    echo "refusing to report: $exe is not the executable that was sampled" >&2
+    echo "  (inode size mtime when sampled: ${sampled:-not recorded}; now: $now)." >&2
+    echo "  It was rebuilt or replaced since; its addresses would resolve to the wrong functions." >&2
+    echo "  Profile the command again." >&2
+    exit 1
+fi
 # A position-independent executable is loaded at the start of its mapping
 # at file offset 0; a fixed-address one (ELF type 2) where it was linked.
 pie=1

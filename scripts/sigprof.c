@@ -6,14 +6,17 @@
  * binary's own unwind tables, so frame pointers are not needed. Samples go
  * into a fixed buffer; nothing is allocated or written in the handler. At
  * exit the stacks (innermost address first; the first one exact, the rest
- * return addresses), the executable's path and the process's memory map
- * are written to the file $SIGPROF_OUT, which scripts/profile.sh resolves
- * with addr2line. Build: cc -O2 -shared -fPIC -o sigprof.so sigprof.c */
+ * return addresses), the executable's path and identity (inode, size and
+ * mtime of the file this process runs, which a rebuild replaces) and the
+ * process's memory map are written to the file $SIGPROF_OUT, which
+ * scripts/profile.sh resolves with addr2line. Build:
+ * cc -O2 -shared -fPIC -o sigprof.so sigprof.c */
 #define _GNU_SOURCE
 #include <execinfo.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -52,6 +55,12 @@ __attribute__((destructor)) static void finish(void) {
     char exe[4096];
     ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
     fprintf(out, "exe %.*s\n", (int)(n > 0 ? n : 0), exe);
+    /* /proc/self/exe names the file this process was started from, even
+     * after a rebuild has replaced the one at its path. */
+    struct stat st;
+    if (stat("/proc/self/exe", &st) == 0)
+        fprintf(out, "exe-id %llu %lld %lld\n", (unsigned long long)st.st_ino,
+                (long long)st.st_size, (long long)st.st_mtime);
     int total = taken < SAMPLES ? taken : SAMPLES;
     fprintf(out, "samples %d dropped %d\n", total, taken - total);
     for (int i = 0; i < total; i++) {

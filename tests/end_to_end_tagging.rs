@@ -107,7 +107,7 @@ fn concurrent_tagging_merges_commutatively() {
 
     // u(shared-tag, album) must equal the number of tagging users.
     let (_, res, _) = publisher.search_step(&mut net, "shared-tag").unwrap();
-    let entry = res.entries.iter().find(|(n, _)| n == "album").unwrap();
+    let entry = res.entries().find(|&(n, _)| n == "album").unwrap();
     assert_eq!(entry.1, 5, "five token appends must merge to weight 5");
 }
 
@@ -137,6 +137,10 @@ fn search_respects_index_side_filtering() {
         .unwrap();
     let (nbrs, _, cost) = client.search_step(&mut net, "hub").unwrap();
     assert_eq!(cost.lookups, 2);
-    assert_eq!(nbrs.entries.len(), 5, "index-side filtering caps the reply");
-    assert!(nbrs.truncated);
+    assert_eq!(
+        nbrs.entries().count(),
+        5,
+        "index-side filtering caps the reply"
+    );
+    assert!(nbrs.truncated());
 }

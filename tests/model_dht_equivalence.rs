@@ -94,7 +94,7 @@ fn exact_policy_model_and_dht_agree_arc_for_arc() {
         // A search step fetches t̂ unfiltered enough for this corpus
         // (search_top_n default 100 > any neighborhood here).
         let (nbrs, _, _) = client.search_step(net, tag).unwrap();
-        nbrs.entries
+        nbrs.entries().map(|(n, w)| (n.to_owned(), w)).collect()
     };
 
     for (t1_name, t1_id) in interner.iter().map(|(i, n)| (n.to_owned(), TagId(i))) {
@@ -194,7 +194,7 @@ fn unit_b_policy_also_agrees_when_k_covers_all() {
 
     for (t1_name, t1_id) in interner.iter().map(|(i, n)| (n.to_owned(), TagId(i))) {
         let (nbrs, _, _) = client.search_step(&mut net, &t1_name).unwrap();
-        let mut dht = nbrs.entries;
+        let mut dht: Vec<(String, u64)> = nbrs.entries().map(|(n, w)| (n.to_owned(), w)).collect();
         dht.sort();
         let mut model_arcs: Vec<(String, u64)> = model
             .fg()
