@@ -1,9 +1,17 @@
 //! Kademlia RPC wire messages.
 //!
 //! Every message is one UDP datagram encoded with the explicit codec of
-//! [`dharma_types::wire`] — a type byte, a request id, then fields. Replies
-//! echo the request id so the client can match them to pending RPCs and
-//! cancel the corresponding timeout.
+//! [`dharma_types::wire`] — a type byte, a request id, the sender, then
+//! fields. Replies echo the request id so the client can match them to
+//! pending RPCs and cancel the corresponding timeout.
+//!
+//! Each message's layout is declared once, in the `messages!` table below:
+//! its type byte, its [`Message`] variant, and its fields in wire order,
+//! each with its type — which names its wire form (a `u64` or `u32` is a
+//! varint, a `bool` a flag byte, an id its 20 raw bytes, a `Vec` a counted
+//! sequence) — and its doc. The enum, [`Message::rpc_id`] and
+//! [`Message::sender`], the encoder and its arithmetic length, and the one
+//! decoder are generated from the rows, so no layout is written out twice.
 //!
 //! Values come in two shapes (the two DHARMA needs):
 //!
@@ -12,18 +20,22 @@
 //!   blocks). `Append` adds tokens to one entry; a filtered `FindValue`
 //!   returns only the heaviest `top_n` entries that fit the MTU.
 //!
-//! A receiver decides what a carried value is for before it decodes it
-//! (the `decode` submodule's docs).
+//! The fields that carry a value — the blob option and the entry list — are
+//! one group in the table (`value { … }`). A receiver decides what the
+//! group is for before it decodes it (the `decode` submodule's docs), and a
+//! sender can write the group as a body it encoded once (a holder's wire
+//! memo, a cache's pinned view, a write's body) between the message's
+//! other fields (`Message::encode_around`).
 //!
 //! Every decoder reads the datagram where it lies: the shared primitives
 //! take a `&mut &[u8]` cursor over the received bytes
 //! ([`dharma_types::wire`]), and skipping a field is moving that cursor.
 //!
-//! Flag bytes are 0 or 1; any other value is a decode error, not `false`,
-//! so a message has one encoding of each flag and `encode(decode(x)) == x`
-//! for all of them.
+//! Flag bytes are 0 or 1, and a `u32` field is a varint that fits 32 bits;
+//! anything else is a decode error, not `false` or the low bits, so a
+//! message has one encoding and `encode(decode(x)) == x` for all of them.
 
-use bytes::BytesMut;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use dharma_types::wire::{get_bytes_ref, varint_len};
 use dharma_types::{
@@ -43,11 +55,11 @@ pub struct Contact {
 impl WireEncode for Contact {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_id(&self.id);
-        buf.put_varint(u64::from(self.addr));
+        self.addr.encode(buf);
     }
 
     fn encoded_len(&self) -> usize {
-        ID160_BYTES + varint_len(u64::from(self.addr))
+        ID160_BYTES + self.addr.encoded_len()
     }
 }
 
@@ -56,7 +68,7 @@ impl WireDecode for Contact {
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
         let id = buf.get_id()?;
-        let addr = buf.get_varint()? as u32;
+        let addr = u32::decode(buf)?;
         Ok(Contact { id, addr })
     }
 }
@@ -160,18 +172,143 @@ pub struct FetchedValue {
     pub from_cache: bool,
 }
 
-/// The RPC messages.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Message {
+/// Declares the wire messages (module docs). A row is a message's type
+/// byte, its variant, and its fields in wire order; every message opens
+/// with `rpc` and `from`. `value { … }` marks the value group, and
+/// `value(key)` names the field `value_use` is told of (a reply names
+/// none). From the rows come [`Message`], `MessageKind`, `rpc_id` and
+/// `sender`, `put` and `wire_len` — which write a given body in place of
+/// the value group — and `decode_with`.
+macro_rules! messages {
+    (@key) => { None };
+    (@key $key:ident) => { Some(&$key) };
+    ($(
+        $(#[doc = $doc:literal])+
+        $tag:literal => $variant:ident {
+            $(#[doc = $rpc_doc:literal])+ rpc: u64,
+            $(#[doc = $from_doc:literal])+ from: Contact,
+            $($(#[doc = $head_doc:literal])+ $head:ident: $head_ty:ty,)*
+            $(value $(($key:ident))? {
+                $($(#[doc = $value_doc:literal])+ $value:ident: $value_ty:ty,)+
+            }
+            $($(#[doc = $tail_doc:literal])+ $tail:ident: $tail_ty:ty,)*)?
+        },
+    )+) => {
+        /// The RPC messages.
+        #[derive(Clone, PartialEq, Eq, Debug)]
+        pub enum Message {
+            $($(#[doc = $doc])+
+            $variant {
+                $(#[doc = $rpc_doc])+
+                rpc: u64,
+                $(#[doc = $from_doc])+
+                from: Contact,
+                $($(#[doc = $head_doc])+ $head: $head_ty,)*
+                $($($(#[doc = $value_doc])+ $value: $value_ty,)+
+                $($(#[doc = $tail_doc])+ $tail: $tail_ty,)*)?
+            },)+
+        }
+
+        /// A message's type byte, by name: what a receiver is told before
+        /// it reads a value (`value_use`).
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub(crate) enum MessageKind {
+            $($variant = $tag,)+
+        }
+
+        impl Message {
+            /// The request id (echoed by replies).
+            pub fn rpc_id(&self) -> u64 {
+                match self {
+                    $(Message::$variant { rpc, .. })|+ => *rpc,
+                }
+            }
+
+            /// The sender's contact record.
+            pub fn sender(&self) -> &Contact {
+                match self {
+                    $(Message::$variant { from, .. })|+ => from,
+                }
+            }
+
+            /// Writes the message: its type byte, then its fields in wire
+            /// order — with `body` in place of the value group, if given.
+            fn put(&self, body: Option<&[u8]>, buf: &mut BytesMut) {
+                match self {
+                    $(Message::$variant { rpc, from, $($head,)* $($($value,)+ $($tail,)*)? } => {
+                        buf.put_u8(MessageKind::$variant as u8);
+                        rpc.encode(buf);
+                        from.encode(buf);
+                        $($head.encode(buf);)*
+                        $(match body {
+                            Some(body) => buf.extend_from_slice(body),
+                            None => {
+                                $(ValueField::put($value, buf);)+
+                            }
+                        }
+                        $($tail.encode(buf);)*)?
+                    })+
+                }
+            }
+
+            /// Exactly what [`Self::put`] writes, in bytes.
+            fn wire_len(&self, body: Option<&[u8]>) -> usize {
+                match self {
+                    $(Message::$variant { rpc, from, $($head,)* $($($value,)+ $($tail,)*)? } => {
+                        1 + rpc.encoded_len() + from.encoded_len() $(+ $head.encoded_len())*
+                        $(+ body.map_or_else(|| 0 $(+ ValueField::wire_len($value))+, <[u8]>::len)
+                        $(+ $tail.encoded_len())*)?
+                    })+
+                }
+            }
+
+            /// The one decoder, for [`WireDecode::decode_exact`] and
+            /// `decode_datagram` alike: reads the fields in wire order and,
+            /// at the value group, asks `value_use(kind, rpc, key)` what the
+            /// value is for. Returns the message and, unless the answer was
+            /// [`ValueUse::Skip`], the bytes the value group spans.
+            fn decode_with<'a>(
+                buf: &mut &'a [u8],
+                value_use: impl FnOnce(MessageKind, u64, Option<&Id160>) -> ValueUse,
+            ) -> Result<(Self, Option<&'a [u8]>)> {
+                let Some((&tag, rest)) = buf.split_first() else {
+                    return Err(DharmaError::Decode("empty message".into()));
+                };
+                *buf = rest;
+                let (rpc, from) = (buf.get_varint()?, Contact::decode(buf)?);
+                let mut body = None;
+                let msg = match tag {
+                    $($tag => {
+                        $(let $head = <$head_ty>::decode(buf)?;)*
+                        $(let (start, kind) = (*buf, MessageKind::$variant);
+                        let answer = value_use(kind, rpc, messages!(@key $($key)?));
+                        let owned = answer == ValueUse::Owned;
+                        $(let $value = <$value_ty as ValueField>::read(buf, owned)?;)+
+                        let kept = &start[..start.len() - buf.len()];
+                        body = (answer != ValueUse::Skip).then_some(kept);
+                        $(let $tail = <$tail_ty>::decode(buf)?;)*)?
+                        Message::$variant { rpc, from, $($head,)* $($($value,)+ $($tail,)*)? }
+                    })+
+                    other => {
+                        return Err(DharmaError::Decode(format!("unknown message type {other}")))
+                    }
+                };
+                Ok((msg, body))
+            }
+        }
+    };
+}
+
+messages! {
     /// Liveness probe.
-    Ping {
+    1 => Ping {
         /// Request id.
         rpc: u64,
         /// Sender contact (routing-table maintenance).
         from: Contact,
     },
     /// Reply to [`Message::Ping`].
-    Pong {
+    2 => Pong {
         /// Echoed request id.
         rpc: u64,
         /// Responder contact.
@@ -181,7 +318,7 @@ pub enum Message {
         digest: Vec<DigestEntry>,
     },
     /// Ask for the `k` closest contacts to `target`.
-    FindNode {
+    3 => FindNode {
         /// Request id.
         rpc: u64,
         /// Sender contact.
@@ -190,7 +327,7 @@ pub enum Message {
         target: Id160,
     },
     /// Reply to [`Message::FindNode`].
-    FoundNodes {
+    4 => FoundNodes {
         /// Echoed request id.
         rpc: u64,
         /// Responder contact.
@@ -204,7 +341,7 @@ pub enum Message {
     },
     /// Ask for the value at `key` (or closest contacts), optionally with
     /// index-side filtering to the heaviest `top_n` entries.
-    FindValue {
+    5 => FindValue {
         /// Request id.
         rpc: u64,
         /// Sender contact.
@@ -219,15 +356,17 @@ pub enum Message {
         no_cache: bool,
     },
     /// Value-bearing reply to [`Message::FindValue`].
-    FoundValue {
+    6 => FoundValue {
         /// Echoed request id.
         rpc: u64,
         /// Responder contact.
         from: Contact,
-        /// Blob part, if any.
-        blob: Option<Vec<u8>>,
-        /// Weighted entries (filtered server-side).
-        entries: Vec<StoredEntry>,
+        value {
+            /// Blob part, if any.
+            blob: Option<Vec<u8>>,
+            /// Weighted entries (filtered server-side).
+            entries: Vec<StoredEntry>,
+        }
         /// Whether the entry list was truncated.
         truncated: bool,
         /// The value's origin stamp (cache freshness tag; exact across
@@ -241,15 +380,17 @@ pub enum Message {
         digest: Vec<DigestEntry>,
     },
     /// Store a blob at `key` (replaces any previous blob).
-    Store {
+    7 => Store {
         /// Request id.
         rpc: u64,
         /// Sender contact.
         from: Contact,
         /// Storage key.
         key: Id160,
-        /// Blob payload.
-        blob: Vec<u8>,
+        value(key) {
+            /// Blob payload.
+            blob: Vec<u8>,
+        }
         /// The origin stamp minted for this write.
         stamp: VersionStamp,
     },
@@ -258,31 +399,43 @@ pub enum Message {
     /// regardless of how many entries it touches — that is what makes
     /// Table I's `2 + 2m` / `4 + k` lookup counts achievable. Appends
     /// commute — the concurrency-safe primitive behind Approximation B.
-    Append {
+    8 => Append {
         /// Request id.
         rpc: u64,
         /// Sender contact.
         from: Contact,
         /// Storage key.
         key: Id160,
-        /// Entries to add tokens to: `(name, tokens)` pairs.
-        entries: Vec<StoredEntry>,
+        value(key) {
+            /// Entries to add tokens to: `(name, tokens)` pairs.
+            entries: Vec<StoredEntry>,
+        }
         /// The origin stamp minted for this write.
         stamp: VersionStamp,
     },
+    /// Acknowledgement for [`Message::Store`] / [`Message::Append`] /
+    /// [`Message::Replicate`] / [`Message::InvalidatePush`].
+    9 => Ack {
+        /// Echoed request id.
+        rpc: u64,
+        /// Responder contact.
+        from: Contact,
+    },
     /// Replication repair: a full value snapshot pushed during republish.
     /// Applied with **merge-max** semantics (idempotent), unlike `Append`.
-    Replicate {
+    10 => Replicate {
         /// Request id.
         rpc: u64,
         /// Sender contact.
         from: Contact,
         /// Storage key.
         key: Id160,
-        /// Blob snapshot, if the value has one.
-        blob: Option<Vec<u8>>,
-        /// Entry snapshot, in the sender's reply order.
-        entries: Vec<StoredEntry>,
+        value(key) {
+            /// Blob snapshot, if the value has one.
+            blob: Option<Vec<u8>>,
+            /// Entry snapshot, in the sender's reply order.
+            entries: Vec<StoredEntry>,
+        }
         /// The snapshot's *existing* origin stamp (replication repairs
         /// holders that missed a write; it never mints a new version).
         stamp: VersionStamp,
@@ -292,7 +445,7 @@ pub enum Message {
     /// view to the closest node on its path that *missed*, so the next
     /// lookup for the same hot key stops one hop earlier. Fire-and-forget;
     /// the receiver caches it only if it is not an authoritative holder.
-    CachePush {
+    11 => CachePush {
         /// Request id (no reply is expected; kept for tracing).
         rpc: u64,
         /// Sender contact.
@@ -301,14 +454,27 @@ pub enum Message {
         key: Id160,
         /// The filtering limit the view was read at (part of the cache key).
         top_n: u32,
-        /// Blob part, if any.
-        blob: Option<Vec<u8>>,
-        /// Weighted entries (filtered by the origin).
-        entries: Vec<StoredEntry>,
+        value(key) {
+            /// Blob part, if any.
+            blob: Option<Vec<u8>>,
+            /// Weighted entries (filtered by the origin).
+            entries: Vec<StoredEntry>,
+        }
         /// Whether the entry list was truncated.
         truncated: bool,
         /// The view's origin stamp.
         version: VersionStamp,
+    },
+    /// Graceful-departure notice: the sender is leaving the overlay *now*.
+    /// Receivers purge it from their routing table immediately (no probe
+    /// round needed), tombstone the id briefly so in-flight stragglers
+    /// cannot re-insert it, and feed their churn estimator. Fire-and-forget
+    /// — the departing node does not wait for replies.
+    12 => Leave {
+        /// Request id (no reply is expected; kept for tracing).
+        rpc: u64,
+        /// The departing node's contact record.
+        from: Contact,
     },
     /// Write-triggered invalidation push (`dharma-fresh`): a holder that
     /// just applied a write sends the key's recent fetchers the *post-write
@@ -321,7 +487,7 @@ pub enum Message {
     /// answers [`Message::Ack`] — except when `rpc == 0`, which marks a
     /// fire-and-forget push (senders ack-track only a liveness sample of
     /// their fan-out; a lost push degrades to gossip-cadence staleness).
-    InvalidatePush {
+    13 => InvalidatePush {
         /// Request id; `0` means no ack is expected.
         rpc: u64,
         /// Sender contact (the holder that applied the write).
@@ -331,179 +497,33 @@ pub enum Message {
         /// The fetcher's filter width, echoed from its tracked `FindValue`
         /// (the receiver's cache slot is keyed by it).
         top_n: u32,
-        /// Blob part of the post-write view, if any.
-        blob: Option<Vec<u8>>,
-        /// Weighted entries of the post-write view (holder-filtered).
-        entries: Vec<StoredEntry>,
+        value(key) {
+            /// Blob part of the post-write view, if any.
+            blob: Option<Vec<u8>>,
+            /// Weighted entries of the post-write view (holder-filtered).
+            entries: Vec<StoredEntry>,
+        }
         /// Whether the entry list was truncated.
         truncated: bool,
         /// The key's origin stamp after the write.
         stamp: VersionStamp,
     },
-    /// Acknowledgement for [`Message::Store`] / [`Message::Append`] /
-    /// [`Message::Replicate`] / [`Message::InvalidatePush`].
-    Ack {
-        /// Echoed request id.
-        rpc: u64,
-        /// Responder contact.
-        from: Contact,
-    },
-    /// Graceful-departure notice: the sender is leaving the overlay *now*.
-    /// Receivers purge it from their routing table immediately (no probe
-    /// round needed), tombstone the id briefly so in-flight stragglers
-    /// cannot re-insert it, and feed their churn estimator. Fire-and-forget
-    /// — the departing node does not wait for replies.
-    Leave {
-        /// Request id (no reply is expected; kept for tracing).
-        rpc: u64,
-        /// The departing node's contact record.
-        from: Contact,
-    },
 }
 
-impl Message {
-    /// The request id (echoed by replies).
-    pub fn rpc_id(&self) -> u64 {
-        match self {
-            Message::Ping { rpc, .. }
-            | Message::Pong { rpc, .. }
-            | Message::FindNode { rpc, .. }
-            | Message::FoundNodes { rpc, .. }
-            | Message::FindValue { rpc, .. }
-            | Message::FoundValue { rpc, .. }
-            | Message::Store { rpc, .. }
-            | Message::Append { rpc, .. }
-            | Message::Replicate { rpc, .. }
-            | Message::CachePush { rpc, .. }
-            | Message::InvalidatePush { rpc, .. }
-            | Message::Ack { rpc, .. }
-            | Message::Leave { rpc, .. } => *rpc,
-        }
+impl WireEncode for Message {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.put(None, buf);
     }
 
-    /// The sender's contact record.
-    pub fn sender(&self) -> &Contact {
-        match self {
-            Message::Ping { from, .. }
-            | Message::Pong { from, .. }
-            | Message::FindNode { from, .. }
-            | Message::FoundNodes { from, .. }
-            | Message::FindValue { from, .. }
-            | Message::FoundValue { from, .. }
-            | Message::Store { from, .. }
-            | Message::Append { from, .. }
-            | Message::Replicate { from, .. }
-            | Message::CachePush { from, .. }
-            | Message::InvalidatePush { from, .. }
-            | Message::Ack { from, .. }
-            | Message::Leave { from, .. } => from,
-        }
+    /// Encodes into one buffer of exactly [`Self::encoded_len`] bytes:
+    /// no message grows its buffer.
+    fn encode_to_bytes(&self) -> Bytes {
+        self.framed(None)
     }
 
-    const T_PING: u8 = 1;
-    const T_PONG: u8 = 2;
-    const T_FIND_NODE: u8 = 3;
-    const T_FOUND_NODES: u8 = 4;
-    const T_FIND_VALUE: u8 = 5;
-    const T_FOUND_VALUE: u8 = 6;
-    pub(crate) const T_STORE: u8 = 7;
-    pub(crate) const T_APPEND: u8 = 8;
-    const T_ACK: u8 = 9;
-    pub(crate) const T_REPLICATE: u8 = 10;
-    const T_CACHE_PUSH: u8 = 11;
-    const T_LEAVE: u8 = 12;
-    pub(crate) const T_INVALIDATE_PUSH: u8 = 13;
-}
-
-/// Writes the frame every message starts with: type, request id, sender.
-fn put_head(buf: &mut BytesMut, ty: u8, rpc: u64, from: &Contact) {
-    use bytes::BufMut;
-    buf.put_u8(ty);
-    buf.put_varint(rpc);
-    from.encode(buf);
-}
-
-/// Exactly what [`put_head`] writes, in bytes.
-fn head_len(rpc: u64, from: &Contact) -> usize {
-    1 + varint_len(rpc) + from.encoded_len()
-}
-
-/// Writes an optional blob: a flag byte, then the bytes when present.
-pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
-    use bytes::BufMut;
-    buf.put_u8(u8::from(blob.is_some()));
-    if let Some(b) = blob {
-        buf.put_bytes_field(b);
+    fn encoded_len(&self) -> usize {
+        self.wire_len(None)
     }
-}
-
-/// Exactly what [`put_opt_blob`] writes, in bytes.
-fn opt_blob_len(blob: Option<&[u8]>) -> usize {
-    1 + blob.map_or(0, |b| varint_len(b.len() as u64) + b.len())
-}
-
-/// Reads an optional blob as a slice of the input.
-pub(crate) fn get_opt_blob<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a [u8]>> {
-    let present = buf.get_flag()?;
-    present.then(|| get_bytes_ref(buf)).transpose()
-}
-
-/// Opens a pushed view (`CachePush`, `InvalidatePush`): header, key,
-/// width. The value — the blob option and the entry list — comes next, and
-/// [`put_push_tail`] closes it.
-pub(crate) fn put_push_head(
-    buf: &mut BytesMut,
-    ty: u8,
-    rpc: u64,
-    from: &Contact,
-    key: &Id160,
-    top_n: u32,
-) {
-    put_head(buf, ty, rpc, from);
-    buf.put_id(key);
-    buf.put_varint(u64::from(top_n));
-}
-
-/// Closes a pushed view: truncation flag, stamp.
-pub(crate) fn put_push_tail(buf: &mut BytesMut, truncated: bool, stamp: &VersionStamp) {
-    use bytes::BufMut;
-    buf.put_u8(u8::from(truncated));
-    stamp.encode(buf);
-}
-
-/// Closes a `FoundValue` datagram: it opens with [`put_head`], the value —
-/// the blob option and the entry list — comes next, and this writes the
-/// rest.
-fn put_found_value_tail(
-    buf: &mut BytesMut,
-    truncated: bool,
-    version: &VersionStamp,
-    from_cache: bool,
-    digest: &[DigestEntry],
-) {
-    use bytes::BufMut;
-    buf.put_u8(u8::from(truncated));
-    version.encode(buf);
-    buf.put_u8(u8::from(from_cache));
-    digest.encode(buf);
-}
-
-/// Writes a `FoundNodes` datagram: header, contacts, digest.
-fn put_found_nodes(
-    buf: &mut BytesMut,
-    rpc: u64,
-    from: &Contact,
-    contacts: &[Contact],
-    digest: &[DigestEntry],
-) {
-    put_head(buf, Message::T_FOUND_NODES, rpc, from);
-    contacts.encode(buf);
-    digest.encode(buf);
-}
-
-/// Exactly what opening a pushed view writes, in bytes.
-pub(crate) fn push_head_len(rpc: u64, from: &Contact, top_n: u32) -> usize {
-    head_len(rpc, from) + ID160_BYTES + varint_len(u64::from(top_n))
 }
 
 impl WireDecode for Message {
@@ -513,127 +533,42 @@ impl WireDecode for Message {
 }
 
 impl Message {
-    fn decode_with<'a>(
-        buf: &mut &'a [u8],
-        value_use: impl FnOnce(u8, u64, Option<&Id160>) -> ValueUse,
-    ) -> Result<(Self, Option<&'a [u8]>)> {
-        let Some((&ty, rest)) = buf.split_first() else {
-            return Err(DharmaError::Decode("empty message".into()));
-        };
-        *buf = rest;
-        let rpc = buf.get_varint()?;
-        let from = Contact::decode(buf)?;
-        let mut body = None;
-        let msg = match ty {
-            Message::T_PING => Message::Ping { rpc, from },
-            Message::T_PONG => Message::Pong {
-                rpc,
-                from,
-                digest: Vec::<DigestEntry>::decode(buf)?,
-            },
-            Message::T_FIND_NODE => Message::FindNode {
-                rpc,
-                from,
-                target: buf.get_id()?,
-            },
-            Message::T_FOUND_NODES => Message::FoundNodes {
-                rpc,
-                from,
-                contacts: Vec::<Contact>::decode(buf)?,
-                digest: Vec::<DigestEntry>::decode(buf)?,
-            },
-            Message::T_FIND_VALUE => Message::FindValue {
-                rpc,
-                from,
-                key: buf.get_id()?,
-                top_n: buf.get_varint()? as u32,
-                no_cache: buf.get_flag()?,
-            },
-            Message::T_FOUND_VALUE => {
-                let (blob, entries) = value_part(buf, ty, value_use(ty, rpc, None), &mut body)?;
-                Message::FoundValue {
-                    rpc,
-                    from,
-                    blob,
-                    entries,
-                    truncated: buf.get_flag()?,
-                    version: VersionStamp::decode(buf)?,
-                    from_cache: buf.get_flag()?,
-                    digest: Vec::<DigestEntry>::decode(buf)?,
-                }
-            }
-            Message::T_STORE | Message::T_APPEND | Message::T_REPLICATE => {
-                let key = buf.get_id()?;
-                let (blob, entries) =
-                    value_part(buf, ty, value_use(ty, rpc, Some(&key)), &mut body)?;
-                let stamp = VersionStamp::decode(buf)?;
-                match ty {
-                    Message::T_STORE => Message::Store {
-                        rpc,
-                        from,
-                        key,
-                        blob: blob.unwrap_or_default(),
-                        stamp,
-                    },
-                    Message::T_APPEND => Message::Append {
-                        rpc,
-                        from,
-                        key,
-                        entries,
-                        stamp,
-                    },
-                    _ => Message::Replicate {
-                        rpc,
-                        from,
-                        key,
-                        blob,
-                        entries,
-                        stamp,
-                    },
-                }
-            }
-            Message::T_CACHE_PUSH => {
-                let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
-                let (blob, entries) =
-                    value_part(buf, ty, value_use(ty, rpc, Some(&key)), &mut body)?;
-                Message::CachePush {
-                    rpc,
-                    from,
-                    key,
-                    top_n,
-                    blob,
-                    entries,
-                    truncated: buf.get_flag()?,
-                    version: VersionStamp::decode(buf)?,
-                }
-            }
-            Message::T_INVALIDATE_PUSH => {
-                let (key, top_n) = (buf.get_id()?, buf.get_varint()? as u32);
-                let (blob, entries) =
-                    value_part(buf, ty, value_use(ty, rpc, Some(&key)), &mut body)?;
-                Message::InvalidatePush {
-                    rpc,
-                    from,
-                    key,
-                    top_n,
-                    blob,
-                    entries,
-                    truncated: buf.get_flag()?,
-                    stamp: VersionStamp::decode(buf)?,
-                }
-            }
-            Message::T_ACK => Message::Ack { rpc, from },
-            Message::T_LEAVE => Message::Leave { rpc, from },
-            other => return Err(DharmaError::Decode(format!("unknown message type {other}"))),
-        };
-        Ok((msg, body))
+    /// Encodes the message around `body`, a value group already encoded —
+    /// a holder's wire memo, a cache's pinned view, a write's body: the
+    /// fields before the group, then `body`, then the fields after it, into
+    /// one buffer of exactly that size. The message's own value fields are
+    /// not written (callers leave them empty), and a message without a
+    /// value group writes no body.
+    pub(crate) fn encode_around(&self, body: &[u8]) -> Bytes {
+        self.framed(Some(body))
+    }
+
+    fn framed(&self, body: Option<&[u8]>) -> Bytes {
+        let len = self.wire_len(body);
+        let mut buf = BytesMut::with_capacity(len);
+        self.put(body, &mut buf);
+        debug_assert_eq!(buf.len(), len, "the buffer never grows");
+        buf.freeze()
     }
 }
 
-mod decode;
-mod encode;
+/// Writes an optional blob: a flag byte, then the bytes when present.
+pub(crate) fn put_opt_blob(buf: &mut BytesMut, blob: Option<&[u8]>) {
+    buf.put_u8(u8::from(blob.is_some()));
+    if let Some(b) = blob {
+        buf.put_bytes_field(b);
+    }
+}
 
-use decode::value_part;
+/// Reads an optional blob as a slice of the input.
+pub(crate) fn get_opt_blob<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a [u8]>> {
+    let present = buf.get_flag()?;
+    present.then(|| get_bytes_ref(buf)).transpose()
+}
+
+mod decode;
+
+use decode::ValueField;
 pub(crate) use decode::ValueUse;
 pub use decode::ValueView;
 

@@ -3,21 +3,23 @@
 //!
 //! ## Decide before you decode
 //!
-//! Six messages carry a value. Four carry a blob option, then an entry
-//! list: `FoundValue`, `CachePush`, `InvalidatePush` and `Replicate`; a
-//! `Store` carries a blob and an `Append` an entry list. Built owned, that
-//! is one `String` per entry, and most receivers need none of them: a GET
-//! asks `α` holders and completes on the first `FoundValue` (the others
-//! arrive anyway, as do replies to lookups long finished), a cache pins a
-//! pushed or revalidated view only to forward it as bytes again, and a
-//! replica applies a write from its bytes — interning each name from a
-//! borrowed `&str`, or, for a `Replicate`, comparing its entries with the
-//! ones it holds, which usually agree. Writes are bodies too: a write's
-//! coordinator encodes its body once and sends it to every replica, and
-//! every holder applies those bytes (`Storage::apply`).
-//! `Message::decode_datagram` therefore reads type, request id, sender and
-//! — for a push or a write — the key, then asks its caller what the value
-//! is for. There are three answers (`ValueUse`):
+//! Six messages carry a value, the group the table marks `value { … }`.
+//! Four carry a blob option, then an entry list: `FoundValue`, `CachePush`,
+//! `InvalidatePush` and `Replicate`; a `Store` carries a blob and an
+//! `Append` an entry list. Built owned, that is one `String` per entry, and
+//! most receivers need none of them: a GET asks `α` holders and completes
+//! on the first `FoundValue` (the others arrive anyway, as do replies to
+//! lookups long finished), a cache pins a pushed or revalidated view only
+//! to forward it as bytes again, and a replica applies a write from its
+//! bytes — interning each name from a borrowed `&str`, or, for a
+//! `Replicate`, comparing its entries with the ones it holds, which usually
+//! agree. Writes are bodies too: a write's coordinator encodes its body
+//! once and sends it to every replica, and every holder applies those
+//! bytes (`Storage::apply`). The decoder the table generates
+//! (`Message::decode_with`) therefore reads the fields before the group —
+//! type, request id, sender and, for a push or a write, the key — then
+//! asks its caller what the value is for, by [`MessageKind`]. There are
+//! three answers (`ValueUse`):
 //!
 //! * **skip** — validate it and keep nothing (a reply nobody waits for;
 //!   a push to a holder, or to a node that caches nothing);
@@ -36,13 +38,16 @@
 //! ledger and the `crates/sim` drivers. Deleting that shape, and this
 //! answer with it, is ROADMAP item 6's remainder.
 //!
-//! Validating is the owning decoder's checks, in its order, through the
-//! same `ReadBytes` primitives: the blob flag, the blob's length prefix,
-//! the entry count against the bytes left, every name's length prefix and
-//! UTF-8, every weight varint. The primitives' fast paths for one-byte
-//! varints and ASCII names ([`dharma_types::wire`]) make most of that walk
-//! a bounds check and an ASCII test. A write's body is validated once,
-//! here: storage trusts it, checks UTF-8 again only for a name it interns
+//! One decoder serves every answer, and [`WireDecode::decode_exact`] is
+//! the same decoder answering **owned**. Each field of the group is read
+//! by its [`ValueField::read`], which runs the owning decoder's checks in
+//! its order, through the same `ReadBytes` primitives, and builds only
+//! when asked to: the blob flag, the blob's length prefix, the entry count
+//! against the bytes left, every name's length prefix and UTF-8, every
+//! weight varint. The primitives' fast paths for one-byte varints and
+//! ASCII names ([`dharma_types::wire`]) make most of that walk a bounds
+//! check and an ASCII test. A write's body is validated once, here:
+//! storage trusts it, checks UTF-8 again only for a name it interns
 //! (ASCII-first, so most of that is a byte test), and compares a
 //! `Replicate`'s names with the held ones as bytes. A kept body is copied
 //! out of the datagram (the UDP runtime recycles its receive buffers, and
@@ -56,12 +61,12 @@
 //! allocation is left out. The tests hold the three to that on the whole
 //! mutation corpus and every truncation prefix.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
-use dharma_types::wire::{expect_consumed, get_bytes_ref, get_seq_len, get_str_ref};
-use dharma_types::{Id160, ReadBytes, Result, VersionStamp, WireDecode};
+use dharma_types::wire::{expect_consumed, get_bytes_ref, get_seq_len, get_str_ref, varint_len};
+use dharma_types::{Id160, ReadBytes, Result, VersionStamp, WireDecode, WireEncode, WriteBytes};
 
-use super::{get_opt_blob, Message, StoredEntry};
+use super::{get_opt_blob, put_opt_blob, Message, MessageKind, StoredEntry};
 
 /// A fetched value as it arrived: its validated wire body — the blob
 /// option, then the entry list, in the holder's reply order — with the
@@ -147,7 +152,7 @@ pub(crate) enum ValueUse {
 impl Message {
     /// Decodes one received datagram in place — through a cursor over
     /// `payload`'s bytes, the one [`WireDecode::decode_exact`] reads with —
-    /// requiring it to be consumed to its end. `value_use(type, rpc, key)`
+    /// requiring it to be consumed to its end. `value_use(kind, rpc, key)`
     /// is asked what the value of a `FoundValue` (`key` is `None`), a push
     /// or a write (the key it names) is for, once everything before
     /// the value is read (module docs). Owned parts not asked for arrive as
@@ -155,7 +160,7 @@ impl Message {
     /// copied out of `payload`, which is dropped here.
     pub(crate) fn decode_datagram(
         payload: Bytes,
-        value_use: impl FnOnce(u8, u64, Option<&Id160>) -> ValueUse,
+        value_use: impl FnOnce(MessageKind, u64, Option<&Id160>) -> ValueUse,
     ) -> Result<(Self, Option<Bytes>)> {
         let mut buf: &[u8] = &payload;
         let (msg, body) = Self::decode_with(&mut buf, value_use)?;
@@ -164,37 +169,66 @@ impl Message {
     }
 }
 
-/// The value a message of type `ty` carries — a `Store`'s blob, an
-/// `Append`'s entry list, or the blob option and then the entry list of
-/// the other four — read as `value_use` says: the owned parts are built
-/// for [`ValueUse::Owned`] alone, and the bytes they span go to `body` for
-/// all but [`ValueUse::Skip`]. Every answer runs the owning decoder's
-/// checks in its order, so a byte string fails alike under all three.
-pub(super) fn value_part<'a>(
-    buf: &mut &'a [u8],
-    ty: u8,
-    value_use: ValueUse,
-    body: &mut Option<&'a [u8]>,
-) -> Result<(Option<Vec<u8>>, Vec<StoredEntry>)> {
-    let (start, owned) = (*buf, value_use == ValueUse::Owned);
-    let blob = match ty {
-        Message::T_STORE => Some(get_bytes_ref(buf)?),
-        Message::T_APPEND => None,
-        _ => get_opt_blob(buf)?,
-    };
-    let entries = match ty {
-        Message::T_STORE => Vec::new(),
-        _ if owned => Vec::<StoredEntry>::decode(buf)?,
-        _ => {
-            for _ in 0..get_seq_len(buf, StoredEntry::MIN_WIRE_LEN)? {
-                buf.skip_str()?;
-                buf.get_varint()?;
-            }
-            Vec::new()
+/// A field of a message's value group: a `Store`'s blob, a blob option, an
+/// entry list.
+pub(super) trait ValueField: Sized {
+    /// Writes the field.
+    fn put(&self, buf: &mut BytesMut);
+    /// Exactly what [`Self::put`] writes, in bytes.
+    fn wire_len(&self) -> usize;
+    /// Reads the field with the owning decoder's checks, in its order, and
+    /// builds it only if `owned`; otherwise it arrives empty.
+    fn read(buf: &mut &[u8], owned: bool) -> Result<Self>;
+}
+
+impl ValueField for Vec<u8> {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_bytes_field(self);
+    }
+
+    fn wire_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.len()
+    }
+
+    fn read(buf: &mut &[u8], owned: bool) -> Result<Self> {
+        let blob = get_bytes_ref(buf)?;
+        Ok(if owned { blob.to_vec() } else { Vec::new() })
+    }
+}
+
+impl ValueField for Option<Vec<u8>> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_opt_blob(buf, self.as_deref());
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, ValueField::wire_len)
+    }
+
+    fn read(buf: &mut &[u8], owned: bool) -> Result<Self> {
+        Ok(get_opt_blob(buf)?.filter(|_| owned).map(<[u8]>::to_vec))
+    }
+}
+
+impl ValueField for Vec<StoredEntry> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.encode(buf);
+    }
+
+    fn wire_len(&self) -> usize {
+        self.encoded_len()
+    }
+
+    fn read(buf: &mut &[u8], owned: bool) -> Result<Self> {
+        if owned {
+            return Vec::decode(buf);
         }
-    };
-    *body = (value_use != ValueUse::Skip).then(|| &start[..start.len() - buf.len()]);
-    Ok((blob.filter(|_| owned).map(<[u8]>::to_vec), entries))
+        for _ in 0..get_seq_len(buf, StoredEntry::MIN_WIRE_LEN)? {
+            buf.skip_str()?;
+            buf.get_varint()?;
+        }
+        Ok(Vec::new())
+    }
 }
 
 #[cfg(test)]
@@ -204,8 +238,9 @@ mod tests {
     //! built under [`ValueUse::Owned`] from the same datagram.
 
     use super::*;
-    use crate::messages::tests::{corpus, decode_as};
-    use dharma_types::WireEncode;
+    use crate::messages::tests::{check_decoders_agree, corpus, decode_as};
+    use crate::messages::Contact;
+    use dharma_types::{sha1, WireEncode, WriteBytes};
 
     /// Decodes `data` under both answers. For a `FoundValue` that both accept
     /// (they accept alike, `check_decoders_agree`), checks that the view of
@@ -288,5 +323,73 @@ mod tests {
         let view = ValueView::default();
         assert_eq!((view.blob(), view.entries().count()), (None, 0));
         assert!(!view.truncated && !view.from_cache && view.version.is_zero());
+    }
+
+    /// A `u32` field — a contact's address, a `top_n` — is a varint that
+    /// fits 32 bits. One past that used to be cut to its low bits, so an
+    /// address of 2³² + 3 decoded as 3, a contact aliasing another node's
+    /// address; it is refused now, by every decoder alike.
+    #[test]
+    fn u32_fields_refuse_varints_past_32_bits() {
+        let from = Contact {
+            id: sha1(b"n"),
+            addr: 3,
+        };
+        let (key, stamp) = (sha1(b"k"), VersionStamp::ZERO);
+        let carriers = [
+            Message::Ping {
+                rpc: 1,
+                from: from.clone(),
+            },
+            Message::FindValue {
+                rpc: 1,
+                from: from.clone(),
+                key,
+                top_n: 3,
+                no_cache: false,
+            },
+            Message::CachePush {
+                rpc: 1,
+                from: from.clone(),
+                key,
+                top_n: 3,
+                blob: None,
+                entries: Vec::new(),
+                truncated: false,
+                version: stamp,
+            },
+            Message::InvalidatePush {
+                rpc: 1,
+                from,
+                key,
+                top_n: 3,
+                blob: None,
+                entries: Vec::new(),
+                truncated: false,
+                stamp,
+            },
+        ];
+        for (m, at) in carriers.into_iter().zip([22, 43, 43, 43]) {
+            // The address follows type, rpc and id; a width follows the key.
+            let enc = m.encode_to_bytes();
+            assert_eq!(enc[at], 3, "{m:?}");
+            for wide in [u64::from(u32::MAX), 1 << 32, (1 << 32) + 3] {
+                let mut bent = BytesMut::new();
+                bent.extend_from_slice(&enc[..at]);
+                bent.put_varint(wide);
+                bent.extend_from_slice(&enc[at + 1..]);
+                let decoded = Message::decode_exact(&bent);
+                if wide <= u64::from(u32::MAX) {
+                    assert_eq!(decoded.expect("fits").encode_to_bytes()[..], bent[..]);
+                } else {
+                    let err = decoded.unwrap_err().to_string();
+                    assert!(
+                        err.contains(&format!("varint {wide} overflows u32")),
+                        "{err}"
+                    );
+                }
+                check_decoders_agree(&bent);
+            }
+        }
     }
 }

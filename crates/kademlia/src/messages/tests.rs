@@ -39,14 +39,14 @@ pub(super) fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Optio
     });
     if let Ok((m, body)) = &out {
         let expected = match m {
-            Message::FoundValue { rpc, .. } => Some((Message::T_FOUND_VALUE, *rpc, None)),
-            Message::CachePush { rpc, key, .. } => Some((Message::T_CACHE_PUSH, *rpc, Some(*key))),
+            Message::FoundValue { rpc, .. } => Some((MessageKind::FoundValue, *rpc, None)),
+            Message::CachePush { rpc, key, .. } => Some((MessageKind::CachePush, *rpc, Some(*key))),
             Message::InvalidatePush { rpc, key, .. } => {
-                Some((Message::T_INVALIDATE_PUSH, *rpc, Some(*key)))
+                Some((MessageKind::InvalidatePush, *rpc, Some(*key)))
             }
-            Message::Store { rpc, key, .. } => Some((Message::T_STORE, *rpc, Some(*key))),
-            Message::Append { rpc, key, .. } => Some((Message::T_APPEND, *rpc, Some(*key))),
-            Message::Replicate { rpc, key, .. } => Some((Message::T_REPLICATE, *rpc, Some(*key))),
+            Message::Store { rpc, key, .. } => Some((MessageKind::Store, *rpc, Some(*key))),
+            Message::Append { rpc, key, .. } => Some((MessageKind::Append, *rpc, Some(*key))),
+            Message::Replicate { rpc, key, .. } => Some((MessageKind::Replicate, *rpc, Some(*key))),
             _ => None,
         };
         assert_eq!(asked, expected);
@@ -117,29 +117,32 @@ fn check_datagram_equals_exact(data: &[u8]) -> Result<Message> {
     exact
 }
 
+/// `m` with its value fields empty, as a decode that builds no value
+/// returns it and as a message encoded around a body is built.
+fn without_value(mut m: Message) -> Message {
+    match &mut m {
+        Message::Store { blob, .. } => *blob = Vec::new(),
+        Message::Append { entries, .. } => *entries = Vec::new(),
+        Message::FoundValue { blob, entries, .. }
+        | Message::CachePush { blob, entries, .. }
+        | Message::InvalidatePush { blob, entries, .. }
+        | Message::Replicate { blob, entries, .. } => (*blob, *entries) = (None, Vec::new()),
+        _ => {}
+    }
+    m
+}
+
 /// The three answers against each other on arbitrary bytes: the same
 /// datagrams accepted and rejected — a rejected one with the same error,
 /// since every answer runs the owning decoder's checks in its order —
 /// and, blob and entries aside, the same message; a kept body is the one
 /// that carried the eager decode's value. Anything accepted survives a
 /// re-encode roundtrip.
-fn check_decoders_agree(data: &[u8]) {
+pub(super) fn check_decoders_agree(data: &[u8]) {
     let eager = check_datagram_equals_exact(data);
     if let Ok(m) = &eager {
         roundtrip(m);
     }
-    let without_value = |mut m: Message| {
-        match &mut m {
-            Message::Store { blob, .. } => *blob = Vec::new(),
-            Message::Append { entries, .. } => *entries = Vec::new(),
-            Message::FoundValue { blob, entries, .. }
-            | Message::CachePush { blob, entries, .. }
-            | Message::InvalidatePush { blob, entries, .. }
-            | Message::Replicate { blob, entries, .. } => (*blob, *entries) = (None, Vec::new()),
-            _ => {}
-        }
-        m
-    };
     for answer in [ValueUse::Skip, ValueUse::Body] {
         let lazy = decode_as(data, answer);
         let message = lazy.clone().map(|(m, _)| m);
@@ -515,7 +518,9 @@ fn hostile_entry_count_is_refused_before_any_reservation() {
     // then carries junk: both decoders refuse at the count (two bytes
     // per entry at least cannot fit), not 2 MiB of `Vec` later.
     let mut buf = BytesMut::new();
-    put_head(&mut buf, Message::T_FOUND_VALUE, 1, &contact(1));
+    buf.put_u8(MessageKind::FoundValue as u8);
+    buf.put_varint(1);
+    contact(1).encode(&mut buf);
     put_opt_blob(&mut buf, None);
     buf.put_varint(65_000);
     buf.resize(65_507, 0xff);
@@ -731,9 +736,7 @@ fn body_built_cache_push_encodes_like_the_owned_message() {
             version: st(42),
         };
         let body = value_body(&owned).expect("a push carries a value");
-        let (key, version) = (sha1(b"hot"), st(42));
-        let built =
-            Message::encode_cache_push(17, &contact(3), &key, 100, &body, truncated, &version);
+        let built = without_value(owned.clone()).encode_around(&body);
         assert_eq!(built, owned.encode_to_bytes());
     }
 }
@@ -759,20 +762,13 @@ fn body_built_replicate_encodes_like_the_owned_message() {
             stamp: st(9),
         };
         let body = value_body(&owned).expect("a replica carries a value");
-        let built = Message::encode_write(
-            Message::T_REPLICATE,
-            15,
-            &contact(1),
-            &sha1(b"k"),
-            &body,
-            &st(9),
-        );
+        let built = without_value(owned.clone()).encode_around(&body);
         assert_eq!(built, owned.encode_to_bytes());
     }
 }
 
 /// A coordinator sends every write as its body between key and stamp,
-/// encoded once: for the same parts, `encode_write` writes the bytes the
+/// encoded once: for the same parts, `encode_around` writes the bytes the
 /// owned `Store`, `Append` and `Replicate` encode to, so the datagrams are
 /// the owned messages' by construction. Every write of the corpus, and
 /// a body kept by the decoder sent on as it arrived.
@@ -780,22 +776,18 @@ fn body_built_replicate_encodes_like_the_owned_message() {
 fn body_built_writes_encode_like_the_owned_messages() {
     let mut writes = 0;
     for m in &corpus() {
-        let (ty, key, stamp) = match m {
-            Message::Store { key, stamp, .. } => (Message::T_STORE, key, stamp),
-            Message::Append { key, stamp, .. } => (Message::T_APPEND, key, stamp),
-            Message::Replicate { key, stamp, .. } => (Message::T_REPLICATE, key, stamp),
-            _ => continue,
+        let (Message::Store { .. } | Message::Append { .. } | Message::Replicate { .. }) = m else {
+            continue;
         };
         writes += 1;
         let enc = m.encode_to_bytes();
         let body = value_body(m).expect("a write carries a body");
-        let built = Message::encode_write(ty, m.rpc_id(), m.sender(), key, &body, stamp);
-        assert_eq!(built, enc, "{m:?}");
+        let frame = without_value(m.clone());
+        assert_eq!(frame.encode_around(&body), enc, "{m:?}");
         let (_, kept) = decode_as(&enc, ValueUse::Body).expect("accepted");
         let kept = kept.expect("a write's body is kept");
         assert_eq!(kept, body, "{m:?}");
-        let resent = Message::encode_write(ty, m.rpc_id(), m.sender(), key, &kept, stamp);
-        assert_eq!(resent, enc, "{m:?}");
+        assert_eq!(frame.encode_around(&kept), enc, "{m:?}");
     }
     assert_eq!(writes, 7, "two Stores, three Appends, two Replicates");
 }
@@ -815,17 +807,17 @@ fn a_kept_body_holds_the_value_as_received() {
     let mut overlong = overlong.to_vec();
     *overlong.last_mut().expect("the weight byte") |= 0x80;
     overlong.push(0); // 5 as [0x85, 0x00]
-    let mut push = BytesMut::new();
-    put_push_head(
-        &mut push,
-        Message::T_CACHE_PUSH,
-        17,
-        &contact(3),
-        &sha1(b"hot"),
-        8,
-    );
-    push.extend_from_slice(&overlong);
-    put_push_tail(&mut push, false, &st(9));
+    let push = Message::CachePush {
+        rpc: 17,
+        from: contact(3),
+        key: sha1(b"hot"),
+        top_n: 8,
+        blob: None,
+        entries: Vec::new(),
+        truncated: false,
+        version: st(9),
+    }
+    .encode_around(&overlong);
     let (_, body) = decode_as(&push, ValueUse::Body).expect("accepted");
     assert_eq!(body.as_deref(), Some(&overlong[..]));
     let Ok(Message::CachePush { entries, .. }) = Message::decode_exact(&push) else {

@@ -95,15 +95,23 @@ impl KademliaNode {
             }
             // The digest reads storage, so it is built before the memo is
             // borrowed. Held values are served as their wire memo, copied
-            // once into the reply: no owned read, no `Message` in between.
+            // once into the reply in place of its value fields: no owned
+            // read.
             let digest = self.build_digest(Some(&key), ctx.now_us);
             let budget = self.cfg.reply_budget;
             let (body, truncated, version) =
                 (self.storage.serve(&key, top_n, budget)).expect("the key is held");
-            let own = &self.contact;
-            let reply =
-                Message::encode_found_value(rpc, own, body, truncated, &version, false, &digest);
-            ctx.send(from.addr, reply);
+            let reply = Message::FoundValue {
+                rpc,
+                from: self.contact.clone(),
+                blob: None,
+                entries: Vec::new(),
+                truncated,
+                version,
+                from_cache: false,
+                digest,
+            };
+            ctx.send(from.addr, reply.encode_around(body));
             // Authoritative holders track per-key GET rates and push extra
             // replicas when a key runs hot.
             return self.maybe_promote_replicas(ctx, key);
@@ -118,10 +126,17 @@ impl KademliaNode {
             if let Some((view, version)) = self.serve_cached(&key, top_n, ctx.now_us) {
                 // Cached views never gossip: their versions are another
                 // holder's.
-                let (own, body, truncated) = (&self.contact, &view.body[..], view.truncated);
-                let reply =
-                    Message::encode_found_value(rpc, own, body, truncated, &version, true, &[]);
-                ctx.send(from.addr, reply);
+                let reply = Message::FoundValue {
+                    rpc,
+                    from: self.contact.clone(),
+                    blob: None,
+                    entries: Vec::new(),
+                    truncated: view.truncated,
+                    version,
+                    from_cache: true,
+                    digest: Vec::new(),
+                };
+                ctx.send(from.addr, reply.encode_around(&view.body));
                 // A path cache actively serving a key is exactly the view
                 // whose staleness matters most — refresh it ahead of the
                 // TTL too.

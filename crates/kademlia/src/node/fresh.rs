@@ -40,7 +40,7 @@ use dharma_types::{FxHashMap, Id160, VersionStamp, WireEncode};
 use super::cache::CachedView;
 use super::rpc::{PUSH_OP, REFRESH_OP};
 use super::{KadOutput, KademliaNode};
-use crate::messages::{push_head_len, put_push_head, put_push_tail, Contact, DigestEntry, Message};
+use crate::messages::{Contact, DigestEntry, Message};
 
 /// Bound on the digest news ring (recent effective local writes).
 const NEWS_CAP: usize = 32;
@@ -463,12 +463,12 @@ impl KademliaNode {
         };
         // One encoded view per distinct width, not per fetcher — a hot
         // key's fetchers nearly all asked for the same `top_n`: the value's
-        // wire memo (which the next `FIND_VALUE` at that width then hits)
-        // and the push's tail. Each target gets its own head in front.
+        // wire memo, which the next `FIND_VALUE` at that width then hits.
+        // Each target's push is written around it.
         let budget = self.cfg.reply_budget;
-        let mut views: Vec<(u32, BytesMut)> = Vec::new();
+        let mut views: Vec<(u32, BytesMut, bool)> = Vec::new();
         for (i, &(id, addr, top_n)) in targets.iter().enumerate() {
-            let at = match views.iter().position(|(n, _)| *n == top_n) {
+            let at = match views.iter().position(|(n, ..)| *n == top_n) {
                 Some(at) => at,
                 None => {
                     // The key was just written, so the read can only miss
@@ -479,12 +479,11 @@ impl KademliaNode {
                     let Some((truncated, _)) = read else {
                         return;
                     };
-                    put_push_tail(&mut view, truncated, &stamp);
-                    views.push((top_n, view));
+                    views.push((top_n, view, truncated));
                     views.len() - 1
                 }
             };
-            let view = &views[at].1;
+            let (_, view, truncated) = &views[at];
             // Liveness sampling: every third push round, the first (most
             // recent) target is tracked like REPAIR_OP — its ack feeds the
             // RTT estimator and its timeout evicts the fetcher from the
@@ -494,13 +493,17 @@ impl KademliaNode {
             // would double the push overhead for no freshness gain.
             self.cfg.counters.add(Counter::InvalidatePushes, 1);
             let push = |rpc: u64, from: &Contact| {
-                let len = push_head_len(rpc, from, top_n) + view.len();
-                let mut push = BytesMut::with_capacity(len);
-                let ty = Message::T_INVALIDATE_PUSH;
-                put_push_head(&mut push, ty, rpc, from, &key, top_n);
-                push.extend_from_slice(view);
-                debug_assert_eq!(push.len(), len);
-                push.freeze()
+                let push = Message::InvalidatePush {
+                    rpc,
+                    from: from.clone(),
+                    key,
+                    top_n,
+                    blob: None,
+                    entries: Vec::new(),
+                    truncated: *truncated,
+                    stamp,
+                };
+                push.encode_around(view)
             };
             if i == 0 && round % 3 == 0 {
                 let timeout_us = self.cfg.rpc_timeout_us;

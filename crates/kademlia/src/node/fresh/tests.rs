@@ -5,7 +5,7 @@ use dharma_types::{sha1, WireDecode};
 
 use super::super::testutil::{contact, fresh_cfg, st};
 use super::*;
-use crate::messages::{FetchedValue, StoredEntry, ValueUse};
+use crate::messages::{FetchedValue, MessageKind, StoredEntry, ValueUse};
 use crate::node::KadConfig;
 
 fn push_view(node: &mut KademliaNode, ctx: &mut Ctx<KadOutput>, key: Id160, version: u64) {
@@ -432,7 +432,7 @@ fn a_holder_acks_an_invalidate_push_and_pins_nothing() {
     // An empty routing table: the append applies locally.
     node.append(&mut Ctx::new(0, 0, 1), key, "rock", 1);
     assert!(node.storage.contains(&key));
-    let asked = node.value_use(Message::T_INVALIDATE_PUSH, 31, Some(&key));
+    let asked = node.value_use(MessageKind::InvalidatePush, 31, Some(&key));
     assert_eq!(asked, ValueUse::Skip);
     for rpc in [0, 31] {
         let push = Message::InvalidatePush {

@@ -16,7 +16,9 @@ use super::cache::CachedView;
 use super::rpc::{REFRESH_OP, REPAIR_OP};
 use super::{KadOutput, KademliaNode, OpKind, OpState, Phase};
 use crate::lookup::LookupState;
-use crate::messages::{Contact, DigestEntry, FetchedValue, Message, ValueUse, ValueView};
+use crate::messages::{
+    Contact, DigestEntry, FetchedValue, Message, MessageKind, ValueUse, ValueView,
+};
 use crate::rtt::AlphaController;
 
 impl KademliaNode {
@@ -273,13 +275,14 @@ impl KademliaNode {
     /// Everything else — a second or third holder's answer, a reply to a
     /// finished or forgotten lookup — settles its RPC and feeds liveness,
     /// RTT and gossip from the reply's other fields alone.
-    pub(super) fn value_use(&self, ty: u8, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
+    pub(super) fn value_use(&self, ty: MessageKind, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
         let live_get = |op: &OpState| match op.kind {
             OpKind::Get { view: true, .. } => ValueUse::Body,
             OpKind::Get { view: false, .. } => ValueUse::Owned,
             _ => ValueUse::Skip,
         };
-        let write = [Message::T_STORE, Message::T_APPEND, Message::T_REPLICATE].contains(&ty);
+        use MessageKind::{Append, Replicate, Store};
+        let write = matches!(ty, Store | Append | Replicate);
         match (pushed, self.pending.get(&rpc)) {
             _ if write => ValueUse::Body,
             (Some(key), _) if self.cache.is_some() && !self.storage.contains(key) => ValueUse::Body,
@@ -298,10 +301,13 @@ impl KademliaNode {
         rpc: u64,
         target: &Id160,
     ) {
-        let contacts = self.routing.closest(target, self.cfg.k);
-        let digest = self.build_digest(Some(target), ctx.now_us);
-        let reply = Message::encode_found_nodes(rpc, &self.contact, &contacts, &digest);
-        ctx.send(to, reply);
+        let reply = Message::FoundNodes {
+            rpc,
+            from: self.contact.clone(),
+            contacts: self.routing.closest(target, self.cfg.k),
+            digest: self.build_digest(Some(target), ctx.now_us),
+        };
+        ctx.send(to, reply.encode_to_bytes());
     }
 
     pub(super) fn on_found_nodes(
@@ -434,7 +440,17 @@ impl KademliaNode {
             if let Some(target) = nearest_miss {
                 let body = &pinned.body[..];
                 self.notify(ctx, target.addr, |rpc, from| {
-                    Message::encode_cache_push(rpc, from, &key, top_n, body, truncated, &version)
+                    let push = Message::CachePush {
+                        rpc,
+                        from: from.clone(),
+                        key,
+                        top_n,
+                        blob: None,
+                        entries: Vec::new(),
+                        truncated,
+                        version,
+                    };
+                    push.encode_around(body)
                 });
             }
             // ... and keep a requester-local view (served as a cache hit

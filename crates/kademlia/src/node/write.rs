@@ -7,7 +7,7 @@
 //! fixes the replica set, [`KademliaNode::write_to_replicas`] sends each
 //! replica those bytes as a `Store` / `Append` / `Replicate` — one exactly
 //! sized datagram per replica, built around the body by
-//! `Message::encode_write` — and every holder, the coordinator's own copy
+//! `Message::encode_around` — and every holder, the coordinator's own copy
 //! included, applies the same bytes through
 //! [`KademliaNode::apply_write`]: a replica keeps the body its decoder
 //! validated and hands it to storage, which interns each name from the
@@ -36,12 +36,33 @@ impl WriteBody {
     /// The datagram that carries this write to one replica: its body
     /// between key and stamp, copied into an exactly sized buffer.
     fn message(&self, rpc: u64, from: &Contact, key: Id160, stamp: VersionStamp) -> Bytes {
-        let (ty, body) = match self {
-            WriteBody::Blob(body) => (Message::T_STORE, body),
-            WriteBody::Entries(body) => (Message::T_APPEND, body),
-            WriteBody::Snapshot(body) => (Message::T_REPLICATE, body),
+        let from = from.clone();
+        let msg = match self {
+            WriteBody::Blob(_) => Message::Store {
+                rpc,
+                from,
+                key,
+                blob: Vec::new(),
+                stamp,
+            },
+            WriteBody::Entries(_) => Message::Append {
+                rpc,
+                from,
+                key,
+                entries: Vec::new(),
+                stamp,
+            },
+            WriteBody::Snapshot(_) => Message::Replicate {
+                rpc,
+                from,
+                key,
+                blob: None,
+                entries: Vec::new(),
+                stamp,
+            },
         };
-        Message::encode_write(ty, rpc, from, &key, body, &stamp)
+        let (WriteBody::Blob(body) | WriteBody::Entries(body) | WriteBody::Snapshot(body)) = self;
+        msg.encode_around(body)
     }
 
     /// The inverse of [`Self::message`]: the write a `Store` / `Append` /

@@ -359,8 +359,17 @@ proptest! {
                 continue;
             };
             let (truncated, version) = got.unwrap();
-            let served =
-                Message::encode_found_value(7, &from, &body, truncated, &version, false, &[]);
+            let served = Message::FoundValue {
+                rpc: 7,
+                from: from.clone(),
+                blob: None,
+                entries: Vec::new(),
+                truncated,
+                version,
+                from_cache: false,
+                digest: Vec::new(),
+            }
+            .encode_around(&body);
             let owned = Message::FoundValue {
                 rpc: 7,
                 from: from.clone(),

@@ -356,6 +356,42 @@ impl WireDecode for u64 {
     }
 }
 
+impl WireEncode for u32 {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_varint(u64::from(*self));
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(u64::from(*self))
+    }
+}
+
+/// A `u32` is a varint that fits 32 bits: a larger one is refused, not cut
+/// to its low bits, so it cannot alias a smaller value.
+impl WireDecode for u32 {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
+        let v = buf.get_varint()?;
+        u32::try_from(v).map_err(|_| DharmaError::Decode(format!("varint {v} overflows u32")))
+    }
+}
+
+/// A `bool` is a flag byte, 0 or 1 ([`ReadBytes::get_flag`]).
+impl WireEncode for bool {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
+    }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
+}
+
+impl WireDecode for bool {
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
+        buf.get_flag()
+    }
+}
+
 impl<T: WireEncode> WireEncode for [T] {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_varint(self.len() as u64);
