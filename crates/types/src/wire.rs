@@ -39,7 +39,8 @@
 //!
 //! Layout conventions:
 //! * integers are unsigned LEB128 varints (`put_varint`) unless fixed width is
-//!   structurally required;
+//!   structurally required; a `u32` refuses a varint past `u32::MAX`;
+//! * a `bool` is one flag byte, 0 or 1;
 //! * strings and byte strings are length-prefixed (varint);
 //! * sequences are length-prefixed (varint) followed by the elements;
 //! * [`Id160`] is 20 raw bytes.
