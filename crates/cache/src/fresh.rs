@@ -31,210 +31,105 @@
 
 use dharma_types::{FxHashMap, Id160, VersionStamp};
 
-/// Configuration of the `dharma-fresh` subsystem (version gossip +
-/// cache-aware lookup routing). Carried by the overlay node's config;
-/// `None` there disables both features and keeps the node's behavior
-/// byte-identical to the TTL-only protocol (digests are sent empty).
-///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`FreshConfig::default()`] (then mutate fields) or through the
-/// range-validated [`FreshConfig::builder()`], so new knobs can land
-/// without breaking every literal in downstream crates.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct FreshConfig {
-    /// Maximum entries in one piggybacked digest (keeps replies well under
-    /// the MTU: one entry is 20 id bytes + a varint).
-    pub digest_max: usize,
-    /// How long a local write stays in the digest's "news" section, µs.
-    pub news_window_us: u64,
-    /// Half-life of the per-peer hit history, µs.
-    pub hit_half_life_us: u64,
-    /// Minimum decayed hit weight for a peer to count as *warm* for a key.
-    pub warm_threshold: f64,
-    /// Bound on keys tracked by the hit history (LRU beyond it).
-    pub max_tracked_keys: usize,
-    /// Bound on peers remembered per key (lightest dropped first).
-    pub max_peers_per_key: usize,
-    /// Bound on keys tracked by the freshness book.
-    pub max_versions: usize,
-    /// Cap on how long a cached view may outlive its first insertion
-    /// through digest confirmations, µs — the hard staleness ceiling that
-    /// makes TTL extension safe against incomparable version counters.
-    pub max_view_lifetime_us: u64,
-    /// Revalidate (direct `FindValue` to the digest sender) when a stale
-    /// digest drops a cached view, instead of plain dropping.
-    pub revalidate_on_stale: bool,
-    /// Refresh-ahead: serving a cache hit whose last authoritative mint
-    /// or confirmation is older than this triggers a background
-    /// revalidation probe (one direct `FindValue` to a likely holder), so
-    /// a hot view's content tracks writes instead of aging toward the
-    /// TTL. 0 disables. Should be well below the cache TTL — half is a
-    /// good default ratio.
-    pub refresh_age_us: u64,
-    /// The serve-age bar: a cached view whose last mint/confirmation is
-    /// older than this is treated as a **miss** even inside its TTL — the
-    /// read goes through (refreshing the view), and the staleness window
-    /// of anything actually served is bounded by this bar instead of the
-    /// TTL. Confirmations and refreshes reset the age, so gossip — not
-    /// the clock — is what keeps hot views servable. 0 disables (TTL-only
-    /// serve bound). Must exceed [`FreshConfig::refresh_age_us`] or every
-    /// view ages out before its refresh fires.
-    pub max_serve_age_us: u64,
-    /// Bias lookup candidate ordering toward warm peers and seed GET
-    /// shortlists from the hit history (cache-aware routing). Off leaves
-    /// routing purely XOR-driven while gossip still manages freshness.
-    pub cache_aware_routing: bool,
-    /// Write-triggered invalidation push: when a holder applies a write,
-    /// it sends a bounded fan-out of `InvalidatePush` RPCs to the key's
-    /// recent fetchers, invalidating (or triggering a one-RTT refresh of)
-    /// their cached views immediately instead of waiting for gossip to
-    /// reach them. Off keeps the gossip-only protocol byte-identical.
-    pub push_on_write: bool,
-    /// Maximum `InvalidatePush` RPCs one holder sends per applied write.
-    pub push_fanout: usize,
-    /// Only fetchers seen within this window are pushed to, µs — older
-    /// interest has likely TTL-expired anyway.
-    pub push_window_us: u64,
-}
-
-impl Default for FreshConfig {
-    fn default() -> Self {
-        FreshConfig {
-            digest_max: 8,
-            news_window_us: 30_000_000,   // 30 s
-            hit_half_life_us: 60_000_000, // 60 s
-            warm_threshold: 0.5,
-            max_tracked_keys: 1024,
-            max_peers_per_key: 4,
-            max_versions: 4096,
-            max_view_lifetime_us: 240_000_000, // 4 min ≈ 8 default TTLs
-            revalidate_on_stale: true,
-            refresh_age_us: 15_000_000,   // half the default cache TTL
-            max_serve_age_us: 24_000_000, // 80% of the default cache TTL
-            cache_aware_routing: true,
-            push_on_write: false,
-            push_fanout: 4,
-            push_window_us: 30_000_000, // one default cache TTL
-        }
+dharma_types::config! {
+    /// Configuration of the `dharma-fresh` subsystem (version gossip +
+    /// cache-aware lookup routing). Carried by the overlay node's config;
+    /// `None` there disables both features and keeps the node's behavior
+    /// byte-identical to the TTL-only protocol (digests are sent empty).
+    ///
+    /// The struct is `#[non_exhaustive]`: construct it with
+    /// [`FreshConfig::default()`] (then mutate fields) or through the
+    /// range-validated [`FreshConfig::builder()`], so new knobs can land
+    /// without breaking every literal in downstream crates.
+    #[derive(Clone, Debug)]
+    #[non_exhaustive]
+    pub struct FreshConfig => FreshConfigBuilder {
+        /// Maximum entries in one piggybacked digest (keeps replies well under
+        /// the MTU: one entry is 20 id bytes + a varint).
+        digest_max: usize = 8,
+        /// How long a local write stays in the digest's "news" section, µs.
+        news_window_us: u64 = 30_000_000, // 30 s
+        /// Half-life of the per-peer hit history, µs.
+        hit_half_life_us: u64 = 60_000_000, // 60 s
+        /// Minimum decayed hit weight for a peer to count as *warm* for a key.
+        warm_threshold: f64 = 0.5,
+        /// Bound on keys tracked by the hit history (LRU beyond it).
+        max_tracked_keys: usize = 1024,
+        /// Bound on peers remembered per key (lightest dropped first).
+        max_peers_per_key: usize = 4,
+        /// Bound on keys tracked by the freshness book.
+        max_versions: usize = 4096,
+        /// Cap on how long a cached view may outlive its first insertion
+        /// through digest confirmations, µs — the hard staleness ceiling that
+        /// makes TTL extension safe against incomparable version counters.
+        max_view_lifetime_us: u64 = 240_000_000, // 4 min ≈ 8 default TTLs
+        /// Revalidate (direct `FindValue` to the digest sender) when a stale
+        /// digest drops a cached view, instead of plain dropping.
+        revalidate_on_stale: bool = true,
+        /// Refresh-ahead: serving a cache hit whose last authoritative mint
+        /// or confirmation is older than this triggers a background
+        /// revalidation probe (one direct `FindValue` to a likely holder), so
+        /// a hot view's content tracks writes instead of aging toward the
+        /// TTL. 0 disables. Should be well below the cache TTL — half is a
+        /// good default ratio.
+        refresh_age_us: u64 = 15_000_000, // half the default cache TTL
+        /// The serve-age bar: a cached view whose last mint/confirmation is
+        /// older than this is treated as a **miss** even inside its TTL — the
+        /// read goes through (refreshing the view), and the staleness window
+        /// of anything actually served is bounded by this bar instead of the
+        /// TTL. Confirmations and refreshes reset the age, so gossip — not
+        /// the clock — is what keeps hot views servable. 0 disables (TTL-only
+        /// serve bound). Must exceed [`FreshConfig::refresh_age_us`] or every
+        /// view ages out before its refresh fires.
+        max_serve_age_us: u64 = 24_000_000, // 80% of the default cache TTL
+        /// Bias lookup candidate ordering toward warm peers and seed GET
+        /// shortlists from the hit history (cache-aware routing). Off leaves
+        /// routing purely XOR-driven while gossip still manages freshness.
+        cache_aware_routing: bool = true,
+        /// Write-triggered invalidation push: when a holder applies a write,
+        /// it sends a bounded fan-out of `InvalidatePush` RPCs to the key's
+        /// recent fetchers, invalidating (or triggering a one-RTT refresh of)
+        /// their cached views immediately instead of waiting for gossip to
+        /// reach them. Off keeps the gossip-only protocol byte-identical.
+        push_on_write: bool = false,
+        /// Maximum `InvalidatePush` RPCs one holder sends per applied write.
+        push_fanout: usize = 4,
+        /// Only fetchers seen within this window are pushed to, µs — older
+        /// interest has likely TTL-expired anyway.
+        push_window_us: u64 = 30_000_000, // one default cache TTL
     }
 }
 
 impl FreshConfig {
-    /// A range-validated builder starting from [`FreshConfig::default()`].
-    pub fn builder() -> FreshConfigBuilder {
-        FreshConfigBuilder {
-            cfg: FreshConfig::default(),
+    fn validate(&self) -> Result<(), String> {
+        if self.digest_max == 0 || self.digest_max > 64 {
+            return Err(format!(
+                "digest_max {} out of range 1..=64",
+                self.digest_max
+            ));
         }
-    }
-}
-
-/// Builder for [`FreshConfig`] with validated ranges ([`FreshConfig::builder()`]).
-#[derive(Clone, Debug)]
-pub struct FreshConfigBuilder {
-    cfg: FreshConfig,
-}
-
-macro_rules! setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, v: $ty) -> Self {
-            self.cfg.$name = v;
-            self
-        }
-    };
-}
-
-impl FreshConfigBuilder {
-    setter!(
-        /// See [`FreshConfig::digest_max`].
-        digest_max: usize
-    );
-    setter!(
-        /// See [`FreshConfig::news_window_us`].
-        news_window_us: u64
-    );
-    setter!(
-        /// See [`FreshConfig::hit_half_life_us`].
-        hit_half_life_us: u64
-    );
-    setter!(
-        /// See [`FreshConfig::warm_threshold`].
-        warm_threshold: f64
-    );
-    setter!(
-        /// See [`FreshConfig::max_tracked_keys`].
-        max_tracked_keys: usize
-    );
-    setter!(
-        /// See [`FreshConfig::max_peers_per_key`].
-        max_peers_per_key: usize
-    );
-    setter!(
-        /// See [`FreshConfig::max_versions`].
-        max_versions: usize
-    );
-    setter!(
-        /// See [`FreshConfig::max_view_lifetime_us`].
-        max_view_lifetime_us: u64
-    );
-    setter!(
-        /// See [`FreshConfig::revalidate_on_stale`].
-        revalidate_on_stale: bool
-    );
-    setter!(
-        /// See [`FreshConfig::refresh_age_us`].
-        refresh_age_us: u64
-    );
-    setter!(
-        /// See [`FreshConfig::max_serve_age_us`].
-        max_serve_age_us: u64
-    );
-    setter!(
-        /// See [`FreshConfig::cache_aware_routing`].
-        cache_aware_routing: bool
-    );
-    setter!(
-        /// See [`FreshConfig::push_on_write`].
-        push_on_write: bool
-    );
-    setter!(
-        /// See [`FreshConfig::push_fanout`].
-        push_fanout: usize
-    );
-    setter!(
-        /// See [`FreshConfig::push_window_us`].
-        push_window_us: u64
-    );
-
-    /// Validates ranges and produces the config. Errors name the bad knob.
-    pub fn build(self) -> Result<FreshConfig, String> {
-        let c = &self.cfg;
-        if c.digest_max == 0 || c.digest_max > 64 {
-            return Err(format!("digest_max {} out of range 1..=64", c.digest_max));
-        }
-        if c.hit_half_life_us == 0 {
+        if self.hit_half_life_us == 0 {
             return Err("hit_half_life_us must be positive".into());
         }
-        if !(c.warm_threshold > 0.0 && c.warm_threshold.is_finite()) {
+        if !(self.warm_threshold > 0.0 && self.warm_threshold.is_finite()) {
             return Err(format!(
                 "warm_threshold {} must be positive and finite",
-                c.warm_threshold
+                self.warm_threshold
             ));
         }
-        if c.max_serve_age_us != 0 && c.max_serve_age_us <= c.refresh_age_us {
+        if self.max_serve_age_us != 0 && self.max_serve_age_us <= self.refresh_age_us {
             return Err(format!(
                 "max_serve_age_us {} must exceed refresh_age_us {} (or be 0): views would age out before their refresh fires",
-                c.max_serve_age_us, c.refresh_age_us
+                self.max_serve_age_us, self.refresh_age_us
             ));
         }
-        if c.push_on_write && c.push_fanout == 0 {
+        if self.push_on_write && self.push_fanout == 0 {
             return Err("push_fanout must be >= 1 when push_on_write is set".into());
         }
-        if c.push_on_write && c.push_window_us == 0 {
+        if self.push_on_write && self.push_window_us == 0 {
             return Err("push_window_us must be positive when push_on_write is set".into());
         }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 
@@ -311,6 +206,11 @@ impl FreshnessBook {
     }
 }
 
+/// `weight` decayed by `dt_us` at half-life `half_life_us`.
+fn decayed(weight: f64, dt_us: u64, half_life_us: u64) -> f64 {
+    weight * (-(dt_us as f64) / half_life_us as f64).exp2()
+}
+
 #[derive(Clone, Copy, Debug)]
 struct PeerHit {
     id: Id160,
@@ -361,10 +261,6 @@ impl HitHistory {
         self.keys.len()
     }
 
-    fn decayed(&self, weight: f64, dt_us: u64) -> f64 {
-        weight * (-(dt_us as f64) / self.half_life_us as f64).exp2()
-    }
-
     /// Records that `peer` served `key` at `now_us` (`from_cache` = the
     /// reply came from the peer's hot-block cache, not its storage).
     pub fn record(&mut self, key: Id160, peer: Id160, addr: u32, from_cache: bool, now_us: u64) {
@@ -374,7 +270,7 @@ impl HitHistory {
         match entry.peers.iter_mut().find(|p| p.id == peer) {
             Some(p) => {
                 let dt = now_us.saturating_sub(p.at_us);
-                p.weight = p.weight * (-(dt as f64) / half_life as f64).exp2() + 1.0;
+                p.weight = decayed(p.weight, dt, half_life) + 1.0;
                 p.at_us = now_us;
                 p.addr = addr;
                 p.from_cache = from_cache;
@@ -387,12 +283,8 @@ impl HitHistory {
                         .iter()
                         .enumerate()
                         .min_by(|(_, a), (_, b)| {
-                            let wa = a.weight
-                                * (-(now_us.saturating_sub(a.at_us) as f64) / half_life as f64)
-                                    .exp2();
-                            let wb = b.weight
-                                * (-(now_us.saturating_sub(b.at_us) as f64) / half_life as f64)
-                                    .exp2();
+                            let wa = decayed(a.weight, now_us.saturating_sub(a.at_us), half_life);
+                            let wb = decayed(b.weight, now_us.saturating_sub(b.at_us), half_life);
                             wa.partial_cmp(&wb).expect("finite").then(a.id.cmp(&b.id))
                         })
                         .map(|(i, _)| i)
@@ -445,7 +337,7 @@ impl HitHistory {
             .map(|p| {
                 (
                     p.from_cache,
-                    self.decayed(p.weight, now_us.saturating_sub(p.at_us)),
+                    decayed(p.weight, now_us.saturating_sub(p.at_us), self.half_life_us),
                     p.id,
                     p.addr,
                 )
@@ -545,6 +437,82 @@ mod tests {
             .push_window_us(0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn config_table_defaults_and_setters() {
+        let d = FreshConfig::default();
+        assert_eq!(
+            (
+                d.digest_max,
+                d.news_window_us,
+                d.hit_half_life_us,
+                d.warm_threshold
+            ),
+            (8, 30_000_000, 60_000_000, 0.5)
+        );
+        assert_eq!(
+            (d.max_tracked_keys, d.max_peers_per_key, d.max_versions),
+            (1024, 4, 4096)
+        );
+        assert_eq!(
+            (d.max_view_lifetime_us, d.refresh_age_us, d.max_serve_age_us),
+            (240_000_000, 15_000_000, 24_000_000)
+        );
+        assert_eq!(
+            (
+                d.revalidate_on_stale,
+                d.cache_aware_routing,
+                d.push_on_write
+            ),
+            (true, true, false)
+        );
+        assert_eq!((d.push_fanout, d.push_window_us), (4, 30_000_000));
+
+        let c = FreshConfig::builder()
+            .digest_max(9)
+            .news_window_us(1)
+            .hit_half_life_us(2)
+            .warm_threshold(0.75)
+            .max_tracked_keys(3)
+            .max_peers_per_key(5)
+            .max_versions(6)
+            .max_view_lifetime_us(7)
+            .revalidate_on_stale(false)
+            .refresh_age_us(8)
+            .max_serve_age_us(10)
+            .cache_aware_routing(false)
+            .push_on_write(true)
+            .push_fanout(11)
+            .push_window_us(12)
+            .build()
+            .expect("valid config");
+        assert_eq!(
+            (
+                c.digest_max,
+                c.news_window_us,
+                c.hit_half_life_us,
+                c.warm_threshold
+            ),
+            (9, 1, 2, 0.75)
+        );
+        assert_eq!(
+            (c.max_tracked_keys, c.max_peers_per_key, c.max_versions),
+            (3, 5, 6)
+        );
+        assert_eq!(
+            (c.max_view_lifetime_us, c.refresh_age_us, c.max_serve_age_us),
+            (7, 8, 10)
+        );
+        assert_eq!(
+            (
+                c.revalidate_on_stale,
+                c.cache_aware_routing,
+                c.push_on_write
+            ),
+            (false, false, true)
+        );
+        assert_eq!((c.push_fanout, c.push_window_us), (11, 12));
     }
 
     #[test]

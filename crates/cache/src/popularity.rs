@@ -57,6 +57,15 @@ pub struct PopularityEstimator {
     map: FxHashMap<Id160, Track>,
 }
 
+/// `weight` decayed by `dt_us` at half-life `half_life_us`.
+#[inline]
+fn decay(weight: f64, dt_us: u64, half_life_us: u64) -> f64 {
+    if dt_us == 0 {
+        return weight;
+    }
+    weight * (-(dt_us as f64) / half_life_us as f64).exp2()
+}
+
 impl PopularityEstimator {
     /// Creates an estimator.
     pub fn new(cfg: PopularityConfig) -> Self {
@@ -76,14 +85,6 @@ impl PopularityEstimator {
         self.map.len()
     }
 
-    #[inline]
-    fn decay(&self, weight: f64, dt_us: u64) -> f64 {
-        if dt_us == 0 {
-            return weight;
-        }
-        weight * (-(dt_us as f64) / self.cfg.half_life_us as f64).exp2()
-    }
-
     /// Records one arrival for `key` at `now_us`; returns the new weight.
     pub fn record(&mut self, key: Id160, now_us: u64) -> f64 {
         let half_life = self.cfg.half_life_us;
@@ -93,11 +94,7 @@ impl PopularityEstimator {
             last_promoted_us: None,
         });
         let dt = now_us.saturating_sub(entry.last_us);
-        entry.weight = if dt == 0 {
-            entry.weight
-        } else {
-            entry.weight * (-(dt as f64) / half_life as f64).exp2()
-        } + 1.0;
+        entry.weight = decay(entry.weight, dt, half_life) + 1.0;
         entry.last_us = now_us;
         let weight = entry.weight;
         if self.map.len() > self.cfg.max_tracked {
@@ -108,9 +105,10 @@ impl PopularityEstimator {
 
     /// The decayed weight of `key` as of `now_us` (0 when untracked).
     pub fn weight(&self, key: &Id160, now_us: u64) -> f64 {
+        let h = self.cfg.half_life_us;
         self.map
             .get(key)
-            .map(|t| self.decay(t.weight, now_us.saturating_sub(t.last_us)))
+            .map(|t| decay(t.weight, now_us.saturating_sub(t.last_us), h))
             .unwrap_or(0.0)
     }
 
@@ -139,11 +137,12 @@ impl PopularityEstimator {
         if n == 0 {
             return Vec::new();
         }
+        let h = self.cfg.half_life_us;
         // dharma-lint: allow(D3): selected and sorted by a (weight, key) total order below
         let mut entries: Vec<(Id160, f64)> = self
             .map
             .iter()
-            .map(|(k, t)| (*k, self.decay(t.weight, now_us.saturating_sub(t.last_us))))
+            .map(|(k, t)| (*k, decay(t.weight, now_us.saturating_sub(t.last_us), h)))
             .collect();
         // Called per outgoing reply (the version-gossip digest), so keep
         // it O(n) + O(n' log n') on the kept prefix, not a full sort.
@@ -181,10 +180,10 @@ impl PopularityEstimator {
     /// decay alone is not enough; `protect` (the key just recorded) is
     /// always kept so a warming key can accumulate through full maps.
     fn prune(&mut self, now_us: u64, protect: &Id160) {
-        let half_life = self.cfg.half_life_us;
+        let h = self.cfg.half_life_us;
         self.map.retain(|k, t| {
             let dt = now_us.saturating_sub(t.last_us);
-            k == protect || t.weight * (-(dt as f64) / half_life as f64).exp2() > 0.05
+            k == protect || decay(t.weight, dt, h) > 0.05
         });
         if self.map.len() > self.cfg.max_tracked {
             // Degenerate flood of distinct keys: hard-cap to the heaviest
@@ -195,7 +194,7 @@ impl PopularityEstimator {
             let mut entries: Vec<(Id160, f64)> = self
                 .map
                 .iter()
-                .map(|(k, t)| (*k, self.decay(t.weight, now_us.saturating_sub(t.last_us))))
+                .map(|(k, t)| (*k, decay(t.weight, now_us.saturating_sub(t.last_us), h)))
                 .collect();
             entries.sort_unstable_by(|a, b| {
                 b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0))

@@ -24,113 +24,48 @@ use rand::SeedableRng;
 
 use crate::cost::OpCost;
 
-/// Client configuration.
-///
-/// Marked `#[non_exhaustive]`: construct one with
-/// [`DharmaConfig::default`] or [`DharmaConfig::builder`] and adjust
-/// fields from there — new client knobs then stop being breaking struct
-/// literal changes for downstream crates.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct DharmaConfig {
-    /// Approximation policy for tagging operations.
-    pub policy: ApproxPolicy,
-    /// Index-side filtering limit for search-step `GET t̂` (paper: 100).
-    pub search_top_n: u32,
-    /// Likir application namespace used when signing URI records.
-    pub namespace: String,
-    /// Client-side RNG seed (Approximation A subset selection).
-    pub seed: u64,
-    /// Safety cap on simulator events per blocking operation.
-    pub max_events_per_op: u64,
-    /// How many times a timed-out **idempotent** operation (GET, blob
-    /// PUT) is reissued before the error surfaces. An overlay op can die
-    /// with its coordinator (the home node crashes mid-lookup and its RPC
-    /// timers die with it) or starve when every replica times out; under
-    /// churn a fresh attempt usually routes around the corpses. APPENDs
-    /// are **never** retried: replicas that applied the append before the
-    /// timeout would double-count its tokens on a reissue. Each attempt
-    /// is accounted as one more lookup on the receipt. 0 restores
-    /// fail-fast.
-    pub op_retries: u32,
-}
-
-impl Default for DharmaConfig {
-    fn default() -> Self {
-        DharmaConfig {
-            policy: ApproxPolicy::paper(1),
-            search_top_n: 100,
-            namespace: "dharma".into(),
-            seed: 0,
-            max_events_per_op: 5_000_000,
-            op_retries: 2,
-        }
+dharma_types::config! {
+    /// Client configuration.
+    ///
+    /// Marked `#[non_exhaustive]`: construct one with
+    /// [`DharmaConfig::default`] or [`DharmaConfig::builder`] and adjust
+    /// fields from there — new client knobs then stop being breaking struct
+    /// literal changes for downstream crates.
+    #[derive(Clone, Debug)]
+    #[non_exhaustive]
+    pub struct DharmaConfig => DharmaConfigBuilder {
+        /// Approximation policy for tagging operations.
+        policy: ApproxPolicy = ApproxPolicy::paper(1),
+        /// Index-side filtering limit for search-step `GET t̂` (paper: 100).
+        search_top_n: u32 = 100,
+        /// Likir application namespace used when signing URI records.
+        namespace: String as impl Into<String> = "dharma".into(),
+        /// Client-side RNG seed (Approximation A subset selection).
+        seed: u64 = 0,
+        /// Safety cap on simulator events per blocking operation.
+        max_events_per_op: u64 = 5_000_000,
+        /// How many times a timed-out **idempotent** operation (GET, blob
+        /// PUT) is reissued before the error surfaces. An overlay op can die
+        /// with its coordinator (the home node crashes mid-lookup and its RPC
+        /// timers die with it) or starve when every replica times out; under
+        /// churn a fresh attempt usually routes around the corpses. APPENDs
+        /// are **never** retried: replicas that applied the append before the
+        /// timeout would double-count its tokens on a reissue. Each attempt
+        /// is accounted as one more lookup on the receipt. 0 restores
+        /// fail-fast.
+        op_retries: u32 = 2,
     }
 }
 
 impl DharmaConfig {
-    /// A range-validated builder starting from [`DharmaConfig::default()`].
-    pub fn builder() -> DharmaConfigBuilder {
-        DharmaConfigBuilder {
-            cfg: DharmaConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`DharmaConfig`] with validated ranges ([`DharmaConfig::builder()`]).
-#[derive(Clone, Debug)]
-pub struct DharmaConfigBuilder {
-    cfg: DharmaConfig,
-}
-
-macro_rules! setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, v: $ty) -> Self {
-            self.cfg.$name = v;
-            self
-        }
-    };
-}
-
-impl DharmaConfigBuilder {
-    setter!(
-        /// See [`DharmaConfig::policy`].
-        policy: ApproxPolicy
-    );
-    setter!(
-        /// See [`DharmaConfig::search_top_n`].
-        search_top_n: u32
-    );
-    setter!(
-        /// See [`DharmaConfig::seed`].
-        seed: u64
-    );
-    setter!(
-        /// See [`DharmaConfig::max_events_per_op`].
-        max_events_per_op: u64
-    );
-    setter!(
-        /// See [`DharmaConfig::op_retries`].
-        op_retries: u32
-    );
-
-    /// See [`DharmaConfig::namespace`].
-    pub fn namespace(mut self, v: impl Into<String>) -> Self {
-        self.cfg.namespace = v.into();
-        self
-    }
-
-    /// Validates ranges and produces the config. Errors name the bad knob.
-    pub fn build(self) -> std::result::Result<DharmaConfig, String> {
-        let c = &self.cfg;
-        if c.namespace.is_empty() {
+    fn validate(&self) -> std::result::Result<(), String> {
+        if self.namespace.is_empty() {
             return Err("namespace must be non-empty (it scopes record signatures)".into());
         }
-        if c.max_events_per_op == 0 {
+        if self.max_events_per_op == 0 {
             return Err("max_events_per_op must be >= 1 (0 would time out every op)".into());
         }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 

@@ -278,6 +278,36 @@ fn dharma_config_builder_validates_both_ways() {
 }
 
 #[test]
+fn config_table_defaults_and_setters() {
+    let d = DharmaConfig::default();
+    assert_eq!(
+        (d.policy.connection_k, d.policy.b_policy),
+        (Some(1), BPolicy::UnitIncrement)
+    );
+    assert_eq!(
+        (d.search_top_n, d.namespace.as_str(), d.seed),
+        (100, "dharma", 0)
+    );
+    assert_eq!((d.max_events_per_op, d.op_retries), (5_000_000, 2));
+
+    let c = DharmaConfig::builder()
+        .policy(ApproxPolicy::EXACT)
+        .search_top_n(7)
+        .namespace(String::from("ns"))
+        .seed(9)
+        .max_events_per_op(11)
+        .op_retries(0)
+        .build()
+        .unwrap();
+    assert_eq!(
+        (c.policy.connection_k, c.policy.b_policy),
+        (None, BPolicy::Exact)
+    );
+    assert_eq!((c.search_top_n, c.namespace.as_str(), c.seed), (7, "ns", 9));
+    assert_eq!((c.max_events_per_op, c.op_retries), (11, 0));
+}
+
+#[test]
 fn session_floor_tracks_writes_and_reads() {
     let mut net = overlay(12, 21);
     let mut c = client(ApproxPolicy::EXACT, 1);

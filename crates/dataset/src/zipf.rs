@@ -65,11 +65,6 @@ impl Zipf {
             self.cdf[i] - self.cdf[i - 1]
         }
     }
-
-    /// Expected value of the rank (0-based), computed from the table.
-    pub fn mean_rank(&self) -> f64 {
-        (0..self.len()).map(|i| i as f64 * self.pmf(i)).sum()
-    }
 }
 
 /// A discrete bounded power-law over `min..=max` with `P(d) ∝ d^(−alpha)`,

@@ -115,11 +115,6 @@ impl<'g> FacetedSearch<'g> {
         FacetedSearch { fg, res_sorted }
     }
 
-    /// `|Res(t)|` in the frozen view.
-    pub fn res_count(&self, t: TagId) -> usize {
-        self.res_sorted.get(t.idx()).map_or(0, Vec::len)
-    }
-
     /// The neighbor set fetched for `t`, after index-side filtering:
     /// top `display_cap` by descending `sim(t, ·)` (ties by tag id).
     fn fetch_neighbors(&self, t: TagId, cfg: &SearchConfig) -> Vec<(TagId, u64)> {

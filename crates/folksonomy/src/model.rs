@@ -93,11 +93,6 @@ impl ApproxPolicy {
             b_policy: BPolicy::UnitIncrement,
         }
     }
-
-    /// True when this policy deviates from the exact model.
-    pub fn is_approximate(&self) -> bool {
-        self.connection_k.is_some() || self.b_policy != BPolicy::Exact
-    }
 }
 
 /// What a tagging operation did — returned so callers (e.g. the DHT client)
@@ -161,11 +156,6 @@ impl Folksonomy {
     /// The policy this instance evolves under.
     pub fn policy(&self) -> ApproxPolicy {
         self.policy
-    }
-
-    /// Consumes the model, returning its graphs.
-    pub fn into_graphs(self) -> (Trg, Fg) {
-        (self.trg, self.fg)
     }
 
     /// **Resource insertion** (§III-B.1): inserts `r` tagged with `tags`.

@@ -66,61 +66,44 @@ impl Default for AdaptConfig {
     }
 }
 
-/// Churn-maintenance parameters (the `dharma-maint` subsystem). `None` in
-/// [`KadConfig::maintenance`] disables the whole loop — the node then
-/// behaves exactly like the pre-maintenance protocol, which is what the
-/// static paper-reproduction experiments run.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct MaintConfig {
-    /// Liveness-probe cadence, µs: each tick pings the least-recently-seen
-    /// contact of the next non-empty bucket (round-robin). Ignored when
-    /// [`MaintConfig::adaptive`] is set (the estimator drives the cadence
-    /// between its own bounds).
-    pub probe_interval_us: u64,
-    /// Repair-sweep cadence, µs: each tick re-pushes held keys to their
-    /// current `k` closest nodes (suppressed per key for one interval after
-    /// an incoming `Replicate`, so only one holder pays per round).
-    /// Ignored when [`MaintConfig::adaptive`] is set.
-    pub repair_interval_us: u64,
-    /// Join-time key handoff: when a node announces its join — a
-    /// `FIND_NODE` for its own id that enters it into a bucket — push it the
-    /// held records it is now among the `k` closest for. A contact merely
-    /// seen for the first time, or seen again after an eviction, gets none.
-    pub join_handoff: bool,
-    /// Demotion-sweep cadence, µs (`None` = off): reclaim beyond-`k`
-    /// replicas whose popularity has decayed (the adaptive-replication
-    /// counterpart of promotion). Demotion also bounds repair traffic:
-    /// without it, a holder that membership turnover pushed out of a
-    /// key's `k` closest keeps the record — and keeps re-pushing it every
-    /// repair interval — forever.
-    pub demote_interval_us: Option<u64>,
-    /// Churn-adaptive cadence (`None` = the fixed intervals above): scale
-    /// probe/repair intervals from the observed departure rate and budget
-    /// repair work per tick. See [`AdaptConfig`].
-    pub adaptive: Option<AdaptConfig>,
-}
-
-impl Default for MaintConfig {
-    fn default() -> Self {
-        MaintConfig {
-            probe_interval_us: 5_000_000,   // 5 s
-            repair_interval_us: 30_000_000, // 30 s
-            join_handoff: true,
-            demote_interval_us: Some(60_000_000), // 60 s
-            adaptive: None,
-        }
+dharma_types::config! {
+    /// Churn-maintenance parameters (the `dharma-maint` subsystem). `None` in
+    /// [`KadConfig::maintenance`] disables the whole loop — the node then
+    /// behaves exactly like the pre-maintenance protocol, which is what the
+    /// static paper-reproduction experiments run.
+    #[derive(Clone, Debug)]
+    #[non_exhaustive]
+    pub struct MaintConfig => MaintConfigBuilder {
+        /// Liveness-probe cadence, µs: each tick pings the least-recently-seen
+        /// contact of the next non-empty bucket (round-robin). Ignored when
+        /// [`MaintConfig::adaptive`] is set (the estimator drives the cadence
+        /// between its own bounds).
+        probe_interval_us: u64 = 5_000_000, // 5 s
+        /// Repair-sweep cadence, µs: each tick re-pushes held keys to their
+        /// current `k` closest nodes (suppressed per key for one interval after
+        /// an incoming `Replicate`, so only one holder pays per round).
+        /// Ignored when [`MaintConfig::adaptive`] is set.
+        repair_interval_us: u64 = 30_000_000, // 30 s
+        /// Join-time key handoff: when a node announces its join — a
+        /// `FIND_NODE` for its own id that enters it into a bucket — push it the
+        /// held records it is now among the `k` closest for. A contact merely
+        /// seen for the first time, or seen again after an eviction, gets none.
+        join_handoff: bool = true,
+        /// Demotion-sweep cadence, µs (`None` = off): reclaim beyond-`k`
+        /// replicas whose popularity has decayed (the adaptive-replication
+        /// counterpart of promotion). Demotion also bounds repair traffic:
+        /// without it, a holder that membership turnover pushed out of a
+        /// key's `k` closest keeps the record — and keeps re-pushing it every
+        /// repair interval — forever.
+        demote_interval_us: Option<u64> = Some(60_000_000), // 60 s
+        /// Churn-adaptive cadence (`None` = the fixed intervals above): scale
+        /// probe/repair intervals from the observed departure rate and budget
+        /// repair work per tick. See [`AdaptConfig`].
+        adaptive: Option<AdaptConfig> = None,
     }
 }
 
 impl MaintConfig {
-    /// A range-validated builder starting from [`MaintConfig::default()`].
-    pub fn builder() -> MaintConfigBuilder {
-        MaintConfigBuilder {
-            cfg: MaintConfig::default(),
-        }
-    }
-
     /// The tick the probe timer re-arms at: the adaptive loop re-evaluates
     /// every `probe_min_us` (doing work only when the current estimated
     /// interval has elapsed); the fixed loop ticks at its one interval.
@@ -140,60 +123,18 @@ impl MaintConfig {
             .unwrap_or(self.repair_interval_us)
             .max(1)
     }
-}
 
-/// Builder for [`MaintConfig`] with validated ranges ([`MaintConfig::builder()`]).
-#[derive(Clone, Debug)]
-pub struct MaintConfigBuilder {
-    cfg: MaintConfig,
-}
-
-macro_rules! maint_setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, v: $ty) -> Self {
-            self.cfg.$name = v;
-            self
-        }
-    };
-}
-
-impl MaintConfigBuilder {
-    maint_setter!(
-        /// See [`MaintConfig::probe_interval_us`].
-        probe_interval_us: u64
-    );
-    maint_setter!(
-        /// See [`MaintConfig::repair_interval_us`].
-        repair_interval_us: u64
-    );
-    maint_setter!(
-        /// Hand held records to a joiner on its self-lookup; see
-        /// [`MaintConfig::join_handoff`].
-        join_handoff: bool
-    );
-    maint_setter!(
-        /// See [`MaintConfig::demote_interval_us`].
-        demote_interval_us: Option<u64>
-    );
-    maint_setter!(
-        /// See [`MaintConfig::adaptive`].
-        adaptive: Option<AdaptConfig>
-    );
-
-    /// Validates ranges and produces the config. Errors name the bad knob.
-    pub fn build(self) -> Result<MaintConfig, String> {
-        let c = &self.cfg;
-        if c.probe_interval_us == 0 {
+    fn validate(&self) -> Result<(), String> {
+        if self.probe_interval_us == 0 {
             return Err("probe_interval_us must be positive".into());
         }
-        if c.repair_interval_us == 0 {
+        if self.repair_interval_us == 0 {
             return Err("repair_interval_us must be positive".into());
         }
-        if c.demote_interval_us == Some(0) {
+        if self.demote_interval_us == Some(0) {
             return Err("demote_interval_us must be positive when set".into());
         }
-        if let Some(a) = &c.adaptive {
+        if let Some(a) = &self.adaptive {
             if a.probe_min_us == 0 || a.probe_min_us > a.probe_max_us {
                 return Err(format!(
                     "adaptive probe bounds {}..{} invalid: need 0 < min <= max",
@@ -207,7 +148,7 @@ impl MaintConfigBuilder {
                 ));
             }
         }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 

@@ -812,3 +812,69 @@ fn maintenance_never_pushes_expired_records() {
     let (sends, _, _) = ctx.into_effects();
     assert!(replicate_keys(&sends).is_empty());
 }
+
+#[test]
+fn config_table_defaults_and_setters() {
+    let d = MaintConfig::default();
+    assert_eq!(
+        (d.probe_interval_us, d.repair_interval_us),
+        (5_000_000, 30_000_000)
+    );
+    assert!(d.join_handoff);
+    assert_eq!(d.demote_interval_us, Some(60_000_000));
+    assert!(d.adaptive.is_none());
+
+    let c = MaintConfig::builder()
+        .probe_interval_us(1)
+        .repair_interval_us(2)
+        .join_handoff(false)
+        .demote_interval_us(Some(3))
+        .adaptive(Some(adapt_cfg()))
+        .build()
+        .expect("valid config");
+    assert_eq!((c.probe_interval_us, c.repair_interval_us), (1, 2));
+    assert!(!c.join_handoff);
+    assert_eq!(c.demote_interval_us, Some(3));
+    let a = c.adaptive.expect("adaptive set");
+    assert_eq!(
+        (a.probe_min_us, a.repair_min_us),
+        (adapt_cfg().probe_min_us, adapt_cfg().repair_min_us)
+    );
+}
+
+#[test]
+fn config_builder_names_each_bad_knob() {
+    let err = |b: crate::MaintConfigBuilder| b.build().unwrap_err();
+    assert_eq!(
+        err(MaintConfig::builder().probe_interval_us(0)),
+        "probe_interval_us must be positive"
+    );
+    assert_eq!(
+        err(MaintConfig::builder().repair_interval_us(0)),
+        "repair_interval_us must be positive"
+    );
+    assert_eq!(
+        err(MaintConfig::builder().demote_interval_us(Some(0))),
+        "demote_interval_us must be positive when set"
+    );
+    let probe = AdaptConfig {
+        probe_min_us: 7,
+        probe_max_us: 6,
+        ..adapt_cfg()
+    };
+    assert_eq!(
+        err(MaintConfig::builder().adaptive(Some(probe))),
+        "adaptive probe bounds 7..6 invalid: need 0 < min <= max"
+    );
+    let repair = AdaptConfig {
+        repair_min_us: 0,
+        ..adapt_cfg()
+    };
+    assert_eq!(
+        err(MaintConfig::builder().adaptive(Some(repair))),
+        format!(
+            "adaptive repair bounds 0..{} invalid: need 0 < min <= max",
+            adapt_cfg().repair_max_us
+        )
+    );
+}

@@ -32,143 +32,67 @@
 
 use dharma_types::{FxHashMap, Id160};
 
-/// Latency-aware behaviour knobs, hung off `KadConfig::latency`.
-/// `None` there disables every consumer and keeps the protocol
-/// byte-identical to the latency-oblivious versions.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct LatencyConfig {
-    /// Lower bound for lookup parallelism (the classic Kademlia α).
-    pub alpha_min: usize,
-    /// Upper bound for lookup parallelism under loss.
-    pub alpha_max: usize,
-    /// Half-life of the decayed RTT estimator: a sample this old carries
-    /// half the weight of a fresh one.
-    pub rtt_half_life_us: u64,
-    /// Proximity neighbor selection: full buckets demote the slowest
-    /// measured resident in favour of a measurably faster newcomer.
-    pub pns: bool,
-    /// Latency-biased shortlists: lookups query low-RTT eligible
-    /// candidates first (never changing the eligibility window).
-    pub bias_shortlist: bool,
-    /// Adaptive lookup concurrency between `alpha_min` and `alpha_max`.
-    pub adaptive_alpha: bool,
-    /// RTT-adaptive per-query timeouts for lookup RPCs: a query to a
-    /// measured peer times out after [`LatencyConfig::rto_beta`] × its
-    /// smoothed RTT (clamped to `rto_min_us ..= rpc_timeout_us`) instead
-    /// of the conservative global `rpc_timeout_us`, so a query lost on a
-    /// nearby link is re-dispatched in milliseconds, not hundreds of them.
-    /// Maintenance RPCs (probes, repair, revalidation) keep the global
-    /// timeout — misjudging those evicts live contacts.
-    pub adaptive_timeout: bool,
-    /// Multiple of the smoothed RTT a lookup query may stay unanswered.
-    /// Per-link delay varies only by jitter here, but β must absorb both
-    /// jitter and estimator lag, hence the comfortable default of 3.
-    pub rto_beta: f64,
-    /// Floor of the adaptive timeout (µs), guarding against a thin book
-    /// producing hair-trigger timeouts.
-    pub rto_min_us: u64,
-}
-
-impl Default for LatencyConfig {
-    fn default() -> Self {
-        LatencyConfig {
-            alpha_min: 3,
-            alpha_max: 8,
-            rtt_half_life_us: 30_000_000,
-            pns: true,
-            bias_shortlist: true,
-            adaptive_alpha: true,
-            adaptive_timeout: true,
-            rto_beta: 3.0,
-            rto_min_us: 10_000,
-        }
+dharma_types::config! {
+    /// Latency-aware behaviour knobs, hung off `KadConfig::latency`.
+    /// `None` there disables every consumer and keeps the protocol
+    /// byte-identical to the latency-oblivious versions.
+    #[derive(Clone, Debug)]
+    #[non_exhaustive]
+    pub struct LatencyConfig => LatencyConfigBuilder {
+        /// Lower bound for lookup parallelism (the classic Kademlia α).
+        alpha_min: usize = 3,
+        /// Upper bound for lookup parallelism under loss.
+        alpha_max: usize = 8,
+        /// Half-life of the decayed RTT estimator: a sample this old carries
+        /// half the weight of a fresh one.
+        rtt_half_life_us: u64 = 30_000_000,
+        /// Proximity neighbor selection: full buckets demote the slowest
+        /// measured resident in favour of a measurably faster newcomer.
+        pns: bool = true,
+        /// Latency-biased shortlists: lookups query low-RTT eligible
+        /// candidates first (never changing the eligibility window).
+        bias_shortlist: bool = true,
+        /// Adaptive lookup concurrency between `alpha_min` and `alpha_max`.
+        adaptive_alpha: bool = true,
+        /// RTT-adaptive per-query timeouts for lookup RPCs: a query to a
+        /// measured peer times out after [`LatencyConfig::rto_beta`] × its
+        /// smoothed RTT (clamped to `rto_min_us ..= rpc_timeout_us`) instead
+        /// of the conservative global `rpc_timeout_us`, so a query lost on a
+        /// nearby link is re-dispatched in milliseconds, not hundreds of them.
+        /// Maintenance RPCs (probes, repair, revalidation) keep the global
+        /// timeout — misjudging those evicts live contacts.
+        adaptive_timeout: bool = true,
+        /// Multiple of the smoothed RTT a lookup query may stay unanswered.
+        /// Per-link delay varies only by jitter here, but β must absorb both
+        /// jitter and estimator lag, hence the comfortable default of 3.
+        rto_beta: f64 = 3.0,
+        /// Floor of the adaptive timeout (µs), guarding against a thin book
+        /// producing hair-trigger timeouts.
+        rto_min_us: u64 = 10_000,
     }
 }
 
 impl LatencyConfig {
-    /// A range-validated builder starting from [`LatencyConfig::default()`].
-    pub fn builder() -> LatencyConfigBuilder {
-        LatencyConfigBuilder {
-            cfg: LatencyConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`LatencyConfig`] with validated ranges
-/// ([`LatencyConfig::builder()`]).
-#[derive(Clone, Debug)]
-pub struct LatencyConfigBuilder {
-    cfg: LatencyConfig,
-}
-
-macro_rules! lat_setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, v: $ty) -> Self {
-            self.cfg.$name = v;
-            self
-        }
-    };
-}
-
-impl LatencyConfigBuilder {
-    lat_setter!(
-        /// See [`LatencyConfig::alpha_min`].
-        alpha_min: usize
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::alpha_max`].
-        alpha_max: usize
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::rtt_half_life_us`].
-        rtt_half_life_us: u64
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::pns`].
-        pns: bool
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::bias_shortlist`].
-        bias_shortlist: bool
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::adaptive_alpha`].
-        adaptive_alpha: bool
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::adaptive_timeout`].
-        adaptive_timeout: bool
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::rto_beta`].
-        rto_beta: f64
-    );
-    lat_setter!(
-        /// See [`LatencyConfig::rto_min_us`].
-        rto_min_us: u64
-    );
-
-    /// Validates ranges and produces the config. Errors name the bad knob.
-    pub fn build(self) -> Result<LatencyConfig, String> {
-        let c = &self.cfg;
-        if c.alpha_min == 0 || c.alpha_min > c.alpha_max {
+    fn validate(&self) -> Result<(), String> {
+        if self.alpha_min == 0 || self.alpha_min > self.alpha_max {
             return Err(format!(
                 "alpha bounds {}..{} invalid: need 0 < min <= max",
-                c.alpha_min, c.alpha_max
+                self.alpha_min, self.alpha_max
             ));
         }
-        if c.rtt_half_life_us == 0 {
+        if self.rtt_half_life_us == 0 {
             return Err("rtt_half_life_us must be positive".into());
         }
-        if !(c.rto_beta >= 1.0 && c.rto_beta.is_finite()) {
-            return Err(format!("rto_beta {} must be finite and >= 1", c.rto_beta));
+        if !(self.rto_beta >= 1.0 && self.rto_beta.is_finite()) {
+            return Err(format!(
+                "rto_beta {} must be finite and >= 1",
+                self.rto_beta
+            ));
         }
-        if c.rto_min_us == 0 {
+        if self.rto_min_us == 0 {
             return Err("rto_min_us must be positive".into());
         }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 
@@ -316,6 +240,91 @@ impl AlphaController {
 mod tests {
     use super::*;
     use dharma_types::sha1;
+
+    #[test]
+    fn config_table_defaults_and_setters() {
+        let d = LatencyConfig::default();
+        assert_eq!(
+            (
+                d.alpha_min,
+                d.alpha_max,
+                d.rtt_half_life_us,
+                d.rto_beta,
+                d.rto_min_us
+            ),
+            (3, 8, 30_000_000, 3.0, 10_000)
+        );
+        assert_eq!(
+            (
+                d.pns,
+                d.bias_shortlist,
+                d.adaptive_alpha,
+                d.adaptive_timeout
+            ),
+            (true, true, true, true)
+        );
+
+        let c = LatencyConfig::builder()
+            .alpha_min(2)
+            .alpha_max(5)
+            .rtt_half_life_us(7)
+            .pns(false)
+            .bias_shortlist(false)
+            .adaptive_alpha(false)
+            .adaptive_timeout(false)
+            .rto_beta(1.5)
+            .rto_min_us(9)
+            .build()
+            .expect("valid config");
+        assert_eq!(
+            (
+                c.alpha_min,
+                c.alpha_max,
+                c.rtt_half_life_us,
+                c.rto_beta,
+                c.rto_min_us
+            ),
+            (2, 5, 7, 1.5, 9)
+        );
+        assert_eq!(
+            (
+                c.pns,
+                c.bias_shortlist,
+                c.adaptive_alpha,
+                c.adaptive_timeout
+            ),
+            (false, false, false, false)
+        );
+    }
+
+    #[test]
+    fn config_builder_names_each_bad_knob() {
+        let err = |b: LatencyConfigBuilder| b.build().unwrap_err();
+        assert_eq!(
+            err(LatencyConfig::builder().alpha_min(0)),
+            "alpha bounds 0..8 invalid: need 0 < min <= max"
+        );
+        assert_eq!(
+            err(LatencyConfig::builder().alpha_min(9)),
+            "alpha bounds 9..8 invalid: need 0 < min <= max"
+        );
+        assert_eq!(
+            err(LatencyConfig::builder().rtt_half_life_us(0)),
+            "rtt_half_life_us must be positive"
+        );
+        assert_eq!(
+            err(LatencyConfig::builder().rto_beta(0.5)),
+            "rto_beta 0.5 must be finite and >= 1"
+        );
+        assert_eq!(
+            err(LatencyConfig::builder().rto_beta(f64::INFINITY)),
+            "rto_beta inf must be finite and >= 1"
+        );
+        assert_eq!(
+            err(LatencyConfig::builder().rto_min_us(0)),
+            "rto_min_us must be positive"
+        );
+    }
 
     #[test]
     fn observe_and_estimate_single_contact() {

@@ -66,12 +66,6 @@ impl<N: Node> SecureNode<N> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped node (client-operation issuance goes
-    /// through [`SecureNode::with_inner`] so effects get sealed).
-    pub fn inner_mut(&mut self) -> &mut N {
-        &mut self.inner
-    }
-
     /// Security-layer counters.
     pub fn stats(&self) -> SecurityStats {
         self.stats

@@ -14,6 +14,8 @@
 //! * [`BlockType`] / [`block_key`] — the DHARMA keyspace mapping of paper
 //!   §IV-A: four block types (`r̄`, `t̄`, `t̂`, `r̃`) keyed by
 //!   `H(name ‖ type-label)`.
+//! * [`config!`] — the table each layer config and its range-validated
+//!   builder are declared in.
 //!
 //! Everything here is dependency-light and deterministic; randomness is only
 //! ever drawn from caller-provided [`rand::Rng`] instances so that whole-system
@@ -22,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
 pub mod error;
 pub mod fx;
 pub mod hex;
