@@ -265,8 +265,9 @@ macro_rules! messages {
             /// The one decoder, for [`WireDecode::decode_exact`] and
             /// `decode_datagram` alike: reads the fields in wire order and,
             /// at the value group, asks `value_use(kind, rpc, key)` what the
-            /// value is for. Returns the message and, unless the answer was
-            /// [`ValueUse::Skip`], the bytes the value group spans.
+            /// value is for. Returns the message and, if the answer is
+            /// [`ValueUse::Body`] or [`ValueUse::Owned`], the bytes the value
+            /// group spans.
             fn decode_with<'a>(
                 buf: &mut &'a [u8],
                 value_use: impl FnOnce(MessageKind, u64, Option<&Id160>) -> ValueUse,
@@ -283,9 +284,11 @@ macro_rules! messages {
                         $(let (start, kind) = (*buf, MessageKind::$variant);
                         let answer = value_use(kind, rpc, messages!(@key $($key)?));
                         let owned = answer == ValueUse::Owned;
-                        $(let $value = <$value_ty as ValueField>::read(buf, owned)?;)+
+                        // A known body is a group the walk accepted: matched, it is skipped whole.
+                        let known = match &answer { ValueUse::Known(b) => buf.strip_prefix(&b[..]).map(|rest| *buf = rest).is_some(), _ => false };
+                        $(let $value = if known { Default::default() } else { <$value_ty as ValueField>::read(buf, owned)? };)+
                         let kept = &start[..start.len() - buf.len()];
-                        body = (answer != ValueUse::Skip).then_some(kept);
+                        body = matches!(answer, ValueUse::Body | ValueUse::Owned).then_some(kept);
                         $(let $tail = <$tail_ty>::decode(buf)?;)*)?
                         Message::$variant { rpc, from, $($head,)* $($($value,)+ $($tail,)*)? }
                     })+

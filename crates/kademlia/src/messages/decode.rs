@@ -19,7 +19,7 @@
 //! (`Message::decode_with`) therefore reads the fields before the group —
 //! type, request id, sender and, for a push or a write, the key — then
 //! asks its caller what the value is for, by [`MessageKind`]. There are
-//! three answers (`ValueUse`):
+//! four answers (`ValueUse`):
 //!
 //! * **skip** — validate it and keep nothing (a reply nobody waits for;
 //!   a push to a holder, or to a node that caches nothing);
@@ -28,7 +28,13 @@
 //!   `Replicate`, applied from its body);
 //! * **owned** — build the blob and entries and keep the wire bytes too
 //!   (the first value to reach a `get` / `get_fresh` in flight: its caller
-//!   gets the entries, the cache pins the bytes).
+//!   gets the entries, the cache pins the bytes);
+//! * **known** — keep nothing, but first compare the value with a body
+//!   already validated (a sibling reply to a GET that completed: the `α`
+//!   holders serve the same memo, so the second and third `FoundValue`
+//!   usually carry the first one's bytes). The node keeps that body, keyed
+//!   by the finished GET, until the GET's last pending RPC settles or times
+//!   out.
 //!
 //! A view GET (`get_view`) answers **body** for its first value, too: its
 //! caller gets the validated body itself, as a [`ValueView`], and reads
@@ -59,7 +65,17 @@
 //! fails under one answer exactly when it fails under the others, with the
 //! same error, because every check that can fail is shared and only
 //! allocation is left out. The tests hold the three to that on the whole
-//! mutation corpus and every truncation prefix.
+//! mutation corpus and every truncation prefix. **Known** holds to it by
+//! construction: a value group is self-delimiting, so when the bytes at
+//! the group begin with a body the walk once accepted whole, the walk
+//! would read exactly those bytes again, make the same decisions (its
+//! one check on bytes left, an entry count against the rest of the
+//! datagram, only gets looser with more bytes after the group) and stop
+//! at the same place; the decoder steps past them instead, and the value
+//! arrives empty, as under **skip**. Bytes that differ are walked as
+//! under **skip**. The tests hold **known** to **skip** on the corpus,
+//! every truncation and every single-byte mutant, with the original's
+//! body known and with a validated body one byte off.
 
 use bytes::{Bytes, BytesMut};
 
@@ -139,7 +155,7 @@ impl Default for ValueView {
 }
 
 /// What a receiver does with the value a message carries (module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) enum ValueUse {
     /// Validate it, keep nothing.
     Skip,
@@ -147,6 +163,13 @@ pub(crate) enum ValueUse {
     Body,
     /// Build the owned blob and entries, and keep the wire body.
     Owned,
+    /// Keep nothing; the value is likely this body, one already validated
+    /// as the value of a message of the same type. If the value group
+    /// begins with it, the decoder steps past it and the value fields
+    /// arrive empty: the group is self-delimiting, so the walk would read
+    /// exactly those bytes and accept them, as it did when the body was
+    /// validated. Otherwise it walks as under `Skip`.
+    Known(Bytes),
 }
 
 impl Message {
@@ -238,7 +261,7 @@ mod tests {
     //! built under [`ValueUse::Owned`] from the same datagram.
 
     use super::*;
-    use crate::messages::tests::{check_decoders_agree, corpus, decode_as};
+    use crate::messages::tests::{check_decoders_agree, corpus, decode_as, value_body};
     use crate::messages::Contact;
     use dharma_types::{sha1, WireEncode, WriteBytes};
 
@@ -316,6 +339,118 @@ mod tests {
             .count();
         assert_eq!(encodings, found_values);
         assert!(mutants > 0);
+    }
+
+    /// `data` through the one decoder, stopped before the end-of-datagram
+    /// check, answering `answer` for a value of type `ty` and `Skip` for
+    /// any other (a body is known only for the type it was validated as):
+    /// the message and whether a body was kept, and the bytes left.
+    fn decode_under(data: &[u8], ty: u8, answer: ValueUse) -> (Result<(Message, bool)>, usize) {
+        let mut buf = data;
+        let ask = |kind, _, _: Option<&Id160>| {
+            if kind as u8 == ty {
+                answer
+            } else {
+                ValueUse::Skip
+            }
+        };
+        let out = Message::decode_with(&mut buf, ask);
+        (out.map(|(m, body)| (m, body.is_some())), buf.len())
+    }
+
+    /// Decoding under `Known(known)`, for a value of type `ty`, is decoding
+    /// under `Skip`: the same message or the same error text, at the same
+    /// cursor, and no body.
+    fn check_known_equals_skip(data: &[u8], ty: u8, known: &Bytes) {
+        let (skipped, left) = decode_under(data, ty, ValueUse::Skip);
+        let (compared, known_left) = decode_under(data, ty, ValueUse::Known(known.clone()));
+        match (&compared, &skipped) {
+            (Ok(c), Ok(s)) => assert_eq!(c, s, "on {data:?}"),
+            (Err(c), Err(s)) => assert_eq!(c.to_string(), s.to_string(), "on {data:?}"),
+            _ => panic!("{compared:?} against {skipped:?} on {data:?}"),
+        }
+        assert_eq!(known_left, left, "on {data:?}");
+    }
+
+    /// A sibling reply compared with the body its GET completed with
+    /// decodes as one walked and skipped, on the whole corpus: every
+    /// encoding with its own body known, every truncation and every
+    /// single-byte mutant of it. And the encoding against a known body
+    /// that differs from its own in one byte — the body of an accepted
+    /// mutant, so a validated one as every known body is — falls back to
+    /// the walk.
+    #[test]
+    fn a_known_body_decodes_as_skip_on_the_whole_corpus() {
+        let (mut checked, mut one_byte_off) = (0, 0);
+        for m in &corpus() {
+            let Some(known) = value_body(m) else {
+                continue;
+            };
+            let enc = m.encode_to_bytes();
+            let ty = enc[0];
+            check_known_equals_skip(&enc, ty, &known);
+            for cut in 0..enc.len() {
+                check_known_equals_skip(&enc[..cut], ty, &known);
+            }
+            for i in 0..enc.len() {
+                for pattern in [0x01u8, 0x80, 0xff] {
+                    let mut bent = enc.to_vec();
+                    bent[i] ^= pattern;
+                    check_known_equals_skip(&bent, ty, &known);
+                    let Ok((_, Some(other))) = decode_as(&bent, ValueUse::Body) else {
+                        continue;
+                    };
+                    let differ = known.iter().zip(&other[..]).filter(|(a, b)| a != b);
+                    if other.len() == known.len() && differ.count() == 1 {
+                        check_known_equals_skip(&enc, ty, &other);
+                        one_byte_off += 1;
+                    }
+                }
+            }
+            checked += 1;
+        }
+        assert!(checked >= 6, "every value-bearing type is in the corpus");
+        assert!(
+            one_byte_off > checked,
+            "known bodies one byte off: {one_byte_off}"
+        );
+    }
+
+    /// The comparison vouches for the bytes it matches: a value group the
+    /// walk refuses — a name that is not UTF-8 — passes when it is the
+    /// known body. So only a body that already passed the walk may be
+    /// known, which is what makes the two answers agree above.
+    #[test]
+    fn a_known_body_is_trusted_not_walked() {
+        let reply = Message::FoundValue {
+            rpc: 7,
+            from: Contact {
+                id: sha1(b"holder"),
+                addr: 2,
+            },
+            blob: None,
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight: 3,
+            }],
+            truncated: false,
+            version: VersionStamp::ZERO,
+            from_cache: false,
+            digest: Vec::new(),
+        };
+        let mut bent = reply.encode_to_bytes().to_vec();
+        let at = bent.windows(4).position(|w| w == b"rock").unwrap();
+        bent[at] = 0xff;
+        let mut known = value_body(&reply).unwrap().to_vec();
+        let name_at = known.windows(4).position(|w| w == b"rock").unwrap();
+        known[name_at] = 0xff;
+        let ty = MessageKind::FoundValue as u8;
+        assert!(decode_under(&bent, ty, ValueUse::Skip).0.is_err());
+        let (compared, left) = decode_under(&bent, ty, ValueUse::Known(Bytes::from(known)));
+        assert_eq!(
+            (compared.map(|(m, body)| (m.rpc_id(), body)).ok(), left),
+            (Some((7, false)), 0)
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@ fn roundtrip(m: &Message) {
 /// write) the key, and that a body comes back exactly when `answer`
 /// keeps one.
 pub(super) fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Option<Bytes>)> {
+    let keeps = matches!(answer, ValueUse::Body | ValueUse::Owned);
     let mut asked = None;
     let out = Message::decode_datagram(Bytes::copy_from_slice(data), |ty, rpc, key| {
         asked = Some((ty, rpc, key.copied()));
@@ -50,7 +51,7 @@ pub(super) fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Optio
             _ => None,
         };
         assert_eq!(asked, expected);
-        assert_eq!(body.is_some(), asked.is_some() && answer != ValueUse::Skip);
+        assert_eq!(body.is_some(), asked.is_some() && keeps);
     }
     out
 }
@@ -58,7 +59,7 @@ pub(super) fn decode_as(data: &[u8], answer: ValueUse) -> Result<(Message, Optio
 /// The wire body of `m`'s value — a `Store`'s blob, an `Append`'s entry
 /// list, or the blob option and then the entry list of the other four
 /// value-bearing types — as `m` encodes it.
-fn value_body(m: &Message) -> Option<Bytes> {
+pub(super) fn value_body(m: &Message) -> Option<Bytes> {
     let mut body = BytesMut::new();
     match m {
         Message::Store { blob, .. } => body.put_bytes_field(blob),
@@ -144,7 +145,7 @@ pub(super) fn check_decoders_agree(data: &[u8]) {
         roundtrip(m);
     }
     for answer in [ValueUse::Skip, ValueUse::Body] {
-        let lazy = decode_as(data, answer);
+        let lazy = decode_as(data, answer.clone());
         let message = lazy.clone().map(|(m, _)| m);
         assert_eq!(
             message,

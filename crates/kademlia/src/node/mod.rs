@@ -159,6 +159,12 @@ pub struct KademliaNode {
     storage: Storage,
     ops: FxHashMap<u64, OpState>,
     pending: FxHashMap<u64, PendingRpc>,
+    /// GETs completed by a `FoundValue` whose sibling `FindValue`s are
+    /// still pending: the body each completed with, and how many siblings
+    /// are left. A sibling's value is compared with that body rather than
+    /// walked (`value_use`); the entry goes when the last one settles or
+    /// times out.
+    answered: FxHashMap<u64, (Bytes, usize)>,
     next_rpc: u64,
     next_op: u64,
     /// Hot-block cache (present when `cfg.cache` is set).
@@ -232,6 +238,7 @@ impl KademliaNode {
             cfg,
             ops: FxHashMap::default(),
             pending: FxHashMap::default(),
+            answered: FxHashMap::default(),
             next_rpc: 1,
             next_op: 1,
             gets_served: 0,

@@ -271,10 +271,13 @@ impl KademliaNode {
     /// * The first value to reach a GET still in flight is built for the
     ///   caller, and its body may be pinned and pushed on — unless the GET
     ///   is a view GET, whose caller takes the body itself.
+    /// * A second or third holder's answer to a GET that completed with a
+    ///   body is likely that body again: it is compared with it, and
+    ///   walked only if it differs.
     ///
-    /// Everything else — a second or third holder's answer, a reply to a
-    /// finished or forgotten lookup — settles its RPC and feeds liveness,
-    /// RTT and gossip from the reply's other fields alone.
+    /// Everything else — such a sibling answer, a reply to a finished or
+    /// forgotten lookup — settles its RPC and feeds liveness, RTT and
+    /// gossip from the reply's other fields alone.
     pub(super) fn value_use(&self, ty: MessageKind, rpc: u64, pushed: Option<&Id160>) -> ValueUse {
         let live_get = |op: &OpState| match op.kind {
             OpKind::Get { view: true, .. } => ValueUse::Body,
@@ -287,7 +290,11 @@ impl KademliaNode {
             _ if write => ValueUse::Body,
             (Some(key), _) if self.cache.is_some() && !self.storage.contains(key) => ValueUse::Body,
             (None, Some(pend)) if pend.op == REFRESH_OP => ValueUse::Body,
-            (None, Some(pend)) => self.ops.get(&pend.op).map_or(ValueUse::Skip, live_get),
+            (None, Some(pend)) => match (self.ops.get(&pend.op), self.answered.get(&pend.op)) {
+                (Some(op), _) => live_get(op),
+                (None, Some((body, _))) => ValueUse::Known(body.clone()),
+                (None, None) => ValueUse::Skip,
+            },
             _ => ValueUse::Skip,
         }
     }
@@ -416,6 +423,12 @@ impl KademliaNode {
             return self.pump(ctx, pend.op);
         }
         let op = self.ops.remove(&pend.op).expect("looked up above");
+        // Every other query still in flight is one pending RPC; the one
+        // that just answered is still counted by the lookup.
+        let siblings = op.lookup.inflight().saturating_sub(1);
+        if let Some(kept) = kept.as_ref().filter(|_| siblings > 0) {
+            self.answered.insert(pend.op, (kept.body.clone(), siblings));
+        }
         // Warm-peer bookkeeping: this contact just served the key.
         self.note_served_by(key, &from, from_cache, now);
         if from_cache {
@@ -713,5 +726,47 @@ mod tests {
             large < small * 8.0,
             "8x nodes must cost far less than 8x messages (got {small} -> {large})"
         );
+    }
+
+    /// A body kept for a GET's siblings lives only while one is in flight:
+    /// over a lossy overlay, where siblings answer, time out and are
+    /// retransmitted, every node holds some while GETs run and none once
+    /// the network is idle.
+    #[test]
+    fn answered_bodies_go_with_their_last_sibling() {
+        use super::super::testutil::{build_overlay, sim_cfg, test_cfg};
+        use crate::rtt::LatencyConfig;
+
+        let sim = SimConfig {
+            drop_rate: 0.1,
+            ..sim_cfg(5)
+        };
+        let cfg = KadConfig {
+            latency: Some(LatencyConfig::default()),
+            ..test_cfg(8)
+        };
+        let (mut net, _) = build_overlay(sim, 24, cfg);
+        let keys: Vec<_> = (0..6u8).map(|i| sha1(&[i])).collect();
+        for &key in &keys {
+            net.with_node(1, |n, ctx| n.append(ctx, key, "rock", 1));
+        }
+        net.run_until_idle(1_000_000);
+        let held = |net: &SimNet<KademliaNode>| -> usize {
+            (0..24).map(|a| net.node(a).answered.len()).sum()
+        };
+        let (mut most, mut views) = (0, 0);
+        for round in 0..40u32 {
+            let key = keys[round as usize % keys.len()];
+            net.with_node(round * 7 % 24, |n, ctx| n.get_view(ctx, key, 0, false));
+            let until = net.now_us() + 3_000;
+            net.run_until(until);
+            most = most.max(held(&net));
+        }
+        net.run_until_idle(1_000_000);
+        for (_, out) in net.take_completions() {
+            views += usize::from(matches!(out, KadOutput::View { view: Some(_), .. }));
+        }
+        assert!(views > 30 && most > 0, "{views} views, at most {most} kept");
+        assert_eq!(held(&net), 0, "no body outlives its siblings");
     }
 }

@@ -128,6 +128,7 @@ impl KademliaNode {
             return None;
         }
         let pend = self.pending.remove(&rpc)?;
+        self.sibling_done(pend.op);
         if let Some(l) = self.latency.as_mut() {
             let rtt_us = now_us.saturating_sub(pend.sent_at_us);
             l.rtt.observe(pend.to.id, rtt_us, now_us);
@@ -135,6 +136,17 @@ impl KademliaNode {
         }
         self.alpha_feedback(pend.op, false);
         Some(pend)
+    }
+
+    /// A pending RPC of `op` is gone: if `op` is an answered GET, one
+    /// sibling fewer is in flight, and after the last its body is dropped.
+    fn sibling_done(&mut self, op: u64) {
+        if let Some((_, left)) = self.answered.get_mut(&op) {
+            *left -= 1;
+            if *left == 0 {
+                self.answered.remove(&op);
+            }
+        }
     }
 
     pub(super) fn on_ping(&mut self, ctx: &mut Ctx<KadOutput>, rpc: u64, to: &Contact) {
@@ -179,6 +191,7 @@ impl KademliaNode {
         let Some(pend) = self.pending.remove(&rpc) else {
             return; // reply beat the timer
         };
+        self.sibling_done(pend.op);
         if pend.op == REFRESH_OP {
             self.end_revalidation(rpc);
         }
@@ -254,7 +267,7 @@ mod tests {
 
     use super::super::testutil::{contact, fresh_cfg, st};
     use super::*;
-    use crate::messages::StoredEntry;
+    use crate::messages::{MessageKind, StoredEntry, ValueUse};
     use crate::node::KadConfig;
     use crate::rtt::LatencyConfig;
 
@@ -322,6 +335,85 @@ mod tests {
         );
         assert!(!node.pending.contains_key(&b_rpc));
         assert_eq!(node.rtt().unwrap().estimate_us(&b.id), Some(5_000));
+    }
+
+    /// The usual case: a view GET's siblings answer with the body the GET
+    /// completed with. Each is compared with that body, not walked, and
+    /// still settles its RPC, samples its round trip and feeds gossip; the
+    /// body is dropped once the last sibling settles or times out.
+    #[test]
+    fn sibling_replies_with_the_kept_body_are_compared_and_still_settle() {
+        let cfg = KadConfig {
+            latency: Some(LatencyConfig::default()),
+            ..fresh_cfg(3_600_000_000)
+        };
+        let key = sha1(b"block");
+        let (mut node, op, finds) = asking_node(cfg, |n, ctx| n.get_view(ctx, key, 0, false));
+        let asked: Vec<(u64, Contact)> = finds
+            .iter()
+            .map(|f| (f.rpc_id(), node.pending[&f.rpc_id()].to.clone()))
+            .collect();
+        let reply = |(rpc, from): &(u64, Contact), gossip: &[u8]| Message::FoundValue {
+            rpc: *rpc,
+            from: from.clone(),
+            blob: None,
+            entries: vec![StoredEntry {
+                name: "rock".into(),
+                weight: 3,
+            }],
+            truncated: false,
+            version: st(3),
+            from_cache: false,
+            digest: vec![DigestEntry {
+                key: sha1(gossip),
+                version: st(50),
+            }],
+        };
+        let mut ctx: Ctx<KadOutput> = Ctx::new(1_000, 0, 2);
+        node.on_message(&mut ctx, 1, reply(&asked[0], b"g0").encode_to_bytes());
+        let (_, _, completions) = ctx.into_effects();
+        let [(
+            id,
+            KadOutput::View {
+                view: Some(view), ..
+            },
+        )] = &completions[..]
+        else {
+            panic!("the first answer completes the GET: {completions:?}");
+        };
+        assert_eq!(*id, op);
+        let body = node.answered[&op].0.clone();
+        assert_eq!(node.answered[&op].1, 2, "two siblings in flight");
+        assert_eq!(view.entries().collect::<Vec<_>>(), [("rock", 3)]);
+
+        // The second holder's answer: the same body, compared, and every
+        // other field of the reply put to use.
+        let (rpc, second) = asked[1].clone();
+        let asked_what = node.value_use(MessageKind::FoundValue, rpc, None);
+        assert_eq!(asked_what, ValueUse::Known(body));
+        assert!(node.routing.note_failure(&second.id));
+        let samples = node.rtt().unwrap().samples();
+        let mut ctx: Ctx<KadOutput> = Ctx::new(4_000, 0, 3);
+        node.on_message(&mut ctx, 2, reply(&asked[1], b"g1").encode_to_bytes());
+        let (sends, _, completions) = ctx.into_effects();
+        assert!(sends.is_empty() && completions.is_empty());
+        assert!(
+            node.routing.contains(&second.id),
+            "the sender is noted live"
+        );
+        assert!(!node.pending.contains_key(&rpc), "the RPC is settled");
+        assert_eq!(node.rtt().unwrap().samples(), samples + 1);
+        assert_eq!(node.rtt().unwrap().estimate_us(&second.id), Some(4_000));
+        let book = &node.fresh.as_ref().unwrap().book;
+        assert_eq!(book.highest(&sha1(b"g1")), Some(st(50)), "digest absorbed");
+        assert_eq!(node.answered[&op].1, 1, "one sibling left");
+
+        // The third never answers: its timeout drops the kept body.
+        let mut ctx: Ctx<KadOutput> = Ctx::new(600_000, 0, 4);
+        node.on_timer(&mut ctx, asked[2].0);
+        assert!(node.answered.is_empty());
+        let asked_what = node.value_use(MessageKind::FoundValue, asked[2].0, None);
+        assert_eq!(asked_what, ValueUse::Skip, "a reply nobody waits for");
     }
 
     #[test]

@@ -48,7 +48,8 @@
 # the median raw rate (the "... raw" figure every workload's `#` line
 # gives) and the median calibration tick (where the workload prints one):
 # a calibrated metric that moves while the raw rate does not is the tick
-# moving. Everything else is read from the JSON object on the benchmark's
+# moving. Then, per pair, both sides' raw rates beside their calibrated
+# ops_per_s and ticks (recorded as "pairs" with --json). Everything else is read from the JSON object on the benchmark's
 # last stdout line.
 set -euo pipefail
 
@@ -179,6 +180,15 @@ for w in "${workloads[@]}"; do
         tick[$side]=$(median_of tick_us "$work/runs/$side-$w-"*.out)
         echo "   $side: raw rate median ${raw[$side]}/s, calibration tick median ${tick[$side]} us"
     done
+    pairs=()
+    for r in $(seq 1 "$rounds"); do
+        read -r pr cr < <(for side in parent change; do raw_rate < "$work/runs/$side-$w-$r.out"; done | paste -sd' ')
+        read -r pt ct < <(for side in parent change; do tick_us < "$work/runs/$side-$w-$r.out"; done | paste -sd' ')
+        read -r po co < <(for side in parent change; do tail -n 1 "$work/runs/$side-$w-$r.out" | metric ops_per_s; done | paste -sd' ')
+        printf '   pair %2d: raw %s -> %s /s, calibrated ops_per_s %.1f -> %.1f, tick %s -> %s us\n' \
+            "$r" "${pr:-?}" "${cr:-?}" "$po" "$co" "${pt:-?}" "${ct:-?}"
+        pairs+=("{\"raw_rate\": [${pr:-null}, ${cr:-null}], \"ops_per_s\": [$po, $co], \"tick_us\": [${pt:-null}, ${ct:-null}]}")
+    done
     verdict=
     for side in parent change; do
         if grep -q '"correct": *false' "$work/runs/$side-$w.jsonl" ||
@@ -219,6 +229,7 @@ for w in "${workloads[@]}"; do
     case "$claim" in *"@$w") echo "== claim $claim: ${verdict:-no such end-to-end metric}" ;; esac
     printf '"raw_rate": {"parent": %s, "change": %s}\n"tick_us": {"parent": %s, "change": %s}\n' \
         "${raw[parent]}" "${raw[change]}" "${tick[parent]}" "${tick[change]}" >> "$work/json-metrics"
+    (IFS=,; printf '"pairs": [%s]\n' "${pairs[*]}") >> "$work/json-metrics"
     js_workloads+=("  \"$w\": {$(awk 'NR > 1 { printf ", " } { printf "%s", $0 }' "$work/json-metrics")}")
 done
 

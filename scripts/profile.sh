@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Sampling CPU profile of any command, with no perf or gdb on the host.
 #
-#   scripts/profile.sh [--top N] [--under FN] [--out DIR] -- <command> [args...]
-#   scripts/profile.sh [--top N] [--under FN] --report <samples file>
+#   scripts/profile.sh [--top N] [--under FN] [--callers FN] [--out DIR] -- <command> [args...]
+#   scripts/profile.sh [--top N] [--under FN] [--callers FN] --report <samples file>
 #
 #   --top N      rows per table (default 25)
 #   --under FN   also break down the samples with FN on their stack: the
@@ -11,6 +11,17 @@
 #                share given of FN's samples and of all (FN is an awk
 #                regular expression matched against the demangled names,
 #                e.g. 'bulk_load_sim')
+#   --callers FN also attribute each sample with FN on its stack under
+#                workspace code to the nearest workspace frame (a name
+#                containing `dharma_`) above FN's outermost such
+#                occurrence, and print those callers with each share of
+#                FN's samples and of all (FN as for --under). An
+#                occurrence above all workspace code (libc's process
+#                start-up, below `main`) does not count. This is how a
+#                library's share is split by who called it: `--callers
+#                libc` names the workspace function behind each memcmp,
+#                memcpy or malloc (`Id160`'s ordering, a hash table's key
+#                compare, a hasher, a message encoder).
 #   --out DIR    where the sampler, its samples and the command's stdout go
 #                (default: $TMPDIR or /tmp, under dharma-profile/)
 #   --report F   report on a samples file an earlier run left, without
@@ -40,21 +51,22 @@
 #       dharma-bench/target/release/dharma-bench --workload search_plain --ops 50
 set -euo pipefail
 
-top=25 under= out=${TMPDIR:-/tmp}/dharma-profile report=
+top=25 under= callers= out=${TMPDIR:-/tmp}/dharma-profile report=
 while [ $# -gt 0 ]; do
     case "$1" in
         --top) top=$2; shift 2 ;;
         --under) under=$2; shift 2 ;;
+        --callers) callers=$2; shift 2 ;;
         --out) out=$2; shift 2 ;;
         --report) report=$2; shift 2 ;;
         --) shift; break ;;
-        -h|--help) sed -n '2,40p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,50p' "$0"; exit 0 ;;
         *) echo "unknown option $1" >&2; exit 2 ;;
     esac
 done
 if [ -z "$report" ]; then
     if [ $# -lt 1 ]; then
-        echo "usage: scripts/profile.sh [--top N] [--under FN] [--out DIR] -- <command> [args...]" >&2
+        echo "usage: scripts/profile.sh [--top N] [--under FN] [--callers FN] [--out DIR] -- <command> [args...]" >&2
         exit 2
     fi
     mkdir -p "$out"
@@ -127,7 +139,7 @@ tr ' ' '\n' < "$keys" | sed -n 's/^e://p' | sort -u | sed 's/^/0x/' |
         { odd = 1 }
         END { if (key != "") print key "\t" chain }' > "$resolved"
 
-awk -v top="$top" -v under="$under" -F'\t' '
+awk -v top="$top" -v under="$under" -v callers="$callers" -F'\t' '
     FILENAME == ARGV[1] { sub(/^e:0*/, "e:", $1); name[$1] = $2; next }
     {
         samples++; d = 0; split("", seen)
@@ -148,6 +160,15 @@ awk -v top="$top" -v under="$under" -F'\t' '
                 for (i = 1; i < outer; i++) if (!(frame[i] in seen)) { seen[frame[i]] = 1; incl_under[frame[i]]++ }
             }
         }
+        if (callers != "") {
+            top = 0; outer = 0
+            for (i = 1; i <= d; i++) if (frame[i] ~ /dharma_/) top = i
+            for (i = 1; i < top; i++) if (frame[i] ~ callers) outer = i
+            if (outer) {
+                called++
+                for (i = outer + 1; i <= top; i++) if (frame[i] ~ /dharma_/) { caller[frame[i]]++; break }
+            }
+        }
     }
     function table(title, counts, base, of,   fn, n, i, j, t, order) {
         n = 0; for (fn in counts) order[++n] = fn
@@ -161,10 +182,15 @@ awk -v top="$top" -v under="$under" -F'\t' '
         if (!samples) exit
         table("self (share of all samples)", self, samples, "")
         table("inclusive (share of all samples)", incl, samples, "")
-        if (under != "") {
-            if (!hits) { printf "\nno sample has %s on its stack\n", under; exit }
+        if (under != "" && !hits) printf "\nno sample has %s on its stack\n", under
+        else if (under != "") {
             printf "\n%s: on the stack of %d samples, %.1f%% of all\n", under, hits, 100 * hits / samples
             table("self under it (share of its samples, then of all)", self_under, hits, samples)
             table("inclusive under it (share of its samples, then of all)", incl_under, hits, samples)
+        }
+        if (callers != "" && !called) printf "\nno sample has %s on its stack\n", callers
+        else if (callers != "") {
+            printf "\n%s: on the stack of %d samples, %.1f%% of all\n", callers, called, 100 * called / samples
+            table("nearest workspace caller (share of its samples, then of all)", caller, called, samples)
         }
     }' "$resolved" "$keys"
