@@ -128,11 +128,6 @@ impl FetcherBook {
             entry.fetchers.retain(|f| f.id != *peer);
         }
     }
-
-    /// Drops the record for `key` (e.g. when the key left this node).
-    pub fn forget_key(&mut self, key: &Id160) {
-        self.keys.remove(key);
-    }
 }
 
 #[cfg(test)]
@@ -185,18 +180,18 @@ mod tests {
         assert!(b.tracked() <= 4, "tracked {}", b.tracked());
     }
 
+    /// A forgotten peer leaves every key's fetchers; the other fetchers
+    /// of those keys stay.
     #[test]
     fn forget_removes_peers_and_keys() {
         let mut b = FetcherBook::new(8, 4, u64::MAX / 2);
         let (ka, kb) = (sha1(b"a"), sha1(b"b"));
-        let p = sha1(b"gone");
+        let (p, q) = (sha1(b"gone"), sha1(b"kept"));
         b.record(ka, p, 7, 0, 0);
         b.record(kb, p, 7, 0, 0);
+        b.record(kb, q, 8, 0, 1);
         b.forget_peer(&p);
-        assert!(b.recent(&ka, 0).is_empty());
-        assert!(b.recent(&kb, 0).is_empty());
-        b.record(ka, p, 7, 0, 0);
-        b.forget_key(&ka);
-        assert_eq!(b.tracked(), 1, "only the untouched key remains");
+        assert!(b.recent(&ka, 1).is_empty());
+        assert_eq!(b.recent(&kb, 1), vec![(q, 8, 0)]);
     }
 }

@@ -199,11 +199,6 @@ impl FreshnessBook {
     pub fn admits(&self, key: &Id160, version: VersionStamp) -> bool {
         self.highest(key).map(|h| version >= h).unwrap_or(true)
     }
-
-    /// Drops the bound for `key` (e.g. when its record left this node).
-    pub fn forget(&mut self, key: &Id160) {
-        self.seen.remove(key);
-    }
 }
 
 /// `weight` decayed by `dt_us` at half-life `half_life_us`.
@@ -379,8 +374,6 @@ mod tests {
         assert!(!b.admits(&k, stamp(6)));
         assert!(b.admits(&k, stamp(7)));
         assert!(b.admits(&k, stamp(9)));
-        b.forget(&k);
-        assert!(b.admits(&k, VersionStamp::ZERO));
     }
 
     #[test]

@@ -201,12 +201,6 @@ impl<V: Clone> HotCache<V> {
         self.slots[idx as usize].as_ref().map(|s| &s.value)
     }
 
-    /// The origin stamp of a cached view, if present (tests/diagnostics).
-    pub fn peek_version(&self, key: &CacheKey) -> Option<VersionStamp> {
-        let &idx = self.map.get(key)?;
-        self.slots[idx as usize].as_ref().map(|s| s.version)
-    }
-
     /// How long ago a cached view was last minted or confirmed fresh
     /// (drives the refresh-ahead probe of the `dharma-fresh` subsystem).
     pub fn age_of(&self, key: &CacheKey, now_us: u64) -> Option<u64> {
@@ -570,8 +564,7 @@ mod tests {
         c.insert(key(1, 0), v(5), "v5".into(), 0);
         // An older snapshot must not clobber a newer cached view.
         c.insert(key(1, 0), v(3), "v3".into(), 1);
-        assert_eq!(c.peek(&key(1, 0)).map(String::as_str), Some("v5"));
-        assert_eq!(c.peek_version(&key(1, 0)), Some(v(5)));
+        assert_eq!(c.get(&key(1, 0), 1), Some(("v5".into(), v(5))));
         c.insert(key(1, 0), v(8), "v8".into(), 2);
         assert_eq!(c.peek(&key(1, 0)).map(String::as_str), Some("v8"));
     }

@@ -112,11 +112,6 @@ impl PopularityEstimator {
             .unwrap_or(0.0)
     }
 
-    /// True when `key`'s decayed weight exceeds the hot threshold.
-    pub fn is_hot(&self, key: &Id160, now_us: u64) -> bool {
-        self.weight(key, now_us) >= self.cfg.hot_threshold
-    }
-
     /// How many replicas beyond the base `k` this key currently earns:
     /// `1 + log2(weight / threshold)` when hot, else 0, capped.
     pub fn extra_replicas(&self, key: &Id160, now_us: u64) -> usize {
@@ -246,7 +241,6 @@ mod tests {
         for _ in 0..4 {
             e.record(k, 0);
         }
-        assert!(e.is_hot(&k, 0));
         assert_eq!(e.extra_replicas(&k, 0), 1, "at threshold: one extra");
         for _ in 0..12 {
             e.record(k, 0);

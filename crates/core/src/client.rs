@@ -75,10 +75,9 @@ impl DharmaConfig {
 /// identical behaviour to a plain overlay GET. The session levels enforce
 /// a *floor*: the read's served version must not fall below what this
 /// client session has already observed ([`SessionToken`]); a below-floor
-/// serve triggers one authoritative re-read
-/// ([`KademliaNode::get_fresh`]), and if even that stays below the floor
-/// the read surfaces [`DharmaError::StaleRead`] instead of silently going
-/// back in time.
+/// serve triggers one authoritative re-read ([`KademliaNode::get_view`]
+/// with `fresh`), and if even that stays below the floor the read surfaces
+/// [`DharmaError::StaleRead`] instead of silently going back in time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Consistency {
     /// No session floor: caches serve freely, staleness is bounded only
@@ -654,8 +653,7 @@ impl DharmaClient {
     /// The stamped GET underneath every client read: a view GET
     /// ([`KademliaNode::get_view`]), so the block arrives as its wire body
     /// and no entry is built on the home node. `fresh` requests the
-    /// cache-bypassing, authoritative-only lookup (as
-    /// [`KademliaNode::get_fresh`] — the session-consistency
+    /// cache-bypassing, authoritative-only lookup (the session-consistency
     /// escalation). Every served version raises the session floor: a
     /// later monotonic read may not go back behind it.
     fn run_get_stamped(

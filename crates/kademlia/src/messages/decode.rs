@@ -27,7 +27,7 @@
 //!   revalidation reply, pinned as a cached view; a `Store`, `Append` or
 //!   `Replicate`, applied from its body);
 //! * **owned** — build the blob and entries and keep the wire bytes too
-//!   (the first value to reach a `get` / `get_fresh` in flight: its caller
+//!   (the first value to reach a `get` in flight: its caller
 //!   gets the entries, the cache pins the bytes);
 //! * **known** — keep nothing, but first compare the value with a body
 //!   already validated (a sibling reply to a GET that completed: the `α`

@@ -164,13 +164,18 @@ pub struct KadConfig {
     /// Byte budget for the entry list of one `FoundValue` reply — keeps the
     /// datagram under the transport MTU (default 1200).
     pub reply_budget: usize,
-    /// Republish interval in µs (`None` = disabled, the default — the
-    /// experiments replay static workloads where republish traffic would
-    /// only add noise). When set, every held key is periodically pushed to
-    /// its `k` closest nodes with idempotent merge-max semantics.
+    /// Must be `None`; kept for the struct literals of
+    /// `dharma-bench/src/overlay.rs` until ROADMAP item 4.
+    /// The repair sweep of [`KadConfig::maintenance`] re-pushes held keys
+    /// to their `k` closest. [`KademliaNode::new`] panics on `Some`.
+    ///
+    /// [`KademliaNode::new`]: crate::KademliaNode::new
     pub republish_interval_us: Option<u64>,
-    /// Record time-to-live in µs (`None` = keep forever). Values not
-    /// written or re-replicated within the TTL are dropped.
+    /// Must be `None`; kept for the struct literals of
+    /// `dharma-bench/src/overlay.rs` until ROADMAP item 4.
+    /// Records do not expire. [`KademliaNode::new`] panics on `Some`.
+    ///
+    /// [`KademliaNode::new`]: crate::KademliaNode::new
     pub record_ttl_us: Option<u64>,
     /// Hot-block caching (`None` = disabled, the default): per-node
     /// TinyLFU cache of filtered reads, serving `FIND_VALUE` misses, a
@@ -237,11 +242,9 @@ impl Default for KadConfig {
 pub enum KadOutput {
     /// A node lookup finished with the `k` closest contacts found.
     Nodes(Vec<Contact>),
-    /// A value lookup ([`KademliaNode::get`] / [`KademliaNode::get_fresh`])
-    /// finished.
+    /// A value lookup ([`KademliaNode::get`]) finished.
     ///
     /// [`KademliaNode::get`]: crate::KademliaNode::get
-    /// [`KademliaNode::get_fresh`]: crate::KademliaNode::get_fresh
     Value {
         /// The value, or `None` if no storing node was found.
         value: Option<FetchedValue>,

@@ -130,8 +130,8 @@ impl KademliaNode {
         }
     }
 
-    /// Storage just dropped keys (lazy expiry, demotion, the expiry
-    /// sweep): their news slots stop gossiping, in place.
+    /// Storage just dropped keys (demotion): their news slots stop
+    /// gossiping, in place.
     pub(super) fn forget_unheld_news(&mut self) {
         let Some(f) = self.fresh.as_mut() else {
             return;
@@ -471,9 +471,8 @@ impl KademliaNode {
             let at = match views.iter().position(|(n, ..)| *n == top_n) {
                 Some(at) => at,
                 None => {
-                    // The key was just written, so the read can only miss
-                    // if it raced an expiry sweep — in which case there is
-                    // nothing left to push.
+                    // The key was just written, so the read does not miss;
+                    // a key no longer held would leave nothing to push.
                     let mut view = BytesMut::new();
                     let read = self.storage.encode_filtered(&key, top_n, budget, &mut view);
                     let Some((truncated, _)) = read else {

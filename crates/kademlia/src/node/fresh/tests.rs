@@ -483,19 +483,17 @@ fn news_digest_from_storage(node: &KademliaNode, now_us: u64) -> Vec<DigestEntry
 /// The ring's stamps stand in for storage: after every kind of event that
 /// moves a stored stamp or drops a key — local and received writes, an
 /// empty-append touch of a held and of an unheld key, a routing change,
-/// demotion, lazy expiry, the expiry sweep — each slot holds the key's
-/// stored stamp (or `None`, in place), and the digest equals the one
-/// re-read from storage.
+/// demotion — each slot holds the key's stored stamp (or `None`, in
+/// place), and the digest equals the one re-read from storage.
 #[test]
 fn news_ring_stamps_track_storage_through_every_mutation() {
-    use crate::node::{MaintConfig, TIMER_DEMOTE, TIMER_EXPIRE};
+    use crate::node::{MaintConfig, TIMER_DEMOTE};
     let local = sha1(b"ring-keeper");
     let freshness = FreshConfig::builder()
         .digest_max(64)
         .news_window_us(3_600_000_000);
     let cfg = KadConfig {
         freshness: Some(freshness.build().expect("valid")),
-        record_ttl_us: Some(20_000_000),
         maintenance: Some(MaintConfig {
             demote_interval_us: Some(1_000_000),
             ..MaintConfig::default()
@@ -574,18 +572,4 @@ fn news_ring_stamps_track_storage_through_every_mutation() {
     let (len, held) = slots(&node);
     assert!(len == 13 && held < 12, "{held} of {len} slots still held");
     check(&node, 5_000_000);
-
-    // A key written later outlives the TTL of the others; one of those is
-    // dropped lazily, the rest by the sweep.
-    append(&mut node, 15_000_000, far[2], rock(1));
-    let zombie = *own
-        .iter()
-        .find(|k| node.storage.contains(k))
-        .expect("own key held");
-    assert!(node.drop_if_expired(&zombie, 25_000_000));
-    check(&node, 25_000_000);
-    node.on_timer(&mut Ctx::new(25_000_000, 0, 3), TIMER_EXPIRE);
-    assert_eq!(node.storage.len(), 1);
-    assert_eq!(slots(&node), (13, 1));
-    check(&node, 25_000_000);
 }

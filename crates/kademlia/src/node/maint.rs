@@ -296,7 +296,6 @@ impl KademliaNode {
         if !self.cfg.maintenance.as_ref().is_some_and(on) || self.storage.is_empty() {
             return;
         }
-        let now = ctx.now_us;
         let keys: Vec<Id160> = self
             .storage
             .keys()
@@ -305,12 +304,6 @@ impl KademliaNode {
             .collect();
         let mut handed = 0u64;
         for key in keys {
-            // A zombie past its TTL must not be handed to a newcomer —
-            // that would resurrect it on a node whose expiry clock starts
-            // fresh.
-            if self.drop_if_expired(&key, now) {
-                continue;
-            }
             if let Some((snapshot, stamp)) = self.snapshot(&key) {
                 self.send_write(ctx, newcomer, Some(REPAIR_OP), key, &snapshot, stamp);
                 handed += 1;
@@ -343,11 +336,10 @@ impl KademliaNode {
     }
 
     /// One repair step: re-push held keys to their current `k` closest
-    /// nodes, restoring replicas lost to departures. Keys that received an
-    /// incoming `Replicate` within the last interval are skipped — some
-    /// other holder already paid for this round — and keys past their TTL
-    /// are dropped instead of pushed (an expired record must not have its
-    /// peers' expiry clocks re-wound by repair).
+    /// nodes, restoring replicas lost to departures — the one
+    /// re-replication path. Keys that received an incoming `Replicate`
+    /// within the last interval are skipped: some other holder already
+    /// paid for this round.
     ///
     /// `budget` bounds the keys processed per step (0 = unbounded, the
     /// fixed-cadence behavior). A partial pass leaves the carry-over
@@ -363,7 +355,7 @@ impl KademliaNode {
             });
         }
         // Re-collected each tick rather than snapshotted per pass: storage
-        // mutates between ticks (expiry, demotion, incoming replicas), and
+        // mutates between ticks (demotion, incoming replicas), and
         // the id-ordered cursor makes the fresh view resume correctly.
         let take = if budget == 0 { usize::MAX } else { budget };
         let (batch, done) = {
@@ -373,9 +365,6 @@ impl KademliaNode {
         };
         let mut pushes = 0u64;
         for key in &batch {
-            if self.drop_if_expired(key, now) {
-                continue;
-            }
             if self.maint.last_replicate_seen.contains_key(key) {
                 continue;
             }
@@ -389,16 +378,15 @@ impl KademliaNode {
 
     /// One demotion sweep: reclaim beyond-`k` replicas whose popularity has
     /// decayed — the explicit counterpart of adaptive promotion, so extra
-    /// copies stop occupying space the moment a key cools instead of
-    /// waiting for the record TTL. A key is dropped only when (a) at least
-    /// `k + REPLICA_SLACK` known contacts are strictly closer to it (we are
-    /// comfortably outside the authoritative replica set — the slack keeps
-    /// a small buffer of extra copies alive as a churn safety net and
-    /// avoids demote/handoff flapping at the boundary), (b) its local
+    /// copies stop occupying space the moment a key cools. A key is dropped
+    /// only when (a) at least `k + REPLICA_SLACK` known contacts are strictly
+    /// closer to it (we are comfortably outside the authoritative replica set —
+    /// the slack keeps a small buffer of extra copies alive as a churn safety
+    /// net and avoids demote/handoff flapping at the boundary), (b) its local
     /// popularity is below half the hot threshold (hysteresis against
-    /// flapping), and (c) it was not refreshed within the last sweep
-    /// interval. The snapshot is re-pushed to the `k` closest before the
-    /// local drop, so demotion can never lose the last copy.
+    /// flapping), and (c) it was not refreshed within the last sweep interval.
+    /// The snapshot is re-pushed to the `k` closest before the local drop, so
+    /// demotion can never lose the last copy.
     fn demote_sweep(&mut self, ctx: &mut Ctx<KadOutput>, interval_us: u64) {
         let now = ctx.now_us;
         let cold_bar = self
@@ -428,12 +416,6 @@ impl KademliaNode {
             })
             .collect();
         for key in victims {
-            // Expired copies are reclaimed without the parting push — the
-            // snapshot is past its TTL and must not be resurrected on the
-            // authoritative k.
-            if self.drop_if_expired(&key, now) {
-                continue;
-            }
             self.push_to_closest(ctx, key, true);
             self.storage.remove(&key);
             self.invalidate_cached(&key);
@@ -476,13 +458,12 @@ impl KademliaNode {
     }
 
     /// Graceful departure (the counterpart of crashing): push a parting
-    /// `Replicate` snapshot of held, unexpired keys to the `k` closest
-    /// live nodes — so the replica set is whole *before* we go, instead of
-    /// degraded until someone's repair sweep notices — then send a
-    /// [`Message::Leave`] notice to every routing-table contact so
-    /// receivers purge us immediately rather than discovering the corpse
-    /// by timeout. The caller tears the node down afterwards
-    /// (`SimNet::leave` does both in one step).
+    /// `Replicate` snapshot of held keys to the `k` closest live nodes — so the
+    /// replica set is whole *before* we go, instead of degraded until someone's
+    /// repair sweep notices — then send a [`Message::Leave`] notice to every
+    /// routing-table contact so receivers purge us immediately rather than
+    /// discovering the corpse by timeout. The caller tears the node down
+    /// afterwards (`SimNet::leave` does both in one step).
     ///
     /// The handoff is **trimmed**: a key is pushed only when this node
     /// ranks within `k + REPLICA_SLACK` of it. A copy held further out (a
@@ -493,14 +474,10 @@ impl KademliaNode {
     /// sweep's (`REPLICA_SLACK`): a key we *might* be needed for is
     /// still pushed.
     pub fn leave(&mut self, ctx: &mut Ctx<KadOutput>) {
-        let now = ctx.now_us;
         let keys: Vec<Id160> = self.storage.keys().copied().collect();
         let keep_within = self.cfg.k + REPLICA_SLACK;
         let mut pushes = 0u64;
         for key in keys {
-            if self.drop_if_expired(&key, now) {
-                continue;
-            }
             if !self.routing.local_ranks_within(&key, keep_within) {
                 // At least k + slack known contacts are strictly closer:
                 // the replica set is whole without us.

@@ -764,56 +764,6 @@ fn parting_handoff_skips_keys_the_leaver_is_redundant_for() {
 }
 
 #[test]
-fn maintenance_never_pushes_expired_records() {
-    let cfg = KadConfig {
-        k: 4,
-        record_ttl_us: Some(2_000_000),
-        ..KadConfig::default()
-    };
-    let mut node = KademliaNode::new(sha1(b"gated"), 0, cfg);
-    let key = sha1(b"stale");
-    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
-    node.append(&mut ctx, key, "x", 1);
-    node.add_seed(Contact {
-        id: sha1(b"peer"),
-        addr: 1,
-    });
-
-    // Republish after the TTL: the zombie is dropped, nothing is sent
-    // (previously the coordinator's own merge re-stamped the clock and
-    // the k closest received a resurrecting snapshot).
-    let mut ctx: Ctx<KadOutput> = Ctx::new(3_000_000, 0, 2);
-    let ops = node.republish_all(&mut ctx);
-    assert!(ops.is_empty(), "no republish op for an expired key");
-    assert!(!node.storage().contains(&key), "lazy-expired instead");
-    let (sends, _, _) = ctx.into_effects();
-    assert!(replicate_keys(&sends).is_empty());
-
-    // Same gate on the repair sweep.
-    let mut node = KademliaNode::new(
-        sha1(b"gated-2"),
-        0,
-        KadConfig {
-            k: 4,
-            record_ttl_us: Some(2_000_000),
-            maintenance: Some(MaintConfig::default()),
-            ..KadConfig::default()
-        },
-    );
-    let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 3);
-    node.append(&mut ctx, key, "x", 1);
-    node.add_seed(Contact {
-        id: sha1(b"peer"),
-        addr: 1,
-    });
-    let mut ctx: Ctx<KadOutput> = Ctx::new(3_000_000, 0, 4);
-    node.repair_sweep_step(&mut ctx, 1_000_000, 0);
-    assert!(!node.storage().contains(&key));
-    let (sends, _, _) = ctx.into_effects();
-    assert!(replicate_keys(&sends).is_empty());
-}
-
-#[test]
 fn config_table_defaults_and_setters() {
     let d = MaintConfig::default();
     assert_eq!(

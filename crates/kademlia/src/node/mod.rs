@@ -25,8 +25,8 @@
 //! * `ops` — client operations, from `start_op` through the lookup pump
 //!   to completion. Handles `FindNode`, `FoundNodes`, `FoundValue`;
 //! * `write` — the one way to apply a write: the replica phase, origin
-//!   stamps, read-your-writes guards, the record TTL. Handles `Store`,
-//!   `Append`, `Replicate`.
+//!   stamps, read-your-writes guards. Handles `Store`, `Append`,
+//!   `Replicate`.
 //!
 //! Layers, each switched on by an `Option` of [`KadConfig`]:
 //!
@@ -89,14 +89,8 @@ enum OpKind {
         /// instead of owned entries ([`KadOutput::Value`]).
         view: bool,
     },
-    Write {
-        body: WriteBody,
-        /// The origin stamp the write already travels under: a republished
-        /// snapshot keeps its own (republish/repair never mint a new
-        /// version). `None` = a client write, stamped once the lookup has
-        /// fixed the replica set.
-        stamp: Option<VersionStamp>,
-    },
+    /// A client write, stamped once the lookup has fixed the replica set.
+    Write(WriteBody),
 }
 
 #[derive(Debug)]
@@ -106,8 +100,8 @@ enum Phase {
         acks: u32,
         pending: u32,
         targets: u32,
-        /// The origin stamp this write travels under (minted at phase
-        /// entry for client writes; the snapshot's own for replication).
+        /// The origin stamp this write travels under, minted at phase
+        /// entry.
         stamp: VersionStamp,
     },
 }
@@ -135,14 +129,8 @@ struct OpState {
     alpha_ctl: Option<AlphaController>,
 }
 
-/// Timer id for the periodic republish sweep (RPC ids count up from 1 and
-/// cannot collide with the top of the id space).
-const TIMER_REPUBLISH: u64 = u64::MAX;
-
-/// Timer id for the periodic expiry sweep.
-const TIMER_EXPIRE: u64 = u64::MAX - 1;
-
-/// Timer id for the liveness-probe maintenance tick.
+/// Timer id for the liveness-probe maintenance tick (RPC ids count up
+/// from 1 and cannot collide with the top of the id space).
 const TIMER_PROBE: u64 = u64::MAX - 2;
 
 /// Timer id for the repair (re-replication) sweep.
@@ -225,7 +213,19 @@ fn bound_book<V>(
 
 impl KademliaNode {
     /// Creates a node with the given overlay id and transport address.
+    ///
+    /// # Panics
+    /// When [`KadConfig::republish_interval_us`] or
+    /// [`KadConfig::record_ttl_us`] is set: the maintenance repair sweep is
+    /// the one re-replication path, and records do not expire.
     pub fn new(id: Id160, addr: NodeAddr, cfg: KadConfig) -> Self {
+        assert!(
+            cfg.republish_interval_us.is_none() && cfg.record_ttl_us.is_none(),
+            "KadConfig::republish_interval_us and record_ttl_us must be None (got {:?}, {:?}): \
+             the fields stay only until ROADMAP item 4 unfreezes the benchmark's literals",
+            cfg.republish_interval_us,
+            cfg.record_ttl_us
+        );
         KademliaNode {
             contact: Contact { id, addr },
             routing: RoutingTable::new(id, cfg.k),
@@ -288,15 +288,6 @@ impl Node for KademliaNode {
         // interval boundary becomes a synchronized message burst (and the
         // repair suppression never gets to help).
         use rand::Rng;
-        if let Some(interval) = self.cfg.republish_interval_us {
-            let phase = ctx.rng.gen_range(0..interval.max(1));
-            ctx.set_timer(interval + phase, TIMER_REPUBLISH);
-        }
-        if let Some(ttl) = self.cfg.record_ttl_us {
-            let half = (ttl / 2).max(1);
-            let phase = ctx.rng.gen_range(0..half);
-            ctx.set_timer(half + phase, TIMER_EXPIRE);
-        }
         if let Some(m) = self.cfg.maintenance.clone() {
             let probe_tick = m.probe_tick_us();
             let probe_phase = ctx.rng.gen_range(0..probe_tick);
@@ -363,19 +354,6 @@ impl Node for KademliaNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<KadOutput>, id: u64) {
         match id {
-            TIMER_REPUBLISH => {
-                self.republish_all(ctx);
-                if let Some(interval) = self.cfg.republish_interval_us {
-                    ctx.set_timer(interval, TIMER_REPUBLISH);
-                }
-            }
-            TIMER_EXPIRE => {
-                if let Some(ttl) = self.cfg.record_ttl_us {
-                    self.storage.expire(ctx.now_us, ttl);
-                    self.forget_unheld_news();
-                    ctx.set_timer(ttl / 2, TIMER_EXPIRE);
-                }
-            }
             TIMER_PROBE => self.probe_timer(ctx),
             TIMER_REPAIR => self.repair_timer(ctx),
             TIMER_DEMOTE => self.demote_timer(ctx),
@@ -450,8 +428,12 @@ mod tests {
     #[test]
     fn periodic_timers_arm_with_phase_jitter() {
         let cfg = KadConfig {
-            republish_interval_us: Some(1_000_000),
-            record_ttl_us: Some(2_000_000),
+            maintenance: Some(MaintConfig {
+                probe_interval_us: 1_000_000,
+                repair_interval_us: 2_000_000,
+                demote_interval_us: Some(3_000_000),
+                ..MaintConfig::default()
+            }),
             ..KadConfig::default()
         };
         let fire = |fork_seed: u64| -> Vec<(u64, u64)> {
@@ -464,10 +446,12 @@ mod tests {
         let a = fire(1);
         let b = fire(2);
         for timers in [&a, &b] {
+            assert_eq!(timers.len(), 3, "{timers:?}");
             for &(delay, id) in timers.iter() {
                 let base = match id {
-                    TIMER_REPUBLISH => 1_000_000,
-                    TIMER_EXPIRE => 1_000_000, // ttl / 2
+                    TIMER_PROBE => 1_000_000,
+                    TIMER_REPAIR => 2_000_000,
+                    TIMER_DEMOTE => 3_000_000,
                     other => panic!("unexpected timer {other}"),
                 };
                 assert!(
@@ -482,27 +466,23 @@ mod tests {
     }
 
     #[test]
-    fn republish_timer_reschedules() {
-        let mut net = SimNet::new(SimConfig {
-            latency_min_us: 1_000,
-            latency_max_us: 5_000,
-            drop_rate: 0.0,
-            mtu: 64 * 1024,
-            seed: 22,
-            shards: 1,
-            topology: None,
-        });
+    #[should_panic(expected = "ROADMAP item 4")]
+    fn a_republish_interval_is_rejected() {
         let cfg = KadConfig {
             republish_interval_us: Some(1_000_000),
             ..KadConfig::default()
         };
-        net.add_node(KademliaNode::new(sha1(b"solo"), 0, cfg));
-        // Several republish ticks fire on a single node without panicking
-        // (empty storage, no peers — the degenerate but legal case). The
-        // first tick lands within [interval, 2·interval) — phase jitter —
-        // and every subsequent one exactly an interval later.
-        net.run_until(10_500_000);
-        assert!(net.counters().timers_fired() >= 8);
+        KademliaNode::new(sha1(b"republish"), 0, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "ROADMAP item 4")]
+    fn a_record_ttl_is_rejected() {
+        let cfg = KadConfig {
+            record_ttl_us: Some(2_000_000),
+            ..KadConfig::default()
+        };
+        KademliaNode::new(sha1(b"ttl"), 0, cfg);
     }
 
     /// Every per-RPC book stays backed by a live timer: under loss and

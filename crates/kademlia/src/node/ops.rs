@@ -2,10 +2,8 @@
 //! from [`KademliaNode::start_op`] through the `α`-parallel pump
 //! ([`crate::lookup`] decides whom to ask next) to completion — a read
 //! completes with the first value found (owned entries for
-//! [`KademliaNode::get`] and [`KademliaNode::get_fresh`], the wire body
-//! for [`KademliaNode::get_view`]), a write moves on to its replica phase
-//! (`write`). Bucket refresh for idle buckets is exposed as
-//! [`KademliaNode::refresh_bucket`] for long-running deployments.
+//! [`KademliaNode::get`], the wire body for [`KademliaNode::get_view`]), a
+//! write moves on to its replica phase (`write`).
 
 use bytes::{Bytes, BytesMut};
 
@@ -47,24 +45,22 @@ impl KademliaNode {
     /// [`KademliaNode::get_view`] is the same lookup completing with the
     /// wire body.
     pub fn get(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, top_n: u32) -> u64 {
-        self.get_op(ctx, key, top_n, false, false)
+        let (fresh, view) = (false, false);
+        self.start_op(ctx, key, OpKind::Get { top_n, fresh, view })
     }
 
-    /// Starts a value lookup that refuses cached views end-to-end: the
-    /// local hot cache is skipped and every `FindValue` goes out with
+    /// [`KademliaNode::get`] completing with a [`KadOutput::View`]: the
+    /// value's wire body as it arrived and was validated — or, served
+    /// locally, as this node holds or caches it — with no entry built. The
+    /// same datagrams go out and come back; only what the caller receives
+    /// differs.
+    ///
+    /// With `fresh`, the lookup refuses cached views end-to-end: the local
+    /// hot cache is skipped and every `FindValue` goes out with
     /// `no_cache`, so only authoritative holders may answer. This is the
     /// escalation path behind session-consistency reads — when a served
     /// version falls below the client's session floor, the client re-reads
-    /// through here before declaring the read stale.
-    pub fn get_fresh(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, top_n: u32) -> u64 {
-        self.get_op(ctx, key, top_n, true, false)
-    }
-
-    /// [`KademliaNode::get`] (or, with `fresh`, [`KademliaNode::get_fresh`])
-    /// completing with a [`KadOutput::View`]: the value's wire body as it
-    /// arrived and was validated — or, served locally, as this node holds
-    /// or caches it — with no entry built. The same datagrams go out and
-    /// come back; only what the caller receives differs.
+    /// this way before declaring the read stale.
     pub fn get_view(
         &mut self,
         ctx: &mut Ctx<KadOutput>,
@@ -72,28 +68,8 @@ impl KademliaNode {
         top_n: u32,
         fresh: bool,
     ) -> u64 {
-        self.get_op(ctx, key, top_n, fresh, true)
-    }
-
-    fn get_op(
-        &mut self,
-        ctx: &mut Ctx<KadOutput>,
-        key: Id160,
-        top_n: u32,
-        fresh: bool,
-        view: bool,
-    ) -> u64 {
+        let view = true;
         self.start_op(ctx, key, OpKind::Get { top_n, fresh, view })
-    }
-
-    /// Refreshes bucket `i` by looking up a random id inside it (periodic
-    /// maintenance for long-running deployments).
-    pub fn refresh_bucket(&mut self, ctx: &mut Ctx<KadOutput>, bucket: usize) -> u64 {
-        let target = self
-            .contact
-            .id
-            .random_with_prefix(bucket.min(dharma_types::ID160_BITS - 1), &mut ctx.rng);
-        self.find_nodes(ctx, target)
     }
 
     pub(super) fn start_op(
@@ -252,9 +228,9 @@ impl KademliaNode {
                 };
                 ctx.complete(op_id, done);
             }
-            OpKind::Write { body, stamp } => {
-                let (key, body, stamp) = (op.lookup.target(), body.clone(), *stamp);
-                return self.write_to_replicas(ctx, op_id, key, closest, &body, stamp);
+            OpKind::Write(body) => {
+                let (key, body) = (op.lookup.target(), body.clone());
+                return self.write_to_replicas(ctx, op_id, key, closest, &body);
             }
         }
         self.ops.remove(&op_id);
@@ -331,8 +307,8 @@ impl KademliaNode {
             return; // late reply for a finished op
         };
         if pend.op == REFRESH_OP {
-            // The digest sender no longer holds the key (expired or
-            // demoted between digest and refresh): the dropped view stays
+            // The digest sender no longer holds the key (demoted or gone
+            // between digest and refresh): the dropped view stays
             // dropped, nothing to refresh.
             self.end_revalidation(rpc);
             return;

@@ -35,9 +35,9 @@ pub(super) fn test_cfg(k: usize) -> KadConfig {
 }
 
 /// An overlay of `n` nodes with random ids sharing `cfg`: everyone learns
-/// node 0, then bootstraps. With a periodic sweep configured the
-/// bootstrap runs time-bounded (to t = 2 s): such timers re-arm forever,
-/// so `run_until_idle` would never drain.
+/// node 0, then bootstraps. With maintenance configured the bootstrap
+/// runs time-bounded (to t = 2 s): its timers re-arm forever, so
+/// `run_until_idle` would never drain.
 pub(super) fn build_overlay(
     sim: SimConfig,
     n: usize,
@@ -60,10 +60,7 @@ pub(super) fn build_overlay(
             node.bootstrap(ctx);
         });
     }
-    let periodic = cfg.maintenance.is_some()
-        || cfg.record_ttl_us.is_some()
-        || cfg.republish_interval_us.is_some();
-    if periodic {
+    if cfg.maintenance.is_some() {
         net.run_until(2_000_000);
     } else {
         net.run_until_idle(2_000_000);

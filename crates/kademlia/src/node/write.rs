@@ -1,26 +1,21 @@
 //! The one way to apply a write.
 //!
-//! A client write (`put_blob`, `append`) and a republished snapshot are
-//! the same operation carrying a different [`WriteBody`]: the bytes its
-//! message holds between key and stamp, encoded once, when the operation
-//! starts (a snapshot, when the sweep reads the held value). A lookup
-//! fixes the replica set, [`KademliaNode::write_to_replicas`] sends each
-//! replica those bytes as a `Store` / `Append` / `Replicate` — one exactly
-//! sized datagram per replica, built around the body by
+//! A client write (`put_blob`, `append`) and a maintenance snapshot
+//! (repair, join hand-off, leave) are the same write carrying a different
+//! [`WriteBody`]: the bytes its message holds between key and stamp,
+//! encoded once — when the client operation starts, or when the sweep
+//! reads the held value. For a client write a lookup fixes the replica
+//! set and [`KademliaNode::write_to_replicas`] mints its origin stamp; a
+//! snapshot keeps the stamp it is held under. Each replica is sent those
+//! bytes as a `Store` / `Append` / `Replicate` — one exactly sized
+//! datagram per replica, built around the body by
 //! `Message::encode_around` — and every holder, the coordinator's own copy
 //! included, applies the same bytes through
 //! [`KademliaNode::apply_write`]: a replica keeps the body its decoder
 //! validated and hands it to storage, which interns each name from the
 //! bytes. No entry is cloned, re-encoded or decoded into a `String` on
-//! the way. Also here: the origin stamps writes travel under, the
-//! read-your-writes guards a writer keeps while caching is on, and the
-//! record TTL.
-//!
-//! When [`KadConfig::record_ttl_us`] is set, every maintenance push (and
-//! every incoming `Replicate` merge) is gated on the record's remaining
-//! TTL, so repair never resurrects a record that already expired locally.
-//!
-//! [`KadConfig::record_ttl_us`]: super::KadConfig::record_ttl_us
+//! the way. Also here: the origin stamps writes travel under and the
+//! read-your-writes guards a writer keeps while caching is on.
 
 use bytes::{Bytes, BytesMut};
 
@@ -119,7 +114,7 @@ impl KademliaNode {
     pub fn put_blob(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, blob: Vec<u8>) -> u64 {
         let mut body = BytesMut::with_capacity(varint_len(blob.len() as u64) + blob.len());
         body.put_bytes_field(&blob);
-        self.start_write(ctx, key, WriteBody::Blob(body.freeze()), None)
+        self.start_write(ctx, key, WriteBody::Blob(body.freeze()))
     }
 
     /// Appends `tokens` to entry `name` of the weighted set at `key`, on the
@@ -128,7 +123,7 @@ impl KademliaNode {
         let mut body = BytesMut::with_capacity(1 + entry_len(name, tokens));
         body.put_varint(1);
         put_entry(&mut body, name, tokens);
-        self.start_write(ctx, key, WriteBody::Entries(body.freeze()), None)
+        self.start_write(ctx, key, WriteBody::Entries(body.freeze()))
     }
 
     /// Appends tokens to several entries of the weighted set at `key` in a
@@ -143,50 +138,22 @@ impl KademliaNode {
         entries: Vec<StoredEntry>,
     ) -> u64 {
         let body = WriteBody::Entries(entries.encode_to_bytes());
-        self.start_write(ctx, key, body, None)
-    }
-
-    /// Pushes a snapshot of every held value to the `k` nodes currently
-    /// closest to its key, with idempotent merge-max semantics — the
-    /// Kademlia republish rule that keeps replication alive under churn.
-    /// Fired periodically when `republish_interval_us` is set; callable
-    /// directly for tests and manual repair. Keys past their TTL are
-    /// dropped instead of pushed: republishing a zombie would re-stamp its
-    /// `refreshed_us` everywhere (including locally, via the coordinator's
-    /// own merge) and make it immortal.
-    pub fn republish_all(&mut self, ctx: &mut Ctx<KadOutput>) -> Vec<u64> {
-        let now = ctx.now_us;
-        let keys: Vec<Id160> = self.storage.keys().copied().collect();
-        keys.into_iter()
-            .filter_map(|key| {
-                if self.drop_if_expired(&key, now) {
-                    return None;
-                }
-                let (snapshot, stamp) = self.snapshot(&key)?;
-                Some(self.start_write(ctx, key, snapshot, Some(stamp)))
-            })
-            .collect()
+        self.start_write(ctx, key, body)
     }
 
     /// Starts a write of `body` to the `k` nodes closest to `key`. It
     /// immediately drops this node's cached views of the key and arms the
     /// read-your-writes guard — even before any replica acks, a later
     /// local GET must never see the pre-write view.
-    fn start_write(
-        &mut self,
-        ctx: &mut Ctx<KadOutput>,
-        key: Id160,
-        body: WriteBody,
-        stamp: Option<VersionStamp>,
-    ) -> u64 {
+    fn start_write(&mut self, ctx: &mut Ctx<KadOutput>, key: Id160, body: WriteBody) -> u64 {
         self.note_written(key, ctx.now_us);
-        self.start_op(ctx, key, OpKind::Write { body, stamp })
+        self.start_op(ctx, key, OpKind::Write(body))
     }
 
     /// Phase 2 of a write: the lookup fixed the replica set — the `k`
     /// closest, this node among them if it is closer than the `k`-th (or
-    /// the set is short). Apply locally if so, send to the rest, and wait
-    /// for their acks.
+    /// the set is short). Mint the origin stamp, apply locally if so, send
+    /// to the rest, and wait for their acks.
     pub(super) fn write_to_replicas(
         &mut self,
         ctx: &mut Ctx<KadOutput>,
@@ -194,16 +161,12 @@ impl KademliaNode {
         key: Id160,
         mut replicas: Vec<Contact>,
         body: &WriteBody,
-        stamp: Option<VersionStamp>,
     ) {
         let self_dist = self.contact.id.distance(&key);
         let include_self = replicas.len() < self.cfg.k
             || (replicas.last()).is_none_or(|c| self_dist < c.id.distance(&key));
         replicas.truncate(self.cfg.k.saturating_sub(usize::from(include_self)));
-        // Client writes mint their origin stamp here, once the lookup
-        // fixed the replica set; replication re-sends the snapshot's
-        // existing stamp (repair never mints).
-        let stamp = stamp.unwrap_or_else(|| self.mint_stamp(&key, ctx.now_us));
+        let stamp = self.mint_stamp(&key, ctx.now_us);
         if let Some(op) = self.ops.get_mut(&op_id) {
             op.messages += replicas.len() as u32;
             op.phase = Phase::Write {
@@ -245,13 +208,13 @@ impl KademliaNode {
     }
 
     /// Applies a write to local storage and runs its consequences: the
-    /// record is refreshed (its TTL clock restarts — writes and replication
-    /// both count), every cached view of the key is dropped, the key
-    /// enters the digest's news ring, and — when the write raised the
-    /// stored stamp — the key's recent fetchers are pushed the new view
-    /// (`from`, the write's own sender, excepted). The one path behind the
-    /// `Store` / `Append` / `Replicate` handlers and the coordinator's
-    /// local apply (`from` = `None`).
+    /// record is refreshed (writes and replication both count), every
+    /// cached view of the key is dropped, the key enters the digest's news
+    /// ring, and — when the write raised the stored stamp — the key's
+    /// recent fetchers are pushed the new view (`from`, the write's own
+    /// sender, excepted). The one path behind the `Store` / `Append` /
+    /// `Replicate` handlers and the coordinator's local apply (`from` =
+    /// `None`).
     fn apply_write(
         &mut self,
         ctx: &mut Ctx<KadOutput>,
@@ -281,19 +244,6 @@ impl KademliaNode {
         };
         self.observe_stamp(stamp);
         let replica = matches!(body, WriteBody::Snapshot(_));
-        // TTL accept gate: a record that already outlived
-        // `record_ttl_us` here is a zombie awaiting the expiry sweep —
-        // merging an incoming snapshot would re-wind its clock and
-        // resurrect it (the snapshot stems from the same stale write; a
-        // *gated* sender would not have pushed it). Drop the zombie and
-        // reject the refresh instead; the ack still flows (the datagram
-        // was handled, not lost). If the sender's copy was genuinely
-        // fresher (this node missed a later write), the rejection costs at
-        // most one repair interval: the next push meets an empty slot and
-        // is accepted as a fresh record.
-        if replica && self.drop_if_expired(&key, ctx.now_us) {
-            return self.ack(ctx, from.addr, rpc);
-        }
         self.apply_write(ctx, key, &body, stamp, Some(&from.id));
         // Repair suppression: someone just re-replicated this key, so our
         // own next repair sweep can skip it.
@@ -377,30 +327,6 @@ impl KademliaNode {
         VersionStamp::new(self.write_seq, self.contact.id)
     }
 
-    /// True when `key` is held but has outlived [`KadConfig::record_ttl_us`]
-    /// — present only because the periodic expiry sweep has not reached it
-    /// yet. Such zombies must neither be pushed by maintenance nor have
-    /// their clock re-wound by an incoming `Replicate`.
-    ///
-    /// [`KadConfig::record_ttl_us`]: super::KadConfig::record_ttl_us
-    fn expired_locally(&self, key: &Id160, now_us: u64) -> bool {
-        let held = self.storage.get(key);
-        let age = held.map(|s| now_us.saturating_sub(s.refreshed_us));
-        matches!((self.cfg.record_ttl_us, age), (Some(ttl), Some(age)) if age > ttl)
-    }
-
-    /// Lazily drops `key` if it is expired-but-unswept. Returns true when
-    /// the key was dropped (callers skip their push).
-    pub(super) fn drop_if_expired(&mut self, key: &Id160, now_us: u64) -> bool {
-        if self.expired_locally(key, now_us) {
-            self.storage.remove(key);
-            self.invalidate_cached(key);
-            self.forget_unheld_news();
-            return true;
-        }
-        false
-    }
-
     /// Stamps a client-issued write: drops this node's cached views of the
     /// key and arms (or re-arms) its read-your-writes guard, so GETs
     /// refuse possibly-stale cached replies while the write is in flight
@@ -478,159 +404,24 @@ impl KademliaNode {
 
 #[cfg(test)]
 mod tests {
-    use dharma_net::{Node, SimConfig, SimNet};
+    use dharma_net::Node;
     use dharma_types::sha1;
 
     use std::time::{Duration, Instant};
 
-    use super::super::testutil::{
-        build_net, build_overlay, contact, fresh_cfg, sim_cfg, st, test_cfg,
-    };
+    use super::super::testutil::{build_overlay, contact, fresh_cfg, sim_cfg, st, test_cfg};
     use super::*;
     use crate::messages::DigestEntry;
     use crate::node::{KadConfig, MaintConfig};
-    #[test]
-    fn replicate_does_not_resurrect_expired_records() {
-        let cfg = KadConfig {
-            record_ttl_us: Some(2_000_000),
-            ..KadConfig::default()
-        };
-        let mut node = KademliaNode::new(sha1(b"ttl-node"), 0, cfg);
-        let key = sha1(b"zombie");
-        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
-        node.append(&mut ctx, key, "rock", 3); // local apply, refreshed at 0
-        assert!(node.storage().contains(&key));
-
-        let peer = Contact {
-            id: sha1(b"pusher"),
-            addr: 1,
-        };
-        let snapshot = vec![StoredEntry {
-            name: "rock".into(),
-            weight: 3,
-        }];
-        // Past the TTL but before the expiry sweep: the repair push used to
-        // bump `refreshed_us` and revive the record indefinitely.
-        let mut ctx: Ctx<KadOutput> = Ctx::new(2_500_000, 0, 2);
-        node.on_message(
-            &mut ctx,
-            1,
-            Message::Replicate {
-                rpc: 1,
-                from: peer.clone(),
-                key,
-                blob: None,
-                entries: snapshot.clone(),
-                stamp: st(1),
-            }
-            .encode_to_bytes(),
-        );
-        assert!(
-            !node.storage().contains(&key),
-            "an expired record is dropped, not refreshed, by incoming repair"
-        );
-
-        // A key the node never held is accepted normally — repair onto new
-        // replicas must keep working.
-        let fresh = sha1(b"fresh-replica");
-        node.on_message(
-            &mut ctx,
-            1,
-            Message::Replicate {
-                rpc: 2,
-                from: peer,
-                key: fresh,
-                blob: None,
-                entries: snapshot,
-                stamp: st(2),
-            }
-            .encode_to_bytes(),
-        );
-        assert!(node.storage().contains(&fresh));
-        assert_eq!(
-            node.storage().get(&fresh).unwrap().refreshed_us,
-            2_500_000,
-            "accepted replicas start a fresh TTL clock"
-        );
-    }
-
-    #[test]
-    fn republish_is_idempotent_and_spreads_values() {
-        let (mut net, _contacts) = build_net(16, 20);
-        let key = sha1(b"republished");
-        net.with_node(2, |n, ctx| n.append(ctx, key, "rock", 3));
-        net.run_until_idle(1_000_000);
-        net.take_completions();
-
-        // Find a holder and count replicas.
-        let holders_before: Vec<u32> = (0..16u32)
-            .filter(|&a| net.node(a).storage().contains(&key))
-            .collect();
-        assert!(!holders_before.is_empty());
-        let holder = holders_before[0];
-
-        // Republishing twice must not inflate weights anywhere (merge-max).
-        for _ in 0..2 {
-            net.with_node(holder, |n, ctx| {
-                n.republish_all(ctx);
-            });
-            net.run_until_idle(1_000_000);
-            net.take_completions();
-        }
-        for a in 0..16u32 {
-            let w = net.node(a).storage().weight(&key, "rock");
-            assert!(w == 0 || w == 3, "node {a} holds inflated weight {w}");
-        }
-        let holders_after = (0..16u32)
-            .filter(|&a| net.node(a).storage().contains(&key))
-            .count();
-        assert!(holders_after >= holders_before.len());
-    }
-
-    #[test]
-    fn periodic_expiry_drops_stale_records() {
-        let mut net = SimNet::new(SimConfig {
-            latency_min_us: 1_000,
-            latency_max_us: 5_000,
-            drop_rate: 0.0,
-            mtu: 64 * 1024,
-            seed: 21,
-            shards: 1,
-            topology: None,
-        });
-        let cfg = KadConfig {
-            record_ttl_us: Some(2_000_000),
-            ..KadConfig::default()
-        };
-        let id = sha1(b"expiring-node");
-        net.add_node(KademliaNode::new(id, 0, cfg));
-        let key = sha1(b"ephemeral");
-        net.with_node(0, |n, ctx| n.append(ctx, key, "x", 1));
-        // Time-bounded runs: the expiry timer re-arms forever, so
-        // run_until_idle would fast-forward through years of sweeps.
-        net.run_until(10_000);
-        net.take_completions();
-        assert!(net.node(0).storage().contains(&key));
-        // Run virtual time past the TTL; the periodic sweep must fire.
-        net.run_until(10_000_000);
-        assert!(
-            !net.node(0).storage().contains(&key),
-            "value must expire after the TTL"
-        );
-    }
 
     /// The coordinator of a client write is usually one of the key's `k`
     /// closest itself. Its own copy must be the same record, by the same
-    /// path, as every other replica's — refreshed when written, so that it
-    /// lives out its TTL and keeps accepting repair.
+    /// path, as every other replica's — refreshed when written, and
+    /// refreshed again by repair.
     #[test]
     fn a_coordinator_inside_the_replica_set_applies_its_own_write_like_any_replica() {
         // 6 nodes under k = 8: every node is in every replica set.
-        let cfg = KadConfig {
-            record_ttl_us: Some(2_000_000),
-            ..test_cfg(8)
-        };
-        let (mut net, contacts) = build_overlay(sim_cfg(40), 6, cfg);
+        let (mut net, contacts) = build_overlay(sim_cfg(40), 6, test_cfg(8));
         let (tags, uri) = (sha1(b"own-append"), sha1(b"own-blob"));
         let issued_at = 5_000_000;
         net.run_until(issued_at);
@@ -657,12 +448,9 @@ mod tests {
             );
             assert!((issued_at..remote.refreshed_us).contains(&own.refreshed_us));
         }
-        // The write was 1.5 s ago and the TTL is 2 s: an expiry tick has
-        // passed since, and the record is still everywhere.
+        // A repair push toward the coordinator merges and re-winds the
+        // clock.
         net.run_until(issued_at + 1_500_000);
-        assert!(net.node(2).storage().contains(&tags) && net.node(2).storage().contains(&uri));
-        // A repair push toward the coordinator meets a live record, not a
-        // zombie to reject and remove: it merges and re-winds the clock.
         let now = net.now_us();
         net.with_node(2, |n, ctx| {
             let repair = Message::Replicate {

@@ -245,11 +245,6 @@ impl RoutingTable {
         }
     }
 
-    /// The local node id.
-    pub fn local_id(&self) -> Id160 {
-        self.local
-    }
-
     /// Bucket capacity `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -486,7 +481,7 @@ mod tests {
     fn self_contact_is_ignored() {
         let mut rt = table();
         let me = Contact {
-            id: rt.local_id(),
+            id: sha1(b"local"),
             addr: 0,
         };
         assert_eq!(rt.note_contact(me), NoteOutcome::Ignored);

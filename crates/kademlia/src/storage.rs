@@ -46,7 +46,7 @@
 //!   `append` or a `merge_max` that raises or adds an entry or adopts a
 //!   blob, `put_blob`; a `merge_max` that changes nothing keeps it (the
 //!   stamp travels beside the body, not in it), and it goes with the value
-//!   itself (`remove`, `expire`). Its size is bounded by what it answers:
+//!   itself (`remove`). Its size is bounded by what it answers:
 //!   at most the blob plus the reply budget, per key read since its last
 //!   write. It has no capacity, TTL or knob, and [`Storage::heap_bytes`]
 //!   counts it.
@@ -80,7 +80,7 @@
 //!
 //! The compact layout is an internal detail: reads resolve symbols back to
 //! names ([`Storage::snapshot`], [`Storage::read_filtered`]) and all
-//! observable semantics — ordering, truncation, versioning, expiry — are
+//! observable semantics — ordering, truncation, versioning — are
 //! unchanged from the string-keyed representation.
 
 use std::cmp::Ordering;
@@ -153,7 +153,8 @@ pub struct ValueState {
     blob: Option<Box<[u8]>>,
     /// Weighted entries in reply order.
     entries: Vec<Entry>,
-    /// Last write (or replication refresh) time, µs. Drives expiry.
+    /// Last write (or replication refresh) time, µs. The demotion sweep
+    /// keeps a copy refreshed within its interval.
     pub refreshed_us: u64,
     /// The highest origin stamp applied to this value. Every write carries
     /// the [`VersionStamp`] minted at its origin, and holders keep the
@@ -402,7 +403,7 @@ impl Storage {
     }
 
     /// Marks `key` as refreshed at `now_us` (writes and replication both
-    /// count — expiry measures staleness, not age).
+    /// count — the demotion sweep measures staleness, not age).
     pub fn touch(&mut self, key: Id160, now_us: u64) {
         if let Some(state) = self.values.get_mut(&key) {
             state.refreshed_us = state.refreshed_us.max(now_us);
@@ -477,15 +478,6 @@ impl Storage {
     /// tiny relative to the values it deduplicates.
     pub fn remove(&mut self, key: &Id160) -> bool {
         self.values.remove(key).is_some()
-    }
-
-    /// Drops every value not refreshed within `ttl_us` of `now_us`.
-    /// Returns the number of expired keys.
-    pub fn expire(&mut self, now_us: u64, ttl_us: u64) -> usize {
-        let before = self.values.len();
-        self.values
-            .retain(|_, v| now_us.saturating_sub(v.refreshed_us) <= ttl_us);
-        before - self.values.len()
     }
 
     /// Raw read of a value.

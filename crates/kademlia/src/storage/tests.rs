@@ -108,21 +108,13 @@ fn merge_max_is_idempotent() {
 }
 
 #[test]
-fn expiry_drops_stale_values_only() {
+fn touch_never_moves_refresh_time_backwards() {
     let mut s = Storage::new();
-    let old = sha1(b"old");
-    let fresh = sha1(b"fresh");
-    s.append(old, "x", 1, st(1));
-    s.touch(old, 1_000);
-    s.append(fresh, "y", 1, st(2));
-    s.touch(fresh, 9_000);
-    let dropped = s.expire(10_000, 5_000);
-    assert_eq!(dropped, 1);
-    assert!(!s.contains(&old));
-    assert!(s.contains(&fresh));
-    // touch never moves time backwards.
-    s.touch(fresh, 1);
-    assert_eq!(s.get(&fresh).unwrap().refreshed_us, 9_000);
+    let key = sha1(b"fresh");
+    s.append(key, "y", 1, st(2));
+    s.touch(key, 9_000);
+    s.touch(key, 1);
+    assert_eq!(s.get(&key).unwrap().refreshed_us, 9_000);
 }
 
 #[test]

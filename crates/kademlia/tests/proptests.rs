@@ -655,7 +655,7 @@ proptest! {
     /// everything, sort everything, truncate — under heavy weight ties, at
     /// the `top_n` edges and with byte budgets that cut mid-prefix, at
     /// every point of a random interleaving of `append` / `merge_max` /
-    /// `put_blob` / `remove` / `expire` with reads of either kind: a memo
+    /// `put_blob` / `remove` with reads of either kind: a memo
     /// must never outlive the write that outdates it, nor answer a width
     /// or budget it was not encoded for.
     #[test]
@@ -704,15 +704,6 @@ proptest! {
                 }
                 7 => {
                     prop_assert_eq!(s.remove(&key), model.take().is_some());
-                }
-                8 => {
-                    // Every write above refreshed the value before `now`:
-                    // a zero TTL expires it, an unbounded one keeps it.
-                    let ttl = if w == 1 { 0 } else { u64::MAX };
-                    let dropped = s.expire(now, ttl);
-                    if ttl == 0 {
-                        prop_assert_eq!(dropped, usize::from(model.take().is_some()));
-                    }
                 }
                 _ => {}
             }

@@ -42,7 +42,7 @@ fn main() {
 
             let reader = ((i + 7) % (nodes as u32 - 1)) + 1;
             let before = net.counters().sent();
-            net.with_node(reader, |n, ctx| n.get(ctx, key, 0));
+            net.with_node(reader, |n, ctx| n.get_view(ctx, key, 0, false));
             net.run_until_idle(u64::MAX);
             get_msgs += net.counters().sent() - before;
         }

@@ -175,7 +175,7 @@ pub fn simulate_cache_workload(cfg: &CacheSimConfig) -> CacheSimReport {
     for i in 0..cfg.ops {
         let requester = (i % nodes) as u32;
         let key = keys[zipf.sample(&mut rng)];
-        let op = net.with_node(requester, |n, ctx| n.get(ctx, key, cfg.top_n));
+        let op = net.with_node(requester, |n, ctx| n.get_view(ctx, key, cfg.top_n, false));
         drive(&mut net, op, Pace::Steps);
     }
     // Let in-flight cache pushes and promotion replicas land before the

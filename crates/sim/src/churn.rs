@@ -414,7 +414,7 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
                  addr: NodeAddr,
                  key_idx: usize,
                  attempts: u32| {
-        let op = net.with_node(addr, |n, ctx| n.get(ctx, keys[key_idx], 0));
+        let op = net.with_node(addr, |n, ctx| n.get_view(ctx, keys[key_idx], 0, false));
         let issued_at_us = net.now_us();
         inflight.insert(
             (addr, op),
@@ -439,7 +439,7 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
             if inflight.contains_key(&(addr, op)) {
                 done.push((
                     (addr, op),
-                    matches!(out, KadOutput::Value { value: Some(_), .. }),
+                    matches!(out, KadOutput::View { view: Some(_), .. }),
                 ));
             }
         }
@@ -525,7 +525,7 @@ pub fn simulate_churn(cfg: &ChurnConfig) -> ChurnReport {
     net.run_until(horizon + settle);
     for (addr, op, out) in net.take_completions_from() {
         if inflight.remove(&(addr, op)).is_some()
-            && matches!(out, KadOutput::Value { value: Some(_), .. })
+            && matches!(out, KadOutput::View { view: Some(_), .. })
         {
             gets_ok += 1;
         }

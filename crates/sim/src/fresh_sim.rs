@@ -309,23 +309,23 @@ pub fn simulate_freshness(cfg: &FreshSimConfig) -> FreshSimReport {
         let issued_at = net.now_us();
         // Unfiltered, so served views list every entry and staleness is
         // computed exactly.
-        let op = net.with_node(requester, |n, ctx| n.get(ctx, keys[key_idx], 0));
+        let op = net.with_node(requester, |n, ctx| n.get_view(ctx, keys[key_idx], 0, false));
         let out = drive(&mut net, op, PACE);
-        let KadOutput::Value { value, messages } = out else {
-            panic!("GET completed with a non-value output");
+        let KadOutput::View { view, messages } = out else {
+            panic!("GET completed with a non-view output");
         };
         lookup_msgs += u64::from(messages);
-        if value.is_none() {
+        if view.is_none() {
             lookup_failures += 1;
         }
-        let sample = match value {
+        let sample = match view {
             Some(v) if v.from_cache => {
                 // Which writes completed before this GET was issued but
                 // are missing from the served view?
                 let oldest_missing = write_log[key_idx]
                     .iter()
                     .filter(|(done, name)| {
-                        *done <= issued_at && !v.entries.iter().any(|e| &e.name == name)
+                        *done <= issued_at && !v.entries().any(|(e, _)| e == name)
                     })
                     .map(|(done, _)| *done)
                     .min();

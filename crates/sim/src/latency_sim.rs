@@ -234,12 +234,12 @@ pub fn simulate_latency(cfg: &LatencySimConfig) -> LatencySimReport {
         let key = keys[rng.gen_range(0..cfg.keys)];
         let issued_at = net.now_us();
         for _ in 0..3 {
-            let op = net.with_node(requester, |n, ctx| n.get(ctx, key, 0));
+            let op = net.with_node(requester, |n, ctx| n.get_view(ctx, key, 0, false));
             let out = drive(net, op, PACE);
-            let KadOutput::Value { value, .. } = out else {
-                panic!("GET completed with a non-value output");
+            let KadOutput::View { view, .. } = out else {
+                panic!("GET completed with a non-view output");
             };
-            if value.is_some() {
+            if view.is_some() {
                 return (net.now_us() - issued_at, true);
             }
         }

@@ -50,37 +50,6 @@ impl Id160 {
         Id160(bytes)
     }
 
-    /// Draws a random identifier that shares exactly `prefix_len` leading bits
-    /// with `self` (and differs at bit `prefix_len`).
-    ///
-    /// Used by Kademlia bucket-refresh: to refresh bucket `i` a node looks up
-    /// a random id at distance `2^(159-i) ..= 2^(160-i)-1` from itself.
-    pub fn random_with_prefix<R: Rng + ?Sized>(&self, prefix_len: usize, rng: &mut R) -> Self {
-        assert!(
-            prefix_len < ID160_BITS,
-            "prefix must leave at least one free bit"
-        );
-        let mut out = Id160::random(rng);
-        // Copy the shared prefix from `self`.
-        let whole = prefix_len / 8;
-        out.0[..whole].copy_from_slice(&self.0[..whole]);
-        let rem = prefix_len % 8;
-        if rem != 0 {
-            let mask: u8 = 0xff << (8 - rem);
-            out.0[whole] = (self.0[whole] & mask) | (out.0[whole] & !mask);
-        }
-        // Force the bit right after the prefix to differ.
-        let byte = prefix_len / 8;
-        let bit = 7 - (prefix_len % 8);
-        let flip = 1u8 << bit;
-        if self.0[byte] & flip == 0 {
-            out.0[byte] |= flip;
-        } else {
-            out.0[byte] &= !flip;
-        }
-        out
-    }
-
     /// XOR distance to `other`.
     pub fn distance(&self, other: &Id160) -> Distance {
         let mut d = [0u8; ID160_BYTES];
@@ -280,21 +249,6 @@ mod tests {
             let flipped = a.with_flipped_bit(i);
             assert_ne!(a.bit(i), flipped.bit(i));
             assert_eq!(flipped.with_flipped_bit(i), a);
-        }
-    }
-
-    #[test]
-    fn random_with_prefix_shares_exact_prefix() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let a = Id160::random(&mut rng);
-        for prefix in [0usize, 1, 5, 8, 13, 64, 120, 159] {
-            let b = a.random_with_prefix(prefix, &mut rng);
-            for i in 0..prefix {
-                assert_eq!(a.bit(i), b.bit(i), "prefix bit {i} must match");
-            }
-            assert_ne!(a.bit(prefix), b.bit(prefix), "bit {prefix} must differ");
-            // Distance therefore falls exactly into bucket `prefix`.
-            assert_eq!(a.distance(&b).bucket_index(), Some(prefix));
         }
     }
 

@@ -81,23 +81,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Read it back (filtered GET) from yet another node.
     worker.with_node(4, |n, ctx| {
-        n.get(ctx, key, 10);
+        n.get_view(ctx, key, 10, false);
     });
     worker.poll(SETTLE)?;
-    let value = worker
+    let view = worker
         .take_completions(4)
         .into_iter()
         .find_map(|(_, out)| match out {
-            KadOutput::Value { value: Some(v), .. } => Some(v),
+            KadOutput::View { view: Some(v), .. } => Some(v),
             _ => None,
         })
         .expect("value should be found over UDP");
     println!("\nfetched t̂(rock) over UDP:");
-    for e in &value.entries {
-        println!("  {} → {}", e.name, e.weight);
+    for (name, weight) in view.entries() {
+        println!("  {name} → {weight}");
     }
-    let metal = value.entries.iter().find(|e| e.name == "metal").unwrap();
-    assert_eq!(metal.weight, 2, "appends from two sockets merged");
+    let metal = view.entries().find(|&(name, _)| name == "metal").unwrap();
+    assert_eq!(metal.1, 2, "appends from two sockets merged");
     println!("appends from two different sockets merged correctly ✓");
 
     // Operator telemetry over real sockets: each node's gauges (cache
