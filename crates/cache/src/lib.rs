@@ -26,8 +26,9 @@
 //!   rate crosses a threshold are *hot* and report a positive
 //!   [`PopularityEstimator::extra_replicas`], which the overlay uses to
 //!   push idempotent replica snapshots beyond the base `k` (adaptive
-//!   replication). Cold keys decay back below the threshold and their
-//!   extra replicas age out through the normal record-TTL path.
+//!   replication). Cold keys decay back below the threshold and stop
+//!   gaining extras, but nothing reclaims the extras already pushed:
+//!   records do not expire, and a holder's storage only grows.
 //!
 //! * [`FreshnessBook`] / [`HitHistory`] ([`fresh`], the `dharma-fresh`
 //!   subsystem) — the requester-side state of **version gossip** and

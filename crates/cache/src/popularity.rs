@@ -75,11 +75,6 @@ impl PopularityEstimator {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &PopularityConfig {
-        &self.cfg
-    }
-
     /// Number of keys currently tracked.
     pub fn tracked(&self) -> usize {
         self.map.len()

@@ -425,7 +425,7 @@ messages! {
         from: Contact,
     },
     /// Replication repair: a full value snapshot pushed by the repair sweep
-    /// (and by a join hand-off, a demotion or a graceful leave).
+    /// (and by a join hand-off or a graceful leave).
     /// Applied with **merge-max** semantics (idempotent), unlike `Append`.
     10 => Replicate {
         /// Request id.

@@ -41,7 +41,8 @@
 //! the entries out of it as borrowed `&str`s. Owned entries are built
 //! only for the callers that still take a
 //! [`FetchedValue`](super::FetchedValue): the benchmark's scripts and
-//! ledger and the `crates/sim` drivers. Deleting that shape, and this
+//! ledger, and tests; the `crates/sim` drivers read views. Deleting that
+//! shape, and this
 //! answer with it, is ROADMAP item 6's remainder.
 //!
 //! One decoder serves every answer, and [`WireDecode::decode_exact`] is

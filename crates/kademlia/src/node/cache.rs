@@ -8,7 +8,7 @@
 //! ([`KademliaNode::serve_cached`]) and one pins a view a peer sent
 //! ([`KademliaNode::pin_view`]). With adaptive replication on, holders
 //! track per-key GET rates and push replicas beyond the base `k` when a
-//! key runs hot; the demotion sweep (`maint`) is the counterpart.
+//! key runs hot. Nothing reclaims those extras once the key cools.
 //!
 //! A cached view is its wire body ([`CachedView`]): the blob option and
 //! entry list exactly as the holder encoded them, kept as bytes from the

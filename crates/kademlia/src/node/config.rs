@@ -89,13 +89,12 @@ dharma_types::config! {
         /// held records it is now among the `k` closest for. A contact merely
         /// seen for the first time, or seen again after an eviction, gets none.
         join_handoff: bool = true,
-        /// Demotion-sweep cadence, µs (`None` = off): reclaim beyond-`k`
-        /// replicas whose popularity has decayed (the adaptive-replication
-        /// counterpart of promotion). Demotion also bounds repair traffic:
-        /// without it, a holder that membership turnover pushed out of a
-        /// key's `k` closest keeps the record — and keeps re-pushing it every
-        /// repair interval — forever.
-        demote_interval_us: Option<u64> = Some(60_000_000), // 60 s
+        /// Must be `None`; kept for `dharma-bench/src/overlay.rs`, which
+        /// names it, until ROADMAP item 4. No copy beyond a key's `k`
+        /// closest is reclaimed. [`KademliaNode::new`] panics on `Some`.
+        ///
+        /// [`KademliaNode::new`]: crate::KademliaNode::new
+        demote_interval_us: Option<u64> = None,
         /// Churn-adaptive cadence (`None` = the fixed intervals above): scale
         /// probe/repair intervals from the observed departure rate and budget
         /// repair work per tick. See [`AdaptConfig`].
@@ -130,9 +129,6 @@ impl MaintConfig {
         }
         if self.repair_interval_us == 0 {
             return Err("repair_interval_us must be positive".into());
-        }
-        if self.demote_interval_us == Some(0) {
-            return Err("demote_interval_us must be positive when set".into());
         }
         if let Some(a) = &self.adaptive {
             if a.probe_min_us == 0 || a.probe_min_us > a.probe_max_us {
@@ -186,16 +182,17 @@ pub struct KadConfig {
     /// authoritative holders track per-key GET rates and push idempotent
     /// replica snapshots beyond the base `k` when a key runs hot.
     pub replication: Option<PopularityConfig>,
-    /// Ping-before-evict (default `true`, the Kademlia paper's rule): an
-    /// RPC timeout sends a liveness probe to the suspect instead of
-    /// evicting it outright; only a failed probe evicts (and promotes from
-    /// the bucket's replacement cache). `false` restores the old
-    /// evict-on-first-timeout policy — cheaper, but one lost datagram can
-    /// drop a live contact.
+    /// Must be `true`; kept for the struct literals of
+    /// `dharma-bench/src/overlay.rs` until ROADMAP item 4. An RPC timeout
+    /// sends a liveness probe to the suspect instead of evicting it
+    /// outright; only a failed probe evicts (and promotes from the
+    /// bucket's replacement cache). [`KademliaNode::new`] panics on `false`.
+    ///
+    /// [`KademliaNode::new`]: crate::KademliaNode::new
     pub ping_before_evict: bool,
     /// Churn maintenance loop (`None` = disabled, the default): liveness
-    /// probes, join-time key handoff, failure-driven re-replication, and
-    /// replica demotion. See [`MaintConfig`].
+    /// probes, join-time key handoff, failure-driven re-replication and
+    /// graceful leave. See [`MaintConfig`].
     pub maintenance: Option<MaintConfig>,
     /// Version gossip & cache-aware lookup routing (`None` = disabled,
     /// the default): piggybacked write-version digests, revalidation of

@@ -75,9 +75,10 @@ pub(super) struct FreshState {
 
 /// One slot of the news ring: a key written here, when, and the stamp it
 /// is stored at. Stored stamps change only by writes, each of which
-/// re-notes its key; a key dropped from storage keeps its slot (ring
-/// order stays the writes' order) with `stamp: None`. So the digest reads
-/// the ring alone, never storage.
+/// re-notes its key, and no held key is ever dropped; so the digest reads
+/// the ring alone, never storage. `stamp: None` means "never held": an
+/// empty `Append` (a re-tag's touch) of an absent key notes it without
+/// creating it.
 struct News {
     key: Id160,
     at_us: u64,
@@ -130,19 +131,6 @@ impl KademliaNode {
         }
     }
 
-    /// Storage just dropped keys (demotion): their news slots stop
-    /// gossiping, in place.
-    pub(super) fn forget_unheld_news(&mut self) {
-        let Some(f) = self.fresh.as_mut() else {
-            return;
-        };
-        for n in &mut f.news {
-            if n.stamp.is_some() && !self.storage.contains(&n.key) {
-                n.stamp = None;
-            }
-        }
-    }
-
     /// True while this node still ranks within `k` of `key` per its own
     /// routing view — the bar for speaking *authoritatively* about a
     /// held copy: serving it as a holder and gossiping its stamp in
@@ -152,12 +140,11 @@ impl KademliaNode {
     /// *confirming* (and refresh-ahead would keep re-pinning) cached
     /// views that miss every write since. Requires `k` strictly-closer
     /// known contacts to conclude "outsider" (a sparse routing view
-    /// assumes authority). Stricter than the demotion sweep's `k + slack`
-    /// on purpose: deleting a copy too eagerly loses churn resilience,
-    /// while *declining to speak* merely sends the lookup one hop onward
-    /// to a current holder. Only consulted under `dharma-fresh`: without
-    /// version gossip, beyond-`k` copies are a deliberate churn safety
-    /// net and keep serving.
+    /// assumes authority). Stricter than the graceful-leave handoff's
+    /// `k + slack` on purpose: *declining to speak* merely sends the
+    /// lookup one hop onward to a current holder. Only consulted under
+    /// `dharma-fresh`: without version gossip, beyond-`k` copies are a
+    /// deliberate churn safety net and keep serving.
     pub(super) fn likely_authoritative(&self, key: &Id160) -> bool {
         self.routing.local_ranks_within(key, self.cfg.k)
     }

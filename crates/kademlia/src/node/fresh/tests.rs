@@ -481,23 +481,19 @@ fn news_digest_from_storage(node: &KademliaNode, now_us: u64) -> Vec<DigestEntry
 }
 
 /// The ring's stamps stand in for storage: after every kind of event that
-/// moves a stored stamp or drops a key — local and received writes, an
-/// empty-append touch of a held and of an unheld key, a routing change,
-/// demotion — each slot holds the key's stored stamp (or `None`, in
-/// place), and the digest equals the one re-read from storage.
+/// moves a stored stamp or changes which keys this node speaks for —
+/// local and received writes, an empty-append touch of a held and of an
+/// unheld key, a routing change — each slot holds the key's stored stamp
+/// (or `None` for a key never held), and the digest equals the one
+/// re-read from storage.
 #[test]
 fn news_ring_stamps_track_storage_through_every_mutation() {
-    use crate::node::{MaintConfig, TIMER_DEMOTE};
     let local = sha1(b"ring-keeper");
     let freshness = FreshConfig::builder()
         .digest_max(64)
         .news_window_us(3_600_000_000);
     let cfg = KadConfig {
         freshness: Some(freshness.build().expect("valid")),
-        maintenance: Some(MaintConfig {
-            demote_interval_us: Some(1_000_000),
-            ..MaintConfig::default()
-        }),
         ..fresh_cfg(1_000_000)
     };
     let mut node = KademliaNode::new(local, 0, cfg);
@@ -566,10 +562,5 @@ fn news_ring_stamps_track_storage_through_every_mutation() {
     }
     let spoken = check(&node, 400);
     assert!((2..12).contains(&spoken), "{spoken} keys still spoken for");
-
-    // Demotion drops the far copies; their slots stay, silent.
-    node.on_timer(&mut Ctx::new(5_000_000, 0, 2), TIMER_DEMOTE);
-    let (len, held) = slots(&node);
-    assert!(len == 13 && held < 12, "{held} of {len} slots still held");
-    check(&node, 5_000_000);
+    assert_eq!(slots(&node), (13, 12), "the far copies stay held");
 }

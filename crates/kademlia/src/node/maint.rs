@@ -14,14 +14,13 @@
 //! * a **repair sweep** re-pushes every held key to its current `k` closest
 //!   nodes, restoring replicas lost to departures. An incoming `Replicate`
 //!   for a key suppresses the local re-push for one interval, so a healthy
-//!   replica set costs ~`k` datagrams per key per interval, not `k²`;
-//! * a **demotion sweep** reclaims beyond-`k` replicas once their
-//!   popularity has decayed (always treated as cold when adaptive
-//!   replication is off), re-pushing the snapshot to the authoritative
-//!   `k` before dropping it locally. Besides reclaiming space, this is
-//!   what keeps repair traffic bounded: without it every node that was
-//!   *ever* in a key's replica set keeps the record and keeps re-pushing
-//!   it each repair interval.
+//!   replica set costs ~`k` datagrams per key per interval, not `k²`.
+//!
+//! Nothing reclaims a copy held beyond a key's `k` closest — a promoted
+//! extra, or a leftover of old membership: storage only grows, and every
+//! node that was ever in a key's replica set keeps the record and
+//! re-pushes it each repair interval in which no other holder's push
+//! reached it first.
 //!
 //! Repaired replicas arrive via `Replicate`, whose handler invalidates every
 //! cached view of the key — so repair composes with the cache rules and
@@ -50,13 +49,13 @@ use dharma_types::{FxHashMap, FxHashSet, Id160, WireEncode};
 
 use super::rpc::{PROBE_OP, REPAIR_OP};
 use super::{bound_book, AdaptConfig, KadOutput, KademliaNode, MaintConfig};
-use super::{TIMER_DEMOTE, TIMER_PROBE, TIMER_REPAIR};
+use super::{TIMER_PROBE, TIMER_REPAIR};
 use crate::messages::{Contact, Message};
 
 /// How far beyond `k` a node may rank for a key and still be treated as
-/// one of its holders by the graceful-leave handoff and the demotion
-/// sweep: near the boundary the local view of the `k`-set may be slightly
-/// off, and a small buffer of extra copies is a churn safety net.
+/// one of its holders by the graceful-leave handoff: near the boundary the
+/// local view of the `k`-set may be slightly off, and a small buffer of
+/// extra copies is a churn safety net.
 const REPLICA_SLACK: usize = 2;
 
 /// How long a `Leave` tombstone blocks re-insertion of the departed id —
@@ -249,14 +248,6 @@ impl KademliaNode {
         ctx.set_timer(tick, TIMER_REPAIR);
     }
 
-    pub(super) fn demote_timer(&mut self, ctx: &mut Ctx<KadOutput>) {
-        let maint = self.cfg.maintenance.as_ref();
-        if let Some(interval) = maint.and_then(|m| m.demote_interval_us) {
-            self.demote_sweep(ctx, interval);
-            ctx.set_timer(interval, TIMER_DEMOTE);
-        }
-    }
-
     /// Sends a liveness probe to `contact` unless one is already in
     /// flight. The probe's RPC is tracked under [`PROBE_OP`]; its timeout
     /// (no `Pong`) confirms death and evicts the contact.
@@ -316,7 +307,7 @@ impl KademliaNode {
 
     /// `Replicate` push of `key`'s snapshot (idempotent merge-max on the
     /// receiver) to each of its current `k` closest contacts. From the
-    /// repair and demotion sweeps the pushes are `tracked` under
+    /// repair sweep the pushes are `tracked` under
     /// [`REPAIR_OP`] — like the join handoff's — so a corpse in a replica
     /// set feeds the departure-rate estimator on the first repair round
     /// instead of waiting for the probe cursor to reach its bucket; from a
@@ -349,13 +340,11 @@ impl KademliaNode {
         let now = ctx.now_us;
         if self.maint.repair_cursor.is_none() {
             // Fresh pass: prune suppression state from the previous round.
-            let storage = &self.storage;
-            self.maint.last_replicate_seen.retain(|key, seen| {
-                now.saturating_sub(*seen) < interval_us && storage.contains(key)
-            });
+            let seen = &mut self.maint.last_replicate_seen;
+            seen.retain(|_, at| now.saturating_sub(*at) < interval_us);
         }
         // Re-collected each tick rather than snapshotted per pass: storage
-        // mutates between ticks (demotion, incoming replicas), and
+        // mutates between ticks (incoming writes and replicas), and
         // the id-ordered cursor makes the fresh view resume correctly.
         let take = if budget == 0 { usize::MAX } else { budget };
         let (batch, done) = {
@@ -374,54 +363,6 @@ impl KademliaNode {
             self.cfg.counters.add(Counter::Rereplications, pushes);
         }
         self.maint.repair_cursor = if done { None } else { batch.last().copied() };
-    }
-
-    /// One demotion sweep: reclaim beyond-`k` replicas whose popularity has
-    /// decayed — the explicit counterpart of adaptive promotion, so extra
-    /// copies stop occupying space the moment a key cools. A key is dropped
-    /// only when (a) at least `k + REPLICA_SLACK` known contacts are strictly
-    /// closer to it (we are comfortably outside the authoritative replica set —
-    /// the slack keeps a small buffer of extra copies alive as a churn safety
-    /// net and avoids demote/handoff flapping at the boundary), (b) its local
-    /// popularity is below half the hot threshold (hysteresis against
-    /// flapping), and (c) it was not refreshed within the last sweep interval.
-    /// The snapshot is re-pushed to the `k` closest before the local drop, so
-    /// demotion can never lose the last copy.
-    fn demote_sweep(&mut self, ctx: &mut Ctx<KadOutput>, interval_us: u64) {
-        let now = ctx.now_us;
-        let cold_bar = self
-            .popularity
-            .as_ref()
-            .map(|p| p.config().hot_threshold / 2.0)
-            .unwrap_or(f64::INFINITY);
-        let keep_within = self.cfg.k + REPLICA_SLACK;
-        let victims: Vec<Id160> = self
-            .storage
-            .keys()
-            .copied()
-            .filter(|key| {
-                if self.routing.local_ranks_within(key, keep_within) {
-                    return false; // we rank within k + slack (or the view is sparse)
-                }
-                let weight = self
-                    .popularity
-                    .as_ref()
-                    .map(|p| p.weight(key, now))
-                    .unwrap_or(0.0);
-                if weight >= cold_bar {
-                    return false; // still warm: keep serving
-                }
-                let refreshed = self.storage.get(key).map(|s| s.refreshed_us).unwrap_or(0);
-                now.saturating_sub(refreshed) >= interval_us
-            })
-            .collect();
-        for key in victims {
-            self.push_to_closest(ctx, key, true);
-            self.storage.remove(&key);
-            self.invalidate_cached(&key);
-            self.cfg.counters.add(Counter::ReplicasDemoted, 1);
-        }
-        self.forget_unheld_news();
     }
 
     /// Handles an incoming [`Message::Leave`]: purge the sender from the
@@ -467,12 +408,11 @@ impl KademliaNode {
     ///
     /// The handoff is **trimmed**: a key is pushed only when this node
     /// ranks within `k + REPLICA_SLACK` of it. A copy held further out (a
-    /// demotion candidate, or leftover from old membership) is redundant —
+    /// promoted extra, or leftover from old membership) is redundant —
     /// the authoritative `k` are all strictly closer and hold the record
     /// without us — so pushing it would be pure drain overhead, the bulk
-    /// of A7's graceful-row message bill. The slack is the demotion
-    /// sweep's (`REPLICA_SLACK`): a key we *might* be needed for is
-    /// still pushed.
+    /// of A7's graceful-row message bill. Within the slack
+    /// (`REPLICA_SLACK`), a key we *might* be needed for is still pushed.
     pub fn leave(&mut self, ctx: &mut Ctx<KadOutput>) {
         let keys: Vec<Id160> = self.storage.keys().copied().collect();
         let keep_within = self.cfg.k + REPLICA_SLACK;

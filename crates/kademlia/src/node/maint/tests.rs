@@ -1,7 +1,6 @@
-//! Tests of the maintenance layer: probes, handoff, repair, demotion,
-//! adaptive cadence, graceful leave.
+//! Tests of the maintenance layer: probes, handoff, repair, adaptive
+//! cadence, graceful leave.
 
-use dharma_cache::{CacheConfig, PopularityConfig};
 use dharma_net::{NetCounters, Node, NodeAddr, SimNet};
 use dharma_types::{sha1, WireDecode};
 
@@ -10,20 +9,16 @@ use super::*;
 use crate::node::KadConfig;
 
 /// Like `build_net` but with the churn-maintenance loop enabled on every
-/// node (and optional cache/replication), sharing one counter set.
+/// node, sharing one counter set.
 fn build_maint_net(
     n: usize,
     k: usize,
     seed: u64,
     maint: MaintConfig,
-    cache: Option<CacheConfig>,
-    replication: Option<PopularityConfig>,
 ) -> (SimNet<KademliaNode>, Vec<Contact>, NetCounters) {
     let counters = NetCounters::new();
     let cfg = KadConfig {
         rpc_timeout_us: 300_000,
-        cache,
-        replication,
         maintenance: Some(maint),
         counters: counters.clone(),
         ..test_cfg(k)
@@ -41,7 +36,7 @@ fn probe_round_evicts_removed_contacts_everywhere() {
         demote_interval_us: None,
         adaptive: None,
     };
-    let (mut net, contacts, counters) = build_maint_net(16, 8, 70, maint, None, None);
+    let (mut net, contacts, counters) = build_maint_net(16, 8, 70, maint);
     // Two nodes depart for good.
     let gone = [5u32, 11];
     for &g in &gone {
@@ -73,7 +68,7 @@ fn live_contacts_survive_probe_rounds() {
         demote_interval_us: None,
         adaptive: None,
     };
-    let (mut net, _contacts, counters) = build_maint_net(12, 8, 71, maint, None, None);
+    let (mut net, _contacts, counters) = build_maint_net(12, 8, 71, maint);
     let known_before: Vec<usize> = (0..12u32).map(|a| net.node(a).routing().len()).collect();
     net.run_until(20_000_000);
     assert!(counters.probes_sent() > 50);
@@ -95,7 +90,7 @@ fn join_handoff_transfers_keys_to_newcomer() {
         demote_interval_us: None,
         adaptive: None,
     };
-    let (mut net, contacts, counters) = build_maint_net(16, 4, 72, maint, None, None);
+    let (mut net, contacts, counters) = build_maint_net(16, 4, 72, maint);
     let key = sha1(b"handed-off");
     net.with_node(2, |n, ctx| n.append(ctx, key, "rock", 7));
     net.run_until(4_000_000);
@@ -117,7 +112,7 @@ fn join_handoff_transfers_keys_to_newcomer() {
     };
     let addr = net.len() as NodeAddr;
     let newcomer = KademliaNode::new(key, addr, cfg);
-    let spawned = net.spawn(newcomer);
+    let spawned = net.add_node(newcomer);
     assert_eq!(spawned, addr);
     net.node_mut(spawned).add_seed(contacts[0].clone());
     net.with_node(spawned, |n, ctx| {
@@ -302,7 +297,7 @@ fn repair_sweep_restores_replicas_after_departures() {
         demote_interval_us: None,
         adaptive: None,
     };
-    let (mut net, _contacts, counters) = build_maint_net(20, 5, 73, maint, None, None);
+    let (mut net, _contacts, counters) = build_maint_net(20, 5, 73, maint);
     let key = sha1(b"repaired");
     net.with_node(1, |n, ctx| n.append(ctx, key, "rock", 3));
     net.run_until(4_000_000);
@@ -333,71 +328,6 @@ fn repair_sweep_restores_replicas_after_departures() {
     for a in after {
         assert_eq!(net.node(a).storage().weight(&key, "rock"), 3);
     }
-}
-
-#[test]
-fn demotion_reclaims_cold_promoted_replicas() {
-    let replication = PopularityConfig {
-        half_life_us: 2_000_000,
-        hot_threshold: 2.0,
-        max_extra_replicas: 10,
-        max_tracked: 1024,
-        promote_cooldown_us: 1_000,
-    };
-    let maint = MaintConfig {
-        probe_interval_us: 1_000_000,
-        repair_interval_us: 10_000_000_000, // off: repair would re-stamp refresh times
-        join_handoff: false,
-        demote_interval_us: Some(4_000_000),
-        adaptive: None,
-    };
-    let (mut net, _contacts, counters) = build_maint_net(
-        24,
-        4,
-        74,
-        maint,
-        Some(CacheConfig {
-            capacity: 64,
-            ttl_us: 1_000_000,
-        }),
-        Some(replication),
-    );
-    let key = sha1(b"briefly-viral");
-    net.with_node(0, |n, ctx| n.append(ctx, key, "meme", 1));
-    net.run_until(4_000_000);
-    net.take_completions();
-    let base = holders(&net, &key).len();
-
-    // Hammer the key from every node (twice, outliving the cache TTL
-    // so repeats reach the holders) to promote it well beyond k.
-    for _round in 0..2 {
-        for a in 0..24u32 {
-            net.with_node(a, |n, ctx| {
-                n.get(ctx, key, 0);
-            });
-            net.run_until(net.now_us() + 200_000);
-        }
-    }
-    net.take_completions();
-    let promoted = holders(&net, &key).len();
-    // Demotion spares replicas up to k + REPLICA_SLACK (= 6 here); the
-    // hot key must overshoot that floor for the reclaim to be visible.
-    assert!(
-        promoted > 6,
-        "hot key must gain replicas beyond k + slack: {base} -> {promoted}"
-    );
-
-    // The fad passes: no more GETs. Popularity decays (half-life 2 s),
-    // and the demotion sweeps reclaim the beyond-k-plus-slack copies.
-    net.run_until(net.now_us() + 60_000_000);
-    let after = holders(&net, &key).len();
-    assert!(
-        after < promoted,
-        "cold beyond-k replicas must be reclaimed: {promoted} -> {after}"
-    );
-    assert!(counters.replicas_demoted() > 0);
-    // The authoritative set (k closest + slack) keeps the block.
-    assert!(after >= base.min(4), "k closest keep the block: {after}");
 }
 
 fn adapt_cfg() -> AdaptConfig {
@@ -589,7 +519,7 @@ fn graceful_leave_hands_off_keys_and_purges_tables() {
         demote_interval_us: None,
         adaptive: None,
     };
-    let (mut net, _contacts, counters) = build_maint_net(16, 5, 80, maint, None, None);
+    let (mut net, _contacts, counters) = build_maint_net(16, 5, 80, maint);
     let key = sha1(b"carried");
     net.with_node(2, |n, ctx| n.append(ctx, key, "rock", 4));
     net.run_until(4_000_000);
@@ -639,7 +569,6 @@ fn graceful_leave_hands_off_keys_and_purges_tables() {
 fn repair_push_timeout_feeds_the_churn_estimator() {
     let cfg = KadConfig {
         k: 4,
-        ping_before_evict: false, // direct evict: isolate the repair path
         maintenance: Some(MaintConfig {
             adaptive: Some(adapt_cfg()),
             ..MaintConfig::default()
@@ -674,16 +603,33 @@ fn repair_push_timeout_feeds_the_churn_estimator() {
         "repair pushes are tracked with a pending-RPC timeout"
     );
 
-    // No ack arrives: the timeout must evict the corpse and count the
-    // departure — the estimator learns on the *first* repair round.
+    // No ack arrives: the timeout makes the corpse a suspect and probes
+    // it — the repair round itself starts the liveness check.
     let mut ctx: Ctx<KadOutput> = Ctx::new(2_000_000, 0, 3);
     node.on_timer(&mut ctx, rpc);
+    let (sends, _, _) = ctx.into_effects();
+    let probe = sends
+        .iter()
+        .find_map(|m| match Message::decode_exact(&m.payload) {
+            Ok(Message::Ping { rpc, .. }) if m.to == corpse.addr => Some(rpc),
+            _ => None,
+        })
+        .expect("the silent replica is probed");
+    assert!(
+        node.routing().contains(&corpse.id),
+        "a suspect, not yet evicted"
+    );
+    assert_eq!(node.churn_weight(2_000_000), 0.0);
+
+    // The probe goes unanswered too: the corpse is evicted and the
+    // departure feeds the churn estimate.
+    node.on_timer(&mut Ctx::new(3_000_000, 0, 4), probe);
     assert!(
         !node.routing().contains(&corpse.id),
         "the silent replica is evicted"
     );
     assert!(
-        node.churn_weight(2_000_000) >= 1.0,
+        node.churn_weight(3_000_000) >= 1.0,
         "the departure feeds the churn estimate"
     );
 }
@@ -771,20 +717,20 @@ fn config_table_defaults_and_setters() {
         (5_000_000, 30_000_000)
     );
     assert!(d.join_handoff);
-    assert_eq!(d.demote_interval_us, Some(60_000_000));
+    assert_eq!(d.demote_interval_us, None);
     assert!(d.adaptive.is_none());
 
     let c = MaintConfig::builder()
         .probe_interval_us(1)
         .repair_interval_us(2)
         .join_handoff(false)
-        .demote_interval_us(Some(3))
+        .demote_interval_us(None)
         .adaptive(Some(adapt_cfg()))
         .build()
         .expect("valid config");
     assert_eq!((c.probe_interval_us, c.repair_interval_us), (1, 2));
     assert!(!c.join_handoff);
-    assert_eq!(c.demote_interval_us, Some(3));
+    assert_eq!(c.demote_interval_us, None);
     let a = c.adaptive.expect("adaptive set");
     assert_eq!(
         (a.probe_min_us, a.repair_min_us),
@@ -802,10 +748,6 @@ fn config_builder_names_each_bad_knob() {
     assert_eq!(
         err(MaintConfig::builder().repair_interval_us(0)),
         "repair_interval_us must be positive"
-    );
-    assert_eq!(
-        err(MaintConfig::builder().demote_interval_us(Some(0))),
-        "demote_interval_us must be positive when set"
     );
     let probe = AdaptConfig {
         probe_min_us: 7,

@@ -36,8 +36,8 @@
 //! * `fresh` — version gossip, revalidation, invalidation push
 //!   ([`KadConfig::freshness`]). Handles `InvalidatePush`;
 //! * `maint` — liveness probes, key handoff to a joiner (a join is
-//!   announced by the joiner's lookup of its own id), repair and demotion
-//!   sweeps, churn-adaptive cadence, graceful leave
+//!   announced by the joiner's lookup of its own id), the repair sweep,
+//!   churn-adaptive cadence, graceful leave
 //!   ([`KadConfig::maintenance`]). Handles `Leave`;
 //! * `latency` — the RTT book, adaptive timeouts and α, proximity
 //!   neighbor selection ([`KadConfig::latency`]).
@@ -136,9 +136,6 @@ const TIMER_PROBE: u64 = u64::MAX - 2;
 /// Timer id for the repair (re-replication) sweep.
 const TIMER_REPAIR: u64 = u64::MAX - 3;
 
-/// Timer id for the replica-demotion sweep.
-const TIMER_DEMOTE: u64 = u64::MAX - 4;
-
 /// The Kademlia node.
 pub struct KademliaNode {
     contact: Contact,
@@ -215,16 +212,21 @@ impl KademliaNode {
     /// Creates a node with the given overlay id and transport address.
     ///
     /// # Panics
-    /// When [`KadConfig::republish_interval_us`] or
-    /// [`KadConfig::record_ttl_us`] is set: the maintenance repair sweep is
-    /// the one re-replication path, and records do not expire.
+    /// When [`KadConfig::republish_interval_us`],
+    /// [`KadConfig::record_ttl_us`] or [`MaintConfig::demote_interval_us`]
+    /// is set, or [`KadConfig::ping_before_evict`] is `false`: the
+    /// maintenance repair sweep is the one re-replication path, records do
+    /// not expire, no copy beyond `k` is reclaimed, and a contact is
+    /// evicted only when a probe fails too.
     pub fn new(id: Id160, addr: NodeAddr, cfg: KadConfig) -> Self {
+        let (republish, ttl) = (cfg.republish_interval_us, cfg.record_ttl_us);
+        let demote = cfg.maintenance.as_ref().and_then(|m| m.demote_interval_us);
+        let inert = (republish, ttl, demote, cfg.ping_before_evict);
         assert!(
-            cfg.republish_interval_us.is_none() && cfg.record_ttl_us.is_none(),
-            "KadConfig::republish_interval_us and record_ttl_us must be None (got {:?}, {:?}): \
-             the fields stay only until ROADMAP item 4 unfreezes the benchmark's literals",
-            cfg.republish_interval_us,
-            cfg.record_ttl_us
+            inert == (None, None, None, true),
+            "KadConfig::republish_interval_us, record_ttl_us and MaintConfig::demote_interval_us \
+             must be None and KadConfig::ping_before_evict true (got {inert:?}): the fields stay \
+             only until ROADMAP item 4 unfreezes the benchmark's literals"
         );
         KademliaNode {
             contact: Contact { id, addr },
@@ -295,10 +297,6 @@ impl Node for KademliaNode {
             let repair_tick = m.repair_tick_us();
             let repair_phase = ctx.rng.gen_range(0..repair_tick);
             ctx.set_timer(repair_tick + repair_phase, TIMER_REPAIR);
-            if let Some(demote) = m.demote_interval_us {
-                let demote_phase = ctx.rng.gen_range(0..demote.max(1));
-                ctx.set_timer(demote + demote_phase, TIMER_DEMOTE);
-            }
         }
     }
 
@@ -356,7 +354,6 @@ impl Node for KademliaNode {
         match id {
             TIMER_PROBE => self.probe_timer(ctx),
             TIMER_REPAIR => self.repair_timer(ctx),
-            TIMER_DEMOTE => self.demote_timer(ctx),
             // Every other timer id is an RPC id.
             rpc => self.on_timeout(ctx, rpc),
         }
@@ -431,7 +428,6 @@ mod tests {
             maintenance: Some(MaintConfig {
                 probe_interval_us: 1_000_000,
                 repair_interval_us: 2_000_000,
-                demote_interval_us: Some(3_000_000),
                 ..MaintConfig::default()
             }),
             ..KadConfig::default()
@@ -446,12 +442,11 @@ mod tests {
         let a = fire(1);
         let b = fire(2);
         for timers in [&a, &b] {
-            assert_eq!(timers.len(), 3, "{timers:?}");
+            assert_eq!(timers.len(), 2, "{timers:?}");
             for &(delay, id) in timers.iter() {
                 let base = match id {
                     TIMER_PROBE => 1_000_000,
                     TIMER_REPAIR => 2_000_000,
-                    TIMER_DEMOTE => 3_000_000,
                     other => panic!("unexpected timer {other}"),
                 };
                 assert!(
@@ -485,6 +480,29 @@ mod tests {
         KademliaNode::new(sha1(b"ttl"), 0, cfg);
     }
 
+    #[test]
+    #[should_panic(expected = "ROADMAP item 4")]
+    fn a_demotion_interval_is_rejected() {
+        let cfg = KadConfig {
+            maintenance: Some(MaintConfig {
+                demote_interval_us: Some(3_000_000),
+                ..MaintConfig::default()
+            }),
+            ..KadConfig::default()
+        };
+        KademliaNode::new(sha1(b"demote"), 0, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "ROADMAP item 4")]
+    fn evict_on_first_timeout_is_rejected() {
+        let cfg = KadConfig {
+            ping_before_evict: false,
+            ..KadConfig::default()
+        };
+        KademliaNode::new(sha1(b"evict"), 0, cfg);
+    }
+
     /// Every per-RPC book stays backed by a live timer: under loss and
     /// crashes, with every layer on, nothing is left behind in `pending`,
     /// `ops`, `probing` or `revalidating` once its RPC was answered or
@@ -511,7 +529,6 @@ mod tests {
                     repair_max_us: 4_000_000,
                     ..AdaptConfig::default()
                 }),
-                demote_interval_us: Some(5_000_000),
                 ..MaintConfig::default()
             }),
             freshness: Some(

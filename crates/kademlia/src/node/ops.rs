@@ -307,8 +307,8 @@ impl KademliaNode {
             return; // late reply for a finished op
         };
         if pend.op == REFRESH_OP {
-            // The digest sender no longer holds the key (demoted or gone
-            // between digest and refresh): the dropped view stays
+            // The digest sender no longer speaks for the key (membership
+            // moved between digest and refresh): the dropped view stays
             // dropped, nothing to refresh.
             self.end_revalidation(rpc);
             return;

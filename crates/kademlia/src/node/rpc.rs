@@ -8,13 +8,9 @@
 //! still finds the entry is a timeout ([`KademliaNode::on_timeout`]).
 //!
 //! Every received message refreshes the sender in the routing table; every
-//! RPC timeout marks the silent contact suspect — by default it is *probed*
-//! with a `PING` and evicted only when the probe also fails
-//! (ping-before-evict, §2.2 of the Kademlia paper; set
-//! [`KadConfig::ping_before_evict`] to `false` for the old
-//! evict-on-first-timeout behavior).
-//!
-//! [`KadConfig::ping_before_evict`]: super::KadConfig::ping_before_evict
+//! RPC timeout marks the silent contact suspect — it is *probed* with a
+//! `PING` and evicted only when the probe also fails (ping-before-evict,
+//! §2.2 of the Kademlia paper).
 
 use bytes::Bytes;
 
@@ -48,7 +44,7 @@ pub(super) struct PendingRpc {
 pub(super) const PROBE_OP: u64 = 0;
 
 /// Sentinel operation id for tracked maintenance `Replicate` pushes
-/// (repair / handoff / demotion): the ack settles the RPC, a timeout runs
+/// (repair / handoff): the ack settles the RPC, a timeout runs
 /// the standard suspect path, so a corpse in a replica set is discovered
 /// by the first repair round instead of waiting for the probe cursor.
 /// Client op ids count up from 1 and can never collide.
@@ -207,20 +203,13 @@ impl KademliaNode {
         }
         let rpc_timeout_us = self.cfg.rpc_timeout_us;
         let early = pend.timeout_us < rpc_timeout_us;
-        if early || pend.first_sent_us < pend.sent_at_us {
-            // An RTT-adaptive timer fired at ~β×srtt (or a retransmitted
-            // attempt gave up): the reply may simply still be in flight,
-            // or one datagram was lost on a live link. The lookup moves
-            // on below, but the routing table keeps the contact — only
-            // untouched full-timeout RPCs and liveness probes carry
-            // enough evidence to evict and count a departure.
-        } else if self.cfg.ping_before_evict {
-            // The op moves on below, but the routing table only marks the
-            // contact *suspect*: probe it, and evict on probe failure.
+        // An RTT-adaptive timer fired at ~β×srtt (or a retransmitted
+        // attempt gave up): the reply may simply still be in flight, or one
+        // datagram was lost on a live link, so the contact stays. An
+        // untouched full-timeout RPC only marks it *suspect*: probe it, and
+        // evict on probe failure. Either way the op moves on below.
+        if !early && pend.first_sent_us == pend.sent_at_us {
             self.probe_contact(ctx, pend.to.clone());
-        } else if self.routing.note_failure(&pend.to.id) {
-            self.maint.note_departure(ctx.now_us, 1.0);
-            self.forget_peer(&pend.to.id);
         }
         let Some(op) = self.ops.get(&pend.op) else {
             return;

@@ -207,8 +207,7 @@ impl KademliaNode {
         };
     }
 
-    /// Applies a write to local storage and runs its consequences: the
-    /// record is refreshed (writes and replication both count), every
+    /// Applies a write to local storage and runs its consequences: every
     /// cached view of the key is dropped, the key enters the digest's news
     /// ring, and — when the write raised the stored stamp — the key's
     /// recent fetchers are pushed the new view (`from`, the write's own
@@ -223,7 +222,7 @@ impl KademliaNode {
         stamp: VersionStamp,
         from: Option<&Id160>,
     ) {
-        let rose = self.storage.apply(key, body, stamp, ctx.now_us);
+        let rose = self.storage.apply(key, body, stamp);
         self.invalidate_cached(&key);
         self.note_news(key, ctx.now_us);
         if rose {
@@ -416,8 +415,7 @@ mod tests {
 
     /// The coordinator of a client write is usually one of the key's `k`
     /// closest itself. Its own copy must be the same record, by the same
-    /// path, as every other replica's — refreshed when written, and
-    /// refreshed again by repair.
+    /// path, as every other replica's, and a repair push merges into it.
     #[test]
     fn a_coordinator_inside_the_replica_set_applies_its_own_write_like_any_replica() {
         // 6 nodes under k = 8: every node is in every replica set.
@@ -431,27 +429,16 @@ mod tests {
         });
         net.run_until(issued_at + 200_000);
         for key in [tags, uri] {
-            let own = net
-                .node(2)
-                .storage()
-                .get(&key)
-                .expect("the coordinator's copy");
-            let remote = net.node(4).storage().get(&key).expect("a remote replica's");
+            let own = net.node(2).storage().snapshot(&key);
+            assert!(own.is_some(), "the coordinator holds its own write");
             assert_eq!(
-                net.node(2).storage().snapshot(&key),
+                own,
                 net.node(4).storage().snapshot(&key),
                 "same blob, entries and version on both"
             );
-            assert_eq!(
-                own.refreshed_us, own.version.seq,
-                "refreshed by the local apply, at the instant its stamp was minted"
-            );
-            assert!((issued_at..remote.refreshed_us).contains(&own.refreshed_us));
         }
-        // A repair push toward the coordinator merges and re-winds the
-        // clock.
+        // A repair push toward the coordinator merges.
         net.run_until(issued_at + 1_500_000);
-        let now = net.now_us();
         net.with_node(2, |n, ctx| {
             let repair = Message::Replicate {
                 rpc: 1,
@@ -467,12 +454,11 @@ mod tests {
             n.on_message(ctx, 4, repair.encode_to_bytes());
         });
         assert_eq!(net.node(2).storage().weight(&tags, "rock"), 5);
-        assert_eq!(net.node(2).storage().get(&tags).unwrap().refreshed_us, now);
     }
 
     /// A `Replicate` of exactly what a replica holds changes no entry, but
     /// it is still a repair round: the stamp rises to the incoming one, the
-    /// record is refreshed, the key is news in the digest, this node's own
+    /// key is news in the digest, this node's own
     /// sweep skips it and the sender is acked — with no name interned and
     /// the wire memo kept (the storage's heap size does not move).
     #[test]
@@ -512,7 +498,7 @@ mod tests {
         node.on_message(&mut ctx, 7, replicate.encode_to_bytes());
         assert_eq!(node.storage().heap_bytes(), heap);
         let value = node.storage().get(&key).expect("held");
-        assert_eq!((value.version, value.refreshed_us), (stamp, 2_000));
+        assert_eq!(value.version, stamp);
         let news = DigestEntry {
             key,
             version: stamp,

@@ -6,16 +6,13 @@
 //! contacts move to the tail, and eviction prefers the stale head.
 //!
 //! Eviction policy: the original paper pings the least-recently-seen contact
-//! before dropping it. The node layer implements exactly that as the
-//! **default** — an RPC timeout or a full bucket does not evict outright;
-//! the suspect is probed with a `PING` and only a failed probe removes it
-//! (see `KadConfig::ping_before_evict`). The table itself stays
-//! probe-agnostic: it additionally keeps the common *replacement cache* —
-//! a full bucket stashes newcomers in a side cache and promotes them when a
-//! resident contact is evicted — so a confirmed-dead resident is replaced
-//! without losing the newcomer that exposed it. Setting
-//! `ping_before_evict = false` restores the old evict-on-first-timeout
-//! behavior (replacement cache only).
+//! before dropping it. The node layer implements exactly that — an RPC
+//! timeout or a full bucket does not evict outright; the suspect is probed
+//! with a `PING` and only a failed probe removes it. The table itself
+//! stays probe-agnostic: it additionally keeps the common *replacement
+//! cache* — a full bucket stashes newcomers in a side cache and promotes
+//! them when a resident contact is evicted — so a confirmed-dead resident
+//! is replaced without losing the newcomer that exposed it.
 //!
 //! ## Rank tests without sorting: the bucket lemma
 //!

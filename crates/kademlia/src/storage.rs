@@ -45,8 +45,7 @@
 //!   width). It is dropped by **every** mutation of what it encodes: an
 //!   `append` or a `merge_max` that raises or adds an entry or adopts a
 //!   blob, `put_blob`; a `merge_max` that changes nothing keeps it (the
-//!   stamp travels beside the body, not in it), and it goes with the value
-//!   itself (`remove`). Its size is bounded by what it answers:
+//!   stamp travels beside the body, not in it). Its size is bounded by what it answers:
 //!   at most the blob plus the reply budget, per key read since its last
 //!   write. It has no capacity, TTL or knob, and [`Storage::heap_bytes`]
 //!   counts it.
@@ -153,9 +152,6 @@ pub struct ValueState {
     blob: Option<Box<[u8]>>,
     /// Weighted entries in reply order.
     entries: Vec<Entry>,
-    /// Last write (or replication refresh) time, µs. The demotion sweep
-    /// keeps a copy refreshed within its interval.
-    pub refreshed_us: u64,
     /// The highest origin stamp applied to this value. Every write carries
     /// the [`VersionStamp`] minted at its origin, and holders keep the
     /// max, so any two holders of the same key report *comparable*
@@ -402,14 +398,6 @@ impl Storage {
         self.values.get(key).map(|v| v.version).unwrap_or_default()
     }
 
-    /// Marks `key` as refreshed at `now_us` (writes and replication both
-    /// count — the demotion sweep measures staleness, not age).
-    pub fn touch(&mut self, key: Id160, now_us: u64) {
-        if let Some(state) = self.values.get_mut(&key) {
-            state.refreshed_us = state.refreshed_us.max(now_us);
-        }
-    }
-
     /// Replication repair: merges an incoming replica **idempotently** —
     /// the blob is adopted if absent and each entry takes
     /// `max(local, incoming)` tokens. Re-replicating the same snapshot any
@@ -421,7 +409,6 @@ impl Storage {
         blob: Option<&[u8]>,
         entries: &[StoredEntry],
         stamp: VersionStamp,
-        now_us: u64,
     ) {
         let state = self.values.entry(key).or_default();
         state.adopt(blob);
@@ -434,27 +421,19 @@ impl Storage {
         // the same snapshot never moves the version) while still letting a
         // repair carry news to a holder that missed the write.
         state.version = state.version.max(stamp);
-        state.refreshed_us = state.refreshed_us.max(now_us);
     }
 
     /// Applies one write from its body — whichever of [`Self::put_blob`],
     /// [`Self::append`] (once per entry) or [`Self::merge_max`] it calls
-    /// for, then [`Self::touch`] — under a single lookup of `key`, and
-    /// reports whether the stored stamp rose. An `APPEND` body's names are
-    /// interned from the body itself, borrowed. An `APPEND` without
-    /// entries (the `t̂` touch of a re-tag) writes nothing: it refreshes a
-    /// held record and creates none. The body was encoded by this node or
-    /// validated on receipt (`Message::decode_datagram`).
-    pub(crate) fn apply(
-        &mut self,
-        key: Id160,
-        body: &WriteBody,
-        stamp: VersionStamp,
-        now_us: u64,
-    ) -> bool {
+    /// for — under a single lookup of `key`, and reports whether the
+    /// stored stamp rose. An `APPEND` body's names are interned from the
+    /// body itself, borrowed. An `APPEND` without entries (the `t̂` touch
+    /// of a re-tag) writes nothing and creates no record. The body was
+    /// encoded by this node or validated on receipt
+    /// (`Message::decode_datagram`).
+    pub(crate) fn apply(&mut self, key: Id160, body: &WriteBody, stamp: VersionStamp) -> bool {
         const VALID: &str = "a write body is encoded here or validated on receipt";
         if matches!(body, WriteBody::Entries(list) if (&list[..]).get_varint().ok() == Some(0)) {
-            self.touch(key, now_us);
             return false;
         }
         let state = self.values.entry(key).or_default();
@@ -468,16 +447,7 @@ impl Storage {
             WriteBody::Snapshot(body) => state.merge_body(names, body).expect(VALID),
         }
         state.version = state.version.max(stamp);
-        state.refreshed_us = state.refreshed_us.max(now_us);
         state.version > before
-    }
-
-    /// Drops one value outright (replica demotion / manual reclamation).
-    /// Returns true when the key was present. Interned names are kept —
-    /// the vocabulary table only grows, which is fine: it is shared and
-    /// tiny relative to the values it deduplicates.
-    pub fn remove(&mut self, key: &Id160) -> bool {
-        self.values.remove(key).is_some()
     }
 
     /// Raw read of a value.

@@ -96,25 +96,15 @@ fn merge_max_is_idempotent() {
             weight: 2,
         },
     ];
-    s.merge_max(k, Some(b"uri"), &snapshot, st(50), 100);
-    s.merge_max(k, Some(b"uri"), &snapshot, st(50), 200);
+    s.merge_max(k, Some(b"uri"), &snapshot, st(50));
+    s.merge_max(k, Some(b"uri"), &snapshot, st(50));
     assert_eq!(s.weight(&k, "rock"), 5, "max, not sum");
     assert_eq!(s.weight(&k, "pop"), 2);
     assert_eq!(s.get(&k).unwrap().blob(), Some(b"uri".as_slice()));
     // Local value above the snapshot survives.
     s.append(k, "rock", 10, st(16));
-    s.merge_max(k, None, &snapshot, st(50), 300);
+    s.merge_max(k, None, &snapshot, st(50));
     assert_eq!(s.weight(&k, "rock"), 15);
-}
-
-#[test]
-fn touch_never_moves_refresh_time_backwards() {
-    let mut s = Storage::new();
-    let key = sha1(b"fresh");
-    s.append(key, "y", 1, st(2));
-    s.touch(key, 9_000);
-    s.touch(key, 1);
-    assert_eq!(s.get(&key).unwrap().refreshed_us, 9_000);
 }
 
 #[test]
@@ -191,10 +181,10 @@ fn heap_bytes_counts_the_wire_memo() {
         name: "tag-07".into(),
         weight: 1,
     };
-    s.merge_max(k, Some(b"other"), std::slice::from_ref(&entry), st(62), 0);
+    s.merge_max(k, Some(b"other"), std::slice::from_ref(&entry), st(62));
     assert_eq!(s.heap_bytes(), written + served.len());
     entry.weight = 99;
-    s.merge_max(k, None, std::slice::from_ref(&entry), st(63), 0);
+    s.merge_max(k, None, std::slice::from_ref(&entry), st(63));
     assert_eq!(s.heap_bytes(), written);
     // So is one whose blob is adopted.
     let bare = sha1(b"no blob yet");
@@ -203,7 +193,7 @@ fn heap_bytes_counts_the_wire_memo() {
     s.encode_filtered(&bare, 0, usize::MAX, &mut served)
         .unwrap();
     assert!(s.heap_bytes() > written);
-    s.merge_max(bare, Some(b"uri"), &[], st(65), 0);
+    s.merge_max(bare, Some(b"uri"), &[], st(65));
     assert_eq!(s.heap_bytes(), written + 3);
 }
 
@@ -254,13 +244,13 @@ fn a_large_write_fits_its_block_to_its_entries() {
     };
     let mut load = names(0, 40);
     load.push(load[3].clone());
-    assert!(s.apply(key, &append_body(&load), st(1), 0));
+    assert!(s.apply(key, &append_body(&load), st(1)));
     assert_eq!(held(&s), (40, 40));
     // Ten held names and 25 new ones, in an order no holder sends.
     let replica = snapshot_body(None, &names(30, 65));
-    assert!(s.apply(key, &replica, st(2), 0));
+    assert!(s.apply(key, &replica, st(2)));
     assert_eq!(held(&s), (65, 65));
-    s.merge_max(key, None, &names(60, 80), st(3), 0);
+    s.merge_max(key, None, &names(60, 80), st(3));
     assert_eq!(held(&s), (80, 80));
 }
 
@@ -301,8 +291,8 @@ proptest! {
 
     /// The memo is the reference read: at every point of a random
     /// interleaving of `append`, `merge_max` that raises, `merge_max`
-    /// that raises nothing, `put_blob`, blob adoption through
-    /// `merge_max`, and `remove` + re-create — with serving reads in
+    /// that raises nothing, `put_blob` and blob adoption through
+    /// `merge_max` — with serving reads in
     /// between that alternate between two `(top_n, budget)` pairs,
     /// each asked twice running so that both the encoding and the
     /// memoised path answer — the datagram `encode_filtered` serves is
@@ -330,15 +320,11 @@ proptest! {
                         StoredEntry { name: name.clone(), weight: w * 5 },
                         StoredEntry { name: format!("{name}r"), weight: w },
                     ];
-                    s.merge_max(key, None, &raised, stamp, 0);
+                    s.merge_max(key, None, &raised, stamp);
                 }
-                3 => s.merge_max(key, None, &held.unwrap_or_default(), stamp, 0),
+                3 => s.merge_max(key, None, &held.unwrap_or_default(), stamp),
                 4 => s.put_blob(key, name.into_bytes(), stamp),
-                5 => s.merge_max(key, Some(name.as_bytes()), &[], stamp, 0),
-                6 => {
-                    s.remove(&key);
-                    s.append(key, &name, w, stamp);
-                }
+                5 => s.merge_max(key, Some(name.as_bytes()), &[], stamp),
                 _ => {}
             }
             // Budgets past 300 stand for "no budget".
@@ -388,20 +374,20 @@ proptest! {
     /// `apply` of an encoded body is the public calls it stands for,
     /// under one lookup: a `Store` body is `put_blob`, an `Append` body
     /// is one `append` per entry in its order, a `Replicate` body is
-    /// `merge_max` of the entries it carries, each then `touch`. On
-    /// bodies of every shape — an `Append` of nothing (it only touches,
+    /// `merge_max` of the entries it carries. On
+    /// bodies of every shape — an `Append` of nothing (it writes nothing
     /// and raises no stamp) and a snapshot of nothing, a name repeated
     /// inside one body, more than `SMALL_BATCH` entries (the re-sort
     /// path) and non-ASCII names, each of these `Append`s also named
     /// once ahead of the drawn steps — at fresh, repeated and stale
     /// stamps, on held and absent keys, it reports the stamp comparison
-    /// those calls would make and leaves the same value, stamp, refresh
-    /// time and served bytes (a memo built by the read after one step
+    /// those calls would make and leaves the same value, stamp and served
+    /// bytes (a memo built by the read after one step
     /// must not survive the next step's write).
     #[test]
     fn apply_equals_the_calls_it_stands_for(
         steps in proptest::collection::vec(
-            (0u8..7, proptest::collection::vec(("[a-cé✓]{1,2}", 1u64..4), 0..40), 0u64..6),
+            (0u8..6, proptest::collection::vec(("[a-cé✓]{1,2}", 1u64..4), 0..40), 0u64..6),
             1..40,
         ),
     ) {
@@ -422,7 +408,7 @@ proptest! {
             (3, Vec::new(), 3),
         ];
         for (i, (kind, batch, seq)) in named.into_iter().chain(steps).enumerate() {
-            let (key, stamp, now) = (keys[i % 2], st(seq), (seq * 7 + batch.len() as u64) % 23);
+            let (key, stamp) = (keys[i % 2], st(seq));
             let entries: Vec<StoredEntry> = (batch.iter())
                 .map(|(name, weight)| StoredEntry { name: name.clone(), weight: *weight })
                 .collect();
@@ -443,25 +429,18 @@ proptest! {
                 4 => {
                     let tail = [StoredEntry { name: "b".into(), weight: 2 }];
                     let sent = if entries.is_empty() { &tail[..] } else { &entries[..] };
-                    many.merge_max(key, Some(name.as_bytes()), sent, stamp, now);
+                    many.merge_max(key, Some(name.as_bytes()), sent, stamp);
                     snapshot_body(Some(name.as_bytes()), sent)
                 }
-                5 => {
-                    many.merge_max(key, None, &[], stamp, now);
+                _ => {
+                    many.merge_max(key, None, &[], stamp);
                     snapshot_body(None, &[])
                 }
-                _ => {
-                    prop_assert_eq!(one.remove(&key), many.remove(&key));
-                    continue;
-                }
             };
-            many.touch(key, now);
-            let rose = one.apply(key, &body, stamp, now);
+            let rose = one.apply(key, &body, stamp);
             prop_assert_eq!(rose, many.stamp(&key) > before, "step {} kind {}", i, kind);
             for key in &keys {
                 prop_assert_eq!(one.snapshot(key), many.snapshot(key), "step {}", i);
-                let refreshed = |s: &Storage| s.get(key).map(|v| v.refreshed_us);
-                prop_assert_eq!(refreshed(&one), refreshed(&many), "step {}", i);
                 let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
                 prop_assert_eq!(
                     one.encode_filtered(key, 2, usize::MAX, &mut a),
@@ -554,8 +533,7 @@ proptest! {
     /// appends (heavy weight ties, non-ASCII names, repeated names within
     /// one batch), `merge_max` that raises, raises nothing or adds names,
     /// a `Replicate` body that agrees with the held block up to a random
-    /// point, storing and adopting a blob, remove then re-create, and
-    /// batches large enough to take the re-sort path, is held after every
+    /// point, storing and adopting a blob, and batches large enough to take the re-sort path, is held after every
     /// step to an independent `BTreeMap` model: the stored order is the
     /// model sorted by (weight desc, name asc), and `encode_filtered` is
     /// the model's reference encoding byte for byte at three
@@ -594,7 +572,7 @@ proptest! {
                     // A batch of either size: up to 40 entries, so both
                     // the rotations and the re-sort are taken.
                     let written = entries(&batch);
-                    s.apply(key, &append_body(&written), stamp, 0);
+                    s.apply(key, &append_body(&written), stamp);
                     for e in written {
                         *model.entry(e.name).or_default() += e.weight;
                     }
@@ -604,14 +582,14 @@ proptest! {
                         StoredEntry { name: name.clone(), weight: w * 5 },
                         StoredEntry { name: format!("{name}r"), weight: w },
                     ];
-                    s.merge_max(key, None, &raised, stamp, 0);
+                    s.merge_max(key, None, &raised, stamp);
                     raise(&mut model, &raised);
                 }
                 4 => {
                     let held = s.snapshot(&key).map(|(_, e, _)| e).unwrap_or_default();
-                    s.merge_max(key, None, &held, stamp, 0);
+                    s.merge_max(key, None, &held, stamp);
                     let added = entries(&batch);
-                    s.merge_max(key, None, &added, stamp, 0);
+                    s.merge_max(key, None, &added, stamp);
                     raise(&mut model, &added);
                 }
                 5 => {
@@ -622,7 +600,7 @@ proptest! {
                     held.iter_mut().skip(from).for_each(|e| e.weight += w % 2);
                     held.extend(entries(&batch));
                     let body = snapshot_body(Some(name.as_bytes()), &held);
-                    s.apply(key, &body, stamp, 0);
+                    s.apply(key, &body, stamp);
                     raise(&mut model, &held);
                     blob.get_or_insert_with(|| name.into_bytes());
                 }
@@ -631,19 +609,12 @@ proptest! {
                     blob = Some(name.into_bytes());
                 }
                 7 => {
-                    s.merge_max(key, Some(name.as_bytes()), &[], stamp, 0);
+                    s.merge_max(key, Some(name.as_bytes()), &[], stamp);
                     blob.get_or_insert_with(|| name.into_bytes());
-                }
-                8 => {
-                    s.remove(&key);
-                    (model, blob) = (BTreeMap::new(), None);
-                    let got = s.append(key, &name, w, stamp);
-                    model.insert(name, w);
-                    prop_assert_eq!(got, w);
                 }
                 _ => {
                     let held = s.snapshot(&key).map(|(_, e, _)| e).unwrap_or_default();
-                    s.apply(key, &snapshot_body(None, &held), stamp, 0);
+                    s.apply(key, &snapshot_body(None, &held), stamp);
                 }
             }
             let mut ranked: Vec<(String, u64)> = model.iter().map(|(n, &w)| (n.clone(), w)).collect();
@@ -682,19 +653,19 @@ fn held_block() -> (Storage, Id160) {
 }
 
 /// A `Replicate` of exactly the held block is a confirmation: no name is
-/// interned, the wire memo stays, and the stamp and refresh time still
-/// rise to the incoming ones.
+/// interned, the wire memo stays, and the stamp still rises to the
+/// incoming one.
 #[test]
 fn a_replicate_equal_to_the_held_block_interns_nothing_and_keeps_the_memo() {
     let (mut s, key) = held_block();
     let (body, _) = s.encode_snapshot(&key).unwrap();
     let (names, heap) = (s.names.len(), s.heap_bytes());
     assert!(s.get(&key).unwrap().memo.is_some());
-    assert!(s.apply(key, &WriteBody::Snapshot(body), st(99), 5_000));
+    assert!(s.apply(key, &WriteBody::Snapshot(body), st(99)));
     assert_eq!((s.names.len(), s.heap_bytes()), (names, heap));
     let held = s.get(&key).unwrap();
     assert!(held.memo.is_some(), "the memo survives");
-    assert_eq!((held.version, held.refreshed_us), (st(99), 5_000));
+    assert_eq!(held.version, st(99));
 }
 
 /// A `Replicate` that differs from the held block — one weight raised or
@@ -736,8 +707,8 @@ fn a_replicate_that_differs_merges_like_merge_max() {
         }
         let (mut wire, mut owned) = (held.clone(), held.clone());
         let body = snapshot_body(blob.as_deref(), &sent);
-        let rose = wire.apply(key, &body, st(99), 7);
-        owned.merge_max(key, blob.as_deref(), &sent, st(99), 7);
+        let rose = wire.apply(key, &body, st(99));
+        owned.merge_max(key, blob.as_deref(), &sent, st(99));
         assert!(rose, "{what}");
         assert_eq!(wire.snapshot(&key), owned.snapshot(&key), "{what}");
         assert_eq!(wire.names.len(), owned.names.len(), "{what}");
@@ -773,8 +744,8 @@ fn a_replicate_with_a_differing_non_ascii_tail_merges_like_merge_max() {
     );
     sent.remove(33);
     let (mut wire, mut owned) = (held.clone(), held.clone());
-    assert!(wire.apply(key, &snapshot_body(None, &sent), st(99), 7));
-    owned.merge_max(key, None, &sent, st(99), 7);
+    assert!(wire.apply(key, &snapshot_body(None, &sent), st(99)));
+    owned.merge_max(key, None, &sent, st(99));
     assert_eq!(wire.snapshot(&key), owned.snapshot(&key));
     assert_eq!(wire.names.len(), held.names.len() + 1);
     assert_eq!(wire.names.len(), owned.names.len());

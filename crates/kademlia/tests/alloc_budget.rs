@@ -413,7 +413,7 @@ fn a_1000_entry_append_of_fresh_names() {
     };
     let (sent, _, cost) = deliver(&mut h, R, &append.encode_to_bytes());
     assert_eq!(sent.len(), 1);
-    assert_eq!(cost, (49, 180_867));
+    assert_eq!(cost, (49, 180_779));
 }
 
 /// A coordinator's write phase: what `R` allocates on the delivery that

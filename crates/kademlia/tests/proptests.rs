@@ -655,7 +655,7 @@ proptest! {
     /// everything, sort everything, truncate — under heavy weight ties, at
     /// the `top_n` edges and with byte budgets that cut mid-prefix, at
     /// every point of a random interleaving of `append` / `merge_max` /
-    /// `put_blob` / `remove` with reads of either kind: a memo
+    /// `put_blob` with reads of either kind: a memo
     /// must never outlive the write that outdates it, nor answer a width
     /// or budget it was not encoded for.
     #[test]
@@ -680,7 +680,6 @@ proptest! {
             match kind {
                 0..=3 => {
                     s.append(key, &name, w, stamp);
-                    s.touch(key, now);
                     *model.get_or_insert_with(Default::default).0.entry(name).or_default() += w;
                 }
                 4 | 5 => {
@@ -690,7 +689,7 @@ proptest! {
                         StoredEntry { name: name.clone(), weight: w * 2 },
                         StoredEntry { name: format!("{name}r"), weight: w },
                     ];
-                    s.merge_max(key, Some(b"replica"), &replica, stamp, now);
+                    s.merge_max(key, Some(b"replica"), &replica, stamp);
                     let (entries, blob) = model.get_or_insert_with(Default::default);
                     for e in replica {
                         let held = entries.entry(e.name).or_default();
@@ -701,9 +700,6 @@ proptest! {
                 6 => {
                     s.put_blob(key, name.as_bytes().to_vec(), stamp);
                     model.get_or_insert_with(Default::default).1 = Some(name.into_bytes());
-                }
-                7 => {
-                    prop_assert_eq!(s.remove(&key), model.take().is_some());
                 }
                 _ => {}
             }

@@ -71,8 +71,6 @@ counters! {
     /// Repair re-replication pushes (replica snapshots re-sent to restore
     /// a key's replica set to `k` under churn).
     Rereplications => rereplications,
-    /// Beyond-`k` replicas reclaimed by the popularity decay sweep.
-    ReplicasDemoted => replicas_demoted,
     /// Graceful-departure `Leave` notices sent to routing-table contacts.
     LeaveNotices => leave_notices,
     /// Parting key handoffs pushed by gracefully departing nodes.
@@ -196,13 +194,11 @@ mod tests {
         c.add(ProbesSent, 2);
         c2.add(Handoffs, 3);
         c.add(Rereplications, 5);
-        c.add(ReplicasDemoted, 1);
         c2.add(LeaveNotices, 4);
         c.add(LeaveHandoffs, 2);
         assert_eq!(c2.probes_sent(), 2);
         assert_eq!(c.handoffs(), 3);
         assert_eq!(c2.rereplications(), 5);
-        assert_eq!(c.replicas_demoted(), 1);
         assert_eq!(c.leave_notices(), 4);
         assert_eq!(c2.leave_handoffs(), 2);
         assert_eq!(c.maintenance_messages(), 16);

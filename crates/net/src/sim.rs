@@ -216,7 +216,10 @@ impl<N: Node> SimNet<N> {
         self.events
     }
 
-    /// Adds a node, invoking its `on_start`. Returns its address.
+    /// Adds a node, invoking its `on_start`, at a never-before-used
+    /// address, which it returns. Mid-simulation this is a fresh-identity
+    /// join, the churn-scenario counterpart of [`SimNet::remove`]: the
+    /// address space is append-only, so a removed address is never reused.
     pub fn add_node(&mut self, mut node: N) -> NodeAddr {
         let addr = self.nodes.len() as NodeAddr;
         self.alive.push(true);
@@ -226,15 +229,6 @@ impl<N: Node> SimNet<N> {
         self.nodes.push(Some(node));
         self.apply_effects(addr, ctx);
         addr
-    }
-
-    /// Spawns a node mid-simulation: a fresh-identity join at a
-    /// never-before-used address. Identical to [`SimNet::add_node`] (the
-    /// address space is append-only, so reuse of a removed address is
-    /// impossible by construction); provided as the churn-scenario
-    /// counterpart of [`SimNet::remove`].
-    pub fn spawn(&mut self, node: N) -> NodeAddr {
-        self.add_node(node)
     }
 
     /// Permanently removes a node — a true churn *departure*, as opposed to
@@ -287,8 +281,8 @@ impl<N: Node> SimNet<N> {
     }
 
     /// Revives a crashed node (state preserved — a suspend/resume churn
-    /// model; fresh-state rejoin is done by [`SimNet::spawn`]ing a new
-    /// node). Panics on a removed address: departures are final and
+    /// model; fresh-state rejoin adds a new node with
+    /// [`SimNet::add_node`]). Panics on a removed address: departures are final and
     /// addresses are never reused.
     pub fn revive(&mut self, addr: NodeAddr) {
         assert!(
@@ -644,7 +638,7 @@ mod tests {
         let a = net.add_node(Echo::new(false));
         let b = net.add_node(Echo::new(false));
         net.remove(b);
-        let c = net.spawn(Echo::new(true));
+        let c = net.add_node(Echo::new(true));
         assert_ne!(c, b, "removed addresses are never reused");
         assert_eq!(net.len(), 3);
         // The newcomer is reachable.

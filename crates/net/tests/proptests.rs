@@ -293,7 +293,7 @@ fn run_lifecycle(ops: &[LifecycleOp], seed: u64) -> (u64, (u64, u64, u64, u64), 
             }
             LifecycleOp::Spawn(pos) => {
                 let peer = live[*pos as usize % live.len()];
-                let addr = net.spawn(Chatty { peer });
+                let addr = net.add_node(Chatty { peer });
                 assert!(!removed.contains(&addr), "addresses are never reused");
                 live.push(addr);
             }
@@ -319,7 +319,7 @@ fn run_lifecycle(ops: &[LifecycleOp], seed: u64) -> (u64, (u64, u64, u64, u64), 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `remove`/`spawn` never leak events or timers to dead addresses, and
+    /// `remove`/`add_node` never leak events or timers to dead addresses, and
     /// removed addresses are never reassigned, for arbitrary interleavings
     /// of stepping, removal and fresh joins.
     #[test]

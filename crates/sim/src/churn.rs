@@ -8,10 +8,11 @@
 //! warning) or, for a seeded [`ChurnConfig::graceful_fraction`] of them,
 //! a graceful [`dharma_net::SimNet::leave`] (parting key handoff + `Leave`
 //! notices first) — and, one seeded downtime later, a **fresh-identity**
-//! node [`dharma_net::SimNet::spawn`]s and bootstraps in its place. Session and
-//! downtime lengths are drawn from seeded Weibull distributions (shape 1 =
-//! exponential, the memoryless baseline; shape < 1 = the heavy-tailed
-//! session lengths measured in deployed P2P systems).
+//! node joins ([`dharma_net::SimNet::add_node`]) and bootstraps in its
+//! place. Session and downtime lengths are drawn from seeded Weibull
+//! distributions (shape 1 = exponential, the memoryless baseline; shape
+//! < 1 = the heavy-tailed session lengths measured in deployed P2P
+//! systems).
 //!
 //! Three outcomes are reported, for repair on vs off:
 //!
@@ -128,18 +129,17 @@ impl ChurnConfig {
         }
     }
 
-    /// Repair with join handoff on and demotion off, probing every
-    /// `probe_us` and sweeping every `repair_us`.
+    /// Repair with join handoff on, probing every `probe_us` and sweeping
+    /// every `repair_us`.
     fn repair(probe_us: u64, repair_us: u64) -> MaintConfigBuilder {
         MaintConfig::builder()
             .probe_interval_us(probe_us)
             .repair_interval_us(repair_us)
             .join_handoff(true)
-            .demote_interval_us(None)
     }
 
     /// [`Self::ablation_repair`] at the smoke scale's shorter horizon:
-    /// probes every 1 s, repair every 6 s, handoff on, demotion off.
+    /// probes every 1 s, repair every 6 s, handoff on.
     pub fn smoke_repair() -> MaintConfig {
         Self::repair(1_000_000, 6_000_000)
             .build()
@@ -147,13 +147,9 @@ impl ChurnConfig {
     }
 
     /// The maintenance configuration the "repair on" ablation rows use:
-    /// probes every 2 s, repair every 15 s, handoff on. Demotion stays
-    /// off here: the ablation isolates the repair guarantee, and the
-    /// stale beyond-`k` copies demotion would reclaim double as a churn
-    /// safety net (dropping them costs ~1 point of lookup success at
-    /// moderate churn — the space/traffic-vs-redundancy dial
-    /// [`MaintConfig::demote_interval_us`] exposes; long-running
-    /// deployments want it on, which is the [`MaintConfig`] default).
+    /// probes every 2 s, repair every 15 s, handoff on. Nothing reclaims
+    /// the stale beyond-`k` copies churn leaves behind; they double as a
+    /// churn safety net, and storage only grows.
     pub fn ablation_repair() -> MaintConfig {
         Self::repair(2_000_000, 15_000_000)
             .build()

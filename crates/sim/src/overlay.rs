@@ -103,7 +103,6 @@ pub(crate) fn light_liveness() -> MaintConfig {
         .probe_interval_us(2_000_000)
         .repair_interval_us(3_600_000_000)
         .join_handoff(false)
-        .demote_interval_us(None)
         .build()
         .expect("light liveness config is in range")
 }

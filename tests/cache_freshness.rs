@@ -81,7 +81,6 @@ fn gossip_keeps_cached_staleness_bounded_through_holder_turnover() {
                 .probe_interval_us(1_000_000)
                 .repair_interval_us(4_000_000)
                 .join_handoff(true)
-                .demote_interval_us(None)
                 .build()
                 .expect("turnover maintenance config is in range"),
         ),

@@ -33,7 +33,6 @@ fn repair_cfg() -> MaintConfig {
         .probe_interval_us(1_000_000)
         .repair_interval_us(8_000_000)
         .join_handoff(true)
-        .demote_interval_us(None)
         .build()
         .expect("repair config is in range")
 }
@@ -177,7 +176,6 @@ fn probe_rounds_purge_departed_contacts_across_seeds() {
                     .probe_interval_us(300_000)
                     .repair_interval_us(60_000_000_000)
                     .join_handoff(false)
-                    .demote_interval_us(None)
                     .build()
                     .expect("probe-purge maintenance config is in range"),
             ),
@@ -219,7 +217,6 @@ fn data_outlives_every_original_holder() {
         .probe_interval_us(500_000)
         .repair_interval_us(3_000_000)
         .join_handoff(true)
-        .demote_interval_us(None)
         .build()
         .expect("handoff maintenance config is in range");
     let mut net = build_overlay(&OverlayConfig {
@@ -260,7 +257,7 @@ fn data_outlives_every_original_holder() {
         net.remove(h);
         rng_n += 1;
         let id = sha1(format!("fresh-{rng_n}").as_bytes());
-        let addr = net.spawn(KademliaNode::new(id, net.len() as u32, kad.clone()));
+        let addr = net.add_node(KademliaNode::new(id, net.len() as u32, kad.clone()));
         net.node_mut(addr).add_seed(rendezvous.clone());
         net.with_node(addr, |n, ctx| {
             n.bootstrap(ctx);
@@ -270,7 +267,7 @@ fn data_outlives_every_original_holder() {
     net.take_completions();
 
     // A brand-new joiner reads the block.
-    let addr = net.spawn(KademliaNode::new(
+    let addr = net.add_node(KademliaNode::new(
         sha1(b"the-reader"),
         net.len() as u32,
         kad.clone(),
